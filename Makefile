@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench trace-smoke flight-smoke batch-smoke stats-smoke shard-smoke dist-trace-smoke alert-smoke examples experiments experiments-paper clean
+.PHONY: all build test race vet bench bench-paper trace-smoke flight-smoke batch-smoke stats-smoke shard-smoke dist-trace-smoke alert-smoke examples experiments experiments-paper clean
 
 all: build vet test
 
@@ -22,11 +22,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One representative benchmark cell per figure/table plus the ablations,
-# the BLAS kernel microbenchmarks, and the ModelJoin build-phase / artifact
-# cache benches. The root run leaves BENCH_modeljoin.json behind with the
-# cold-vs-cached MODEL JOIN cells.
+# The repo's benchmark (BENCHMARK.json): five workloads at production
+# defaults, six end-to-end metrics and a per-layer ledger. Compare two runs
+# with `go run ./benchmark -compare old.json new.json`.
 bench:
+	bash benchmark/run.sh
+
+# One representative cell per paper figure/table plus the ablations, the
+# BLAS kernel microbenchmarks and the ModelJoin build-phase benches.
+bench-paper:
 	$(GO) test -run=NONE -bench=. -benchmem . ./internal/blas ./internal/core/modeljoin
 
 # End-to-end observability smoke: run EXPLAIN ANALYZE on the demo MODEL
@@ -91,5 +95,8 @@ experiments:
 experiments-paper:
 	$(GO) run ./cmd/mjbench -experiment all -scale paper -csv results_paper.csv
 
+# Removes only what the targets above leave behind; results_small.csv and
+# mjbench_small.txt are tracked evidence and stay.
 clean:
-	rm -f results_*.csv forecaster.json test_output.txt bench_output.txt BENCH_modeljoin.json trace_smoke.txt
+	rm -f results_paper.csv forecaster.json test_output.txt bench_output.txt trace_smoke.txt
+	rm -rf .bench_build benchmark/out

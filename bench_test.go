@@ -13,7 +13,6 @@ package indbml
 
 import (
 	"fmt"
-	osexec "os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -37,17 +36,15 @@ const (
 	benchLSTMTuples  = 10_000
 )
 
+// The ablation benches share one dense fact table.
 var (
 	setupOnce  sync.Once
 	denseTable *storage.Table
-	lstmTable  *storage.Table
 )
 
 func setupTables() {
 	setupOnce.Do(func() {
 		denseTable, _ = workload.IrisTable("iris_fact", benchDenseTuples, benchPartitions)
-		series := workload.SinusSeries(benchLSTMTuples+workload.LSTMTimeSteps-1, 0.1)
-		lstmTable, _ = workload.WindowedSeriesTable("sinus_fact", series, workload.LSTMTimeSteps, benchPartitions)
 	})
 }
 
@@ -97,216 +94,64 @@ func reportGPU(b *testing.B, d *db.Database) {
 	b.ReportMetric(st.ModeledTime.Seconds()/float64(b.N), "sim-sec/op")
 }
 
-// --- Figure 8: dense-network inference runtime ---
+// --- Figures 8 and 9: inference runtime ---
 
-func BenchmarkFig8DenseModelJoinCPU(b *testing.B) {
-	setupTables()
-	model := workload.DenseModel(32, 2)
-	model.Name = "bench_model"
-	d := newDB(b, denseTable, model, db.Options{})
-	b.ResetTimer()
+// cellRunner is the experiment harness behind every Fig. 8 / Fig. 9 cell,
+// so the benches measure exactly what cmd/mjbench measures:
+// a fresh database per iteration, registration outside the clock, the
+// query — build phase included — inside it.
+var cellRunner = sync.OnceValue(func() *bench.Runner {
+	r := bench.NewRunner()
+	r.Partitions = benchPartitions
+	r.Parallelism = benchPartitions
+	r.MeterMemory = false
+	return r
+})
+
+// runCell measures one figure cell (depth 0 = the LSTM of Fig. 9) and
+// reports the harness's wall time as ns/op; simulated-GPU cells add the
+// modeled device seconds as sim-sec/op.
+func runCell(b *testing.B, a bench.Approach, width, depth int) {
+	r := cellRunner()
+	var wall, modeled time.Duration
 	for i := 0; i < b.N; i++ {
-		drainQuery(b, d, modelJoinQuery("cpu"), benchDenseTuples)
-	}
-}
-
-func BenchmarkFig8DenseModelJoinGPU(b *testing.B) {
-	setupTables()
-	model := workload.DenseModel(32, 2)
-	model.Name = "bench_model"
-	d := newDB(b, denseTable, model, db.Options{})
-	d.GPU().ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drainQuery(b, d, modelJoinQuery("gpu"), benchDenseTuples)
-	}
-	b.StopTimer()
-	reportGPU(b, d)
-}
-
-func capiBench(b *testing.B, fact *storage.Table, model *nn.Model, gpu bool, cols []int, wantRows int) {
-	d := db.Open(db.Options{})
-	var dev = d.CPU()
-	run := func() (int, error) {
-		op, err := baselines.ParallelScan(fact, func(child exec.Operator) (exec.Operator, error) {
-			if gpu {
-				return baselines.NewCAPIOperator(child, model, d.GPU(), cols)
-			}
-			return baselines.NewCAPIOperator(child, model, dev, cols)
-		}, benchPartitions)
-		if err != nil {
-			return 0, err
+		var m bench.Measurement
+		var err error
+		if depth == 0 {
+			m, err = r.RunLSTM(a, width, benchLSTMTuples)
+		} else {
+			m, err = r.RunDense(a, width, depth, benchDenseTuples)
 		}
-		rows := 0
-		err = exec.Drain(op, func(batch *vector.Batch) error { rows += batch.Len(); return nil })
-		return rows, err
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := run()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rows != wantRows {
-			b.Fatalf("rows %d, want %d", rows, wantRows)
-		}
+		wall += m.Wall
+		modeled += m.ModeledTime
 	}
-	if gpu {
-		b.StopTimer()
-		reportGPU(b, d)
-	}
-}
-
-func BenchmarkFig8DenseTFCAPICPU(b *testing.B) {
-	setupTables()
-	capiBench(b, denseTable, workload.DenseModel(32, 2), false, []int{1, 2, 3, 4}, benchDenseTuples)
-}
-
-func BenchmarkFig8DenseTFCAPIGPU(b *testing.B) {
-	setupTables()
-	capiBench(b, denseTable, workload.DenseModel(32, 2), true, []int{1, 2, 3, 4}, benchDenseTuples)
-}
-
-func BenchmarkFig8DenseTFPython(b *testing.B) {
-	setupTables()
-	model := workload.DenseModel(32, 2)
-	model.Name = "bench_model"
-	d := newDB(b, denseTable, model, db.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := baselines.TFPython(d, "iris_fact", "id", workload.IrisFeatureNames, model, d.CPU())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Predictions) != benchDenseTuples {
-			b.Fatalf("rows %d", len(res.Predictions))
-		}
+	b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N), "ns/op")
+	if modeled > 0 {
+		b.ReportMetric(modeled.Seconds()/float64(b.N), "sim-sec/op")
 	}
 }
 
-func BenchmarkFig8DenseUDF(b *testing.B) {
-	setupTables()
-	model := workload.DenseModel(32, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op, err := baselines.ParallelScan(denseTable, func(child exec.Operator) (exec.Operator, error) {
-			return baselines.NewUDFOperator(child, model, []int{1, 2, 3, 4}, true)
-		}, benchPartitions)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := exec.Drain(op, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func mlToSQLQuery(b *testing.B, d *db.Database, model string, layout relmodel.Layout, layerFilter bool, inputs []string, fact string) string {
-	b.Helper()
-	meta, err := d.ModelMeta(model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := mltosql.New(meta, mltosql.Options{
-		FactTable: fact, ModelTable: model, IDColumn: "id",
-		InputColumns: inputs, LayerFilter: layerFilter, NativeFunctions: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := gen.GenerateInferenceOnly()
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = layout
-	return q
-}
-
-func BenchmarkFig8DenseMLToSQL(b *testing.B) {
-	setupTables()
-	model := workload.DenseModel(32, 2)
-	model.Name = "bench_model"
-	d := newDB(b, denseTable, model, db.Options{})
-	q := mlToSQLQuery(b, d, "bench_model", relmodel.LayoutPairs, true, workload.IrisFeatureNames, "iris_fact")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drainQuery(b, d, q, benchDenseTuples)
-	}
-}
+func BenchmarkFig8DenseModelJoinCPU(b *testing.B) { runCell(b, bench.ModelJoinCPU, 32, 2) }
+func BenchmarkFig8DenseModelJoinGPU(b *testing.B) { runCell(b, bench.ModelJoinGPU, 32, 2) }
+func BenchmarkFig8DenseTFCAPICPU(b *testing.B)    { runCell(b, bench.TFCAPICPU, 32, 2) }
+func BenchmarkFig8DenseTFCAPIGPU(b *testing.B)    { runCell(b, bench.TFCAPIGPU, 32, 2) }
+func BenchmarkFig8DenseTFPython(b *testing.B)     { runCell(b, bench.TFPythonCPU, 32, 2) }
+func BenchmarkFig8DenseUDF(b *testing.B)          { runCell(b, bench.UDF, 32, 2) }
+func BenchmarkFig8DenseMLToSQL(b *testing.B)      { runCell(b, bench.MLToSQL, 32, 2) }
 
 // Wide/deep scaling cell: the paper's largest dense model.
-func BenchmarkFig8DenseWide512x8ModelJoin(b *testing.B) {
-	setupTables()
-	model := workload.DenseModel(512, 8)
-	model.Name = "bench_model"
-	d := newDB(b, denseTable, model, db.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drainQuery(b, d, modelJoinQuery("cpu"), benchDenseTuples)
-	}
-}
+func BenchmarkFig8DenseWide512x8ModelJoin(b *testing.B) { runCell(b, bench.ModelJoinCPU, 512, 8) }
 
-// --- Figure 9: LSTM inference runtime ---
+func BenchmarkFig9LSTMModelJoinCPU(b *testing.B) { runCell(b, bench.ModelJoinCPU, 32, 0) }
+func BenchmarkFig9LSTMModelJoinGPU(b *testing.B) { runCell(b, bench.ModelJoinGPU, 32, 0) }
+func BenchmarkFig9LSTMTFCAPICPU(b *testing.B)    { runCell(b, bench.TFCAPICPU, 32, 0) }
+func BenchmarkFig9LSTMTFPython(b *testing.B)     { runCell(b, bench.TFPythonCPU, 32, 0) }
 
-func lstmQuery(device string) string {
-	return "SELECT id, prediction FROM sinus_fact MODEL JOIN bench_lstm PREDICT (" +
-		strings.Join(workload.WindowColumnNames(workload.LSTMTimeSteps), ", ") + ") USING DEVICE '" + device + "'"
-}
-
-func BenchmarkFig9LSTMModelJoinCPU(b *testing.B) {
-	setupTables()
-	model := workload.LSTMModel(32)
-	model.Name = "bench_lstm"
-	d := newDB(b, lstmTable, model, db.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drainQuery(b, d, lstmQuery("cpu"), benchLSTMTuples)
-	}
-}
-
-func BenchmarkFig9LSTMModelJoinGPU(b *testing.B) {
-	setupTables()
-	model := workload.LSTMModel(32)
-	model.Name = "bench_lstm"
-	d := newDB(b, lstmTable, model, db.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drainQuery(b, d, lstmQuery("gpu"), benchLSTMTuples)
-	}
-	b.StopTimer()
-	reportGPU(b, d)
-}
-
-func BenchmarkFig9LSTMTFCAPICPU(b *testing.B) {
-	setupTables()
-	capiBench(b, lstmTable, workload.LSTMModel(32), false, []int{1, 2, 3}, benchLSTMTuples)
-}
-
-func BenchmarkFig9LSTMTFPython(b *testing.B) {
-	setupTables()
-	model := workload.LSTMModel(32)
-	model.Name = "bench_lstm"
-	d := newDB(b, lstmTable, model, db.Options{})
-	cols := workload.WindowColumnNames(workload.LSTMTimeSteps)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := baselines.TFPython(d, "sinus_fact", "id", cols, model, d.CPU()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9LSTMMLToSQL(b *testing.B) {
-	setupTables()
-	model := workload.LSTMModel(8) // width scaled down: ML-To-SQL LSTM is the slowest cell
-	model.Name = "bench_lstm"
-	d := newDB(b, lstmTable, model, db.Options{})
-	q := mlToSQLQuery(b, d, "bench_lstm", relmodel.LayoutPairs, true, workload.WindowColumnNames(3), "sinus_fact")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drainQuery(b, d, q, benchLSTMTuples)
-	}
-}
+// Width scaled down: ML-To-SQL LSTM is the slowest cell.
+func BenchmarkFig9LSTMMLToSQL(b *testing.B) { runCell(b, bench.MLToSQL, 8, 0) }
 
 // --- Table 3: peak memory ---
 
@@ -344,6 +189,27 @@ func BenchmarkTable3Memory(b *testing.B) {
 }
 
 // --- Ablations (DESIGN.md) ---
+
+func mlToSQLQuery(b *testing.B, d *db.Database, model string, layout relmodel.Layout, layerFilter bool, inputs []string, fact string) string {
+	b.Helper()
+	meta, err := d.ModelMeta(model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := mltosql.New(meta, mltosql.Options{
+		FactTable: fact, ModelTable: model, IDColumn: "id",
+		InputColumns: inputs, LayerFilter: layerFilter, NativeFunctions: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := gen.GenerateInferenceOnly()
+	if err != nil {
+		b.Fatal(err)
+	}
+	_ = layout
+	return q
+}
 
 // BenchmarkAblationNodeID compares the two relational layouts of Sec. 4.4's
 // first optimization.
@@ -484,14 +350,4 @@ func BenchmarkAblationGPUBuild(b *testing.B) {
 			reportGPU(b, d)
 		})
 	}
-}
-
-// benchProvenance stamps machine-readable bench artifacts (BENCH_*.json)
-// with the commit they were measured at and the UTC measurement time, so a
-// checked-in artifact is traceable to its code version.
-func benchProvenance() (sha, generatedAt string) {
-	if out, err := osexec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		sha = strings.TrimSpace(string(out))
-	}
-	return sha, time.Now().UTC().Format(time.RFC3339)
 }

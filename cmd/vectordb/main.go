@@ -44,10 +44,10 @@ import (
 	"indbml/internal/engine/db"
 	"indbml/internal/engine/vector"
 	"indbml/internal/flight"
-	"indbml/internal/telemetry"
 	"indbml/internal/metrics"
 	"indbml/internal/nn"
 	"indbml/internal/server/client"
+	"indbml/internal/telemetry"
 	"indbml/internal/workload"
 )
 
@@ -215,11 +215,7 @@ func parseKillArg(fields []string) (uint64, bool) {
 	return id, true
 }
 
-func (s *localSession) close() {
-	if s.tel != nil {
-		s.tel.Stop()
-	}
-}
+func (s *localSession) close() { s.tel.Stop() }
 
 func (s *localSession) runSQL(text string) {
 	start := time.Now()

@@ -40,7 +40,7 @@ func main() {
 	partitions := flag.Int("partitions", 4, "default table partition count")
 	parallelism := flag.Int("parallelism", 0, "query parallelism (0 = GOMAXPROCS)")
 	modelCache := flag.Int("model-cache", 0, "model artifact cache entries (0 = default 32, negative = disabled)")
-	flightSize := flag.Int("flight-recorder-size", 0, "query flight-recorder ring capacity (0 = default 1024, negative = disabled)")
+	flightSize := flag.Int("flight-recorder-size", 0, "query flight-recorder ring capacity (0 = default 1024)")
 	batchMaxWait := flag.Duration("batch-max-wait", 0, "max time a MODEL JOIN batch waits to coalesce with concurrent queries (0 = default 500µs)")
 	batchMaxRows := flag.Int("batch-max-rows", 0, "max rows per coalesced inference super-batch (0 = default 8192)")
 	batchInflight := flag.Int("batch-inflight", 0, "max concurrently executing inference batches per device (0 = default 2)")
@@ -52,7 +52,7 @@ func main() {
 	slowLogPath := flag.String("slow-query-log", "", "append slow-query JSON lines to this file ('-' = stderr, empty = disabled)")
 	slowThreshold := flag.Duration("slow-query-threshold", 500*time.Millisecond, "log statements slower than this (errors and cancellations are always logged)")
 	shards := flag.String("shards", "", "comma-separated shard daemon addresses; when set, this daemon runs as the fleet coordinator")
-	telemetryInterval := flag.Duration("telemetry-interval", 0, "metrics-history sampling tick (0 = default 1s, negative = disabled)")
+	telemetryInterval := flag.Duration("telemetry-interval", 0, "metrics-history sampling tick (0 = default 1s)")
 	alertLogPath := flag.String("alert-log", "", "append alert-transition JSON lines to this file ('-' = stderr, empty = disabled)")
 	var alertRules multiFlag
 	flag.Var(&alertRules, "alert", "declare an alert rule at startup, e.g. 'hot_p99 ON p99(vectordb_statement_seconds) > 0.5 FOR 30s' (repeatable)")

@@ -22,6 +22,10 @@
 // See README.md for a tour, DESIGN.md for the system inventory and
 // substitutions, and EXPERIMENTS.md for measured-vs-paper results. The
 // benchmarks in bench_test.go exercise one representative cell per figure
-// and table plus the ablations DESIGN.md calls out; cmd/mjbench runs the
-// full grids.
+// and table plus the ablations DESIGN.md calls out, driven through
+// internal/bench like cmd/mjbench, which runs the full grids. The system's
+// own performance — end to end and per layer, at production defaults with
+// the always-on flight recorder, statement stats and span tree that every
+// statement carries — is measured by the program in benchmark/ (run
+// benchmark/run.sh; see BENCHMARK.json).
 package indbml

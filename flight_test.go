@@ -7,6 +7,7 @@ package indbml
 // is still running.
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -15,9 +16,12 @@ import (
 	"time"
 
 	"indbml/internal/engine/db"
+	"indbml/internal/engine/exec"
+	"indbml/internal/flight"
 	"indbml/internal/odbc"
 	"indbml/internal/server"
 	"indbml/internal/server/client"
+	"indbml/internal/telemetry"
 	"indbml/internal/workload"
 )
 
@@ -155,47 +159,140 @@ func TestFlightRecorderEmbedded(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDisabled: negative size turns the feature off and the
-// system tables come back empty rather than erroring.
-func TestFlightRecorderDisabled(t *testing.T) {
-	d := db.Open(db.Options{DefaultPartitions: 2, Parallelism: 2, FlightRecorderSize: -1})
-	if err := workload.LoadDemo(d); err != nil {
-		t.Fatal(err)
+// TestFlightRecorderEveryPath: there is one SELECT path, so the same MODEL
+// JOIN leaves the same trail whichever entry point ran it — exactly one
+// system.queries row carrying a per-operator breakdown, one
+// system.statement_stats call, and nothing left in system.active_queries.
+func TestFlightRecorderEveryPath(t *testing.T) {
+	ctx := context.Background()
+	drain := func(op exec.Operator, err error) error {
+		if err != nil {
+			return err
+		}
+		_, err = exec.Collect(op)
+		return err
 	}
-	if _, err := d.Query("SELECT COUNT(*) AS n FROM iris"); err != nil {
-		t.Fatal(err)
+	paths := []struct {
+		name string
+		run  func(t *testing.T, d *db.Database) error
+	}{
+		{"Query", func(_ *testing.T, d *db.Database) error {
+			_, err := d.Query(modelJoinSQL)
+			return err
+		}},
+		{"QueryContext", func(_ *testing.T, d *db.Database) error {
+			_, err := d.QueryContext(ctx, modelJoinSQL)
+			return err
+		}},
+		{"QueryOp", func(_ *testing.T, d *db.Database) error {
+			return drain(d.QueryOp(modelJoinSQL))
+		}},
+		{"QueryOpContext", func(_ *testing.T, d *db.Database) error {
+			return drain(d.QueryOpContext(ctx, modelJoinSQL))
+		}},
+		{"QueryOpTracedContext", func(_ *testing.T, d *db.Database) error {
+			op, _, err := d.QueryOpTracedContext(ctx, modelJoinSQL)
+			return drain(op, err)
+		}},
+		{"QueryAnalyzeContext", func(_ *testing.T, d *db.Database) error {
+			_, _, err := d.QueryAnalyzeContext(ctx, modelJoinSQL)
+			return err
+		}},
+		{"ExplainAnalyzeContext", func(_ *testing.T, d *db.Database) error {
+			_, err := d.ExplainAnalyzeContext(ctx, modelJoinSQL)
+			return err
+		}},
+		{"wire", func(t *testing.T, d *db.Database) error {
+			rows, err := dialServer(t, d, server.Config{}).Query(modelJoinSQL)
+			if err != nil {
+				return err
+			}
+			return rows.Drain()
+		}},
+		{"odbc", func(_ *testing.T, d *db.Database) error {
+			rows, err := odbc.Query(d, modelJoinSQL)
+			if err != nil {
+				return err
+			}
+			for rows.Next() != nil {
+			}
+			return rows.Err()
+		}},
 	}
-	if d.FlightRecorder() != nil {
-		t.Fatal("recorder not disabled")
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			d := demoDB(t)
+			if err := p.run(t, d); err != nil {
+				t.Fatal(err)
+			}
+			rec := d.FlightRecorder()
+			queries := rec.Snapshot()
+			if len(queries) != 1 {
+				t.Fatalf("system.queries rows = %d, want 1", len(queries))
+			}
+			q := queries[0]
+			if q.Kind != "select" || q.Approach != "modeljoin" || q.RowsOut != 5 || q.Error != "" {
+				t.Errorf("summary = kind %q approach %q rows_out %d error %q", q.Kind, q.Approach, q.RowsOut, q.Error)
+			}
+			var sawModelJoin bool
+			for _, op := range q.Ops {
+				sawModelJoin = sawModelJoin || strings.HasPrefix(op.Op, "ModelJoin")
+			}
+			if !sawModelJoin {
+				t.Errorf("system.query_operators breakdown has no ModelJoin row (%d operators)", len(q.Ops))
+			}
+			stats := rec.Stats().Snapshot()
+			if len(stats) != 1 || stats[0].Calls != 1 || stats[0].Fingerprint != q.Fingerprint {
+				t.Errorf("system.statement_stats = %+v, want one call of fingerprint %x", stats, q.Fingerprint)
+			}
+			if live := rec.Live(); len(live) != 0 {
+				t.Errorf("system.active_queries still holds %d statements", len(live))
+			}
+		})
 	}
-	res, err := d.Query("SELECT count(*) AS n FROM system.queries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.Vecs[0].Int64s()[0]; n != 0 {
-		t.Errorf("system.queries rows = %d, want 0 when disabled", n)
-	}
+
+	// The former "negative = disabled" sentinels are plain out-of-range
+	// values now: they select the defaults, like 0.
+	t.Run("negative sizes select defaults", func(t *testing.T) {
+		d := db.Open(db.Options{DefaultPartitions: 2, Parallelism: 2, FlightRecorderSize: -1})
+		if got := d.FlightRecorder().Capacity(); got != flight.DefaultSize {
+			t.Errorf("recorder capacity = %d, want the default %d", got, flight.DefaultSize)
+		}
+		s := server.New(d, server.Config{TelemetryInterval: -1})
+		t.Cleanup(func() { s.Close() })
+		if got := s.Telemetry().Interval(); got != telemetry.DefaultInterval {
+			t.Errorf("telemetry interval = %v, want the default %v", got, telemetry.DefaultInterval)
+		}
+		if err := d.Exec("CREATE ALERT busy ON vectordb_sessions_active > 0"); err != nil {
+			t.Errorf("CREATE ALERT: %v", err)
+		}
+	})
 }
 
-// TestFlightRecorderOverWire: the server propagates the flight query ID on
-// MsgDone, and system.queries is a plain SELECT away for remote clients.
-func TestFlightRecorderOverWire(t *testing.T) {
-	d := demoDB(t)
-	s := server.New(d, server.Config{QuerySlots: 4, QueueDepth: 8, IdleTimeout: time.Minute})
+// dialServer serves d on a loopback listener and returns a connected
+// client; both are torn down with the test.
+func dialServer(t *testing.T, d *db.Database, cfg server.Config) *client.Client {
+	t.Helper()
+	s := server.New(d, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
 	t.Cleanup(func() { s.Close() })
-	for i := 0; s.Addr() == nil && i < 100; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	c, err := client.Dial(s.Addr().String())
+	c, err := client.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestFlightRecorderOverWire: the server propagates the flight query ID on
+// MsgDone, and system.queries is a plain SELECT away for remote clients.
+func TestFlightRecorderOverWire(t *testing.T) {
+	d := demoDB(t)
+	c := dialServer(t, d, server.Config{QuerySlots: 4, QueueDepth: 8, IdleTimeout: time.Minute})
 
 	rows, err := c.Query(modelJoinSQL)
 	if err != nil {

@@ -62,6 +62,9 @@ type Measurement struct {
 	Simulated bool
 	// PeakMemBytes is the sampled process peak-heap delta (Table 3 proxy).
 	PeakMemBytes int64
+	// ModeledTime is the simulated device's modeled execution time (0 for
+	// CPU approaches); Reported never falls below it.
+	ModeledTime time.Duration
 	// DevicePeakBytes is the simulated device's peak memory.
 	DevicePeakBytes int64
 	// Rows is the number of result rows drained (sanity check).
@@ -199,10 +202,11 @@ func (r *Runner) run(a Approach, model *nn.Model, fact *storage.Table, inputCols
 	if gpu != nil {
 		st := gpu.Stats()
 		m.Simulated = true
+		// HostEmulationTime is wall-clock busy time (overlapping partition
+		// goroutines do not add), so the difference is the host-only share
+		// of the run and never goes negative.
 		m.Reported = m.Wall - st.HostEmulationTime + st.ModeledTime
-		if m.Reported < 0 {
-			m.Reported = st.ModeledTime
-		}
+		m.ModeledTime = st.ModeledTime
 		m.DevicePeakBytes = st.PeakBytesAllocated
 	}
 	if m.Rows != tuples {

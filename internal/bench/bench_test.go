@@ -37,6 +37,25 @@ func TestRunDenseAllApproaches(t *testing.T) {
 	}
 }
 
+// TestGPUReportedTimeCoversModeledTime: with eight partition goroutines
+// emulating device work at once, the reported time is still the host-only
+// share of the run plus the modeled device time — never less than the
+// modeled time alone (the Fig. 8 width-128 non-monotonic cells).
+func TestGPUReportedTimeCoversModeledTime(t *testing.T) {
+	r := testRunner()
+	r.Partitions, r.Parallelism = 8, 8
+	for _, a := range []Approach{ModelJoinGPU, TFCAPIGPU} {
+		m, err := r.RunDense(a, 128, 4, 8000)
+		if err != nil {
+			t.Fatalf("%s: %v", a, err)
+		}
+		if m.ModeledTime <= 0 || m.Reported <= m.ModeledTime {
+			t.Errorf("%s: reported %v, modeled %v; want reported > modeled > 0 (wall %v)",
+				a, m.Reported, m.ModeledTime, m.Wall)
+		}
+	}
+}
+
 func TestRunLSTMAllApproaches(t *testing.T) {
 	r := testRunner()
 	for _, a := range AllApproaches {

@@ -69,13 +69,16 @@ type Device interface {
 // Stats accounts for device activity. For the CPU device only BytesAllocated
 // is meaningful (kernels run inline and are captured by wall time). For the
 // simulated GPU, ModeledTime is what the device *would* have taken, and
-// HostEmulationTime is the real host time burned producing the exact results;
-// experiment harnesses report wall − HostEmulationTime + ModeledTime.
+// HostEmulationTime is the real wall-clock time the host was busy producing
+// the exact results; experiment harnesses report
+// wall − HostEmulationTime + ModeledTime.
 type Stats struct {
 	// ModeledTime is the simulated device-side execution time.
 	ModeledTime time.Duration
-	// HostEmulationTime is the wall time the host spent emulating device
-	// kernels and transfers.
+	// HostEmulationTime is the wall-clock time during which at least one
+	// device kernel or transfer was being emulated on the host. Concurrent
+	// emulations overlap rather than add, so it never exceeds the elapsed
+	// wall time it is subtracted from.
 	HostEmulationTime time.Duration
 	// BytesH2D and BytesD2H count host↔device transfer volume.
 	BytesH2D, BytesD2H int64
@@ -218,7 +221,9 @@ type GPU struct {
 
 	mu        sync.Mutex
 	modeled   time.Duration
-	emulation time.Duration
+	emulation time.Duration // closed busy intervals; see begin/charge
+	inflight  int           // emulations currently running on the host
+	busySince time.Time     // when inflight last left zero
 	h2d, d2h  int64
 	launches  int64
 	bytes     int64
@@ -263,21 +268,41 @@ func (g *GPU) Free(m blas.Mat) {
 	g.mu.Unlock()
 }
 
-func (g *GPU) charge(modeled time.Duration, emulated time.Duration, kernel bool) {
+// begin opens one emulated operation: the host is busy emulating from the
+// first concurrent begin until the matching last charge.
+func (g *GPU) begin() time.Time {
+	now := time.Now()
+	g.mu.Lock()
+	if g.inflight == 0 {
+		g.busySince = now
+	}
+	g.inflight++
+	g.mu.Unlock()
+	return now
+}
+
+// charge closes the operation opened by begin at start, accounting its
+// modeled device time and, when it was the last one in flight, the busy
+// interval it ends.
+func (g *GPU) charge(modeled time.Duration, start time.Time, kernel bool) {
+	end := time.Now()
+	g.mu.Lock()
+	g.modeled += modeled
+	g.inflight--
+	if g.inflight == 0 {
+		g.emulation += end.Sub(g.busySince)
+	}
+	if kernel {
+		g.launches++
+	}
+	g.mu.Unlock()
 	if g.cfg.Pace {
-		if residual := modeled - emulated; residual > 0 {
+		if residual := modeled - end.Sub(start); residual > 0 {
 			g.paceMu.Lock()
 			time.Sleep(residual)
 			g.paceMu.Unlock()
 		}
 	}
-	g.mu.Lock()
-	g.modeled += modeled
-	g.emulation += emulated
-	if kernel {
-		g.launches++
-	}
-	g.mu.Unlock()
 }
 
 func (g *GPU) transferTime(bytes int) time.Duration {
@@ -286,80 +311,80 @@ func (g *GPU) transferTime(bytes int) time.Duration {
 
 // Upload implements Device, charging PCIe transfer time for every byte.
 func (g *GPU) Upload(dst blas.Mat, src []float32) {
-	start := time.Now()
+	start := g.begin()
 	copy(dst.Data, src)
 	n := len(src) * 4
 	g.mu.Lock()
 	g.h2d += int64(n)
 	g.mu.Unlock()
-	g.charge(g.transferTime(n), time.Since(start), false)
+	g.charge(g.transferTime(n), start, false)
 }
 
 // Download implements Device, charging PCIe transfer time.
 func (g *GPU) Download(dst []float32, src blas.Mat) {
-	start := time.Now()
+	start := g.begin()
 	copy(dst, src.Data)
 	n := len(dst) * 4
 	g.mu.Lock()
 	g.d2h += int64(n)
 	g.mu.Unlock()
-	g.charge(g.transferTime(n), time.Since(start), false)
+	g.charge(g.transferTime(n), start, false)
 }
 
 // Gemm implements Device: the multiply runs for real on the host (exact
 // results), and modeled time is launch latency plus FLOPs at the modeled
 // throughput.
 func (g *GPU) Gemm(a, b, c blas.Mat) {
-	start := time.Now()
+	start := g.begin()
 	blas.Sgemm(a, b, c)
 	flops := blas.FlopsGemm(a.Rows, a.Cols, b.Cols)
 	modeled := g.cfg.KernelLaunch + time.Duration(float64(flops)/g.cfg.GemmThroughput*float64(time.Second))
-	g.charge(modeled, time.Since(start), true)
+	g.charge(modeled, start, true)
 }
 
 func (g *GPU) elementwise(n int, start time.Time) {
 	modeled := g.cfg.KernelLaunch + time.Duration(float64(n)/g.cfg.ElementwiseThroughput*float64(time.Second))
-	g.charge(modeled, time.Since(start), true)
+	g.charge(modeled, start, true)
 }
 
 // Copy implements Device (device-to-device copy).
 func (g *GPU) Copy(dst, src []float32) {
-	start := time.Now()
+	start := g.begin()
 	blas.Scopy(dst, src)
 	g.elementwise(len(dst), start)
 }
 
 // VsMul implements Device.
 func (g *GPU) VsMul(x, y, z []float32) {
-	start := time.Now()
+	start := g.begin()
 	blas.VsMul(x, y, z)
 	g.elementwise(len(x), start)
 }
 
 // VsAdd implements Device.
 func (g *GPU) VsAdd(x, y, z []float32) {
-	start := time.Now()
+	start := g.begin()
 	blas.VsAdd(x, y, z)
 	g.elementwise(len(x), start)
 }
 
 // Sigmoid implements Device.
 func (g *GPU) Sigmoid(x []float32) {
-	start := time.Now()
+	start := g.begin()
 	blas.Sigmoid(x)
 	g.elementwise(len(x), start)
 }
 
 // Tanh implements Device.
 func (g *GPU) Tanh(x []float32) {
-	start := time.Now()
+	start := g.begin()
 	blas.Tanh(x)
 	g.elementwise(len(x), start)
 }
 
 // ReLU implements Device.
 func (g *GPU) ReLU(x []float32) {
-	start := time.Now()
+	start := g.begin()
 	blas.ReLU(x)
 	g.elementwise(len(x), start)
 }

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -175,4 +176,34 @@ func TestDeviceInterfaceCompliance(t *testing.T) {
 		t.Error("gpu identity wrong")
 	}
 	_ = blas.Mat{}
+}
+
+// TestGPUEmulationTimeIsWallClock: concurrent callers' emulation overlaps
+// instead of adding, so the host-emulation time a harness subtracts from
+// wall time can never exceed that wall time.
+func TestGPUEmulationTimeIsWallClock(t *testing.T) {
+	gpu := NewGPU(DefaultGPUConfig())
+	const callers = 8
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a, c := gpu.NewMat(96, 96), gpu.NewMat(96, 96)
+			for k := 0; k < 40; k++ {
+				gpu.Gemm(a, a, c)
+				gpu.ReLU(c.Data)
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	st := gpu.Stats()
+	if st.HostEmulationTime <= 0 || st.HostEmulationTime > elapsed {
+		t.Errorf("HostEmulationTime = %v, want in (0, %v] (elapsed wall)", st.HostEmulationTime, elapsed)
+	}
+	if st.KernelLaunches != callers*40*2 {
+		t.Errorf("kernel launches = %d, want %d", st.KernelLaunches, callers*40*2)
+	}
 }

@@ -88,7 +88,7 @@ func New(d *db.Database, addrs []string) *Coordinator {
 	}
 	d.SetRouter(co)
 	d.SetVirtualWrapper(co.wrapVirtual)
-	d.RegisterVirtualTable(shardsTable{co})
+	d.RegisterVirtualTable(storage.NewVirtualTable("system.shards", shardsSchema, co.fillShards))
 	return co
 }
 

@@ -210,6 +210,22 @@ func TestDistributedDifferential(t *testing.T) {
 			t.Errorf("%s:\n columns %q, want %q", tc.q, gotCols, wantCols)
 		}
 	}
+
+	// Fleet observability: the coordinator's system.queries view shows the
+	// fragments of the statements above on every shard, tagged with their
+	// coordinator query via origin_qid. A shard publishes its summary when
+	// the fragment stream closes, which can trail the coordinator's own
+	// completion by a scheduling beat — poll briefly.
+	const fleetQ = "SELECT DISTINCT shard FROM system.queries WHERE shard <> 'coordinator' AND origin_qid > 0"
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		shards := rowsOf(t, coord, fleetQ)
+		if len(shards) == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet system.queries shows fragments on %d shards %v, want 3", len(shards), shards)
+		}
+	}
 }
 
 // TestDistributedDML: UPDATE and DELETE broadcast to the shards, and the

@@ -118,17 +118,9 @@ var shardsSchema = types.NewSchema(
 	types.Column{Name: "last_error_age_ns", Type: types.Int64},
 )
 
-// shardsTable is the coordinator-local system.shards virtual table.
-type shardsTable struct {
-	co *Coordinator
-}
-
-func (t shardsTable) Name() string          { return "system.shards" }
-func (t shardsTable) Schema() *types.Schema { return shardsSchema }
-
-func (t shardsTable) Snapshot() ([]*vector.Batch, error) {
-	out := storage.NewBatchBuilder(shardsSchema)
-	for _, p := range t.co.shards {
+// fillShards serves the coordinator-local system.shards virtual table.
+func (co *Coordinator) fillShards(out *storage.BatchBuilder) error {
+	for _, p := range co.shards {
 		lastErr, age, hasErr := p.lastError()
 		errDatum := types.NullDatum(types.String)
 		ageDatum := types.NullDatum(types.Int64)
@@ -147,5 +139,5 @@ func (t shardsTable) Snapshot() ([]*vector.Batch, error) {
 			ageDatum,
 		)
 	}
-	return out.Batches(), nil
+	return nil
 }

@@ -20,7 +20,6 @@ import (
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
-	"indbml/internal/fingerprint"
 	"indbml/internal/flight"
 	"indbml/internal/infersched"
 	"indbml/internal/nn"
@@ -45,16 +44,9 @@ type Options struct {
 	// (every query rebuilds, the pre-cache behavior).
 	ModelCacheEntries int
 	// FlightRecorderSize bounds the always-on query flight recorder ring
-	// (system.queries / system.query_operators). 0 selects the default
-	// (flight.DefaultSize); a negative value disables the recorder
-	// entirely — the system tables stay queryable but empty, and the
-	// per-query summary cost disappears.
+	// (system.queries / system.query_operators). 0 or a negative value
+	// selects the default (flight.DefaultSize).
 	FlightRecorderSize int
-	// DisableStatementStats turns off the cumulative fingerprinted
-	// statement-statistics store (system.statement_stats) while keeping the
-	// flight recorder itself on — the ablation cell the stats-overhead
-	// benchmark measures against.
-	DisableStatementStats bool
 	// InferSched tunes the batched inference scheduler (coalescing of
 	// concurrent MODEL JOIN batches per (model, device)); the zero value
 	// selects the defaults.
@@ -62,10 +54,9 @@ type Options struct {
 	// DisableInferSched turns the scheduler off entirely: every MODEL JOIN
 	// drives the device directly, the pre-scheduler behavior.
 	DisableInferSched bool
-	// Planner ablation flags; see plan.Planner.
+	// DisableSegmentedAgg forces hash aggregation everywhere (the Sec. 4.4
+	// ablation; see plan.Planner).
 	DisableSegmentedAgg bool
-	DisableZoneMaps     bool
-	DisableParallel     bool
 }
 
 // Router intercepts parsed statements for distributed execution. A
@@ -106,7 +97,8 @@ type Database struct {
 
 	// modelCache is the cross-query artifact cache; nil when disabled.
 	modelCache *modelCache
-	// flight is the always-on query flight recorder; nil when disabled.
+	// flight is the always-on query flight recorder and statement-stats
+	// store: every statement passes through it.
 	flight *flight.Recorder
 	// sched is the batched inference scheduler; nil when disabled.
 	sched *infersched.Scheduler
@@ -152,6 +144,7 @@ func Open(opts Options) *Database {
 		opts:     opts,
 		cpu:      device.NewCPU(),
 		gpu:      device.NewGPU(gpuCfg),
+		flight:   flight.NewRecorder(opts.FlightRecorderSize),
 	}
 	if opts.ModelCacheEntries >= 0 {
 		n := opts.ModelCacheEntries
@@ -160,25 +153,15 @@ func Open(opts Options) *Database {
 		}
 		d.modelCache = newModelCache(n)
 	}
-	if opts.FlightRecorderSize >= 0 {
-		d.flight = flight.NewRecorder(opts.FlightRecorderSize)
-		if !opts.DisableStatementStats {
-			// Cumulative per-shape statistics survive the ring's wrap-around;
-			// fed at the recorder's publish point.
-			d.flight.SetStats(fingerprint.NewStats())
-		}
-	}
 	if !opts.DisableInferSched {
 		d.sched = infersched.New(opts.InferSched)
 	}
-	// The system tables are registered even with the recorder disabled —
-	// they are simply empty, so monitoring SQL degrades instead of erroring.
 	d.RegisterVirtualTable(flight.QueriesTable(d.flight))
 	d.RegisterVirtualTable(flight.OperatorsTable(d.flight))
 	d.RegisterVirtualTable(flight.ActiveTable(d.flight))
 	d.RegisterVirtualTable(flight.StatementStatsTable(d.flight))
-	d.RegisterVirtualTable(modelCacheTable{d})
-	d.RegisterVirtualTable(inferBatchesTable{d})
+	d.RegisterVirtualTable(storage.NewVirtualTable("system.model_cache", modelCacheSchema, d.fillModelCache))
+	d.RegisterVirtualTable(storage.NewVirtualTable("system.inference_batches", inferBatchesSchema, d.fillInferBatches))
 	return d
 }
 
@@ -186,16 +169,15 @@ func Open(opts Options) *Database {
 // Options.DisableInferSched).
 func (d *Database) InferSched() *infersched.Scheduler { return d.sched }
 
-// FlightRecorder returns the always-on query flight recorder (nil when
-// disabled via Options.FlightRecorderSize < 0).
+// FlightRecorder returns the always-on query flight recorder.
 func (d *Database) FlightRecorder() *flight.Recorder { return d.flight }
 
 // Kill cancels the in-flight statement with the given flight-recorder query
 // ID — running mid-scan, parked in an admission queue, or waiting in an
 // inference coalesce window. It errors when the ID names no active
-// statement or query tracking is disabled. The victim unwinds with a
-// cancellation error at its next context check; KILL returns as soon as
-// cancellation is delivered, without waiting for the unwind.
+// statement. The victim unwinds with a cancellation error at its next
+// context check; KILL returns as soon as cancellation is delivered, without
+// waiting for the unwind.
 func (d *Database) Kill(id uint64) error {
 	return d.flight.Kill(id)
 }
@@ -492,8 +474,6 @@ func (d *Database) planner() (*plan.Planner, *queryCatalog) {
 		Cat:                 qc,
 		Parallelism:         d.opts.Parallelism,
 		DisableSegmentedAgg: d.opts.DisableSegmentedAgg,
-		DisableZoneMaps:     d.opts.DisableZoneMaps,
-		DisableParallel:     d.opts.DisableParallel,
 	}, qc
 }
 
@@ -545,37 +525,24 @@ func (d *Database) QueryOp(text string) (exec.Operator, error) {
 
 // QueryOpContext is QueryOp with a cancellation context attached to the
 // built operator tree. The serving layer streams over the returned operator
-// so large results never materialize inside the engine.
-//
-// When the flight recorder is enabled (the default) the returned operator
-// is built with spans attached and wrapped so that finishing it — end of
-// stream, error, or Close — publishes the statement's summary to
-// system.queries.
+// so large results never materialize inside the engine. Finishing the
+// operator — end of stream, error, or Close — publishes the statement's
+// summary to system.queries.
 func (d *Database) QueryOpContext(ctx context.Context, text string) (exec.Operator, error) {
-	if d.flight != nil {
-		op, _, err := d.queryOpRecorded(ctx, text)
-		return op, err
-	}
-	sel, err := sql.ParseSelect(text)
-	if err != nil {
-		return nil, err
-	}
-	if d.router != nil {
-		if rop, handled, rerr := d.router.RouteSelect(ctx, sel, text); handled || rerr != nil {
-			return rop, rerr
-		}
-	}
+	op, _, err := d.QueryOpTracedContext(ctx, text)
+	return op, err
+}
+
+// buildSelect plans sel and builds its operator tree under ctx, recording
+// spans into qt. The returned operator drops the statement's model-cache
+// hand-out pins when it closes (or fails to open).
+func (d *Database) buildSelect(ctx context.Context, sel *sql.SelectStmt, qt *trace.QueryTrace) (exec.Operator, error) {
 	pl, qc := d.planner()
 	p, err := pl.PlanSelect(sel)
 	if err != nil {
 		return nil, err
 	}
-	var op exec.Operator
-	if ctx == nil || ctx == context.Background() {
-		op, err = p.Build()
-	} else {
-		op, err = p.BuildContext(ctx)
-	}
+	op, err := p.Build(ctx, qt)
 	if err != nil {
 		qc.release()
 		return nil, err
@@ -588,22 +555,7 @@ func (d *Database) QueryOpContext(ctx context.Context, text string) (exec.Operat
 // finalization plans over already-gathered partial results (routing those
 // again would recurse) and for schema derivation of shard fragments.
 func (d *Database) QueryOpLocal(ctx context.Context, sel *sql.SelectStmt) (exec.Operator, error) {
-	pl, qc := d.planner()
-	p, err := pl.PlanSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	var op exec.Operator
-	if ctx == nil || ctx == context.Background() {
-		op, err = p.Build()
-	} else {
-		op, err = p.BuildContext(ctx)
-	}
-	if err != nil {
-		qc.release()
-		return nil, err
-	}
-	return &releaseOnClose{op, qc}, nil
+	return d.buildSelect(ctx, sel, trace.NewQueryTrace(""))
 }
 
 // PlanSchema plans a SELECT locally (no physical build, no routing) and
@@ -618,65 +570,26 @@ func (d *Database) PlanSchema(sel *sql.SelectStmt) (*types.Schema, error) {
 	return p.Schema(), nil
 }
 
-// QueryOpTracedContext plans a SELECT and returns the physical operator
-// tree with per-operator tracing enabled, plus the QueryTrace the
-// operators record into. The caller runs the operator (Collect, Drain or
-// streaming) and then calls qt.Finish to close the statement clock; the
-// serving layer uses this for slow-query logging. With the flight recorder
-// enabled the statement is additionally published to system.queries when
-// the operator finishes.
-func (d *Database) QueryOpTracedContext(ctx context.Context, text string) (exec.Operator, *trace.QueryTrace, error) {
-	if d.flight != nil {
-		return d.queryOpRecorded(ctx, text)
-	}
-	sel, err := sql.ParseSelect(text)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d.router != nil {
-		if rop, handled, rerr := d.router.RouteSelect(ctx, sel, text); handled || rerr != nil {
-			if rerr != nil {
-				return nil, nil, rerr
-			}
-			op, qt := tracedRouted(rop, text)
-			return op, qt, nil
-		}
-	}
-	pl, qc := d.planner()
-	p, err := pl.PlanSelect(sel)
-	if err != nil {
-		return nil, nil, err
-	}
-	qt := trace.NewQueryTrace(text)
-	op, err := p.BuildTraced(ctx, qt)
-	if err != nil {
-		qc.release()
-		return nil, nil, err
-	}
-	return &releaseOnClose{op, qc}, qt, nil
-}
-
-// tracedRouted wraps a router-built operator tree in a trace so EXPLAIN
+// tracedRouted wraps a router-built operator tree in a span so EXPLAIN
 // ANALYZE, the slow-query log and system.active_queries progress sampling
 // work for distributed statements too. The span carries the operator's own
 // description when it offers one, and operators that implement SpanCarrier
 // (RemoteExchange) get the root handed to them so they can hang per-shard
 // exchange spans — and stitched fragment subtrees — underneath it.
-func tracedRouted(rop exec.Operator, text string) (exec.Operator, *trace.QueryTrace) {
+func tracedRouted(rop exec.Operator, qt *trace.QueryTrace) exec.Operator {
 	name := "RemoteExchange"
 	if dsc, ok := rop.(interface{ Describe() string }); ok {
 		name = dsc.Describe()
 	}
-	qt := trace.NewQueryTrace(text)
 	qt.Root = trace.NewSpan(name)
 	if sc, ok := rop.(trace.SpanCarrier); ok {
 		sc.SetSpan(qt.Root)
 	}
-	return exec.NewTraced(rop, qt.Root), qt
+	return exec.NewTraced(rop, qt.Root)
 }
 
-// selHasModelJoin walks a parsed SELECT's FROM tree for a MODEL JOIN, which
-// is how routed statements get their approach tag without local planning.
+// selHasModelJoin walks a parsed SELECT's FROM tree for a MODEL JOIN — how
+// statements, local or routed, get their approach tag.
 func selHasModelJoin(ref sql.TableRef) bool {
 	switch r := ref.(type) {
 	case *sql.ModelJoinRef:
@@ -684,21 +597,23 @@ func selHasModelJoin(ref sql.TableRef) bool {
 	case *sql.JoinRef:
 		return selHasModelJoin(r.Left) || selHasModelJoin(r.Right)
 	case *sql.SubqueryRef:
-		if r.Select.From != nil {
-			return selHasModelJoin(r.Select.From)
-		}
+		return selHasModelJoin(r.Select.From)
 	}
 	return false
 }
 
-// queryOpRecorded is the recorder-enabled SELECT path: the plan is always
-// built with spans (their hot path is a few atomic adds per batch; the
-// measured overhead on the cold MODEL JOIN bench is within the recorder's
-// ≤2% budget) so the summary can fold a per-operator breakdown, and the
-// operator tree is wrapped to seal the flight on completion. Parse and
+// QueryOpTracedContext is the one SELECT path: it plans the statement and
+// returns the physical operator tree plus the QueryTrace its operators
+// record into. Every plan is built with spans (their hot path is a few
+// atomic adds per batch) so the flight summary can fold a per-operator
+// breakdown, and the operator tree is wrapped to seal the flight — publish
+// to system.queries and system.statement_stats, leave
+// system.active_queries — on completion. The caller runs the operator
+// (Collect, Drain or streaming); callers that want the statement clock
+// closed at a point of their choosing call qt.Finish themselves. Parse and
 // plan failures are recorded too — an error'd statement is exactly the
 // kind the flight recorder exists to explain.
-func (d *Database) queryOpRecorded(ctx context.Context, text string) (exec.Operator, *trace.QueryTrace, error) {
+func (d *Database) QueryOpTracedContext(ctx context.Context, text string) (exec.Operator, *trace.QueryTrace, error) {
 	// The server registers statements in the live registry at admission and
 	// carries the entry in ctx; the flight adopts it so the query keeps one
 	// ID from queue to system.queries. Embedded callers have no admission
@@ -720,60 +635,36 @@ func (d *Database) queryOpRecorded(ctx context.Context, text string) (exec.Opera
 	}
 	fl := d.flight.BeginFor(live, text, "select", flight.ApproachFrom(ctx))
 	fl.SetQueueWait(flight.QueueWaitFrom(ctx))
-	// Statements that die before planning can classify them still get the
-	// default tag, so per-approach aggregates never grow an "" group.
-	fail := func(err error) {
-		if fl.Approach() == "" {
-			fl.SetApproach("sql")
-		}
-		fl.Finish(err)
-	}
 	sel, err := sql.ParseSelect(text)
-	if err != nil {
-		fail(err)
-		return nil, nil, err
-	}
-	if d.router != nil {
-		rop, handled, rerr := d.router.RouteSelect(ctx, sel, text)
-		if rerr != nil {
-			fail(rerr)
-			return nil, nil, rerr
-		}
-		if handled {
-			if fl.Approach() == "" {
-				if sel.From != nil && selHasModelJoin(sel.From) {
-					fl.SetApproach("modeljoin")
-				} else {
-					fl.SetApproach("sql")
-				}
-			}
-			top, qt := tracedRouted(rop, text)
-			fl.AttachTrace(qt)
-			return flight.Wrap(top, fl), qt, nil
-		}
-	}
-	pl, qc := d.planner()
-	p, err := pl.PlanSelect(sel)
-	if err != nil {
-		fail(err)
-		return nil, nil, err
-	}
 	if fl.Approach() == "" {
-		if p.HasModelJoin() {
+		// The FROM tree classifies the statement; one that does not parse
+		// gets the default tag, so per-approach aggregates never grow an
+		// "" group.
+		if err == nil && selHasModelJoin(sel.From) {
 			fl.SetApproach("modeljoin")
 		} else {
 			fl.SetApproach("sql")
 		}
 	}
 	qt := trace.NewQueryTrace(text)
-	op, err := p.BuildTraced(ctx, qt)
+	var op exec.Operator
+	routed := false
+	if err == nil && d.router != nil {
+		op, routed, err = d.router.RouteSelect(ctx, sel, text)
+	}
+	switch {
+	case err != nil:
+	case routed:
+		op = tracedRouted(op, qt)
+	default:
+		op, err = d.buildSelect(ctx, sel, qt)
+	}
 	if err != nil {
-		qc.release()
 		fl.Finish(err)
 		return nil, nil, err
 	}
 	fl.AttachTrace(qt)
-	return flight.Wrap(&releaseOnClose{op, qc}, fl), qt, nil
+	return flight.Wrap(op, fl), qt, nil
 }
 
 // QueryAnalyzeContext executes a SELECT with tracing and returns both the
@@ -827,23 +718,14 @@ func (d *Database) Exec(text string) error {
 // the context is consulted between parse and execution rather than inside
 // row appends; a statement that has begun mutating the catalog completes.
 func (d *Database) ExecContext(ctx context.Context, text string) (err error) {
-	if fl := d.flight.BeginFor(flight.LiveFrom(ctx), text, "exec", "sql"); fl != nil {
-		fl.SetQueueWait(flight.QueueWaitFrom(ctx))
-		defer func() { fl.Finish(err) }()
-		stmt, perr := sql.Parse(text)
-		if perr != nil {
-			return perr
-		}
-		fl.SetKind(execKind(stmt))
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return d.execRouted(ctx, stmt, text)
-	}
+	fl := d.flight.BeginFor(flight.LiveFrom(ctx), text, "exec", "sql")
+	fl.SetQueueWait(flight.QueueWaitFrom(ctx))
+	defer func() { fl.Finish(err) }()
 	stmt, err := sql.Parse(text)
 	if err != nil {
 		return err
 	}
+	fl.SetKind(execKind(stmt))
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -901,12 +783,12 @@ func (d *Database) execStmt(stmt sql.Stmt) error {
 		if e := d.alertEngine(); e != nil {
 			return e.CreateAlert(s)
 		}
-		return fmt.Errorf("db: CREATE ALERT requires telemetry (disabled on this node)")
+		return fmt.Errorf("db: CREATE ALERT requires telemetry (no sampler attached to this database)")
 	case *sql.DropAlertStmt:
 		if e := d.alertEngine(); e != nil {
 			return e.DropAlert(s.Name)
 		}
-		return fmt.Errorf("db: DROP ALERT requires telemetry (disabled on this node)")
+		return fmt.Errorf("db: DROP ALERT requires telemetry (no sampler attached to this database)")
 	default:
 		return fmt.Errorf("db: Exec does not handle %T; use Query for SELECT", stmt)
 	}

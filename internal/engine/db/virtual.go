@@ -3,14 +3,7 @@ package db
 import (
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
-	"indbml/internal/engine/vector"
 )
-
-// modelCacheTable exposes the cross-query model artifact cache as
-// system.model_cache: one row per live entry plus the LRU position, so
-// "why did this query miss?" is answerable with a SELECT instead of a
-// debugger. When the cache is disabled the table exists but is empty.
-type modelCacheTable struct{ d *Database }
 
 var modelCacheSchema = types.NewSchema(
 	types.Column{Name: "model", Type: types.String},
@@ -19,30 +12,24 @@ var modelCacheSchema = types.NewSchema(
 	types.Column{Name: "lru_slot", Type: types.Int32},
 )
 
-func (modelCacheTable) Name() string          { return "system.model_cache" }
-func (modelCacheTable) Schema() *types.Schema { return modelCacheSchema }
-
-func (t modelCacheTable) Snapshot() ([]*vector.Batch, error) {
-	b := storage.NewBatchBuilder(modelCacheSchema)
-	if mc := t.d.modelCache; mc != nil {
-		for _, e := range mc.entriesSnapshot() {
-			b.Append(
-				types.StringDatum(e.model),
-				types.StringDatum(e.device),
-				types.Int64Datum(int64(e.version)),
-				types.Int32Datum(int32(e.slot)),
-			)
-		}
+// fillModelCache serves system.model_cache from the cross-query model
+// artifact cache: one row per live entry plus the LRU position, so "why did
+// this query miss?" is answerable with a SELECT instead of a debugger. When
+// the cache is disabled the table exists but is empty.
+func (d *Database) fillModelCache(b *storage.BatchBuilder) error {
+	if d.modelCache == nil {
+		return nil
 	}
-	return b.Batches(), nil
+	for _, e := range d.modelCache.entriesSnapshot() {
+		b.Append(
+			types.StringDatum(e.model),
+			types.StringDatum(e.device),
+			types.Int64Datum(int64(e.version)),
+			types.Int32Datum(int32(e.slot)),
+		)
+	}
+	return nil
 }
-
-// inferBatchesTable exposes the inference scheduler's recent super-batches
-// as system.inference_batches: one row per packed forward pass, so
-// "did my concurrent queries actually coalesce?" is a SELECT
-// (requests > 1 means cross-request coalescing happened). Empty when the
-// scheduler is disabled.
-type inferBatchesTable struct{ d *Database }
 
 var inferBatchesSchema = types.NewSchema(
 	types.Column{Name: "batch_id", Type: types.Int64},
@@ -55,12 +42,13 @@ var inferBatchesSchema = types.NewSchema(
 	types.Column{Name: "run_ns", Type: types.Int64},
 )
 
-func (inferBatchesTable) Name() string          { return "system.inference_batches" }
-func (inferBatchesTable) Schema() *types.Schema { return inferBatchesSchema }
-
-func (t inferBatchesTable) Snapshot() ([]*vector.Batch, error) {
-	b := storage.NewBatchBuilder(inferBatchesSchema)
-	for _, s := range t.d.sched.BatchSnapshot() {
+// fillInferBatches serves system.inference_batches from the inference
+// scheduler's recent super-batches: one row per packed forward pass, so
+// "did my concurrent queries actually coalesce?" is a SELECT
+// (requests > 1 means cross-request coalescing happened). Empty when the
+// scheduler is disabled.
+func (d *Database) fillInferBatches(b *storage.BatchBuilder) error {
+	for _, s := range d.sched.BatchSnapshot() {
 		b.Append(
 			types.Int64Datum(int64(s.ID)),
 			types.Int64Datum(s.Start.UnixNano()),
@@ -72,5 +60,5 @@ func (t inferBatchesTable) Snapshot() ([]*vector.Batch, error) {
 			types.Int64Datum(s.RunNS),
 		)
 	}
-	return b.Batches(), nil
+	return nil
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // Traced decorates an operator with span accounting: busy time across
-// Open/Next/Close, and rows/batches produced. It is only inserted into
-// plans built with tracing enabled (plan.BuildTraced), so the normal
-// execution path carries zero overhead.
+// Open/Next/Close, and rows/batches produced. plan.Build wraps every
+// operator of every plan in one.
 //
 // Several Traced instances may share one span: in a parallel plan each
 // partition instance of a logical node records into the same span, which

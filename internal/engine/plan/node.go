@@ -37,21 +37,18 @@ type buildCtx struct {
 	cat       Catalog
 	driver    *storage.Table
 	partition int // -1 = scan all partitions
-	// qctx is the query's cancellation context (nil for uncancellable
-	// plans); it is attached to every Scan so cancellation reaches the
-	// leaves of the operator tree.
+	// qctx is the query's cancellation context; it is attached to every
+	// Scan so cancellation reaches the leaves of the operator tree.
 	qctx context.Context
-	// spans, when non-nil, maps logical nodes to their trace spans. The
-	// map is shared across partition plan instances, so the instances of
-	// one logical node record into one span (all span mutation is atomic).
+	// spans maps logical nodes to their trace spans. The map is shared
+	// across partition plan instances, so the instances of one logical node
+	// record into one span (all span mutation is atomic).
 	spans map[node]*trace.Span
 }
 
-// build constructs n's physical operator and, when tracing is enabled,
-// hands span-aware operators their span and wraps the result in an
-// exec.Traced recorder. All child construction inside node build methods
-// goes through here, so an untraced plan contains no Traced wrappers at
-// all — the disabled-trace path pays nothing.
+// build constructs n's physical operator, hands span-aware operators their
+// span and wraps the result in an exec.Traced recorder. All child
+// construction inside node build methods goes through here.
 func (ctx *buildCtx) build(n node) (exec.Operator, error) {
 	op, err := n.build(ctx)
 	if err != nil {
@@ -60,15 +57,11 @@ func (ctx *buildCtx) build(n node) (exec.Operator, error) {
 	// Operators that consult the statement context mid-execution — the
 	// ModelJoin submits to the inference scheduler with it, carrying
 	// cancellation, the per-session batching policy and the admission-slot
-	// yielder — receive it here, traced or not.
-	if ctx.qctx != nil {
-		if c, ok := op.(interface{ SetQueryContext(context.Context) }); ok {
-			c.SetQueryContext(ctx.qctx)
-		}
+	// yielder — receive it here.
+	if c, ok := op.(interface{ SetQueryContext(context.Context) }); ok {
+		c.SetQueryContext(ctx.qctx)
 	}
-	if ctx.spans == nil {
-		return op, nil
-	}
+	// Alias nodes have no span: they delegate execution to their child.
 	sp := ctx.spans[n]
 	if sp == nil {
 		return op, nil

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
+	"indbml/internal/trace"
 )
 
 // testCatalog is a minimal Catalog for planner tests (no model support).
@@ -69,7 +71,7 @@ func planFor(t *testing.T, pl *Planner, query string) *Plan {
 
 func runPlan(t *testing.T, p *Plan) *vector.Batch {
 	t.Helper()
-	op, err := p.Build()
+	op, err := p.Build(context.Background(), trace.NewQueryTrace(""))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,18 +50,6 @@ func outSchema(n node) *types.Schema { return n.scope().schema() }
 // Parallel reports whether the plan executes partition-parallel.
 func (p *Plan) Parallel() bool { return p.parallel }
 
-// HasModelJoin reports whether the plan contains a MODEL JOIN — the
-// flight recorder's signal for tagging the statement's approach.
-func (p *Plan) HasModelJoin() bool {
-	found := false
-	walk(p.root, func(n node) {
-		if _, ok := n.(*modelJoinNode); ok {
-			found = true
-		}
-	})
-	return found
-}
-
 // Explain renders the plan tree, annotated with the parallelization
 // decision.
 func (p *Plan) Explain() string {
@@ -79,73 +67,52 @@ func (p *Plan) Explain() string {
 	return sb.String()
 }
 
-// Build constructs the physical operator tree.
-func (p *Plan) Build() (exec.Operator, error) { return p.BuildContext(nil) }
-
-// BuildContext constructs the physical operator tree with a cancellation
-// context attached to its Scan leaves and Exchange root: a canceled ctx
-// makes the next batch boundary return ctx.Err() instead of running the
-// query to completion. A nil ctx builds an uncancellable plan.
-func (p *Plan) BuildContext(ctx context.Context) (exec.Operator, error) {
-	return p.buildPhysical(ctx, nil)
-}
-
-// BuildTraced constructs the physical operator tree with every operator
-// wrapped in a span recorder (exec.Traced); the span tree — mirroring the
-// plan, one span per logical node shared by all partition instances — is
-// attached to qt.Root. The top physical operators (Exchange, TopN, Sort,
-// Limit) exist once per query and are traced once, so the root span's
-// busy time reconciles with the statement's total latency.
-func (p *Plan) BuildTraced(ctx context.Context, qt *trace.QueryTrace) (exec.Operator, error) {
-	return p.buildPhysical(ctx, qt)
-}
-
-func (p *Plan) buildPhysical(ctx context.Context, qt *trace.QueryTrace) (exec.Operator, error) {
+// Build constructs the physical operator tree under ctx — attached to the
+// Scan leaves and the Exchange root, so a canceled ctx makes the next batch
+// boundary return ctx.Err() instead of running the query to completion —
+// with every operator wrapped in a span recorder (exec.Traced). The span
+// tree, mirroring the plan with one span per logical node shared by all
+// partition instances, is attached to qt.Root. The top physical operators
+// (Exchange, TopN, Sort, Limit) exist once per query and are traced once,
+// so the root span's busy time reconciles with the statement's total
+// latency.
+func (p *Plan) Build(ctx context.Context, qt *trace.QueryTrace) (exec.Operator, error) {
 	// ORDER BY + small LIMIT fuse into a streaming TopN instead of a full
 	// sort; otherwise sort and limit apply separately.
 	const topNThreshold = 1 << 16
 	fuseTopN := p.topSort != nil && p.topLimit != nil && p.topLimit.n <= topNThreshold
 
-	// When tracing, lay out the span tree first, mirroring the physical
-	// shape this function is about to build.
+	// Lay out the span tree first, mirroring the physical shape this
+	// function is about to build.
 	var (
-		spans                                 map[node]*trace.Span
+		spans                                 = make(map[node]*trace.Span)
 		limitSpan, sortSpan, topNSpan, exSpan *trace.Span
+		parent                                *trace.Span
 	)
-	if qt != nil {
-		spans = make(map[node]*trace.Span)
-		var parent *trace.Span
-		add := func(name string) *trace.Span {
-			if parent == nil {
-				parent = trace.NewSpan(name)
-				qt.Root = parent
-			} else {
-				parent = parent.NewChild(name)
-			}
-			return parent
-		}
-		if fuseTopN {
-			topNSpan = add(fmt.Sprintf("TopN %d by %s", p.topLimit.n,
-				strings.TrimPrefix(p.topSort.describe(), "Sort ")))
+	add := func(name string) *trace.Span {
+		if parent == nil {
+			parent = trace.NewSpan(name)
+			qt.Root = parent
 		} else {
-			if p.topLimit != nil {
-				limitSpan = add(p.topLimit.describe())
-			}
-			if p.topSort != nil {
-				sortSpan = add(p.topSort.describe())
-			}
+			parent = parent.NewChild(name)
 		}
-		if p.parallel {
-			exSpan = add(fmt.Sprintf("Exchange [%d partitions of %s]", p.driver.Partitions(), p.driver.Name))
-		}
-		buildSpanTree(p.root, parent, spans, qt)
+		return parent
 	}
-	traced := func(op exec.Operator, sp *trace.Span) exec.Operator {
-		if sp == nil {
-			return op
+	if fuseTopN {
+		topNSpan = add(fmt.Sprintf("TopN %d by %s", p.topLimit.n,
+			strings.TrimPrefix(p.topSort.describe(), "Sort ")))
+	} else {
+		if p.topLimit != nil {
+			limitSpan = add(p.topLimit.describe())
 		}
-		return exec.NewTraced(op, sp)
+		if p.topSort != nil {
+			sortSpan = add(p.topSort.describe())
+		}
 	}
+	if p.parallel {
+		exSpan = add(fmt.Sprintf("Exchange [%d partitions of %s]", p.driver.Partitions(), p.driver.Name))
+	}
+	buildSpanTree(p.root, parent, spans, qt)
 
 	var root exec.Operator
 	if p.parallel {
@@ -163,7 +130,7 @@ func (p *Plan) buildPhysical(ctx context.Context, qt *trace.QueryTrace) (exec.Op
 			return nil, err
 		}
 		ex.Ctx = ctx
-		root = traced(ex, exSpan)
+		root = exec.NewTraced(ex, exSpan)
 	} else {
 		bctx := &buildCtx{cat: p.planner.Cat, partition: -1, qctx: ctx, spans: spans}
 		op, err := bctx.build(p.root)
@@ -173,7 +140,7 @@ func (p *Plan) buildPhysical(ctx context.Context, qt *trace.QueryTrace) (exec.Op
 		root = op
 	}
 	if fuseTopN {
-		root = traced(exec.NewTopN(root, p.topSort.keys, p.topLimit.n), topNSpan)
+		root = exec.NewTraced(exec.NewTopN(root, p.topSort.keys, p.topLimit.n), topNSpan)
 		if p.topSort.trimTo > 0 && p.topSort.trimTo < root.Schema().Len() {
 			trimmed, err := trimOp(root, p.topSort.trimTo)
 			if err != nil {
@@ -184,7 +151,7 @@ func (p *Plan) buildPhysical(ctx context.Context, qt *trace.QueryTrace) (exec.Op
 		return root, nil
 	}
 	if p.topSort != nil {
-		root = traced(exec.NewSort(root, p.topSort.keys), sortSpan)
+		root = exec.NewTraced(exec.NewSort(root, p.topSort.keys), sortSpan)
 		if p.topSort.trimTo > 0 && p.topSort.trimTo < root.Schema().Len() {
 			trimmed, err := trimOp(root, p.topSort.trimTo)
 			if err != nil {
@@ -194,7 +161,7 @@ func (p *Plan) buildPhysical(ctx context.Context, qt *trace.QueryTrace) (exec.Op
 		}
 	}
 	if p.topLimit != nil {
-		root = traced(exec.NewLimit(root, p.topLimit.n), limitSpan)
+		root = exec.NewTraced(exec.NewLimit(root, p.topLimit.n), limitSpan)
 	}
 	return root, nil
 }

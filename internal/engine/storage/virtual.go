@@ -52,3 +52,28 @@ func (b *BatchBuilder) Append(row ...types.Datum) {
 
 // Batches returns the accumulated batches (nil when no rows were appended).
 func (b *BatchBuilder) Batches() []*vector.Batch { return b.batches }
+
+// NewVirtualTable declares a virtual table with a fixed name and schema
+// whose rows come from fill: each Snapshot hands fill a fresh builder for
+// the schema and returns what it appended. fill must be safe for concurrent
+// use.
+func NewVirtualTable(name string, schema *types.Schema, fill func(*BatchBuilder) error) VirtualTable {
+	return &funcTable{name: name, schema: schema, fill: fill}
+}
+
+type funcTable struct {
+	name   string
+	schema *types.Schema
+	fill   func(*BatchBuilder) error
+}
+
+func (t *funcTable) Name() string          { return t.name }
+func (t *funcTable) Schema() *types.Schema { return t.schema }
+
+func (t *funcTable) Snapshot() ([]*vector.Batch, error) {
+	b := NewBatchBuilder(t.schema)
+	if err := t.fill(b); err != nil {
+		return nil, err
+	}
+	return b.Batches(), nil
+}

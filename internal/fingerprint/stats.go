@@ -118,12 +118,8 @@ func NewStats() *Stats {
 	return s
 }
 
-// Observe folds one finished statement into its row. Nil-safe so callers
-// can leave the store disabled without branching.
+// Observe folds one finished statement into its row.
 func (s *Stats) Observe(o Observation) {
-	if s == nil {
-		return
-	}
 	k := Key{Fingerprint: o.Fingerprint, Approach: o.Approach, Device: o.Device}
 	sh := &s.shards[o.Fingerprint%statsShards]
 	sh.mu.Lock()
@@ -175,9 +171,6 @@ func bucketFor(latencyNS int64) int {
 // Shapes returns the number of distinct (fingerprint, approach, device)
 // rows accumulated so far.
 func (s *Stats) Shapes() int {
-	if s == nil {
-		return 0
-	}
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -191,9 +184,6 @@ func (s *Stats) Shapes() int {
 // Snapshot returns all rows, ordered by total latency descending (the
 // "what dominates this workload" order), ties broken by key for stability.
 func (s *Stats) Snapshot() []Row {
-	if s == nil {
-		return nil
-	}
 	var out []Row
 	for i := range s.shards {
 		sh := &s.shards[i]

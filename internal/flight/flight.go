@@ -1,8 +1,7 @@
 // Package flight implements the always-on query flight recorder: every
-// statement — traced or not, successful or not — leaves behind a compact
-// Summary in a fixed-size ring buffer, cheap enough to keep enabled in
-// production (the budget is ≤2% on the cold MODEL JOIN benchmark) and
-// queryable from inside the database via the system.* virtual tables.
+// statement — successful or not — leaves behind a compact Summary in a
+// fixed-size ring buffer, queryable from inside the database via the
+// system.* virtual tables.
 //
 // Design:
 //
@@ -16,9 +15,9 @@
 //     slot swaps the whole pointer, so a reader sees either the old or the
 //     new Summary, never a torn one.
 //   - The per-operator breakdown (OpStat) is folded from the PR-4 span
-//     tree at query end, off the per-batch hot path. Recorder-enabled
-//     queries always execute with spans attached; the span hot path is a
-//     handful of atomic adds per batch.
+//     tree at query end, off the per-batch hot path. Queries always
+//     execute with spans attached; the span hot path is a handful of
+//     atomic adds per batch.
 //   - Allocation accounting uses the process-wide /gc/heap/allocs:bytes
 //     runtime metric (no stop-the-world, unlike runtime.ReadMemStats read
 //     on every statement would be) sampled at statement start and end.
@@ -42,7 +41,7 @@ import (
 	"indbml/internal/trace"
 )
 
-// DefaultSize is the ring capacity when the recorder is enabled with size 0.
+// DefaultSize is the ring capacity when none is configured.
 const DefaultSize = 1024
 
 // maxSQLLen bounds the statement text retained per summary so the ring's
@@ -57,18 +56,18 @@ type Summary struct {
 	// distributed shard fragment (0 otherwise); system.queries exposes it
 	// as origin_qid so a fleet view can group fragments by coordinator
 	// query.
-	Origin uint64
-	Start  time.Time
-	SQL    string
-	Fingerprint uint64 // statement-shape fingerprint (package fingerprint)
-	Kind        string // select, insert, update, delete, create, drop, kill, ...
-	Approach    string // sql, modeljoin, mltosql, pyudf, mlruntime, external
-	Device      string // inference device ("cpu", "gpu-sim", ...; "" without inference)
-	Error       string // "" on success
-	LatencyNS   int64
-	QueueWaitNS int64
-	RowsOut     int64
-	RowsIn      int64 // rows produced by storage scans
+	Origin       uint64
+	Start        time.Time
+	SQL          string
+	Fingerprint  uint64 // statement-shape fingerprint (package fingerprint)
+	Kind         string // select, insert, update, delete, create, drop, kill, ...
+	Approach     string // sql, modeljoin, mltosql, pyudf, mlruntime, external
+	Device       string // inference device ("cpu", "gpu-sim", ...; "" without inference)
+	Error        string // "" on success
+	LatencyNS    int64
+	QueueWaitNS  int64
+	RowsOut      int64
+	RowsIn       int64 // rows produced by storage scans
 	BytesScanned int64
 	BlocksPruned int64
 	Cache        string // model cache verdict: "hit", "miss", or ""
@@ -97,8 +96,7 @@ type OpStat struct {
 
 // Recorder is the fixed-size ring of published summaries plus the query ID
 // allocator. The zero value is not usable; use NewRecorder. All methods
-// are safe for concurrent use; a nil *Recorder is inert (Begin returns a
-// nil Flight whose methods are all no-ops).
+// are safe for concurrent use.
 type Recorder struct {
 	slots []atomic.Pointer[Summary]
 	next  atomic.Uint64 // total summaries ever published; next slot = next % len
@@ -112,8 +110,7 @@ type Recorder struct {
 	live   map[uint64]*LiveQuery
 
 	// stats is the cumulative per-statement-shape store fed at publish
-	// time; nil leaves the stats path disabled. Set once before traffic
-	// (SetStats), never swapped afterwards.
+	// time.
 	stats *fingerprint.Stats
 }
 
@@ -126,44 +123,25 @@ func NewRecorder(size int) *Recorder {
 	return &Recorder{
 		slots: make([]atomic.Pointer[Summary], size),
 		live:  make(map[uint64]*LiveQuery),
+		stats: fingerprint.NewStats(),
 	}
 }
 
-// SetStats attaches the cumulative statement-stats store; every summary
-// published from then on is folded into it. Call before serving traffic.
-func (r *Recorder) SetStats(s *fingerprint.Stats) {
-	if r != nil {
-		r.stats = s
-	}
-}
-
-// Stats returns the attached statement-stats store (nil when disabled).
-func (r *Recorder) Stats() *fingerprint.Stats {
-	if r == nil {
-		return nil
-	}
-	return r.stats
-}
+// Stats returns the cumulative statement-stats store every published
+// summary is folded into.
+func (r *Recorder) Stats() *fingerprint.Stats { return r.stats }
 
 // Capacity returns the ring size.
 func (r *Recorder) Capacity() int { return len(r.slots) }
 
 // Recorded returns the total number of summaries ever published (not
 // capped at capacity).
-func (r *Recorder) Recorded() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.next.Load()
-}
+func (r *Recorder) Recorded() uint64 { return r.next.Load() }
 
 // Snapshot returns the currently retained summaries ordered by query ID.
 // The returned summaries are shared immutable records; callers must not
 // mutate them.
 func (r *Recorder) Snapshot() []*Summary {
-	if r == nil {
-		return nil
-	}
 	out := make([]*Summary, 0, len(r.slots))
 	for i := range r.slots {
 		if s := r.slots[i].Load(); s != nil {
@@ -180,24 +158,22 @@ func (r *Recorder) record(s *Summary) {
 	// The cumulative per-shape stats are fed here — the single point every
 	// finished statement passes through — so they keep accumulating after
 	// the ring wraps and this summary's slot is overwritten.
-	if r.stats != nil {
-		r.stats.Observe(fingerprint.Observation{
-			Fingerprint:  s.Fingerprint,
-			NormSQL:      s.normSQL,
-			Approach:     s.Approach,
-			Device:       s.Device,
-			LatencyNS:    s.LatencyNS,
-			QueueWaitNS:  s.QueueWaitNS,
-			Err:          s.Error != "",
-			RowsIn:       s.RowsIn,
-			RowsOut:      s.RowsOut,
-			BytesScanned: s.BytesScanned,
-			CacheSeen:    s.Cache != "",
-			CacheHit:     s.Cache == "hit",
-			BatchSeen:    s.Batched != "",
-			Batched:      s.Batched == "yes",
-		})
-	}
+	r.stats.Observe(fingerprint.Observation{
+		Fingerprint:  s.Fingerprint,
+		NormSQL:      s.normSQL,
+		Approach:     s.Approach,
+		Device:       s.Device,
+		LatencyNS:    s.LatencyNS,
+		QueueWaitNS:  s.QueueWaitNS,
+		Err:          s.Error != "",
+		RowsIn:       s.RowsIn,
+		RowsOut:      s.RowsOut,
+		BytesScanned: s.BytesScanned,
+		CacheSeen:    s.Cache != "",
+		CacheHit:     s.Cache == "hit",
+		BatchSeen:    s.Batched != "",
+		Batched:      s.Batched == "yes",
+	})
 }
 
 // Begin opens a flight record for one statement, allocating its query ID
@@ -214,9 +190,6 @@ func (r *Recorder) Begin(sqlText, kind, approach string) *Flight {
 // registry when the statement finishes. With a nil live entry it allocates
 // a fresh ID and touches no registry state — plain Begin.
 func (r *Recorder) BeginFor(live *LiveQuery, sqlText, kind, approach string) *Flight {
-	if r == nil {
-		return nil
-	}
 	if len(sqlText) > maxSQLLen {
 		sqlText = sqlText[:maxSQLLen]
 	}
@@ -266,49 +239,23 @@ type Flight struct {
 	done       atomic.Bool
 }
 
-// ID returns the flight's query ID (0 on a nil flight).
-func (f *Flight) ID() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.sum.ID
-}
+// ID returns the flight's query ID.
+func (f *Flight) ID() uint64 { return f.sum.ID }
 
 // SetKind overrides the statement kind recorded at Begin.
-func (f *Flight) SetKind(kind string) {
-	if f != nil {
-		f.sum.Kind = kind
-	}
-}
+func (f *Flight) SetKind(kind string) { f.sum.Kind = kind }
 
 // SetApproach overrides the approach tag recorded at Begin.
-func (f *Flight) SetApproach(a string) {
-	if f != nil {
-		f.sum.Approach = a
-	}
-}
+func (f *Flight) SetApproach(a string) { f.sum.Approach = a }
 
 // Approach reads the current approach tag.
-func (f *Flight) Approach() string {
-	if f == nil {
-		return ""
-	}
-	return f.sum.Approach
-}
+func (f *Flight) Approach() string { return f.sum.Approach }
 
 // SetQueueWait records admission-control queue wait.
-func (f *Flight) SetQueueWait(d time.Duration) {
-	if f != nil {
-		f.sum.QueueWaitNS = int64(d)
-	}
-}
+func (f *Flight) SetQueueWait(d time.Duration) { f.sum.QueueWaitNS = int64(d) }
 
 // AddRowsOut accumulates result rows delivered to the client.
-func (f *Flight) AddRowsOut(n int64) {
-	if f != nil {
-		f.sum.RowsOut += n
-	}
-}
+func (f *Flight) AddRowsOut(n int64) { f.sum.RowsOut += n }
 
 // AttachTrace hands the flight the statement's span tree; Finish folds it
 // into the per-operator breakdown and the scan-derived summary columns.
@@ -316,11 +263,9 @@ func (f *Flight) AddRowsOut(n int64) {
 // which is what lets system.active_queries sample rows/bytes progress from
 // the executing operators' atomic counters.
 func (f *Flight) AttachTrace(qt *trace.QueryTrace) {
-	if f != nil {
-		f.qt = qt
-		if f.live != nil && qt != nil && qt.Root != nil {
-			f.live.root.Store(qt.Root)
-		}
+	f.qt = qt
+	if f.live != nil && qt.Root != nil {
+		f.live.root.Store(qt.Root)
 	}
 }
 
@@ -329,7 +274,7 @@ func (f *Flight) AttachTrace(qt *trace.QueryTrace) {
 // both need no ordering discipline — QueryTrace.Finish is itself
 // first-call-wins.
 func (f *Flight) Finish(err error) {
-	if f == nil || !f.done.CompareAndSwap(false, true) {
+	if !f.done.CompareAndSwap(false, true) {
 		return
 	}
 	if f.qt != nil {
@@ -400,8 +345,7 @@ func foldSpans(sum *Summary, s trace.SpanStat, depth int) {
 
 // allocBytes reads cumulative process heap allocation. /gc/heap/allocs:bytes
 // is maintained without a stop-the-world, unlike runtime.ReadMemStats, so
-// sampling it twice per statement is far inside the recorder's overhead
-// budget.
+// sampling it twice per statement is cheap.
 func allocBytes() uint64 {
 	s := []rtmetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	rtmetrics.Read(s)
@@ -424,12 +368,8 @@ type recordedOp struct {
 	err   error
 }
 
-// Wrap decorates op so its lifecycle seals fl. A nil flight returns op
-// unchanged.
+// Wrap decorates op so its lifecycle seals fl.
 func Wrap(op exec.Operator, fl *Flight) exec.Operator {
-	if fl == nil {
-		return op
-	}
 	return &recordedOp{child: op, fl: fl}
 }
 
@@ -520,9 +460,6 @@ func QueueWaitFrom(ctx context.Context) time.Duration {
 // reaches the engine is visible and killable) to the engine's flight
 // record, which adopts it via BeginFor.
 func WithLive(ctx context.Context, q *LiveQuery) context.Context {
-	if q == nil {
-		return ctx
-	}
 	return context.WithValue(ctx, liveKey, q)
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"indbml/internal/engine/exec"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
 	"indbml/internal/trace"
@@ -49,29 +48,6 @@ func TestRingWraparound(t *testing.T) {
 func TestDefaultSize(t *testing.T) {
 	if got := NewRecorder(0).Capacity(); got != DefaultSize {
 		t.Errorf("capacity = %d, want %d", got, DefaultSize)
-	}
-}
-
-// TestNilRecorder: a nil recorder is inert end to end, so disabling the
-// feature needs no call-site branches.
-func TestNilRecorder(t *testing.T) {
-	var r *Recorder
-	if r.Recorded() != 0 || r.Snapshot() != nil {
-		t.Error("nil recorder not empty")
-	}
-	fl := r.Begin("SELECT 1", "select", "")
-	if fl != nil {
-		t.Fatal("nil recorder returned a live flight")
-	}
-	// All flight methods must be nil-safe no-ops.
-	fl.SetKind("exec")
-	fl.SetApproach("modeljoin")
-	fl.SetQueueWait(time.Second)
-	fl.AddRowsOut(5)
-	fl.AttachTrace(nil)
-	fl.Finish(errors.New("boom"))
-	if fl.ID() != 0 || fl.Approach() != "" {
-		t.Error("nil flight leaked state")
 	}
 }
 
@@ -370,14 +346,6 @@ func TestWrapOpenError(t *testing.T) {
 	snap := r.Snapshot()
 	if len(snap) != 1 || snap[0].Error != "no such table" {
 		t.Fatalf("open failure not sealed: %+v", snap)
-	}
-}
-
-// TestWrapNilFlight: wrapping with a nil flight is the identity.
-func TestWrapNilFlight(t *testing.T) {
-	child := &fakeOp{}
-	if got := Wrap(child, nil); got != exec.Operator(child) {
-		t.Error("Wrap(op, nil) != op")
 	}
 }
 

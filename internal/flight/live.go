@@ -47,62 +47,27 @@ const (
 // ID returns the statement's query ID — the same ID the flight recorder
 // publishes to system.queries, so a row observed in system.active_queries
 // can be confirmed post-mortem in system.queries after the statement ends.
-// Like every LiveQuery accessor it is nil-safe, so callers can thread the
-// nil entry of a disabled recorder without guards.
-func (q *LiveQuery) ID() uint64 {
-	if q == nil {
-		return 0
-	}
-	return q.id
-}
+func (q *LiveQuery) ID() uint64 { return q.id }
 
 // SQL returns the (length-bounded) statement text.
-func (q *LiveQuery) SQL() string {
-	if q == nil {
-		return ""
-	}
-	return q.sql
-}
+func (q *LiveQuery) SQL() string { return q.sql }
 
 // Fingerprint returns the statement-shape fingerprint.
-func (q *LiveQuery) Fingerprint() uint64 {
-	if q == nil {
-		return 0
-	}
-	return q.fp
-}
+func (q *LiveQuery) Fingerprint() uint64 { return q.fp }
 
 // Session labels the submitting session (remote address, or "embedded").
-func (q *LiveQuery) Session() string {
-	if q == nil {
-		return ""
-	}
-	return q.session
-}
+func (q *LiveQuery) Session() string { return q.session }
 
 // Origin returns the coordinator query ID this statement is a shard
 // fragment of (0 for ordinary statements).
-func (q *LiveQuery) Origin() uint64 {
-	if q == nil {
-		return 0
-	}
-	return q.origin
-}
+func (q *LiveQuery) Origin() uint64 { return q.origin }
 
 // Start returns the registration time (admission, not execution start).
-func (q *LiveQuery) Start() time.Time {
-	if q == nil {
-		return time.Time{}
-	}
-	return q.start
-}
+func (q *LiveQuery) Start() time.Time { return q.start }
 
 // State renders the queue-vs-run state; a killed statement that has not
 // yet unwound reports "killed".
 func (q *LiveQuery) State() string {
-	if q == nil {
-		return ""
-	}
 	if q.killed.Load() {
 		return "killed"
 	}
@@ -116,9 +81,6 @@ func (q *LiveQuery) State() string {
 // context.Canceled at its next batch boundary (Scan/Exchange), in the
 // admission-queue select, or in the inference scheduler's wait.
 func (q *LiveQuery) Kill() {
-	if q == nil {
-		return
-	}
 	q.killed.Store(true)
 	if q.cancel != nil {
 		q.cancel()
@@ -130,9 +92,6 @@ func (q *LiveQuery) Kill() {
 // busy time. All zero/empty while the statement is still queued (no
 // operator tree exists yet).
 func (q *LiveQuery) Progress() (rowsScanned, bytesScanned int64, phase string) {
-	if q == nil {
-		return 0, 0, ""
-	}
 	root := q.root.Load()
 	if root == nil {
 		return 0, 0, ""
@@ -169,8 +128,7 @@ func (q *LiveQuery) Progress() (rowsScanned, bytesScanned int64, phase string) {
 // allocating its query ID. session labels the origin; cancel is the
 // statement's context cancel function (what KILL invokes). The caller must
 // pair with Unregister (idempotent — the flight record's Finish also
-// unregisters). A nil recorder returns nil; all LiveQuery methods and
-// Unregister tolerate nil.
+// unregisters).
 func (r *Recorder) Register(sqlText, session string, cancel context.CancelFunc) *LiveQuery {
 	return r.RegisterOrigin(sqlText, session, 0, cancel)
 }
@@ -182,9 +140,6 @@ func (r *Recorder) Register(sqlText, session string, cancel context.CancelFunc) 
 // origin_qid so fleet observability can correlate fragments with their
 // coordinator query.
 func (r *Recorder) RegisterOrigin(sqlText, session string, origin uint64, cancel context.CancelFunc) *LiveQuery {
-	if r == nil {
-		return nil
-	}
 	if len(sqlText) > maxSQLLen {
 		sqlText = sqlText[:maxSQLLen]
 	}
@@ -205,12 +160,8 @@ func (r *Recorder) RegisterOrigin(sqlText, session string, origin uint64, cancel
 	return q
 }
 
-// Unregister removes a statement from the live registry. Idempotent and
-// nil-safe on both receiver and argument.
+// Unregister removes a statement from the live registry. Idempotent.
 func (r *Recorder) Unregister(q *LiveQuery) {
-	if r == nil || q == nil {
-		return
-	}
 	r.liveMu.Lock()
 	delete(r.live, q.id)
 	r.liveMu.Unlock()
@@ -218,9 +169,6 @@ func (r *Recorder) Unregister(q *LiveQuery) {
 
 // Live snapshots the registry, ordered by query ID.
 func (r *Recorder) Live() []*LiveQuery {
-	if r == nil {
-		return nil
-	}
 	r.liveMu.Lock()
 	out := make([]*LiveQuery, 0, len(r.live))
 	for _, q := range r.live {
@@ -232,12 +180,8 @@ func (r *Recorder) Live() []*LiveQuery {
 }
 
 // Kill cancels the identified live statement. It reports an error when the
-// ID names no currently-registered statement (finished, never existed, or
-// recorder disabled).
+// ID names no currently-registered statement (finished or never existed).
 func (r *Recorder) Kill(id uint64) error {
-	if r == nil {
-		return fmt.Errorf("flight: query tracking is disabled")
-	}
 	r.liveMu.Lock()
 	q := r.live[id]
 	r.liveMu.Unlock()
@@ -253,7 +197,7 @@ func (r *Recorder) Kill(id uint64) error {
 // coordinator's cancel path races benignly against fragments finishing on
 // their own.
 func (r *Recorder) KillOrigin(origin uint64) int {
-	if r == nil || origin == 0 {
+	if origin == 0 {
 		return 0
 	}
 	r.liveMu.Lock()

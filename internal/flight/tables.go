@@ -5,7 +5,6 @@ import (
 
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
-	"indbml/internal/engine/vector"
 	"indbml/internal/fingerprint"
 	"indbml/internal/metrics"
 )
@@ -36,17 +35,14 @@ var queriesSchema = types.NewSchema(
 	types.Column{Name: "sql", Type: types.String},
 )
 
-type queriesTable struct{ r *Recorder }
-
 // QueriesTable exposes the recorder ring as system.queries, one row per
 // retained statement.
-func QueriesTable(r *Recorder) storage.VirtualTable { return queriesTable{r} }
+func QueriesTable(r *Recorder) storage.VirtualTable {
+	return storage.NewVirtualTable("system.queries", queriesSchema, r.fillQueries)
+}
 
-func (queriesTable) Name() string          { return "system.queries" }
-func (queriesTable) Schema() *types.Schema { return queriesSchema }
-func (t queriesTable) Snapshot() ([]*vector.Batch, error) {
-	b := storage.NewBatchBuilder(queriesSchema)
-	for _, s := range t.r.Snapshot() {
+func (r *Recorder) fillQueries(b *storage.BatchBuilder) error {
+	for _, s := range r.Snapshot() {
 		b.Append(
 			types.Int64Datum(int64(s.ID)),
 			types.Int64Datum(int64(s.Origin)),
@@ -69,7 +65,7 @@ func (t queriesTable) Snapshot() ([]*vector.Batch, error) {
 			types.StringDatum(s.SQL),
 		)
 	}
-	return b.Batches(), nil
+	return nil
 }
 
 var operatorsSchema = types.NewSchema(
@@ -85,20 +81,17 @@ var operatorsSchema = types.NewSchema(
 	types.Column{Name: "value", Type: types.Int64},
 )
 
-type operatorsTable struct{ r *Recorder }
-
 // OperatorsTable exposes the folded span trees as system.query_operators.
 // Every operator contributes one base row (counter = ”) carrying
 // wall_ns/rows/batches, plus one row per named counter carrying its value
 // — so both "sum wall time by operator" and "sum sgemm_ns across queries"
 // are single-table aggregates.
-func OperatorsTable(r *Recorder) storage.VirtualTable { return operatorsTable{r} }
+func OperatorsTable(r *Recorder) storage.VirtualTable {
+	return storage.NewVirtualTable("system.query_operators", operatorsSchema, r.fillOperators)
+}
 
-func (operatorsTable) Name() string          { return "system.query_operators" }
-func (operatorsTable) Schema() *types.Schema { return operatorsSchema }
-func (t operatorsTable) Snapshot() ([]*vector.Batch, error) {
-	b := storage.NewBatchBuilder(operatorsSchema)
-	for _, s := range t.r.Snapshot() {
+func (r *Recorder) fillOperators(b *storage.BatchBuilder) error {
+	for _, s := range r.Snapshot() {
 		for _, op := range s.Ops {
 			b.Append(
 				types.Int64Datum(int64(s.ID)),
@@ -128,7 +121,7 @@ func (t operatorsTable) Snapshot() ([]*vector.Batch, error) {
 			}
 		}
 	}
-	return b.Batches(), nil
+	return nil
 }
 
 // hexFingerprint renders a statement fingerprint as the fixed-width hex
@@ -150,20 +143,17 @@ var activeSchema = types.NewSchema(
 	types.Column{Name: "sql", Type: types.String},
 )
 
-type activeTable struct{ r *Recorder }
-
 // ActiveTable exposes the live registry as system.active_queries: one row
 // per in-flight statement, with progress sampled from the statement's
 // atomic span counters at scan time — repeated SELECTs over this table
 // watch rows_scanned grow while the statement runs.
-func ActiveTable(r *Recorder) storage.VirtualTable { return activeTable{r} }
+func ActiveTable(r *Recorder) storage.VirtualTable {
+	return storage.NewVirtualTable("system.active_queries", activeSchema, r.fillActive)
+}
 
-func (activeTable) Name() string          { return "system.active_queries" }
-func (activeTable) Schema() *types.Schema { return activeSchema }
-func (t activeTable) Snapshot() ([]*vector.Batch, error) {
-	b := storage.NewBatchBuilder(activeSchema)
+func (r *Recorder) fillActive(b *storage.BatchBuilder) error {
 	now := time.Now()
-	for _, q := range t.r.Live() {
+	for _, q := range r.Live() {
 		rows, bytes, phase := q.Progress()
 		b.Append(
 			types.Int64Datum(int64(q.ID())),
@@ -179,7 +169,7 @@ func (t activeTable) Snapshot() ([]*vector.Batch, error) {
 			types.StringDatum(q.SQL()),
 		)
 	}
-	return b.Batches(), nil
+	return nil
 }
 
 // statementStatsSchema: one row per (fingerprint, approach, device) — the
@@ -212,21 +202,18 @@ var statementStatsSchema = types.NewSchema(
 	types.Column{Name: "sql", Type: types.String}, // normalized exemplar
 )
 
-type statementStatsTable struct{ r *Recorder }
-
 // StatementStatsTable exposes the cumulative statement-shape statistics as
 // system.statement_stats. Unlike system.queries this is not a ring: rows
 // accumulate for the life of the process, so it answers workload-level
 // questions ("which statement shape dominates latency", "what is the
 // modeljoin cpu-vs-gpu crossover for this shape") long after individual
 // flight records have been overwritten.
-func StatementStatsTable(r *Recorder) storage.VirtualTable { return statementStatsTable{r} }
+func StatementStatsTable(r *Recorder) storage.VirtualTable {
+	return storage.NewVirtualTable("system.statement_stats", statementStatsSchema, r.fillStatementStats)
+}
 
-func (statementStatsTable) Name() string          { return "system.statement_stats" }
-func (statementStatsTable) Schema() *types.Schema { return statementStatsSchema }
-func (t statementStatsTable) Snapshot() ([]*vector.Batch, error) {
-	b := storage.NewBatchBuilder(statementStatsSchema)
-	for _, r := range t.r.Stats().Snapshot() {
+func (rec *Recorder) fillStatementStats(b *storage.BatchBuilder) error {
+	for _, r := range rec.stats.Snapshot() {
 		vals := []types.Datum{
 			types.StringDatum(hexFingerprint(r.Fingerprint)),
 			types.StringDatum(r.Approach),
@@ -249,7 +236,7 @@ func (t statementStatsTable) Snapshot() ([]*vector.Batch, error) {
 		vals = append(vals, types.StringDatum(r.NormSQL))
 		b.Append(vals...)
 	}
-	return b.Batches(), nil
+	return nil
 }
 
 var metricsSchema = types.NewSchema(
@@ -260,26 +247,21 @@ var metricsSchema = types.NewSchema(
 	types.Column{Name: "exemplar_query_id", Type: types.Int64},
 )
 
-type metricsTable struct{ reg *metrics.Registry }
-
 // MetricsTable exposes a metrics registry as system.metrics, one row per
 // exposition sample, with histogram buckets carrying their exemplar query
 // IDs — the in-database end of the "latency spike → offending query"
 // workflow.
-func MetricsTable(reg *metrics.Registry) storage.VirtualTable { return metricsTable{reg} }
-
-func (metricsTable) Name() string          { return "system.metrics" }
-func (metricsTable) Schema() *types.Schema { return metricsSchema }
-func (t metricsTable) Snapshot() ([]*vector.Batch, error) {
-	b := storage.NewBatchBuilder(metricsSchema)
-	for _, s := range t.reg.Samples() {
-		b.Append(
-			types.StringDatum(s.Name),
-			types.StringDatum(s.Kind),
-			types.StringDatum(s.Label),
-			types.Float64Datum(s.Value),
-			types.Int64Datum(int64(s.ExemplarQueryID)),
-		)
-	}
-	return b.Batches(), nil
+func MetricsTable(reg *metrics.Registry) storage.VirtualTable {
+	return storage.NewVirtualTable("system.metrics", metricsSchema, func(b *storage.BatchBuilder) error {
+		for _, s := range reg.Samples() {
+			b.Append(
+				types.StringDatum(s.Name),
+				types.StringDatum(s.Kind),
+				types.StringDatum(s.Label),
+				types.Float64Datum(s.Value),
+				types.Int64Datum(int64(s.ExemplarQueryID)),
+			)
+		}
+		return nil
+	})
 }

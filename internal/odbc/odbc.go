@@ -91,8 +91,8 @@ func (rs *Rows) Err() error { return rs.cur.Err() }
 func (rs *Rows) Next() []any { return rs.cur.Next() }
 
 // QueryID returns the server's flight-recorder ID for this statement,
-// available once the stream has finished cleanly (0 before that, or when
-// the recorder is disabled). It keys into system.queries.
+// available once the stream has finished cleanly (0 before that). It keys
+// into system.queries.
 func (rs *Rows) QueryID() uint64 { return rs.cur.QueryID() }
 
 // Query runs a query against the database over an in-memory network pipe

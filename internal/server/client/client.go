@@ -210,8 +210,8 @@ func (r *Rows) Err() error { return r.cur.Err() }
 func (r *Rows) Drain() error { return r.cur.Drain() }
 
 // QueryID returns the server's flight-recorder ID for this statement,
-// available once the stream has finished cleanly (0 before that, or when
-// the server's recorder is disabled). It keys into system.queries.
+// available once the stream has finished cleanly (0 before that). It keys
+// into system.queries.
 func (r *Rows) QueryID() uint64 { return r.cur.QueryID() }
 
 // Trace returns the serialized span tree from the MsgTrace trailer, nil

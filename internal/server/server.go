@@ -38,7 +38,7 @@ import (
 	"time"
 
 	"indbml/internal/engine/db"
-	"indbml/internal/engine/exec"
+	"indbml/internal/engine/storage"
 	"indbml/internal/fingerprint"
 	"indbml/internal/flight"
 	"indbml/internal/infersched"
@@ -69,18 +69,15 @@ type Config struct {
 	// statements whose clients request no deadline. 0 means uncapped.
 	MaxQueryDuration time.Duration
 	// SlowQueryLog, when non-nil, enables the structured slow-query log:
-	// every SELECT runs traced, and statements slower than
-	// SlowQueryThreshold — plus every statement ending in an error or
-	// cancellation — are written as one JSON line embedding the full
-	// per-operator trace.
+	// SELECTs slower than SlowQueryThreshold — plus every SELECT ending in
+	// an error or cancellation — are written as one JSON line embedding the
+	// full per-operator trace.
 	SlowQueryLog io.Writer
 	// SlowQueryThreshold is the duration above which a successful
-	// statement is logged. 0 logs every traced statement.
+	// statement is logged. 0 logs every SELECT.
 	SlowQueryThreshold time.Duration
-	// TelemetryInterval is the metrics-history sampling tick. 0 means the
-	// default (1s); negative disables the sampler (system.metrics_history
-	// and system.alerts stay registered but empty, and CREATE ALERT
-	// errors).
+	// TelemetryInterval is the metrics-history sampling tick. 0 or a
+	// negative value means the default (1s).
 	TelemetryInterval time.Duration
 	// AlertLog, when non-nil, receives one JSON line per alert
 	// firing/resolved transition, in the slow-query-log style.
@@ -103,8 +100,8 @@ type Server struct {
 	cfg   Config
 	stats *Stats
 	reg   *metrics.Registry
-	slow  *slowLog           // nil when the slow-query log is disabled
-	tel   *telemetry.Sampler // nil when telemetry is disabled
+	slow  *slowLog // nil when the slow-query log is disabled
+	tel   *telemetry.Sampler
 
 	slots chan struct{} // buffered semaphore: one token per running query
 
@@ -159,12 +156,11 @@ func New(d *db.Database, cfg Config) *Server {
 		func() float64 { return float64(d.ModelCacheStats().Evictions) })
 	reg.NewGaugeFunc("vectordb_model_cache_entries", "Model artifact cache resident entries.",
 		func() float64 { return float64(d.ModelCacheStats().Entries) })
-	if fr := d.FlightRecorder(); fr != nil {
-		reg.NewGaugeFunc("vectordb_flight_recorder_capacity", "Flight recorder ring capacity.",
-			func() float64 { return float64(fr.Capacity()) })
-		reg.NewGaugeFunc("vectordb_flight_queries_recorded_total", "Statements published to the flight recorder since start.",
-			func() float64 { return float64(fr.Recorded()) })
-	}
+	fr := d.FlightRecorder()
+	reg.NewGaugeFunc("vectordb_flight_recorder_capacity", "Flight recorder ring capacity.",
+		func() float64 { return float64(fr.Capacity()) })
+	reg.NewGaugeFunc("vectordb_flight_queries_recorded_total", "Statements published to the flight recorder since start.",
+		func() float64 { return float64(fr.Recorded()) })
 	if sc := d.InferSched(); sc != nil {
 		sc.AttachMetrics(reg)
 	}
@@ -182,27 +178,22 @@ func New(d *db.Database, cfg Config) *Server {
 	// The connection registry lives here, not in the engine, so the
 	// sessions table does too: system.sessions joins to
 	// system.active_queries on current_query_id.
-	d.RegisterVirtualTable(sessionsTable{s})
+	d.RegisterVirtualTable(storage.NewVirtualTable("system.sessions", sessionsSchema, s.fillSessions))
 	// Telemetry: sample the registry into the history rings and evaluate
-	// alert rules each tick. The history/alert tables are registered even
-	// when disabled (serving empty) so monitoring SQL degrades instead of
-	// erroring.
-	if cfg.TelemetryInterval >= 0 {
-		s.tel = telemetry.New(reg, telemetry.Config{
-			Interval: cfg.TelemetryInterval,
-			AlertLog: cfg.AlertLog,
-		})
-		d.SetAlertEngine(s.tel.Alerts())
-		s.tel.Start()
-	}
+	// alert rules each tick.
+	s.tel = telemetry.New(reg, telemetry.Config{
+		Interval: cfg.TelemetryInterval,
+		AlertLog: cfg.AlertLog,
+	})
+	d.SetAlertEngine(s.tel.Alerts())
+	s.tel.Start()
 	d.RegisterVirtualTable(telemetry.HistoryTable(s.tel))
 	d.RegisterVirtualTable(telemetry.LatencyTable(s.tel))
 	d.RegisterVirtualTable(telemetry.AlertsTable(s.tel))
 	return s
 }
 
-// Telemetry exposes the sampler (nil when disabled) for tests and the
-// embedded shell.
+// Telemetry exposes the sampler for tests and the embedded shell.
 func (s *Server) Telemetry() *telemetry.Sampler { return s.tel }
 
 // Metrics exposes the server's registry so daemons can mount it on an HTTP
@@ -297,7 +288,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		s.baseCancel()
-		s.stopTelemetry()
+		s.tel.Stop()
 		return nil
 	case <-ctx.Done():
 		// Hard stop: cancel running queries and cut the transports.
@@ -308,16 +299,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 		<-done
-		s.stopTelemetry()
-		return ctx.Err()
-	}
-}
-
-// stopTelemetry halts the sampler goroutine (idempotent; no-op when
-// telemetry is disabled).
-func (s *Server) stopTelemetry() {
-	if s.tel != nil {
 		s.tel.Stop()
+		return ctx.Err()
 	}
 }
 
@@ -342,9 +325,7 @@ func (s *Server) StatusText() string {
 	sn.CacheHits, sn.CacheMisses, sn.CacheEvictions, sn.CacheEntries = mc.Hits, mc.Misses, mc.Evictions, mc.Entries
 	sn.Batcher = s.db.InferSched().StatusLine()
 	sn.Shards = s.db.RouterStatus()
-	if s.tel != nil {
-		sn.Alerts = s.tel.StatusLine()
-	}
+	sn.Alerts = s.tel.StatusLine()
 	return sn.String()
 }
 
@@ -536,16 +517,14 @@ func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, deadlin
 	// ctx.Done. The engine's flight record adopts the entry (same query ID),
 	// and its Finish unregisters; the defer covers statements that never
 	// reach the engine.
-	var live *flight.LiveQuery
-	if fr := s.db.FlightRecorder(); fr != nil {
-		live = fr.RegisterOrigin(text, sess.remote, origin, cancel)
-		ctx = flight.WithLive(ctx, live)
-		sess.curQID.Store(live.ID())
-		defer func() {
-			sess.curQID.Store(0)
-			fr.Unregister(live)
-		}()
-	}
+	fr := s.db.FlightRecorder()
+	live := fr.RegisterOrigin(text, sess.remote, origin, cancel)
+	ctx = flight.WithLive(ctx, live)
+	sess.curQID.Store(live.ID())
+	defer func() {
+		sess.curQID.Store(0)
+		fr.Unregister(live)
+	}()
 
 	token, wait, code, err := s.admit(ctx)
 	if err != nil {
@@ -612,46 +591,29 @@ func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, deadlin
 }
 
 // serveSelect streams a SELECT to the client and returns the statement's
-// flight-recorder query ID (0 when the recorder is disabled), which the
-// caller stamps on the latency histogram as the bucket exemplar. With the
-// slow-query log enabled the statement runs traced, so a slow or failing
-// query leaves a JSON line embedding its per-operator span tree; the
-// flight recorder independently builds traced whenever it is enabled.
+// flight-recorder query ID, which the caller stamps on the latency
+// histogram as the bucket exemplar. With the slow-query log enabled, a slow
+// or failing query leaves a JSON line embedding its per-operator span tree.
 //
-// When the client set StmtFlagTrace, the statement always runs traced and
-// a MsgTrace trailer carrying the serialized span tree follows the final
-// MsgDone — the mechanism a coordinator uses to stitch shard fragment
-// subtrees into distributed EXPLAIN ANALYZE. Error-terminated streams
-// carry no trailer.
+// When the client set StmtFlagTrace, a MsgTrace trailer carrying the
+// serialized span tree follows the final MsgDone — the mechanism a
+// coordinator uses to stitch shard fragment subtrees into distributed
+// EXPLAIN ANALYZE. Error-terminated streams carry no trailer.
 func (s *Server) serveSelect(bw *bufio.Writer, ctx context.Context, text string, start time.Time, traced bool) uint64 {
-	var (
-		op  exec.Operator
-		qt  *trace.QueryTrace
-		err error
-	)
-	if traced || s.slow != nil {
-		op, qt, err = s.db.QueryOpTracedContext(ctx, text)
-	} else {
-		op, err = s.db.QueryOpContext(ctx, text)
-	}
+	op, qt, err := s.db.QueryOpTracedContext(ctx, text)
 	if err != nil {
 		s.stats.Failed.Add(1)
 		wire.WriteError(bw, wire.CodeError, err.Error())
 		return 0
 	}
-	var qid uint64
-	if q, ok := op.(interface{ QueryID() uint64 }); ok {
-		qid = q.QueryID()
-	}
+	live := flight.LiveFrom(ctx)
+	qid := live.ID()
 	rows, err := wire.StreamOperator(bw, op)
 	s.stats.RowsServed.Add(rows)
 	if traced && err == nil {
 		// StreamOperator has closed the operator, so the span totals are
 		// final; the trailer rides the same flush as MsgDone.
-		var payload []byte
-		if qt != nil && qt.Root != nil {
-			payload, _ = trace.EncodeSpan(qt.Root)
-		}
+		payload, _ := trace.EncodeSpan(qt.Root)
 		wire.WriteTrace(bw, payload)
 	}
 	canceled := wire.IsCancellation(err)
@@ -663,16 +625,9 @@ func (s *Server) serveSelect(bw *bufio.Writer, ctx context.Context, text string,
 	default:
 		s.stats.Failed.Add(1)
 	}
-	if qt != nil {
-		qt.Finish(err)
-		if s.slow.shouldLog(qt.Total(), err) {
-			var fp string
-			if live := flight.LiveFrom(ctx); live != nil {
-				fp = fingerprint.Hex(live.Fingerprint())
-			}
-			s.stats.SlowLogged.Add(1)
-			s.slow.log(start, verdictFor(err, canceled), qid, fp, rows, qt)
-		}
+	if s.slow.shouldLog(qt.Total(), err) {
+		s.stats.SlowLogged.Add(1)
+		s.slow.log(start, verdictFor(err, canceled), qid, fingerprint.Hex(live.Fingerprint()), rows, qt)
 	}
 	return qid
 }

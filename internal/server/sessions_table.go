@@ -6,11 +6,10 @@ import (
 
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
-	"indbml/internal/engine/vector"
 )
 
-// sessionsTable exposes the server's connection registry as
-// system.sessions: one row per live session with its transport identity and
+// fillSessions serves system.sessions from the server's connection
+// registry: one row per live session with its transport identity and
 // cumulative counters. current_query_id joins to
 // system.active_queries.query_id (and, post-mortem, to system.queries), so
 // "who is running what" is one SQL join away.
@@ -24,21 +23,15 @@ var sessionsSchema = types.NewSchema(
 	types.Column{Name: "current_query_id", Type: types.Int64},
 )
 
-type sessionsTable struct{ s *Server }
-
-func (sessionsTable) Name() string          { return "system.sessions" }
-func (sessionsTable) Schema() *types.Schema { return sessionsSchema }
-
-func (t sessionsTable) Snapshot() ([]*vector.Batch, error) {
-	t.s.sessMu.Lock()
-	sessions := make([]*session, 0, len(t.s.sessions))
-	for _, sess := range t.s.sessions {
+func (s *Server) fillSessions(b *storage.BatchBuilder) error {
+	s.sessMu.Lock()
+	sessions := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
 		sessions = append(sessions, sess)
 	}
-	t.s.sessMu.Unlock()
+	s.sessMu.Unlock()
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
 
-	b := storage.NewBatchBuilder(sessionsSchema)
 	for _, sess := range sessions {
 		state := "idle"
 		if sess.active.Load() {
@@ -54,7 +47,7 @@ func (t sessionsTable) Snapshot() ([]*vector.Batch, error) {
 			types.Int64Datum(int64(sess.curQID.Load())),
 		)
 	}
-	return b.Batches(), nil
+	return nil
 }
 
 // attachSession registers a new connection's session.

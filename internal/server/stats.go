@@ -90,7 +90,7 @@ type Snapshot struct {
 	Shards string
 
 	// Alerts is the telemetry alert-set summary (rule/pending/firing
-	// counts plus firing names); empty when telemetry is disabled.
+	// counts plus firing names).
 	Alerts string
 }
 
@@ -126,9 +126,7 @@ func (sn Snapshot) String() string {
 	if sn.Shards != "" {
 		fmt.Fprintf(&sb, "shards: %s\n", sn.Shards)
 	}
-	if sn.Alerts != "" {
-		fmt.Fprintf(&sb, "alerts: %s\n", sn.Alerts)
-	}
+	fmt.Fprintf(&sb, "alerts: %s\n", sn.Alerts)
 	fmt.Fprintf(&sb, "rows_served: %d\n", sn.RowsServed)
 	writeHistLine(&sb, "latency", sn.Latency)
 	writeHistLine(&sb, "queued_wait", sn.QueuedWait)

@@ -204,36 +204,3 @@ func TestMetricsHistoryOverWire(t *testing.T) {
 		t.Error("latency_history has no interval with observations despite traffic")
 	}
 }
-
-// TestTelemetryDisabled: with a negative interval the system tables stay
-// queryable (empty) and CREATE ALERT reports a clear error.
-func TestTelemetryDisabled(t *testing.T) {
-	d := newTestDB(t, 100, 4)
-	s := startServer(t, d, Config{
-		QuerySlots: 2, QueueDepth: 8, IdleTimeout: time.Minute,
-		TelemetryInterval: -1,
-	})
-	c := dial(t, s)
-
-	for _, table := range []string{"system.metrics_history", "system.latency_history", "system.alerts"} {
-		rows, err := c.Query("SELECT * FROM " + table)
-		if err != nil {
-			t.Fatalf("%s with telemetry disabled: %v", table, err)
-		}
-		if rows.Next() != nil {
-			t.Errorf("%s non-empty with telemetry disabled", table)
-		}
-		rows.Drain()
-	}
-	err := c.Exec("CREATE ALERT a ON vectordb_sessions_active > 0")
-	if err == nil || !strings.Contains(err.Error(), "telemetry") {
-		t.Errorf("CREATE ALERT with telemetry disabled: err = %v, want telemetry-disabled error", err)
-	}
-	status, serr := c.Status()
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if strings.Contains(status, "alerts:") {
-		t.Errorf("STATUS carries alerts line with telemetry disabled:\n%s", status)
-	}
-}

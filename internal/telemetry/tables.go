@@ -5,17 +5,14 @@ import (
 
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
-	"indbml/internal/engine/vector"
 	"indbml/internal/metrics"
 )
 
-// Virtual system tables over the history rings and the alert set. Each
-// constructor tolerates a nil sampler (telemetry disabled) by serving an
-// empty table, so monitoring SQL degrades instead of erroring.
+// Virtual system tables over the history rings and the alert set.
 
 var historySchema = types.NewSchema(
-	types.Column{Name: "ts", Type: types.Int64},    // sample time, unix nanoseconds
-	types.Column{Name: "res", Type: types.String},  // "fine" | "coarse"
+	types.Column{Name: "ts", Type: types.Int64},   // sample time, unix nanoseconds
+	types.Column{Name: "res", Type: types.String}, // "fine" | "coarse"
 	types.Column{Name: "metric", Type: types.String},
 	types.Column{Name: "kind", Type: types.String},  // counter | gauge | histogram
 	types.Column{Name: "label", Type: types.String}, // "" scalar, le=… / sum / count for histograms
@@ -23,23 +20,15 @@ var historySchema = types.NewSchema(
 	types.Column{Name: "rate", Type: types.Float64}, // per-second delta vs previous sample; NULL on the first
 )
 
-type historyTable struct{ s *Sampler }
-
 // HistoryTable exposes both rings as system.metrics_history: one row per
 // (sample, series), with the rate column computed from adjacent-sample
 // deltas at scan time.
-func HistoryTable(s *Sampler) storage.VirtualTable { return historyTable{s} }
-
-func (historyTable) Name() string          { return "system.metrics_history" }
-func (historyTable) Schema() *types.Schema { return historySchema }
-func (t historyTable) Snapshot() ([]*vector.Batch, error) {
-	b := storage.NewBatchBuilder(historySchema)
-	if t.s == nil {
-		return b.Batches(), nil
-	}
-	appendHistory(b, "fine", t.s.fine.snapshot())
-	appendHistory(b, "coarse", t.s.coarse.snapshot())
-	return b.Batches(), nil
+func HistoryTable(s *Sampler) storage.VirtualTable {
+	return storage.NewVirtualTable("system.metrics_history", historySchema, func(b *storage.BatchBuilder) error {
+		appendHistory(b, "fine", s.fine.snapshot())
+		appendHistory(b, "coarse", s.coarse.snapshot())
+		return nil
+	})
 }
 
 func appendHistory(b *storage.BatchBuilder, res string, samples []*sample) {
@@ -84,23 +73,15 @@ var latencySchema = types.NewSchema(
 	types.Column{Name: "avg_ms", Type: types.Float64},
 )
 
-type latencyTable struct{ s *Sampler }
-
 // LatencyTable derives system.latency_history from histogram-bucket deltas
 // between adjacent samples: interval p50/p99 via linear bucket
 // interpolation (histograms record seconds; columns are milliseconds).
-func LatencyTable(s *Sampler) storage.VirtualTable { return latencyTable{s} }
-
-func (latencyTable) Name() string          { return "system.latency_history" }
-func (latencyTable) Schema() *types.Schema { return latencySchema }
-func (t latencyTable) Snapshot() ([]*vector.Batch, error) {
-	b := storage.NewBatchBuilder(latencySchema)
-	if t.s == nil {
-		return b.Batches(), nil
-	}
-	appendLatency(b, "fine", t.s.fine.snapshot())
-	appendLatency(b, "coarse", t.s.coarse.snapshot())
-	return b.Batches(), nil
+func LatencyTable(s *Sampler) storage.VirtualTable {
+	return storage.NewVirtualTable("system.latency_history", latencySchema, func(b *storage.BatchBuilder) error {
+		appendLatency(b, "fine", s.fine.snapshot())
+		appendLatency(b, "coarse", s.coarse.snapshot())
+		return nil
+	})
 }
 
 func appendLatency(b *storage.BatchBuilder, res string, samples []*sample) {
@@ -178,20 +159,14 @@ var alertsSchema = types.NewSchema(
 	types.Column{Name: "last_resolved_ns", Type: types.Int64},
 )
 
-type alertsTable struct{ s *Sampler }
-
 // AlertsTable exposes the alert rules and their live state as
 // system.alerts.
-func AlertsTable(s *Sampler) storage.VirtualTable { return alertsTable{s} }
+func AlertsTable(s *Sampler) storage.VirtualTable {
+	return storage.NewVirtualTable("system.alerts", alertsSchema, s.fillAlerts)
+}
 
-func (alertsTable) Name() string          { return "system.alerts" }
-func (alertsTable) Schema() *types.Schema { return alertsSchema }
-func (t alertsTable) Snapshot() ([]*vector.Batch, error) {
-	b := storage.NewBatchBuilder(alertsSchema)
-	if t.s == nil {
-		return b.Batches(), nil
-	}
-	for _, st := range t.s.alerts.snapshotStates() {
+func (s *Sampler) fillAlerts(b *storage.BatchBuilder) error {
+	for _, st := range s.alerts.snapshotStates() {
 		val := types.NullDatum(types.Float64)
 		if st.hasValue {
 			val = types.Float64Datum(st.lastValue)
@@ -209,5 +184,5 @@ func (t alertsTable) Snapshot() ([]*vector.Batch, error) {
 			types.Int64Datum(unixOrZero(st.lastResolved)),
 		)
 	}
-	return b.Batches(), nil
+	return nil
 }

@@ -334,17 +334,3 @@ func TestGaugePanicSurvivesTick(t *testing.T) {
 		}
 	}
 }
-
-// TestDisabledTablesServeEmpty: nil-sampler table constructors (telemetry
-// disabled) serve zero rows instead of erroring.
-func TestDisabledTablesServeEmpty(t *testing.T) {
-	if rows := rowsFromTable(t, HistoryTable(nil)); len(rows) != 0 {
-		t.Errorf("HistoryTable(nil) rows = %d, want 0", len(rows))
-	}
-	if rows := rowsFromTable(t, LatencyTable(nil)); len(rows) != 0 {
-		t.Errorf("LatencyTable(nil) rows = %d, want 0", len(rows))
-	}
-	if rows := rowsFromTable(t, AlertsTable(nil)); len(rows) != 0 {
-		t.Errorf("AlertsTable(nil) rows = %d, want 0", len(rows))
-	}
-}

@@ -66,9 +66,8 @@ func (c *Cursor) Err() error { return c.err }
 func (c *Cursor) Finished() bool { return c.done }
 
 // QueryID returns the server-side flight-recorder ID carried by the
-// MsgDone terminator (0 until the stream finishes cleanly, or when the
-// server's recorder is disabled). Use it to look the statement up in
-// system.queries / system.query_operators.
+// MsgDone terminator (0 until the stream finishes cleanly). Use it to look
+// the statement up in system.queries / system.query_operators.
 func (c *Cursor) QueryID() uint64 { return c.queryID }
 
 // ExpectTrace arms the cursor to consume a MsgTrace trailer after MsgDone.

@@ -82,8 +82,8 @@ func StreamOperator(w *bufio.Writer, op exec.Operator) (rows int64, err error) {
 	flushChunk()
 	w.WriteByte(MsgDone)
 	// The terminator carries the flight-recorder query ID (0 when the
-	// recorder is disabled or the operator was built outside it), so the
-	// client can correlate its result set with system.queries.
+	// operator was built outside the recorder), so the client can
+	// correlate its result set with system.queries.
 	var qid uint64
 	if q, ok := op.(interface{ QueryID() uint64 }); ok {
 		qid = q.QueryID()

@@ -21,7 +21,7 @@
 //	MsgSchema  ncols (len name typ)×ncols
 //	MsgRows    nrows (len rowbytes)×nrows
 //	MsgDone    query_id               (terminates a result stream; query_id
-//	           is the server's flight-recorder ID, 0 when disabled)
+//	           is the server's flight-recorder ID)
 //	MsgTrace   len json                (trailer after MsgDone when the
 //	           statement requested tracing: the serialized span tree)
 //	MsgOK      len text                (statement acknowledged, no rows)
