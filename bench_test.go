@@ -277,8 +277,10 @@ func BenchmarkAblationOrderedAgg(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBiasMatrix toggles the Sec. 5.4 bias-replication trick in
-// the native operator.
+// BenchmarkAblationBiasMatrix toggles the Sec. 5.4 bias handling in the native
+// operator: bias and activation fused into one gemm over prepacked weights
+// (the successor of the paper's bias-matrix copy) against the unfused
+// sequence with a row-by-row bias add.
 func BenchmarkAblationBiasMatrix(b *testing.B) {
 	setupTables()
 	for _, noBias := range []bool{false, true} {

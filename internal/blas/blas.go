@@ -69,7 +69,7 @@ func Sgemv(a Mat, x, y []float32) {
 	if a.Cols != len(x) || a.Rows != len(y) {
 		panic(fmt.Sprintf("blas: sgemv dimension mismatch: (%dx%d)·(%d) -> (%d)", a.Rows, a.Cols, len(x), len(y)))
 	}
-	parallelRows(a.Rows, a.Rows*a.Cols, func(lo, hi int) {
+	parallelRows(a.Rows, a.Rows*a.Cols, 1, rowFunc(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := a.Row(i)
 			var sum float32
@@ -78,7 +78,7 @@ func Sgemv(a Mat, x, y []float32) {
 			}
 			y[i] += sum
 		}
-	})
+	}))
 }
 
 // Sger performs the rank-1 update A = A + alpha·x·yᵀ for an m×n matrix A.
@@ -86,7 +86,7 @@ func Sger(alpha float32, x, y []float32, a Mat) {
 	if a.Rows != len(x) || a.Cols != len(y) {
 		panic(fmt.Sprintf("blas: sger dimension mismatch: (%d)·(%d)ᵀ -> (%dx%d)", len(x), len(y), a.Rows, a.Cols))
 	}
-	parallelRows(a.Rows, a.Rows*a.Cols, func(lo, hi int) {
+	parallelRows(a.Rows, a.Rows*a.Cols, 1, rowFunc(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ax := alpha * x[i]
 			row := a.Row(i)
@@ -94,7 +94,7 @@ func Sger(alpha float32, x, y []float32, a Mat) {
 				row[j] += ax * yj
 			}
 		}
-	})
+	}))
 }
 
 // Saxpy computes y = alpha·x + y.

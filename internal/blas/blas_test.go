@@ -7,15 +7,21 @@ import (
 	"testing/quick"
 )
 
-// naiveGemm is the reference implementation Sgemm is validated against.
+// naiveGemm is the reference implementation Sgemm is validated against: one
+// dot product per output, summed in k order from zero, then added to C. B is
+// transposed first only so the dot products read contiguous memory.
 func naiveGemm(a, b, c Mat) {
+	bt := NewMat(b.Cols, b.Rows)
+	Transpose(b, bt)
 	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
+		ai := a.Row(i)
+		ci := c.Row(i)
+		for j := range ci {
 			var sum float32
-			for k := 0; k < a.Cols; k++ {
-				sum += a.At(i, k) * b.At(k, j)
+			for k, v := range bt.Row(j) {
+				sum += ai[k] * v
 			}
-			c.Set(i, j, c.At(i, j)+sum)
+			ci[j] += sum
 		}
 	}
 }

@@ -3,159 +3,181 @@ package blas
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
-// Cache-blocking parameters for the packed kernel. A packed panel is at most
-// packKC×packNC float32s (256 KB) — sized to stay resident in L2 while the
-// row loop streams over it. Panels are packed row-major with stride nLen so
-// the micro-kernel reads them sequentially regardless of the original B
-// width.
+// The gemm micro-kernel computes one mr×nr tile of C in registers: twelve
+// 8-float accumulators (six rows of two vectors) fed by one packed B panel
+// row and six broadcast A values per k step, the AVX2 register budget of 16
+// YMM registers. Both kernels — the amd64 assembly and the portable Go one —
+// implement this tile shape, sum over k in the same order and handle partial
+// tiles (fewer than mr rows, fewer than nr columns) themselves.
 const (
-	packKC = 256
-	packNC = 256
-	// packMinBElems is the B size (elements) above which packing pays for
-	// itself: below it, B already fits comfortably in cache and the extra
-	// copy only costs time.
-	packMinBElems = 1 << 15
+	mr = 6
+	nr = 16
 )
 
-// packBufs recycles panel buffers across Sgemm calls so the steady-state
-// serving hot path performs no per-call allocation.
-var packBufs = sync.Pool{
-	New: func() any {
-		b := make([]float32, packKC*packNC)
-		return &b
-	},
+// Kernel epilogues: what a tile does with its accumulated A·B.
+const (
+	modeAccumulate = 0 // C += A·B
+	modeBias       = 1 // C = A·B + bias
+	modeBiasReLU   = 2 // C = max(A·B + bias, 0)
+)
+
+// blockFloats bounds the A and C rows one cache block touches (256 KB of
+// float32), so a block's activations stay L2-resident while every B panel
+// passes over them.
+const blockFloats = 1 << 16
+
+// Activation selects the function GemmBiasAct applies in its epilogue.
+type Activation uint8
+
+// Epilogue activations.
+const (
+	ActNone Activation = iota
+	ActReLU
+	ActSigmoid
+	ActTanh
+)
+
+// PackedB is a k×n matrix laid out for the micro-kernel: ⌈n/nr⌉ panels, each
+// holding nr consecutive columns for all k rows (row kk of panel p at
+// data[(p·k+kk)·nr:]), the last panel zero-padded. Packing a layer's
+// immutable weights once makes every later multiply read B sequentially
+// without touching the original matrix.
+type PackedB struct {
+	rows, cols int
+	data       []float32
 }
 
+// PackB packs b for GemmBiasAct. The result is immutable and safe for
+// concurrent use.
+func PackB(b Mat) *PackedB {
+	p := new(PackedB)
+	p.pack(b)
+	return p
+}
+
+// pack fills p from b, reusing p's buffer when it is large enough.
+func (p *PackedB) pack(b Mat) {
+	k, n := b.Rows, b.Cols
+	panels := (n + nr - 1) / nr
+	if need := panels * k * nr; cap(p.data) < need {
+		p.data = make([]float32, need)
+	} else {
+		p.data = p.data[:need]
+	}
+	p.rows, p.cols = k, n
+	for pi := 0; pi < panels; pi++ {
+		j0 := pi * nr
+		w := min(nr, n-j0)
+		dst := p.data[pi*k*nr : (pi+1)*k*nr]
+		for kk := 0; kk < k; kk++ {
+			row := dst[kk*nr : (kk+1)*nr]
+			copy(row, b.Data[kk*n+j0:kk*n+j0+w])
+			clear(row[w:])
+		}
+	}
+}
+
+// packPool recycles Sgemm's per-call packed copies of B, and jobPool the job
+// descriptors, so the steady-state hot path performs no allocation.
+var (
+	packPool = sync.Pool{New: func() any { return new(PackedB) }}
+	jobPool  = sync.Pool{New: func() any { return new(gemmJob) }}
+)
+
 // Sgemm computes C = A·B + C for row-major matrices, the BLAS operation the
-// paper's layer-forward functions are built on (the "+ C" term carries the
-// pre-copied bias matrix, Sec. 5.4). Dimensions: A is m×k, B is k×n, C is
-// m×n. It panics on dimension mismatch — shapes are established once in the
+// paper's layer-forward functions are built on (the "+ C" term carries a
+// pre-filled bias, Sec. 5.4). Dimensions: A is m×k, B is k×n, C is m×n. It
+// panics on dimension mismatch — shapes are established once in the
 // ModelJoin build phase, so a mismatch is a programming error.
 //
-// Large multiplies run cache-blocked: B is packed panel by panel into an
-// L2-sized contiguous buffer (reused via a pool) and the 4-row micro-kernel
-// streams each panel once per four C rows. Small multiplies keep the direct
-// streaming kernel, whose B already fits in cache.
+// B is packed once per call into a pooled buffer shared by all workers. The
+// kernel is dense: zeros in A are multiplied like any other value, so
+// non-finite entries of B always reach C.
 func Sgemm(a, b, c Mat) {
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols {
 		panic(fmt.Sprintf("blas: sgemm dimension mismatch: (%dx%d)·(%dx%d) -> (%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	n := b.Cols
-	blocked := b.Rows*n >= packMinBElems
-	parallelRows(a.Rows, a.Rows*a.Cols*n, func(lo, hi int) {
-		if blocked {
-			sgemmRangeBlocked(a, b, c, lo, hi)
-		} else {
-			sgemmRangeSimple(a, b, c, lo, hi)
-		}
-	})
+	pb := packPool.Get().(*PackedB)
+	pb.pack(b)
+	gemm(a, pb, nil, ActNone, c)
+	packPool.Put(pb)
 }
 
-// sgemmRangeSimple is the direct streaming kernel for rows [lo, hi): each
-// streamed B row feeds four accumulator rows, quartering B traffic — the
-// matrices in inference gemms are larger than L1 and this loop is memory
-// bound.
-func sgemmRangeSimple(a, b, c Mat, lo, hi int) {
-	n := b.Cols
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		c0 := c.Data[(i+0)*n : (i+1)*n]
-		c1 := c.Data[(i+1)*n : (i+2)*n]
-		c2 := c.Data[(i+2)*n : (i+3)*n]
-		c3 := c.Data[(i+3)*n : (i+4)*n]
-		a0 := a.Data[(i+0)*a.Cols : (i+1)*a.Cols]
-		a1 := a.Data[(i+1)*a.Cols : (i+2)*a.Cols]
-		a2 := a.Data[(i+2)*a.Cols : (i+3)*a.Cols]
-		a3 := a.Data[(i+3)*a.Cols : (i+4)*a.Cols]
-		for k := 0; k < a.Cols; k++ {
-			v0, v1, v2, v3 := a0[k], a1[k], a2[k], a3[k]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			bk := b.Data[k*n : (k+1)*n]
-			for j, bkj := range bk {
-				c0[j] += v0 * bkj
-				c1[j] += v1 * bkj
-				c2[j] += v2 * bkj
-				c3[j] += v3 * bkj
-			}
-		}
+// GemmBiasAct computes C = act(A·W + bias) in one pass: the bias add and the
+// activation run in the kernel's epilogue while the tile (ReLU) or the cache
+// block (sigmoid, tanh) is still hot, replacing the bias-matrix copy and the
+// separate activation pass around Sgemm. A is m×k, W the packed k×n weights,
+// bias has n entries, C is m×n and is overwritten. It returns the kernel
+// busy time summed over the workers that shared the rows.
+func GemmBiasAct(a Mat, w *PackedB, bias []float32, act Activation, c Mat) time.Duration {
+	if a.Cols != w.rows || a.Rows != c.Rows || w.cols != c.Cols || len(bias) != w.cols {
+		panic(fmt.Sprintf("blas: gemm dimension mismatch: (%dx%d)·(%dx%d) + (%d) -> (%dx%d)",
+			a.Rows, a.Cols, w.rows, w.cols, len(bias), c.Rows, c.Cols))
 	}
-	for ; i < hi; i++ {
-		ci := c.Data[i*n : (i+1)*n]
-		ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for k, aik := range ai {
-			if aik == 0 {
-				continue
-			}
-			bk := b.Data[k*n : (k+1)*n]
-			for j, bkj := range bk {
-				ci[j] += aik * bkj
-			}
-		}
-	}
+	return gemm(a, w, bias, act, c)
 }
 
-// sgemmRangeBlocked is the cache-blocked kernel for rows [lo, hi): it walks
-// B in packKC×packNC panels, packs each panel contiguously, and runs the
-// 4-row micro-kernel over the packed copy. Each worker packs its own panels
-// from a pooled buffer, so workers share nothing and the pack cost (one B
-// traversal) is amortized over (hi-lo) C rows.
-func sgemmRangeBlocked(a, b, c Mat, lo, hi int) {
-	n := b.Cols
-	k := b.Rows
-	bufp := packBufs.Get().(*[]float32)
-	pk := *bufp
-	defer packBufs.Put(bufp)
+// gemmJob is one multiply split by rows across the worker pool.
+type gemmJob struct {
+	a, c Mat
+	b    *PackedB
+	bias []float32 // nil: accumulate into C
+	act  Activation
+	busy atomic.Int64
+}
 
-	for kc := 0; kc < k; kc += packKC {
-		kLen := min(packKC, k-kc)
-		for nc := 0; nc < n; nc += packNC {
-			nLen := min(packNC, n-nc)
-			// Pack B[kc:kc+kLen, nc:nc+nLen] row-major with stride nLen.
-			for kk := 0; kk < kLen; kk++ {
-				copy(pk[kk*nLen:(kk+1)*nLen], b.Data[(kc+kk)*n+nc:(kc+kk)*n+nc+nLen])
-			}
-			i := lo
-			for ; i+4 <= hi; i += 4 {
-				c0 := c.Data[(i+0)*n+nc : (i+0)*n+nc+nLen]
-				c1 := c.Data[(i+1)*n+nc : (i+1)*n+nc+nLen]
-				c2 := c.Data[(i+2)*n+nc : (i+2)*n+nc+nLen]
-				c3 := c.Data[(i+3)*n+nc : (i+3)*n+nc+nLen]
-				a0 := a.Data[(i+0)*a.Cols+kc : (i+0)*a.Cols+kc+kLen]
-				a1 := a.Data[(i+1)*a.Cols+kc : (i+1)*a.Cols+kc+kLen]
-				a2 := a.Data[(i+2)*a.Cols+kc : (i+2)*a.Cols+kc+kLen]
-				a3 := a.Data[(i+3)*a.Cols+kc : (i+3)*a.Cols+kc+kLen]
-				for kk := 0; kk < kLen; kk++ {
-					v0, v1, v2, v3 := a0[kk], a1[kk], a2[kk], a3[kk]
-					if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-						continue
-					}
-					bk := pk[kk*nLen : (kk+1)*nLen]
-					for j, bkj := range bk {
-						c0[j] += v0 * bkj
-						c1[j] += v1 * bkj
-						c2[j] += v2 * bkj
-						c3[j] += v3 * bkj
-					}
-				}
-			}
-			for ; i < hi; i++ {
-				ci := c.Data[i*n+nc : i*n+nc+nLen]
-				ai := a.Data[i*a.Cols+kc : i*a.Cols+kc+kLen]
-				for kk, aik := range ai {
-					if aik == 0 {
-						continue
-					}
-					bk := pk[kk*nLen : (kk+1)*nLen]
-					for j, bkj := range bk {
-						ci[j] += aik * bkj
-					}
-				}
-			}
+func gemm(a Mat, b *PackedB, bias []float32, act Activation, c Mat) time.Duration {
+	j := jobPool.Get().(*gemmJob)
+	j.a, j.b, j.c, j.bias, j.act = a, b, c, bias, act
+	j.busy.Store(0)
+	parallelRows(a.Rows, a.Rows*a.Cols*c.Cols, mr, j)
+	busy := time.Duration(j.busy.Load())
+	*j = gemmJob{}
+	jobPool.Put(j)
+	return busy
+}
+
+// runRows computes C rows [lo, hi). Rows are walked in cache blocks; inside a
+// block each B panel (L1-resident) sweeps all row tiles before the next panel
+// is touched, and the block's activation runs before the block leaves cache.
+func (j *gemmJob) runRows(lo, hi int) {
+	start := time.Now()
+	k, n := j.a.Cols, j.c.Cols
+	mode := modeAccumulate
+	if j.bias != nil {
+		mode = modeBias
+		if j.act == ActReLU {
+			mode = modeBiasReLU
 		}
 	}
+	mc := blockFloats / (k + n + 1) / mr * mr
+	if mc < mr {
+		mc = mr
+	}
+	for i0 := lo; i0 < hi; i0 += mc {
+		i1 := min(i0+mc, hi)
+		for p, j0 := 0, 0; j0 < n; p, j0 = p+1, j0+nr {
+			panel := j.b.data[p*k*nr : (p+1)*k*nr]
+			w := min(nr, n-j0)
+			var bias []float32
+			if j.bias != nil {
+				bias = j.bias[j0 : j0+w]
+			}
+			for i := i0; i < i1; i += mr {
+				microKernel(k, j.a.Data[i*k:], k, panel, j.c.Data[i*n+j0:], n, min(mr, i1-i), w, bias, mode)
+			}
+		}
+		switch j.act {
+		case ActSigmoid:
+			Sigmoid(j.c.Data[i0*n : i1*n])
+		case ActTanh:
+			Tanh(j.c.Data[i0*n : i1*n])
+		}
+	}
+	j.busy.Add(int64(time.Since(start)))
 }

@@ -7,19 +7,30 @@ import (
 
 // The kernel worker pool. The serving hot path calls BLAS kernels on every
 // batch of every query; spawning and joining a fresh set of goroutines per
-// kernel (the previous design) puts a scheduler round-trip on each call.
-// Instead a fixed set of workers is started once, on the first parallel
-// kernel, and row-range tasks are handed to them over a channel — the
-// analogue of MKL's persistent thread team.
+// kernel puts a scheduler round-trip on each call. Instead a fixed set of
+// workers is started once, on the first parallel kernel, and row-range tasks
+// are handed to them over a channel — the analogue of MKL's persistent
+// thread team.
 //
 // The pool never blocks a caller: if the task channel is full (all workers
 // busy, e.g. when the engine already runs partition-parallel plans around
 // the BLAS calls), the caller executes the chunk inline. That also makes
 // nested parallelism deadlock-free by construction.
 
+// rowJob is a kernel that can be split by rows: runRows computes rows
+// [lo, hi), and disjoint ranges may run concurrently.
+type rowJob interface {
+	runRows(lo, hi int)
+}
+
+// rowFunc adapts a closure to rowJob for the small vector kernels.
+type rowFunc func(lo, hi int)
+
+func (f rowFunc) runRows(lo, hi int) { f(lo, hi) }
+
 // rowTask is one contiguous row range of a parallel kernel.
 type rowTask struct {
-	fn     func(lo, hi int)
+	job    rowJob
 	lo, hi int
 	wg     *sync.WaitGroup
 }
@@ -27,6 +38,10 @@ type rowTask struct {
 var (
 	poolOnce  sync.Once
 	poolTasks chan rowTask
+
+	// wgPool recycles the per-call barrier so a fanned-out kernel allocates
+	// nothing in steady state.
+	wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 )
 
 // startPool launches the worker team: GOMAXPROCS-1 workers, because the
@@ -40,7 +55,7 @@ func startPool() {
 	for i := 0; i < workers; i++ {
 		go func() {
 			for t := range poolTasks {
-				t.fn(t.lo, t.hi)
+				t.job.runRows(t.lo, t.hi)
 				t.wg.Done()
 			}
 		}()
@@ -55,9 +70,10 @@ const parallelThreshold = 1 << 22
 // completion. The worker count scales with the amount of work so small
 // kernels (which are common when the engine already runs partition-parallel
 // plans around the BLAS calls) stay single-threaded instead of
-// oversubscribing cores. The calling goroutine always executes the first
-// chunk itself.
-func parallelRows(n int, work int, fn func(lo, hi int)) {
+// oversubscribing cores. Chunk boundaries are multiples of align (the gemm
+// tile height), so only the last chunk can end in a partial tile. The
+// calling goroutine always executes the first chunk itself.
+func parallelRows(n, work, align int, job rowJob) {
 	workers := runtime.GOMAXPROCS(0)
 	if byWork := work / parallelThreshold; byWork < workers {
 		workers = byWork
@@ -65,15 +81,19 @@ func parallelRows(n int, work int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
-	if n < 2 || workers < 2 {
+	chunk := n
+	if workers >= 2 {
+		chunk = (n + workers - 1) / workers
+		chunk = (chunk + align - 1) / align * align
+	}
+	if chunk >= n {
 		if n > 0 {
-			fn(0, n)
+			job.runRows(0, n)
 		}
 		return
 	}
 	poolOnce.Do(startPool)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
+	wg := wgPool.Get().(*sync.WaitGroup)
 	for lo := chunk; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
@@ -81,14 +101,15 @@ func parallelRows(n int, work int, fn func(lo, hi int)) {
 		}
 		wg.Add(1)
 		select {
-		case poolTasks <- rowTask{fn: fn, lo: lo, hi: hi, wg: &wg}:
+		case poolTasks <- rowTask{job: job, lo: lo, hi: hi, wg: wg}:
 		default:
 			// Pool saturated: run inline rather than queueing behind other
 			// kernels (and rather than ever blocking here).
-			fn(lo, hi)
+			job.runRows(lo, hi)
 			wg.Done()
 		}
 	}
-	fn(0, chunk)
+	job.runRows(0, chunk)
 	wg.Wait()
+	wgPool.Put(wg)
 }

@@ -9,10 +9,11 @@
 // The model predicts per-approach inference cost from exactly those inputs:
 // the model structure (per-layer FLOPs and edge counts derived from the
 // relational representation's metadata) and the fact-table cardinality.
-// Constants are calibrated on the host by short micro-probes, so estimates
-// track the machine the query would run on. An optimizer can use Choose to
-// pick the cheapest integration — e.g. routing small models to the CPU
-// operator and large ones to the GPU, the decision rule of Sec. 6.3.
+// The gemm throughput is calibrated on the host by a short micro-probe, so
+// compute estimates track the machine the query would run on. An optimizer
+// can use Choose to pick the cheapest integration — e.g. routing small models
+// to the CPU operator and large ones to the GPU, the decision rule of
+// Sec. 6.3.
 package costmodel
 
 import (
@@ -60,9 +61,10 @@ func DefaultParams() Params {
 	}
 }
 
-// Calibrate measures the host's gemm throughput with a short probe and
-// scales the generic-operator constants against it. The probe takes a few
-// tens of milliseconds.
+// Calibrate measures the host's gemm throughput with a short probe; only
+// CPUFlopsPerSec moves. The row, tuple, edge and boxing constants describe
+// scalar engine code, which a faster SIMD kernel does not speed up, so they
+// keep their defaults instead of being scaled by the gemm rate.
 func Calibrate() Params {
 	p := DefaultParams()
 	const m, k, n = 256, 256, 256
@@ -84,13 +86,6 @@ func Calibrate() Params {
 	if elapsed > 0 {
 		p.CPUFlopsPerSec = float64(rounds) * float64(blas.FlopsGemm(m, k, n)) / elapsed.Seconds()
 	}
-	// The generic-row and boxing costs scale inversely with single-core
-	// speed; anchor them to the measured/default throughput ratio.
-	ratio := 4e9 / p.CPUFlopsPerSec
-	p.EngineRowCost = time.Duration(float64(p.EngineRowCost) * ratio)
-	p.TupleOverhead = time.Duration(float64(p.TupleOverhead) * ratio)
-	p.BuildPerEdge = time.Duration(float64(p.BuildPerEdge) * ratio)
-	p.BoxPerValue = time.Duration(float64(p.BoxPerValue) * ratio)
 	return p
 }
 

@@ -133,6 +133,38 @@ func TestCalibrateProducesSaneParams(t *testing.T) {
 	}
 }
 
+// TestKernelSpeedDoesNotMoveEngineCosts: calibration measures the gemm
+// kernel and nothing else. The scalar engine constants must come out of
+// Calibrate as they went in, and the ML-To-SQL vs ModelJoin ranking for a
+// small and a large model must be the same whether the probe saw the old
+// scalar kernel (~7 GFLOP/s) or a SIMD one — a faster gemm only ever helps
+// ModelJoin.
+func TestKernelSpeedDoesNotMoveEngineCosts(t *testing.T) {
+	def, cal := DefaultParams(), Calibrate()
+	if cal.EngineRowCost != def.EngineRowCost || cal.TupleOverhead != def.TupleOverhead ||
+		cal.BuildPerEdge != def.BuildPerEdge || cal.BoxPerValue != def.BoxPerValue {
+		t.Errorf("Calibrate scaled the scalar engine constants with the gemm rate: %+v", cal)
+	}
+	scalar, simd := cal, cal
+	scalar.CPUFlopsPerSec, simd.CPUFlopsPerSec = 7e9, 130e9
+	for _, m := range []*nn.Model{
+		nn.NewDenseModel("small", 4, 32, 2, 1, 1),
+		nn.NewDenseModel("wide", 4, 256, 4, 1, 1),
+	} {
+		s := shape(t, m)
+		for _, tuples := range []int{1_000, 100_000} {
+			var sqlFirst [2]bool
+			for i, p := range []Params{scalar, simd} {
+				sqlFirst[i] = p.MLToSQL(s, tuples).Total() < p.ModelJoinCPU(s, tuples).Total()
+			}
+			if sqlFirst[0] != sqlFirst[1] {
+				t.Errorf("%s over %d tuples: ML-To-SQL ranks first = %v with the scalar kernel, %v with SIMD",
+					m.Name, tuples, sqlFirst[0], sqlFirst[1])
+			}
+		}
+	}
+}
+
 func TestLSTMShape(t *testing.T) {
 	s := shape(t, nn.NewLSTMModel("lm", 3, 32, 1))
 	if s.FlopsPerTuple <= 0 || s.Edges < 32*32 {

@@ -27,10 +27,11 @@ import (
 // Config tunes the build and inference phases; the zero value matches the
 // paper's design.
 type Config struct {
-	// NoBiasMatrix disables the bias-replication optimization of Sec. 5.4:
-	// instead of copying a pre-replicated vectorsize×m bias matrix into the
-	// result before the matrix multiply, the bias vector is added row by
-	// row afterwards (the fine-grained variant the paper avoids).
+	// NoBiasMatrix is the unfused ablation of Sec. 5.4: instead of one gemm
+	// over prepacked weights with bias and activation in its epilogue, the
+	// result is zeroed, multiplied, the bias vector added row by row and the
+	// activation applied in a further pass (the fine-grained variant the
+	// paper avoids).
 	NoBiasMatrix bool
 	// FineGrainedGPUBuild disables the Sec. 5.2 optimization of building on
 	// host memory and copying the finished model once: every matrix write
@@ -48,26 +49,28 @@ type deviceLayer struct {
 	units int
 	act   nn.Activation
 
-	// Dense: W is inDim×units; bias the raw vector; biasMat the replicated
-	// vector.Size×units matrix of Sec. 5.4.
-	w       blas.Mat
-	bias    []float32
-	biasMat blas.Mat
+	// Dense: W is inDim×units, bias the raw vector. pw is W packed for the
+	// fused gemm at build time, so inference never packs.
+	w    blas.Mat
+	bias []float32
+	pw   *blas.PackedB
 
-	// LSTM (gate order i, f, c, o).
+	// LSTM (gate order i, f, c, o); pwg are the packed input kernels.
 	timeSteps int
 	features  int
 	wg, ug    [4]blas.Mat
 	gBias     [4][]float32
-	gBiasMat  [4]blas.Mat
+	pwg       [4]*blas.PackedB
 }
 
 // builtModel is the shared, device-resident model all partition operator
 // instances read during inference.
 type builtModel struct {
-	dev    device.Device
-	meta   *relmodel.Meta
-	layers []deviceLayer
+	dev     device.Device
+	meta    *relmodel.Meta
+	cfg     Config
+	layers  []deviceLayer
+	packDur time.Duration // build-phase weight packing, part of the build
 
 	// scratchPool recycles inference working sets across operator instances
 	// and across queries (the model itself outlives a query when it sits in
@@ -115,6 +118,15 @@ func (s *SharedModel) Build() (*builtModel, error) {
 // caller's read); zero if the build has not run.
 func (s *SharedModel) BuildDuration() time.Duration { return s.buildDur }
 
+// PackDuration reports the part of the build phase spent packing weights for
+// the gemm kernel; zero if the build has not run or failed.
+func (s *SharedModel) PackDuration() time.Duration {
+	if s.built == nil {
+		return 0
+	}
+	return s.built.packDur
+}
+
 // InputDim reports the model's feature width; with OutputDim and RunPacked
 // it makes builtModel an infersched.Runner, so the scheduler can key
 // coalescing on artifact identity (the cross-query model cache deduplicates
@@ -126,14 +138,15 @@ func (m *builtModel) OutputDim() int { return m.meta.OutputDim() }
 
 // RunPacked executes one packed forward pass over rows feature rows
 // (row-major rows×InputDim in staging), writing rows×OutputDim predictions
-// to preds. Unlike the operator's per-batch path it is shape-agnostic: rows
+// to preds, and reports the gemm kernels' busy time summed over their
+// workers. Unlike the operator's per-batch path it is shape-agnostic: rows
 // may exceed vector.Size when the scheduler coalesced several queries'
 // batches, which is exactly what amortizes per-call upload/launch costs.
 // Dense models only — the LSTM path keeps per-operator state and is never
 // submitted to the scheduler.
-func (m *builtModel) RunPacked(rows int, staging, preds []float32) error {
+func (m *builtModel) RunPacked(rows int, staging, preds []float32) (time.Duration, error) {
 	if m.layers[0].kind == nn.KindLSTM {
-		return fmt.Errorf("modeljoin: model %s: packed inference does not support lstm layers", m.meta.Name)
+		return 0, fmt.Errorf("modeljoin: model %s: packed inference does not support lstm layers", m.meta.Name)
 	}
 	s := m.getScratch(rows)
 	defer m.putScratch(s)
@@ -141,15 +154,16 @@ func (m *builtModel) RunPacked(rows int, staging, preds []float32) error {
 	inDim := m.layers[0].inDim
 	act := blas.Mat{Rows: rows, Cols: inDim, Data: s.bufs[0].Data[:rows*inDim]}
 	dev.Upload(act, staging[:rows*inDim])
+	var busy time.Duration
 	for li := range m.layers {
 		l := &m.layers[li]
 		out := blas.Mat{Rows: rows, Cols: l.units, Data: s.bufs[li+1].Data[:rows*l.units]}
-		m.denseForwardPacked(l, act, out)
-		applyActivation(dev, l.act, out.Data)
+		_, b := m.denseForward(l, act, out)
+		busy += b
 		act = out
 	}
 	dev.Download(preds[:rows*m.meta.OutputDim()], act)
-	return nil
+	return busy, nil
 }
 
 // flopsFor reports the dense forward pass's matrix-multiply FLOP count for
@@ -163,29 +177,40 @@ func (m *builtModel) flopsFor(n int) int64 {
 	return f
 }
 
-// denseForwardPacked is denseForward for arbitrary row counts. The
-// replicated bias matrix of Sec. 5.4 is vector.Size rows tall, so a
-// super-batch tiles it in vector.Size-row strips before the single sgemm.
-func (m *builtModel) denseForwardPacked(l *deviceLayer, in, out blas.Mat) {
+// denseForward computes out = act(in·W + bias) on the device for any row
+// count: one fused gemm over the weights packed at build. It returns the
+// multiply's wall time and its kernel busy time summed over workers. The
+// NoBiasMatrix ablation runs the unfused sequence instead, whose gemm packs W
+// on every call.
+func (m *builtModel) denseForward(l *deviceLayer, in, out blas.Mat) (wall, busy time.Duration) {
 	dev := m.dev
-	if l.biasMat.Data != nil {
-		for r := 0; r < out.Rows; r += vector.Size {
-			c := out.Rows - r
-			if c > vector.Size {
-				c = vector.Size
-			}
-			dev.Copy(out.Data[r*l.units:(r+c)*l.units], l.biasMat.Data[:c*l.units])
-		}
+	if m.cfg.NoBiasMatrix {
+		clear(out.Data)
+		start := time.Now()
 		dev.Gemm(in, l.w, out)
-		return
+		wall = time.Since(start)
+		for r := 0; r < out.Rows; r++ {
+			dev.VsAdd(out.Row(r), l.bias, out.Row(r))
+		}
+		applyActivation(dev, l.act, out.Data)
+		return wall, wall
 	}
-	for i := range out.Data {
-		out.Data[i] = 0
+	start := time.Now()
+	busy = dev.GemmBiasAct(in, l.pw, l.bias, blasActivation(l.act), out)
+	return time.Since(start), busy
+}
+
+// blasActivation maps a layer activation to the gemm epilogue's.
+func blasActivation(a nn.Activation) blas.Activation {
+	switch a {
+	case nn.ReLU:
+		return blas.ActReLU
+	case nn.Sigmoid:
+		return blas.ActSigmoid
+	case nn.Tanh:
+		return blas.ActTanh
 	}
-	dev.Gemm(in, l.w, out)
-	for r := 0; r < out.Rows; r++ {
-		dev.VsAdd(out.Row(r), l.bias, out.Row(r))
-	}
+	return blas.ActNone
 }
 
 // hostLayer is the staging area weights are parsed into before the single
@@ -207,7 +232,7 @@ type hostLayer struct {
 // partitions into shared host matrices — writes are disjoint because
 // partitions are disjoint, so no synchronization beyond the final barrier is
 // needed (Sec. 5.2) — and (2) a single transfer of the finished matrices to
-// the device, followed by the bias replication of Sec. 5.4.
+// the device, followed by packing the weights for the gemm kernel.
 func buildModel(tbl *storage.Table, meta *relmodel.Meta, dev device.Device, cfg Config) (*builtModel, error) {
 	// Single-threaded allocation of the shared staging matrices.
 	host := make([]hostLayer, 0, len(meta.Layers)-1)
@@ -250,6 +275,9 @@ func buildModel(tbl *storage.Table, meta *relmodel.Meta, dev device.Device, cfg 
 		}
 		buf := vector.NewBatch(sc.Schema(), vector.Size)
 		for sc.Next(buf) {
+			if err := checkFinite(meta, buf); err != nil {
+				return err
+			}
 			for r := 0; r < buf.Len(); r++ {
 				if err := fillWeight(host, meta, buf, r); err != nil {
 					return err
@@ -280,8 +308,8 @@ func buildModel(tbl *storage.Table, meta *relmodel.Meta, dev device.Device, cfg 
 		}
 	}
 
-	// Upload to the device and replicate biases.
-	bm := &builtModel{dev: dev, meta: meta}
+	// Upload to the device and pack the weights the fused gemm reads.
+	bm := &builtModel{dev: dev, meta: meta, cfg: cfg}
 	for _, hl := range host {
 		dl := deviceLayer{
 			kind: hl.kind, inDim: hl.inDim, units: hl.units, act: hl.act,
@@ -291,45 +319,75 @@ func buildModel(tbl *storage.Table, meta *relmodel.Meta, dev device.Device, cfg 
 		case nn.KindDense:
 			dl.w = uploadMat(dev, hl.w, cfg)
 			dl.bias = hl.bias
-			if !cfg.NoBiasMatrix {
-				dl.biasMat = uploadMat(dev, replicate(hl.bias, vector.Size), cfg)
-			}
 		case nn.KindLSTM:
 			for g := 0; g < 4; g++ {
 				dl.wg[g] = uploadMat(dev, hl.wg[g], cfg)
 				dl.ug[g] = uploadMat(dev, hl.ug[g], cfg)
 				dl.gBias[g] = hl.gBias[g]
-				if !cfg.NoBiasMatrix {
-					dl.gBiasMat[g] = uploadMat(dev, replicate(hl.gBias[g], vector.Size), cfg)
+			}
+		}
+		if !cfg.NoBiasMatrix {
+			packStart := time.Now()
+			if hl.kind == nn.KindDense {
+				dl.pw = blas.PackB(hl.w)
+			} else {
+				for g := 0; g < 4; g++ {
+					dl.pwg[g] = blas.PackB(hl.wg[g])
 				}
 			}
+			bm.packDur += time.Since(packStart)
 		}
 		bm.layers = append(bm.layers, dl)
 	}
 	return bm, nil
 }
 
+// edgeOf decodes the (node_in, layer, node) key of model-table row r and the
+// ordinal of the first weight column, for either layout.
+func edgeOf(meta *relmodel.Meta, b *vector.Batch, r int) (nodeIn, layer, node, base int, err error) {
+	if meta.Layout == relmodel.LayoutPairs {
+		return int(b.Vecs[1].Int32s()[r]), int(b.Vecs[2].Int32s()[r]), int(b.Vecs[3].Int32s()[r]), 4, nil
+	}
+	if _, nodeIn, err = splitID(meta, int(b.Vecs[0].Int32s()[r])); err != nil {
+		return
+	}
+	layer, node, err = splitID(meta, int(b.Vecs[1].Int32s()[r]))
+	return nodeIn, layer, node, 2, err
+}
+
+// checkFinite rejects a batch of model-table rows holding a NaN or Inf in any
+// weight column: the model table is data, and a non-finite weight or bias
+// would turn every prediction it reaches into NaN. It scans column-wise, so a
+// healthy batch costs one pass over its floats; only a bad value is traced
+// back to its edge for the error.
+func checkFinite(meta *relmodel.Meta, b *vector.Batch) error {
+	base := 2
+	if meta.Layout == relmodel.LayoutPairs {
+		base = 4
+	}
+	for c := base; c < len(b.Vecs); c++ {
+		for r, v := range b.Vecs[c].Float32s()[:b.Len()] {
+			if v-v == 0 {
+				continue
+			}
+			nodeIn, layer, node, _, err := edgeOf(meta, b, r)
+			if err != nil {
+				return err
+			}
+			return fmt.Errorf("modeljoin: model %s layer %d node %d: non-finite %s = %v on the edge from node %d",
+				meta.Name, layer, node, b.Schema.Col(c).Name, v, nodeIn)
+		}
+	}
+	return nil
+}
+
 // fillWeight places one model-table row into the staging matrices at the
 // position indicated by the Layer column and the (Node_in, Node) pair
 // (Fig. 6).
 func fillWeight(host []hostLayer, meta *relmodel.Meta, b *vector.Batch, r int) error {
-	var layerIn, nodeIn, layer, node int
-	var base int
-	if meta.Layout == relmodel.LayoutPairs {
-		layerIn = int(b.Vecs[0].Int32s()[r])
-		nodeIn = int(b.Vecs[1].Int32s()[r])
-		layer = int(b.Vecs[2].Int32s()[r])
-		node = int(b.Vecs[3].Int32s()[r])
-		base = 4
-	} else {
-		var err error
-		if layerIn, nodeIn, err = splitID(meta, int(b.Vecs[0].Int32s()[r])); err != nil {
-			return err
-		}
-		if layer, node, err = splitID(meta, int(b.Vecs[1].Int32s()[r])); err != nil {
-			return err
-		}
-		base = 2
+	nodeIn, layer, node, base, err := edgeOf(meta, b, r)
+	if err != nil {
+		return err
 	}
 	if layer == 0 {
 		return nil // artificial-input edges carry no weights to build
@@ -337,7 +395,6 @@ func fillWeight(host []hostLayer, meta *relmodel.Meta, b *vector.Batch, r int) e
 	if layer < 1 || layer >= len(meta.Layers) {
 		return fmt.Errorf("modeljoin: model %s row references layer %d", meta.Name, layer)
 	}
-	_ = layerIn
 	hl := &host[layer-1]
 	w := func(i int) float32 { return b.Vecs[base+i].Float32s()[r] }
 	switch hl.kind {
@@ -400,13 +457,4 @@ func uploadMat(dev device.Device, m blas.Mat, cfg Config) blas.Mat {
 	}
 	dev.Upload(d, m.Data)
 	return d
-}
-
-// replicate tiles a bias vector into a rows×len(bias) matrix (Sec. 5.4).
-func replicate(bias []float32, rows int) blas.Mat {
-	m := blas.NewMat(rows, len(bias))
-	for r := 0; r < rows; r++ {
-		copy(m.Row(r), bias)
-	}
-	return m
 }

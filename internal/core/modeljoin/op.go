@@ -52,14 +52,15 @@ type Operator struct {
 	// the sibling partition instances) via SetSpan before Open; Open then
 	// resolves the phase counters once, so the inference loop pays a single
 	// atomic add per timed event and nothing at all when untraced.
-	span       *trace.Span
-	cacheHit   bool // per-query artifact-cache verdict (see NoteCacheLookup)
-	cacheSeen  bool
+	span         *trace.Span
+	cacheHit     bool // per-query artifact-cache verdict (see NoteCacheLookup)
+	cacheSeen    bool
 	ctrInfer     *atomic.Int64 // infer_ns: full forward-pass time
 	ctrSgemm     *atomic.Int64 // sgemm_ns: device matrix-multiply time (subset of infer)
 	ctrFlops     *atomic.Int64 // sgemm_flops
 	ctrMarshal   *atomic.Int64 // marshal_ns: column gather/scatter conversion time
 	ctrBatchWait *atomic.Int64 // batch_wait_ns: time spent in scheduler coalesce windows
+	ctrBusy      *atomic.Int64 // sgemm_busy_ns: gemm kernel time summed over BLAS workers
 }
 
 // SetSpan implements trace.SpanCarrier.
@@ -171,6 +172,13 @@ func (o *Operator) Open() error {
 		if o.Shared.Dev != nil {
 			o.span.SetLabel("device", o.Shared.Dev.Name())
 		}
+		// pack_ns is the part of build_ns spent packing weights for the gemm
+		// kernel; like the build it is paid on a miss only, so a hit shows 0.
+		o.ctrBusy = o.span.Counter("sgemm_busy_ns")
+		pack := o.span.Counter("pack_ns")
+		if !o.cacheSeen || !o.cacheHit {
+			pack.Store(int64(o.Shared.PackDuration()))
+		}
 		if o.batched() {
 			o.span.SetLabel("batched", "yes")
 			o.ctrBatchWait = o.span.Counter("batch_wait_ns")
@@ -245,17 +253,26 @@ func (o *Operator) Next() (*vector.Batch, error) {
 	return out, nil
 }
 
-// gemm runs one device matrix multiply, attributing its wall time and
-// FLOP count to the trace when enabled.
-func (o *Operator) gemm(a, b, c blas.Mat) {
+// noteGemm attributes one device matrix multiply — its wall time, its
+// kernel busy time summed over workers and its FLOP count — to the trace
+// when enabled.
+func (o *Operator) noteGemm(wall, busy time.Duration, m, k, n int) {
 	if o.ctrSgemm == nil {
-		o.model.dev.Gemm(a, b, c)
 		return
 	}
+	o.ctrSgemm.Add(int64(wall))
+	o.ctrBusy.Add(int64(busy))
+	o.ctrFlops.Add(blas.FlopsGemm(m, k, n))
+}
+
+// gemm runs one unfused device matrix multiply C += A·B (the LSTM's
+// recurrent term and the NoBiasMatrix ablation). Its busy time is its wall
+// time: Sgemm does not report its workers.
+func (o *Operator) gemm(a, b, c blas.Mat) {
 	start := time.Now()
 	o.model.dev.Gemm(a, b, c)
-	o.ctrSgemm.Add(int64(time.Since(start)))
-	o.ctrFlops.Add(blas.FlopsGemm(a.Rows, a.Cols, b.Cols))
+	wall := time.Since(start)
+	o.noteGemm(wall, wall, a.Rows, a.Cols, b.Cols)
 }
 
 // infer runs the vectorized forward pass for one batch and returns a host
@@ -306,6 +323,7 @@ func (o *Operator) infer(in *vector.Batch, n int) (blas.Mat, error) {
 				// rows-proportional share of the packed run, and its exact
 				// FLOP count (FLOPs scale linearly in rows).
 				o.ctrSgemm.Add(int64(res.Run))
+				o.ctrBusy.Add(int64(res.Busy))
 				o.ctrFlops.Add(m.flopsFor(n))
 			}
 			return preds, nil
@@ -316,10 +334,10 @@ func (o *Operator) infer(in *vector.Batch, n int) (blas.Mat, error) {
 	}
 
 	for li := layerStart; li < len(m.layers); li++ {
-		l := m.layers[li]
+		l := &m.layers[li]
 		out := blas.Mat{Rows: n, Cols: l.units, Data: o.bufs[li+1].Data[:n*l.units]}
-		o.denseForward(&l, act, out)
-		applyActivation(dev, l.act, out.Data)
+		wall, busy := m.denseForward(l, act, out)
+		o.noteGemm(wall, busy, n, l.inDim, l.units)
 		act = out
 	}
 
@@ -328,28 +346,9 @@ func (o *Operator) infer(in *vector.Batch, n int) (blas.Mat, error) {
 	return preds, nil
 }
 
-// denseForward computes out = act(in·W + bias) on the device: bias matrix
-// copy (or the fine-grained fallback), then a single sgemm (Sec. 5.4).
-func (o *Operator) denseForward(l *deviceLayer, in, out blas.Mat) {
-	dev := o.model.dev
-	if !o.Shared.Cfg.NoBiasMatrix {
-		dev.Copy(out.Data, l.biasMat.Data[:len(out.Data)])
-		o.gemm(in, l.w, out)
-		return
-	}
-	// Ablation: zero the output, multiply, then add the bias row by row.
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
-	o.gemm(in, l.w, out)
-	for r := 0; r < out.Rows; r++ {
-		dev.VsAdd(out.Row(r), l.bias, out.Row(r))
-	}
-}
-
 // lstmForward implements Listing 5 on the device: per time step, each gate's
-// z = bias (copied) + x_t·W_g + h·U_g, gate activations, cell update and
-// hidden state. The series is uploaded once as a T×batch matrix so each
+// z = x_t·W_g + bias (one fused gemm) + h·U_g, gate activations, cell update
+// and hidden state. The series is uploaded once as a T×batch matrix so each
 // x_t is a contiguous device row.
 func (o *Operator) lstmForward(in *vector.Batch, n int) (blas.Mat, error) {
 	m := o.model
@@ -383,14 +382,16 @@ func (o *Operator) lstmForward(in *vector.Batch, n int) (blas.Mat, error) {
 	for round := 0; round < l.timeSteps; round++ {
 		xt := blas.Mat{Rows: n, Cols: 1, Data: xView.Row(round)}
 		for g := 0; g < 4; g++ {
-			if o.Shared.Cfg.NoBiasMatrix {
+			if m.cfg.NoBiasMatrix {
 				for r := 0; r < n; r++ {
 					dev.Copy(z[g].Row(r), l.gBias[g])
 				}
+				o.gemm(xt, l.wg[g], z[g]) // kernel contribution + z
 			} else {
-				dev.Copy(z[g].Data, l.gBiasMat[g].Data[:n*l.units])
+				start := time.Now()
+				busy := dev.GemmBiasAct(xt, l.pwg[g], l.gBias[g], blas.ActNone, z[g])
+				o.noteGemm(time.Since(start), busy, n, xt.Cols, l.units)
 			}
-			o.gemm(xt, l.wg[g], z[g]) // kernel contribution + z
 			if round > 0 {
 				o.gemm(h, l.ug[g], z[g]) // recurrent contribution + z
 			}

@@ -42,7 +42,7 @@ func TestRunPackedMatchesReference(t *testing.T) {
 		for _, rows := range []int{1, 17, vector.Size, 3000} {
 			staging := packRows(data, 0, rows)
 			preds := make([]float32, rows*2)
-			if err := bm.RunPacked(rows, staging, preds); err != nil {
+			if _, err := bm.RunPacked(rows, staging, preds); err != nil {
 				t.Fatal(err)
 			}
 			for r := 0; r < rows; r++ {
@@ -57,8 +57,8 @@ func TestRunPackedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunPackedNoBiasMatrix exercises the fine-grained bias fallback on the
-// packed path (biasMat.Data == nil).
+// TestRunPackedNoBiasMatrix exercises the unfused ablation (zero, sgemm,
+// row-wise bias add, activation pass) on the packed path.
 func TestRunPackedNoBiasMatrix(t *testing.T) {
 	model := nn.NewDenseModel("m", 3, 8, 1, 1, 11)
 	_, data := factBatches(t, 2000, 3, 4)
@@ -71,7 +71,7 @@ func TestRunPackedNoBiasMatrix(t *testing.T) {
 	rows := 2000
 	staging := packRows(data, 0, rows)
 	preds := make([]float32, rows)
-	if err := bm.RunPacked(rows, staging, preds); err != nil {
+	if _, err := bm.RunPacked(rows, staging, preds); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < rows; r++ {
@@ -89,7 +89,7 @@ func TestRunPackedRejectsLSTM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bm.RunPacked(4, make([]float32, 12), make([]float32, 4)); err == nil {
+	if _, err := bm.RunPacked(4, make([]float32, 12), make([]float32, 4)); err == nil {
 		t.Fatal("RunPacked on an lstm model must error")
 	}
 }
@@ -191,5 +191,49 @@ func TestOperatorSchedulerLSTMFallsBack(t *testing.T) {
 	checkAgainstReference(t, out, ref, 1, 1e-4)
 	if len(sched.BatchSnapshot()) != 0 {
 		t.Fatal("lstm batches must not reach the scheduler")
+	}
+}
+
+// TestWidePathsAgree runs a 256-wide model — full 16-column panels, partial
+// row tiles, both BLAS workers — down the three paths that must share one
+// kernel: the operator's direct per-batch loop, the scheduler's RunPacked
+// super-batch, and nn's reference forward pass, on the CPU and on GPU[sim].
+func TestWidePathsAgree(t *testing.T) {
+	model := nn.NewDenseModel("wide", 4, 256, 4, 3, 17)
+	const rows = 2500
+	_, data := factBatches(t, rows, 4, 6)
+	ref := model.PredictBatch(data)
+	for _, dev := range []device.Device{device.NewCPU(), device.NewGPU(device.DefaultGPUConfig())} {
+		sm := shared(t, model, dev, relmodel.LayoutPairs, 4, Config{})
+		child, _ := factBatches(t, rows, 4, 6)
+		op, err := New(child, sm, []int{1, 2, 3, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := runOp(t, op)
+		checkAgainstReference(t, direct, ref, 3, 1e-4)
+
+		bm, err := sm.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds := make([]float32, rows*3)
+		busy, err := bm.RunPacked(rows, packRows(data, 0, rows), preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if busy <= 0 {
+			t.Errorf("%s: RunPacked reported no kernel busy time", dev.Name())
+		}
+		base := direct.Schema.Len() - 3
+		for r := 0; r < rows; r++ {
+			for k := 0; k < 3; k++ {
+				// Same kernel, same weights, same summation order: a row's
+				// prediction cannot depend on the batch it travelled in.
+				if got, want := preds[r*3+k], direct.Vecs[base+k].Float32s()[r]; got != want {
+					t.Fatalf("%s row %d out %d: packed %v != direct %v", dev.Name(), r, k, got, want)
+				}
+			}
+		}
 	}
 }

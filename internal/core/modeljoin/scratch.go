@@ -130,18 +130,12 @@ func (m *builtModel) free() {
 		if l.w.Data != nil {
 			dev.Free(l.w)
 		}
-		if l.biasMat.Data != nil {
-			dev.Free(l.biasMat)
-		}
 		for g := 0; g < 4; g++ {
 			if l.wg[g].Data != nil {
 				dev.Free(l.wg[g])
 			}
 			if l.ug[g].Data != nil {
 				dev.Free(l.ug[g])
-			}
-			if l.gBiasMat[g].Data != nil {
-				dev.Free(l.gBiasMat[g])
 			}
 		}
 	}

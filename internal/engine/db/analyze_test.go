@@ -63,20 +63,7 @@ func TestExplainAnalyzeMatchesQuery(t *testing.T) {
 		t.Error("statement total not recorded")
 	}
 
-	var mj *trace.Span
-	var visit func(s *trace.Span)
-	visit = func(s *trace.Span) {
-		if strings.HasPrefix(s.Name, "ModelJoin") {
-			mj = s
-		}
-		for _, c := range s.Children {
-			visit(c)
-		}
-	}
-	visit(qt.Root)
-	if mj == nil {
-		t.Fatalf("no ModelJoin span in trace:\n%s", qt.Render())
-	}
+	mj := modelJoinSpan(t, qt)
 	if mj.Rows() != int64(rows) {
 		t.Errorf("ModelJoin span reports %d rows, want %d", mj.Rows(), rows)
 	}
@@ -92,6 +79,12 @@ func TestExplainAnalyzeMatchesQuery(t *testing.T) {
 	if v := mj.Counter("sgemm_flops").Load(); v <= 0 {
 		t.Error("ModelJoin span has no Sgemm FLOPs")
 	}
+	if v := mj.Counter("sgemm_busy_ns").Load(); v <= 0 {
+		t.Error("ModelJoin span has no gemm worker busy time")
+	}
+	if v := mj.Counter("pack_ns").Load(); v != 0 {
+		t.Errorf("cache hit reports pack_ns=%d, want 0: a hit packs nothing", v)
+	}
 	// The per-operator busy time must reconcile with the statement total:
 	// the root physical operator is traced once, so its inclusive wall time
 	// cannot exceed the total.
@@ -100,26 +93,52 @@ func TestExplainAnalyzeMatchesQuery(t *testing.T) {
 	}
 
 	rendered := qt.Render()
-	for _, want := range []string{"ModelJoin", "rows=", "cache=hit", "build=", "infer=", "sgemm=", "Total:"} {
+	for _, want := range []string{"ModelJoin", "rows=", "cache=hit", "build=", "infer=", "sgemm=", "sgemm_busy=", "pack=0ns", "Total:"} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", want, rendered)
 		}
 	}
 }
 
+// modelJoinSpan finds the ModelJoin operator's span in a statement trace.
+func modelJoinSpan(t *testing.T, qt *trace.QueryTrace) *trace.Span {
+	t.Helper()
+	var mj *trace.Span
+	var visit func(s *trace.Span)
+	visit = func(s *trace.Span) {
+		if strings.HasPrefix(s.Name, "ModelJoin") {
+			mj = s
+		}
+		for _, c := range s.Children {
+			visit(c)
+		}
+	}
+	visit(qt.Root)
+	if mj == nil {
+		t.Fatalf("no ModelJoin span in trace:\n%s", qt.Render())
+	}
+	return mj
+}
+
 // TestExplainAnalyzeColdBuild checks the miss side of the verdict: the
-// first query against a fresh database pays the build phase and reports
-// it.
+// first query against a fresh database pays the build phase — weight packing
+// included — and reports it.
 func TestExplainAnalyzeColdBuild(t *testing.T) {
 	d, rows := newAnalyzeDB(t)
-	out, err := d.ExplainAnalyzeContext(context.Background(), analyzeQuery)
+	_, qt, err := d.QueryAnalyzeContext(context.Background(), analyzeQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"cache=miss", "build=", "rows=" + itoa(rows)} {
+	out := qt.Render()
+	for _, want := range []string{"cache=miss", "build=", "pack=", "rows=" + itoa(rows)} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cold EXPLAIN ANALYZE missing %q:\n%s", want, out)
 		}
+	}
+	mj := modelJoinSpan(t, qt)
+	build, pack := mj.Counter("build_ns").Load(), mj.Counter("pack_ns").Load()
+	if pack <= 0 || pack > build {
+		t.Errorf("cold build reports pack_ns=%d of build_ns=%d, want 0 < pack <= build", pack, build)
 	}
 }
 

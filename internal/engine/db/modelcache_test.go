@@ -1,6 +1,7 @@
 package db_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -216,4 +217,49 @@ func TestModelCacheConcurrentInvalidation(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestNonFiniteWeightRejected: the model table is validated data. A weight
+// or bias that overflows float32 to Inf — here behind a ReLU unit, where the
+// old zero-skipping kernel could hide it — must fail the build with the layer
+// and node named, on a model created with CREATE MODEL TABLE and broken with
+// UPDATE, and the model must work again once the value is repaired.
+func TestNonFiniteWeightRejected(t *testing.T) {
+	d := db.Open(db.Options{DefaultPartitions: 2, Parallelism: 2})
+	makeFactTable(t, d, "fact", 300, 4, 2, 5)
+	tbl, meta, err := relmodel.Export(nn.NewDenseModel("nf", 4, 8, 2, 1, 7), relmodel.ExportOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmts, err := relmodel.LoadStatements(tbl, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stmts {
+		if err := d.Exec(s); err != nil {
+			t.Fatalf("%.60s…: %v", s, err)
+		}
+	}
+	const q = "SELECT id, prediction FROM fact MODEL JOIN nf PREDICT (af0, bf1, cf2, df3)"
+	if _, err := d.Query(q); err != nil {
+		t.Fatalf("healthy model: %v", err)
+	}
+	for _, c := range []struct{ col, where, want string }{
+		{"w_i", "layer = 2 AND node = 3 AND node_in = 5", "layer 2 node 3: non-finite w_i"},
+		{"b_i", "layer = 1 AND node = 6 AND node_in = 0", "layer 1 node 6: non-finite b_i"},
+	} {
+		if err := d.Exec("UPDATE nf SET " + c.col + " = -1e39 WHERE " + c.where); err != nil {
+			t.Fatal(err)
+		}
+		_, err := d.Query(q)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("MODEL JOIN over a model with %s = -Inf: got %v, want an error naming %q", c.col, err, c.want)
+		}
+		if err := d.Exec("UPDATE nf SET " + c.col + " = 0.25 WHERE " + c.where); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Query(q); err != nil {
+			t.Errorf("repaired model still fails: %v", err)
+		}
+	}
 }

@@ -45,11 +45,12 @@ import (
 
 // Runner executes one packed forward pass: rows feature rows (row-major,
 // rows×InputDim) in staging, predictions (rows×OutputDim) written to preds.
+// It reports the pass's kernel busy time summed over the BLAS workers.
 // The engine's built model artifact implements this; requests are queued by
 // Runner identity, so artifact-cache deduplication is what makes requests
 // from different queries coalescible.
 type Runner interface {
-	RunPacked(rows int, staging, preds []float32) error
+	RunPacked(rows int, staging, preds []float32) (busy time.Duration, err error)
 	InputDim() int
 	OutputDim() int
 }
@@ -149,16 +150,18 @@ type request struct {
 	// Attribution, written by runBatch before done closes: the coalesce
 	// wait this request paid and its rows-proportional share of the packed
 	// run (so per-query tracing still reconciles under coalescing).
-	wait     time.Duration
-	runShare time.Duration
+	wait      time.Duration
+	runShare  time.Duration
+	busyShare time.Duration
 }
 
 // Result reports what one Submit paid: Wait is the coalesce-window wait
 // before its batch launched, Run the request's pro-rata share of the packed
-// device pass.
+// device pass and Busy its share of that pass's kernel busy time.
 type Result struct {
 	Wait time.Duration
 	Run  time.Duration
+	Busy time.Duration
 }
 
 type queue struct {
@@ -197,8 +200,8 @@ func (s *Scheduler) Submit(ctx context.Context, label Label, r Runner, rows int,
 	}
 	if s == nil {
 		start := time.Now()
-		err := r.RunPacked(rows, staging, preds)
-		return Result{Run: time.Since(start)}, err
+		busy, err := r.RunPacked(rows, staging, preds)
+		return Result{Run: time.Since(start), Busy: busy}, err
 	}
 	pol := PolicyFrom(ctx)
 	req := &request{
@@ -231,8 +234,8 @@ func (s *Scheduler) Submit(ctx context.Context, label Label, r Runner, rows int,
 	if err != nil {
 		return Result{}, err
 	}
-	// req.wait/runShare were written by runBatch before done closed.
-	return Result{Wait: req.wait, Run: req.runShare}, nil
+	// req.wait/runShare/busyShare were written by runBatch before done closed.
+	return Result{Wait: req.wait, Run: req.runShare, Busy: req.busyShare}, nil
 }
 
 func waitDone(ctx context.Context, q *queue, req *request) error {
@@ -415,12 +418,13 @@ func (q *queue) runBatch(batch []*request, rows int) {
 		}
 	}
 	in, out := q.runner.InputDim(), q.runner.OutputDim()
+	var busy time.Duration
 	var err error
 	if len(batch) == 1 {
 		// Nothing to coalesce: run on the submitter's buffers directly so
 		// the single-stream path pays no extra copies.
 		r := batch[0]
-		err = q.runner.RunPacked(r.rows, r.staging, r.preds)
+		busy, err = q.runner.RunPacked(r.rows, r.staging, r.preds)
 	} else {
 		staging := q.s.getBuf(rows * in)
 		preds := q.s.getBuf(rows * out)
@@ -429,7 +433,7 @@ func (q *queue) runBatch(batch []*request, rows int) {
 			copy(staging[off*in:(off+r.rows)*in], r.staging[:r.rows*in])
 			off += r.rows
 		}
-		err = q.runner.RunPacked(rows, staging, preds)
+		busy, err = q.runner.RunPacked(rows, staging, preds)
 		if err == nil {
 			off = 0
 			for _, r := range batch {
@@ -441,15 +445,18 @@ func (q *queue) runBatch(batch []*request, rows int) {
 		q.s.putBuf(preds)
 	}
 	runDur := time.Since(start)
-	for _, r := range batch {
-		r.wait = start.Sub(r.enq)
-		r.runShare = runDur * time.Duration(r.rows) / time.Duration(rows)
-		r.err = err
-		close(r.done)
-	}
+	// Record before releasing the waiters, so a statement that has returned
+	// always finds its batches in the stats (system.inference_batches).
 	q.batches.Add(1)
 	q.rows.Add(int64(rows))
 	q.s.stats.recordBatch(q.label, len(batch), rows, maxWait, runDur)
+	for _, r := range batch {
+		r.wait = start.Sub(r.enq)
+		r.runShare = runDur * time.Duration(r.rows) / time.Duration(rows)
+		r.busyShare = busy * time.Duration(r.rows) / time.Duration(rows)
+		r.err = err
+		close(r.done)
+	}
 
 	<-q.gate
 	q.mu.Lock()

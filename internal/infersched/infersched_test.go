@@ -30,7 +30,9 @@ type fakeRunner struct {
 func (f *fakeRunner) InputDim() int  { return f.in }
 func (f *fakeRunner) OutputDim() int { return f.out }
 
-func (f *fakeRunner) RunPacked(rows int, staging, preds []float32) error {
+// RunPacked reports 1µs of kernel busy time per row, so a request's pro-rata
+// share is checkable.
+func (f *fakeRunner) RunPacked(rows int, staging, preds []float32) (time.Duration, error) {
 	n := f.running.Add(1)
 	for {
 		p := f.peak.Load()
@@ -46,7 +48,7 @@ func (f *fakeRunner) RunPacked(rows int, staging, preds []float32) error {
 		time.Sleep(f.delay)
 	}
 	if f.fail != nil {
-		return f.fail
+		return 0, f.fail
 	}
 	for r := 0; r < rows; r++ {
 		var sum float32
@@ -57,7 +59,7 @@ func (f *fakeRunner) RunPacked(rows int, staging, preds []float32) error {
 			preds[r*f.out+c] = sum + float32(c)
 		}
 	}
-	return nil
+	return time.Duration(rows) * time.Microsecond, nil
 }
 
 func (f *fakeRunner) callCount() int {
@@ -100,6 +102,9 @@ func TestNilSchedulerRunsDirect(t *testing.T) {
 	}
 	if res.Wait != 0 {
 		t.Fatalf("nil scheduler reported coalesce wait %v", res.Wait)
+	}
+	if res.Busy != 4*time.Microsecond {
+		t.Fatalf("nil scheduler reported busy %v, want the runner's 4µs", res.Busy)
 	}
 	wantPreds(t, r, staging, preds, 4)
 }
@@ -154,8 +159,14 @@ func TestConcurrentSubmitsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Submit(context.Background(), lbl, r, 3, stagings[i], predss[i]); err != nil {
+			res, err := s.Submit(context.Background(), lbl, r, 3, stagings[i], predss[i])
+			if err != nil {
 				t.Error(err)
+			}
+			// However the batch was packed, a 3-row request's share of the
+			// runner's 1µs-per-row busy time is 3µs.
+			if res.Busy != 3*time.Microsecond {
+				t.Errorf("submit %d: busy share %v, want 3µs", i, res.Busy)
 			}
 		}()
 	}
@@ -345,7 +356,7 @@ type gatedRunner struct {
 
 func (g *gatedRunner) InputDim() int  { return g.f.InputDim() }
 func (g *gatedRunner) OutputDim() int { return g.f.OutputDim() }
-func (g *gatedRunner) RunPacked(rows int, staging, preds []float32) error {
+func (g *gatedRunner) RunPacked(rows int, staging, preds []float32) (time.Duration, error) {
 	n := g.running.Add(1)
 	for {
 		p := g.peak.Load()
