@@ -211,6 +211,38 @@ func mlToSQLQuery(b *testing.B, d *db.Database, model string, layout relmodel.La
 	return q
 }
 
+// BenchmarkMLToSQLQuery is the benchmark's ml2sql_small statement as a Go
+// benchmark: the generated query for dense 32x2 over 800 Iris tuples in four
+// partitions, planned and executed per iteration. Its allocation report is
+// what the engine's join and aggregate path costs per statement.
+func BenchmarkMLToSQLQuery(b *testing.B) {
+	const tuples, partitions = 800, 4
+	fact, _ := workload.IrisTable("fact", tuples, partitions)
+	model := workload.DenseModel(32, 2)
+	d := db.Open(db.Options{DefaultPartitions: partitions, Parallelism: 2})
+	d.RegisterTable(fact)
+	meta, err := d.RegisterModel(model, relmodel.ExportOptions{Partitions: partitions})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := mltosql.New(meta, mltosql.Options{
+		FactTable: "fact", ModelTable: model.Name, IDColumn: "id",
+		InputColumns: workload.IrisFeatureNames, LayerFilter: true, NativeFunctions: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := gen.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainQuery(b, d, q, tuples)
+	}
+}
+
 // BenchmarkAblationNodeID compares the two relational layouts of Sec. 4.4's
 // first optimization.
 func BenchmarkAblationNodeID(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"indbml/internal/core/mltosql"
 	"indbml/internal/core/relmodel"
@@ -195,41 +196,53 @@ func TestQueryErrors(t *testing.T) {
 
 // TestMLToSQLDenseEquivalence is the central correctness property of the
 // reproduction: the generated SQL inference must equal the reference
-// forward pass, for every layout and activation emission mode.
+// forward pass — within 1e-4 — for every width, depth, layout, layer-filter
+// and activation emission mode. Weights and inputs are drawn from a fresh
+// seed on every run; a failure logs it.
 func TestMLToSQLDenseEquivalence(t *testing.T) {
-	for _, layout := range []relmodel.Layout{relmodel.LayoutPairs, relmodel.LayoutNodeID} {
-		for _, native := range []bool{false, true} {
-			for _, layerFilter := range []bool{false, true} {
-				d := db.Open(db.Options{Parallelism: 4})
-				const rows, inDim = 700, 4
-				data := makeFactTable(t, d, "fact", rows, inDim, 3, 1)
-				model := nn.NewDenseModel("m1", inDim, 8, 2, 1, 99)
-				ref := model.PredictBatch(data)
+	seed := time.Now().UnixNano()
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("seed %d", seed)
+		}
+	})
+	const rows, inDim = 120, 4
+	for _, width := range []int{1, 4, 32} {
+		for _, depth := range []int{1, 2, 3} {
+			for _, layout := range []relmodel.Layout{relmodel.LayoutPairs, relmodel.LayoutNodeID} {
+				for _, native := range []bool{false, true} {
+					for _, layerFilter := range []bool{false, true} {
+						d := db.Open(db.Options{Parallelism: 4})
+						data := makeFactTable(t, d, "fact", rows, inDim, 3, seed)
+						model := nn.NewDenseModel("m1", inDim, width, depth, 1, seed+1)
+						ref := model.PredictBatch(data)
 
-				if _, err := d.RegisterModel(model, relmodel.ExportOptions{Layout: layout, Partitions: 2}); err != nil {
-					t.Fatal(err)
+						if _, err := d.RegisterModel(model, relmodel.ExportOptions{Layout: layout, Partitions: 2}); err != nil {
+							t.Fatal(err)
+						}
+						meta, err := d.ModelMeta("m1")
+						if err != nil {
+							t.Fatal(err)
+						}
+						gen, err := mltosql.New(meta, mltosql.Options{
+							FactTable: "fact", ModelTable: "m1", IDColumn: "id",
+							InputColumns:    featNames(inDim),
+							NativeFunctions: native, LayerFilter: layerFilter,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						q, err := gen.Generate()
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := d.Query(q)
+						if err != nil {
+							t.Fatalf("%dx%d layout=%v native=%v filter=%v: %v\n%s", width, depth, layout, native, layerFilter, err, q)
+						}
+						checkPredictionsTol(t, res, ref, rows, 1, 1e-4)
+					}
 				}
-				meta, err := d.ModelMeta("m1")
-				if err != nil {
-					t.Fatal(err)
-				}
-				gen, err := mltosql.New(meta, mltosql.Options{
-					FactTable: "fact", ModelTable: "m1", IDColumn: "id",
-					InputColumns:    featNames(inDim),
-					NativeFunctions: native, LayerFilter: layerFilter,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				q, err := gen.Generate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := d.Query(q)
-				if err != nil {
-					t.Fatalf("layout=%v native=%v filter=%v: %v\n%s", layout, native, layerFilter, err, q)
-				}
-				checkPredictions(t, res, ref, rows, 1)
 			}
 		}
 	}
@@ -237,6 +250,13 @@ func TestMLToSQLDenseEquivalence(t *testing.T) {
 
 // checkPredictions matches (id → prediction...) rows against the reference.
 func checkPredictions(t *testing.T, res *vector.Batch, ref [][]float32, rows, outDim int) {
+	t.Helper()
+	checkPredictionsTol(t, res, ref, rows, outDim, 1e-3)
+}
+
+// checkPredictionsTol is checkPredictions with an explicit tolerance, absolute
+// plus relative to the reference.
+func checkPredictionsTol(t *testing.T, res *vector.Batch, ref [][]float32, rows, outDim int, tol float64) {
 	t.Helper()
 	if res.Len() != rows {
 		t.Fatalf("result has %d rows, want %d", res.Len(), rows)
@@ -271,7 +291,7 @@ func checkPredictions(t *testing.T, res *vector.Batch, ref [][]float32, rows, ou
 		for k := 0; k < outDim; k++ {
 			got := res.Vecs[predIdx[k]].Float32s()[r]
 			want := ref[id][k]
-			if !closeEnough(got, want) {
+			if math.Abs(float64(got-want)) > tol+tol*math.Abs(float64(want)) {
 				t.Fatalf("id %d output %d: got %v, want %v", id, k, got, want)
 			}
 		}
@@ -447,6 +467,58 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// TestNullKeysJoinAndGroup pins SQL's two NULL rules on keys: an equi-join
+// never matches a NULL key — the join agrees with the same predicate
+// evaluated by a filter — while GROUP BY collects NULLs into one group. The
+// integer that used to stand in for NULL is an ordinary key.
+func TestNullKeysJoinAndGroup(t *testing.T) {
+	d := db.Open(db.Options{})
+	for _, stmt := range []string{
+		"CREATE TABLE a (k BIGINT, s VARCHAR)",
+		"CREATE TABLE b (k BIGINT, s VARCHAR)",
+		"INSERT INTO a VALUES (1, 'x'), (NULL, 'y'), (-9223372036854775807, NULL), (NULL, NULL)",
+		"INSERT INTO b VALUES (1, 'x'), (NULL, 'y'), (-9223372036854775807, NULL)",
+	} {
+		if err := d.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	count := func(q string) int64 {
+		t.Helper()
+		res, err := d.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res.Vecs[0].Int64s()[0]
+	}
+	// Fixed-width key, string key, and both together.
+	for q, want := range map[string]int64{
+		"SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k":               2,
+		"SELECT COUNT(*) AS n FROM a, b WHERE a.s = b.s":               2,
+		"SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND a.s = b.s": 1,
+		// The same predicate where the planner cannot make it a join key.
+		"SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k OR a.k = b.k": 2,
+	} {
+		if got := count(q); got != want {
+			t.Errorf("%s = %d, want %d", q, got, want)
+		}
+	}
+	res, err := d.Query("SELECT k, COUNT(*) AS n FROM a GROUP BY k ORDER BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 3 || !res.Vecs[0].NullAt(0) || res.Vecs[1].Int64s()[0] != 2 {
+		t.Errorf("GROUP BY k: NULLs not collected into one group of 2:\n%s", res)
+	}
+	res, err = d.Query("SELECT s, k, COUNT(*) AS n FROM a GROUP BY s, k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 4 {
+		t.Errorf("GROUP BY s, k made %d groups, want 4:\n%s", res.Len(), res)
+	}
 }
 
 func TestIsNullAndIn(t *testing.T) {

@@ -57,88 +57,199 @@ func (a AggSpec) resultType() types.T {
 	}
 }
 
-// aggState accumulates one aggregate for one group. Sums accumulate in
-// float64 for numeric stability (as analytical engines widen accumulators)
-// and are narrowed to the output type on emit.
-type aggState struct {
-	sum    float64
-	isum   int64
-	count  int64
-	minmax types.Datum
+// accumulator holds one aggregate's state for every group, indexed by dense
+// group id, and is updated a column at a time. Sums accumulate in float64
+// (int64 for integer arguments) for numeric stability — as analytical
+// engines widen accumulators — in the order rows arrive, and are narrowed to
+// the output type on emit. MIN/MAX keep their running extreme in the slice
+// matching the argument type.
+type accumulator struct {
+	spec  AggSpec
+	count []int64 // non-NULL inputs per group (rows, for COUNT(*))
+	f     []float64
+	i     []int64
+	s     []string
 }
 
-func (s *aggState) update(spec AggSpec, v *vector.Vector, r int) {
-	switch spec.Func {
-	case AggCountStar:
-		s.count++
-	case AggCount:
-		if !v.NullAt(r) {
-			s.count++
-		}
-	case AggSum, AggAvg:
-		if v.NullAt(r) {
-			return
-		}
-		s.count++
-		if v.Type().IsInteger() {
-			s.isum += v.AsInt64(r)
-		} else {
-			s.sum += v.AsFloat64(r)
-		}
-	case AggMin:
-		if v.NullAt(r) {
-			return
-		}
-		d := v.Datum(r)
-		if s.count == 0 || d.Compare(s.minmax) < 0 {
-			s.minmax = d
-		}
-		s.count++
-	case AggMax:
-		if v.NullAt(r) {
-			return
-		}
-		d := v.Datum(r)
-		if s.count == 0 || d.Compare(s.minmax) > 0 {
-			s.minmax = d
-		}
-		s.count++
+// resize sets the number of groups to n; new groups start empty.
+func (a *accumulator) resize(n int) {
+	a.count = resizeZero(a.count, n)
+	if a.spec.Arg == nil {
+		return
+	}
+	switch t := a.spec.Arg.Type(); {
+	case t == types.String:
+		a.s = resizeZero(a.s, n)
+	case t == types.Float32 || t == types.Float64:
+		a.f = resizeZero(a.f, n)
+	default:
+		a.i = resizeZero(a.i, n)
 	}
 }
 
-func (s *aggState) result(spec AggSpec) types.Datum {
-	t := spec.resultType()
-	switch spec.Func {
-	case AggCount, AggCountStar:
-		return types.Int64Datum(s.count)
-	case AggSum:
-		if s.count == 0 {
-			return types.NullDatum(t)
+// resizeZero returns s with length n, zeroing any elements past its old
+// length and growing geometrically.
+func resizeZero[T any](s []T, n int) []T {
+	old := len(s)
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, max(n, 2*cap(s))-cap(s))...)
+	}
+	s = s[:n]
+	if n > old {
+		clear(s[old:])
+	}
+	return s
+}
+
+// update folds rows [lo, hi) of v into the groups ids[lo:hi] names.
+func (a *accumulator) update(ids []int32, v *vector.Vector, lo, hi int) {
+	ids = ids[lo:hi]
+	if a.spec.Func == AggCountStar {
+		for _, g := range ids {
+			a.count[g]++
 		}
-		switch t {
+		return
+	}
+	var nulls []bool
+	if v.HasNulls() {
+		nulls = v.Nulls()[lo:hi]
+	}
+	switch a.spec.Func {
+	case AggCount:
+		for r, g := range ids {
+			if nulls == nil || !nulls[r] {
+				a.count[g]++
+			}
+		}
+	case AggSum, AggAvg:
+		switch v.Type() {
 		case types.Int32:
-			return types.Int32Datum(int32(s.isum))
+			sumInto(a.i, a.count, ids, v.Int32s()[lo:hi], nulls)
 		case types.Int64:
-			return types.Int64Datum(s.isum)
+			sumInto(a.i, a.count, ids, v.Int64s()[lo:hi], nulls)
 		case types.Float32:
-			return types.Float32Datum(float32(s.sum))
-		default:
-			return types.Float64Datum(s.sum)
+			sumInto(a.f, a.count, ids, v.Float32s()[lo:hi], nulls)
+		case types.Float64:
+			sumInto(a.f, a.count, ids, v.Float64s()[lo:hi], nulls)
 		}
+	case AggMin, AggMax:
+		isMax := a.spec.Func == AggMax
+		switch v.Type() {
+		case types.Bool:
+			for r, x := range v.Bools()[lo:hi] {
+				if nulls != nil && nulls[r] {
+					continue
+				}
+				g, b := ids[r], int64(0)
+				if x {
+					b = 1
+				}
+				if a.count[g] == 0 || (isMax && b > a.i[g]) || (!isMax && b < a.i[g]) {
+					a.i[g] = b
+				}
+				a.count[g]++
+			}
+		case types.Int32:
+			keepExtreme(a.i, a.count, ids, v.Int32s()[lo:hi], nulls, isMax)
+		case types.Int64:
+			keepExtreme(a.i, a.count, ids, v.Int64s()[lo:hi], nulls, isMax)
+		case types.Float32:
+			keepExtreme(a.f, a.count, ids, v.Float32s()[lo:hi], nulls, isMax)
+		case types.Float64:
+			keepExtreme(a.f, a.count, ids, v.Float64s()[lo:hi], nulls, isMax)
+		case types.String:
+			for r, x := range v.Strings()[lo:hi] {
+				if nulls != nil && nulls[r] {
+					continue
+				}
+				g := ids[r]
+				if a.count[g] == 0 || (isMax && x > a.s[g]) || (!isMax && x < a.s[g]) {
+					a.s[g] = x
+				}
+				a.count[g]++
+			}
+		}
+	}
+}
+
+func sumInto[A int64 | float64, T int32 | int64 | float32 | float64](acc []A, count []int64, ids []int32, vals []T, nulls []bool) {
+	if nulls == nil {
+		for r, g := range ids {
+			acc[g] += A(vals[r])
+			count[g]++
+		}
+		return
+	}
+	for r, g := range ids {
+		if !nulls[r] {
+			acc[g] += A(vals[r])
+			count[g]++
+		}
+	}
+}
+
+func keepExtreme[A int64 | float64, T int32 | int64 | float32 | float64](acc []A, count []int64, ids []int32, vals []T, nulls []bool, isMax bool) {
+	for r, g := range ids {
+		if nulls != nil && nulls[r] {
+			continue
+		}
+		x := A(vals[r])
+		if count[g] == 0 || (isMax && x > acc[g]) || (!isMax && x < acc[g]) {
+			acc[g] = x
+		}
+		count[g]++
+	}
+}
+
+// emit appends the results of groups [lo, hi) to dst with typed writes.
+func (a *accumulator) emit(dst *vector.Vector, lo, hi int) {
+	at := dst.Len()
+	dst.Resize(at + hi - lo)
+	count := a.count[lo:hi]
+	switch a.spec.Func {
+	case AggCount, AggCountStar:
+		copy(dst.Int64s()[at:], count)
+		return
 	case AggAvg:
-		if s.count == 0 {
-			return types.NullDatum(t)
+		out := dst.Float64s()[at:]
+		if a.spec.Arg.Type().IsInteger() {
+			for i, x := range a.i[lo:hi] {
+				out[i] = float64(x) / float64(count[i])
+			}
+		} else {
+			for i, x := range a.f[lo:hi] {
+				out[i] = x / float64(count[i])
+			}
 		}
-		total := s.sum
-		if spec.Arg.Type().IsInteger() {
-			total = float64(s.isum)
-		}
-		return types.Float64Datum(total / float64(s.count))
 	default:
-		if s.count == 0 {
-			return types.NullDatum(t)
+		switch dst.Type() {
+		case types.Bool:
+			out := dst.Bools()[at:]
+			for i, x := range a.i[lo:hi] {
+				out[i] = x != 0
+			}
+		case types.Int32:
+			out := dst.Int32s()[at:]
+			for i, x := range a.i[lo:hi] {
+				out[i] = int32(x)
+			}
+		case types.Int64:
+			copy(dst.Int64s()[at:], a.i[lo:hi])
+		case types.Float32:
+			out := dst.Float32s()[at:]
+			for i, x := range a.f[lo:hi] {
+				out[i] = float32(x)
+			}
+		case types.Float64:
+			copy(dst.Float64s()[at:], a.f[lo:hi])
+		case types.String:
+			copy(dst.Strings()[at:], a.s[lo:hi])
 		}
-		return s.minmax
+	}
+	for i, c := range count {
+		if c == 0 {
+			dst.SetNull(at + i) // SUM/AVG/MIN/MAX over no non-NULL input
+		}
 	}
 }
 
@@ -163,25 +274,135 @@ func aggSchema(groupBy []expr.Expr, groupNames []string, aggs []AggSpec) (*types
 	return types.NewSchema(cols...), nil
 }
 
-// HashAggregate is the generic grouping operator: it materializes a hash
+// grouper is what the two grouping operators share: the key table numbering
+// the groups, the first-seen key values per group, and one accumulator per
+// aggregate. An operator loads an input batch, adds row ranges of it, and
+// emits ranges of finished groups.
+type grouper struct {
+	groupBy []expr.Expr
+	table   *groupTable // nil for a scalar aggregate: one group, always
+	keyVals []*vector.Vector
+	accs    []accumulator
+
+	// The loaded input batch.
+	keys, args []*vector.Vector
+	ids        []int32
+}
+
+func newGrouper(groupBy []expr.Expr, aggs []AggSpec) *grouper {
+	g := &grouper{
+		groupBy: groupBy,
+		keyVals: make([]*vector.Vector, len(groupBy)),
+		accs:    make([]accumulator, len(aggs)),
+		keys:    make([]*vector.Vector, len(groupBy)),
+		args:    make([]*vector.Vector, len(aggs)),
+		ids:     make([]int32, vector.Size),
+	}
+	for i, e := range groupBy {
+		g.keyVals[i] = vector.New(e.Type(), 0)
+	}
+	for i, a := range aggs {
+		g.accs[i].spec = a
+	}
+	if len(groupBy) > 0 {
+		g.table = newGroupTable(exprTypes(groupBy), false)
+	} else {
+		// A scalar aggregate has its one group from the start, so an empty
+		// input still yields one row (COUNT = 0, SUM = NULL), per SQL.
+		g.resize(1)
+	}
+	return g
+}
+
+// groups returns the number of groups held.
+func (g *grouper) groups() int {
+	if g.table == nil {
+		return 1
+	}
+	return g.table.len()
+}
+
+func (g *grouper) resize(n int) {
+	for i := range g.accs {
+		g.accs[i].resize(n)
+	}
+}
+
+// reset drops every group, keeping the allocations.
+func (g *grouper) reset() {
+	g.table.reset()
+	for _, v := range g.keyVals {
+		v.Reset()
+	}
+	g.resize(0)
+}
+
+// load evaluates the key and argument expressions over b and stages the
+// keys. b must stay unchanged until the last add of its rows.
+func (g *grouper) load(b *vector.Batch) error {
+	if err := evalInto(g.keys, g.groupBy, b); err != nil {
+		return err
+	}
+	for i := range g.accs {
+		if arg := g.accs[i].spec.Arg; arg != nil {
+			v, err := arg.Eval(b)
+			if err != nil {
+				return err
+			}
+			g.args[i] = v
+		}
+	}
+	if len(g.ids) < b.Len() {
+		g.ids = make([]int32, b.Len())
+	}
+	if g.table != nil {
+		g.table.stage(g.keys, b.Len())
+	}
+	return nil
+}
+
+// add folds rows [lo, hi) of the loaded batch into their groups.
+func (g *grouper) add(lo, hi int) {
+	if g.table != nil {
+		g.table.resolve(lo, hi, g.ids, true)
+		if added := g.table.added; len(added) > 0 {
+			for c, kv := range g.keyVals {
+				kv.AppendFrom(g.keys[c], added)
+			}
+			g.resize(g.table.len())
+		}
+	}
+	for i := range g.accs {
+		g.accs[i].update(g.ids, g.args[i], lo, hi)
+	}
+}
+
+// emit appends groups [lo, hi) to out: key columns, then aggregates.
+func (g *grouper) emit(out *vector.Batch, lo, hi int) {
+	for c, kv := range g.keyVals {
+		out.Vecs[c].AppendRange(kv, lo, hi)
+	}
+	base := len(g.keyVals)
+	for i := range g.accs {
+		g.accs[i].emit(out.Vecs[base+i], lo, hi)
+	}
+	out.SetLen(out.Len() + hi - lo)
+}
+
+// HashAggregate is the generic grouping operator: it materializes a group
 // table over the full input — a pipeline breaker, which is exactly the
 // memory-footprint cost of ML-To-SQL the paper discusses (Sec. 4.4), and
-// what the ordered variant below removes.
+// what SegmentedAggregate removes.
 type HashAggregate struct {
 	Child      Operator
 	GroupBy    []expr.Expr
 	GroupNames []string
 	Aggs       []AggSpec
 
-	schema *types.Schema
-	keyer  *keyer
-
-	groupRows *vector.Batch // first-seen group key values
-	states    [][]aggState  // per group, per agg
-	intIdx    map[intKey]int
-	byteIdx   map[string]int
-	keyBuf    []byte
-	emitPos   int
+	schema  *types.Schema
+	g       *grouper
+	out     *vector.Batch
+	emitPos int
 	// PeakGroups is exposed for the memory experiments: the number of
 	// simultaneously held groups.
 	PeakGroups int
@@ -204,20 +425,9 @@ func (h *HashAggregate) Open() error {
 	if err := h.Child.Open(); err != nil {
 		return err
 	}
-	h.keyer = newKeyer(h.GroupBy)
-	groupSchema := make([]types.Column, len(h.GroupBy))
-	for i, g := range h.GroupBy {
-		groupSchema[i] = types.Column{Name: h.GroupNames[i], Type: g.Type()}
-	}
-	h.groupRows = vector.NewBatch(types.NewSchema(groupSchema...), vector.Size)
-	h.states = nil
+	h.g = newGrouper(h.GroupBy, h.Aggs)
+	h.out = vector.NewBatch(h.schema, 0)
 	h.emitPos = 0
-	if h.keyer.intFast {
-		h.intIdx = make(map[intKey]int)
-	} else {
-		h.byteIdx = make(map[string]int)
-	}
-
 	for {
 		b, err := h.Child.Next()
 		if err != nil {
@@ -226,210 +436,30 @@ func (h *HashAggregate) Open() error {
 		if b == nil {
 			break
 		}
-		keys, err := h.keyer.evalKeys(b)
-		if err != nil {
+		if err := h.g.load(b); err != nil {
 			return err
 		}
-		args := make([]*vector.Vector, len(h.Aggs))
-		for i, a := range h.Aggs {
-			if a.Arg != nil {
-				if args[i], err = a.Arg.Eval(b); err != nil {
-					return err
-				}
-			}
-		}
-		for r := 0; r < b.Len(); r++ {
-			var gi int
-			var ok bool
-			if h.keyer.intFast {
-				k := intKeyAt(keys, r)
-				gi, ok = h.intIdx[k]
-				if !ok {
-					gi = len(h.states)
-					h.intIdx[k] = gi
-				}
-			} else {
-				h.keyBuf = byteKeyAt(keys, r, h.keyBuf[:0])
-				gi, ok = h.byteIdx[string(h.keyBuf)]
-				if !ok {
-					gi = len(h.states)
-					h.byteIdx[string(h.keyBuf)] = gi
-				}
-			}
-			if !ok {
-				h.states = append(h.states, make([]aggState, len(h.Aggs)))
-				for c, kv := range keys {
-					h.groupRows.Vecs[c].AppendDatum(kv.Datum(r))
-				}
-			}
-			st := h.states[gi]
-			for i := range h.Aggs {
-				st[i].update(h.Aggs[i], args[i], r)
-			}
-		}
+		h.g.add(0, b.Len())
 	}
-	if len(h.GroupBy) == 0 && len(h.states) == 0 {
-		// A scalar aggregate over an empty input still yields one row
-		// (COUNT = 0, SUM = NULL), per SQL.
-		h.states = append(h.states, make([]aggState, len(h.Aggs)))
-	}
-	h.groupRows.SetLen(len(h.states))
-	h.PeakGroups = len(h.states)
+	h.PeakGroups = h.g.groups()
 	return nil
 }
 
-// Next implements Operator, emitting materialized groups in batches.
+// Next implements Operator, emitting the materialized groups a batch at a
+// time.
 func (h *HashAggregate) Next() (*vector.Batch, error) {
-	if h.emitPos >= len(h.states) {
+	n := min(h.g.groups()-h.emitPos, vector.Size)
+	if n <= 0 {
 		return nil, nil
 	}
-	n := len(h.states) - h.emitPos
-	if n > vector.Size {
-		n = vector.Size
-	}
-	out := vector.NewBatch(h.schema, n)
-	sel := make([]int, n)
-	for i := range sel {
-		sel[i] = h.emitPos + i
-	}
-	for c := range h.GroupBy {
-		out.Vecs[c].CopyFrom(h.groupRows.Vecs[c], sel)
-	}
-	base := len(h.GroupBy)
-	for i := range h.Aggs {
-		for r := 0; r < n; r++ {
-			out.Vecs[base+i].AppendDatum(h.states[h.emitPos+r][i].result(h.Aggs[i]))
-		}
-	}
-	out.SetLen(n)
+	h.out.Reset()
+	h.g.emit(h.out, h.emitPos, h.emitPos+n)
 	h.emitPos += n
-	return out, nil
+	return h.out, nil
 }
 
 // Close implements Operator.
 func (h *HashAggregate) Close() error {
-	h.states, h.intIdx, h.byteIdx, h.groupRows = nil, nil, nil, nil
+	h.g, h.out = nil, nil
 	return h.Child.Close()
 }
-
-// OrderedAggregate is the streaming grouping operator of Sec. 4.4: assuming
-// the input arrives sorted on the grouping key, a group is complete the
-// moment the key changes, so only one group's state is held at a time and
-// the operator pipelines with constant memory. ML-To-SQL's optimizer plants
-// it when the sort-order analysis proves the aggregation input is clustered
-// on the grouping keys.
-type OrderedAggregate struct {
-	Child      Operator
-	GroupBy    []expr.Expr
-	GroupNames []string
-	Aggs       []AggSpec
-
-	schema  *types.Schema
-	cur     []types.Datum
-	curSet  bool
-	states  []aggState
-	out     *vector.Batch
-	done    bool
-	pending *vector.Batch
-}
-
-// NewOrderedAggregate constructs an order-based aggregation. Correct results
-// require the child to emit rows clustered by the grouping expressions.
-func NewOrderedAggregate(child Operator, groupBy []expr.Expr, groupNames []string, aggs []AggSpec) (*OrderedAggregate, error) {
-	schema, err := aggSchema(groupBy, groupNames, aggs)
-	if err != nil {
-		return nil, err
-	}
-	return &OrderedAggregate{Child: child, GroupBy: groupBy, GroupNames: groupNames, Aggs: aggs, schema: schema}, nil
-}
-
-// Schema implements Operator.
-func (o *OrderedAggregate) Schema() *types.Schema { return o.schema }
-
-// Open implements Operator.
-func (o *OrderedAggregate) Open() error {
-	o.cur = make([]types.Datum, len(o.GroupBy))
-	o.curSet, o.done = false, false
-	o.states = make([]aggState, len(o.Aggs))
-	o.pending = vector.NewBatch(o.schema, vector.Size)
-	return o.Child.Open()
-}
-
-func (o *OrderedAggregate) flushGroup() {
-	row := make([]types.Datum, 0, o.schema.Len())
-	row = append(row, o.cur...)
-	for i := range o.Aggs {
-		row = append(row, o.states[i].result(o.Aggs[i]))
-	}
-	_ = o.pending.AppendRow(row...)
-	o.states = make([]aggState, len(o.Aggs))
-}
-
-// Next implements Operator.
-func (o *OrderedAggregate) Next() (*vector.Batch, error) {
-	if o.done {
-		return nil, nil
-	}
-	for {
-		b, err := o.Child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			if o.curSet {
-				o.flushGroup()
-				o.curSet = false
-			}
-			o.done = true
-			if o.pending.Len() > 0 {
-				out := o.pending
-				o.pending = vector.NewBatch(o.schema, vector.Size)
-				return out, nil
-			}
-			return nil, nil
-		}
-		keys := make([]*vector.Vector, len(o.GroupBy))
-		for i, g := range o.GroupBy {
-			if keys[i], err = g.Eval(b); err != nil {
-				return nil, err
-			}
-		}
-		args := make([]*vector.Vector, len(o.Aggs))
-		for i, a := range o.Aggs {
-			if a.Arg != nil {
-				if args[i], err = a.Arg.Eval(b); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for r := 0; r < b.Len(); r++ {
-			changed := !o.curSet
-			for c := range keys {
-				if o.curSet && keys[c].Datum(r).Compare(o.cur[c]) != 0 {
-					changed = true
-					break
-				}
-			}
-			if changed {
-				if o.curSet {
-					o.flushGroup()
-				}
-				for c := range keys {
-					o.cur[c] = keys[c].Datum(r)
-				}
-				o.curSet = true
-			}
-			for i := range o.Aggs {
-				o.states[i].update(o.Aggs[i], args[i], r)
-			}
-		}
-		if o.pending.Len() >= vector.Size {
-			out := o.pending
-			o.pending = vector.NewBatch(o.schema, vector.Size)
-			return out, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (o *OrderedAggregate) Close() error { return o.Child.Close() }

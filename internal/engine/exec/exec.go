@@ -27,7 +27,15 @@ func IsCancellation(err error) bool {
 //   - Next returns the next batch, or nil at end-of-stream;
 //   - Close releases resources; it is idempotent.
 //
-// Batches returned by Next are owned by the caller until the next call.
+// Batch ownership. The batch Next returns belongs to the operator, which
+// allocates its output buffers at Open and refills them on every call
+// (Scan, Project, HashJoin and both aggregates do; an operator may also hand
+// out a fresh batch). The caller may read it, and narrow it in place the way
+// Filter and Limit do, until its next call to Next or Close on the same
+// operator; after that the contents are gone. A consumer that keeps rows
+// longer copies them first — Collect, Sort, TopN, a join's build side,
+// Exchange and the wire row streamer all do. Nothing is retained across
+// statements: buffers live from Open to Close.
 type Operator interface {
 	// Schema describes the operator's output columns.
 	Schema() *types.Schema
@@ -142,12 +150,7 @@ func (l *Limit) Next() (*vector.Batch, error) {
 		return nil, err
 	}
 	if l.seen+b.Len() > l.N {
-		keep := l.N - l.seen
-		sel := make([]int, keep)
-		for i := range sel {
-			sel[i] = i
-		}
-		b.Gather(sel)
+		b.SetLen(l.N - l.seen)
 	}
 	l.seen += b.Len()
 	return b, nil

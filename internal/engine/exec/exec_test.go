@@ -92,7 +92,7 @@ func TestHashJoinInner(t *testing.T) {
 		j, err := NewHashJoin(
 			NewValues(ls, lb), NewValues(rs, rb),
 			[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")},
-			buildRight,
+			buildRight, nil,
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestHashJoinPreservesProbeOrder(t *testing.T) {
 	ls, lb := twoColBatch(n, func(i int) (int64, float64) { return int64(i % 5), float64(i) })
 	rs, rb := twoColBatch(5, func(i int) (int64, float64) { return int64(i), 0 })
 	j, err := NewHashJoin(NewValues(ls, lb), NewValues(rs, rb),
-		[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")}, true)
+		[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestHashJoinVsNestedLoopOracle(t *testing.T) {
 		ls, lb := twoColBatch(nl, func(i int) (int64, float64) { return int64(rng.Intn(10)), float64(i) })
 		rs, rb := twoColBatch(nr, func(i int) (int64, float64) { return int64(rng.Intn(10)), float64(i) })
 		j, err := NewHashJoin(NewValues(ls, lb), NewValues(rs, rb),
-			[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")}, true)
+			[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")}, true, nil)
 		if err != nil {
 			return false
 		}
@@ -231,7 +231,7 @@ func TestHashAggregateSum(t *testing.T) {
 	}
 }
 
-func TestOrderedAggregateMatchesHash(t *testing.T) {
+func TestSegmentedAggregateMatchesHash(t *testing.T) {
 	// Sorted input: both aggregate variants must agree — the equivalence
 	// behind the Sec. 4.4 optimization.
 	schema, b := twoColBatch(5000, func(i int) (int64, float64) { return int64(i / 13), float64(i % 10) })
@@ -247,7 +247,7 @@ func TestOrderedAggregateMatchesHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := NewOrderedAggregate(NewValues(schema, b), []expr.Expr{colRef(schema, "k")}, []string{"k"}, mk())
+	o, err := NewSegmentedAggregate(NewValues(schema, b), []expr.Expr{colRef(schema, "k")}, []string{"k"}, mk(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestOrderedAggregateMatchesHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hb.Len() != ob.Len() {
-		t.Fatalf("hash %d groups, ordered %d", hb.Len(), ob.Len())
+		t.Fatalf("hash %d groups, segmented %d", hb.Len(), ob.Len())
 	}
 	hmap := map[int64][]float64{}
 	for i := 0; i < hb.Len(); i++ {
@@ -272,7 +272,7 @@ func TestOrderedAggregateMatchesHash(t *testing.T) {
 		got := []float64{ob.Vecs[1].Float64s()[i], ob.Vecs[2].Float64s()[i], ob.Vecs[3].Float64s()[i], ob.Vecs[4].Float64s()[i]}
 		for c := range want {
 			if got[c] != want[c] {
-				t.Fatalf("group %d col %d: ordered %v, hash %v", k, c, got[c], want[c])
+				t.Fatalf("group %d col %d: segmented %v, hash %v", k, c, got[c], want[c])
 			}
 		}
 	}

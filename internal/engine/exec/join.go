@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"indbml/internal/engine/expr"
 	"indbml/internal/engine/types"
@@ -27,23 +28,40 @@ type HashJoin struct {
 	BuildRight bool
 
 	schema *types.Schema
-	keyer  *keyer
+	// cols maps every output column to its source: a column of the probe
+	// batch, or a column of buildData (which holds only the build-side
+	// columns the output keeps).
+	cols      []joinCol
+	buildCols []int // build-side ordinals behind buildData's columns
 
-	// build state
+	// Build state: the key table numbers the distinct build keys; the build
+	// rows of key g are rows[start[g]:start[g+1]], in build order.
+	table     *groupTable
 	buildData *vector.Batch
-	intTable  map[intKey][]int32
-	byteTable map[string][]int32
+	start     []int
+	rows      []int
 
-	// probe state
-	probeBatch *vector.Batch
-	probeKeys  []*vector.Vector
-	probeRow   int
-	matchPos   int
-	keyBuf     []byte
+	// Probe state. out and the two selection vectors are allocated at Open
+	// and reused by every Next.
+	out                *vector.Batch
+	probeSel, buildSel []int
+	probeBatch         *vector.Batch
+	probeKeys          []*vector.Vector
+	probeIDs           []int32 // build key id per probe row, -1 = no match
+	probeRow           int
+	matchPos           int
 }
 
-// NewHashJoin constructs an inner hash join.
-func NewHashJoin(left, right Operator, leftKeys, rightKeys []expr.Expr, buildRight bool) (*HashJoin, error) {
+type joinCol struct {
+	fromBuild bool
+	src       int
+}
+
+// NewHashJoin constructs an inner hash join. keep lists the output columns
+// as ordinals into Left's columns followed by Right's (nil keeps them all):
+// the planner names the columns something above the join reads, and only
+// those are materialized on the build side and gathered into the output.
+func NewHashJoin(left, right Operator, leftKeys, rightKeys []expr.Expr, buildRight bool, keep []int) (*HashJoin, error) {
 	if len(leftKeys) != len(rightKeys) {
 		return nil, fmt.Errorf("exec: join has %d left keys but %d right keys", len(leftKeys), len(rightKeys))
 	}
@@ -58,18 +76,44 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []expr.Expr, buildRig
 			rightKeys[i] = expr.NewCast(rightKeys[i], common)
 		}
 	}
-	return &HashJoin{
+	j := &HashJoin{
 		Left: left, Right: right,
 		LeftKeys: leftKeys, RightKeys: rightKeys,
 		BuildRight: buildRight,
-		schema:     left.Schema().Concat(right.Schema()),
-	}, nil
+	}
+	both := left.Schema().Concat(right.Schema())
+	nLeft := left.Schema().Len()
+	if keep == nil {
+		keep = make([]int, both.Len())
+		for i := range keep {
+			keep[i] = i
+		}
+	}
+	outCols := make([]types.Column, len(keep))
+	for k, o := range keep {
+		if o < 0 || o >= both.Len() {
+			return nil, fmt.Errorf("exec: join output column %d out of range (inputs have %d)", o, both.Len())
+		}
+		outCols[k] = both.Col(o)
+		src, onRight := o, o >= nLeft
+		if onRight {
+			src -= nLeft
+		}
+		if onRight == buildRight {
+			j.cols = append(j.cols, joinCol{fromBuild: true, src: len(j.buildCols)})
+			j.buildCols = append(j.buildCols, src)
+		} else {
+			j.cols = append(j.cols, joinCol{src: src})
+		}
+	}
+	j.schema = types.NewSchema(outCols...)
+	return j, nil
 }
 
 // NewCrossJoin constructs a cross join (a key-less hash join) that
 // materializes the right side.
 func NewCrossJoin(left, right Operator) (*HashJoin, error) {
-	return NewHashJoin(left, right, nil, nil, true)
+	return NewHashJoin(left, right, nil, nil, true, nil)
 }
 
 // Schema implements Operator.
@@ -89,7 +133,8 @@ func (j *HashJoin) probeSide() (Operator, []expr.Expr) {
 	return j.Right, j.RightKeys
 }
 
-// Open implements Operator: it drains the build side into the hash table.
+// Open implements Operator: it drains the build side into the key table,
+// copying the columns it keeps (the child may reuse its batches).
 func (j *HashJoin) Open() error {
 	if err := j.Left.Open(); err != nil {
 		return err
@@ -98,13 +143,16 @@ func (j *HashJoin) Open() error {
 		return err
 	}
 	build, buildKeys := j.buildSide()
-	j.keyer = newKeyer(buildKeys)
-	j.buildData = vector.NewBatch(build.Schema(), vector.Size)
-	if j.keyer.intFast {
-		j.intTable = make(map[intKey][]int32)
-	} else {
-		j.byteTable = make(map[string][]int32)
+	// Rows with a NULL key match nothing (SQL equality). A cross join has no
+	// key columns, so every row resolves to the one empty key.
+	j.table = newGroupTable(exprTypes(buildKeys), true)
+	kept := make([]types.Column, len(j.buildCols))
+	for i, c := range j.buildCols {
+		kept[i] = build.Schema().Col(c)
 	}
+	j.buildData = vector.NewBatch(types.NewSchema(kept...), 0)
+	keys := make([]*vector.Vector, len(buildKeys))
+	var ids []int32 // key id per build row
 	for {
 		b, err := build.Next()
 		if err != nil {
@@ -113,49 +161,44 @@ func (j *HashJoin) Open() error {
 		if b == nil {
 			break
 		}
-		base := int32(j.buildData.Len())
-		if len(buildKeys) > 0 {
-			keys, err := j.keyer.evalKeys(b)
-			if err != nil {
-				return err
-			}
-			if j.keyer.intFast {
-				for r := 0; r < b.Len(); r++ {
-					k := intKeyAt(keys, r)
-					j.intTable[k] = append(j.intTable[k], base+int32(r))
-				}
-			} else {
-				for r := 0; r < b.Len(); r++ {
-					j.keyBuf = byteKeyAt(keys, r, j.keyBuf[:0])
-					j.byteTable[string(j.keyBuf)] = append(j.byteTable[string(j.keyBuf)], base+int32(r))
-				}
-			}
+		if err := evalInto(keys, buildKeys, b); err != nil {
+			return err
 		}
-		j.buildData.AppendBatch(b)
-	}
-	if len(buildKeys) == 0 {
-		// Cross join: every build row matches every probe row.
-		all := make([]int32, j.buildData.Len())
-		for i := range all {
-			all[i] = int32(i)
+		at := len(ids)
+		ids = slices.Grow(ids, b.Len())[:at+b.Len()]
+		j.table.stage(keys, b.Len())
+		j.table.resolve(0, b.Len(), ids[at:], true)
+		for i, c := range j.buildCols {
+			j.buildData.Vecs[i].AppendRange(b.Vecs[c], 0, b.Len())
 		}
-		j.intTable[intKey{}] = all
+		j.buildData.SetLen(len(ids))
 	}
+	// Counting sort of the build rows by key id keeps build order per key.
+	j.start = make([]int, j.table.len()+1)
+	for _, g := range ids {
+		if g >= 0 {
+			j.start[g+1]++
+		}
+	}
+	for g := 0; g < j.table.len(); g++ {
+		j.start[g+1] += j.start[g]
+	}
+	j.rows = make([]int, j.start[j.table.len()])
+	next := append([]int(nil), j.start[:j.table.len()]...)
+	for r, g := range ids {
+		if g >= 0 {
+			j.rows[next[g]] = r
+			next[g]++
+		}
+	}
+
+	j.out = vector.NewBatch(j.schema, vector.Size)
+	j.probeSel = make([]int, vector.Size)
+	j.buildSel = make([]int, vector.Size)
+	j.probeKeys = make([]*vector.Vector, len(buildKeys))
 	j.probeBatch = nil
 	j.probeRow, j.matchPos = 0, 0
 	return nil
-}
-
-// matchesFor returns the build-row list matching probe row r.
-func (j *HashJoin) matchesFor(r int) []int32 {
-	if len(j.LeftKeys) == 0 {
-		return j.intTable[intKey{}]
-	}
-	if j.keyer.intFast {
-		return j.intTable[intKeyAt(j.probeKeys, r)]
-	}
-	j.keyBuf = byteKeyAt(j.probeKeys, r, j.keyBuf[:0])
-	return j.byteTable[string(j.keyBuf)]
 }
 
 // Next implements Operator: it emits combined rows in probe order, resuming
@@ -164,107 +207,75 @@ func (j *HashJoin) matchesFor(r int) []int32 {
 // children are free to reuse their output buffers between Next calls.
 func (j *HashJoin) Next() (*vector.Batch, error) {
 	probe, probeKeys := j.probeSide()
-	out := vector.NewBatch(j.schema, vector.Size)
-	probeSel := make([]int, 0, vector.Size)
-	buildSel := make([]int, 0, vector.Size)
-
 	for {
 		if j.probeBatch == nil {
 			b, err := probe.Next()
-			if err != nil {
+			if err != nil || b == nil {
 				return nil, err
-			}
-			if b == nil {
-				return nil, nil
 			}
 			if b.Len() == 0 {
 				continue
 			}
-			j.probeBatch = b
-			if len(probeKeys) > 0 {
-				j.probeKeys, err = j.keyer.evalKeysProbe(probeKeys, b)
-				if err != nil {
-					return nil, err
-				}
+			if err := evalInto(j.probeKeys, probeKeys, b); err != nil {
+				return nil, err
 			}
-			j.probeRow, j.matchPos = 0, 0
+			if len(j.probeIDs) < b.Len() {
+				j.probeIDs = make([]int32, b.Len())
+			}
+			j.table.stage(j.probeKeys, b.Len())
+			j.table.resolve(0, b.Len(), j.probeIDs, false)
+			j.probeBatch, j.probeRow, j.matchPos = b, 0, 0
 		}
-		for j.probeRow < j.probeBatch.Len() {
-			matches := j.matchesFor(j.probeRow)
-			for j.matchPos < len(matches) && len(probeSel) < vector.Size {
-				probeSel = append(probeSel, j.probeRow)
-				buildSel = append(buildSel, int(matches[j.matchPos]))
-				j.matchPos++
-			}
-			if j.matchPos < len(matches) {
-				// Output batch full mid-row; emit and resume here.
-				j.emit(out, j.probeBatch, probeSel, buildSel)
-				return out, nil
+		n := 0
+		for j.probeRow < j.probeBatch.Len() && n < vector.Size {
+			if g := j.probeIDs[j.probeRow]; g >= 0 {
+				matches := j.rows[j.start[g]+j.matchPos : j.start[g+1]]
+				take := min(len(matches), vector.Size-n)
+				for i, m := range matches[:take] {
+					j.probeSel[n+i] = j.probeRow
+					j.buildSel[n+i] = m
+				}
+				n += take
+				if take < len(matches) {
+					j.matchPos += take // output full mid-row; resume here
+					break
+				}
 			}
 			j.probeRow++
 			j.matchPos = 0
-			if len(probeSel) >= vector.Size {
-				break
-			}
 		}
-		if j.probeRow >= j.probeBatch.Len() {
+		b := j.probeBatch
+		if j.probeRow == b.Len() {
 			// Probe batch exhausted: emit whatever matched before letting
 			// the child recycle its buffer.
-			finished := j.probeBatch
 			j.probeBatch = nil
-			if len(probeSel) > 0 {
-				j.emit(out, finished, probeSel, buildSel)
-				return out, nil
-			}
-			continue
 		}
-		// Output full at a row boundary within the current probe batch.
-		j.emit(out, j.probeBatch, probeSel, buildSel)
-		return out, nil
+		if n > 0 {
+			j.emit(b, j.probeSel[:n], j.buildSel[:n])
+			return j.out, nil
+		}
 	}
 }
 
-// emit gathers the selected probe/build rows into the output batch in
-// Left-columns-then-Right-columns order.
-func (j *HashJoin) emit(out *vector.Batch, probeBatch *vector.Batch, probeSel, buildSel []int) {
-	nLeft := j.Left.Schema().Len()
-	leftBatch, leftSel := probeBatch, probeSel
-	rightBatch, rightSel := j.buildData, buildSel
-	if !j.BuildRight {
-		leftBatch, leftSel = j.buildData, buildSel
-		rightBatch, rightSel = probeBatch, probeSel
+// emit gathers the selected probe/build rows into the output batch.
+func (j *HashJoin) emit(probeBatch *vector.Batch, probeSel, buildSel []int) {
+	for k, c := range j.cols {
+		if c.fromBuild {
+			j.out.Vecs[k].CopyFrom(j.buildData.Vecs[c.src], buildSel)
+		} else {
+			j.out.Vecs[k].CopyFrom(probeBatch.Vecs[c.src], probeSel)
+		}
 	}
-	for c := 0; c < nLeft; c++ {
-		out.Vecs[c].CopyFrom(leftBatch.Vecs[c], leftSel)
-	}
-	for c := 0; c < rightBatch.Schema.Len(); c++ {
-		out.Vecs[nLeft+c].CopyFrom(rightBatch.Vecs[c], rightSel)
-	}
-	out.SetLen(len(probeSel))
+	j.out.SetLen(len(probeSel))
 }
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
-	j.buildData, j.intTable, j.byteTable = nil, nil, nil
+	j.table, j.buildData, j.start, j.rows, j.out = nil, nil, nil, nil, nil
 	if err1 != nil {
 		return err1
 	}
 	return err2
-}
-
-// evalKeysProbe evaluates probe-side key expressions; separate from the
-// build-side keyer because probe keys are different expressions over a
-// different schema.
-func (k *keyer) evalKeysProbe(exprs []expr.Expr, b *vector.Batch) ([]*vector.Vector, error) {
-	vecs := make([]*vector.Vector, len(exprs))
-	for i, e := range exprs {
-		v, err := e.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		vecs[i] = v
-	}
-	return vecs, nil
 }

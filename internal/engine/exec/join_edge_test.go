@@ -18,7 +18,7 @@ func TestHashJoinMatchExplosionAcrossBatches(t *testing.T) {
 	ls, lb := twoColBatch(3, func(i int) (int64, float64) { return 1, float64(i) })
 	rs, rb := twoColBatch(buildRows, func(i int) (int64, float64) { return 1, float64(i) })
 	j, err := NewHashJoin(NewValues(ls, lb), NewValues(rs, rb),
-		[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")}, true)
+		[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestHashJoinEmptyBuildSide(t *testing.T) {
 		types.Column{Name: "v", Type: types.Float64},
 	)
 	j, err := NewHashJoin(NewValues(ls, lb), NewValues(rs),
-		[]expr.Expr{colRef(ls, "k")}, []expr.Expr{expr.NewColRef(0, "k", types.Int64)}, true)
+		[]expr.Expr{colRef(ls, "k")}, []expr.Expr{expr.NewColRef(0, "k", types.Int64)}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestHashJoinMixedKeyTypesPromote(t *testing.T) {
 	_ = rb.AppendRow(types.Int64Datum(3))
 	j, err := NewHashJoin(NewValues(ls, lb), NewValues(rs, rb),
 		[]expr.Expr{expr.NewColRef(0, "k", types.Int32)},
-		[]expr.Expr{expr.NewColRef(0, "k", types.Int64)}, true)
+		[]expr.Expr{expr.NewColRef(0, "k", types.Int64)}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,197 @@
+package exec
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"indbml/internal/engine/expr"
+	"indbml/internal/engine/types"
+	"indbml/internal/engine/vector"
+)
+
+// recycler is the harshest child the batch-ownership contract allows: every
+// Next returns the same batch object, and before refilling it with the next
+// source batch it overwrites what the previous call returned. A consumer
+// that keeps a reference instead of a copy sees the scribble.
+type recycler struct {
+	schema *types.Schema
+	src    []*vector.Batch
+	pos    int
+	buf    *vector.Batch
+}
+
+func (r *recycler) Schema() *types.Schema { return r.schema }
+func (r *recycler) Open() error {
+	r.pos, r.buf = 0, vector.NewBatch(r.schema, vector.Size)
+	return nil
+}
+func (r *recycler) Close() error { return nil }
+
+func (r *recycler) Next() (*vector.Batch, error) {
+	for _, v := range r.buf.Vecs { // scribble over the batch handed out last time
+		switch v.Type() {
+		case types.Int64:
+			for i := range v.Int64s() {
+				v.Int64s()[i] = -999
+			}
+		case types.String:
+			for i := range v.Strings() {
+				v.Strings()[i] = "scribbled"
+			}
+		}
+	}
+	if r.pos == len(r.src) {
+		return nil, nil
+	}
+	r.buf.Reset()
+	r.buf.AppendBatch(r.src[r.pos])
+	r.pos++
+	return r.buf, nil
+}
+
+// reuseInput is 2500 rows of (k BIGINT, s VARCHAR) in three batches.
+func reuseInput() (*types.Schema, []*vector.Batch, []string) {
+	schema := types.NewSchema(types.Column{Name: "k", Type: types.Int64}, types.Column{Name: "s", Type: types.String})
+	var batches []*vector.Batch
+	var rows []string
+	for i := 0; i < 2500; i++ {
+		if i%vector.Size == 0 {
+			batches = append(batches, vector.NewBatch(schema, vector.Size))
+		}
+		row := []types.Datum{types.Int64Datum(int64((i * 7919) % 2500)), types.StringDatum(fmt.Sprintf("r%d", i))}
+		_ = batches[len(batches)-1].AppendRow(row...)
+		rows = append(rows, rowString(row))
+	}
+	return schema, batches, rows
+}
+
+// TestRetainingConsumersCopy runs every consumer that keeps rows past its
+// child's next Next call over a recycler and checks nothing it kept changed.
+func TestRetainingConsumersCopy(t *testing.T) {
+	schema, batches, rows := reuseInput()
+	child := func() Operator { return &recycler{schema: schema, src: batches} }
+	k := expr.NewColRef(0, "k", types.Int64)
+	sorted := append([]string(nil), rows...)
+	sort.SliceStable(sorted, func(a, b int) bool {
+		var ka, kb int64
+		fmt.Sscanf(sorted[a], "BIGINT:%d", &ka)
+		fmt.Sscanf(sorted[b], "BIGINT:%d", &kb)
+		return ka < kb
+	})
+
+	out, err := Collect(child())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRows(t, "Collect", rowsOf(out), rows)
+
+	out, err = Collect(NewSort(child(), []SortKey{{E: k}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRows(t, "Sort", rowsOf(out), sorted)
+
+	out, err = Collect(NewTopN(child(), []SortKey{{E: k}}, 1500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRows(t, "TopN", rowsOf(out), sorted[:1500])
+
+	// The join's build side is held for the whole probe phase; its probe
+	// side is held across the Next calls that emit one probe batch.
+	j, err := NewHashJoin(child(), child(), []expr.Expr{k}, []expr.Expr{k}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = Collect(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(rows)) // k is a permutation: row i joins itself
+	for i, r := range rows {
+		want[i] = r + "|" + r
+	}
+	compareRows(t, "HashJoin", rowsOf(out), want)
+
+	ex, err := NewExchange([]Operator{child(), child()}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = Collect(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rowsOf(out)
+	sort.Strings(got)
+	twice := append(append([]string(nil), rows...), rows...)
+	sort.Strings(twice)
+	compareRows(t, "Exchange", got, twice)
+}
+
+// cycler hands out its batches round-robin forever without allocating: the
+// steady-state input of the allocation guards.
+type cycler struct {
+	schema *types.Schema
+	src    []*vector.Batch
+	pos    int
+}
+
+func (c *cycler) Schema() *types.Schema { return c.schema }
+func (c *cycler) Open() error           { return nil }
+func (c *cycler) Close() error          { return nil }
+func (c *cycler) Next() (*vector.Batch, error) {
+	b := c.src[c.pos%len(c.src)]
+	c.pos++
+	return b, nil
+}
+
+// TestSteadyStateNextDoesNotAllocate guards the operator-owned buffers: once
+// warm, a Next of the join, the projection and the segmented aggregate costs
+// no allocation. (Computed expressions allocate their result vector; the
+// operators under test here read bare columns.)
+func TestSteadyStateNextDoesNotAllocate(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "id", Type: types.Int64}, types.Column{Name: "v", Type: types.Float32})
+	var batches []*vector.Batch
+	for id := 0; id < 4; id++ { // one segment per batch, 32 groups each
+		b := vector.NewBatch(schema, vector.Size)
+		for i := 0; i < vector.Size; i++ {
+			_ = b.AppendRow(types.Int64Datum(int64(id)), types.Float32Datum(float32(i%32)))
+		}
+		batches = append(batches, b)
+	}
+	id, v := expr.NewColRef(0, "id", types.Int64), expr.NewColRef(1, "v", types.Float32)
+	input := func() Operator { return &cycler{schema: schema, src: batches} }
+
+	_, build := intBatch("id", 0, 1, 1, 2, 3, 3, 3)
+	join, err := NewHashJoin(input(), NewValues(build.Schema, build), []expr.Expr{id}, []expr.Expr{id}, true, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	project, err := NewProject(input(), []expr.Expr{v, id, v}, []string{"v", "id", "v2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := NewSegmentedAggregate(input(), []expr.Expr{id, v}, []string{"id", "v"},
+		[]AggSpec{{Func: AggSum, Arg: v, Name: "s"}, {Func: AggCountStar, Name: "n"}, {Func: AggMax, Arg: v, Name: "m"}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range map[string]Operator{"HashJoin": join, "Project": project, "SegmentedAggregate": seg} {
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		next := func() {
+			if b, err := op.Next(); err != nil || b == nil || b.Len() == 0 {
+				t.Fatalf("%s: Next = %v, %v", name, b, err)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			next() // warm the buffers up to their steady size
+		}
+		if allocs := testing.AllocsPerRun(50, next); allocs != 0 {
+			t.Errorf("%s.Next allocates %.1f times per batch in steady state, want 0", name, allocs)
+		}
+		op.Close()
+	}
+}

@@ -13,9 +13,9 @@ import (
 // grouping expressions (the fact table's unique ID flowing through
 // order-preserving joins), a group can never span two clusters. The
 // operator therefore holds only the groups of the current cluster — layer
-// width many, not fact-table-size many — and flushes them whenever the
-// clustered key changes. Memory is O(groups per segment) instead of
-// O(total groups), and execution pipelines.
+// width many, not fact-table-size many — and emits them whenever the
+// clustered key changes, resetting its group table in place. Memory is
+// O(groups per segment) instead of O(total groups), and execution pipelines.
 type SegmentedAggregate struct {
 	Child      Operator
 	GroupBy    []expr.Expr
@@ -25,17 +25,23 @@ type SegmentedAggregate struct {
 	PrefixIdx int
 
 	schema *types.Schema
+	g      *grouper
+	out    *vector.Batch
 
-	segKey    types.Datum
-	segSet    bool
-	groupKeys *vector.Batch
-	states    [][]aggState
-	intIdx    map[intKey]int
-	byteIdx   map[string]int
-	keyer     *keyer
-	keyBuf    []byte
-	pending   *vector.Batch
-	done      bool
+	// in is the input batch being consumed, from row inPos on; it stays
+	// valid across our own Next calls because the child is not asked for
+	// another until it is used up.
+	in    *vector.Batch
+	inPos int
+	eof   bool
+
+	// The open segment holds the grouper's groups; segVal is its prefix
+	// value. A closed segment drains into out, drainPos groups so far.
+	open     bool
+	segVal   types.Datum
+	draining bool
+	drainPos int
+
 	// PeakGroups records the maximum number of simultaneously held groups,
 	// for the memory experiments.
 	PeakGroups int
@@ -62,127 +68,116 @@ func (s *SegmentedAggregate) Schema() *types.Schema { return s.schema }
 
 // Open implements Operator.
 func (s *SegmentedAggregate) Open() error {
-	s.keyer = newKeyer(s.GroupBy)
-	s.segSet, s.done = false, false
-	s.resetSegment()
-	s.pending = vector.NewBatch(s.schema, vector.Size)
+	s.g = newGrouper(s.GroupBy, s.Aggs)
+	s.out = vector.NewBatch(s.schema, vector.Size)
+	s.in, s.inPos, s.eof = nil, 0, false
+	s.open, s.draining, s.drainPos = false, false, 0
 	s.PeakGroups = 0
 	return s.Child.Open()
 }
 
-func (s *SegmentedAggregate) resetSegment() {
-	groupSchema := make([]types.Column, len(s.GroupBy))
-	for i, g := range s.GroupBy {
-		groupSchema[i] = types.Column{Name: s.GroupNames[i], Type: g.Type()}
-	}
-	s.groupKeys = vector.NewBatch(types.NewSchema(groupSchema...), 16)
-	s.states = s.states[:0]
-	if s.keyer.intFast {
-		s.intIdx = make(map[intKey]int, 16)
-	} else {
-		s.byteIdx = make(map[string]int, 16)
-	}
+func (s *SegmentedAggregate) closeSegment() {
+	s.PeakGroups = max(s.PeakGroups, s.g.groups())
+	s.open, s.draining, s.drainPos = false, true, 0
 }
 
-// flushSegment emits all groups of the finished segment into pending.
-func (s *SegmentedAggregate) flushSegment() {
-	if len(s.states) > s.PeakGroups {
-		s.PeakGroups = len(s.states)
-	}
-	for gi, st := range s.states {
-		row := make([]types.Datum, 0, s.schema.Len())
-		for c := range s.GroupBy {
-			row = append(row, s.groupKeys.Vecs[c].Datum(gi))
-		}
-		for i := range s.Aggs {
-			row = append(row, st[i].result(s.Aggs[i]))
-		}
-		_ = s.pending.AppendRow(row...)
-	}
-	s.resetSegment()
-}
-
-// Next implements Operator.
+// Next implements Operator: it returns a batch once vector.Size finished
+// groups are ready (a segment larger than that drains over several calls)
+// or the input ends.
 func (s *SegmentedAggregate) Next() (*vector.Batch, error) {
-	if s.done {
-		return nil, nil
-	}
+	s.out.Reset()
 	for {
-		b, err := s.Child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			if s.segSet {
-				s.flushSegment()
-				s.segSet = false
+		if s.draining {
+			n := min(s.g.groups()-s.drainPos, vector.Size-s.out.Len())
+			s.g.emit(s.out, s.drainPos, s.drainPos+n)
+			s.drainPos += n
+			if s.drainPos == s.g.groups() {
+				s.g.reset()
+				s.draining = false
 			}
-			s.done = true
-			if s.pending.Len() > 0 {
-				out := s.pending
-				s.pending = vector.NewBatch(s.schema, vector.Size)
-				return out, nil
-			}
-			return nil, nil
-		}
-		keys, err := s.keyer.evalKeys(b)
-		if err != nil {
-			return nil, err
-		}
-		args := make([]*vector.Vector, len(s.Aggs))
-		for i, a := range s.Aggs {
-			if a.Arg != nil {
-				if args[i], err = a.Arg.Eval(b); err != nil {
-					return nil, err
-				}
+			if s.out.Len() == vector.Size {
+				return s.out, nil
 			}
 		}
-		for r := 0; r < b.Len(); r++ {
-			seg := keys[s.PrefixIdx].Datum(r)
-			if !s.segSet || seg.Compare(s.segKey) != 0 {
-				if s.segSet {
-					s.flushSegment()
-				}
-				s.segKey, s.segSet = seg, true
+		if s.eof {
+			if s.out.Len() == 0 {
+				return nil, nil
 			}
-			var gi int
-			var ok bool
-			if s.keyer.intFast {
-				k := intKeyAt(keys, r)
-				gi, ok = s.intIdx[k]
-				if !ok {
-					gi = len(s.states)
-					s.intIdx[k] = gi
-				}
-			} else {
-				s.keyBuf = byteKeyAt(keys, r, s.keyBuf[:0])
-				gi, ok = s.byteIdx[string(s.keyBuf)]
-				if !ok {
-					gi = len(s.states)
-					s.byteIdx[string(s.keyBuf)] = gi
-				}
+			return s.out, nil
+		}
+		if s.in == nil || s.inPos == s.in.Len() {
+			b, err := s.Child.Next()
+			if err != nil {
+				return nil, err
 			}
-			if !ok {
-				s.states = append(s.states, make([]aggState, len(s.Aggs)))
-				for c, kv := range keys {
-					s.groupKeys.Vecs[c].AppendDatum(kv.Datum(r))
+			s.in, s.inPos = b, 0
+			if b == nil {
+				s.eof = true
+				if s.open {
+					s.closeSegment()
 				}
+				continue
 			}
-			st := s.states[gi]
-			for i := range s.Aggs {
-				st[i].update(s.Aggs[i], args[i], r)
+			if b.Len() == 0 {
+				continue
+			}
+			if err := s.g.load(b); err != nil {
+				return nil, err
 			}
 		}
-		if s.pending.Len() >= vector.Size {
-			out := s.pending
-			s.pending = vector.NewBatch(s.schema, vector.Size)
-			return out, nil
+		prefix := s.g.keys[s.PrefixIdx]
+		if s.open && prefix.Datum(s.inPos).Compare(s.segVal) != 0 {
+			s.closeSegment()
+			continue
+		}
+		if !s.open {
+			s.open, s.segVal = true, prefix.Datum(s.inPos)
+		}
+		end := runEnd(prefix, s.inPos)
+		s.g.add(s.inPos, end)
+		s.inPos = end
+	}
+}
+
+// runEnd returns the end of the run of values equal to v[lo] that starts at
+// lo, scanning the typed slice. NULLs form runs of their own.
+func runEnd(v *vector.Vector, lo int) int {
+	nulls := v.Nulls()
+	if nulls != nil && nulls[lo] {
+		return lo + runLen(nulls[lo:])
+	}
+	end := v.Len()
+	switch v.Type() {
+	case types.Bool:
+		end = lo + runLen(v.Bools()[lo:])
+	case types.Int32:
+		end = lo + runLen(v.Int32s()[lo:])
+	case types.Int64:
+		end = lo + runLen(v.Int64s()[lo:])
+	case types.Float32:
+		end = lo + runLen(v.Float32s()[lo:])
+	case types.Float64:
+		end = lo + runLen(v.Float64s()[lo:])
+	case types.String:
+		end = lo + runLen(v.Strings()[lo:])
+	}
+	if nulls != nil {
+		end = lo + runLen(nulls[lo:end])
+	}
+	return end
+}
+
+func runLen[T comparable](s []T) int {
+	for i := 1; i < len(s); i++ {
+		if s[i] != s[0] {
+			return i
 		}
 	}
+	return len(s)
 }
 
 // Close implements Operator.
 func (s *SegmentedAggregate) Close() error {
-	s.states, s.intIdx, s.byteIdx, s.groupKeys = nil, nil, nil, nil
+	s.g, s.out, s.in = nil, nil, nil
 	return s.Child.Close()
 }

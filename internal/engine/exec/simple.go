@@ -72,12 +72,19 @@ func (f *Filter) Next() (*vector.Batch, error) {
 // Close implements Operator.
 func (f *Filter) Close() error { return f.Child.Close() }
 
-// Project evaluates one expression per output column.
+// Project evaluates one expression per output column. Its output batch is
+// a reused header: a bare column reference hands the child's vector through
+// without a copy and a computed expression contributes the vector it
+// evaluated into, so a projection moves no values.
 type Project struct {
 	Child  Operator
 	Exprs  []expr.Expr
 	schema *types.Schema
 	out    *vector.Batch
+	// copies[i] is an owned vector for output column i, made the first time
+	// the column turns out to repeat an earlier one (SELECT a, a AS b): two
+	// output columns must not share a vector a consumer may narrow in place.
+	copies []*vector.Vector
 }
 
 // NewProject constructs a projection with the given output column names.
@@ -97,7 +104,8 @@ func (p *Project) Schema() *types.Schema { return p.schema }
 
 // Open implements Operator.
 func (p *Project) Open() error {
-	p.out = vector.NewBatch(p.schema, vector.Size)
+	p.out = &vector.Batch{Schema: p.schema, Vecs: make([]*vector.Vector, len(p.Exprs))}
+	p.copies = make([]*vector.Vector, len(p.Exprs))
 	return p.Child.Open()
 }
 
@@ -107,16 +115,25 @@ func (p *Project) Next() (*vector.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	out := vector.NewBatch(p.schema, b.Len())
 	for i, e := range p.Exprs {
 		v, err := e.Eval(b)
 		if err != nil {
 			return nil, err
 		}
-		out.Vecs[i].CopyFrom(v, nil)
+		for _, earlier := range p.out.Vecs[:i] {
+			if earlier == v {
+				if p.copies[i] == nil {
+					p.copies[i] = vector.New(v.Type(), v.Len())
+				}
+				p.copies[i].CopyFrom(v, nil)
+				v = p.copies[i]
+				break
+			}
+		}
+		p.out.Vecs[i] = v
 	}
-	out.SetLen(b.Len())
-	return out, nil
+	p.out.SetLen(b.Len())
+	return p.out, nil
 }
 
 // Close implements Operator.

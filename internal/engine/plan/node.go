@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"indbml/internal/engine/exec"
@@ -61,11 +62,7 @@ func (ctx *buildCtx) build(n node) (exec.Operator, error) {
 	if c, ok := op.(interface{ SetQueryContext(context.Context) }); ok {
 		c.SetQueryContext(ctx.qctx)
 	}
-	// Alias nodes have no span: they delegate execution to their child.
 	sp := ctx.spans[n]
-	if sp == nil {
-		return op, nil
-	}
 	if c, ok := op.(trace.SpanCarrier); ok {
 		c.SetSpan(sp)
 	}
@@ -108,6 +105,9 @@ type scanNode struct {
 	sc    *scope
 	// zone-map filters attached by predicate pushdown.
 	zoneFilters []storage.RangeFilter
+	// proj lists the table columns the scan decodes, set by column pruning;
+	// nil reads them all.
+	proj []int
 }
 
 func newScanNode(t *storage.Table, alias string) *scanNode {
@@ -125,10 +125,19 @@ func newScanNode(t *storage.Table, alias string) *scanNode {
 func (s *scanNode) scope() *scope    { return s.sc }
 func (s *scanNode) children() []node { return nil }
 
+// ordinal returns the output position of table column c, or -1 when c is
+// negative or pruned away.
+func (s *scanNode) ordinal(c int) int {
+	if s.proj == nil {
+		return c
+	}
+	return slices.Index(s.proj, c)
+}
+
 func (s *scanNode) props() props {
 	p := noProps()
-	p.clustered = s.table.SortedBy()
-	if uk := s.table.UniqueKey(); uk >= 0 && s.table.Partitions() > 1 {
+	p.clustered = s.ordinal(s.table.SortedBy())
+	if uk := s.ordinal(s.table.UniqueKey()); uk >= 0 && s.table.Partitions() > 1 {
 		p.partTable, p.partCol = s.table, uk
 	}
 	return p
@@ -136,7 +145,7 @@ func (s *scanNode) props() props {
 
 func (s *scanNode) build(ctx *buildCtx) (exec.Operator, error) {
 	if ctx.driver == s.table && ctx.partition >= 0 {
-		sc, err := exec.NewScan(s.table, ctx.partition, nil, s.zoneFilters)
+		sc, err := exec.NewScan(s.table, ctx.partition, s.proj, s.zoneFilters)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +154,7 @@ func (s *scanNode) build(ctx *buildCtx) (exec.Operator, error) {
 	}
 	scans := make([]exec.Operator, s.table.Partitions())
 	for p := range scans {
-		sc, err := exec.NewScan(s.table, p, nil, s.zoneFilters)
+		sc, err := exec.NewScan(s.table, p, s.proj, s.zoneFilters)
 		if err != nil {
 			return nil, err
 		}
@@ -162,6 +171,9 @@ func (s *scanNode) describe() string {
 	d := fmt.Sprintf("Scan %s", s.table.Name)
 	if len(s.zoneFilters) > 0 {
 		d += fmt.Sprintf(" [%d zone-map filters]", len(s.zoneFilters))
+	}
+	if s.proj != nil {
+		d += fmt.Sprintf(" [%d of %d columns]", len(s.proj), s.table.Schema.Len())
 	}
 	return d
 }
@@ -246,6 +258,9 @@ type joinNode struct {
 	leftKeys, rightKeys []expr.Expr
 	buildRight          bool
 	sc                  *scope
+	// keep lists the output columns as ordinals into left's columns followed
+	// by right's, set by column pruning; nil outputs them all.
+	keep []int
 }
 
 func newJoinNode(left, right node, leftKeys, rightKeys []expr.Expr, buildRight bool) *joinNode {
@@ -264,21 +279,27 @@ func (j *joinNode) props() props {
 	// The probe side streams, so its clustering and partition alignment
 	// survive; build-side columns offer no guarantees.
 	out := noProps()
-	if j.buildRight {
-		lp := j.left.props()
-		out.clustered = lp.clustered
-		out.partTable, out.partCol = lp.partTable, lp.partCol
-	} else {
-		rp := j.right.props()
-		off := j.left.scope().schema().Len()
-		if rp.clustered >= 0 {
-			out.clustered = off + rp.clustered
-		}
-		if rp.partCol >= 0 {
-			out.partTable, out.partCol = rp.partTable, off+rp.partCol
-		}
+	probe, off := j.left, 0
+	if !j.buildRight {
+		probe, off = j.right, width(j.left)
+	}
+	pp := probe.props()
+	if pp.clustered >= 0 {
+		out.clustered = j.ordinal(off + pp.clustered)
+	}
+	if c := j.ordinal(off + pp.partCol); pp.partCol >= 0 && c >= 0 {
+		out.partTable, out.partCol = pp.partTable, c
 	}
 	return out
+}
+
+// ordinal returns the output position of column c of left ++ right, or -1
+// when pruning dropped it.
+func (j *joinNode) ordinal(c int) int {
+	if j.keep == nil {
+		return c
+	}
+	return slices.Index(j.keep, c)
 }
 
 func (j *joinNode) build(ctx *buildCtx) (exec.Operator, error) {
@@ -290,7 +311,7 @@ func (j *joinNode) build(ctx *buildCtx) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exec.NewHashJoin(l, r, j.leftKeys, j.rightKeys, j.buildRight)
+	return exec.NewHashJoin(l, r, j.leftKeys, j.rightKeys, j.buildRight, j.keep)
 }
 
 func (j *joinNode) describe() string {

@@ -167,16 +167,8 @@ func (p *Plan) Build(ctx context.Context, qt *trace.QueryTrace) (exec.Operator, 
 }
 
 // buildSpanTree allocates one span per logical node under parent (nil
-// parent = the query root). Alias nodes delegate execution entirely to
-// their child, so they get no span of their own — tracing them would
-// double-count the child's work.
+// parent = the query root).
 func buildSpanTree(n node, parent *trace.Span, spans map[node]*trace.Span, qt *trace.QueryTrace) {
-	if _, isAlias := n.(*aliasNode); isAlias {
-		for _, c := range n.children() {
-			buildSpanTree(c, parent, spans, qt)
-		}
-		return
-	}
 	var sp *trace.Span
 	if parent == nil {
 		sp = trace.NewSpan(n.describe())
@@ -197,7 +189,16 @@ func (pl *Planner) PlanSelect(sel *sql.SelectStmt) (*Plan, error) {
 		return nil, err
 	}
 	root = pl.optimize(root)
+	if root, err = pruneColumns(root); err != nil {
+		return nil, err
+	}
+	return pl.physical(root), nil
+}
 
+// physical makes the execution decisions over an optimized tree: what runs
+// once above the partitions, which table drives them, which join side is
+// built, and whether per-partition execution is correct.
+func (pl *Planner) physical(root node) *Plan {
 	p := &Plan{planner: pl}
 	// Peel top-level sort/limit: they are applied globally, above any
 	// Exchange.
@@ -223,7 +224,7 @@ func (pl *Planner) PlanSelect(sel *sql.SelectStmt) (*Plan, error) {
 		pl.placeBuildSides(root, p.driver)
 	}
 	p.parallel = p.driver != nil && !pl.DisableParallel && pl.parallelizable(root, p.driver)
-	return p, nil
+	return p
 }
 
 // chooseDriver picks the partition-parallel driver table (the fact table in
@@ -352,6 +353,8 @@ func (o *oneRowValues) Next() (*vector.Batch, error) {
 func (o *oneRowValues) Open() error { o.done = false; return nil }
 
 // aliasNode re-qualifies a subquery's output columns under its FROM alias.
+// It exists for name binding only: column pruning drops it from the tree, so
+// it is never built and has no span.
 type aliasNode struct {
 	child node
 	sc    *scope

@@ -8,24 +8,33 @@ import (
 // through fn; fn returning a negative value aborts and mapColRefs returns
 // nil (the expression references columns outside the mappable range).
 func mapColRefs(e expr.Expr, fn func(int) int) expr.Expr {
-	switch t := e.(type) {
-	case *expr.ColRef:
-		idx := fn(t.Idx)
+	return rewriteColRefs(e, func(c *expr.ColRef) expr.Expr {
+		idx := fn(c.Idx)
 		if idx < 0 {
 			return nil
 		}
-		return expr.NewColRef(idx, t.Name, t.Typ)
+		return expr.NewColRef(idx, c.Name, c.Typ)
+	})
+}
+
+// rewriteColRefs returns a copy of e with every column reference replaced by
+// fn's result, which must have the reference's type; a nil result aborts and
+// rewriteColRefs returns nil.
+func rewriteColRefs(e expr.Expr, fn func(*expr.ColRef) expr.Expr) expr.Expr {
+	switch t := e.(type) {
+	case *expr.ColRef:
+		return fn(t)
 	case *expr.Const:
 		return t
 	case *expr.Cast:
-		in := mapColRefs(t.E, fn)
+		in := rewriteColRefs(t.E, fn)
 		if in == nil {
 			return nil
 		}
 		return expr.NewCast(in, t.To)
 	case *expr.BinOp:
-		l := mapColRefs(t.L, fn)
-		r := mapColRefs(t.R, fn)
+		l := rewriteColRefs(t.L, fn)
+		r := rewriteColRefs(t.R, fn)
 		if l == nil || r == nil {
 			return nil
 		}
@@ -35,7 +44,7 @@ func mapColRefs(e expr.Expr, fn func(int) int) expr.Expr {
 		}
 		return out
 	case *expr.UnaryOp:
-		in := mapColRefs(t.E, fn)
+		in := rewriteColRefs(t.E, fn)
 		if in == nil {
 			return nil
 		}
@@ -47,7 +56,7 @@ func mapColRefs(e expr.Expr, fn func(int) int) expr.Expr {
 	case *expr.Func:
 		args := make([]expr.Expr, len(t.Args))
 		for i, a := range t.Args {
-			if args[i] = mapColRefs(a, fn); args[i] == nil {
+			if args[i] = rewriteColRefs(a, fn); args[i] == nil {
 				return nil
 			}
 		}
@@ -57,7 +66,7 @@ func mapColRefs(e expr.Expr, fn func(int) int) expr.Expr {
 		}
 		return out
 	case *expr.IsNull:
-		in := mapColRefs(t.E, fn)
+		in := rewriteColRefs(t.E, fn)
 		if in == nil {
 			return nil
 		}
@@ -65,8 +74,8 @@ func mapColRefs(e expr.Expr, fn func(int) int) expr.Expr {
 	case *expr.Case:
 		whens := make([]expr.When, len(t.Whens))
 		for i, w := range t.Whens {
-			c := mapColRefs(w.Cond, fn)
-			th := mapColRefs(w.Then, fn)
+			c := rewriteColRefs(w.Cond, fn)
+			th := rewriteColRefs(w.Then, fn)
 			if c == nil || th == nil {
 				return nil
 			}
@@ -74,7 +83,7 @@ func mapColRefs(e expr.Expr, fn func(int) int) expr.Expr {
 		}
 		var elseE expr.Expr
 		if t.Else != nil {
-			if elseE = mapColRefs(t.Else, fn); elseE == nil {
+			if elseE = rewriteColRefs(t.Else, fn); elseE == nil {
 				return nil
 			}
 		}
@@ -88,44 +97,47 @@ func mapColRefs(e expr.Expr, fn func(int) int) expr.Expr {
 	}
 }
 
+// walkColRefs calls fn for every column reference in e.
+func walkColRefs(e expr.Expr, fn func(*expr.ColRef)) {
+	switch t := e.(type) {
+	case *expr.ColRef:
+		fn(t)
+	case *expr.Cast:
+		walkColRefs(t.E, fn)
+	case *expr.BinOp:
+		walkColRefs(t.L, fn)
+		walkColRefs(t.R, fn)
+	case *expr.UnaryOp:
+		walkColRefs(t.E, fn)
+	case *expr.IsNull:
+		walkColRefs(t.E, fn)
+	case *expr.Func:
+		for _, a := range t.Args {
+			walkColRefs(a, fn)
+		}
+	case *expr.Case:
+		for _, w := range t.Whens {
+			walkColRefs(w.Cond, fn)
+			walkColRefs(w.Then, fn)
+		}
+		if t.Else != nil {
+			walkColRefs(t.Else, fn)
+		}
+	}
+}
+
 // colRefRange reports the min and max column ordinal referenced (min > max
 // means no references).
 func colRefRange(e expr.Expr) (int, int) {
 	min, max := 1<<30, -1
-	var visit func(expr.Expr)
-	visit = func(e expr.Expr) {
-		switch t := e.(type) {
-		case *expr.ColRef:
-			if t.Idx < min {
-				min = t.Idx
-			}
-			if t.Idx > max {
-				max = t.Idx
-			}
-		case *expr.Cast:
-			visit(t.E)
-		case *expr.BinOp:
-			visit(t.L)
-			visit(t.R)
-		case *expr.UnaryOp:
-			visit(t.E)
-		case *expr.IsNull:
-			visit(t.E)
-		case *expr.Func:
-			for _, a := range t.Args {
-				visit(a)
-			}
-		case *expr.Case:
-			for _, w := range t.Whens {
-				visit(w.Cond)
-				visit(w.Then)
-			}
-			if t.Else != nil {
-				visit(t.Else)
-			}
+	walkColRefs(e, func(c *expr.ColRef) {
+		if c.Idx < min {
+			min = c.Idx
 		}
-	}
-	visit(e)
+		if c.Idx > max {
+			max = c.Idx
+		}
+	})
 	return min, max
 }
 

@@ -66,12 +66,11 @@ func (b *Batch) Row(i int) []types.Datum {
 	return row
 }
 
-// Gather filters the batch in place to the rows listed in sel.
+// Gather filters the batch in place to the rows listed in sel, which must be
+// strictly ascending (a filter's selection). No column is reallocated.
 func (b *Batch) Gather(sel []int) {
 	for _, v := range b.Vecs {
-		tmp := New(v.Type(), len(sel))
-		tmp.CopyFrom(v, sel)
-		*v = *tmp
+		v.compact(sel)
 	}
 	b.n = len(sel)
 }

@@ -22,6 +22,9 @@ type Vector struct {
 	typ   types.T
 	n     int
 	nulls []bool
+	// nullBuf keeps a dropped bitmap's allocation so a reused vector that
+	// sees NULLs again does not allocate one per batch.
+	nullBuf []bool
 
 	b   []bool
 	i32 []int32
@@ -95,15 +98,54 @@ func (v *Vector) SetLen(n int) {
 		v.str = v.str[:n]
 	}
 	if v.nulls != nil {
+		old := len(v.nulls)
+		if n > cap(v.nulls) {
+			v.nulls = append(v.nulls[:cap(v.nulls)], make([]bool, n-cap(v.nulls))...)
+		}
 		v.nulls = v.nulls[:n]
+		if n > old {
+			clear(v.nulls[old:])
+		}
 	}
 	v.n = n
+}
+
+// Resize sets the number of valid values to n, growing the allocation when
+// needed. Values past the old length are unspecified and non-NULL; callers
+// overwrite them through the typed accessors.
+func (v *Vector) Resize(n int) {
+	if n > v.Cap() {
+		v.grow(n - v.n)
+	}
+	v.SetLen(n)
 }
 
 // Reset empties the vector for reuse, keeping its allocation.
 func (v *Vector) Reset() {
 	v.SetLen(0)
-	v.nulls = nil
+	v.dropNulls()
+}
+
+// dropNulls returns the vector to the no-NULLs state, keeping the bitmap's
+// allocation for materializeNulls.
+func (v *Vector) dropNulls() {
+	if v.nulls != nil {
+		v.nullBuf, v.nulls = v.nulls[:0], nil
+	}
+}
+
+// materializeNulls makes sure the vector carries an (all-false, unless
+// already present) bitmap of its current length.
+func (v *Vector) materializeNulls() {
+	if v.nulls != nil {
+		return
+	}
+	if cap(v.nullBuf) >= v.n {
+		v.nulls = v.nullBuf[:v.n]
+		clear(v.nulls)
+		return
+	}
+	v.nulls = make([]bool, v.n, max(v.n, v.Cap()))
 }
 
 // Typed accessors expose the backing slice for vectorized kernels. Callers
@@ -136,12 +178,7 @@ func (v *Vector) NullAt(i int) bool { return v.nulls != nil && v.nulls[i] }
 
 // SetNull marks value i as NULL, materializing the bitmap on first use.
 func (v *Vector) SetNull(i int) {
-	if v.nulls == nil {
-		v.nulls = make([]bool, v.n, v.Cap())
-	}
-	for len(v.nulls) < v.n {
-		v.nulls = append(v.nulls, false)
-	}
+	v.materializeNulls()
 	v.nulls[i] = true
 }
 
@@ -255,82 +292,91 @@ func (v *Vector) grow(by int) {
 // CopyFrom overwrites v with src's values at the positions given by sel (or
 // all of src when sel is nil). v is resized to the number of copied values.
 func (v *Vector) CopyFrom(src *Vector, sel []int) {
-	n := src.Len()
-	if sel != nil {
-		n = len(sel)
-	}
-	if v.Cap() < n {
-		v.grow(n - v.n)
-	}
-	v.nulls = nil
-	v.SetLen(n)
-	if sel == nil {
-		switch v.typ {
-		case types.Bool:
-			copy(v.b, src.b[:n])
-		case types.Int32:
-			copy(v.i32, src.i32[:n])
-		case types.Int64:
-			copy(v.i64, src.i64[:n])
-		case types.Float32:
-			copy(v.f32, src.f32[:n])
-		case types.Float64:
-			copy(v.f64, src.f64[:n])
-		case types.String:
-			copy(v.str, src.str[:n])
-		}
-		if src.nulls != nil {
-			v.nulls = make([]bool, n)
-			copy(v.nulls, src.nulls[:n])
-		}
-		return
-	}
-	switch v.typ {
-	case types.Bool:
-		for i, j := range sel {
-			v.b[i] = src.b[j]
-		}
-	case types.Int32:
-		for i, j := range sel {
-			v.i32[i] = src.i32[j]
-		}
-	case types.Int64:
-		for i, j := range sel {
-			v.i64[i] = src.i64[j]
-		}
-	case types.Float32:
-		for i, j := range sel {
-			v.f32[i] = src.f32[j]
-		}
-	case types.Float64:
-		for i, j := range sel {
-			v.f64[i] = src.f64[j]
-		}
-	case types.String:
-		for i, j := range sel {
-			v.str[i] = src.str[j]
-		}
-	}
-	if src.nulls != nil {
-		v.nulls = make([]bool, n)
-		for i, j := range sel {
-			v.nulls[i] = src.nulls[j]
-		}
-	}
+	v.SetLen(0)
+	v.dropNulls()
+	v.AppendFrom(src, sel)
 }
 
 // AppendFrom appends src[j] for each j in sel (or all of src when sel is
-// nil) to v.
+// nil) to v. Both vectors must share a type.
 func (v *Vector) AppendFrom(src *Vector, sel []int) {
 	if sel == nil {
-		for j := 0; j < src.Len(); j++ {
-			v.AppendDatum(src.Datum(j))
-		}
+		v.AppendRange(src, 0, src.n)
 		return
 	}
-	for _, j := range sel {
-		v.AppendDatum(src.Datum(j))
+	at := v.n
+	v.Resize(at + len(sel))
+	switch v.typ {
+	case types.Bool:
+		gather(v.b[at:], src.b, sel)
+	case types.Int32:
+		gather(v.i32[at:], src.i32, sel)
+	case types.Int64:
+		gather(v.i64[at:], src.i64, sel)
+	case types.Float32:
+		gather(v.f32[at:], src.f32, sel)
+	case types.Float64:
+		gather(v.f64[at:], src.f64, sel)
+	case types.String:
+		gather(v.str[at:], src.str, sel)
 	}
+	if src.nulls != nil {
+		v.materializeNulls()
+		gather(v.nulls[at:], src.nulls, sel)
+	}
+}
+
+// AppendRange appends src[lo:hi] to v. Both vectors must share a type.
+func (v *Vector) AppendRange(src *Vector, lo, hi int) {
+	at := v.n
+	v.Resize(at + hi - lo)
+	switch v.typ {
+	case types.Bool:
+		copy(v.b[at:], src.b[lo:hi])
+	case types.Int32:
+		copy(v.i32[at:], src.i32[lo:hi])
+	case types.Int64:
+		copy(v.i64[at:], src.i64[lo:hi])
+	case types.Float32:
+		copy(v.f32[at:], src.f32[lo:hi])
+	case types.Float64:
+		copy(v.f64[at:], src.f64[lo:hi])
+	case types.String:
+		copy(v.str[at:], src.str[lo:hi])
+	}
+	if src.nulls != nil {
+		v.materializeNulls()
+		copy(v.nulls[at:], src.nulls[lo:hi])
+	}
+}
+
+func gather[T any](dst, src []T, sel []int) {
+	for i, j := range sel {
+		dst[i] = src[j]
+	}
+}
+
+// compact keeps only the values at the positions in sel, which must be
+// strictly ascending, moving them to the front in place.
+func (v *Vector) compact(sel []int) {
+	switch v.typ {
+	case types.Bool:
+		gather(v.b, v.b, sel)
+	case types.Int32:
+		gather(v.i32, v.i32, sel)
+	case types.Int64:
+		gather(v.i64, v.i64, sel)
+	case types.Float32:
+		gather(v.f32, v.f32, sel)
+	case types.Float64:
+		gather(v.f64, v.f64, sel)
+	case types.String:
+		gather(v.str, v.str, sel)
+	}
+	if v.nulls != nil {
+		gather(v.nulls, v.nulls, sel)
+	}
+	v.SetLen(len(sel))
 }
 
 // MemSize returns the approximate heap footprint of the vector in bytes,

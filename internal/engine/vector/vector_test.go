@@ -152,8 +152,8 @@ func TestBatchGather(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		_ = b.AppendRow(types.Int32Datum(int32(i)))
 	}
-	b.Gather([]int{7, 3})
-	if b.Len() != 2 || b.Vecs[0].Int32s()[0] != 7 || b.Vecs[0].Int32s()[1] != 3 {
+	b.Gather([]int{3, 7})
+	if b.Len() != 2 || b.Vecs[0].Int32s()[0] != 3 || b.Vecs[0].Int32s()[1] != 7 {
 		t.Errorf("gather wrong: %v", b.Vecs[0].Int32s())
 	}
 }

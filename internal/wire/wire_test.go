@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 
+	"indbml/internal/engine/exec"
+	"indbml/internal/engine/expr"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
 )
@@ -266,5 +268,43 @@ func TestFrameLengthLimit(t *testing.T) {
 
 	if _, _, _, _, err := ReadStmt(bufio.NewReader(&buf)); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+}
+
+// TestStreamOperatorCopiesReusedBatches streams an operator that refills one
+// output batch on every Next (a hash aggregate with three batches of groups):
+// the streamer must have encoded each batch's rows before asking for the
+// next, so every group arrives once with its own values.
+func TestStreamOperatorCopiesReusedBatches(t *testing.T) {
+	const groups = 2*vector.Size + 100
+	schema := types.NewSchema(types.Column{Name: "k", Type: types.Int64})
+	in := vector.NewBatch(schema, groups)
+	for i := 0; i < groups; i++ {
+		_ = in.AppendRow(types.Int64Datum(int64(i)))
+	}
+	k := expr.NewColRef(0, "k", types.Int64)
+	agg, err := exec.NewHashAggregate(exec.NewValues(schema, in), []expr.Expr{k}, []string{"k"},
+		[]exec.AggSpec{{Func: exec.AggSum, Arg: k, Name: "s"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if n, err := StreamOperator(w, agg); err != nil || n != groups {
+		t.Fatalf("streamed %d rows, err %v", n, err)
+	}
+	w.Flush()
+	cur, err := ReadResultHeader(bufio.NewReader(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < groups; i++ {
+		row := cur.Next()
+		if row == nil || row[0].(int64) != int64(i) || row[1].(int64) != int64(i) {
+			t.Fatalf("row %d = %v (err %v)", i, row, cur.Err())
+		}
+	}
+	if cur.Next() != nil || cur.Err() != nil {
+		t.Fatalf("stream did not end cleanly: %v", cur.Err())
 	}
 }
