@@ -385,3 +385,29 @@ func BenchmarkAblationGPUBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkModelUpdate is the models-as-data loop of the mj_model_update
+// workload: UPDATE one weight of the 128×4 model, then run an aggregate
+// MODEL JOIN over the new version — a cache miss whose build patches the
+// previous version's cached model from the one block that changed.
+func BenchmarkModelUpdate(b *testing.B) {
+	fact, _ := workload.IrisTable("iris_fact", 1000, benchPartitions)
+	model := workload.DenseModel(128, 4)
+	model.Name = "bench_model"
+	d := newDB(b, fact, model, db.Options{})
+	q := "SELECT COUNT(*), AVG(prediction) FROM iris_fact MODEL JOIN bench_model PREDICT (" +
+		strings.Join(workload.IrisFeatureNames, ", ") + ")"
+	drainQuery(b, d, q, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Relational layer 0 is the input passthrough, so the output layer
+		// is layer len(Layers); its single neuron is node 0.
+		stmt := fmt.Sprintf("UPDATE bench_model SET w_i = %g WHERE layer = %d AND node = 0 AND node_in = %d",
+			float32(i%7)/10, len(model.Layers), i%128)
+		if err := d.Exec(stmt); err != nil {
+			b.Fatal(err)
+		}
+		drainQuery(b, d, q, 1)
+	}
+}

@@ -13,7 +13,9 @@ package modeljoin
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"indbml/internal/blas"
@@ -69,6 +71,7 @@ type builtModel struct {
 	dev     device.Device
 	meta    *relmodel.Meta
 	cfg     Config
+	snap    *storage.Snapshot // the model-table blocks the weights were read from
 	layers  []deviceLayer
 	packDur time.Duration // build-phase weight packing, part of the build
 
@@ -97,18 +100,61 @@ type SharedModel struct {
 	built    *builtModel
 	err      error
 	buildDur time.Duration // written inside once.Do, read only after Build returns
+	info     buildInfo     // likewise
+	done     atomic.Bool   // the build has finished; built and err are final
 
 	mu      sync.Mutex
 	pins    int
 	evicted bool
+	base    *SharedModel // pinned earlier build to patch; see SetBase
+}
+
+// buildInfo describes how a build phase ran; the ModelJoin span reports it.
+type buildInfo struct {
+	// Kind is "cold" (every model-table block parsed) or "delta" (a base
+	// model patched from the blocks that changed since it was built).
+	Kind string
+	// Reason says why a build that had a base ran cold: "key_columns" (an
+	// edge-key column changed), "row_count" (rows were added or removed) or
+	// "base_failed" (the base has no successful build). Empty otherwise.
+	Reason string
+	// Blocks counts the column blocks read.
+	Blocks int
+}
+
+// SetBase offers base — an earlier SharedModel of the same model table,
+// device and Config — as the starting point of this model's build, which
+// then re-reads only the model-table blocks that changed since base was
+// built. It takes over one pin the caller holds on base; the pin is dropped
+// when the build finishes or, if it never runs, on Release.
+func (s *SharedModel) SetBase(base *SharedModel) {
+	s.mu.Lock()
+	s.base = base
+	s.mu.Unlock()
+}
+
+// takeBase hands the offered base (and its pin) to the caller.
+func (s *SharedModel) takeBase() *SharedModel {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.base
+	s.base = nil
+	return b
 }
 
 // Build returns the built model, constructing it on first use.
 func (s *SharedModel) Build() (*builtModel, error) {
 	s.once.Do(func() {
 		start := time.Now()
-		s.built, s.err = buildModel(s.Table, s.Meta, s.Dev, s.Cfg)
+		// One table-wide snapshot: every statement is either wholly in the
+		// model or wholly absent, whatever commits while the build runs.
+		base := s.takeBase()
+		s.built, s.info, s.err = build(s.Table.Snapshot(), s.Meta, s.Dev, s.Cfg, base)
+		if base != nil {
+			base.Unpin()
+		}
 		s.buildDur = time.Since(start)
+		s.done.Store(true)
 	})
 	return s.built, s.err
 }
@@ -125,6 +171,14 @@ func (s *SharedModel) PackDuration() time.Duration {
 		return 0
 	}
 	return s.built.packDur
+}
+
+// builtOK returns the model of a finished, successful build, or nil.
+func (s *SharedModel) builtOK() *builtModel {
+	if !s.done.Load() || s.err != nil {
+		return nil
+	}
+	return s.built
 }
 
 // InputDim reports the model's feature width; with OutputDim and RunPacked
@@ -228,13 +282,45 @@ type hostLayer struct {
 	gBias     [4][]float32
 }
 
-// buildModel runs the two-step build: (1) parallel parse of the model table
-// partitions into shared host matrices — writes are disjoint because
-// partitions are disjoint, so no synchronization beyond the final barrier is
-// needed (Sec. 5.2) — and (2) a single transfer of the finished matrices to
-// the device, followed by packing the weights for the gemm kernel.
-func buildModel(tbl *storage.Table, meta *relmodel.Meta, dev device.Device, cfg Config) (*builtModel, error) {
-	// Single-threaded allocation of the shared staging matrices.
+// build runs the build phase from snap: a delta build patching base when
+// only weight columns changed in place since base was built, otherwise a
+// cold build.
+func build(snap *storage.Snapshot, meta *relmodel.Meta, dev device.Device, cfg Config, base *SharedModel) (*builtModel, buildInfo, error) {
+	if base == nil {
+		return buildModel(snap, meta, dev, cfg)
+	}
+	bm := base.builtOK()
+	if bm == nil {
+		m, info, err := buildModel(snap, meta, dev, cfg)
+		info.Reason = "base_failed"
+		return m, info, err
+	}
+	ch := snap.ChangesSince(bm.snap)
+	reason := ""
+	if ch.Reshaped {
+		reason = "row_count"
+	} else if len(ch.Cols) > 0 && ch.Cols[0] < weightBase(meta) {
+		reason = "key_columns"
+	}
+	if reason == "" {
+		return bm.patch(snap, ch.Blocks)
+	}
+	m, info, err := buildModel(snap, meta, dev, cfg)
+	info.Reason = reason
+	return m, info, err
+}
+
+// weightBase is the ordinal of the first weight column: the columns before
+// it are the edge key.
+func weightBase(meta *relmodel.Meta) int {
+	if meta.Layout == relmodel.LayoutPairs {
+		return 4
+	}
+	return 2
+}
+
+// newHostLayers allocates the zeroed staging matrices of every model layer.
+func newHostLayers(meta *relmodel.Meta) ([]hostLayer, error) {
 	host := make([]hostLayer, 0, len(meta.Layers)-1)
 	for li := 1; li < len(meta.Layers); li++ {
 		lm := meta.Layers[li]
@@ -263,37 +349,66 @@ func buildModel(tbl *storage.Table, meta *relmodel.Meta, dev device.Device, cfg 
 		}
 		host = append(host, hl)
 	}
+	return host, nil
+}
+
+// readRows parses every row the scanner yields into host, after the same
+// non-finite check for every batch; touch, when set, sees each row first.
+func readRows(sc *storage.Scanner, meta *relmodel.Meta, host []hostLayer, touch func(b *vector.Batch, r int) error) error {
+	buf := vector.NewBatch(sc.Schema(), vector.Size)
+	for sc.Next(buf) {
+		if err := checkFinite(meta, buf); err != nil {
+			return err
+		}
+		for r := 0; r < buf.Len(); r++ {
+			if touch != nil {
+				if err := touch(buf, r); err != nil {
+					return err
+				}
+			}
+			if err := fillWeight(host, meta, buf, r); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// buildModel runs the two-step cold build: (1) parallel parse of the model
+// table partitions into shared host matrices — writes are disjoint because
+// partitions are disjoint, so no synchronization beyond the final barrier is
+// needed (Sec. 5.2) — and (2) a single transfer of the finished matrices to
+// the device, followed by packing the weights for the gemm kernel.
+func buildModel(snap *storage.Snapshot, meta *relmodel.Meta, dev device.Device, cfg Config) (*builtModel, buildInfo, error) {
+	info := buildInfo{Kind: "cold"}
+	// Single-threaded allocation of the shared staging matrices.
+	host, err := newHostLayers(meta)
+	if err != nil {
+		return nil, info, err
+	}
 
 	// Parallel parse: one worker per model-table partition, then a barrier
 	// (the WaitGroup) before the device upload.
 	var wg sync.WaitGroup
-	errs := make([]error, tbl.Partitions())
+	errs := make([]error, snap.Partitions())
+	blocks := make([]int, snap.Partitions())
 	parse := func(p int) error {
-		sc, err := tbl.NewScanner(p, nil, nil)
+		sc, err := snap.NewScanner(p, nil, nil)
 		if err != nil {
 			return err
 		}
-		buf := vector.NewBatch(sc.Schema(), vector.Size)
-		for sc.Next(buf) {
-			if err := checkFinite(meta, buf); err != nil {
-				return err
-			}
-			for r := 0; r < buf.Len(); r++ {
-				if err := fillWeight(host, meta, buf, r); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		err = readRows(sc, meta, host, nil)
+		blocks[p] = sc.ScannedBlocks
+		return err
 	}
 	if cfg.SerialBuild {
-		for p := 0; p < tbl.Partitions(); p++ {
+		for p := 0; p < snap.Partitions(); p++ {
 			if err := parse(p); err != nil {
-				return nil, err
+				return nil, info, err
 			}
 		}
 	} else {
-		for p := 0; p < tbl.Partitions(); p++ {
+		for p := 0; p < snap.Partitions(); p++ {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
@@ -303,43 +418,144 @@ func buildModel(tbl *storage.Table, meta *relmodel.Meta, dev device.Device, cfg 
 		wg.Wait() // barrier: the whole model table must be consumed
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				return nil, info, err
 			}
 		}
+	}
+	for _, n := range blocks {
+		info.Blocks += n
 	}
 
 	// Upload to the device and pack the weights the fused gemm reads.
-	bm := &builtModel{dev: dev, meta: meta, cfg: cfg}
+	bm := &builtModel{dev: dev, meta: meta, cfg: cfg, snap: snap}
 	for _, hl := range host {
-		dl := deviceLayer{
-			kind: hl.kind, inDim: hl.inDim, units: hl.units, act: hl.act,
-			timeSteps: hl.timeSteps, features: hl.features,
-		}
-		switch hl.kind {
-		case nn.KindDense:
-			dl.w = uploadMat(dev, hl.w, cfg)
-			dl.bias = hl.bias
-		case nn.KindLSTM:
-			for g := 0; g < 4; g++ {
-				dl.wg[g] = uploadMat(dev, hl.wg[g], cfg)
-				dl.ug[g] = uploadMat(dev, hl.ug[g], cfg)
-				dl.gBias[g] = hl.gBias[g]
-			}
-		}
-		if !cfg.NoBiasMatrix {
-			packStart := time.Now()
-			if hl.kind == nn.KindDense {
-				dl.pw = blas.PackB(hl.w)
-			} else {
-				for g := 0; g < 4; g++ {
-					dl.pwg[g] = blas.PackB(hl.wg[g])
-				}
-			}
-			bm.packDur += time.Since(packStart)
-		}
-		bm.layers = append(bm.layers, dl)
+		bm.layers = append(bm.layers, bm.upload(hl))
 	}
-	return bm, nil
+	return bm, info, nil
+}
+
+// upload moves a finished host layer to the device and packs its weights
+// for the fused gemm, accounting the packing time.
+func (m *builtModel) upload(hl hostLayer) deviceLayer {
+	dev, cfg := m.dev, m.cfg
+	dl := deviceLayer{
+		kind: hl.kind, inDim: hl.inDim, units: hl.units, act: hl.act,
+		timeSteps: hl.timeSteps, features: hl.features,
+	}
+	switch hl.kind {
+	case nn.KindDense:
+		dl.w = uploadMat(dev, hl.w, cfg)
+		dl.bias = hl.bias
+	case nn.KindLSTM:
+		for g := 0; g < 4; g++ {
+			dl.wg[g] = uploadMat(dev, hl.wg[g], cfg)
+			dl.ug[g] = uploadMat(dev, hl.ug[g], cfg)
+			dl.gBias[g] = hl.gBias[g]
+		}
+	}
+	if !cfg.NoBiasMatrix {
+		packStart := time.Now()
+		if hl.kind == nn.KindDense {
+			dl.pw = blas.PackB(hl.w)
+		} else {
+			for g := 0; g < 4; g++ {
+				dl.pwg[g] = blas.PackB(hl.wg[g])
+			}
+		}
+		m.packDur += time.Since(packStart)
+	}
+	return dl
+}
+
+// patch is the delta build: a copy of m that re-reads only the given row
+// blocks of snap — whose key columns, and row counts, are those m was built
+// from — through the same checks and placement as a cold build. Layers the
+// blocks touch are downloaded, patched, uploaded and re-packed; the others
+// are copied device to device and keep their packed weights and biases,
+// which are immutable. The result is bit-identical to a cold build of snap
+// and shares no device memory with m; m's idle pooled scratch (same shapes,
+// same device) moves over.
+func (m *builtModel) patch(snap *storage.Snapshot, blocks []storage.BlockRef) (*builtModel, buildInfo, error) {
+	info := buildInfo{Kind: "delta"}
+	host := make([]hostLayer, len(m.layers))
+	touched := make([]bool, len(m.layers))
+	touch := func(b *vector.Batch, r int) error {
+		_, layer, _, _, err := edgeOf(m.meta, b, r)
+		if err != nil {
+			return err
+		}
+		if li := layer - 1; li >= 0 && li < len(m.layers) && !touched[li] {
+			host[li], touched[li] = m.download(li), true
+		}
+		return nil
+	}
+	for _, ref := range blocks {
+		sc, err := snap.ScanBlock(ref, nil)
+		if err != nil {
+			return nil, info, err
+		}
+		err = readRows(sc, m.meta, host, touch)
+		info.Blocks += sc.ScannedBlocks
+		if err != nil {
+			return nil, info, err
+		}
+	}
+	nm := &builtModel{dev: m.dev, meta: m.meta, cfg: m.cfg, snap: snap}
+	for li := range m.layers {
+		if touched[li] {
+			nm.layers = append(nm.layers, nm.upload(host[li]))
+		} else {
+			nm.layers = append(nm.layers, m.layers[li].copyOn(m.dev))
+		}
+	}
+	m.scratchMu.Lock()
+	if !m.freed {
+		nm.scratchPool, m.scratchPool = m.scratchPool, nil
+	}
+	m.scratchMu.Unlock()
+	return nm, info, nil
+}
+
+// download copies layer li back into fresh host staging matrices.
+func (m *builtModel) download(li int) hostLayer {
+	l := &m.layers[li]
+	hl := hostLayer{
+		kind: l.kind, inDim: l.inDim, units: l.units, act: l.act,
+		timeSteps: l.timeSteps, features: l.features,
+	}
+	get := func(d blas.Mat) blas.Mat {
+		h := blas.NewMat(d.Rows, d.Cols)
+		m.dev.Download(h.Data, d)
+		return h
+	}
+	switch l.kind {
+	case nn.KindDense:
+		hl.w, hl.bias = get(l.w), slices.Clone(l.bias)
+	case nn.KindLSTM:
+		for g := 0; g < 4; g++ {
+			hl.wg[g], hl.ug[g] = get(l.wg[g]), get(l.ug[g])
+			hl.gBias[g] = slices.Clone(l.gBias[g])
+		}
+	}
+	return hl
+}
+
+// copyOn duplicates the layer's device matrices; packed weights and biases
+// are shared.
+func (l deviceLayer) copyOn(dev device.Device) deviceLayer {
+	cp := func(m blas.Mat) blas.Mat {
+		if m.Data == nil {
+			return m
+		}
+		d := dev.NewMat(m.Rows, m.Cols)
+		dev.Copy(d.Data, m.Data)
+		return d
+	}
+	l.w = cp(l.w)
+	for g := 0; g < 4; g++ {
+		l.wg[g], l.ug[g] = cp(l.wg[g]), cp(l.ug[g])
+	}
+	return l
 }
 
 // edgeOf decodes the (node_in, layer, node) key of model-table row r and the
@@ -361,11 +577,7 @@ func edgeOf(meta *relmodel.Meta, b *vector.Batch, r int) (nodeIn, layer, node, b
 // healthy batch costs one pass over its floats; only a bad value is traced
 // back to its edge for the error.
 func checkFinite(meta *relmodel.Meta, b *vector.Batch) error {
-	base := 2
-	if meta.Layout == relmodel.LayoutPairs {
-		base = 4
-	}
-	for c := base; c < len(b.Vecs); c++ {
+	for c := weightBase(meta); c < len(b.Vecs); c++ {
 		for r, v := range b.Vecs[c].Float32s()[:b.Len()] {
 			if v-v == 0 {
 				continue

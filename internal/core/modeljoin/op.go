@@ -178,6 +178,15 @@ func (o *Operator) Open() error {
 		pack := o.span.Counter("pack_ns")
 		if !o.cacheSeen || !o.cacheHit {
 			pack.Store(int64(o.Shared.PackDuration()))
+			// How the build ran: cold, or a delta patch of the previous
+			// version's model; build_reason says why a build that had such
+			// a base still ran cold.
+			info := o.Shared.info
+			o.span.SetLabel("build", info.Kind)
+			if info.Reason != "" {
+				o.span.SetLabel("build_reason", info.Reason)
+			}
+			o.span.Counter("build_blocks").Store(int64(info.Blocks))
 		}
 		if o.batched() {
 			o.span.SetLabel("batched", "yes")

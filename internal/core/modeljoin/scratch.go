@@ -139,7 +139,10 @@ func (m *builtModel) free() {
 			}
 		}
 	}
-	m.layers = nil
+	// The scheduler may hold the model a while longer (an idle queue is
+	// keyed on it); drop the snapshot too, or the model-table blocks it
+	// names would outlive every version that needs them.
+	m.layers, m.snap = nil, nil
 }
 
 // pin marks one operator as actively using the shared model's device state.
@@ -174,8 +177,12 @@ func (s *SharedModel) Unpin() { s.unpin() }
 
 // Release marks the shared model as evicted from the artifact cache. Device
 // memory is reclaimed immediately when no operator holds the model, otherwise
-// deferred to the last closing operator. Safe to call more than once.
+// deferred to the last closing operator; a base offered by SetBase that no
+// build took is unpinned. Safe to call more than once.
 func (s *SharedModel) Release() {
+	if base := s.takeBase(); base != nil {
+		base.Unpin()
+	}
 	s.mu.Lock()
 	if s.evicted {
 		s.mu.Unlock()

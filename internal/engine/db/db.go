@@ -429,7 +429,9 @@ func (c *queryCatalog) NewModelJoin(model string, child exec.Operator, inputCols
 			// version, so any DML on the model table implicitly invalidates
 			// the entry. A hit reuses the already-built weight matrices and
 			// skips the build phase; all partition plan instances of this
-			// query share the memoized lookup.
+			// query share the memoized lookup. The build snapshots the table
+			// after this version was read, so an entry never holds contents
+			// older than its key.
 			ent.sm, ent.hit = mc.get(modelCacheKey{
 				model:   name,
 				tbl:     tbl,

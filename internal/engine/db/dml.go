@@ -1,172 +1,79 @@
 package db
 
 import (
-	"fmt"
-
 	"indbml/internal/engine/plan"
 	"indbml/internal/engine/sql"
 	"indbml/internal/engine/storage"
-	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
 )
 
-// DELETE and UPDATE executors. Both follow the column-store pattern: scan a
-// partition snapshot, evaluate the predicate (and SET expressions)
-// vectorized, and atomically swap the rebuilt partition in via
-// storage.ReplacePartition. The swap bumps the table version, which
-// invalidates any cached model artifacts built from the old contents.
-
-// bindWhere binds a WHERE predicate against the table schema and checks it
-// is boolean. A nil input yields a nil predicate (match everything).
-func bindWhere(e sql.Expr, table string, schema *types.Schema) (boundExpr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	pl := &plan.Planner{}
-	bound, err := pl.BindSchemaExpr(e, table, schema)
-	if err != nil {
-		return nil, err
-	}
-	if bound.Type() != types.Bool {
-		return nil, fmt.Errorf("db: WHERE clause must be boolean, got %s", bound.Type())
-	}
-	return bound, nil
-}
-
-// evalMatches evaluates pred over the batch into a match-per-row slice;
-// NULL counts as no match, per SQL semantics.
-func evalMatches(pred boundExpr, buf *vector.Batch, match []bool) error {
-	v, err := pred.Eval(buf)
-	if err != nil {
-		return err
-	}
-	bools := v.Bools()
-	for r := 0; r < buf.Len(); r++ {
-		match[r] = !v.NullAt(r) && bools[r]
-	}
-	return nil
-}
+// DELETE and UPDATE executors. The planner binds the statement over the
+// columns it reads; storage evaluates it block by block — only blocks whose
+// zone maps admit the predicate — and rebuilds just the blocks (and, for an
+// UPDATE, the columns) it changes, committing them under one version bump.
+// That bump invalidates cached model artifacts built from the old contents.
 
 func (d *Database) execDelete(s *sql.DeleteStmt) error {
-	tbl, err := d.Table(s.Table)
+	tbl, dml, err := d.bindDML(s.Table, s.Where, nil, nil)
 	if err != nil {
 		return err
 	}
-	pred, err := bindWhere(s.Where, s.Table, tbl.Schema)
-	if err != nil {
-		return err
-	}
-	match := make([]bool, vector.Size)
-	for pi := 0; pi < tbl.Partitions(); pi++ {
-		sc, err := tbl.NewScanner(pi, nil, nil)
-		if err != nil {
-			return err
-		}
-		var keep [][]types.Datum
-		deleted := false
-		buf := vector.NewBatch(sc.Schema(), vector.Size)
-		for sc.Next(buf) {
-			if pred == nil {
-				deleted = deleted || buf.Len() > 0
-				continue
-			}
-			if err := evalMatches(pred, buf, match); err != nil {
-				return err
-			}
-			for r := 0; r < buf.Len(); r++ {
-				if match[r] {
-					deleted = true
-				} else {
-					keep = append(keep, buf.Row(r))
-				}
-			}
-		}
-		if deleted {
-			if err := tbl.ReplacePartition(pi, keep); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	_, err = tbl.Delete(dml.Read, dml.Filters, matcher(dml))
+	return err
 }
 
 func (d *Database) execUpdate(s *sql.UpdateStmt) error {
-	tbl, err := d.Table(s.Table)
+	tbl, dml, err := d.bindDML(s.Table, s.Where, s.Cols, s.Exprs)
 	if err != nil {
 		return err
 	}
-	colIdx := make([]int, len(s.Cols))
-	for i, name := range s.Cols {
-		idx, ok := tbl.Schema.Lookup(name)
-		if !ok {
-			return fmt.Errorf("db: column %q does not exist in %s", name, s.Table)
-		}
-		colIdx[i] = idx
-	}
-	pl := &plan.Planner{}
-	sets := make([]boundExpr, len(s.Exprs))
-	for i, e := range s.Exprs {
-		if sets[i], err = pl.BindSchemaExpr(e, s.Table, tbl.Schema); err != nil {
-			return err
-		}
-	}
-	pred, err := bindWhere(s.Where, s.Table, tbl.Schema)
-	if err != nil {
-		return err
-	}
-	match := make([]bool, vector.Size)
-	for pi := 0; pi < tbl.Partitions(); pi++ {
-		if err := d.updatePartition(tbl, pi, colIdx, sets, pred, match); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = tbl.Update(dml.Read, dml.Filters, dml.Set, matcher(dml))
+	return err
 }
 
-// updatePartition rewrites one partition: SET expressions are evaluated
-// vectorized against the pre-update batch, then matching rows get the new
-// values before the swap.
-func (d *Database) updatePartition(tbl *storage.Table, pi int, colIdx []int, sets []boundExpr, pred boundExpr, match []bool) error {
-	sc, err := tbl.NewScanner(pi, nil, nil)
+func (d *Database) bindDML(table string, where sql.Expr, cols []string, exprs []sql.Expr) (*storage.Table, *plan.DML, error) {
+	tbl, err := d.Table(table)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	var out [][]types.Datum
-	updated := false
-	buf := vector.NewBatch(sc.Schema(), vector.Size)
-	for sc.Next(buf) {
-		n := buf.Len()
-		if pred == nil {
-			for r := 0; r < n; r++ {
-				match[r] = true
+	pl := &plan.Planner{}
+	dml, err := pl.BindDML(table, tbl.Schema, where, cols, exprs)
+	return tbl, dml, err
+}
+
+// matcher evaluates the bound statement over one batch: the predicate gives
+// the hits (NULL counts as no match, per SQL semantics), and the SET
+// expressions — evaluated against the pre-update batch — the new values.
+func matcher(dml *plan.DML) storage.MatchFunc {
+	var hits []int
+	return func(b *vector.Batch) ([]int, []*vector.Vector, error) {
+		hits = hits[:0]
+		if dml.Pred == nil {
+			for r := 0; r < b.Len(); r++ {
+				hits = append(hits, r)
 			}
-		} else if err := evalMatches(pred, buf, match); err != nil {
-			return err
-		}
-		rows := make([][]types.Datum, n)
-		for r := 0; r < n; r++ {
-			rows[r] = buf.Row(r)
-		}
-		// One SET expression at a time: evaluate over the whole (pre-update)
-		// batch, then scatter into the matching rows. Values are materialized
-		// as datums immediately because the next Eval may reuse buffers.
-		for i, set := range sets {
-			v, err := set.Eval(buf)
+		} else {
+			v, err := dml.Pred.Eval(b)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			to := tbl.Schema.Col(colIdx[i]).Type
-			for r := 0; r < n; r++ {
-				if match[r] {
-					rows[r][colIdx[i]] = coerce(v.Datum(r), to)
-					updated = true
+			for r, ok := range v.Bools() {
+				if ok && !v.NullAt(r) {
+					hits = append(hits, r)
 				}
 			}
 		}
-		out = append(out, rows...)
+		if len(hits) == 0 {
+			return nil, nil, nil
+		}
+		vals := make([]*vector.Vector, len(dml.Exprs))
+		for i, e := range dml.Exprs {
+			v, err := e.Eval(b)
+			if err != nil {
+				return nil, nil, err
+			}
+			vals[i] = v
+		}
+		return hits, vals, nil
 	}
-	if !updated {
-		return nil
-	}
-	return tbl.ReplacePartition(pi, out)
 }

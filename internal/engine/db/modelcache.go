@@ -11,8 +11,8 @@ import (
 // modelCacheKey identifies one built model artifact. The table pointer and
 // version make invalidation implicit: any DML bumps the version, and dropping
 // or re-registering a table yields a different *storage.Table, so a stale
-// entry can never be hit — it just ages out (or is proactively evicted when
-// a newer version of the same model is built).
+// entry can never be hit — it is evicted when a newer version of the same
+// model is looked up, and becomes that version's delta-build base.
 type modelCacheKey struct {
 	model   string // lower-cased model-table name
 	tbl     *storage.Table
@@ -57,7 +57,9 @@ func newModelCache(capEntries int) *modelCache {
 // get returns the cached SharedModel for key (hit=true), or installs
 // build()'s result (hit=false). On a miss it also evicts entries for stale
 // versions of the same model on the same device/config — they can never be
-// hit again.
+// hit again. The newest stale entry of the same table is offered to the new
+// model as the base of a delta build (SharedModel.SetBase), pinned before
+// its eviction so its device memory outlives the hand-over.
 //
 // The returned model carries one hand-out pin, taken under the cache lock
 // so it is atomic with eviction: a concurrent removeLocked can no longer
@@ -75,15 +77,26 @@ func (c *modelCache) get(key modelCacheKey, build func() *modeljoin.SharedModel)
 		return sm, true
 	}
 	c.misses++
+	var base *modelCacheEnt
 	for el := c.lru.Back(); el != nil; {
 		prev := el.Prev()
 		e := el.Value.(*modelCacheEnt)
 		if e.key.model == key.model && e.key.device == key.device && e.key.cfg == key.cfg && e.key != key {
+			if e.key.tbl == key.tbl && (base == nil || e.key.version > base.key.version) {
+				if base != nil {
+					base.sm.Unpin()
+				}
+				base = e
+				e.sm.Pin()
+			}
 			c.removeLocked(el)
 		}
 		el = prev
 	}
 	sm = build()
+	if base != nil {
+		sm.SetBase(base.sm)
+	}
 	sm.Pin()
 	c.byKey[key] = c.lru.PushFront(&modelCacheEnt{key: key, sm: sm})
 	for c.lru.Len() > c.cap {

@@ -6,7 +6,8 @@
 package storage
 
 import (
-	"fmt"
+	"cmp"
+	"math"
 
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
@@ -31,19 +32,19 @@ const (
 )
 
 // block is one compressed run of up to BlockSize values of a single column,
-// together with its zone map.
+// together with its zone map. Blocks are immutable once built.
 type block struct {
-	typ  types.T
-	enc  encoding
-	n    int
-	min  types.Datum // zone map; Null for empty/string-less support
-	max  types.Datum
-	base types.Datum // encConst payload
+	typ types.T
+	enc encoding
+	n   int
+	min types.Datum // zone map; Null for empty/string-less support
+	max types.Datum
 	// nulls flags NULL positions; nil when the block has none. The typed
-	// payloads store zero values at NULL slots.
+	// payloads hold arbitrary values at NULL slots.
 	nulls []bool
 
-	// encRaw payloads (one populated per type).
+	// Typed payload, one slice populated per type: n values (encRaw), one
+	// value per run (encRLE, lengths in runLen) or a single value (encConst).
 	b   []bool
 	i32 []int32
 	i64 []int64
@@ -51,7 +52,6 @@ type block struct {
 	f64 []float64
 	str []string
 
-	// encRLE payload: runs[i] repeated runLen[i] times.
 	runLen []int32
 
 	// encDict payload.
@@ -59,217 +59,225 @@ type block struct {
 	codes []int32
 }
 
-// buildBlock compresses vals[lo:hi] of vec into a block, choosing the
-// cheapest encoding.
+// buildBlock compresses vals[lo:hi] of vec (hi > lo) into a block, choosing
+// the cheapest encoding from one probe of the run structure: a run is a
+// maximal stretch of NULLs or of bit-identical values.
 func buildBlock(vec *vector.Vector, lo, hi int) *block {
 	b := &block{typ: vec.Type(), n: hi - lo}
 	if src := vec.Nulls(); src != nil {
-		for i := lo; i < hi; i++ {
-			if src[i] {
+		for i, isNull := range src[lo:hi] {
+			if isNull {
 				if b.nulls == nil {
 					b.nulls = make([]bool, hi-lo)
 				}
-				b.nulls[i-lo] = true
+				b.nulls[i] = true
 			}
 		}
 	}
-	b.computeZoneMap(vec, lo, hi)
-
-	// Probe run structure once to choose encoding.
-	runs := 1
-	for i := lo + 1; i < hi; i++ {
-		if vec.Datum(i).Compare(vec.Datum(i-1)) != 0 {
-			runs++
-		}
-	}
-	switch {
-	case runs == 1:
-		b.enc = encConst
-		b.base = vec.Datum(lo)
-	case b.typ != types.String && runs*3 < b.n:
-		b.enc = encRLE
-		b.encodeRLE(vec, lo, hi)
-	case b.typ == types.String && runs*2 < b.n:
-		b.enc = encDict
-		b.encodeDict(vec, lo, hi)
-	default:
-		b.enc = encRaw
-		b.encodeRaw(vec, lo, hi)
+	switch b.typ {
+	case types.Bool:
+		b.b = encodeTyped(b, vec.Bools()[lo:hi], same[bool])
+	case types.Int32:
+		vals := vec.Int32s()[lo:hi]
+		b.i32 = encodeTyped(b, vals, same[int32])
+		b.zoneMap(zoneMap(vals, b.nulls, types.Int32Datum))
+	case types.Int64:
+		vals := vec.Int64s()[lo:hi]
+		b.i64 = encodeTyped(b, vals, same[int64])
+		b.zoneMap(zoneMap(vals, b.nulls, types.Int64Datum))
+	case types.Float32:
+		vals := vec.Float32s()[lo:hi]
+		b.f32 = encodeTyped(b, vals, sameF32)
+		b.zoneMap(zoneMap(vals, b.nulls, types.Float32Datum))
+	case types.Float64:
+		vals := vec.Float64s()[lo:hi]
+		b.f64 = encodeTyped(b, vals, sameF64)
+		b.zoneMap(zoneMap(vals, b.nulls, types.Float64Datum))
+	case types.String:
+		b.encodeStrings(vec.Strings()[lo:hi])
 	}
 	return b
 }
 
-func (b *block) computeZoneMap(vec *vector.Vector, lo, hi int) {
-	if !b.typ.IsNumeric() || hi == lo {
-		return
-	}
-	mn, mx := vec.Datum(lo), vec.Datum(lo)
-	for i := lo + 1; i < hi; i++ {
-		d := vec.Datum(i)
-		if d.Compare(mn) < 0 {
-			mn = d
+func same[T comparable](a, b T) bool { return a == b }
+
+// Floats compare by bits so NaN payloads and signed zeros survive a round
+// trip through RLE and const blocks.
+func sameF32(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+func sameF64(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// countRuns counts the runs of vals: NULL slots equal each other and nothing
+// else.
+func countRuns[T any](vals []T, nulls []bool, eq func(a, b T) bool) int {
+	runs := 1
+	for i := 1; i < len(vals); i++ {
+		if !sameSlot(vals, nulls, i, eq) {
+			runs++
 		}
-		if d.Compare(mx) > 0 {
-			mx = d
-		}
 	}
-	b.min, b.max = mn, mx
+	return runs
 }
 
-func (b *block) encodeRaw(vec *vector.Vector, lo, hi int) {
-	switch b.typ {
-	case types.Bool:
-		b.b = append([]bool(nil), vec.Bools()[lo:hi]...)
-	case types.Int32:
-		b.i32 = append([]int32(nil), vec.Int32s()[lo:hi]...)
-	case types.Int64:
-		b.i64 = append([]int64(nil), vec.Int64s()[lo:hi]...)
-	case types.Float32:
-		b.f32 = append([]float32(nil), vec.Float32s()[lo:hi]...)
-	case types.Float64:
-		b.f64 = append([]float64(nil), vec.Float64s()[lo:hi]...)
-	case types.String:
-		b.str = append([]string(nil), vec.Strings()[lo:hi]...)
+// sameSlot reports whether slot i continues the run of slot i-1.
+func sameSlot[T any](vals []T, nulls []bool, i int, eq func(a, b T) bool) bool {
+	if nulls != nil && (nulls[i] || nulls[i-1]) {
+		return nulls[i] == nulls[i-1]
 	}
+	return eq(vals[i], vals[i-1])
 }
 
-func (b *block) encodeRLE(vec *vector.Vector, lo, hi int) {
-	appendVal := func(i int) {
-		switch b.typ {
-		case types.Bool:
-			b.b = append(b.b, vec.Bools()[i])
-		case types.Int32:
-			b.i32 = append(b.i32, vec.Int32s()[i])
-		case types.Int64:
-			b.i64 = append(b.i64, vec.Int64s()[i])
-		case types.Float32:
-			b.f32 = append(b.f32, vec.Float32s()[i])
-		case types.Float64:
-			b.f64 = append(b.f64, vec.Float64s()[i])
+// encodeTyped picks const, RLE or raw for a non-string block and returns its
+// payload (runLen is set for RLE).
+func encodeTyped[T any](b *block, vals []T, eq func(a, b T) bool) []T {
+	runs := countRuns(vals, b.nulls, eq)
+	switch {
+	case runs == 1:
+		b.enc = encConst
+		return []T{vals[0]}
+	case runs*3 < b.n:
+		b.enc = encRLE
+		out := make([]T, 1, runs)
+		out[0] = vals[0]
+		b.runLen = make([]int32, 1, runs)
+		b.runLen[0] = 1
+		for i := 1; i < len(vals); i++ {
+			if sameSlot(vals, b.nulls, i, eq) {
+				b.runLen[len(b.runLen)-1]++
+			} else {
+				out = append(out, vals[i])
+				b.runLen = append(b.runLen, 1)
+			}
 		}
-	}
-	appendVal(lo)
-	b.runLen = append(b.runLen, 1)
-	for i := lo + 1; i < hi; i++ {
-		if vec.Datum(i).Compare(vec.Datum(i-1)) == 0 {
-			b.runLen[len(b.runLen)-1]++
-		} else {
-			appendVal(i)
-			b.runLen = append(b.runLen, 1)
-		}
+		return out
+	default:
+		b.enc = encRaw
+		return append([]T(nil), vals...)
 	}
 }
 
-func (b *block) encodeDict(vec *vector.Vector, lo, hi int) {
-	index := map[string]int32{}
-	strs := vec.Strings()
-	for i := lo; i < hi; i++ {
-		s := strs[i]
-		code, ok := index[s]
-		if !ok {
-			code = int32(len(b.dict))
-			index[s] = code
-			b.dict = append(b.dict, s)
+func (b *block) encodeStrings(vals []string) {
+	runs := countRuns(vals, b.nulls, same[string])
+	switch {
+	case runs == 1:
+		b.enc = encConst
+		b.str = []string{vals[0]}
+	case runs*2 < b.n:
+		b.enc = encDict
+		index := map[string]int32{}
+		b.codes = make([]int32, len(vals))
+		for i, s := range vals {
+			code, ok := index[s]
+			if !ok {
+				code = int32(len(b.dict))
+				index[s] = code
+				b.dict = append(b.dict, s)
+			}
+			b.codes[i] = code
 		}
-		b.codes = append(b.codes, code)
+	default:
+		b.enc = encRaw
+		b.str = append([]string(nil), vals...)
+	}
+}
+
+// zoneMap computes a numeric block's [min, max] with Datum ordering: NULL
+// sorts first, so any NULL makes min NULL (unbounded below) and an all-NULL
+// block has NULL for both; among values, the first one seen is kept on ties
+// and NaN never replaces or is replaced.
+func zoneMap[T cmp.Ordered](vals []T, nulls []bool, datum func(T) types.Datum) (mn, mx types.Datum, ok bool) {
+	first := 0
+	for nulls != nil && first < len(vals) && nulls[first] {
+		first++
+	}
+	if first == len(vals) {
+		return types.Datum{}, types.Datum{}, false
+	}
+	lo, hi := vals[first], vals[first]
+	for i := first + 1; i < len(vals); i++ {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		if v := vals[i]; v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		}
+	}
+	return datum(lo), datum(hi), true
+}
+
+// zoneMap stores zoneMap's result, applying the NULL rules.
+func (b *block) zoneMap(mn, mx types.Datum, ok bool) {
+	null := types.NullDatum(b.typ)
+	switch {
+	case !ok:
+		b.min, b.max = null, null
+	case b.nulls != nil:
+		b.min, b.max = null, mx
+	default:
+		b.min, b.max = mn, mx
 	}
 }
 
 // decodeInto appends values [lo:hi) of the block to dst, restoring NULLs.
 func (b *block) decodeInto(dst *vector.Vector, lo, hi int) {
-	start := dst.Len()
-	defer func() {
-		if b.nulls == nil {
-			return
+	at := dst.Len()
+	dst.Resize(at + hi - lo)
+	switch b.typ {
+	case types.Bool:
+		decode(b, b.b, dst.Bools()[at:], lo, hi)
+	case types.Int32:
+		decode(b, b.i32, dst.Int32s()[at:], lo, hi)
+	case types.Int64:
+		decode(b, b.i64, dst.Int64s()[at:], lo, hi)
+	case types.Float32:
+		decode(b, b.f32, dst.Float32s()[at:], lo, hi)
+	case types.Float64:
+		decode(b, b.f64, dst.Float64s()[at:], lo, hi)
+	case types.String:
+		if b.enc != encDict {
+			decode(b, b.str, dst.Strings()[at:], lo, hi)
+			break
 		}
-		for i := lo; i < hi; i++ {
-			if b.nulls[i] {
-				dst.SetNull(start + i - lo)
+		out := dst.Strings()[at:]
+		for i, code := range b.codes[lo:hi] {
+			out[i] = b.dict[code]
+		}
+	}
+	if b.nulls != nil {
+		for i, isNull := range b.nulls[lo:hi] {
+			if isNull {
+				dst.SetNull(at + i)
 			}
 		}
-	}()
+	}
+}
+
+// decode writes values [lo:hi) of a const, raw or RLE payload to out.
+func decode[T any](b *block, vals, out []T, lo, hi int) {
 	switch b.enc {
 	case encConst:
-		for i := lo; i < hi; i++ {
-			dst.AppendDatum(b.base)
-		}
+		fill(out[:hi-lo], vals[0])
 	case encRaw:
-		switch b.typ {
-		case types.Bool:
-			for _, v := range b.b[lo:hi] {
-				dst.AppendDatum(types.BoolDatum(v))
-			}
-		case types.Int32:
-			appendInt32s(dst, b.i32[lo:hi])
-		case types.Int64:
-			appendInt64s(dst, b.i64[lo:hi])
-		case types.Float32:
-			appendFloat32s(dst, b.f32[lo:hi])
-		case types.Float64:
-			appendFloat64s(dst, b.f64[lo:hi])
-		case types.String:
-			for _, v := range b.str[lo:hi] {
-				dst.AppendDatum(types.StringDatum(v))
-			}
-		}
+		copy(out, vals[lo:hi])
 	case encRLE:
 		pos := 0
 		for r, rl := range b.runLen {
-			runEnd := pos + int(rl)
-			from, to := max(lo, pos), min(hi, runEnd)
-			for i := from; i < to; i++ {
-				dst.AppendDatum(b.runDatum(r))
+			end := pos + int(rl)
+			if end > lo {
+				fill(out[max(lo, pos)-lo:min(hi, end)-lo], vals[r])
 			}
-			pos = runEnd
-			if pos >= hi {
+			if pos = end; pos >= hi {
 				break
 			}
 		}
-	case encDict:
-		for _, code := range b.codes[lo:hi] {
-			dst.AppendDatum(types.StringDatum(b.dict[code]))
-		}
 	}
 }
 
-func appendInt32s(dst *vector.Vector, vs []int32) {
-	for _, v := range vs {
-		dst.AppendDatum(types.Int32Datum(v))
+func fill[T any](dst []T, v T) {
+	for i := range dst {
+		dst[i] = v
 	}
-}
-
-func appendInt64s(dst *vector.Vector, vs []int64) {
-	for _, v := range vs {
-		dst.AppendDatum(types.Int64Datum(v))
-	}
-}
-
-func appendFloat32s(dst *vector.Vector, vs []float32) {
-	for _, v := range vs {
-		dst.AppendDatum(types.Float32Datum(v))
-	}
-}
-
-func appendFloat64s(dst *vector.Vector, vs []float64) {
-	for _, v := range vs {
-		dst.AppendDatum(types.Float64Datum(v))
-	}
-}
-
-func (b *block) runDatum(r int) types.Datum {
-	switch b.typ {
-	case types.Bool:
-		return types.BoolDatum(b.b[r])
-	case types.Int32:
-		return types.Int32Datum(b.i32[r])
-	case types.Int64:
-		return types.Int64Datum(b.i64[r])
-	case types.Float32:
-		return types.Float32Datum(b.f32[r])
-	case types.Float64:
-		return types.Float64Datum(b.f64[r])
-	}
-	panic(fmt.Sprintf("storage: runDatum on %v block", b.typ))
 }
 
 // memSize approximates the compressed footprint of the block in bytes.
@@ -300,18 +308,4 @@ func (b *block) overlaps(lo, hi *types.Datum) bool {
 		return false
 	}
 	return true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

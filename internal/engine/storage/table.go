@@ -47,11 +47,12 @@ type Options struct {
 // Table is a partitioned, compressed column-store table. Loads go through
 // an Appender; scans are concurrent and see a consistent snapshot of the
 // blocks present when the scanner was created (blocks are immutable once
-// built, and mutations only append or atomically swap block lists), so DML
-// and queries never race.
+// built, and mutations only append blocks or commit copy-on-write block
+// lists), so DML and queries never race.
 //
-// Every mutation — append, partition replacement — bumps a monotonic
-// version counter. The engine keys its cross-query model-artifact cache on
+// Every mutation — append, UPDATE, DELETE — bumps a monotonic version
+// counter under the write lock. The engine keys its cross-query
+// model-artifact cache on
 // this version: a model table whose version is unchanged serves cached
 // weight matrices, and any write invalidates them implicitly.
 type Table struct {
@@ -62,6 +63,11 @@ type Table struct {
 	mu      sync.RWMutex // guards parts contents (chunks, staging, rows)
 	parts   []*partition
 	version atomic.Uint64
+	// dml serializes UPDATE and DELETE statements: each computes its new
+	// blocks from a snapshot and commits them by position, so two must not
+	// interleave. Appends only add blocks past every snapshot and need not
+	// wait.
+	dml sync.Mutex
 }
 
 type partition struct {
@@ -89,8 +95,9 @@ func NewTable(name string, schema *types.Schema, opts Options) *Table {
 }
 
 // Version returns the table's mutation counter. It starts at 0 for an empty
-// table and increases on every append or partition replacement; equal
-// versions imply identical contents (the converse need not hold).
+// table and increases on every append and on every UPDATE or DELETE that
+// changed a row; equal versions imply identical contents (the converse need
+// not hold).
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // SetSortedBy declares the column rows are sorted by within partitions.
@@ -204,18 +211,8 @@ func (a *Appender) appendTo(pi int, row []types.Datum) error {
 	if p.staging[0].Len() >= BlockSize {
 		p.flush(a.t.Schema.Len())
 	}
-	a.t.mu.Unlock()
 	a.t.version.Add(1)
-	return nil
-}
-
-// AppendBatch appends all rows of a batch.
-func (a *Appender) AppendBatch(b *vector.Batch) error {
-	for i := 0; i < b.Len(); i++ {
-		if err := a.AppendRow(b.Row(i)...); err != nil {
-			return err
-		}
-	}
+	a.t.mu.Unlock()
 	return nil
 }
 
@@ -257,15 +254,124 @@ type RangeFilter struct {
 	Lo, Hi *types.Datum
 }
 
+// Snapshot is a consistent view of every partition's block lists, taken
+// under one read lock: each UPDATE or DELETE is in it wholly or not at all.
+// Blocks are immutable, so a snapshot stays valid however the table changes
+// later; two snapshots of one table can be compared block by block
+// (ChangesSince).
+type Snapshot struct {
+	t     *Table
+	parts [][][]*block // [partition][column][block]
+}
+
+// Snapshot captures the table's current blocks. Copying the slice headers is
+// enough: appends only add blocks past the captured lengths, and DML commits
+// fresh lists without touching the old ones.
+func (t *Table) Snapshot() *Snapshot {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	s := &Snapshot{t: t, parts: make([][][]*block, len(t.parts))}
+	for pi := range t.parts {
+		s.parts[pi] = t.parts[pi].snapshot()
+	}
+	return s
+}
+
+func (p *partition) snapshot() [][]*block {
+	chunks := make([][]*block, len(p.chunks))
+	for c, chunk := range p.chunks {
+		chunks[c] = chunk[:len(chunk):len(chunk)]
+	}
+	return chunks
+}
+
+// Partitions returns the partition count.
+func (s *Snapshot) Partitions() int { return len(s.parts) }
+
+// NewScanner creates a scanner over partition pi of the snapshot; see
+// Table.NewScanner.
+func (s *Snapshot) NewScanner(pi int, proj []int, filters []RangeFilter) (*Scanner, error) {
+	if pi < 0 || pi >= len(s.parts) {
+		return nil, fmt.Errorf("storage: partition %d out of range for table %s", pi, s.t.Name)
+	}
+	return s.t.newScanner(s.parts[pi], proj, filters)
+}
+
+// BlockRef names one row block of a snapshot: block Block of partition Part,
+// across all columns.
+type BlockRef struct{ Part, Block int }
+
+// ScanBlock creates a scanner over the rows of one block of the snapshot.
+func (s *Snapshot) ScanBlock(ref BlockRef, proj []int) (*Scanner, error) {
+	if ref.Part < 0 || ref.Part >= len(s.parts) || ref.Block < 0 || ref.Block >= len(s.parts[ref.Part][0]) {
+		return nil, fmt.Errorf("storage: block %+v out of range for table %s", ref, s.t.Name)
+	}
+	chunks := make([][]*block, len(s.parts[ref.Part]))
+	for c, chunk := range s.parts[ref.Part] {
+		chunks[c] = chunk[ref.Block : ref.Block+1 : ref.Block+1]
+	}
+	return s.t.newScanner(chunks, proj, nil)
+}
+
+// Changes is how a snapshot differs from an older one of the same table,
+// decided by block identity: blocks are immutable, so an unchanged pointer
+// means unchanged content.
+type Changes struct {
+	// Reshaped reports that rows were added or removed: some partition's
+	// block count or some block's row count differs. Blocks and Cols are
+	// then not computed.
+	Reshaped bool
+	// Cols lists the columns with at least one replaced block, ascending.
+	Cols []int
+	// Blocks lists the row blocks with at least one replaced column block.
+	Blocks []BlockRef
+}
+
+// ChangesSince compares s against base, an earlier snapshot of the same
+// table.
+func (s *Snapshot) ChangesSince(base *Snapshot) Changes {
+	if s.t != base.t || len(s.parts) != len(base.parts) {
+		return Changes{Reshaped: true}
+	}
+	var ch Changes
+	colChanged := make([]bool, s.t.Schema.Len())
+	for pi, chunks := range s.parts {
+		old := base.parts[pi]
+		if len(chunks[0]) != len(old[0]) {
+			return Changes{Reshaped: true}
+		}
+		for bi := range chunks[0] {
+			changed := false
+			for c := range chunks {
+				if chunks[c][bi] == old[c][bi] {
+					continue
+				}
+				if chunks[c][bi].n != old[c][bi].n {
+					return Changes{Reshaped: true}
+				}
+				changed, colChanged[c] = true, true
+			}
+			if changed {
+				ch.Blocks = append(ch.Blocks, BlockRef{Part: pi, Block: bi})
+			}
+		}
+	}
+	for c, changed := range colChanged {
+		if changed {
+			ch.Cols = append(ch.Cols, c)
+		}
+	}
+	return ch
+}
+
 // Scanner iterates one partition of a table, producing batches of at most
 // vector.Size rows. Blocks failing any RangeFilter's zone-map check are
 // pruned without decompression.
 //
 // A scanner reads the snapshot of compressed blocks present at creation:
-// blocks are immutable, so concurrent appends or partition replacements
-// neither tear rows nor surface to an in-flight scan.
+// blocks are immutable, so concurrent appends or DML commits neither tear
+// rows nor surface to an in-flight scan.
 type Scanner struct {
-	t       *Table
 	chunks  [][]*block // [column][block] snapshot
 	proj    []int
 	filters []RangeFilter
@@ -278,16 +384,25 @@ type Scanner struct {
 	PrunedBlocks int
 	// ScannedBytes accumulates the compressed footprint of every projected
 	// block actually decoded (pruned blocks cost nothing), feeding the
-	// flight recorder's bytes_scanned accounting.
-	ScannedBytes int64
+	// flight recorder's bytes_scanned accounting; ScannedBlocks counts those
+	// column blocks.
+	ScannedBytes  int64
+	ScannedBlocks int
 }
 
 // NewScanner creates a scanner over partition pi projecting the given
-// columns (nil = all).
+// columns (nil = all), reading the partition's blocks as of this call.
 func (t *Table) NewScanner(pi int, proj []int, filters []RangeFilter) (*Scanner, error) {
 	if pi < 0 || pi >= len(t.parts) {
 		return nil, fmt.Errorf("storage: partition %d out of range for table %s", pi, t.Name)
 	}
+	t.mu.RLock()
+	chunks := t.parts[pi].snapshot()
+	t.mu.RUnlock()
+	return t.newScanner(chunks, proj, filters)
+}
+
+func (t *Table) newScanner(chunks [][]*block, proj []int, filters []RangeFilter) (*Scanner, error) {
 	if proj == nil {
 		proj = make([]int, t.Schema.Len())
 		for i := range proj {
@@ -301,23 +416,19 @@ func (t *Table) NewScanner(pi int, proj []int, filters []RangeFilter) (*Scanner,
 		}
 		cols[i] = t.Schema.Col(c)
 	}
+	if err := t.checkFilters(filters); err != nil {
+		return nil, err
+	}
+	return &Scanner{chunks: chunks, proj: proj, filters: filters, schema: types.NewSchema(cols...)}, nil
+}
+
+func (t *Table) checkFilters(filters []RangeFilter) error {
 	for _, f := range filters {
 		if f.Col < 0 || f.Col >= t.Schema.Len() {
-			return nil, fmt.Errorf("storage: filter column %d out of range for table %s", f.Col, t.Name)
+			return fmt.Errorf("storage: filter column %d out of range for table %s", f.Col, t.Name)
 		}
 	}
-	// Snapshot the partition's block lists under the read lock. Copying the
-	// slice headers is enough: blocks are immutable, concurrent flushes only
-	// append past the snapshot length, and ReplacePartition swaps whole
-	// lists without touching the old ones.
-	t.mu.RLock()
-	p := t.parts[pi]
-	chunks := make([][]*block, len(p.chunks))
-	for c := range p.chunks {
-		chunks[c] = p.chunks[c][:len(p.chunks[c]):len(p.chunks[c])]
-	}
-	t.mu.RUnlock()
-	return &Scanner{t: t, chunks: chunks, proj: proj, filters: filters, schema: types.NewSchema(cols...)}, nil
+	return nil
 }
 
 // Schema returns the scanner's output schema (the projection).
@@ -334,7 +445,7 @@ func (s *Scanner) Next(dst *vector.Batch) bool {
 		if s.blockIdx >= len(s.chunks[0]) {
 			return false
 		}
-		if s.rowInBlk == 0 && s.pruned(s.blockIdx) {
+		if s.rowInBlk == 0 && pruned(s.chunks, s.blockIdx, s.filters) {
 			s.PrunedBlocks++
 			s.blockIdx++
 			continue
@@ -344,6 +455,7 @@ func (s *Scanner) Next(dst *vector.Batch) bool {
 			for _, c := range s.proj {
 				s.ScannedBytes += s.chunks[c][s.blockIdx].memSize()
 			}
+			s.ScannedBlocks += len(s.proj)
 		}
 		take := blkLen - s.rowInBlk
 		if take > vector.Size {
@@ -362,52 +474,12 @@ func (s *Scanner) Next(dst *vector.Batch) bool {
 	return true
 }
 
-func (s *Scanner) pruned(blockIdx int) bool {
-	for _, f := range s.filters {
-		if !s.chunks[f.Col][blockIdx].overlaps(f.Lo, f.Hi) {
+// pruned reports whether block blockIdx fails a filter's zone-map check.
+func pruned(chunks [][]*block, blockIdx int, filters []RangeFilter) bool {
+	for _, f := range filters {
+		if !chunks[f.Col][blockIdx].overlaps(f.Lo, f.Hi) {
 			return true
 		}
 	}
 	return false
-}
-
-// ReplacePartition atomically swaps the contents of partition pi for the
-// given rows and bumps the table version. It is the storage primitive under
-// DELETE and UPDATE: the executor scans a snapshot, computes the surviving
-// (possibly modified) rows, and swaps them in. In-flight scanners keep
-// reading the snapshot they opened.
-func (t *Table) ReplacePartition(pi int, rows [][]types.Datum) error {
-	t.mu.RLock()
-	inRange := pi >= 0 && pi < len(t.parts)
-	t.mu.RUnlock()
-	if !inRange {
-		return fmt.Errorf("storage: partition %d out of range for table %s", pi, t.Name)
-	}
-	// Build the replacement partition outside the lock.
-	ncols := t.Schema.Len()
-	p := &partition{chunks: make([][]*block, ncols)}
-	p.staging = make([]*vector.Vector, ncols)
-	for c := 0; c < ncols; c++ {
-		p.staging[c] = vector.New(t.Schema.Col(c).Type, 0)
-	}
-	for _, row := range rows {
-		if len(row) != ncols {
-			return fmt.Errorf("storage: replacement row has %d values, table %s has %d columns", len(row), t.Name, ncols)
-		}
-		for c, d := range row {
-			p.staging[c].AppendDatum(d)
-		}
-		p.rows++
-		if p.staging[0].Len() >= BlockSize {
-			p.flush(ncols)
-		}
-	}
-	if p.staging[0].Len() > 0 {
-		p.flush(ncols)
-	}
-	t.mu.Lock()
-	t.parts[pi] = p
-	t.mu.Unlock()
-	t.version.Add(1)
-	return nil
 }

@@ -26,57 +26,84 @@ func TestVersionBumpsOnAppend(t *testing.T) {
 	}
 }
 
+// where is a one-column MatchFunc for tests: the batch holds an Int64
+// column, pred picks rows, and an UPDATE assigns set(v) to every assigned
+// column.
+func where(pred func(int64) bool, set func(int64) int64, nset int) MatchFunc {
+	return func(b *vector.Batch) ([]int, []*vector.Vector, error) {
+		var hits []int
+		out := vector.New(types.Int64, b.Len())
+		out.SetLen(b.Len())
+		for i, v := range b.Vecs[0].Int64s() {
+			if pred(v) {
+				hits = append(hits, i)
+				if set != nil {
+					out.Int64s()[i] = set(v)
+				}
+			}
+		}
+		vals := make([]*vector.Vector, nset)
+		for i := range vals {
+			vals[i] = out
+		}
+		return hits, vals, nil
+	}
+}
+
+// TestReplacePartition: a DELETE replaces the matching blocks of every
+// partition it touches under one version bump.
 func TestReplacePartition(t *testing.T) {
 	tbl := NewTable("t", testSchema(), Options{Partitions: 2})
 	rng := rand.New(rand.NewSource(6))
 	loadRows(t, tbl, 100, rng)
 	v := tbl.Version()
 
-	// Keep only even ids of partition 0.
-	sc, err := tbl.NewScanner(0, nil, nil)
+	n, err := tbl.Delete([]int{0}, nil, where(func(id int64) bool { return id%2 == 1 }, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keep [][]types.Datum
-	buf := vector.NewBatch(sc.Schema(), vector.Size)
-	for sc.Next(buf) {
-		for i := 0; i < buf.Len(); i++ {
-			if buf.Vecs[0].Int64s()[i]%2 == 0 {
-				keep = append(keep, buf.Row(i))
-			}
-		}
+	if n != 50 {
+		t.Errorf("deleted %d rows, want 50", n)
 	}
-	if err := tbl.ReplacePartition(0, keep); err != nil {
-		t.Fatal(err)
+	if got := tbl.Version(); got != v+1 {
+		t.Errorf("version after one DELETE = %d, want %d", got, v+1)
 	}
-	if tbl.Version() <= v {
-		t.Errorf("version did not advance on replace: %d -> %d", v, tbl.Version())
-	}
-	if got := tbl.PartitionRows(0); got != len(keep) {
-		t.Errorf("partition 0 has %d rows after replace, want %d", got, len(keep))
+	if got := tbl.PartitionRows(0) + tbl.PartitionRows(1); got != 50 {
+		t.Errorf("partitions hold %d rows after DELETE, want 50", got)
 	}
 	got := scanAll(t, tbl, nil, nil)
-	if want := len(keep) + tbl.PartitionRows(1); got.Len() != want {
-		t.Errorf("scanned %d rows after replace, want %d", got.Len(), want)
+	if got.Len() != 50 {
+		t.Errorf("scanned %d rows after DELETE, want 50", got.Len())
+	}
+	for i, id := range got.Vecs[0].Int64s() {
+		if id%2 == 1 {
+			t.Fatalf("row %d: deleted id %d survived", i, id)
+		}
 	}
 
-	if err := tbl.ReplacePartition(9, nil); err == nil {
-		t.Error("expected out-of-range error")
+	if _, err := tbl.Delete([]int{9}, nil, where(nil, nil, 0)); err == nil {
+		t.Error("expected out-of-range column error")
 	}
-	if err := tbl.ReplacePartition(0, [][]types.Datum{{types.Int64Datum(1)}}); err == nil {
-		t.Error("expected arity error")
+	if _, err := tbl.Update([]int{0}, nil, []int{1}, where(func(int64) bool { return true }, nil, 1)); err == nil {
+		t.Error("expected a type error for BIGINT values assigned to an INTEGER column")
+	}
+	if tbl.Version() != v+1 {
+		t.Error("a failed statement bumped the version")
 	}
 }
 
 func TestReplacePartitionCrossesBlockBoundary(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "x", Type: types.Int64})
 	tbl := NewTable("t", schema, Options{Partitions: 1})
+	app := tbl.NewAppender()
 	n := 2*BlockSize + 37
-	rows := make([][]types.Datum, n)
-	for i := range rows {
-		rows[i] = []types.Datum{types.Int64Datum(int64(i))}
+	for i := 0; i < n; i++ {
+		_ = app.AppendRow(types.Int64Datum(int64(i)))
 	}
-	if err := tbl.ReplacePartition(0, rows); err != nil {
+	app.Close()
+	// Negate every 1000th value, and a run straddling the first block end.
+	hit := func(x int64) bool { return x%1000 == 0 || (x >= BlockSize-3 && x < BlockSize+3) }
+	if _, err := tbl.Update([]int{0}, nil, []int{0}, where(hit, func(x int64) int64 { return -x }, 1)); err != nil {
 		t.Fatal(err)
 	}
 	got := scanAll(t, tbl, nil, nil)
@@ -84,14 +111,25 @@ func TestReplacePartitionCrossesBlockBoundary(t *testing.T) {
 		t.Fatalf("scanned %d rows, want %d", got.Len(), n)
 	}
 	for i := 0; i < n; i++ {
-		if got.Vecs[0].Int64s()[i] != int64(i) {
-			t.Fatalf("row %d = %d after replace", i, got.Vecs[0].Int64s()[i])
+		want := int64(i)
+		if hit(want) {
+			want = -want
 		}
+		if got.Vecs[0].Int64s()[i] != want {
+			t.Fatalf("row %d = %d after update, want %d", i, got.Vecs[0].Int64s()[i], want)
+		}
+	}
+	// A filtered scan must see the moved values: the rebuilt blocks carry
+	// fresh zone maps.
+	lo := types.Int64Datum(-BlockSize - 2)
+	hi := types.Int64Datum(-BlockSize + 3)
+	if got := scanAll(t, tbl, nil, []RangeFilter{{Col: 0, Lo: &lo, Hi: &hi}}); got.Len() == 0 {
+		t.Error("zone maps pruned the block holding the updated values")
 	}
 }
 
-// TestScannerSnapshotSurvivesReplace opens a scanner, replaces the partition
-// underneath it, and checks the scan still returns the pre-replace contents.
+// TestScannerSnapshotSurvivesReplace opens a scanner, deletes every row
+// underneath it, and checks the scan still returns the pre-delete contents.
 func TestScannerSnapshotSurvivesReplace(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "x", Type: types.Int64})
 	tbl := NewTable("t", schema, Options{Partitions: 1})
@@ -106,7 +144,13 @@ func TestScannerSnapshotSurvivesReplace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.ReplacePartition(0, nil); err != nil { // wipe it
+	if _, err := tbl.Delete(nil, nil, func(b *vector.Batch) ([]int, []*vector.Vector, error) {
+		hits := make([]int, b.Len())
+		for i := range hits {
+			hits[i] = i
+		}
+		return hits, nil, nil
+	}); err != nil { // wipe it
 		t.Fatal(err)
 	}
 	buf := vector.NewBatch(sc.Schema(), vector.Size)
@@ -115,17 +159,20 @@ func TestScannerSnapshotSurvivesReplace(t *testing.T) {
 		got += buf.Len()
 	}
 	if got != n {
-		t.Errorf("snapshot scan returned %d rows, want pre-replace %d", got, n)
+		t.Errorf("snapshot scan returned %d rows, want pre-delete %d", got, n)
 	}
 	// A fresh scanner sees the new (empty) contents.
 	sc2, _ := tbl.NewScanner(0, nil, nil)
 	if sc2.Next(buf) {
-		t.Error("fresh scanner returned rows from replaced-away partition")
+		t.Error("fresh scanner returned rows from deleted-away blocks")
+	}
+	if tbl.RowCount() != 0 {
+		t.Errorf("RowCount = %d after deleting everything", tbl.RowCount())
 	}
 }
 
 // TestConcurrentScanAndMutate hammers a table with concurrent appends,
-// partition replacements, and scans. Run under -race this verifies DML and
+// UPDATE/DELETE commits, and scans. Run under -race this verifies DML and
 // queries never touch shared state unsynchronized.
 func TestConcurrentScanAndMutate(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "x", Type: types.Int64})
@@ -139,7 +186,7 @@ func TestConcurrentScanAndMutate(t *testing.T) {
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	// Writers: appends on one goroutine (Appender is single-writer),
-	// replacements on another; both loop until the readers are done.
+	// DML on another; both loop until the readers are done.
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
@@ -157,16 +204,18 @@ func TestConcurrentScanAndMutate(t *testing.T) {
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
-		rows := make([][]types.Datum, BlockSize/2)
-		for i := range rows {
-			rows[i] = []types.Datum{types.Int64Datum(int64(-i))}
-		}
+		negate := where(func(x int64) bool { return x%3 == 0 }, func(x int64) int64 { return -x }, 1)
+		drop := where(func(x int64) bool { return x < -BlockSize }, nil, 0)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				if err := tbl.ReplacePartition(1, rows); err != nil {
+				if _, err := tbl.Update([]int{0}, nil, []int{0}, negate); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := tbl.Delete([]int{0}, nil, drop); err != nil {
 					t.Error(err)
 					return
 				}

@@ -350,6 +350,37 @@ func (v *Vector) AppendRange(src *Vector, lo, hi int) {
 	}
 }
 
+// Scatter writes src[j] to position pos[j] of v for every j, NULLs
+// included. Both vectors must share a type.
+func (v *Vector) Scatter(pos []int, src *Vector) {
+	switch v.typ {
+	case types.Bool:
+		scatter(v.b, src.b, pos)
+	case types.Int32:
+		scatter(v.i32, src.i32, pos)
+	case types.Int64:
+		scatter(v.i64, src.i64, pos)
+	case types.Float32:
+		scatter(v.f32, src.f32, pos)
+	case types.Float64:
+		scatter(v.f64, src.f64, pos)
+	case types.String:
+		scatter(v.str, src.str, pos)
+	}
+	if src.nulls != nil || v.nulls != nil {
+		v.materializeNulls()
+		for j, p := range pos {
+			v.nulls[p] = src.NullAt(j)
+		}
+	}
+}
+
+func scatter[T any](dst, src []T, pos []int) {
+	for j, p := range pos {
+		dst[p] = src[j]
+	}
+}
+
 func gather[T any](dst, src []T, sel []int) {
 	for i, j := range sel {
 		dst[i] = src[j]
