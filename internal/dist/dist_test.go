@@ -31,6 +31,13 @@ type shardProc struct {
 func startShard(t *testing.T, opts db.Options) *shardProc {
 	t.Helper()
 	d := db.Open(opts)
+	s := serveDB(t, d)
+	return &shardProc{db: d, srv: s, addr: s.Addr().String()}
+}
+
+// serveDB serves d on a loopback port for the rest of the test.
+func serveDB(t *testing.T, d *db.Database) *server.Server {
+	t.Helper()
 	s := server.New(d, server.Config{QuerySlots: 4, QueueDepth: 32, IdleTimeout: time.Minute})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -41,7 +48,7 @@ func startShard(t *testing.T, opts db.Options) *shardProc {
 	for i := 0; s.Addr() == nil && i < 100; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	return &shardProc{db: d, srv: s, addr: s.Addr().String()}
+	return s
 }
 
 // newCluster boots n shard daemons plus a coordinator engine routed over

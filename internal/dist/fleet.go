@@ -35,72 +35,81 @@ func (t fleetTable) Schema() *types.Schema {
 }
 
 func (t fleetTable) Snapshot() ([]*vector.Batch, error) {
-	base := t.local.Schema()
-	out := storage.NewBatchBuilder(t.Schema())
-
+	schema := t.Schema()
 	locals, err := t.local.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	row := make([]types.Datum, base.Len()+1)
+	out := make([]*vector.Batch, 0, len(locals))
 	for _, b := range locals {
-		for r := 0; r < b.Len(); r++ {
-			row[0] = types.StringDatum("coordinator")
-			for c := 0; c < base.Len(); c++ {
-				row[c+1] = b.Vecs[c].Datum(r)
-			}
-			out.Append(row...)
-		}
+		out = append(out, tagged(schema, "coordinator", b.Vecs, b.Len()))
 	}
-
 	for _, p := range t.co.shards {
-		t.appendShard(out, p, base)
+		out = t.appendShard(out, schema, p)
 	}
-	return out.Batches(), nil
+	return out, nil
 }
 
-// appendShard fetches one shard's rows, matching columns by name so the
-// view tolerates column-order drift between releases. Errors are swallowed:
-// fleet observability must not depend on every shard being up.
-func (t fleetTable) appendShard(out *storage.BatchBuilder, p *shardPool, base *types.Schema) {
+// appendShard fetches one shard's rows batch by batch, matching columns by
+// name and type so the view tolerates column drift between releases (an
+// unmatched column reads NULL). Errors are swallowed: fleet observability
+// must not depend on every shard being up.
+func (t fleetTable) appendShard(out []*vector.Batch, schema *types.Schema, p *shardPool) []*vector.Batch {
 	c, err := p.get()
 	if err != nil {
-		return
+		return out
 	}
 	rows, err := c.Query("SELECT * FROM " + t.local.Name())
 	if err != nil {
 		p.release(c, err)
-		return
+		return out
 	}
-	cols := rows.Columns()
+	base := t.local.Schema()
 	colIdx := make([]int, base.Len())
-	for i := 0; i < base.Len(); i++ {
+	for i := range colIdx {
 		colIdx[i] = -1
-		for j, rc := range cols {
-			if rc.Name == base.Col(i).Name {
+		for j, rc := range rows.Columns() {
+			if rc.Name == base.Col(i).Name && rc.Type == base.Col(i).Type {
 				colIdx[i] = j
 				break
 			}
 		}
 	}
 	label := p.label()
-	row := make([]types.Datum, base.Len()+1)
 	for {
-		vals := rows.Next()
-		if vals == nil {
+		b, err := rows.NextBatch()
+		if b == nil || err != nil {
 			break
 		}
-		row[0] = types.StringDatum(label)
-		for i := 0; i < base.Len(); i++ {
-			if j := colIdx[i]; j >= 0 && j < len(vals) {
-				row[i+1] = boxedDatum(vals[j], base.Col(i).Type)
-			} else {
-				row[i+1] = types.NullDatum(base.Col(i).Type)
+		vecs := make([]*vector.Vector, base.Len())
+		for i, j := range colIdx {
+			if j >= 0 {
+				vecs[i] = b.Vecs[j]
+				continue
+			}
+			vecs[i] = vector.New(base.Col(i).Type, b.Len())
+			vecs[i].Resize(b.Len())
+			for r := 0; r < b.Len(); r++ {
+				vecs[i].SetNull(r)
 			}
 		}
-		out.Append(row...)
+		out = append(out, tagged(schema, label, vecs, b.Len()))
 	}
 	p.release(c, rows.Err())
+	return out
+}
+
+// tagged prefixes n rows of vecs with the fleet view's shard column.
+func tagged(schema *types.Schema, label string, vecs []*vector.Vector, n int) *vector.Batch {
+	shard := vector.New(types.String, n)
+	shard.Resize(n)
+	labels := shard.Strings()
+	for r := range labels {
+		labels[r] = label
+	}
+	b := &vector.Batch{Schema: schema, Vecs: append([]*vector.Vector{shard}, vecs...)}
+	b.SetLen(n)
+	return b
 }
 
 // shardsSchema describes system.shards, the fleet health table: one row per

@@ -149,7 +149,8 @@ func (p *shardPool) closeIdle() {
 var errSourceClosed = errors.New("dist: source closed during open")
 
 // shardSource streams one fragment's result from one shard as an
-// exec.RemoteSource: wire rows decode straight into engine batches. The
+// exec.RemoteSource: wire batch frames decode straight into engine batches,
+// which the source hands to RemoteExchange as they come. The
 // fragment is stamped with the coordinator's query ID (origin) so the
 // shard's flight recorder correlates it and KILL ORIGIN can reap it.
 //
@@ -220,7 +221,7 @@ func (s *shardSource) Open() error {
 		}
 		s.c, s.rows = c, rows
 		s.connMu.Unlock()
-		return nil
+		return checkColumns(rows.Columns(), s.schema)
 	})
 	if err != nil {
 		if errors.Is(err, errSourceClosed) {
@@ -243,50 +244,33 @@ func (s *shardSource) Open() error {
 }
 
 func (s *shardSource) Next() (*vector.Batch, error) {
-	var batch *vector.Batch
-	for {
-		row := s.rows.Next()
-		if row == nil {
-			if err := s.rows.Err(); err != nil {
-				s.pool.noteErr(err)
-				if s.stats != nil {
-					s.stats.fragmentErrs.Add(1)
-				}
-				return nil, err
-			}
-			if !s.clean.Swap(true) {
-				s.finishStream()
-			}
-			return s.noteBatch(batch), nil
+	b, err := s.rows.NextBatch()
+	if err != nil {
+		s.pool.noteErr(err)
+		if s.stats != nil {
+			s.stats.fragmentErrs.Add(1)
 		}
-		if !s.sawRow {
-			s.sawRow = true
-			if s.span != nil {
-				s.span.Counter("first_row_ns").Store(int64(time.Since(s.openedAt)))
-			}
+		return nil, err
+	}
+	if b == nil {
+		if !s.clean.Swap(true) {
+			s.finishStream()
 		}
-		if batch == nil {
-			batch = vector.NewBatch(s.schema, vector.Size)
-		}
-		datums := make([]types.Datum, s.schema.Len())
-		for i := range datums {
-			datums[i] = boxedDatum(row[i], s.schema.Col(i).Type)
-		}
-		if err := batch.AppendRow(datums...); err != nil {
-			return nil, err
-		}
-		if batch.Len() >= vector.Size {
-			return s.noteBatch(batch), nil
+		return nil, nil
+	}
+	if !s.sawRow {
+		s.sawRow = true
+		if s.span != nil {
+			s.span.Counter("first_row_ns").Store(int64(time.Since(s.openedAt)))
 		}
 	}
+	b.Schema = s.schema
+	return s.noteBatch(b), nil
 }
 
 // noteBatch charges a produced batch to the source span and the
-// coordinator's merge counters (nil batches pass through at EOS).
+// coordinator's merge counters.
 func (s *shardSource) noteBatch(b *vector.Batch) *vector.Batch {
-	if b == nil {
-		return nil
-	}
 	if s.span != nil {
 		s.span.AddRows(int64(b.Len()))
 		s.span.AddBatches(1)
@@ -336,26 +320,16 @@ func (s *shardSource) Close() error {
 	return c.Close()
 }
 
-// boxedDatum converts one wire-decoded value into a datum of the column
-// type the coordinator planned.
-func boxedDatum(v any, t types.T) types.Datum {
-	if v == nil {
-		return types.NullDatum(t)
+// checkColumns verifies that a fragment's result columns have the types the
+// coordinator planned, so decoded batches can flow on unconverted.
+func checkColumns(cols []wire.Column, planned *types.Schema) error {
+	if len(cols) != planned.Len() {
+		return fmt.Errorf("dist: fragment returned %d columns, planned %d", len(cols), planned.Len())
 	}
-	switch v := v.(type) {
-	case bool:
-		return types.BoolDatum(v)
-	case int32:
-		return types.Int32Datum(v)
-	case int64:
-		return types.Int64Datum(v)
-	case float32:
-		return types.Float32Datum(v)
-	case float64:
-		return types.Float64Datum(v)
-	case string:
-		return types.StringDatum(v)
-	default:
-		return types.NullDatum(t)
+	for i, c := range cols {
+		if want := planned.Col(i).Type; c.Type != want {
+			return fmt.Errorf("dist: fragment column %d (%s) is %v, planned %v", i, c.Name, c.Type, want)
+		}
 	}
+	return nil
 }

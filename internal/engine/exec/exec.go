@@ -33,9 +33,10 @@ func IsCancellation(err error) bool {
 // out a fresh batch). The caller may read it, and narrow it in place the way
 // Filter and Limit do, until its next call to Next or Close on the same
 // operator; after that the contents are gone. A consumer that keeps rows
-// longer copies them first — Collect, Sort, TopN, a join's build side,
-// Exchange and the wire row streamer all do. Nothing is retained across
-// statements: buffers live from Open to Close.
+// longer copies them first — Collect, Sort, TopN, a join's build side and
+// Exchange all do; the wire streamer instead encodes the batch into its
+// frame before calling Next again. Nothing is retained across statements:
+// buffers live from Open to Close.
 type Operator interface {
 	// Schema describes the operator's output columns.
 	Schema() *types.Schema

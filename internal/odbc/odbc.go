@@ -6,20 +6,28 @@
 // transfer overhead the paper identifies as TF(Python)'s dominant cost
 // (Sec. 6.2.1) is measured, not modeled.
 //
-// The byte-level encoding lives in package wire and is shared with the
-// network SQL server (package server), so baseline and serving
-// measurements use the identical row format.
+// The baseline owns the text streaming loop in both directions: results
+// travel as wire.MsgRows chunks of wire.EncodeRow text rows and are parsed
+// back with wire.DecodeRow. The network SQL server streams binary columnar
+// wire.MsgBatch frames instead; the text codec survives only here, where the
+// paper's baseline must pay it.
 package odbc
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 
 	"indbml/internal/engine/db"
+	"indbml/internal/engine/exec"
 	"indbml/internal/wire"
 )
+
+// chunkRows is how many rows are framed per MsgRows message; small enough
+// to keep a pipe streaming, large enough to amortize framing.
+const chunkRows = 512
 
 // Server drains query results from an engine into the wire protocol.
 type Server struct {
@@ -39,13 +47,65 @@ func (s *Server) serveOne(query string, bw *bufio.Writer) error {
 		wire.WriteError(bw, wire.CodeError, err.Error())
 		return bw.Flush()
 	}
-	_, err = wire.StreamOperator(bw, op)
-	// StreamOperator leaves the final frames buffered; deliver them here so
-	// the one-shot Serve path needs no caller-side flush.
+	err = streamText(bw, op)
+	// streamText leaves the final frames buffered; deliver them here so the
+	// one-shot Serve path needs no caller-side flush.
 	if ferr := bw.Flush(); err == nil {
 		err = ferr
 	}
 	return err
+}
+
+// streamText runs the full open/next/close protocol on op and streams the
+// schema, the rows as count-prefixed text chunks
+// ([MsgRows][n]([len][row])×n) and the terminator to w. Every row is
+// pivoted out of the columnar batch and formatted value by value: the
+// server-side half of the conversion cost the baseline measures. Failures
+// are reported in-band; the final chunk and the terminator are left
+// buffered.
+func streamText(w *bufio.Writer, op exec.Operator) error {
+	if err := op.Open(); err != nil {
+		return wire.FailStream(w, err)
+	}
+	defer op.Close()
+
+	wire.WriteSchema(w, op.Schema())
+	chunk := make([][]byte, 0, chunkRows)
+	flushChunk := func() {
+		if len(chunk) == 0 {
+			return
+		}
+		w.WriteByte(wire.MsgRows)
+		wire.WriteUvarint(w, uint64(len(chunk)))
+		for _, row := range chunk {
+			wire.WriteUvarint(w, uint64(len(row)))
+			w.Write(row)
+		}
+		chunk = chunk[:0]
+	}
+	for {
+		b, err := op.Next()
+		if err != nil {
+			flushChunk()
+			return wire.FailStream(w, err)
+		}
+		if b == nil {
+			break
+		}
+		for r := 0; r < b.Len(); r++ {
+			chunk = append(chunk, wire.EncodeRow(nil, b, r))
+			if len(chunk) >= chunkRows {
+				flushChunk()
+				if err := w.Flush(); err != nil {
+					// The reader is gone; stop pulling batches.
+					return err
+				}
+			}
+		}
+	}
+	flushChunk()
+	wire.WriteDone(w, op)
+	return nil
 }
 
 // ServeConn handles a full connection: statement frames arrive one after
@@ -75,25 +135,94 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 // Column describes one result column on the client side.
 type Column = wire.Column
 
-// Rows is the client-side cursor. Values are decoded into boxed `any`
-// slices — the equivalent of Python objects materialized per fetched value.
+// Rows is the client-side cursor over one MsgRows stream. Every row is read
+// as its own byte string and its text values are parsed into boxed `any`
+// values — the equivalent of Python objects materialized per fetched value.
 type Rows struct {
-	cur *wire.Cursor
+	r       *bufio.Reader
+	cols    []Column
+	pending uint64 // rows left in the current chunk
+	rowBuf  []byte
+	queryID uint64
+	err     error
+	done    bool
+}
+
+// readRows consumes a result's schema frame and returns a cursor over the
+// rows that follow.
+func readRows(r *bufio.Reader) (*Rows, error) {
+	cols, err := wire.ReadResultSchema(r)
+	if err != nil {
+		if se, ok := err.(*wire.ServerError); ok {
+			return nil, fmt.Errorf("odbc: server: %s", se.Msg)
+		}
+		return nil, fmt.Errorf("odbc: reading schema: %w", err)
+	}
+	return &Rows{r: r, cols: cols}, nil
 }
 
 // Columns returns the result schema.
-func (rs *Rows) Columns() []Column { return rs.cur.Columns() }
+func (rs *Rows) Columns() []Column { return rs.cols }
 
 // Err returns the terminal error, if any.
-func (rs *Rows) Err() error { return rs.cur.Err() }
+func (rs *Rows) Err() error { return rs.err }
 
 // Next returns the next row as boxed values, or nil at end of stream.
-func (rs *Rows) Next() []any { return rs.cur.Next() }
+func (rs *Rows) Next() []any {
+	for rs.pending == 0 {
+		if rs.done {
+			return nil
+		}
+		kind, err := rs.r.ReadByte()
+		if err == nil {
+			switch kind {
+			case wire.MsgRows:
+				rs.pending, err = binary.ReadUvarint(rs.r)
+			case wire.MsgDone:
+				rs.queryID, err = binary.ReadUvarint(rs.r)
+				rs.done = true
+			case wire.MsgError:
+				err = wire.ReadErrorBody(rs.r)
+			default:
+				err = fmt.Errorf("odbc: unexpected message kind 0x%x", kind)
+			}
+		}
+		if err != nil {
+			rs.fail(err)
+			return nil
+		}
+	}
+	rs.pending--
+	var err error
+	if rs.rowBuf, err = wire.ReadFrame(rs.r, rs.rowBuf); err != nil {
+		rs.fail(err)
+		return nil
+	}
+	row, err := wire.DecodeRow(rs.rowBuf, rs.cols)
+	if err != nil {
+		rs.fail(err)
+		return nil
+	}
+	return row
+}
+
+// drain consumes any remaining rows so the connection stays framed.
+func (rs *Rows) drain() {
+	for rs.Next() != nil {
+	}
+}
+
+func (rs *Rows) fail(err error) {
+	if rs.err == nil {
+		rs.err = err
+	}
+	rs.done = true
+}
 
 // QueryID returns the server's flight-recorder ID for this statement,
 // available once the stream has finished cleanly (0 before that). It keys
 // into system.queries.
-func (rs *Rows) QueryID() uint64 { return rs.cur.QueryID() }
+func (rs *Rows) QueryID() uint64 { return rs.queryID }
 
 // Query runs a query against the database over an in-memory network pipe
 // and returns a client-side cursor. A server goroutine streams the result;
@@ -104,15 +233,7 @@ func Query(d *db.Database, query string) (*Rows, error) {
 		defer server.Close()
 		(&Server{DB: d}).Serve(query, server)
 	}()
-	r := bufio.NewReaderSize(client, 64<<10)
-	cur, err := wire.ReadResultHeader(r)
-	if err != nil {
-		if se, ok := err.(*wire.ServerError); ok {
-			return nil, fmt.Errorf("odbc: server: %s", se.Msg)
-		}
-		return nil, fmt.Errorf("odbc: reading schema: %w", err)
-	}
-	return &Rows{cur: cur}, nil
+	return readRows(bufio.NewReaderSize(client, 64<<10))
 }
 
 // Session is a client-side handle over one multi-query connection served by
@@ -149,21 +270,18 @@ func NewSession(conn io.ReadWriteCloser) *Session {
 // unfinished previous cursor is drained first, keeping the stream framed.
 func (s *Session) Query(query string) (*Rows, error) {
 	if s.cur != nil {
-		s.cur.cur.Drain()
+		s.cur.drain()
 		s.cur = nil
 	}
 	wire.WriteStmt(s.bw, query, 0, 0, 0)
 	if err := s.bw.Flush(); err != nil {
 		return nil, err
 	}
-	cur, err := wire.ReadResultHeader(s.br)
+	cur, err := readRows(s.br)
 	if err != nil {
-		if se, ok := err.(*wire.ServerError); ok {
-			return nil, fmt.Errorf("odbc: server: %s", se.Msg)
-		}
 		return nil, err
 	}
-	s.cur = &Rows{cur: cur}
+	s.cur = cur
 	return s.cur, nil
 }
 

@@ -1,10 +1,13 @@
 package odbc
 
 import (
+	"bufio"
+	"bytes"
 	"testing"
 
 	"indbml/internal/engine/db"
 	"indbml/internal/engine/types"
+	"indbml/internal/wire"
 )
 
 func setup(t *testing.T) *db.Database {
@@ -46,6 +49,23 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 	if rows.Err() != nil {
 		t.Errorf("unexpected error: %v", rows.Err())
+	}
+}
+
+// TestServeStreamsTextRows: the baseline pays the text conversion — the
+// frame after the schema is MsgRows, not the server's binary MsgBatch.
+func TestServeStreamsTextRows(t *testing.T) {
+	d := setup(t)
+	var buf bytes.Buffer
+	if err := (&Server{DB: d}).Serve("SELECT id, v, s FROM t", &buf); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(&buf)
+	if _, err := wire.ReadResultSchema(r); err != nil {
+		t.Fatal(err)
+	}
+	if kind, _ := r.ReadByte(); kind != wire.MsgRows {
+		t.Fatalf("first frame after the schema is 0x%x, want MsgRows (0x%x)", kind, wire.MsgRows)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net"
 	"time"
 
+	"indbml/internal/engine/vector"
 	"indbml/internal/wire"
 )
 
@@ -203,6 +204,11 @@ func (r *Rows) Columns() []wire.Column { return r.cur.Columns() }
 // Next returns the next row as boxed values, or nil at end of stream.
 func (r *Rows) Next() []any { return r.cur.Next() }
 
+// NextBatch returns the next batch of rows as decoded from the wire, or nil
+// at end of stream together with the terminal error. The batch is the
+// caller's; no value is boxed.
+func (r *Rows) NextBatch() (*vector.Batch, error) { return r.cur.NextBatch() }
+
 // Err returns the terminal error, if any.
 func (r *Rows) Err() error { return r.cur.Err() }
 
@@ -219,8 +225,8 @@ func (r *Rows) QueryID() uint64 { return r.cur.QueryID() }
 // trace.DecodeSpan.
 func (r *Rows) Trace() []byte { return r.cur.Trace() }
 
-// BytesRead returns the total row payload bytes this cursor has consumed —
-// the wire-transfer cost of the result so far.
+// BytesRead returns the total batch-frame payload bytes this cursor has
+// consumed — the wire-transfer cost of the result so far.
 func (r *Rows) BytesRead() int64 { return r.cur.BytesRead() }
 
 // IsOverloaded reports whether err is an admission-control fast-reject.

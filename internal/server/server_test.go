@@ -277,6 +277,46 @@ func TestCancellationMidScan(t *testing.T) {
 	}
 }
 
+// TestDeadlineMidStream: a deadline that fires after the server has
+// already streamed batch frames ends the stream with a CodeCanceled error
+// frame after those rows, and the session stays usable. The deadline starts
+// short and doubles until some rows beat it.
+func TestDeadlineMidStream(t *testing.T) {
+	d := newTestDB(t, 300000, 512)
+	s := startServer(t, d, Config{QuerySlots: 2})
+	c := dial(t, s)
+
+	const q = "SELECT id, prediction_0 FROM iris MODEL JOIN iris_model PREDICT (sepal_length, sepal_width, petal_length, petal_width)"
+	for timeout := 100 * time.Millisecond; ; timeout *= 2 {
+		rows, err := c.QueryTimeout(q, timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for rows.Next() != nil {
+			n++
+		}
+		if err := rows.Err(); !client.IsCanceled(err) {
+			t.Fatalf("deadline %v: %d rows, then %v; want a cancellation", timeout, n, err)
+		}
+		if n > 0 {
+			break
+		}
+		if timeout > 5*time.Second {
+			t.Fatal("no row arrived before any deadline")
+		}
+	}
+
+	rows, err := c.Query("SELECT COUNT(*) AS n FROM iris")
+	if err != nil {
+		t.Fatalf("session unusable after the canceled stream: %v", err)
+	}
+	if row := rows.Next(); row == nil || row[0].(int64) != 300000 {
+		t.Fatalf("post-cancel query = %v (%v)", row, rows.Err())
+	}
+	rows.Drain()
+}
+
 // TestOverloadFastReject fills the single query slot with a long-running
 // query and checks that, with no queue, the next statement is rejected
 // immediately with the overload code.

@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
+
+	"indbml/internal/engine/types"
+	"indbml/internal/engine/vector"
 )
 
 // Cursor is the client-side reader of one result stream: it consumes
-// MsgRows chunks up to the MsgDone (or MsgError) terminator and decodes
-// each row into boxed `any` values — the equivalent of Python objects
-// materialized per fetched value.
+// MsgBatch frames up to the MsgDone (or MsgError) terminator and decodes
+// each into typed vectors. Next boxes the rows into `any` values — the
+// equivalent of Python objects materialized per fetched value — and
+// NextBatch hands whole decoded batches over without boxing.
 //
 // The cursor reads exactly one result stream and leaves the underlying
 // reader positioned after the terminator, so several results can follow
@@ -18,40 +21,39 @@ import (
 type Cursor struct {
 	r       *bufio.Reader
 	cols    []Column
+	schema  *types.Schema
 	err     error
 	done    bool
-	pending uint64 // rows left in the current chunk
-	rowBuf  []byte
 	queryID uint64 // flight-recorder ID from the MsgDone terminator
+
+	frame []byte        // reused MsgBatch payload buffer
+	batch *vector.Batch // Next's reused decoded frame
+	boxed []any         // its rows Next has not returned yet, boxed row-major
+	left  int           // how many rows boxed holds
 
 	expectTrace bool   // statement was sent with StmtFlagTrace
 	trace       []byte // MsgTrace trailer payload (nil until MsgDone)
-	bytesRead   int64  // total row payload bytes decoded
+	bytesRead   int64  // total MsgBatch payload bytes read
 }
 
 // NewCursor builds a cursor over a stream whose MsgSchema frame has
 // already been consumed into cols.
-func NewCursor(r *bufio.Reader, cols []Column) *Cursor { return &Cursor{r: r, cols: cols} }
+func NewCursor(r *bufio.Reader, cols []Column) *Cursor {
+	tcols := make([]types.Column, len(cols))
+	for i, c := range cols {
+		tcols[i] = types.Column{Name: c.Name, Type: c.Type}
+	}
+	return &Cursor{r: r, cols: cols, schema: types.NewSchema(tcols...)}
+}
 
 // ReadResultHeader consumes a result stream's first frame — MsgSchema or
 // MsgError — and returns a cursor over the rows that follow.
 func ReadResultHeader(r *bufio.Reader) (*Cursor, error) {
-	kind, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("wire: reading result header: %w", err)
-	}
-	switch kind {
-	case MsgError:
-		return nil, ReadErrorBody(r)
-	case MsgSchema:
-	default:
-		return nil, fmt.Errorf("wire: expected schema message, got 0x%x", kind)
-	}
-	cols, err := ReadSchemaBody(r)
+	cols, err := ReadResultSchema(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{r: r, cols: cols}, nil
+	return NewCursor(r, cols), nil
 }
 
 // Columns returns the result schema.
@@ -79,90 +81,151 @@ func (c *Cursor) ExpectTrace() { c.expectTrace = true }
 // nil until the stream finished cleanly or when no trailer was requested.
 func (c *Cursor) Trace() []byte { return c.trace }
 
-// BytesRead returns the total row payload bytes consumed so far — the
+// BytesRead returns the total MsgBatch payload bytes consumed so far — the
 // wire-transfer cost of the result, used by the coordinator to attribute
 // bytes-in per shard.
 func (c *Cursor) BytesRead() int64 { return c.bytesRead }
 
-// Next returns the next row as boxed values, or nil at end of stream.
+// Next returns the next row as boxed values, or nil at end of stream. The
+// row is the caller's to keep.
 func (c *Cursor) Next() []any {
-	if c.done || c.err != nil {
-		return nil
+	if c.left == 0 {
+		if !c.readFrame(c.decoded()) {
+			return nil
+		}
+		c.boxFrame()
 	}
-	for {
-		if c.pending == 0 {
-			kind, err := c.r.ReadByte()
-			if err != nil {
-				c.fail(err)
-				return nil
-			}
-			switch kind {
-			case MsgRows:
-				n, err := binary.ReadUvarint(c.r)
-				if err != nil {
-					c.fail(err)
-					return nil
-				}
-				c.pending = n
-			case MsgDone:
-				qid, err := binary.ReadUvarint(c.r)
-				if err != nil {
-					c.fail(err)
-					return nil
-				}
-				c.queryID = qid
-				if c.expectTrace {
-					if err := c.readTrailer(); err != nil {
-						c.fail(err)
-						return nil
-					}
-				}
-				c.done = true
-				return nil
-			case MsgError:
-				c.fail(ReadErrorBody(c.r))
-				return nil
-			default:
-				c.fail(fmt.Errorf("wire: unexpected message kind 0x%x", kind))
-				return nil
-			}
-			continue
+	nc := len(c.cols)
+	row := c.boxed[:nc:nc]
+	c.boxed = c.boxed[nc:]
+	c.left--
+	return row
+}
+
+// NextBatch returns the next batch of rows, nil at end of stream (with the
+// terminal error, if any). The batch is the caller's: the cursor never
+// touches it again. Rows of a frame Next has started on come first.
+func (c *Cursor) NextBatch() (*vector.Batch, error) {
+	if c.left > 0 {
+		lo, hi := c.batch.Len()-c.left, c.batch.Len()
+		b := vector.NewBatch(c.schema, c.left)
+		for i, v := range b.Vecs {
+			v.AppendRange(c.batch.Vecs[i], lo, hi)
 		}
-		c.pending--
-		n, err := readLen(c.r)
-		if err != nil {
-			c.fail(err)
-			return nil
-		}
-		c.bytesRead += int64(n)
-		if cap(c.rowBuf) < n {
-			c.rowBuf = make([]byte, n)
-		}
-		buf := c.rowBuf[:n]
-		if _, err := io.ReadFull(c.r, buf); err != nil {
-			c.fail(err)
-			return nil
-		}
-		row, err := DecodeRow(buf, c.cols)
-		if err != nil {
-			c.fail(err)
-			return nil
-		}
-		return row
+		b.SetLen(c.left)
+		c.boxed, c.left = nil, 0
+		return b, nil
 	}
+	b := vector.NewBatch(c.schema, 0)
+	if !c.readFrame(b) {
+		return nil, c.err
+	}
+	return b, nil
 }
 
 // Drain consumes and discards any remaining rows so the underlying reader
 // is positioned at the next result. It returns the cursor's terminal error.
 func (c *Cursor) Drain() error {
-	for c.Next() != nil {
+	c.boxed, c.left = nil, 0
+	for c.readFrame(c.decoded()) {
 	}
 	return c.err
 }
 
-// readTrailer consumes the MsgTrace frame that follows MsgDone on traced
-// statements.
-func (c *Cursor) readTrailer() error {
+// decoded returns Next's reused batch.
+func (c *Cursor) decoded() *vector.Batch {
+	if c.batch == nil {
+		c.batch = vector.NewBatch(c.schema, 0)
+	}
+	return c.batch
+}
+
+// readFrame decodes the next MsgBatch frame that has rows into dst. It
+// returns false once the stream has ended, cleanly or not.
+func (c *Cursor) readFrame(dst *vector.Batch) bool {
+	for !c.done {
+		kind, err := c.r.ReadByte()
+		if err != nil {
+			c.fail(err)
+			break
+		}
+		switch kind {
+		case MsgBatch:
+			if err := c.decodeFrame(dst); err != nil {
+				c.fail(err)
+			} else if dst.Len() > 0 {
+				return true
+			}
+		case MsgDone:
+			if err := c.finish(); err != nil {
+				c.fail(err)
+			}
+			c.done = true
+		case MsgError:
+			c.fail(ReadErrorBody(c.r))
+		default:
+			c.fail(fmt.Errorf("wire: unexpected message kind 0x%x", kind))
+		}
+	}
+	return false
+}
+
+func (c *Cursor) decodeFrame(dst *vector.Batch) error {
+	var err error
+	if c.frame, err = ReadFrame(c.r, c.frame); err != nil {
+		return err
+	}
+	c.bytesRead += int64(len(c.frame))
+	return decodeBatch(c.frame, dst)
+}
+
+// boxFrame boxes the decoded frame column by column into a fresh row-major
+// array that Next slices rows out of.
+func (c *Cursor) boxFrame() {
+	nc, n := len(c.cols), c.batch.Len()
+	c.boxed, c.left = make([]any, n*nc), n
+	for j, v := range c.batch.Vecs {
+		col := c.boxed[j:]
+		switch v.Type() {
+		case types.Bool:
+			box(col, nc, v.Bools())
+		case types.Int32:
+			box(col, nc, v.Int32s())
+		case types.Int64:
+			box(col, nc, v.Int64s())
+		case types.Float32:
+			box(col, nc, v.Float32s())
+		case types.Float64:
+			box(col, nc, v.Float64s())
+		case types.String:
+			box(col, nc, v.Strings())
+		}
+		for r, null := range v.Nulls() {
+			if null {
+				col[r*nc] = nil
+			}
+		}
+	}
+}
+
+// box stores vals[r] at dst[r*stride].
+func box[T any](dst []any, stride int, vals []T) {
+	for r, x := range vals {
+		dst[r*stride] = x
+	}
+}
+
+// finish consumes the rest of a clean terminator: the query ID and, when
+// armed, the MsgTrace trailer.
+func (c *Cursor) finish() error {
+	qid, err := binary.ReadUvarint(c.r)
+	if err != nil {
+		return err
+	}
+	c.queryID = qid
+	if !c.expectTrace {
+		return nil
+	}
 	kind, err := c.r.ReadByte()
 	if err != nil {
 		return err

@@ -1,15 +1,18 @@
-// Package wire defines the byte-level protocol shared by every network
-// surface of the engine: the ODBC-style baseline (package odbc) and the
-// concurrent SQL server (package server) speak the same row, schema and
-// error frames, so there is exactly one row-encoding implementation in the
-// repo.
+// Package wire defines the byte-level protocol of every network surface of
+// the engine. There is one frame format per consumer, and nothing selects
+// between them:
 //
-// The value encoding is deliberately row-major and tagged, like ODBC's wire
-// formats: an analytical engine must pivot its columns into rows to serve
-// it, and the client pays per-value dispatch to decode. That cost is the
-// point — the paper identifies it as TF(Python)'s dominant overhead
-// (Sec. 6.2.1) — and the server reuses the format so baseline and serving
-// measurements stay comparable.
+//   - The SQL server (package server) streams results as MsgBatch frames:
+//     one frame carries up to vector.Size rows column by column, fixed-width
+//     values as raw little-endian bytes, so the server encodes straight from
+//     the operator's batch and the client (and the coordinator's
+//     RemoteExchange) decodes straight into typed vectors.
+//   - The ODBC-style baseline (package odbc) streams MsgRows frames:
+//     row-major, every value tagged and formatted as text. An analytical
+//     engine must pivot its columns into rows to serve it, and the client
+//     pays per-value parsing and dispatch. That cost is the point: the paper
+//     identifies it as TF(Python)'s dominant overhead (Sec. 6.2.1), so the
+//     text codec survives only where that baseline must pay it.
 //
 // # Frames
 //
@@ -19,7 +22,8 @@
 // Server → client:
 //
 //	MsgSchema  ncols (len name typ)×ncols
-//	MsgRows    nrows (len rowbytes)×nrows
+//	MsgBatch   len payload             (server; see below)
+//	MsgRows    nrows (len rowbytes)×nrows   (odbc baseline only)
 //	MsgDone    query_id               (terminates a result stream; query_id
 //	           is the server's flight-recorder ID)
 //	MsgTrace   len json                (trailer after MsgDone when the
@@ -32,8 +36,17 @@
 //
 //	MsgStmt    deadline_millis origin flags len sql
 //
-// A row is the concatenation of its values: TagNull, or TagText followed by
-// a little-endian uint32 length and the value formatted as text.
+// A MsgBatch payload is nrows (at most vector.Size), then per column a NULL
+// flag byte — 0, or 1 followed by a bitmap of (nrows+7)/8 bytes, bit i set
+// when row i is NULL — and the column's values: bool as one byte 0/1,
+// int32/float32 as 4 and int64/float64 as 8 little-endian bytes (zero in
+// NULL slots), strings as len+bytes (len 0 in NULL slots).
+//
+// A MsgRows row is the concatenation of its values: TagNull, or TagText
+// followed by a little-endian uint32 length and the value formatted as text.
+//
+// Decoders trust no length: every allocation grows with bytes actually
+// received, so a few hostile bytes cannot make a peer allocate gigabytes.
 package wire
 
 import (
@@ -41,19 +54,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
+	"slices"
 
 	"indbml/internal/engine/types"
-	"indbml/internal/engine/vector"
-)
-
-// Value tags. Non-null values travel as length-prefixed text — the
-// representation ODBC drivers commonly use (and the reason fetching large
-// numeric results through ODBC costs so much: every float is formatted by
-// the server and parsed by the client).
-const (
-	TagNull = 0
-	TagText = 1
 )
 
 // Message kinds.
@@ -63,6 +66,7 @@ const (
 	MsgDone   = 0xA3
 	MsgOK     = 0xA4
 	MsgTrace  = 0xA5
+	MsgBatch  = 0xA6
 	MsgError  = 0xAE
 
 	MsgStmt = 0xB1
@@ -101,13 +105,9 @@ type ServerError struct {
 // Error implements error.
 func (e *ServerError) Error() string { return "wire: server: " + e.Msg }
 
-// ChunkRows is how many rows are framed per MsgRows message; small enough
-// to keep a pipe streaming, large enough to amortize framing.
-const ChunkRows = 512
-
 // maxFrameLen bounds any single length-prefixed payload (statement text,
-// error message, row) so a corrupt or hostile peer cannot force an
-// arbitrarily large allocation.
+// error message, row, batch) so a corrupt or hostile peer cannot make the
+// reader wait for, or buffer, an arbitrarily large frame.
 const maxFrameLen = 64 << 20
 
 // Column describes one result column on the client side.
@@ -134,18 +134,52 @@ func readLen(r *bufio.Reader) (int, error) {
 	return int(n), nil
 }
 
+// readChunk is how far readN may grow its buffer ahead of the bytes it has
+// received while they are still few.
+const readChunk = 64 << 10
+
+// readN reads exactly n bytes into buf[:0], reusing its capacity. A longer
+// buffer is grown only as bytes arrive — by at most max(received,
+// readChunk) at a time — so a declared length the peer never sends costs
+// nothing.
+func readN(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), readChunk)))
+		}
+		m := len(buf)
+		k, err := io.ReadFull(r, buf[m:min(n, cap(buf))])
+		buf = buf[:m+k]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// ReadFrame reads one length-prefixed payload (len, then len bytes) into
+// buf, reusing its capacity; the length is capped at the frame limit and the
+// buffer grows only with bytes received (readN).
+func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	n, err := readLen(r)
+	if err != nil {
+		return nil, err
+	}
+	return readN(r, buf, n)
+}
+
 func writeString(w *bufio.Writer, s string) {
 	WriteUvarint(w, uint64(len(s)))
 	w.WriteString(s)
 }
 
 func readString(r *bufio.Reader) (string, error) {
-	n, err := readLen(r)
+	buf, err := ReadFrame(r, nil)
 	if err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", err
 	}
 	return string(buf), nil
@@ -163,14 +197,15 @@ func WriteSchema(w *bufio.Writer, schema *types.Schema) {
 }
 
 // ReadSchemaBody parses a MsgSchema payload; the kind byte must already be
-// consumed.
+// consumed. Columns are collected as they arrive rather than allocated from
+// the declared count, and every type must be one the engine has.
 func ReadSchemaBody(r *bufio.Reader) ([]Column, error) {
 	ncols, err := readLen(r)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]Column, ncols)
-	for i := range cols {
+	var cols []Column
+	for i := 0; i < ncols; i++ {
 		name, err := readString(r)
 		if err != nil {
 			return nil, err
@@ -179,9 +214,30 @@ func ReadSchemaBody(r *bufio.Reader) ([]Column, error) {
 		if err != nil {
 			return nil, err
 		}
-		cols[i] = Column{Name: name, Type: types.T(t)}
+		if typ := types.T(t); typ < types.Bool || typ > types.String {
+			return nil, fmt.Errorf("wire: column %q has unknown type %d", name, t)
+		}
+		cols = append(cols, Column{Name: name, Type: types.T(t)})
 	}
 	return cols, nil
+}
+
+// ReadResultSchema consumes a result stream's first frame — MsgSchema, or
+// MsgError when the statement failed before producing rows — and returns
+// the result's columns.
+func ReadResultSchema(r *bufio.Reader) ([]Column, error) {
+	kind, err := r.ReadByte()
+	if err != nil {
+		return nil, fmt.Errorf("wire: reading result header: %w", err)
+	}
+	switch kind {
+	case MsgError:
+		return nil, ReadErrorBody(r)
+	case MsgSchema:
+		return ReadSchemaBody(r)
+	default:
+		return nil, fmt.Errorf("wire: expected schema message, got 0x%x", kind)
+	}
 }
 
 // WriteError writes a MsgError frame.
@@ -267,120 +323,4 @@ func WriteTrace(w *bufio.Writer, payload []byte) {
 
 // ReadTraceBody parses a MsgTrace payload; the kind byte must already be
 // consumed.
-func ReadTraceBody(r *bufio.Reader) ([]byte, error) {
-	n, err := readLen(r)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// EncodeRow pivots one row out of the columnar batch, formatting every
-// value as text (the server-side half of the ODBC conversion cost).
-func EncodeRow(dst []byte, b *vector.Batch, r int) []byte {
-	var scratch [32]byte
-	for _, v := range b.Vecs {
-		if v.NullAt(r) {
-			dst = append(dst, TagNull)
-			continue
-		}
-		dst = append(dst, TagText)
-		var text []byte
-		switch v.Type() {
-		case types.Bool:
-			if v.Bools()[r] {
-				text = append(scratch[:0], "true"...)
-			} else {
-				text = append(scratch[:0], "false"...)
-			}
-		case types.Int32:
-			text = strconv.AppendInt(scratch[:0], int64(v.Int32s()[r]), 10)
-		case types.Int64:
-			text = strconv.AppendInt(scratch[:0], v.Int64s()[r], 10)
-		case types.Float32:
-			text = strconv.AppendFloat(scratch[:0], float64(v.Float32s()[r]), 'g', -1, 32)
-		case types.Float64:
-			text = strconv.AppendFloat(scratch[:0], v.Float64s()[r], 'g', -1, 64)
-		case types.String:
-			text = []byte(v.Strings()[r])
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(text)))
-		dst = append(dst, text...)
-	}
-	return dst
-}
-
-// DecodeRow parses each text value back into a boxed value of the column's
-// declared type — the client-side half of the ODBC conversion plus the
-// per-object materialization a Python client pays.
-func DecodeRow(buf []byte, cols []Column) ([]any, error) {
-	row := make([]any, 0, len(cols))
-	for len(row) < len(cols) {
-		if len(buf) == 0 {
-			return nil, fmt.Errorf("wire: truncated row")
-		}
-		tag := buf[0]
-		buf = buf[1:]
-		if tag == TagNull {
-			row = append(row, nil)
-			continue
-		}
-		if tag != TagText {
-			return nil, fmt.Errorf("wire: unknown value tag %d", tag)
-		}
-		if len(buf) < 4 {
-			return nil, fmt.Errorf("wire: truncated value length")
-		}
-		n := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		if len(buf) < n {
-			return nil, fmt.Errorf("wire: truncated value payload")
-		}
-		text := string(buf[:n])
-		buf = buf[n:]
-		v, err := ParseValue(text, cols[len(row)].Type)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	return row, nil
-}
-
-// ParseValue converts one text-encoded value into a boxed value of type t.
-func ParseValue(text string, t types.T) (any, error) {
-	switch t {
-	case types.Bool:
-		return text == "true", nil
-	case types.Int32:
-		v, err := strconv.ParseInt(text, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("wire: parsing %q: %w", text, err)
-		}
-		return int32(v), nil
-	case types.Int64:
-		v, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("wire: parsing %q: %w", text, err)
-		}
-		return v, nil
-	case types.Float32:
-		v, err := strconv.ParseFloat(text, 32)
-		if err != nil {
-			return nil, fmt.Errorf("wire: parsing %q: %w", text, err)
-		}
-		return float32(v), nil
-	case types.Float64:
-		v, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("wire: parsing %q: %w", text, err)
-		}
-		return v, nil
-	default:
-		return text, nil
-	}
-}
+func ReadTraceBody(r *bufio.Reader) ([]byte, error) { return ReadFrame(r, nil) }

@@ -152,8 +152,8 @@ func TestErrorAndOKFrames(t *testing.T) {
 	}
 }
 
-// writeRowStream emits a complete result stream (schema, one row chunk,
-// MsgDone) for the test schema, returning the encoded row length.
+// writeRowStream emits a complete result stream (schema, one batch frame,
+// MsgDone) for the test schema, returning the frame's payload length.
 func writeRowStream(t *testing.T, w *bufio.Writer, qid uint64) int {
 	t.Helper()
 	schema := testSchema()
@@ -165,11 +165,8 @@ func writeRowStream(t *testing.T, w *bufio.Writer, qid uint64) int {
 		t.Fatal(err)
 	}
 	WriteSchema(w, schema)
-	enc := EncodeRow(nil, b, 0)
-	w.WriteByte(MsgRows)
-	WriteUvarint(w, 1)
-	WriteUvarint(w, uint64(len(enc)))
-	w.Write(enc)
+	enc := appendBatch(nil, b, 0, 1)
+	writeBatchFrame(w, enc)
 	w.WriteByte(MsgDone)
 	WriteUvarint(w, qid)
 	return len(enc)
@@ -177,7 +174,7 @@ func writeRowStream(t *testing.T, w *bufio.Writer, qid uint64) int {
 
 // TestCursorTraceTrailer: an armed cursor consumes the MsgTrace trailer
 // after MsgDone, exposes its payload, and leaves the reader positioned at
-// the next result; row payload bytes are accounted in BytesRead.
+// the next result; batch payload bytes are accounted in BytesRead.
 func TestCursorTraceTrailer(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
