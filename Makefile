@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-paper trace-smoke flight-smoke batch-smoke stats-smoke shard-smoke dist-trace-smoke alert-smoke examples experiments experiments-paper clean
+.PHONY: all build test race vet bench bench-paper trace-smoke flight-smoke stats-smoke shard-smoke dist-trace-smoke alert-smoke examples experiments experiments-paper clean
 
 all: build vet test
 
@@ -49,12 +49,6 @@ trace-smoke:
 # over the wire, assert SELECT count(*) FROM system.queries > 0.
 flight-smoke:
 	./scripts/flight_smoke.sh
-
-# End-to-end batching smoke: boot vectordbd with a stretched coalesce
-# window, hammer the demo MODEL JOIN from concurrent clients, assert the
-# scheduler coalesced batches from more than one query.
-batch-smoke:
-	./scripts/batch_smoke.sh
 
 # End-to-end control-plane smoke: boot vectordbd, run one statement shape
 # with two different literals, assert system.statement_stats folded them

@@ -452,8 +452,7 @@ func (s *remoteSession) close() { s.c.Close() }
 func (s *remoteSession) runSQL(text string) {
 	upper := strings.ToUpper(strings.TrimSpace(text))
 	switch {
-	case strings.HasPrefix(upper, "EXPLAIN"), upper == "STATUS", upper == "METRICS", upper == "BATCHER",
-		strings.HasPrefix(upper, "SET "):
+	case strings.HasPrefix(upper, "EXPLAIN"), upper == "STATUS", upper == "METRICS", upper == "BATCHER":
 		out, err := s.c.Command(text)
 		if err != nil {
 			fmt.Println("error:", err)

@@ -39,12 +39,11 @@ func main() {
 	maxQuery := flag.Duration("max-query", 0, "cap every query's run time (0 = uncapped)")
 	partitions := flag.Int("partitions", 4, "default table partition count")
 	parallelism := flag.Int("parallelism", 0, "query parallelism (0 = GOMAXPROCS)")
-	modelCache := flag.Int("model-cache", 0, "model artifact cache entries (0 = default 32, negative = disabled)")
+	modelCache := flag.Int("model-cache", 0, "model artifact cache entries (0 = default 32)")
 	flightSize := flag.Int("flight-recorder-size", 0, "query flight-recorder ring capacity (0 = default 1024)")
 	batchMaxWait := flag.Duration("batch-max-wait", 0, "max time a MODEL JOIN batch waits to coalesce with concurrent queries (0 = default 500µs)")
 	batchMaxRows := flag.Int("batch-max-rows", 0, "max rows per coalesced inference super-batch (0 = default 8192)")
 	batchInflight := flag.Int("batch-inflight", 0, "max concurrently executing inference batches per device (0 = default 2)")
-	noBatching := flag.Bool("no-batching", false, "disable the batched inference scheduler (every MODEL JOIN drives the device directly)")
 	demo := flag.Bool("demo", false, "load the iris/sinus demo workload at startup")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget before in-flight queries are canceled")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics on this address (empty = disabled)")
@@ -77,7 +76,6 @@ func main() {
 			MaxBatchRows: *batchMaxRows,
 			MaxInFlight:  *batchInflight,
 		},
-		DisableInferSched: *noBatching,
 	})
 	if *demo {
 		if err := workload.LoadDemo(d); err != nil {

@@ -75,11 +75,13 @@ type builtModel struct {
 	layers  []deviceLayer
 	packDur time.Duration // build-phase weight packing, part of the build
 
-	// scratchPool recycles inference working sets across operator instances
-	// and across queries (the model itself outlives a query when it sits in
-	// the engine's artifact cache). Bounded; see putScratch.
+	// scratchPool recycles RunPacked's device working sets across passes,
+	// and hostPool the operators' host buffers across operator instances and
+	// queries (the model itself outlives a query when it sits in the engine's
+	// artifact cache). Both bounded; see putScratch and putHost.
 	scratchMu   sync.Mutex
 	scratchPool []*inferScratch
+	hostPool    []*hostBufs
 	freed       bool
 }
 
@@ -181,11 +183,19 @@ func (s *SharedModel) builtOK() *builtModel {
 	return s.built
 }
 
-// InputDim reports the model's feature width; with OutputDim and RunPacked
-// it makes builtModel an infersched.Runner, so the scheduler can key
-// coalescing on artifact identity (the cross-query model cache deduplicates
-// concurrent queries onto one *builtModel).
-func (m *builtModel) InputDim() int { return m.layers[0].inDim }
+// InputDim reports the width of one row of RunPacked's staging: the
+// feature count of a dense-first model, the time steps of an LSTM-first one
+// (matching New's input-column check). With OutputDim and RunPacked it makes
+// builtModel an infersched.Runner, so the scheduler can key coalescing on
+// artifact identity (the cross-query model cache deduplicates concurrent
+// queries onto one *builtModel).
+func (m *builtModel) InputDim() int {
+	l := &m.layers[0]
+	if l.kind == nn.KindLSTM {
+		return l.timeSteps
+	}
+	return l.inDim
+}
 
 // OutputDim reports the model's prediction width.
 func (m *builtModel) OutputDim() int { return m.meta.OutputDim() }
@@ -193,65 +203,138 @@ func (m *builtModel) OutputDim() int { return m.meta.OutputDim() }
 // RunPacked executes one packed forward pass over rows feature rows
 // (row-major rows×InputDim in staging), writing rows×OutputDim predictions
 // to preds, and reports the gemm kernels' busy time summed over their
-// workers. Unlike the operator's per-batch path it is shape-agnostic: rows
-// may exceed vector.Size when the scheduler coalesced several queries'
-// batches, which is exactly what amortizes per-call upload/launch costs.
-// Dense models only — the LSTM path keeps per-operator state and is never
-// submitted to the scheduler.
+// workers. It is the operator's one inference loop (Sec. 5.4): every MODEL
+// JOIN batch reaches it through the scheduler, alone or coalesced with
+// concurrent statements' batches, so rows may exceed vector.Size. The device
+// working set is checked out of the model's pool for the pass only.
 func (m *builtModel) RunPacked(rows int, staging, preds []float32) (time.Duration, error) {
-	if m.layers[0].kind == nn.KindLSTM {
-		return 0, fmt.Errorf("modeljoin: model %s: packed inference does not support lstm layers", m.meta.Name)
-	}
 	s := m.getScratch(rows)
 	defer m.putScratch(s)
-	dev := m.dev
-	inDim := m.layers[0].inDim
-	act := blas.Mat{Rows: rows, Cols: inDim, Data: s.bufs[0].Data[:rows*inDim]}
-	dev.Upload(act, staging[:rows*inDim])
+	var act blas.Mat
 	var busy time.Duration
-	for li := range m.layers {
+	first := 0
+	if m.layers[0].kind == nn.KindLSTM {
+		act, busy = m.lstmForward(s, rows, staging)
+		first = 1
+	} else {
+		inDim := m.layers[0].inDim
+		act = blas.Mat{Rows: rows, Cols: inDim, Data: s.bufs[0].Data[:rows*inDim]}
+		m.dev.Upload(act, staging[:rows*inDim])
+	}
+	for li := first; li < len(m.layers); li++ {
 		l := &m.layers[li]
 		out := blas.Mat{Rows: rows, Cols: l.units, Data: s.bufs[li+1].Data[:rows*l.units]}
-		_, b := m.denseForward(l, act, out)
-		busy += b
+		busy += m.denseForward(l, act, out)
 		act = out
 	}
-	dev.Download(preds[:rows*m.meta.OutputDim()], act)
+	m.dev.Download(preds[:rows*m.meta.OutputDim()], act)
 	return busy, nil
 }
 
-// flopsFor reports the dense forward pass's matrix-multiply FLOP count for
-// n feature rows (used to attribute a coalesced super-batch's work back to
+// lstmForward implements Listing 5 on the device for rows series (row-major
+// rows×timeSteps in staging): per time step, each gate's z = x_t·W_g + bias
+// (one fused gemm) + h·U_g, gate activations, cell update and hidden state.
+// The series is transposed into the scratch's timeSteps×rows matrix and
+// uploaded once, so each x_t is a contiguous device row. It returns the
+// final hidden state and the gemm kernels' busy time.
+func (m *builtModel) lstmForward(s *inferScratch, rows int, staging []float32) (blas.Mat, time.Duration) {
+	dev := m.dev
+	l := &m.layers[0]
+	ls := s.lstm
+	steps := l.timeSteps
+	series := ls.series[:steps*rows]
+	for r := 0; r < rows; r++ {
+		for t, v := range staging[r*steps : (r+1)*steps] {
+			series[t*rows+r] = v
+		}
+	}
+	x := blas.Mat{Rows: steps, Cols: rows, Data: ls.x.Data[:steps*rows]}
+	dev.Upload(x, series)
+
+	h := blas.Mat{Rows: rows, Cols: l.units, Data: ls.h.Data[:rows*l.units]}
+	c := blas.Mat{Rows: rows, Cols: l.units, Data: ls.c.Data[:rows*l.units]}
+	tmp := blas.Mat{Rows: rows, Cols: l.units, Data: ls.tmp.Data[:rows*l.units]}
+	var z [4]blas.Mat
+	for g := 0; g < 4; g++ {
+		z[g] = blas.Mat{Rows: rows, Cols: l.units, Data: ls.z[g].Data[:rows*l.units]}
+	}
+
+	var busy time.Duration
+	for round := 0; round < steps; round++ {
+		xt := blas.Mat{Rows: rows, Cols: 1, Data: x.Row(round)}
+		for g := 0; g < 4; g++ {
+			if m.cfg.NoBiasMatrix {
+				for r := 0; r < rows; r++ {
+					dev.Copy(z[g].Row(r), l.gBias[g])
+				}
+				busy += m.gemm(xt, l.wg[g], z[g]) // kernel contribution + z
+			} else {
+				busy += dev.GemmBiasAct(xt, l.pwg[g], l.gBias[g], blas.ActNone, z[g])
+			}
+			if round > 0 {
+				busy += m.gemm(h, l.ug[g], z[g]) // recurrent contribution + z
+			}
+		}
+		dev.Sigmoid(z[0].Data) // i
+		dev.Sigmoid(z[1].Data) // f
+		dev.Tanh(z[2].Data)    // c̃
+		dev.Sigmoid(z[3].Data) // o
+
+		dev.VsMul(z[0].Data, z[2].Data, z[2].Data) // i ⊙ c̃
+		if round > 0 {
+			dev.VsMul(z[1].Data, c.Data, c.Data) // f ⊙ c
+			dev.VsAdd(z[2].Data, c.Data, c.Data)
+		} else {
+			dev.Copy(c.Data, z[2].Data)
+		}
+		dev.Copy(tmp.Data, c.Data)
+		dev.Tanh(tmp.Data)
+		dev.VsMul(z[3].Data, tmp.Data, h.Data) // h = o ⊙ tanh(c)
+	}
+	return h, busy
+}
+
+// flopsFor reports the forward pass's matrix-multiply FLOP count for n
+// feature rows (used to attribute a coalesced super-batch's work back to
 // each query's trace span — FLOPs scale linearly in rows).
 func (m *builtModel) flopsFor(n int) int64 {
 	var f int64
 	for _, l := range m.layers {
+		if l.kind == nn.KindLSTM {
+			steps := int64(l.timeSteps)
+			f += 4 * (steps*blas.FlopsGemm(n, l.inDim, l.units) + (steps-1)*blas.FlopsGemm(n, l.units, l.units))
+			continue
+		}
 		f += blas.FlopsGemm(n, l.inDim, l.units)
 	}
 	return f
 }
 
+// gemm runs one unfused device matrix multiply C += A·B (the LSTM's
+// recurrent term and the NoBiasMatrix ablation). Its busy time is its wall
+// time: Sgemm does not report its workers.
+func (m *builtModel) gemm(a, b, c blas.Mat) time.Duration {
+	start := time.Now()
+	m.dev.Gemm(a, b, c)
+	return time.Since(start)
+}
+
 // denseForward computes out = act(in·W + bias) on the device for any row
 // count: one fused gemm over the weights packed at build. It returns the
-// multiply's wall time and its kernel busy time summed over workers. The
-// NoBiasMatrix ablation runs the unfused sequence instead, whose gemm packs W
-// on every call.
-func (m *builtModel) denseForward(l *deviceLayer, in, out blas.Mat) (wall, busy time.Duration) {
+// kernel busy time summed over workers. The NoBiasMatrix ablation runs the
+// unfused sequence instead, whose gemm packs W on every call.
+func (m *builtModel) denseForward(l *deviceLayer, in, out blas.Mat) time.Duration {
 	dev := m.dev
 	if m.cfg.NoBiasMatrix {
 		clear(out.Data)
-		start := time.Now()
-		dev.Gemm(in, l.w, out)
-		wall = time.Since(start)
+		busy := m.gemm(in, l.w, out)
 		for r := 0; r < out.Rows; r++ {
 			dev.VsAdd(out.Row(r), l.bias, out.Row(r))
 		}
 		applyActivation(dev, l.act, out.Data)
-		return wall, wall
+		return busy
 	}
-	start := time.Now()
-	busy = dev.GemmBiasAct(in, l.pw, l.bias, blasActivation(l.act), out)
-	return time.Since(start), busy
+	return dev.GemmBiasAct(in, l.pw, l.bias, blasActivation(l.act), out)
 }
 
 // blasActivation maps a layer activation to the gemm epilogue's.
@@ -473,8 +556,8 @@ func (m *builtModel) upload(hl hostLayer) deviceLayer {
 // blocks touch are downloaded, patched, uploaded and re-packed; the others
 // are copied device to device and keep their packed weights and biases,
 // which are immutable. The result is bit-identical to a cold build of snap
-// and shares no device memory with m; m's idle pooled scratch (same shapes,
-// same device) moves over.
+// and shares no device memory with m; m's idle pooled scratch and host
+// buffers (same shapes, same device) move over.
 func (m *builtModel) patch(snap *storage.Snapshot, blocks []storage.BlockRef) (*builtModel, buildInfo, error) {
 	info := buildInfo{Kind: "delta"}
 	host := make([]hostLayer, len(m.layers))
@@ -511,6 +594,7 @@ func (m *builtModel) patch(snap *storage.Snapshot, blocks []storage.BlockRef) (*
 	m.scratchMu.Lock()
 	if !m.freed {
 		nm.scratchPool, m.scratchPool = m.scratchPool, nil
+		nm.hostPool, m.hostPool = m.hostPool, nil
 	}
 	m.scratchMu.Unlock()
 	return nm, info, nil

@@ -312,11 +312,11 @@ func sameInference(t *testing.T, a, b *SharedModel, cols []int, inputs int, seed
 	t.Helper()
 	childA, _ := factBatches(t, 300, inputs, seed)
 	childB, _ := factBatches(t, 300, inputs, seed)
-	opA, err := New(childA, a, cols)
+	opA, err := newOp(childA, a, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opB, err := New(childB, b, cols)
+	opB, err := newOp(childB, b, cols)
 	if err != nil {
 		t.Fatal(err)
 	}

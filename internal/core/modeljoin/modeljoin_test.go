@@ -10,11 +10,19 @@ import (
 	"indbml/internal/engine/exec"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
+	"indbml/internal/infersched"
 	"indbml/internal/nn"
 )
 
 func factBatches(t *testing.T, rows, nCols int, seed int64) (exec.Operator, [][]float32) {
 	t.Helper()
+	schema, batches, data := factData(rows, nCols, seed)
+	return exec.NewValues(schema, batches...), data
+}
+
+// factData is rows of (id BIGINT, c0.. FLOAT) in vector.Size batches, plus
+// the feature rows.
+func factData(rows, nCols int, seed int64) (*types.Schema, []*vector.Batch, [][]float32) {
 	cols := []types.Column{{Name: "id", Type: types.Int64}}
 	for i := 0; i < nCols; i++ {
 		cols = append(cols, types.Column{Name: "c" + string(rune('0'+i)), Type: types.Float32})
@@ -40,7 +48,7 @@ func factBatches(t *testing.T, rows, nCols int, seed int64) (exec.Operator, [][]
 		}
 		batches = append(batches, b)
 	}
-	return exec.NewValues(schema, batches...), data
+	return schema, batches, data
 }
 
 func shared(t *testing.T, m *nn.Model, dev device.Device, layout relmodel.Layout, parts int, cfg Config) *SharedModel {
@@ -50,6 +58,15 @@ func shared(t *testing.T, m *nn.Model, dev device.Device, layout relmodel.Layout
 		t.Fatal(err)
 	}
 	return &SharedModel{Table: tbl, Meta: meta, Dev: dev, Cfg: cfg}
+}
+
+// testSched is the scheduler the operators under test submit to, as every
+// MODEL JOIN in the engine does.
+var testSched = infersched.New(infersched.Config{})
+
+// newOp builds an operator on testSched, queued under the model and device.
+func newOp(child exec.Operator, sm *SharedModel, inputCols []int) (*Operator, error) {
+	return New(child, sm, inputCols, testSched, infersched.Label{Model: sm.Meta.Name, Device: sm.Dev.Name()})
 }
 
 func runOp(t *testing.T, op exec.Operator) *vector.Batch {
@@ -82,7 +99,7 @@ func TestOperatorDenseExactOnCPU(t *testing.T) {
 	ref := model.PredictBatch(data)
 	for _, layout := range []relmodel.Layout{relmodel.LayoutPairs, relmodel.LayoutNodeID} {
 		child, _ := factBatches(t, 2500, 4, 1)
-		op, err := New(child, shared(t, model, device.NewCPU(), layout, 3, Config{}), []int{1, 2, 3, 4})
+		op, err := newOp(child, shared(t, model, device.NewCPU(), layout, 3, Config{}), []int{1, 2, 3, 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +116,7 @@ func TestOperatorLSTM(t *testing.T) {
 	child, data := factBatches(t, 1500, 3, 2)
 	model := nn.NewLSTMModel("lm", 3, 12, 9)
 	ref := model.PredictBatch(data)
-	op, err := New(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3})
+	op, err := newOp(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +127,7 @@ func TestOperatorLSTM(t *testing.T) {
 func TestOperatorGPUEqualsCPU(t *testing.T) {
 	model := nn.NewDenseModel("m", 4, 32, 3, 1, 7)
 	cpuChild, data := factBatches(t, 3000, 4, 3)
-	cpuOp, err := New(cpuChild, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3, 4})
+	cpuOp, err := newOp(cpuChild, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +135,7 @@ func TestOperatorGPUEqualsCPU(t *testing.T) {
 
 	gpu := device.NewGPU(device.DefaultGPUConfig())
 	gpuChild, _ := factBatches(t, 3000, 4, 3)
-	gpuOp, err := New(gpuChild, shared(t, model, gpu, relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3, 4})
+	gpuOp, err := newOp(gpuChild, shared(t, model, gpu, relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +158,13 @@ func TestOperatorGPUEqualsCPU(t *testing.T) {
 func TestNoBiasMatrixAblationSameResults(t *testing.T) {
 	model := nn.NewDenseModel("m", 4, 8, 2, 1, 11)
 	c1, data := factBatches(t, 1200, 4, 4)
-	opt, err := New(c1, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 1, Config{}), []int{1, 2, 3, 4})
+	opt, err := newOp(c1, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 1, Config{}), []int{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast := runOp(t, opt)
 	c2, _ := factBatches(t, 1200, 4, 4)
-	opSlow, err := New(c2, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 1, Config{NoBiasMatrix: true}), []int{1, 2, 3, 4})
+	opSlow, err := newOp(c2, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 1, Config{NoBiasMatrix: true}), []int{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +184,7 @@ func TestSerialAndFineGrainedBuildAblations(t *testing.T) {
 	for _, cfg := range []Config{{SerialBuild: true}, {FineGrainedGPUBuild: true}} {
 		gpu := device.NewGPU(device.DefaultGPUConfig())
 		child, data := factBatches(t, 800, 3, 5)
-		op, err := New(child, shared(t, model, gpu, relmodel.LayoutPairs, 4, cfg), []int{1, 2, 3})
+		op, err := newOp(child, shared(t, model, gpu, relmodel.LayoutPairs, 4, cfg), []int{1, 2, 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,10 +232,10 @@ func TestInputValidation(t *testing.T) {
 	model := nn.NewDenseModel("m", 4, 8, 1, 1, 21)
 	child, _ := factBatches(t, 10, 4, 6)
 	sm := shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 1, Config{})
-	if _, err := New(child, sm, []int{1, 2}); err == nil {
+	if _, err := newOp(child, sm, []int{1, 2}); err == nil {
 		t.Error("wrong input arity should fail")
 	}
-	if _, err := New(child, sm, []int{1, 2, 3, 99}); err == nil {
+	if _, err := newOp(child, sm, []int{1, 2, 3, 99}); err == nil {
 		t.Error("out-of-range column should fail")
 	}
 }
@@ -228,7 +245,7 @@ func TestPipelinedNoFullMaterialization(t *testing.T) {
 	// output already holds rows while the input is far from drained.
 	model := nn.NewDenseModel("m", 4, 8, 1, 1, 23)
 	child, _ := factBatches(t, 10*vector.Size, 4, 7)
-	op, err := New(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 1, Config{}), []int{1, 2, 3, 4})
+	op, err := newOp(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 1, Config{}), []int{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

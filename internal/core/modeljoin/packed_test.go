@@ -10,6 +10,7 @@ import (
 	"indbml/internal/engine/vector"
 	"indbml/internal/infersched"
 	"indbml/internal/nn"
+	"indbml/internal/trace"
 )
 
 // packRows gathers reference feature rows into a row-major staging slice.
@@ -82,15 +83,35 @@ func TestRunPackedNoBiasMatrix(t *testing.T) {
 	}
 }
 
-func TestRunPackedRejectsLSTM(t *testing.T) {
-	model := nn.NewLSTMModel("lm", 3, 12, 9)
-	sm := shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 1, Config{})
-	bm, err := sm.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bm.RunPacked(4, make([]float32, 12), make([]float32, 4)); err == nil {
-		t.Fatal("RunPacked on an lstm model must error")
+// TestRunPackedLSTM drives RunPacked on an LSTM-first model: its input is
+// one column per time step, and super-batches of any size match nn on the
+// CPU and on GPU[sim].
+func TestRunPackedLSTM(t *testing.T) {
+	const steps = 3
+	model := nn.NewLSTMModel("lm", steps, 12, 9)
+	_, data := factBatches(t, 3000, steps, 2)
+	ref := model.PredictBatch(data)
+	for _, dev := range []device.Device{device.NewCPU(), device.NewGPU(device.DefaultGPUConfig())} {
+		sm := shared(t, model, dev, relmodel.LayoutPairs, 1, Config{})
+		bm, err := sm.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bm.InputDim() != steps || bm.OutputDim() != 1 {
+			t.Fatalf("dims: in=%d out=%d, want %d/1", bm.InputDim(), bm.OutputDim(), steps)
+		}
+		for _, rows := range []int{1, 17, vector.Size, 3000} {
+			preds := make([]float32, rows)
+			if _, err := bm.RunPacked(rows, packRows(data, 0, rows), preds); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < rows; r++ {
+				got, want := float64(preds[r]), float64(ref[r][0])
+				if math.Abs(got-want) > 1e-4+1e-4*math.Abs(want) {
+					t.Fatalf("%s rows=%d row=%d: got %v want %v", dev.Name(), rows, r, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -108,8 +129,8 @@ func TestScratchShapeAware(t *testing.T) {
 	if big.rows != 3*vector.Size {
 		t.Fatalf("capacity %d, want rounded-up %d", big.rows, 3*vector.Size)
 	}
-	if got := len(big.staging); got != 4*big.rows {
-		t.Fatalf("staging len %d, want %d", got, 4*big.rows)
+	if got := len(big.bufs[0].Data); got != 4*big.rows {
+		t.Fatalf("input buffer len %d, want %d", got, 4*big.rows)
 	}
 	huge := bm.getScratch(3*vector.Size + 1)
 	if huge.rows != 4*vector.Size {
@@ -133,9 +154,9 @@ func TestScratchShapeAware(t *testing.T) {
 	bm.putScratch(again)
 }
 
-// TestOperatorThroughScheduler runs the full operator with a wired
-// scheduler and verifies results match the direct path, the batched label
-// is stamped, and the scheduler saw the requests.
+// TestOperatorThroughScheduler runs the full operator on its own scheduler
+// and verifies results match the reference, the batched label is stamped,
+// and the scheduler saw the requests.
 func TestOperatorThroughScheduler(t *testing.T) {
 	model := nn.NewDenseModel("m", 4, 16, 2, 2, 5)
 	_, data := factBatches(t, 2500, 4, 1)
@@ -143,61 +164,60 @@ func TestOperatorThroughScheduler(t *testing.T) {
 
 	sched := infersched.New(infersched.Config{})
 	child, _ := factBatches(t, 2500, 4, 1)
-	op, err := New(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3, 4})
+	op, err := New(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3, 4},
+		sched, infersched.Label{Model: "m", Device: "cpu"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	op.SetScheduler(sched, infersched.Label{Model: "m", Device: "cpu"})
 	op.SetQueryContext(context.Background())
+	sp := trace.NewSpan("ModelJoin")
+	op.SetSpan(sp)
 	out := runOp(t, op)
 	if out.Len() != 2500 {
 		t.Fatalf("got %d rows", out.Len())
 	}
 	checkAgainstReference(t, out, ref, 2, 1e-4)
-	if len(sched.BatchSnapshot()) == 0 {
-		t.Fatal("scheduler saw no batches")
+	if got := len(sched.BatchSnapshot()); got != 3 {
+		t.Fatalf("scheduler saw %d batches, want one per input batch (3)", got)
 	}
-
-	// Policy opt-out must bypass the scheduler entirely.
-	before := len(sched.BatchSnapshot())
-	child2, _ := factBatches(t, 1200, 4, 1)
-	op2, err := New(child2, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op2.SetScheduler(sched, infersched.Label{Model: "m", Device: "cpu"})
-	op2.SetQueryContext(infersched.WithPolicy(context.Background(), infersched.Policy{Disabled: true}))
-	out2 := runOp(t, op2)
-	checkAgainstReference(t, out2, ref, 2, 1e-4)
-	if got := len(sched.BatchSnapshot()); got != before {
-		t.Fatalf("disabled policy still reached the scheduler (%d -> %d batches)", before, got)
+	if got := sp.Label("batched"); got != "yes" {
+		t.Fatalf("batched label %q, want yes", got)
 	}
 }
 
-// TestOperatorSchedulerLSTMFallsBack: an LSTM model with a scheduler wired
-// in must silently use the direct path and stay correct.
-func TestOperatorSchedulerLSTMFallsBack(t *testing.T) {
+// TestOperatorSchedulerLSTM: an LSTM MODEL JOIN takes the same road as a
+// dense one — every input batch reaches the scheduler, the batched label is
+// stamped, and the results match nn.
+func TestOperatorSchedulerLSTM(t *testing.T) {
 	model := nn.NewLSTMModel("lm", 3, 12, 9)
 	child, data := factBatches(t, 1500, 3, 2)
 	ref := model.PredictBatch(data)
-	op, err := New(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3})
+	sched := infersched.New(infersched.Config{})
+	op, err := New(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3},
+		sched, infersched.Label{Model: "lm", Device: "cpu"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := infersched.New(infersched.Config{})
-	op.SetScheduler(sched, infersched.Label{Model: "lm", Device: "cpu"})
 	op.SetQueryContext(context.Background())
+	sp := trace.NewSpan("ModelJoin")
+	op.SetSpan(sp)
 	out := runOp(t, op)
+	if out.Len() != 1500 {
+		t.Fatalf("got %d rows", out.Len())
+	}
 	checkAgainstReference(t, out, ref, 1, 1e-4)
-	if len(sched.BatchSnapshot()) != 0 {
-		t.Fatal("lstm batches must not reach the scheduler")
+	if got := len(sched.BatchSnapshot()); got != 2 {
+		t.Fatalf("scheduler saw %d lstm batches, want one per input batch (2)", got)
+	}
+	if got := sp.Label("batched"); got != "yes" {
+		t.Fatalf("batched label %q, want yes", got)
 	}
 }
 
 // TestWidePathsAgree runs a 256-wide model — full 16-column panels, partial
-// row tiles, both BLAS workers — down the three paths that must share one
-// kernel: the operator's direct per-batch loop, the scheduler's RunPacked
-// super-batch, and nn's reference forward pass, on the CPU and on GPU[sim].
+// row tiles, both BLAS workers — through the operator and the scheduler
+// against nn's reference forward pass, on the CPU and on GPU[sim], and
+// checks RunPacked reports its kernels' busy time.
 func TestWidePathsAgree(t *testing.T) {
 	model := nn.NewDenseModel("wide", 4, 256, 4, 3, 17)
 	const rows = 2500
@@ -206,34 +226,22 @@ func TestWidePathsAgree(t *testing.T) {
 	for _, dev := range []device.Device{device.NewCPU(), device.NewGPU(device.DefaultGPUConfig())} {
 		sm := shared(t, model, dev, relmodel.LayoutPairs, 4, Config{})
 		child, _ := factBatches(t, rows, 4, 6)
-		op, err := New(child, sm, []int{1, 2, 3, 4})
+		op, err := newOp(child, sm, []int{1, 2, 3, 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := runOp(t, op)
-		checkAgainstReference(t, direct, ref, 3, 1e-4)
+		checkAgainstReference(t, runOp(t, op), ref, 3, 1e-4)
 
 		bm, err := sm.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		preds := make([]float32, rows*3)
-		busy, err := bm.RunPacked(rows, packRows(data, 0, rows), preds)
+		busy, err := bm.RunPacked(rows, packRows(data, 0, rows), make([]float32, rows*3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if busy <= 0 {
 			t.Errorf("%s: RunPacked reported no kernel busy time", dev.Name())
-		}
-		base := direct.Schema.Len() - 3
-		for r := 0; r < rows; r++ {
-			for k := 0; k < 3; k++ {
-				// Same kernel, same weights, same summation order: a row's
-				// prediction cannot depend on the batch it travelled in.
-				if got, want := preds[r*3+k], direct.Vecs[base+k].Float32s()[r]; got != want {
-					t.Fatalf("%s row %d out %d: packed %v != direct %v", dev.Name(), r, k, got, want)
-				}
-			}
 		}
 	}
 }

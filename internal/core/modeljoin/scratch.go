@@ -4,20 +4,30 @@ import (
 	"runtime"
 
 	"indbml/internal/blas"
+	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
 )
 
-// inferScratch is the per-operator inference working set (host gather buffer,
-// device activation buffers, LSTM state). Allocating and freeing it per query
-// dominated short-query latency once the build phase became cacheable, so
-// builtModel keeps a bounded free list: Open pops a scratch, Close pushes it
-// back, and only pool overflow or model eviction actually frees device memory.
+// inferScratch is one packed forward pass's device working set: activation
+// buffers per layer boundary and, for an LSTM-first model, the recurrent
+// state. Allocating and freeing it per pass dominated short-query latency
+// once the build phase became cacheable, so builtModel keeps a bounded free
+// list: RunPacked pops a scratch, returns it when the pass ends, and only
+// pool overflow or model eviction actually frees device memory.
 type inferScratch struct {
-	rows    int // row capacity every buffer is sized for
-	staging []float32
-	bufs    []blas.Mat
-	lstm    *lstmScratch
+	rows int // row capacity every buffer is sized for
+	bufs []blas.Mat
+	lstm *lstmScratch
+}
+
+// lstmScratch holds the LSTM working set of Listing 5.
+type lstmScratch struct {
+	series []float32 // host: the input series transposed, timeSteps×rows
+	x      blas.Mat  // device copy of series (rows are time steps)
+	h, c   blas.Mat
+	z      [4]blas.Mat
+	tmp    blas.Mat
 }
 
 // newScratch allocates a working set sized for rows feature rows (at least
@@ -29,18 +39,17 @@ func (m *builtModel) newScratch(rows int) *inferScratch {
 	first := m.layers[0]
 	if first.kind == nn.KindLSTM {
 		s.lstm = &lstmScratch{
-			x:   dev.NewMat(first.timeSteps, rows),
-			h:   dev.NewMat(rows, first.units),
-			c:   dev.NewMat(rows, first.units),
-			tmp: dev.NewMat(rows, first.units),
+			series: make([]float32, first.timeSteps*rows),
+			x:      dev.NewMat(first.timeSteps, rows),
+			h:      dev.NewMat(rows, first.units),
+			c:      dev.NewMat(rows, first.units),
+			tmp:    dev.NewMat(rows, first.units),
 		}
 		for g := 0; g < 4; g++ {
 			s.lstm.z[g] = dev.NewMat(rows, first.units)
 		}
-		s.staging = make([]float32, first.timeSteps*rows)
 		s.bufs = append(s.bufs, blas.Mat{}) // layer 0 output is the LSTM h state
 	} else {
-		s.staging = make([]float32, first.inDim*rows)
 		s.bufs = append(s.bufs, dev.NewMat(rows, first.inDim))
 	}
 	for _, l := range m.layers {
@@ -114,13 +123,54 @@ func (m *builtModel) putScratch(s *inferScratch) {
 	s.free(m.dev)
 }
 
+// hostBufs is one operator instance's host working set for a batch of up
+// to vector.Size rows: the gathered feature rows it submits, the prediction
+// rows the scheduler writes back, and the prediction column vectors its
+// output batch carries. Pooled on the model like the device scratch, so a
+// statement over a cached model allocates none of it.
+type hostBufs struct {
+	staging []float32        // vector.Size×InputDim
+	preds   []float32        // vector.Size×OutputDim
+	cols    []*vector.Vector // OutputDim FLOAT vectors
+}
+
+// getHost pops a pooled host working set or allocates a fresh one.
+func (m *builtModel) getHost() *hostBufs {
+	m.scratchMu.Lock()
+	if n := len(m.hostPool); n > 0 {
+		h := m.hostPool[n-1]
+		m.hostPool = m.hostPool[:n-1]
+		m.scratchMu.Unlock()
+		return h
+	}
+	m.scratchMu.Unlock()
+	h := &hostBufs{
+		staging: make([]float32, vector.Size*m.InputDim()),
+		preds:   make([]float32, vector.Size*m.OutputDim()),
+	}
+	for j := 0; j < m.OutputDim(); j++ {
+		h.cols = append(h.cols, vector.New(types.Float32, vector.Size))
+	}
+	return h
+}
+
+// putHost returns a host working set to the pool, within the same bound as
+// the device scratch; past it, or after the model was freed, it is dropped.
+func (m *builtModel) putHost(h *hostBufs) {
+	m.scratchMu.Lock()
+	if !m.freed && len(m.hostPool) < 2*runtime.GOMAXPROCS(0) {
+		m.hostPool = append(m.hostPool, h)
+	}
+	m.scratchMu.Unlock()
+}
+
 // free releases all device memory held by the model: pooled scratch and the
 // layer weight/bias matrices. Called once, when the model leaves the artifact
 // cache and the last operator using it has closed.
 func (m *builtModel) free() {
 	m.scratchMu.Lock()
 	pool := m.scratchPool
-	m.scratchPool, m.freed = nil, true
+	m.scratchPool, m.hostPool, m.freed = nil, nil, true
 	m.scratchMu.Unlock()
 	for _, s := range pool {
 		s.free(m.dev)

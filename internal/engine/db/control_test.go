@@ -42,31 +42,47 @@ func TestVirtualTableShadowing(t *testing.T) {
 	}
 }
 
-// TestFallbackReasonLSTM: a MODEL JOIN over a recurrent model keeps the
-// direct device path even with the inference scheduler enabled, and the
-// flight record says why.
-func TestFallbackReasonLSTM(t *testing.T) {
+// TestLSTMModelJoinBatched: a MODEL JOIN over a recurrent model takes the
+// same road as a dense one — through the inference scheduler — on the CPU
+// and GPU[sim]: its predictions match nn, its flight record says
+// batched=yes and its batches are in system.inference_batches.
+func TestLSTMModelJoinBatched(t *testing.T) {
 	d := db.Open(db.Options{Parallelism: 2})
 	const rows, steps, width = 200, 3, 8
-	makeFactTable(t, d, "series", rows, steps, 2, 77)
+	data := makeFactTable(t, d, "series", rows, steps, 2, 77)
 	model := nn.NewLSTMModel("lm", steps, width, 5)
 	if _, err := d.RegisterModel(model, relmodel.ExportOptions{Partitions: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Query("SELECT id, prediction FROM series MODEL JOIN lm"); err != nil {
-		t.Fatal(err)
+	ref := model.PredictBatch(data)
+	for _, q := range []string{"SELECT id, prediction FROM series MODEL JOIN lm", "SELECT id, prediction FROM series MODEL JOIN lm USING DEVICE 'gpu'"} {
+		res, err := d.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPredictionsTol(t, res, ref, rows, 1, 1e-4)
 	}
-	res, err := d.Query("SELECT batched, fallback_reason FROM system.queries WHERE approach = 'modeljoin'")
+	res, err := d.Query("SELECT batched FROM system.queries WHERE approach = 'modeljoin'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Vecs[0].Len() != 1 {
-		t.Fatalf("modeljoin flight records = %d, want 1", res.Vecs[0].Len())
+	if res.Vecs[0].Len() != 2 {
+		t.Fatalf("modeljoin flight records = %d, want 2", res.Vecs[0].Len())
 	}
-	if got := res.Vecs[0].Strings()[0]; got != "no" {
-		t.Errorf("batched = %q, want no", got)
+	for _, got := range res.Vecs[0].Strings() {
+		if got != "yes" {
+			t.Errorf("batched = %q, want yes", got)
+		}
 	}
-	if got := res.Vecs[1].Strings()[0]; got != "lstm" {
-		t.Errorf("fallback_reason = %q, want lstm", got)
+	res, err = d.Query("SELECT rows FROM system.inference_batches WHERE model = 'lm'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for _, n := range res.Vecs[0].Int32s() {
+		got += int(n)
+	}
+	if got != 2*rows {
+		t.Errorf("system.inference_batches holds %d lstm rows, want %d", got, 2*rows)
 	}
 }

@@ -40,20 +40,16 @@ type Options struct {
 	// ModelCacheEntries bounds the cross-query model artifact cache: built
 	// model matrices are kept across queries, keyed on (model, table
 	// version, device, config), so repeat MODEL JOINs skip the build phase.
-	// 0 selects the default (32); a negative value disables the cache
-	// (every query rebuilds, the pre-cache behavior).
+	// 0 or a negative value selects the default (32).
 	ModelCacheEntries int
 	// FlightRecorderSize bounds the always-on query flight recorder ring
 	// (system.queries / system.query_operators). 0 or a negative value
 	// selects the default (flight.DefaultSize).
 	FlightRecorderSize int
-	// InferSched tunes the batched inference scheduler (coalescing of
-	// concurrent MODEL JOIN batches per (model, device)); the zero value
-	// selects the defaults.
+	// InferSched tunes the batched inference scheduler every MODEL JOIN
+	// forward pass goes through (coalescing of concurrent batches per
+	// (model, device)); the zero value selects the defaults.
 	InferSched infersched.Config
-	// DisableInferSched turns the scheduler off entirely: every MODEL JOIN
-	// drives the device directly, the pre-scheduler behavior.
-	DisableInferSched bool
 	// DisableSegmentedAgg forces hash aggregation everywhere (the Sec. 4.4
 	// ablation; see plan.Planner).
 	DisableSegmentedAgg bool
@@ -95,12 +91,14 @@ type Database struct {
 	cpu  *device.CPU
 	gpu  *device.GPU
 
-	// modelCache is the cross-query artifact cache; nil when disabled.
+	// modelCache is the cross-query artifact cache every MODEL JOIN's model
+	// comes from.
 	modelCache *modelCache
 	// flight is the always-on query flight recorder and statement-stats
 	// store: every statement passes through it.
 	flight *flight.Recorder
-	// sched is the batched inference scheduler; nil when disabled.
+	// sched is the batched inference scheduler every MODEL JOIN forward
+	// pass goes through.
 	sched *infersched.Scheduler
 	// alerts, when set, receives CREATE/DROP ALERT DDL — the telemetry
 	// sampler's rule set, wired in by the hosting server. Guarded by mu.
@@ -145,17 +143,13 @@ func Open(opts Options) *Database {
 		cpu:      device.NewCPU(),
 		gpu:      device.NewGPU(gpuCfg),
 		flight:   flight.NewRecorder(opts.FlightRecorderSize),
+		sched:    infersched.New(opts.InferSched),
 	}
-	if opts.ModelCacheEntries >= 0 {
-		n := opts.ModelCacheEntries
-		if n == 0 {
-			n = 32
-		}
-		d.modelCache = newModelCache(n)
+	cacheEntries := opts.ModelCacheEntries
+	if cacheEntries <= 0 {
+		cacheEntries = 32
 	}
-	if !opts.DisableInferSched {
-		d.sched = infersched.New(opts.InferSched)
-	}
+	d.modelCache = newModelCache(cacheEntries)
 	d.RegisterVirtualTable(flight.QueriesTable(d.flight))
 	d.RegisterVirtualTable(flight.OperatorsTable(d.flight))
 	d.RegisterVirtualTable(flight.ActiveTable(d.flight))
@@ -165,8 +159,7 @@ func Open(opts Options) *Database {
 	return d
 }
 
-// InferSched returns the batched inference scheduler (nil when disabled via
-// Options.DisableInferSched).
+// InferSched returns the batched inference scheduler.
 func (d *Database) InferSched() *infersched.Scheduler { return d.sched }
 
 // FlightRecorder returns the always-on query flight recorder.
@@ -246,14 +239,8 @@ func (d *Database) virtualTable(name string) (storage.VirtualTable, bool) {
 	return vt, ok
 }
 
-// ModelCacheStats returns the artifact cache counters (zero value when the
-// cache is disabled).
-func (d *Database) ModelCacheStats() ModelCacheStats {
-	if d.modelCache == nil {
-		return ModelCacheStats{}
-	}
-	return d.modelCache.stats()
-}
+// ModelCacheStats returns the artifact cache counters.
+func (d *Database) ModelCacheStats() ModelCacheStats { return d.modelCache.stats() }
 
 // CPU returns the host compute device.
 func (d *Database) CPU() *device.CPU { return d.cpu }
@@ -268,9 +255,7 @@ func (d *Database) RegisterTable(t *storage.Table) {
 	d.mu.Lock()
 	d.tables[key] = t
 	d.mu.Unlock()
-	if d.modelCache != nil {
-		d.modelCache.invalidateModel(key)
-	}
+	d.modelCache.invalidateModel(key)
 }
 
 // Table resolves a table by name.
@@ -296,9 +281,7 @@ func (d *Database) RegisterModel(m *nn.Model, opts relmodel.ExportOptions) (*rel
 	d.tables[key] = tbl
 	d.models[key] = meta
 	d.mu.Unlock()
-	if d.modelCache != nil {
-		d.modelCache.invalidateModel(key)
-	}
+	d.modelCache.invalidateModel(key)
 	return meta, nil
 }
 
@@ -325,9 +308,7 @@ func (d *Database) DropTable(name string) error {
 	delete(d.tables, key)
 	delete(d.models, key)
 	d.mu.Unlock()
-	if d.modelCache != nil {
-		d.modelCache.invalidateModel(key)
-	}
+	d.modelCache.invalidateModel(key)
 	return nil
 }
 
@@ -344,10 +325,9 @@ type queryCatalog struct {
 }
 
 type sharedEntry struct {
-	sm        *modeljoin.SharedModel
-	hit       bool // global-cache verdict at the query's first lookup
-	fromCache bool // whether the global cache was consulted at all
-	pinned    bool // holding the cache's hand-out pin (dropped by release)
+	sm     *modeljoin.SharedModel
+	hit    bool // global-cache verdict at the query's first lookup
+	pinned bool // holding the cache's hand-out pin (dropped by release)
 }
 
 func (d *Database) newQueryCatalog() *queryCatalog {
@@ -423,45 +403,31 @@ func (c *queryCatalog) NewModelJoin(model string, child exec.Operator, inputCols
 	c.mu.Lock()
 	ent := c.shared[key]
 	if ent == nil {
-		ent = &sharedEntry{}
-		if mc := c.db.modelCache; mc != nil {
-			// Cross-query artifact cache: keyed on the table's mutation
-			// version, so any DML on the model table implicitly invalidates
-			// the entry. A hit reuses the already-built weight matrices and
-			// skips the build phase; all partition plan instances of this
-			// query share the memoized lookup. The build snapshots the table
-			// after this version was read, so an entry never holds contents
-			// older than its key.
-			ent.sm, ent.hit = mc.get(modelCacheKey{
-				model:   name,
-				tbl:     tbl,
-				version: tbl.Version(),
-				device:  dev,
-				cfg:     cfg,
-			}, func() *modeljoin.SharedModel {
-				return &modeljoin.SharedModel{Table: tbl, Meta: meta, Dev: device, Cfg: cfg}
-			})
-			ent.fromCache = true
-			ent.pinned = true // get hands the model out pinned
-		} else {
-			// Cache disabled: share one build among this query's partition
-			// plan instances only (the paper's per-query shared build,
-			// Sec. 5.2).
-			ent.sm = &modeljoin.SharedModel{Table: tbl, Meta: meta, Dev: device, Cfg: cfg}
-		}
+		// Cross-query artifact cache: keyed on the table's mutation version,
+		// so any DML on the model table implicitly invalidates the entry. A
+		// hit reuses the already-built weight matrices and skips the build
+		// phase; all partition plan instances of this query share the
+		// memoized lookup (the paper's shared build, Sec. 5.2). The build
+		// snapshots the table after this version was read, so an entry never
+		// holds contents older than its key. get hands the model out pinned.
+		ent = &sharedEntry{pinned: true}
+		ent.sm, ent.hit = c.db.modelCache.get(modelCacheKey{
+			model:   name,
+			tbl:     tbl,
+			version: tbl.Version(),
+			device:  dev,
+			cfg:     cfg,
+		}, func() *modeljoin.SharedModel {
+			return &modeljoin.SharedModel{Table: tbl, Meta: meta, Dev: device, Cfg: cfg}
+		})
 		c.shared[key] = ent
 	}
 	c.mu.Unlock()
-	op, err := modeljoin.New(child, ent.sm, inputCols)
+	op, err := modeljoin.New(child, ent.sm, inputCols, c.db.sched, infersched.Label{Model: name, Device: dev})
 	if err != nil {
 		return nil, err
 	}
-	if ent.fromCache {
-		op.NoteCacheLookup(ent.hit)
-	}
-	if c.db.sched != nil {
-		op.SetScheduler(c.db.sched, infersched.Label{Model: name, Device: dev})
-	}
+	op.NoteCacheLookup(ent.hit)
 	return op, nil
 }
 

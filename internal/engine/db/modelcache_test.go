@@ -162,21 +162,6 @@ func TestModelCacheLRUBound(t *testing.T) {
 	}
 }
 
-func TestModelCacheDisabled(t *testing.T) {
-	d, data, model := newModelDB(t, db.Options{ModelCacheEntries: -1}, "mc")
-	ref := model.PredictBatch(data)
-	for i := 0; i < 2; i++ {
-		res, err := d.Query(mcQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPredictions(t, res, ref, len(data), 1)
-	}
-	if st := d.ModelCacheStats(); st != (db.ModelCacheStats{}) {
-		t.Errorf("disabled cache has non-zero stats: %+v", st)
-	}
-}
-
 // TestModelCacheConcurrentInvalidation races MODEL JOIN queries against DML
 // on the model table. Every query must succeed and return a full result set
 // (pre- or post-mutation model, both valid); run under -race this checks the

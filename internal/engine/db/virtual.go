@@ -14,12 +14,8 @@ var modelCacheSchema = types.NewSchema(
 
 // fillModelCache serves system.model_cache from the cross-query model
 // artifact cache: one row per live entry plus the LRU position, so "why did
-// this query miss?" is answerable with a SELECT instead of a debugger. When
-// the cache is disabled the table exists but is empty.
+// this query miss?" is answerable with a SELECT instead of a debugger.
 func (d *Database) fillModelCache(b *storage.BatchBuilder) error {
-	if d.modelCache == nil {
-		return nil
-	}
 	for _, e := range d.modelCache.entriesSnapshot() {
 		b.Append(
 			types.StringDatum(e.model),
@@ -45,8 +41,7 @@ var inferBatchesSchema = types.NewSchema(
 // fillInferBatches serves system.inference_batches from the inference
 // scheduler's recent super-batches: one row per packed forward pass, so
 // "did my concurrent queries actually coalesce?" is a SELECT
-// (requests > 1 means cross-request coalescing happened). Empty when the
-// scheduler is disabled.
+// (requests > 1 means cross-request coalescing happened).
 func (d *Database) fillInferBatches(b *storage.BatchBuilder) error {
 	for _, s := range d.sched.BatchSnapshot() {
 		b.Append(

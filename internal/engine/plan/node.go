@@ -57,8 +57,7 @@ func (ctx *buildCtx) build(n node) (exec.Operator, error) {
 	}
 	// Operators that consult the statement context mid-execution — the
 	// ModelJoin submits to the inference scheduler with it, carrying
-	// cancellation, the per-session batching policy and the admission-slot
-	// yielder — receive it here.
+	// cancellation and the admission-slot yielder — receive it here.
 	if c, ok := op.(interface{ SetQueryContext(context.Context) }); ok {
 		c.SetQueryContext(ctx.qctx)
 	}

@@ -72,11 +72,8 @@ type Summary struct {
 	BlocksPruned int64
 	Cache        string // model cache verdict: "hit", "miss", or ""
 	Batched      string // inference-scheduler verdict: "yes", "no", or ""
-	// FallbackReason explains a batched="no" verdict on a scheduler-wired
-	// operator (e.g. "lstm": recurrent models keep the direct device path).
-	FallbackReason string
-	AllocBytes     int64
-	Ops            []OpStat
+	AllocBytes   int64
+	Ops          []OpStat
 
 	// normSQL is the normalized statement text, carried to the statement-
 	// stats store at publish time (retained there as the shape exemplar).
@@ -333,9 +330,6 @@ func foldSpans(sum *Summary, s trace.SpanStat, depth int) {
 	}
 	if v := s.Labels["device"]; v != "" {
 		sum.Device = v
-	}
-	if v := s.Labels["fallback_reason"]; v != "" {
-		sum.FallbackReason = v
 	}
 	sum.Ops = append(sum.Ops, op)
 	for _, c := range s.Children {

@@ -29,7 +29,6 @@ var queriesSchema = types.NewSchema(
 	types.Column{Name: "blocks_pruned", Type: types.Int64},
 	types.Column{Name: "cache", Type: types.String},
 	types.Column{Name: "batched", Type: types.String},
-	types.Column{Name: "fallback_reason", Type: types.String},
 	types.Column{Name: "alloc_bytes", Type: types.Int64},
 	types.Column{Name: "error", Type: types.String},
 	types.Column{Name: "sql", Type: types.String},
@@ -59,7 +58,6 @@ func (r *Recorder) fillQueries(b *storage.BatchBuilder) error {
 			types.Int64Datum(s.BlocksPruned),
 			types.StringDatum(s.Cache),
 			types.StringDatum(s.Batched),
-			types.StringDatum(s.FallbackReason),
 			types.Int64Datum(s.AllocBytes),
 			types.StringDatum(s.Error),
 			types.StringDatum(s.SQL),

@@ -1,7 +1,7 @@
 // Package infersched is the in-engine batched inference scheduler: an
-// "inference server inside the database". Concurrent ModelJoin operators
-// submit their gathered feature batches here instead of driving the device
-// directly; the scheduler coalesces batches that target the same built
+// "inference server inside the database". Every ModelJoin operator submits
+// its gathered feature batches here — there is no other way to the device;
+// the scheduler coalesces batches that target the same built
 // model artifact — typically batches from *different* queries, deduplicated
 // onto one artifact by the cross-query model cache — into a single packed
 // forward pass, then scatters the prediction rows back to each waiting
@@ -104,8 +104,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Scheduler coalesces inference requests per built model artifact. A nil
-// *Scheduler is inert: Submit runs the request directly.
+// Scheduler coalesces inference requests per built model artifact. Its
+// Config is the one scheduling policy: every request follows it.
 type Scheduler struct {
 	cfg   Config
 	stats *Stats
@@ -144,8 +144,6 @@ type request struct {
 	done    chan struct{} // closed after preds are final and err is set
 	err     error         // written before done closes
 	enq     time.Time
-	maxWait time.Duration // effective per-request policy
-	maxRows int
 
 	// Attribution, written by runBatch before done closes: the coalesce
 	// wait this request paid and its rows-proportional share of the packed
@@ -198,26 +196,12 @@ func (s *Scheduler) Submit(ctx context.Context, label Label, r Runner, rows int,
 	if rows == 0 {
 		return Result{}, nil
 	}
-	if s == nil {
-		start := time.Now()
-		busy, err := r.RunPacked(rows, staging, preds)
-		return Result{Run: time.Since(start), Busy: busy}, err
-	}
-	pol := PolicyFrom(ctx)
 	req := &request{
 		rows:    rows,
 		staging: staging,
 		preds:   preds,
 		done:    make(chan struct{}),
 		enq:     time.Now(),
-		maxWait: s.cfg.MaxWait,
-		maxRows: s.cfg.MaxBatchRows,
-	}
-	if pol.MaxWait > 0 {
-		req.maxWait = pol.MaxWait
-	}
-	if pol.MaxBatchRows > 0 {
-		req.maxRows = pol.MaxBatchRows
 	}
 	q := s.enqueue(label, r, req)
 
@@ -342,7 +326,7 @@ func (q *queue) run() {
 			continue
 		}
 		oldest := q.pending[0]
-		deadline := oldest.enq.Add(oldest.maxWait)
+		deadline := oldest.enq.Add(q.s.cfg.MaxWait)
 		now := time.Now()
 		// Launch immediately whenever the device gate has idle capacity:
 		// with a free in-flight slot there is nothing for later arrivals to
@@ -353,7 +337,7 @@ func (q *queue) run() {
 		// and the original coalesce-while-busy policy is preserved.
 		launch := q.inflight == 0 ||
 			len(q.gate) < cap(q.gate) ||
-			q.pendingRows >= oldest.maxRows ||
+			q.pendingRows >= q.s.cfg.MaxBatchRows ||
 			!now.Before(deadline)
 		if !launch {
 			q.mu.Unlock()
@@ -383,7 +367,7 @@ func (q *queue) launch() {
 	rows := 0
 	taken := 0
 	for _, r := range q.pending {
-		if len(batch) > 0 && rows+r.rows > r.maxRows {
+		if len(batch) > 0 && rows+r.rows > q.s.cfg.MaxBatchRows {
 			break
 		}
 		taken++
@@ -488,9 +472,6 @@ type queueState struct {
 }
 
 func (s *Scheduler) queueStates() []queueState {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	qs := make([]*queue, 0, len(s.queues))
 	for _, q := range s.queues {

@@ -91,24 +91,6 @@ func wantPreds(t *testing.T, r *fakeRunner, staging, preds []float32, rows int) 
 	}
 }
 
-func TestNilSchedulerRunsDirect(t *testing.T) {
-	r := &fakeRunner{in: 3, out: 2}
-	var s *Scheduler
-	staging := makeBatch(4, 3, 1)
-	preds := make([]float32, 4*2)
-	res, err := s.Submit(context.Background(), Label{"m", "cpu"}, r, 4, staging, preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Wait != 0 {
-		t.Fatalf("nil scheduler reported coalesce wait %v", res.Wait)
-	}
-	if res.Busy != 4*time.Microsecond {
-		t.Fatalf("nil scheduler reported busy %v, want the runner's 4µs", res.Busy)
-	}
-	wantPreds(t, r, staging, preds, 4)
-}
-
 func TestSingleSubmitNoCoalesceWait(t *testing.T) {
 	s := New(Config{MaxWait: 50 * time.Millisecond})
 	r := &fakeRunner{in: 4, out: 1}
@@ -393,18 +375,21 @@ func TestSubmitYieldsSlot(t *testing.T) {
 	}
 }
 
-func TestPolicyDisabledAndOverrides(t *testing.T) {
-	p := PolicyFrom(nil)
-	if p.Disabled || p.MaxWait != 0 {
-		t.Fatal("nil ctx must yield zero policy")
-	}
-	ctx := WithPolicy(context.Background(), Policy{MaxWait: 123, MaxBatchRows: 7, Disabled: true})
-	p = PolicyFrom(ctx)
-	if !p.Disabled || p.MaxWait != 123 || p.MaxBatchRows != 7 {
-		t.Fatalf("policy round-trip failed: %+v", p)
+// TestYielderContext: a yielder survives the context round-trip; a bare, nil
+// or nil-yielder context carries none.
+func TestYielderContext(t *testing.T) {
+	spy := &yieldSpy{}
+	if got := YielderFrom(WithYielder(context.Background(), spy)); got != spy {
+		t.Fatalf("yielder round-trip returned %v", got)
 	}
 	if YielderFrom(context.Background()) != nil {
 		t.Fatal("YielderFrom on bare ctx must be nil")
+	}
+	if YielderFrom(nil) != nil { //nolint:staticcheck // nil ctx is part of the contract
+		t.Fatal("YielderFrom on nil ctx must be nil")
+	}
+	if YielderFrom(WithYielder(context.Background(), nil)) != nil {
+		t.Fatal("WithYielder(nil) must attach nothing")
 	}
 }
 
@@ -466,15 +451,8 @@ func TestStatsAndSnapshots(t *testing.T) {
 			t.Fatalf("StatsText missing %q:\n%s", want, txt)
 		}
 	}
-	if line := s.StatusLine(); !strings.Contains(line, "batches=6") {
+	if line := s.StatusLine(); !strings.Contains(line, "queues=1 ") || !strings.Contains(line, "batches=6") {
 		t.Fatalf("StatusLine: %s", line)
-	}
-	var nilSched *Scheduler
-	if got := nilSched.StatusLine(); got != "disabled" {
-		t.Fatalf("nil StatusLine = %q", got)
-	}
-	if nilSched.BatchSnapshot() != nil {
-		t.Fatal("nil BatchSnapshot must be nil")
 	}
 }
 
@@ -585,7 +563,7 @@ func BenchmarkSubmitSingleStream(b *testing.B) {
 }
 
 func ExampleScheduler_StatusLine() {
-	var s *Scheduler
+	s := New(Config{})
 	fmt.Println(s.StatusLine())
-	// Output: disabled
+	// Output: queues=0 depth=0 inflight=0 batches=0 coalesced=0 mean_rows=0.0 mean_wait=0s
 }

@@ -96,9 +96,6 @@ func (st *Stats) recordBatch(label Label, requests, rows int, wait, run time.Dur
 // BatchSnapshot returns the retained batch records ordered by ID — the
 // feed for the system.inference_batches virtual table.
 func (s *Scheduler) BatchSnapshot() []BatchStat {
-	if s == nil {
-		return nil
-	}
 	out := make([]BatchStat, 0, len(s.stats.ring))
 	for i := range s.stats.ring {
 		if b := s.stats.ring[i].Load(); b != nil {
@@ -112,9 +109,6 @@ func (s *Scheduler) BatchSnapshot() []BatchStat {
 // StatusLine renders the one-line summary embedded in the server's STATUS
 // payload.
 func (s *Scheduler) StatusLine() string {
-	if s == nil {
-		return "disabled"
-	}
 	st := s.stats
 	batches := st.batches.Load()
 	meanRows, meanWait := float64(0), time.Duration(0)
@@ -122,22 +116,20 @@ func (s *Scheduler) StatusLine() string {
 		meanRows = float64(st.rows.Load()) / float64(batches)
 		meanWait = time.Duration(st.waitSum.Load() / batches)
 	}
+	states := s.queueStates()
 	depth, inflight := 0, 0
-	for _, q := range s.queueStates() {
+	for _, q := range states {
 		depth += q.depth
 		inflight += q.inflight
 	}
 	return fmt.Sprintf("queues=%d depth=%d inflight=%d batches=%d coalesced=%d mean_rows=%.1f mean_wait=%s",
-		len(s.queueStates()), depth, inflight, batches, st.coalesced.Load(), meanRows, meanWait)
+		len(states), depth, inflight, batches, st.coalesced.Load(), meanRows, meanWait)
 }
 
 // StatsText renders the full scheduler report served by the BATCHER verb
 // and the shell's \batcher: totals, the coalesce-wait histogram and one
 // line per live (model, device) queue.
 func (s *Scheduler) StatsText() string {
-	if s == nil {
-		return "inference batching disabled\n"
-	}
 	st := s.stats
 	var sb strings.Builder
 	batches := st.batches.Load()
@@ -188,9 +180,6 @@ var batchRowBounds = []float64{256, 512, 1024, 2048, 4096, 8192, 16384}
 // row-count and coalesce-wait histograms plus mirrors of the rolling
 // totals. Call once per registry (collector names are unique per registry).
 func (s *Scheduler) AttachMetrics(reg *metrics.Registry) {
-	if s == nil {
-		return
-	}
 	st := s.stats
 	st.mWait.Store(reg.NewHistogram("vectordb_infer_coalesce_wait_seconds",
 		"Coalesce-window wait per inference super-batch (longest member request).",

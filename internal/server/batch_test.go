@@ -200,101 +200,6 @@ func TestBatchingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBatchingSessionKnobs drives the SET statements over the wire and
-// checks they actually steer the per-session policy: a session that turns
-// batching off must produce batched=no flight-recorder entries while the
-// scheduler stays on for everyone else.
-func TestBatchingSessionKnobs(t *testing.T) {
-	d := newBatchTestDB(t, 500, 8, db.Options{})
-	s := startServer(t, d, Config{QuerySlots: 4, IdleTimeout: time.Minute})
-
-	c := dial(t, s)
-	for _, set := range []struct{ stmt, want string }{
-		{"SET batching = off", "batching = false"},
-		{"SET batching = on", "batching = true"},
-		{"SET batch_max_wait = 2ms", "batch_max_wait = 2ms"},
-		{"SET batch_max_rows = 1024", "batch_max_rows = 1024"},
-	} {
-		out, err := c.Command(set.stmt)
-		if err != nil {
-			t.Fatalf("%s: %v", set.stmt, err)
-		}
-		if out != set.want {
-			t.Fatalf("%s replied %q, want %q", set.stmt, out, set.want)
-		}
-	}
-	for _, bad := range []string{
-		"SET batching = maybe",
-		"SET batch_max_wait = -1ms",
-		"SET batch_max_rows = -3",
-		"SET no_such_var = 1",
-		"SET batching",
-	} {
-		if _, err := c.Command(bad); err == nil {
-			t.Fatalf("%s should have errored", bad)
-		}
-	}
-
-	// This session opted out: its MODEL JOIN must record batched=no.
-	if _, err := c.Command("SET batching = off"); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := c.Query(batchJoinQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rows.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	qid := rows.QueryID()
-	if qid == 0 {
-		t.Fatal("query has no flight-recorder ID")
-	}
-	rows, err = c.Query("SELECT query_id, batched FROM system.queries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdict := ""
-	for row := rows.Next(); row != nil; row = rows.Next() {
-		if id, ok := row[0].(int64); ok && uint64(id) == qid {
-			verdict, _ = row[1].(string)
-		}
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if verdict != "no" {
-		t.Fatalf("opted-out query %d recorded batched=%q, want \"no\"", qid, verdict)
-	}
-
-	// A fresh session defaults back to batching.
-	c2 := dial(t, s)
-	rows, err = c2.Query(batchJoinQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rows.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	qid2 := rows.QueryID()
-	rows, err = c2.Query("SELECT query_id, batched FROM system.queries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdict = ""
-	for row := rows.Next(); row != nil; row = rows.Next() {
-		if id, ok := row[0].(int64); ok && uint64(id) == qid2 {
-			verdict, _ = row[1].(string)
-		}
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if verdict != "yes" {
-		t.Fatalf("fresh-session query %d recorded batched=%q, want \"yes\"", qid2, verdict)
-	}
-}
-
 // TestBatchingMidBatchCancellation cancels one query out of a coalesced
 // flight: several clients run a slow MODEL JOIN concurrently, one with a
 // deadline far below the query's natural runtime. The doomed query must come

@@ -120,22 +120,16 @@ func TestKillRunningQuery(t *testing.T) {
 // admission queue is already registered — visible and killable before it
 // ever reaches the engine.
 func TestKillQueuedQuery(t *testing.T) {
-	d := newTestDB(t, 200000, 96)
+	d := newTestDB(t, 200000, 8)
 	s := startServer(t, d, Config{QuerySlots: 1, QueueDepth: 8, IdleTimeout: time.Minute})
 
 	hog := dial(t, s)
 	queued := dial(t, s)
 	killer := dial(t, s)
 
-	// A batched MODEL JOIN yields its admission slot while parked in
-	// coalesce windows, which would let the "queued" statement through;
-	// direct-path inference holds the slot for the whole statement.
-	if err := hog.Exec("SET batching = off"); err != nil {
-		t.Fatal(err)
-	}
 	hogErr := make(chan error, 1)
 	go func() {
-		rows, err := hog.Query("SELECT COUNT(*) AS n FROM iris " + irisPredict)
+		rows, err := hog.Query(slotHog)
 		if err != nil {
 			hogErr <- err
 			return

@@ -161,9 +161,7 @@ func New(d *db.Database, cfg Config) *Server {
 		func() float64 { return float64(fr.Capacity()) })
 	reg.NewGaugeFunc("vectordb_flight_queries_recorded_total", "Statements published to the flight recorder since start.",
 		func() float64 { return float64(fr.Recorded()) })
-	if sc := d.InferSched(); sc != nil {
-		sc.AttachMetrics(reg)
-	}
+	d.InferSched().AttachMetrics(reg)
 	// A coordinator database exports its scatter-gather counters
 	// (vectordb_exchange_*) on the serving registry too; dist attaches its
 	// router before the server starts, so the assertion sees it.
@@ -457,8 +455,7 @@ func (s *Server) admit(ctx context.Context) (token *slotToken, wait time.Duratio
 }
 
 // serveStmt dispatches one statement. STATUS, METRICS and BATCHER bypass
-// admission control so operators can observe an overloaded server; SET
-// mutates the session and touches neither the engine nor a slot.
+// admission control so operators can observe an overloaded server.
 func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, deadlineMillis, origin, flags uint64) {
 	text := strings.TrimSpace(stmt)
 	upper := strings.ToUpper(text)
@@ -481,15 +478,6 @@ func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, deadlin
 	}
 	if upper == "BATCHER" {
 		wire.WriteOK(bw, s.db.InferSched().StatsText())
-		return
-	}
-	if strings.HasPrefix(upper, "SET ") {
-		msg, err := sess.applySet(text)
-		if err != nil {
-			wire.WriteError(bw, wire.CodeError, err.Error())
-			return
-		}
-		wire.WriteOK(bw, msg)
 		return
 	}
 	if strings.HasPrefix(upper, "KILL") {
@@ -532,11 +520,9 @@ func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, deadlin
 		return
 	}
 	// Charge the admission wait to the statement's flight record, whatever
-	// kind it turns out to be, and hand the inference scheduler the
-	// session's batching policy plus the slot so coalesce waits don't hold
-	// an execution slot hostage.
+	// kind it turns out to be, and hand the inference scheduler the slot so
+	// coalesce waits don't hold an execution slot hostage.
 	ctx = flight.WithQueueWait(ctx, wait)
-	ctx = infersched.WithPolicy(ctx, sess.policy)
 	ctx = infersched.WithYielder(ctx, token)
 	s.stats.Running.Add(1)
 	var exemplarID uint64

@@ -317,25 +317,25 @@ func TestDeadlineMidStream(t *testing.T) {
 	rows.Drain()
 }
 
+// slotHog is a statement that runs far longer than any test waits on it: a
+// self-join COUNT(*) over the iris table. It has no MODEL JOIN, so it never
+// parks in the inference scheduler — where a statement yields its admission
+// slot — and holds its slot until it is canceled, which reaches it at the
+// next probe batch.
+const slotHog = "SELECT COUNT(*) AS n FROM iris AS a JOIN iris AS b ON a.class = b.class WHERE b.id < 30000"
+
 // TestOverloadFastReject fills the single query slot with a long-running
 // query and checks that, with no queue, the next statement is rejected
 // immediately with the overload code.
 func TestOverloadFastReject(t *testing.T) {
-	// The batched inference scheduler yields the admission slot while a
-	// MODEL JOIN batch is parked in a coalesce window, so with batching on
-	// the "slot is continuously held" premise races with those windows.
-	// Drive the device directly so the slow query really pins the slot.
-	d := newTestDBOpts(t, 300000, 512,
-		db.Options{DefaultPartitions: 4, Parallelism: 4, DisableInferSched: true})
+	d := newTestDB(t, 300000, 8)
 	s := startServer(t, d, Config{QuerySlots: 1, QueueDepth: 0})
 
 	slow := dial(t, s)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rows, err := slow.QueryTimeout(
-			"SELECT COUNT(*) AS n FROM iris MODEL JOIN iris_model PREDICT (sepal_length, sepal_width, petal_length, petal_width)",
-			5*time.Second)
+		rows, err := slow.QueryTimeout(slotHog, 5*time.Second)
 		if err == nil {
 			rows.Drain()
 		}
@@ -377,23 +377,14 @@ func TestOverloadFastReject(t *testing.T) {
 // queued statement is admitted if the slot frees in time and rejected
 // after QueueWait otherwise.
 func TestQueueWaitReject(t *testing.T) {
-	d := newTestDB(t, 300000, 512)
+	d := newTestDB(t, 300000, 8)
 	s := startServer(t, d, Config{QuerySlots: 1, QueueDepth: 1, QueueWait: 100 * time.Millisecond})
 
 	slow := dial(t, s)
-	// Pin the slow statement to the direct inference path: under the
-	// batching scheduler a MODEL JOIN yields its slot while parked in the
-	// scheduler, which is exactly what this test must not see — it needs
-	// the single slot held for the statement's whole runtime.
-	if err := slow.Exec("SET batching = off"); err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rows, err := slow.QueryTimeout(
-			"SELECT COUNT(*) AS n FROM iris MODEL JOIN iris_model PREDICT (sepal_length, sepal_width, petal_length, petal_width)",
-			10*time.Second)
+		rows, err := slow.QueryTimeout(slotHog, 10*time.Second)
 		if err == nil {
 			rows.Drain()
 		}

@@ -2,25 +2,17 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"indbml/internal/infersched"
 )
 
-// session is per-connection state beyond the transport: the inference
-// scheduling policy set via SET, plus the identity and counters published
-// through system.sessions. Statements on a session run sequentially, so the
-// policy needs no locking; the counters are atomics because the sessions
-// table samples them from other goroutines while the session runs.
+// session is per-connection state beyond the transport: the identity and
+// counters published through system.sessions. The counters are atomics
+// because the sessions table samples them from other goroutines while the
+// session runs.
 type session struct {
-	policy infersched.Policy
-
 	id        uint64
 	remote    string
 	connected time.Time
@@ -43,50 +35,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n.Add(int64(n))
 	return n, err
-}
-
-// applySet handles the session-variable statements. They execute on the
-// session itself — no engine involvement, no admission slot:
-//
-//	SET batching = on|off
-//	SET batch_max_wait = <duration>   (e.g. 200us, 2ms; 0 = server default)
-//	SET batch_max_rows = <int>        (0 = server default)
-func (sess *session) applySet(text string) (string, error) {
-	body := strings.TrimSpace(text[len("SET"):])
-	eq := strings.IndexByte(body, '=')
-	if eq < 0 {
-		return "", fmt.Errorf("SET wants 'SET <variable> = <value>'")
-	}
-	name := strings.ToLower(strings.TrimSpace(body[:eq]))
-	val := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(body[eq+1:]), ";"))
-	switch name {
-	case "batching":
-		switch strings.ToLower(val) {
-		case "on", "true", "1":
-			sess.policy.Disabled = false
-		case "off", "false", "0":
-			sess.policy.Disabled = true
-		default:
-			return "", fmt.Errorf("SET batching wants on|off, got %q", val)
-		}
-		return fmt.Sprintf("batching = %v", !sess.policy.Disabled), nil
-	case "batch_max_wait":
-		d, err := time.ParseDuration(val)
-		if err != nil || d < 0 {
-			return "", fmt.Errorf("SET batch_max_wait wants a non-negative duration, got %q", val)
-		}
-		sess.policy.MaxWait = d
-		return fmt.Sprintf("batch_max_wait = %s", d), nil
-	case "batch_max_rows":
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
-			return "", fmt.Errorf("SET batch_max_rows wants a non-negative integer, got %q", val)
-		}
-		sess.policy.MaxBatchRows = n
-		return fmt.Sprintf("batch_max_rows = %d", n), nil
-	default:
-		return "", fmt.Errorf("unknown session variable %q (want batching, batch_max_wait, batch_max_rows)", name)
-	}
 }
 
 // slotToken is one admitted statement's hold on the query-slot semaphore.
