@@ -309,31 +309,6 @@ func BenchmarkAblationOrderedAgg(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBiasMatrix toggles the Sec. 5.4 bias handling in the native
-// operator: bias and activation fused into one gemm over prepacked weights
-// (the successor of the paper's bias-matrix copy) against the unfused
-// sequence with a row-by-row bias add.
-func BenchmarkAblationBiasMatrix(b *testing.B) {
-	setupTables()
-	for _, noBias := range []bool{false, true} {
-		name := "bias-matrix"
-		if noBias {
-			name = "per-row-bias"
-		}
-		b.Run(name, func(b *testing.B) {
-			model := workload.DenseModel(128, 4)
-			model.Name = "bench_model"
-			opts := db.Options{}
-			opts.ModelJoinConfig.NoBiasMatrix = noBias
-			d := newDB(b, denseTable, model, opts)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				drainQuery(b, d, modelJoinQuery("cpu"), benchDenseTuples)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationUDFVectorized compares tuple-at-a-time vs vectorized UDF
 // invocation (Sec. 6.1's UDF optimization).
 func BenchmarkAblationUDFVectorized(b *testing.B) {

@@ -13,7 +13,7 @@
 //	\demo                                  load a small iris demo setup (embedded mode)
 //	\status                                server stats snapshot (-connect mode)
 //	\batcher                               inference batching scheduler report
-//	\metrics [prefix]                      metrics page (shell-local or server registry), optionally filtered
+//	\metrics [prefix]                      the engine's metrics page (embedded or server), optionally filtered
 //	\alerts                                alert rules and live state from system.alerts
 //	\queries                               recent statements from system.queries
 //	\active                                in-flight statements from system.active_queries
@@ -43,11 +43,9 @@ import (
 	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/db"
 	"indbml/internal/engine/vector"
-	"indbml/internal/flight"
 	"indbml/internal/metrics"
 	"indbml/internal/nn"
 	"indbml/internal/server/client"
-	"indbml/internal/telemetry"
 	"indbml/internal/workload"
 )
 
@@ -134,41 +132,16 @@ func repl(s session) {
 type localSession struct {
 	d       *db.Database
 	traceOn bool
-
-	// The embedded shell keeps its own small registry so \metrics works
-	// without a server: statement latency plus model-cache effectiveness.
-	reg     *metrics.Registry
 	latency *metrics.Histogram
-	tel     *telemetry.Sampler
 }
 
+// newLocalSession adds the shell's statement histogram to the engine's
+// registry and keeps the engine's telemetry sampler ticking while the
+// shell runs.
 func newLocalSession(d *db.Database) *localSession {
-	reg := metrics.NewRegistry()
-	s := &localSession{
-		d:   d,
-		reg: reg,
-		latency: reg.NewHistogram("vectordb_statement_seconds",
-			"Statement wall time in the embedded shell.", metrics.DefaultLatencyBounds),
-	}
-	reg.NewGaugeFunc("vectordb_model_cache_hits_total", "Model artifact cache hits.",
-		func() float64 { return float64(d.ModelCacheStats().Hits) })
-	reg.NewGaugeFunc("vectordb_model_cache_misses_total", "Model artifact cache misses.",
-		func() float64 { return float64(d.ModelCacheStats().Misses) })
-	reg.NewGaugeFunc("vectordb_model_cache_entries", "Model artifact cache resident entries.",
-		func() float64 { return float64(d.ModelCacheStats().Entries) })
-	metrics.RegisterRuntime(reg)
-	// Expose the shell-local registry as system.metrics so the same SQL
-	// drill-down workflow works without a server.
-	d.RegisterVirtualTable(flight.MetricsTable(reg))
-	// And sample it, so CREATE ALERT / \alerts / system.metrics_history
-	// work in the embedded shell too.
-	s.tel = telemetry.New(reg, telemetry.Config{})
-	d.SetAlertEngine(s.tel.Alerts())
-	d.RegisterVirtualTable(telemetry.HistoryTable(s.tel))
-	d.RegisterVirtualTable(telemetry.LatencyTable(s.tel))
-	d.RegisterVirtualTable(telemetry.AlertsTable(s.tel))
-	s.tel.Start()
-	return s
+	d.Telemetry().Start(nil)
+	return &localSession{d: d, latency: d.Metrics().NewHistogram("vectordb_statement_seconds",
+		"Statement wall time in the embedded shell.", metrics.DefaultLatencyBounds)}
 }
 
 // queriesSQL is what \queries runs: the most recent flight-recorder
@@ -215,7 +188,7 @@ func parseKillArg(fields []string) (uint64, bool) {
 	return id, true
 }
 
-func (s *localSession) close() { s.tel.Stop() }
+func (s *localSession) close() { s.d.Telemetry().Stop() }
 
 func (s *localSession) runSQL(text string) {
 	start := time.Now()
@@ -323,7 +296,7 @@ func (s *localSession) meta(line string) bool {
 		fmt.Printf("model cache: hits=%d misses=%d evictions=%d entries=%d\n",
 			st.Hits, st.Misses, st.Evictions, st.Entries)
 	case "\\metrics":
-		fmt.Print(s.reg.TextFiltered(metricsPrefixArg(fields)))
+		fmt.Print(d.Metrics().TextFiltered(metricsPrefixArg(fields)))
 	case "\\alerts":
 		res, err := s.d.Query(alertsSQL)
 		if err != nil {

@@ -51,7 +51,6 @@ func main() {
 	slowLogPath := flag.String("slow-query-log", "", "append slow-query JSON lines to this file ('-' = stderr, empty = disabled)")
 	slowThreshold := flag.Duration("slow-query-threshold", 500*time.Millisecond, "log statements slower than this (errors and cancellations are always logged)")
 	shards := flag.String("shards", "", "comma-separated shard daemon addresses; when set, this daemon runs as the fleet coordinator")
-	telemetryInterval := flag.Duration("telemetry-interval", 0, "metrics-history sampling tick (0 = default 1s)")
 	alertLogPath := flag.String("alert-log", "", "append alert-transition JSON lines to this file ('-' = stderr, empty = disabled)")
 	var alertRules multiFlag
 	flag.Var(&alertRules, "alert", "declare an alert rule at startup, e.g. 'hot_p99 ON p99(vectordb_statement_seconds) > 0.5 FOR 30s' (repeatable)")
@@ -113,7 +112,6 @@ func main() {
 		MaxQueryDuration:   *maxQuery,
 		SlowQueryLog:       slowLog,
 		SlowQueryThreshold: *slowThreshold,
-		TelemetryInterval:  *telemetryInterval,
 		AlertLog:           alertLog,
 	})
 
@@ -129,7 +127,7 @@ func main() {
 	var metricsSrv *http.Server
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", s.Metrics().Handler())
+		mux.Handle("/metrics", d.Metrics().Handler())
 		if *withPprof {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -21,7 +21,6 @@ import (
 	"indbml/internal/odbc"
 	"indbml/internal/server"
 	"indbml/internal/server/client"
-	"indbml/internal/telemetry"
 	"indbml/internal/workload"
 )
 
@@ -257,14 +256,6 @@ func TestFlightRecorderEveryPath(t *testing.T) {
 		d := db.Open(db.Options{DefaultPartitions: 2, Parallelism: 2, FlightRecorderSize: -1})
 		if got := d.FlightRecorder().Capacity(); got != flight.DefaultSize {
 			t.Errorf("recorder capacity = %d, want the default %d", got, flight.DefaultSize)
-		}
-		s := server.New(d, server.Config{TelemetryInterval: -1})
-		t.Cleanup(func() { s.Close() })
-		if got := s.Telemetry().Interval(); got != telemetry.DefaultInterval {
-			t.Errorf("telemetry interval = %v, want the default %v", got, telemetry.DefaultInterval)
-		}
-		if err := d.Exec("CREATE ALERT busy ON vectordb_sessions_active > 0"); err != nil {
-			t.Errorf("CREATE ALERT: %v", err)
 		}
 	})
 }

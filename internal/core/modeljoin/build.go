@@ -29,12 +29,6 @@ import (
 // Config tunes the build and inference phases; the zero value matches the
 // paper's design.
 type Config struct {
-	// NoBiasMatrix is the unfused ablation of Sec. 5.4: instead of one gemm
-	// over prepacked weights with bias and activation in its epilogue, the
-	// result is zeroed, multiplied, the bias vector added row by row and the
-	// activation applied in a further pass (the fine-grained variant the
-	// paper avoids).
-	NoBiasMatrix bool
 	// FineGrainedGPUBuild disables the Sec. 5.2 optimization of building on
 	// host memory and copying the finished model once: every matrix write
 	// becomes an individual device transfer.
@@ -263,14 +257,7 @@ func (m *builtModel) lstmForward(s *inferScratch, rows int, staging []float32) (
 	for round := 0; round < steps; round++ {
 		xt := blas.Mat{Rows: rows, Cols: 1, Data: x.Row(round)}
 		for g := 0; g < 4; g++ {
-			if m.cfg.NoBiasMatrix {
-				for r := 0; r < rows; r++ {
-					dev.Copy(z[g].Row(r), l.gBias[g])
-				}
-				busy += m.gemm(xt, l.wg[g], z[g]) // kernel contribution + z
-			} else {
-				busy += dev.GemmBiasAct(xt, l.pwg[g], l.gBias[g], blas.ActNone, z[g])
-			}
+			busy += dev.GemmBiasAct(xt, l.pwg[g], l.gBias[g], blas.ActNone, z[g])
 			if round > 0 {
 				busy += m.gemm(h, l.ug[g], z[g]) // recurrent contribution + z
 			}
@@ -310,9 +297,9 @@ func (m *builtModel) flopsFor(n int) int64 {
 	return f
 }
 
-// gemm runs one unfused device matrix multiply C += A·B (the LSTM's
-// recurrent term and the NoBiasMatrix ablation). Its busy time is its wall
-// time: Sgemm does not report its workers.
+// gemm runs one unfused device matrix multiply C += A·B, the LSTM's
+// recurrent term, whose U_g is packed again on every call. Its busy time is
+// its wall time: Sgemm does not report its workers.
 func (m *builtModel) gemm(a, b, c blas.Mat) time.Duration {
 	start := time.Now()
 	m.dev.Gemm(a, b, c)
@@ -321,20 +308,9 @@ func (m *builtModel) gemm(a, b, c blas.Mat) time.Duration {
 
 // denseForward computes out = act(in·W + bias) on the device for any row
 // count: one fused gemm over the weights packed at build. It returns the
-// kernel busy time summed over workers. The NoBiasMatrix ablation runs the
-// unfused sequence instead, whose gemm packs W on every call.
+// kernel busy time summed over workers.
 func (m *builtModel) denseForward(l *deviceLayer, in, out blas.Mat) time.Duration {
-	dev := m.dev
-	if m.cfg.NoBiasMatrix {
-		clear(out.Data)
-		busy := m.gemm(in, l.w, out)
-		for r := 0; r < out.Rows; r++ {
-			dev.VsAdd(out.Row(r), l.bias, out.Row(r))
-		}
-		applyActivation(dev, l.act, out.Data)
-		return busy
-	}
-	return dev.GemmBiasAct(in, l.pw, l.bias, blasActivation(l.act), out)
+	return m.dev.GemmBiasAct(in, l.pw, l.bias, blasActivation(l.act), out)
 }
 
 // blasActivation maps a layer activation to the gemm epilogue's.
@@ -536,17 +512,15 @@ func (m *builtModel) upload(hl hostLayer) deviceLayer {
 			dl.gBias[g] = hl.gBias[g]
 		}
 	}
-	if !cfg.NoBiasMatrix {
-		packStart := time.Now()
-		if hl.kind == nn.KindDense {
-			dl.pw = blas.PackB(hl.w)
-		} else {
-			for g := 0; g < 4; g++ {
-				dl.pwg[g] = blas.PackB(hl.wg[g])
-			}
+	packStart := time.Now()
+	if hl.kind == nn.KindDense {
+		dl.pw = blas.PackB(hl.w)
+	} else {
+		for g := 0; g < 4; g++ {
+			dl.pwg[g] = blas.PackB(hl.wg[g])
 		}
-		m.packDur += time.Since(packStart)
 	}
+	m.packDur += time.Since(packStart)
 	return dl
 }
 

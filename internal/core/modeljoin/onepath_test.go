@@ -14,6 +14,7 @@ import (
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
 	"indbml/internal/infersched"
+	"indbml/internal/metrics"
 	"indbml/internal/nn"
 )
 
@@ -84,7 +85,7 @@ func onePathCase(t *testing.T, rng *rand.Rand) int {
 	}
 	ref := model.PredictBatch(data)
 
-	sched := infersched.New(infersched.Config{MaxWait: 20 * time.Millisecond, MaxInFlight: 1})
+	sched := infersched.New(infersched.Config{MaxWait: 20 * time.Millisecond, MaxInFlight: 1}, metrics.NewRegistry())
 	label := infersched.Label{Model: "g", Device: dev.Name()}
 	cols := make([]int, in)
 	for c := range cols {

@@ -10,7 +10,6 @@ import (
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
 	"indbml/internal/infersched"
-	"indbml/internal/nn"
 	"indbml/internal/trace"
 )
 
@@ -231,24 +230,6 @@ func (o *Operator) infer(in *vector.Batch, n int) error {
 		o.ctrMarshal.Add(int64(time.Since(marshalStart)))
 	}
 	return nil
-}
-
-// applyActivation dispatches a layer activation to the device's kernels
-// ("handcrafted CUDA kernel implementations for different types of
-// activation functions", Sec. 5.4).
-func applyActivation(dev interface {
-	Sigmoid([]float32)
-	Tanh([]float32)
-	ReLU([]float32)
-}, act nn.Activation, x []float32) {
-	switch act {
-	case nn.Sigmoid:
-		dev.Sigmoid(x)
-	case nn.Tanh:
-		dev.Tanh(x)
-	case nn.ReLU:
-		dev.ReLU(x)
-	}
 }
 
 // gatherColumn writes column vector values into staging at stride, i.e.

@@ -9,6 +9,7 @@ import (
 	"indbml/internal/device"
 	"indbml/internal/engine/vector"
 	"indbml/internal/infersched"
+	"indbml/internal/metrics"
 	"indbml/internal/nn"
 	"indbml/internal/trace"
 )
@@ -54,31 +55,6 @@ func TestRunPackedMatchesReference(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestRunPackedNoBiasMatrix exercises the unfused ablation (zero, sgemm,
-// row-wise bias add, activation pass) on the packed path.
-func TestRunPackedNoBiasMatrix(t *testing.T) {
-	model := nn.NewDenseModel("m", 3, 8, 1, 1, 11)
-	_, data := factBatches(t, 2000, 3, 4)
-	ref := model.PredictBatch(data)
-	sm := shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 1, Config{NoBiasMatrix: true})
-	bm, err := sm.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := 2000
-	staging := packRows(data, 0, rows)
-	preds := make([]float32, rows)
-	if _, err := bm.RunPacked(rows, staging, preds); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < rows; r++ {
-		got, want := float64(preds[r]), float64(ref[r][0])
-		if math.Abs(got-want) > 1e-4+1e-4*math.Abs(want) {
-			t.Fatalf("row %d: got %v want %v", r, got, want)
 		}
 	}
 }
@@ -162,7 +138,7 @@ func TestOperatorThroughScheduler(t *testing.T) {
 	_, data := factBatches(t, 2500, 4, 1)
 	ref := model.PredictBatch(data)
 
-	sched := infersched.New(infersched.Config{})
+	sched := infersched.New(infersched.Config{}, metrics.NewRegistry())
 	child, _ := factBatches(t, 2500, 4, 1)
 	op, err := New(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3, 4},
 		sched, infersched.Label{Model: "m", Device: "cpu"})
@@ -192,7 +168,7 @@ func TestOperatorSchedulerLSTM(t *testing.T) {
 	model := nn.NewLSTMModel("lm", 3, 12, 9)
 	child, data := factBatches(t, 1500, 3, 2)
 	ref := model.PredictBatch(data)
-	sched := infersched.New(infersched.Config{})
+	sched := infersched.New(infersched.Config{}, metrics.NewRegistry())
 	op, err := New(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3},
 		sched, infersched.Label{Model: "lm", Device: "cpu"})
 	if err != nil {

@@ -33,14 +33,14 @@ import (
 	"indbml/internal/trace"
 )
 
-// exchStats are the coordinator-wide scatter-gather counters, exported as
-// vectordb_exchange_* metrics and folded into the STATUS shards line.
+// exchStats are the coordinator-wide scatter-gather counters: the
+// vectordb_exchange_* gauges, also folded into the STATUS shards line.
 type exchStats struct {
-	fanouts      atomic.Int64 // distributed SELECTs planned
-	fragments    atomic.Int64 // fragment streams opened (fanouts × shards)
-	fragmentErrs atomic.Int64 // fragment open/stream failures
-	bytesIn      atomic.Int64 // row payload bytes gathered off the wire
-	rowsMerged   atomic.Int64 // rows merged through RemoteExchange
+	fanouts      *metrics.Gauge // distributed SELECTs planned
+	fragments    *metrics.Gauge // fragment streams opened (fanouts × shards)
+	fragmentErrs *metrics.Gauge // fragment open/stream failures
+	bytesIn      *metrics.Gauge // row payload bytes gathered off the wire
+	rowsMerged   *metrics.Gauge // rows merged through RemoteExchange
 }
 
 // Coordinator implements db.Router over a fleet of shard daemons. The
@@ -58,66 +58,52 @@ type Coordinator struct {
 	exch   exchStats
 }
 
-// fleetTables names the local system tables that get the fleet-wide
+// fleetTables names the engine's system tables that get the fleet-wide
 // fan-out treatment (a leading "shard" column unioning every shard's view).
 // Everything else — including the coordinator's dist.partial_* temp tables —
 // stays local.
-var fleetTables = map[string]bool{
-	"system.queries":           true,
-	"system.active_queries":    true,
-	"system.query_operators":   true,
-	"system.statement_stats":   true,
-	"system.metrics":           true,
-	"system.inference_batches": true,
-	"system.metrics_history":   true,
-	"system.latency_history":   true,
-	"system.alerts":            true,
+var fleetTables = []string{
+	"system.queries",
+	"system.active_queries",
+	"system.query_operators",
+	"system.statement_stats",
+	"system.metrics",
+	"system.inference_batches",
+	"system.metrics_history",
+	"system.latency_history",
+	"system.alerts",
 }
 
 // New attaches a coordinator for the given shard addresses to d: it
-// installs itself as the database's router and installs a virtual-table
-// wrapper that upgrades the flight-recorder system tables — present and
-// future registrations alike, so the serving layer's system.metrics gets
-// wrapped even though the server attaches after the coordinator — to
-// fleet-wide versions that union every shard's view (tagged by a leading
-// "shard" column). It also registers the system.shards health table.
+// installs itself as the database's router, replaces each of db.Open's
+// fleetTables with a fleet-wide version that unions every shard's view
+// (tagged by a leading "shard" column), registers the system.shards health
+// table and puts the exchange counters on d's registry.
 func New(d *db.Database, addrs []string) *Coordinator {
 	co := &Coordinator{db: d, sharded: make(map[string]string)}
 	for i, addr := range addrs {
 		co.shards = append(co.shards, &shardPool{id: i, addr: addr})
 	}
 	d.SetRouter(co)
-	d.SetVirtualWrapper(co.wrapVirtual)
+	for _, name := range fleetTables {
+		local, ok := d.VirtualTable(name)
+		if !ok {
+			panic("dist: engine has no " + name)
+		}
+		d.RegisterVirtualTable(fleetTable{co: co, local: local})
+	}
 	d.RegisterVirtualTable(storage.NewVirtualTable("system.shards", shardsSchema, co.fillShards))
-	return co
-}
-
-// wrapVirtual is the registration hook: whitelisted system tables become
-// fleet-wide, already-fleet tables pass through untouched (re-registration
-// must not double-wrap).
-func (co *Coordinator) wrapVirtual(vt storage.VirtualTable) storage.VirtualTable {
-	if _, ok := vt.(fleetTable); ok {
-		return vt
-	}
-	if fleetTables[strings.ToLower(vt.Name())] {
-		return fleetTable{co: co, local: vt}
-	}
-	return vt
-}
-
-// AttachMetrics exports the exchange counters on a server registry; the
-// serving layer calls this when its database has a coordinator router.
-func (co *Coordinator) AttachMetrics(reg *metrics.Registry) {
+	reg := d.Metrics()
 	reg.NewGaugeFunc("vectordb_shards", "Configured shard count behind this coordinator.",
 		func() float64 { return float64(len(co.shards)) })
-	mirror := func(name, help string, v *atomic.Int64) {
-		reg.NewGaugeFunc(name, help, func() float64 { return float64(v.Load()) })
+	co.exch = exchStats{
+		fanouts:      reg.NewGauge("vectordb_exchange_fanouts_total", "Distributed SELECTs planned by the coordinator."),
+		fragments:    reg.NewGauge("vectordb_exchange_fragments_total", "Shard fragment streams opened."),
+		fragmentErrs: reg.NewGauge("vectordb_exchange_fragment_errors_total", "Shard fragment open/stream failures."),
+		bytesIn:      reg.NewGauge("vectordb_exchange_bytes_in_total", "Row payload bytes gathered from shards."),
+		rowsMerged:   reg.NewGauge("vectordb_exchange_rows_merged_total", "Rows merged through RemoteExchange."),
 	}
-	mirror("vectordb_exchange_fanouts_total", "Distributed SELECTs planned by the coordinator.", &co.exch.fanouts)
-	mirror("vectordb_exchange_fragments_total", "Shard fragment streams opened.", &co.exch.fragments)
-	mirror("vectordb_exchange_fragment_errors_total", "Shard fragment open/stream failures.", &co.exch.fragmentErrs)
-	mirror("vectordb_exchange_bytes_in_total", "Row payload bytes gathered from shards.", &co.exch.bytesIn)
-	mirror("vectordb_exchange_rows_merged_total", "Rows merged through RemoteExchange.", &co.exch.rowsMerged)
+	return co
 }
 
 // StatusLine renders the fleet summary for the coordinator's STATUS
@@ -131,8 +117,8 @@ func (co *Coordinator) StatusLine() string {
 		}
 	}
 	return fmt.Sprintf("count=%d reachable=%d fanouts=%d fragments=%d fragment_errors=%d",
-		len(co.shards), reachable, co.exch.fanouts.Load(), co.exch.fragments.Load(),
-		co.exch.fragmentErrs.Load())
+		len(co.shards), reachable, co.exch.fanouts.Value(), co.exch.fragments.Value(),
+		co.exch.fragmentErrs.Value())
 }
 
 // Close drops the idle pooled shard connections.

@@ -2,68 +2,30 @@ package dist_test
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
 
-	"indbml/internal/dist"
 	"indbml/internal/engine/db"
-	"indbml/internal/metrics"
-	"indbml/internal/server"
-	"indbml/internal/telemetry"
 )
 
 // Fleet telemetry end-to-end: a coordinator over three shard daemons, each
-// node running its own sampler, with CREATE ALERT broadcast to every shard
-// and the fleet system.alerts / system.metrics_history views unioning all
-// four nodes under a leading shard column.
-
-// startTelemetryShard boots a shard daemon with a fast sampling tick (the
-// stock startShard hardcodes a config without telemetry).
-func startTelemetryShard(t *testing.T, opts db.Options, tick time.Duration) *shardProc {
-	t.Helper()
-	d := db.Open(opts)
-	s := server.New(d, server.Config{
-		QuerySlots: 4, QueueDepth: 32, IdleTimeout: time.Minute,
-		TelemetryInterval: tick,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.Serve(ln)
-	t.Cleanup(func() { s.Close() })
-	for i := 0; s.Addr() == nil && i < 100; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	return &shardProc{db: d, srv: s, addr: s.Addr().String()}
-}
+// node with its own sampler, with CREATE ALERT broadcast to every shard and
+// the fleet system.alerts / system.metrics_history views unioning all four
+// nodes under a leading shard column. The test ticks every node's sampler
+// itself instead of waiting for the shard servers' one-second interval.
 
 func TestFleetAlertsAndHistory(t *testing.T) {
-	const tick = 25 * time.Millisecond
 	opts := db.Options{DefaultPartitions: 2, Parallelism: 2}
 	const n = 3
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		addrs[i] = startTelemetryShard(t, opts, tick).addr
+	coord, _, shards := newCluster(t, n, opts)
+	tickAll := func() {
+		now := time.Now()
+		coord.Telemetry().Tick(now)
+		for _, sh := range shards {
+			sh.db.Telemetry().Tick(now)
+		}
 	}
-	coord := db.Open(opts)
-	co := dist.New(coord, addrs)
-	t.Cleanup(co.Close)
-
-	// The coordinator engine has no serving layer in this test, so attach
-	// its sampler by hand — after dist.New, so the virtual-table wrapper
-	// upgrades the history/alert tables to fleet-wide views.
-	reg := metrics.NewRegistry()
-	metrics.RegisterRuntime(reg)
-	tel := telemetry.New(reg, telemetry.Config{Interval: tick})
-	coord.SetAlertEngine(tel.Alerts())
-	coord.RegisterVirtualTable(telemetry.HistoryTable(tel))
-	coord.RegisterVirtualTable(telemetry.LatencyTable(tel))
-	coord.RegisterVirtualTable(telemetry.AlertsTable(tel))
-	tel.Start()
-	t.Cleanup(tel.Stop)
 
 	// Deterministic rule: uptime is positive on every node from the first
 	// tick, and FOR defaults to 0, so all four nodes fire immediately.
@@ -88,6 +50,7 @@ func TestFleetAlertsAndHistory(t *testing.T) {
 	// firing under its own shard label.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
+		tickAll()
 		firing := map[string]bool{}
 		b, err := coord.Query("SELECT shard, name, state FROM system.alerts WHERE name = 'up' AND state = 'firing'")
 		if err != nil {

@@ -114,6 +114,9 @@ func TestDistributedExplainAnalyzeReconciliation(t *testing.T) {
 			if _, ok := counterOf(s, "fanout_connect_ns"); !ok {
 				t.Errorf("%s: %s missing fanout_connect_ns", tc.q, s.Name)
 			}
+			if _, ok := counterOf(s, "first_row_ns"); !ok && s.Rows > 0 {
+				t.Errorf("%s: %s streamed %d rows without first_row_ns", tc.q, s.Name, s.Rows)
+			}
 			if v, ok := counterOf(s, "last_row_ns"); !ok || v <= 0 {
 				t.Errorf("%s: %s last_row_ns = %d/%v", tc.q, s.Name, v, ok)
 			}

@@ -22,7 +22,9 @@ import (
 	"indbml/internal/engine/vector"
 	"indbml/internal/flight"
 	"indbml/internal/infersched"
+	"indbml/internal/metrics"
 	"indbml/internal/nn"
+	"indbml/internal/telemetry"
 	"indbml/internal/trace"
 )
 
@@ -82,10 +84,6 @@ type Database struct {
 
 	// router, when set, intercepts statements for distributed execution.
 	router Router
-	// virtualWrap, when set, wraps every virtual-table registration — the
-	// coordinator installs one to give local system tables fleet-wide
-	// (per-shard) fan-out. Guarded by mu.
-	virtualWrap func(storage.VirtualTable) storage.VirtualTable
 
 	opts Options
 	cpu  *device.CPU
@@ -100,33 +98,18 @@ type Database struct {
 	// sched is the batched inference scheduler every MODEL JOIN forward
 	// pass goes through.
 	sched *infersched.Scheduler
-	// alerts, when set, receives CREATE/DROP ALERT DDL — the telemetry
-	// sampler's rule set, wired in by the hosting server. Guarded by mu.
-	alerts AlertEngine
+	// metrics is the one registry every component of this engine — and the
+	// server or coordinator built over it — registers its collectors on.
+	metrics *metrics.Registry
+	// tel samples metrics into history and evaluates the CREATE ALERT
+	// rules; it ticks while a host (server, shell) has started it.
+	tel *telemetry.Sampler
 }
 
-// AlertEngine receives SQL-declared alert rules. Implemented by
-// telemetry.AlertSet; an interface here keeps the engine facade free of a
-// telemetry dependency (same direction as the flight recorder wiring).
-type AlertEngine interface {
-	CreateAlert(stmt *sql.CreateAlertStmt) error
-	DropAlert(name string) error
-}
-
-// SetAlertEngine wires CREATE/DROP ALERT statements to an alert rule set.
-func (d *Database) SetAlertEngine(e AlertEngine) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.alerts = e
-}
-
-func (d *Database) alertEngine() AlertEngine {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.alerts
-}
-
-// Open creates an empty database.
+// Open creates an empty database with its observability wired: the
+// metrics registry and the collectors of the model cache, flight recorder,
+// inference scheduler and Go runtime; the telemetry sampler (not started);
+// and every system table.
 func Open(opts Options) *Database {
 	if opts.DefaultPartitions <= 0 {
 		opts.DefaultPartitions = 1
@@ -135,6 +118,7 @@ func Open(opts Options) *Database {
 	if gpuCfg.PCIeBandwidth == 0 {
 		gpuCfg = device.DefaultGPUConfig()
 	}
+	reg := metrics.NewRegistry()
 	d := &Database{
 		tables:   make(map[string]*storage.Table),
 		models:   make(map[string]*relmodel.Meta),
@@ -143,24 +127,58 @@ func Open(opts Options) *Database {
 		cpu:      device.NewCPU(),
 		gpu:      device.NewGPU(gpuCfg),
 		flight:   flight.NewRecorder(opts.FlightRecorderSize),
-		sched:    infersched.New(opts.InferSched),
+		metrics:  reg,
 	}
 	cacheEntries := opts.ModelCacheEntries
 	if cacheEntries <= 0 {
 		cacheEntries = 32
 	}
 	d.modelCache = newModelCache(cacheEntries)
-	d.RegisterVirtualTable(flight.QueriesTable(d.flight))
-	d.RegisterVirtualTable(flight.OperatorsTable(d.flight))
-	d.RegisterVirtualTable(flight.ActiveTable(d.flight))
-	d.RegisterVirtualTable(flight.StatementStatsTable(d.flight))
-	d.RegisterVirtualTable(storage.NewVirtualTable("system.model_cache", modelCacheSchema, d.fillModelCache))
-	d.RegisterVirtualTable(storage.NewVirtualTable("system.inference_batches", inferBatchesSchema, d.fillInferBatches))
+	reg.NewGaugeFunc("vectordb_model_cache_hits_total", "Model artifact cache hits.",
+		func() float64 { return float64(d.ModelCacheStats().Hits) })
+	reg.NewGaugeFunc("vectordb_model_cache_misses_total", "Model artifact cache misses.",
+		func() float64 { return float64(d.ModelCacheStats().Misses) })
+	reg.NewGaugeFunc("vectordb_model_cache_evictions_total", "Model artifact cache evictions.",
+		func() float64 { return float64(d.ModelCacheStats().Evictions) })
+	reg.NewGaugeFunc("vectordb_model_cache_entries", "Model artifact cache resident entries.",
+		func() float64 { return float64(d.ModelCacheStats().Entries) })
+	reg.NewGaugeFunc("vectordb_flight_recorder_capacity", "Flight recorder ring capacity.",
+		func() float64 { return float64(d.flight.Capacity()) })
+	reg.NewGaugeFunc("vectordb_flight_queries_recorded_total", "Statements published to the flight recorder since start.",
+		func() float64 { return float64(d.flight.Recorded()) })
+	d.sched = infersched.New(opts.InferSched, reg)
+	metrics.RegisterRuntime(reg)
+	d.tel = telemetry.New(reg, telemetry.Config{})
+	for _, vt := range []storage.VirtualTable{
+		flight.QueriesTable(d.flight),
+		flight.OperatorsTable(d.flight),
+		flight.ActiveTable(d.flight),
+		flight.StatementStatsTable(d.flight),
+		storage.NewVirtualTable("system.model_cache", modelCacheSchema, d.fillModelCache),
+		storage.NewVirtualTable("system.inference_batches", inferBatchesSchema, d.fillInferBatches),
+		// A histogram spike in system.metrics carries the exemplar query ID
+		// to drill into system.queries / system.query_operators with SQL.
+		flight.MetricsTable(reg),
+		telemetry.HistoryTable(d.tel),
+		telemetry.LatencyTable(d.tel),
+		telemetry.AlertsTable(d.tel),
+	} {
+		d.RegisterVirtualTable(vt)
+	}
 	return d
 }
 
 // InferSched returns the batched inference scheduler.
 func (d *Database) InferSched() *infersched.Scheduler { return d.sched }
+
+// Metrics returns the engine's metrics registry: system.metrics, the
+// telemetry history and the METRICS / HTTP exposition page all read it.
+func (d *Database) Metrics() *metrics.Registry { return d.metrics }
+
+// Telemetry returns the engine's telemetry sampler. A host that wants
+// history and alert evaluation over time starts it (Start) and stops it
+// when done; Tick samples once.
+func (d *Database) Telemetry() *telemetry.Sampler { return d.tel }
 
 // FlightRecorder returns the always-on query flight recorder.
 func (d *Database) FlightRecorder() *flight.Recorder { return d.flight }
@@ -179,11 +197,6 @@ func (d *Database) Kill(id uint64) error {
 // before serving traffic; a nil router restores purely local execution.
 func (d *Database) SetRouter(r Router) { d.router = r }
 
-// Router returns the installed statement router (nil for purely local
-// databases). Hosts interface-assert it for optional coordinator surfaces
-// (metrics attachment, fleet status).
-func (d *Database) Router() Router { return d.router }
-
 // RouterStatus returns the router's one-line fleet summary ("" when no
 // router is installed or it offers none) — the STATUS "shards:" line.
 func (d *Database) RouterStatus() string {
@@ -193,33 +206,11 @@ func (d *Database) RouterStatus() string {
 	return ""
 }
 
-// SetVirtualWrapper installs a hook that wraps virtual-table registrations
-// (the coordinator uses it to give local system tables fleet-wide fan-out
-// with a shard column). Already-registered tables are re-wrapped, and every
-// later registration passes through the hook, so registration order between
-// the coordinator and the serving layer does not matter. The hook decides
-// which tables to wrap; returning its argument leaves a table local.
-func (d *Database) SetVirtualWrapper(w func(storage.VirtualTable) storage.VirtualTable) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.virtualWrap = w
-	if w == nil {
-		return
-	}
-	for name, vt := range d.virtuals {
-		d.virtuals[name] = w(vt)
-	}
-}
-
-// RegisterVirtualTable adds (or replaces) a virtual system table. The
-// engine registers system.queries, system.query_operators and
-// system.model_cache itself; hosts with a metrics registry add
-// system.metrics (the server and the embedded shell both do).
+// RegisterVirtualTable adds (or replaces) a virtual system table. Open
+// registers every engine table; the server adds system.sessions, and the
+// coordinator system.shards plus fleet-wide replacements of engine tables.
 func (d *Database) RegisterVirtualTable(vt storage.VirtualTable) {
 	d.mu.Lock()
-	if d.virtualWrap != nil {
-		vt = d.virtualWrap(vt)
-	}
 	d.virtuals[strings.ToLower(vt.Name())] = vt
 	d.mu.Unlock()
 }
@@ -232,7 +223,8 @@ func (d *Database) UnregisterVirtualTable(name string) {
 	d.mu.Unlock()
 }
 
-func (d *Database) virtualTable(name string) (storage.VirtualTable, bool) {
+// VirtualTable resolves a registered virtual table by name.
+func (d *Database) VirtualTable(name string) (storage.VirtualTable, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	vt, ok := d.virtuals[strings.ToLower(name)]
@@ -356,7 +348,7 @@ func (c *queryCatalog) Table(name string) (*storage.Table, error) { return c.db.
 // when the regular lookup fails, resolving system.* names to snapshot
 // scans.
 func (c *queryCatalog) VirtualTable(name string) (storage.VirtualTable, bool) {
-	return c.db.virtualTable(name)
+	return c.db.VirtualTable(name)
 }
 
 // Model implements plan.Catalog.
@@ -748,15 +740,9 @@ func (d *Database) execStmt(stmt sql.Stmt) error {
 		}
 		return d.Kill(s.ID)
 	case *sql.CreateAlertStmt:
-		if e := d.alertEngine(); e != nil {
-			return e.CreateAlert(s)
-		}
-		return fmt.Errorf("db: CREATE ALERT requires telemetry (no sampler attached to this database)")
+		return d.tel.Alerts().CreateAlert(s)
 	case *sql.DropAlertStmt:
-		if e := d.alertEngine(); e != nil {
-			return e.DropAlert(s.Name)
-		}
-		return fmt.Errorf("db: DROP ALERT requires telemetry (no sampler attached to this database)")
+		return d.tel.Alerts().DropAlert(s.Name)
 	default:
 		return fmt.Errorf("db: Exec does not handle %T; use Query for SELECT", stmt)
 	}

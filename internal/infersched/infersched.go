@@ -41,6 +41,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"indbml/internal/metrics"
 )
 
 // Runner executes one packed forward pass: rows feature rows (row-major,
@@ -117,15 +119,17 @@ type Scheduler struct {
 	bufPool sync.Pool // []float32 pack/scatter buffers
 }
 
-// New creates a scheduler.
-func New(cfg Config) *Scheduler {
+// New creates a scheduler and registers its collectors on reg.
+func New(cfg Config, reg *metrics.Registry) *Scheduler {
 	cfg = cfg.withDefaults()
-	return &Scheduler{
+	s := &Scheduler{
 		cfg:     cfg,
-		stats:   newStats(cfg.RingSize),
+		stats:   newStats(cfg.RingSize, reg),
 		queues:  make(map[Runner]*queue),
 		devGate: make(map[string]chan struct{}),
 	}
+	s.registerQueueGauges(reg)
+	return s
 }
 
 // request states: the atomic arbiter between the dispatcher's claim and

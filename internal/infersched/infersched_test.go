@@ -92,7 +92,7 @@ func wantPreds(t *testing.T, r *fakeRunner, staging, preds []float32, rows int) 
 }
 
 func TestSingleSubmitNoCoalesceWait(t *testing.T) {
-	s := New(Config{MaxWait: 50 * time.Millisecond})
+	s := New(Config{MaxWait: 50 * time.Millisecond}, metrics.NewRegistry())
 	r := &fakeRunner{in: 4, out: 1}
 	staging := makeBatch(8, 4, 2)
 	preds := make([]float32, 8)
@@ -114,7 +114,7 @@ func TestConcurrentSubmitsCoalesce(t *testing.T) {
 	// One slow in-flight batch forces all later arrivals to pend together;
 	// MaxInFlight=1 serializes the device so the pending set launches as one
 	// super-batch.
-	s := New(Config{MaxWait: time.Second, MaxInFlight: 1})
+	s := New(Config{MaxWait: time.Second, MaxInFlight: 1}, metrics.NewRegistry())
 	r := &fakeRunner{in: 2, out: 2, delay: 30 * time.Millisecond}
 	lbl := Label{"m", "gpu"}
 
@@ -163,16 +163,16 @@ func TestConcurrentSubmitsCoalesce(t *testing.T) {
 		t.Fatalf("no coalescing: %d calls for %d submits", calls, n+1)
 	}
 	st := s.stats
-	if st.coalesced.Load() == 0 {
+	if st.coalesced.Value() == 0 {
 		t.Fatal("stats recorded no coalesced batches")
 	}
-	if got, want := st.requests.Load(), int64(n+1); got != want {
+	if got, want := st.requests.Value(), int64(n+1); got != want {
 		t.Fatalf("stats requests=%d want %d", got, want)
 	}
 }
 
 func TestMaxBatchRowsSplitsLaunch(t *testing.T) {
-	s := New(Config{MaxWait: time.Second, MaxBatchRows: 4, MaxInFlight: 1})
+	s := New(Config{MaxWait: time.Second, MaxBatchRows: 4, MaxInFlight: 1}, metrics.NewRegistry())
 	r := &fakeRunner{in: 1, out: 1, delay: 20 * time.Millisecond}
 	lbl := Label{"m", "cpu"}
 	var wg sync.WaitGroup
@@ -207,7 +207,7 @@ func TestMaxBatchRowsSplitsLaunch(t *testing.T) {
 }
 
 func TestCancelBeforeClaim(t *testing.T) {
-	s := New(Config{MaxWait: time.Hour, MaxInFlight: 1})
+	s := New(Config{MaxWait: time.Hour, MaxInFlight: 1}, metrics.NewRegistry())
 	r := &fakeRunner{in: 1, out: 1, delay: 50 * time.Millisecond}
 	lbl := Label{"m", "cpu"}
 
@@ -247,7 +247,7 @@ func TestCancelBeforeClaim(t *testing.T) {
 }
 
 func TestCancelAfterClaimWaitsForBatch(t *testing.T) {
-	s := New(Config{MaxWait: time.Hour})
+	s := New(Config{MaxWait: time.Hour}, metrics.NewRegistry())
 	r := &fakeRunner{in: 1, out: 1, delay: 40 * time.Millisecond}
 	lbl := Label{"m", "cpu"}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -273,7 +273,7 @@ func TestCancelAfterClaimWaitsForBatch(t *testing.T) {
 
 func TestRunError_PropagatesToAllWaiters(t *testing.T) {
 	failure := errors.New("device melted")
-	s := New(Config{MaxWait: time.Second, MaxInFlight: 1})
+	s := New(Config{MaxWait: time.Second, MaxInFlight: 1}, metrics.NewRegistry())
 	r := &fakeRunner{in: 1, out: 1, delay: 20 * time.Millisecond, fail: failure}
 	lbl := Label{"m", "cpu"}
 	var wg sync.WaitGroup
@@ -297,7 +297,7 @@ func TestRunError_PropagatesToAllWaiters(t *testing.T) {
 }
 
 func TestDeviceGateCapsInflight(t *testing.T) {
-	s := New(Config{MaxWait: time.Millisecond, MaxInFlight: 2})
+	s := New(Config{MaxWait: time.Millisecond, MaxInFlight: 2}, metrics.NewRegistry())
 	// Two runners (distinct models) share the "gpu" device gate.
 	ra := &fakeRunner{in: 1, out: 1, delay: 20 * time.Millisecond}
 	rb := &fakeRunner{in: 1, out: 1, delay: 20 * time.Millisecond}
@@ -362,7 +362,7 @@ func (y *yieldSpy) Unyield(ctx context.Context) error {
 }
 
 func TestSubmitYieldsSlot(t *testing.T) {
-	s := New(Config{})
+	s := New(Config{}, metrics.NewRegistry())
 	r := &fakeRunner{in: 1, out: 1}
 	spy := &yieldSpy{}
 	ctx := WithYielder(context.Background(), spy)
@@ -394,7 +394,7 @@ func TestYielderContext(t *testing.T) {
 }
 
 func TestQueueRetiresWhenIdle(t *testing.T) {
-	s := New(Config{})
+	s := New(Config{}, metrics.NewRegistry())
 	r := &fakeRunner{in: 1, out: 1}
 	st, pr := makeBatch(1, 1, 0), make([]float32, 1)
 	if _, err := s.Submit(context.Background(), Label{"m", "cpu"}, r, 1, st, pr); err != nil {
@@ -423,7 +423,7 @@ func TestQueueRetiresWhenIdle(t *testing.T) {
 }
 
 func TestStatsAndSnapshots(t *testing.T) {
-	s := New(Config{RingSize: 4})
+	s := New(Config{RingSize: 4}, metrics.NewRegistry())
 	r := &fakeRunner{in: 1, out: 1}
 	lbl := Label{Model: "iris", Device: "cpu"}
 	for i := 0; i < 6; i++ {
@@ -456,10 +456,11 @@ func TestStatsAndSnapshots(t *testing.T) {
 	}
 }
 
-func TestAttachMetrics(t *testing.T) {
-	s := New(Config{})
+// TestNewRegistersMetrics: the collectors New registers count every batch,
+// with no attachment step.
+func TestNewRegistersMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s.AttachMetrics(reg)
+	s := New(Config{}, reg)
 	r := &fakeRunner{in: 1, out: 1}
 	st, pr := makeBatch(3, 1, 0), make([]float32, 3)
 	if _, err := s.Submit(context.Background(), Label{"m", "cpu"}, r, 3, st, pr); err != nil {
@@ -479,7 +480,7 @@ func TestAttachMetrics(t *testing.T) {
 }
 
 func TestSubmitZeroRowsIsNoop(t *testing.T) {
-	s := New(Config{})
+	s := New(Config{}, metrics.NewRegistry())
 	r := &fakeRunner{in: 1, out: 1}
 	if _, err := s.Submit(context.Background(), Label{"m", "cpu"}, r, 0, nil, nil); err != nil {
 		t.Fatal(err)
@@ -492,7 +493,7 @@ func TestSubmitZeroRowsIsNoop(t *testing.T) {
 func TestManyConcurrentSubmitters(t *testing.T) {
 	// Stress the full path: many goroutines, two models, one device,
 	// validating every result. Run with -race in CI.
-	s := New(Config{MaxWait: 200 * time.Microsecond, MaxInFlight: 2})
+	s := New(Config{MaxWait: 200 * time.Microsecond, MaxInFlight: 2}, metrics.NewRegistry())
 	ra := &fakeRunner{in: 3, out: 2, delay: time.Millisecond}
 	rb := &fakeRunner{in: 3, out: 2, delay: time.Millisecond}
 	var wg sync.WaitGroup
@@ -529,7 +530,7 @@ func TestManyConcurrentSubmitters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	total := s.stats.requests.Load()
+	total := s.stats.requests.Value()
 	if want := int64(32 * 4); total != want {
 		t.Fatalf("stats requests=%d want %d", total, want)
 	}
@@ -548,7 +549,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func BenchmarkSubmitSingleStream(b *testing.B) {
-	s := New(Config{})
+	s := New(Config{}, metrics.NewRegistry())
 	r := &fakeRunner{in: 8, out: 1}
 	st := makeBatch(64, 8, 1)
 	pr := make([]float32, 64)
@@ -563,7 +564,7 @@ func BenchmarkSubmitSingleStream(b *testing.B) {
 }
 
 func ExampleScheduler_StatusLine() {
-	s := New(Config{})
+	s := New(Config{}, metrics.NewRegistry())
 	fmt.Println(s.StatusLine())
 	// Output: queues=0 depth=0 inflight=0 batches=0 coalesced=0 mean_rows=0.0 mean_wait=0s
 }

@@ -2,6 +2,7 @@ package infersched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -25,41 +26,40 @@ type BatchStat struct {
 	RunNS    int64 // pack + forward pass + scatter wall time
 }
 
-// waitBounds are the coalesce-wait histogram bucket upper bounds rendered
-// by StatsText (\batcher, STATUS). Sub-ms-centric: the default MaxWait is
-// 500µs, so the interesting resolution is around it.
-var waitBounds = []time.Duration{
-	50 * time.Microsecond,
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	time.Millisecond,
-	5 * time.Millisecond,
-	25 * time.Millisecond,
-}
-
-// Stats aggregates scheduler activity. All hot-path writes are atomics.
+// Stats aggregates scheduler activity. All hot-path writes are atomics; the
+// counters and histograms are the registry's own collectors.
 type Stats struct {
 	ring []atomic.Pointer[BatchStat]
 	next atomic.Uint64 // batches ever published; next slot = next % len
 
-	batches   atomic.Int64
-	coalesced atomic.Int64 // batches with >1 request
-	requests  atomic.Int64
-	rows      atomic.Int64
-	waitSum   atomic.Int64 // ns, summed over batches' max waits
-	waitBkt   []atomic.Int64
-
-	// Registry collectors, attached by the serving layer (atomic pointers:
-	// attachment may race a live scheduler in embedded setups).
-	mWait atomic.Pointer[metrics.Histogram]
-	mRows atomic.Pointer[metrics.Histogram]
+	batches   *metrics.Gauge
+	coalesced *metrics.Gauge // batches with >1 request
+	requests  *metrics.Gauge
+	rows      *metrics.Gauge
+	waitSum   atomic.Int64       // ns, summed over batches' max waits
+	wait      *metrics.Histogram // coalesce wait, seconds; StatsText renders it
+	batchRows *metrics.Histogram
 }
 
-func newStats(ringSize int) *Stats {
+// batchRowBounds buckets super-batch row counts; vectorsize (1024) and the
+// default MaxBatchRows (8192) both fall on bucket edges.
+var batchRowBounds = []float64{256, 512, 1024, 2048, 4096, 8192, 16384}
+
+// newStats registers the scheduler's counters and histograms on reg. The
+// coalesce-wait bounds are sub-ms-centric: the default MaxWait is 500µs, so
+// the interesting resolution is around it.
+func newStats(ringSize int, reg *metrics.Registry) *Stats {
 	return &Stats{
-		ring:    make([]atomic.Pointer[BatchStat], ringSize),
-		waitBkt: make([]atomic.Int64, len(waitBounds)+1),
+		ring: make([]atomic.Pointer[BatchStat], ringSize),
+		wait: reg.NewHistogram("vectordb_infer_coalesce_wait_seconds",
+			"Coalesce-window wait per inference super-batch (longest member request).",
+			[]float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.025}),
+		batchRows: reg.NewHistogram("vectordb_infer_batch_rows",
+			"Rows per packed inference super-batch.", batchRowBounds),
+		batches:   reg.NewGauge("vectordb_infer_batches_total", "Inference super-batches executed."),
+		coalesced: reg.NewGauge("vectordb_infer_batches_coalesced_total", "Super-batches that coalesced more than one request."),
+		requests:  reg.NewGauge("vectordb_infer_requests_total", "ModelJoin batch requests submitted to the scheduler."),
+		rows:      reg.NewGauge("vectordb_infer_rows_total", "Feature rows run through packed inference."),
 	}
 }
 
@@ -83,14 +83,8 @@ func (st *Stats) recordBatch(label Label, requests, rows int, wait, run time.Dur
 	st.requests.Add(int64(requests))
 	st.rows.Add(int64(rows))
 	st.waitSum.Add(int64(wait))
-	i := sort.Search(len(waitBounds), func(i int) bool { return waitBounds[i] >= wait })
-	st.waitBkt[i].Add(1)
-	if h := st.mWait.Load(); h != nil {
-		h.ObserveDuration(wait)
-	}
-	if h := st.mRows.Load(); h != nil {
-		h.Observe(float64(rows))
-	}
+	st.wait.ObserveDuration(wait)
+	st.batchRows.Observe(float64(rows))
 }
 
 // BatchSnapshot returns the retained batch records ordered by ID — the
@@ -110,10 +104,10 @@ func (s *Scheduler) BatchSnapshot() []BatchStat {
 // payload.
 func (s *Scheduler) StatusLine() string {
 	st := s.stats
-	batches := st.batches.Load()
+	batches := st.batches.Value()
 	meanRows, meanWait := float64(0), time.Duration(0)
 	if batches > 0 {
-		meanRows = float64(st.rows.Load()) / float64(batches)
+		meanRows = float64(st.rows.Value()) / float64(batches)
 		meanWait = time.Duration(st.waitSum.Load() / batches)
 	}
 	states := s.queueStates()
@@ -123,7 +117,7 @@ func (s *Scheduler) StatusLine() string {
 		inflight += q.inflight
 	}
 	return fmt.Sprintf("queues=%d depth=%d inflight=%d batches=%d coalesced=%d mean_rows=%.1f mean_wait=%s",
-		len(states), depth, inflight, batches, st.coalesced.Load(), meanRows, meanWait)
+		len(states), depth, inflight, batches, st.coalesced.Value(), meanRows, meanWait)
 }
 
 // StatsText renders the full scheduler report served by the BATCHER verb
@@ -132,21 +126,23 @@ func (s *Scheduler) StatusLine() string {
 func (s *Scheduler) StatsText() string {
 	st := s.stats
 	var sb strings.Builder
-	batches := st.batches.Load()
+	batches := st.batches.Value()
 	meanRows, meanReqs := float64(0), float64(0)
 	if batches > 0 {
-		meanRows = float64(st.rows.Load()) / float64(batches)
-		meanReqs = float64(st.requests.Load()) / float64(batches)
+		meanRows = float64(st.rows.Value()) / float64(batches)
+		meanReqs = float64(st.requests.Value()) / float64(batches)
 	}
 	fmt.Fprintf(&sb, "inference batcher: max_wait=%s max_batch_rows=%d max_inflight=%d\n",
 		s.cfg.MaxWait, s.cfg.MaxBatchRows, s.cfg.MaxInFlight)
 	fmt.Fprintf(&sb, "batches: total=%d coalesced=%d requests=%d rows=%d mean_rows=%.1f mean_requests=%.2f\n",
-		batches, st.coalesced.Load(), st.requests.Load(), st.rows.Load(), meanRows, meanReqs)
+		batches, st.coalesced.Value(), st.requests.Value(), st.rows.Value(), meanRows, meanReqs)
+	wait := st.wait.Snapshot()
+	bound := func(i int) time.Duration { return time.Duration(math.Round(wait.Bounds[i] * float64(time.Second))) }
 	fmt.Fprintf(&sb, "coalesce_wait:")
-	for i, b := range waitBounds {
-		fmt.Fprintf(&sb, " le_%s=%d", b, st.waitBkt[i].Load())
+	for i := range wait.Bounds {
+		fmt.Fprintf(&sb, " le_%s=%d", bound(i), wait.Buckets[i])
 	}
-	fmt.Fprintf(&sb, " gt_%s=%d", waitBounds[len(waitBounds)-1], st.waitBkt[len(waitBounds)].Load())
+	fmt.Fprintf(&sb, " gt_%s=%d", bound(len(wait.Bounds)-1), wait.Buckets[len(wait.Bounds)])
 	if batches > 0 {
 		fmt.Fprintf(&sb, " (mean %s)", time.Duration(st.waitSum.Load()/batches))
 	}
@@ -172,27 +168,8 @@ func (s *Scheduler) StatsText() string {
 	return sb.String()
 }
 
-// batchRowBounds buckets super-batch row counts; vectorsize (1024) and the
-// default MaxBatchRows (8192) both fall on bucket edges.
-var batchRowBounds = []float64{256, 512, 1024, 2048, 4096, 8192, 16384}
-
-// AttachMetrics registers the scheduler's collectors on a registry: batch
-// row-count and coalesce-wait histograms plus mirrors of the rolling
-// totals. Call once per registry (collector names are unique per registry).
-func (s *Scheduler) AttachMetrics(reg *metrics.Registry) {
-	st := s.stats
-	st.mWait.Store(reg.NewHistogram("vectordb_infer_coalesce_wait_seconds",
-		"Coalesce-window wait per inference super-batch (longest member request).",
-		[]float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.025}))
-	st.mRows.Store(reg.NewHistogram("vectordb_infer_batch_rows",
-		"Rows per packed inference super-batch.", batchRowBounds))
-	mirror := func(name, help string, v *atomic.Int64) {
-		reg.NewGaugeFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	mirror("vectordb_infer_batches_total", "Inference super-batches executed.", &st.batches)
-	mirror("vectordb_infer_batches_coalesced_total", "Super-batches that coalesced more than one request.", &st.coalesced)
-	mirror("vectordb_infer_requests_total", "ModelJoin batch requests submitted to the scheduler.", &st.requests)
-	mirror("vectordb_infer_rows_total", "Feature rows run through packed inference.", &st.rows)
+// registerQueueGauges adds the scrape-time queue depth and in-flight gauges.
+func (s *Scheduler) registerQueueGauges(reg *metrics.Registry) {
 	reg.NewGaugeFunc("vectordb_infer_queue_depth", "Requests pending in coalesce windows across all queues.",
 		func() float64 {
 			depth := 0

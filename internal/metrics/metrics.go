@@ -2,12 +2,11 @@
 // Prometheus-style text exposition: monotonically increasing counters,
 // point-in-time gauges, and fixed-bound histograms.
 //
-// It exists so the serving layer can export one coherent page — query
-// throughput, latency and queue-wait distributions, admission-control
-// rejections, model-cache effectiveness — scrapeable over HTTP
-// (vectordbd -metrics-addr) and over the wire protocol (METRICS verb).
-// Registries are plain values, not process globals, so tests can build as
-// many isolated servers as they like without name collisions.
+// Every engine (db.Open) owns one registry; each component registers its
+// collectors on it when constructed, so system.metrics, the telemetry
+// history, HTTP (vectordbd -metrics-addr) and the METRICS verb read one
+// source. Registries are plain values, not process globals, so tests can
+// open as many isolated engines as they like without name collisions.
 package metrics
 
 import (
@@ -207,11 +206,11 @@ type Gauge struct {
 	v      atomic.Int64
 }
 
-func (g *Gauge) Set(n int64)  { g.v.Store(n) }
-func (g *Gauge) Add(n int64)  { g.v.Add(n) }
-func (g *Gauge) Value() int64 { return g.v.Load() }
-func (g *Gauge) name() string { return g.nm }
-func (g *Gauge) help() string { return g.hp }
+func (g *Gauge) Set(n int64)       { g.v.Store(n) }
+func (g *Gauge) Add(n int64) int64 { return g.v.Add(n) } // returns the new value
+func (g *Gauge) Value() int64      { return g.v.Load() }
+func (g *Gauge) name() string      { return g.nm }
+func (g *Gauge) help() string      { return g.hp }
 func (g *Gauge) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", g.nm, g.nm, g.v.Load())
 }

@@ -42,8 +42,6 @@ import (
 	"indbml/internal/fingerprint"
 	"indbml/internal/flight"
 	"indbml/internal/infersched"
-	"indbml/internal/metrics"
-	"indbml/internal/telemetry"
 	"indbml/internal/trace"
 	"indbml/internal/wire"
 )
@@ -76,9 +74,6 @@ type Config struct {
 	// SlowQueryThreshold is the duration above which a successful
 	// statement is logged. 0 logs every SELECT.
 	SlowQueryThreshold time.Duration
-	// TelemetryInterval is the metrics-history sampling tick. 0 or a
-	// negative value means the default (1s).
-	TelemetryInterval time.Duration
 	// AlertLog, when non-nil, receives one JSON line per alert
 	// firing/resolved transition, in the slow-query-log style.
 	AlertLog io.Writer
@@ -99,9 +94,7 @@ type Server struct {
 	db    *db.Database
 	cfg   Config
 	stats *Stats
-	reg   *metrics.Registry
 	slow  *slowLog // nil when the slow-query log is disabled
-	tel   *telemetry.Sampler
 
 	slots chan struct{} // buffered semaphore: one token per running query
 
@@ -123,16 +116,18 @@ type Server struct {
 	wg sync.WaitGroup // live session handlers
 }
 
-// New creates a server over an opened database.
+// New creates a server over an opened database: it registers its own
+// collectors on the database's registry and system.sessions in its catalog,
+// so a database is served by at most one server. New starts the database's
+// telemetry sampler and Shutdown stops it.
 func New(d *db.Database, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	reg := metrics.NewRegistry()
+	reg := d.Metrics()
 	s := &Server{
 		db:         d,
 		cfg:        cfg,
 		stats:      newStats(reg),
-		reg:        reg,
 		slots:      make(chan struct{}, cfg.QuerySlots),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -148,55 +143,13 @@ func New(d *db.Database, cfg Config) *Server {
 		func() float64 { return float64(len(s.slots)) })
 	reg.NewGaugeFunc("vectordb_queue_capacity", "Configured admission-queue depth.",
 		func() float64 { return float64(cfg.QueueDepth) })
-	reg.NewGaugeFunc("vectordb_model_cache_hits_total", "Model artifact cache hits.",
-		func() float64 { return float64(d.ModelCacheStats().Hits) })
-	reg.NewGaugeFunc("vectordb_model_cache_misses_total", "Model artifact cache misses.",
-		func() float64 { return float64(d.ModelCacheStats().Misses) })
-	reg.NewGaugeFunc("vectordb_model_cache_evictions_total", "Model artifact cache evictions.",
-		func() float64 { return float64(d.ModelCacheStats().Evictions) })
-	reg.NewGaugeFunc("vectordb_model_cache_entries", "Model artifact cache resident entries.",
-		func() float64 { return float64(d.ModelCacheStats().Entries) })
-	fr := d.FlightRecorder()
-	reg.NewGaugeFunc("vectordb_flight_recorder_capacity", "Flight recorder ring capacity.",
-		func() float64 { return float64(fr.Capacity()) })
-	reg.NewGaugeFunc("vectordb_flight_queries_recorded_total", "Statements published to the flight recorder since start.",
-		func() float64 { return float64(fr.Recorded()) })
-	d.InferSched().AttachMetrics(reg)
-	// A coordinator database exports its scatter-gather counters
-	// (vectordb_exchange_*) on the serving registry too; dist attaches its
-	// router before the server starts, so the assertion sees it.
-	if rm, ok := d.Router().(interface{ AttachMetrics(*metrics.Registry) }); ok {
-		rm.AttachMetrics(reg)
-	}
-	metrics.RegisterRuntime(reg)
-	// Expose this server's registry in-database, completing the exemplar
-	// loop: a histogram spike in system.metrics carries the query ID to
-	// drill into system.queries / system.query_operators with plain SQL.
-	d.RegisterVirtualTable(flight.MetricsTable(reg))
 	// The connection registry lives here, not in the engine, so the
 	// sessions table does too: system.sessions joins to
 	// system.active_queries on current_query_id.
 	d.RegisterVirtualTable(storage.NewVirtualTable("system.sessions", sessionsSchema, s.fillSessions))
-	// Telemetry: sample the registry into the history rings and evaluate
-	// alert rules each tick.
-	s.tel = telemetry.New(reg, telemetry.Config{
-		Interval: cfg.TelemetryInterval,
-		AlertLog: cfg.AlertLog,
-	})
-	d.SetAlertEngine(s.tel.Alerts())
-	s.tel.Start()
-	d.RegisterVirtualTable(telemetry.HistoryTable(s.tel))
-	d.RegisterVirtualTable(telemetry.LatencyTable(s.tel))
-	d.RegisterVirtualTable(telemetry.AlertsTable(s.tel))
+	d.Telemetry().Start(cfg.AlertLog)
 	return s
 }
-
-// Telemetry exposes the sampler for tests and the embedded shell.
-func (s *Server) Telemetry() *telemetry.Sampler { return s.tel }
-
-// Metrics exposes the server's registry so daemons can mount it on an HTTP
-// listener next to pprof.
-func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // DB exposes the underlying database (for in-process seeding by daemons
 // and tests).
@@ -286,7 +239,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		s.baseCancel()
-		s.tel.Stop()
+		s.db.Telemetry().Stop()
 		return nil
 	case <-ctx.Done():
 		// Hard stop: cancel running queries and cut the transports.
@@ -297,7 +250,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 		<-done
-		s.tel.Stop()
+		s.db.Telemetry().Stop()
 		return ctx.Err()
 	}
 }
@@ -323,7 +276,7 @@ func (s *Server) StatusText() string {
 	sn.CacheHits, sn.CacheMisses, sn.CacheEvictions, sn.CacheEntries = mc.Hits, mc.Misses, mc.Evictions, mc.Entries
 	sn.Batcher = s.db.InferSched().StatusLine()
 	sn.Shards = s.db.RouterStatus()
-	sn.Alerts = s.tel.StatusLine()
+	sn.Alerts = s.db.Telemetry().StatusLine()
 	return sn.String()
 }
 
@@ -473,7 +426,7 @@ func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, deadlin
 		// lower-case, so match on the original text, not the upper-cased
 		// dispatch copy).
 		prefix := strings.TrimSpace(text[len("METRICS"):])
-		wire.WriteOK(bw, s.reg.TextFiltered(prefix))
+		wire.WriteOK(bw, s.db.Metrics().TextFiltered(prefix))
 		return
 	}
 	if upper == "BATCHER" {

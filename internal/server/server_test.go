@@ -272,7 +272,7 @@ func TestCancellationMidScan(t *testing.T) {
 	}
 	rows2.Drain()
 
-	if got := s.stats.Canceled.Load(); got == 0 {
+	if got := s.stats.Canceled.Value(); got == 0 {
 		t.Error("canceled counter not incremented")
 	}
 }
@@ -343,7 +343,7 @@ func TestOverloadFastReject(t *testing.T) {
 
 	// Wait until the slow query holds the slot.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.stats.Running.Load() == 0 {
+	for s.stats.Running.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow query never started running")
 		}
@@ -363,7 +363,7 @@ func TestOverloadFastReject(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("fast-reject took %v; not fast", elapsed)
 	}
-	if s.stats.Rejected.Load() == 0 {
+	if s.stats.Rejected.Value() == 0 {
 		t.Error("rejected counter not incremented")
 	}
 	// STATUS must bypass admission control even under overload.
@@ -390,7 +390,7 @@ func TestQueueWaitReject(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.stats.Running.Load() == 0 {
+	for s.stats.Running.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow query never started running")
 		}
@@ -473,7 +473,7 @@ func TestGracefulShutdown(t *testing.T) {
 	// Wait until the statement holds a slot, so the shutdown genuinely
 	// overlaps an in-flight query.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.stats.Running.Load() == 0 {
+	for s.stats.Running.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("query never started running")
 		}

@@ -3,61 +3,51 @@ package server
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"indbml/internal/metrics"
 )
 
-// Stats are the server's live counters. All fields are atomics so the hot
-// path (every statement on every session) never takes a lock; STATUS reads
-// a consistent-enough snapshot without stopping traffic.
-//
-// The latency and queue-wait distributions live in metrics.Histogram, the
-// same collectors exported on the registry page, so STATUS and METRICS can
-// never disagree about what the server measured.
+// Stats are the server's live counters: the registry's own gauges and
+// histograms, so the hot path (every statement on every session) is an
+// atomic add, and STATUS and METRICS can never disagree about what the
+// server measured.
 type Stats struct {
-	ActiveSessions atomic.Int64
-	TotalSessions  atomic.Int64
+	ActiveSessions *metrics.Gauge
+	TotalSessions  *metrics.Gauge
 
-	Queued    atomic.Int64 // statements waiting for a query slot
-	Running   atomic.Int64 // statements holding a query slot
-	Completed atomic.Int64 // statements finished successfully
-	Canceled  atomic.Int64 // statements ended by deadline/cancellation
-	Failed    atomic.Int64 // statements ended by a query error
-	Rejected  atomic.Int64 // statements fast-rejected by admission control
+	Queued    *metrics.Gauge // statements waiting for a query slot
+	Running   *metrics.Gauge // statements holding a query slot
+	Completed *metrics.Gauge // statements finished successfully
+	Canceled  *metrics.Gauge // statements ended by deadline/cancellation
+	Failed    *metrics.Gauge // statements ended by a query error
+	Rejected  *metrics.Gauge // statements fast-rejected by admission control
 
-	RowsServed atomic.Int64
-	SlowLogged atomic.Int64 // statements written to the slow-query log
+	RowsServed *metrics.Gauge
+	SlowLogged *metrics.Gauge // statements written to the slow-query log
 
 	Latency    *metrics.Histogram // statement wall time, seconds
 	QueuedWait *metrics.Histogram // time spent waiting for a slot, seconds
 }
 
-// newStats wires the counters into the registry: the histograms are owned
-// by the registry directly, and the atomic counters are mirrored with
-// scrape-time gauges so the hot path stays a single atomic add.
+// newStats registers the server's counters and histograms on reg.
 func newStats(reg *metrics.Registry) *Stats {
-	s := &Stats{
+	return &Stats{
 		Latency: reg.NewHistogram("vectordb_statement_seconds",
 			"Statement wall time from receipt to final frame.", metrics.DefaultLatencyBounds),
 		QueuedWait: reg.NewHistogram("vectordb_queued_wait_seconds",
 			"Time statements spent waiting for a query slot.", metrics.DefaultLatencyBounds),
+		ActiveSessions: reg.NewGauge("vectordb_sessions_active", "Currently open sessions."),
+		TotalSessions:  reg.NewGauge("vectordb_sessions_total", "Sessions accepted since start."),
+		Queued:         reg.NewGauge("vectordb_queries_queued", "Statements waiting for a query slot."),
+		Running:        reg.NewGauge("vectordb_queries_running", "Statements holding a query slot."),
+		Completed:      reg.NewGauge("vectordb_queries_completed_total", "Statements finished successfully."),
+		Canceled:       reg.NewGauge("vectordb_queries_canceled_total", "Statements ended by deadline or cancellation."),
+		Failed:         reg.NewGauge("vectordb_queries_failed_total", "Statements ended by a query error."),
+		Rejected:       reg.NewGauge("vectordb_queries_rejected_total", "Statements fast-rejected by admission control."),
+		RowsServed:     reg.NewGauge("vectordb_rows_served_total", "Result rows streamed to clients."),
+		SlowLogged:     reg.NewGauge("vectordb_slow_queries_logged_total", "Statements written to the slow-query log."),
 	}
-	mirror := func(name, help string, v *atomic.Int64) {
-		reg.NewGaugeFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	mirror("vectordb_sessions_active", "Currently open sessions.", &s.ActiveSessions)
-	mirror("vectordb_sessions_total", "Sessions accepted since start.", &s.TotalSessions)
-	mirror("vectordb_queries_queued", "Statements waiting for a query slot.", &s.Queued)
-	mirror("vectordb_queries_running", "Statements holding a query slot.", &s.Running)
-	mirror("vectordb_queries_completed_total", "Statements finished successfully.", &s.Completed)
-	mirror("vectordb_queries_canceled_total", "Statements ended by deadline or cancellation.", &s.Canceled)
-	mirror("vectordb_queries_failed_total", "Statements ended by a query error.", &s.Failed)
-	mirror("vectordb_queries_rejected_total", "Statements fast-rejected by admission control.", &s.Rejected)
-	mirror("vectordb_rows_served_total", "Result rows streamed to clients.", &s.RowsServed)
-	mirror("vectordb_slow_queries_logged_total", "Statements written to the slow-query log.", &s.SlowLogged)
-	return s
 }
 
 // observeLatency records one statement's wall time into the histogram,
@@ -97,15 +87,15 @@ type Snapshot struct {
 // Snapshot copies the counters.
 func (s *Stats) snapshot() Snapshot {
 	var out Snapshot
-	out.ActiveSessions = s.ActiveSessions.Load()
-	out.TotalSessions = s.TotalSessions.Load()
-	out.Queued = s.Queued.Load()
-	out.Running = s.Running.Load()
-	out.Completed = s.Completed.Load()
-	out.Canceled = s.Canceled.Load()
-	out.Failed = s.Failed.Load()
-	out.Rejected = s.Rejected.Load()
-	out.RowsServed = s.RowsServed.Load()
+	out.ActiveSessions = s.ActiveSessions.Value()
+	out.TotalSessions = s.TotalSessions.Value()
+	out.Queued = s.Queued.Value()
+	out.Running = s.Running.Value()
+	out.Completed = s.Completed.Value()
+	out.Canceled = s.Canceled.Value()
+	out.Failed = s.Failed.Value()
+	out.Rejected = s.Rejected.Value()
+	out.RowsServed = s.RowsServed.Value()
 	out.Latency = s.Latency.Snapshot()
 	out.QueuedWait = s.QueuedWait.Snapshot()
 	return out

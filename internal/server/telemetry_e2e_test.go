@@ -10,21 +10,24 @@ import (
 
 // End-to-end tests for the telemetry surface over the wire: SQL-declared
 // alerts firing and resolving against real traffic, metrics history with
-// computed rates, the METRICS prefix verb, and graceful degradation when
-// telemetry is disabled.
+// computed rates and the METRICS prefix verb. The tests tick the engine's
+// sampler themselves rather than wait for its one-second interval.
 
 // TestAlertFiresAndResolvesOverWire is the single-node acceptance scenario:
 // a client declares a rate alert over the wire, a traffic burst drives the
 // completed-statement rate over the threshold, the alert walks
 // pending→firing (visible in system.alerts, STATUS, and the
 // vectordb_alerts_firing gauge), and quiescing the traffic resolves it.
+// Both transitions reach the server's alert log as JSON lines.
 func TestAlertFiresAndResolvesOverWire(t *testing.T) {
 	d := newTestDB(t, 500, 4)
+	var alertLog syncBuffer
 	s := startServer(t, d, Config{
 		QuerySlots: 4, QueueDepth: 16, IdleTimeout: time.Minute,
-		TelemetryInterval: 25 * time.Millisecond,
+		AlertLog: &alertLog,
 	})
 	c := dial(t, s)
+	tick := func() { d.Telemetry().Tick(time.Now()) }
 
 	// Threshold sits far above the poll loop's own statement rate (~20/s at
 	// 50ms polls) but far below the traffic burst's (hundreds/s).
@@ -71,6 +74,7 @@ func TestAlertFiresAndResolvesOverWire(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
+		tick()
 		state, value, _, _ := alertRow()
 		if state == telemetry.StateFiring {
 			if value <= 40 {
@@ -111,6 +115,7 @@ func TestAlertFiresAndResolvesOverWire(t *testing.T) {
 	// the rate falls under threshold and the alert must resolve.
 	deadline = time.Now().Add(10 * time.Second)
 	for {
+		tick()
 		state, _, firedCount, lastResolved := alertRow()
 		if state == telemetry.StateInactive {
 			if firedCount < 1 {
@@ -125,6 +130,9 @@ func TestAlertFiresAndResolvesOverWire(t *testing.T) {
 			t.Fatalf("alert never resolved after traffic stopped (state=%q)", state)
 		}
 		time.Sleep(200 * time.Millisecond)
+	}
+	if log := alertLog.String(); !strings.Contains(log, `"state":"firing"`) || !strings.Contains(log, `"state":"resolved"`) {
+		t.Errorf("alert log missing a transition:\n%s", log)
 	}
 
 	if err := c.Exec("DROP ALERT busy"); err != nil {
@@ -145,20 +153,20 @@ func TestAlertFiresAndResolvesOverWire(t *testing.T) {
 // with computed rates over the wire.
 func TestMetricsHistoryOverWire(t *testing.T) {
 	d := newTestDB(t, 500, 4)
-	s := startServer(t, d, Config{
-		QuerySlots: 4, QueueDepth: 16, IdleTimeout: time.Minute,
-		TelemetryInterval: 20 * time.Millisecond,
-	})
+	s := startServer(t, d, Config{QuerySlots: 4, QueueDepth: 16, IdleTimeout: time.Minute})
 	c := dial(t, s)
 
+	d.Telemetry().Tick(time.Now())
 	for i := 0; i < 30; i++ {
 		rows, err := c.Query("SELECT COUNT(*) AS n FROM iris")
 		if err != nil {
 			t.Fatal(err)
 		}
 		rows.Drain()
+		if i%10 == 9 {
+			d.Telemetry().Tick(time.Now())
+		}
 	}
-	time.Sleep(100 * time.Millisecond) // a few ticks past the workload
 
 	rows, err := c.Query("SELECT ts, res, value, rate FROM system.metrics_history WHERE metric = 'vectordb_queries_completed_total' AND res = 'fine' ORDER BY ts")
 	if err != nil {

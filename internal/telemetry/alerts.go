@@ -66,11 +66,14 @@ type AlertSet struct {
 	firing atomic.Int64 // mirror for the vectordb_alerts_firing gauge
 
 	logMu sync.Mutex
-	logW  io.Writer
+	logW  io.Writer // set by Sampler.Start; guarded by mu
 }
 
-func newAlertSet(logW io.Writer) *AlertSet {
-	return &AlertSet{rules: make(map[string]*alertState), logW: logW}
+// setLog directs transition lines to w (nil discards them).
+func (a *AlertSet) setLog(w io.Writer) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.logW = w
 }
 
 // CreateAlert installs a parsed CREATE ALERT rule. Duplicate names are an

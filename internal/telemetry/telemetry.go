@@ -37,7 +37,6 @@ type Config struct {
 	FineCapacity   int           // fine-ring slots
 	CoarseEvery    time.Duration // coarse rollup resolution
 	CoarseCapacity int           // coarse-ring slots
-	AlertLog       io.Writer     // JSON alert-transition lines (nil = discard)
 }
 
 func (c Config) withDefaults() Config {
@@ -63,9 +62,9 @@ type sample struct {
 	data []metrics.Sample
 }
 
-// ring is a fixed-size lock-free history: a single writer (the sampler
-// goroutine) claims slots round-robin while readers load whatever is
-// published — the same idiom as the flight recorder's summary ring.
+// ring is a fixed-size lock-free history: one writer at a time (Tick, under
+// the sampler's mutex) claims slots round-robin while readers load whatever
+// is published — the same idiom as the flight recorder's summary ring.
 type ring struct {
 	slots []atomic.Pointer[sample]
 	next  atomic.Uint64 // total samples ever published; next slot = next % len
@@ -115,7 +114,10 @@ type Sampler struct {
 	coarse *ring
 	alerts *AlertSet
 
-	lastCoarse time.Time // sampler-goroutine only
+	// tickMu serializes Tick: the sampler goroutine and callers driving a
+	// scripted clock may tick at once.
+	tickMu     sync.Mutex
+	lastCoarse time.Time // guarded by tickMu
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -133,7 +135,7 @@ func New(reg *metrics.Registry, cfg Config) *Sampler {
 		cfg:    cfg,
 		fine:   newRing(cfg.FineCapacity),
 		coarse: newRing(cfg.CoarseCapacity),
-		alerts: newAlertSet(cfg.AlertLog),
+		alerts: &AlertSet{rules: make(map[string]*alertState)},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -144,15 +146,15 @@ func New(reg *metrics.Registry, cfg Config) *Sampler {
 	return s
 }
 
-// Alerts exposes the alert set (rule DDL lands here via db.SetAlertEngine).
+// Alerts exposes the alert set (CREATE/DROP ALERT land here).
 func (s *Sampler) Alerts() *AlertSet { return s.alerts }
 
-// Interval reports the effective tick interval.
-func (s *Sampler) Interval() time.Duration { return s.cfg.Interval }
-
-// Start launches the sampler goroutine. Safe to call once; Stop ends it.
-func (s *Sampler) Start() {
+// Start launches the sampler goroutine, sending one JSON line per alert
+// firing/resolved transition to alertLog (nil discards them). Only the
+// first call takes effect; Stop ends the goroutine.
+func (s *Sampler) Start(alertLog io.Writer) {
 	s.startOnce.Do(func() {
+		s.alerts.setLog(alertLog)
 		go s.run()
 	})
 }
@@ -181,9 +183,11 @@ func (s *Sampler) run() {
 }
 
 // Tick takes one sample at the given time and evaluates the alert rules
-// against the freshest pair. The daemon calls it from the sampler
-// goroutine; tests call it directly with an injected clock.
+// against the freshest pair. The sampler goroutine calls it each interval;
+// tests call it directly, even while that goroutine runs.
 func (s *Sampler) Tick(now time.Time) {
+	s.tickMu.Lock()
+	defer s.tickMu.Unlock()
 	sm := &sample{ts: now, data: s.reg.Samples()}
 	prev := s.fine.latest()
 	s.fine.push(sm)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,11 +18,11 @@ import (
 // test drives Tick directly with a scripted clock.
 func newTestSampler(t *testing.T, reg *metrics.Registry, alertLog *bytes.Buffer) *Sampler {
 	t.Helper()
-	cfg := Config{Interval: time.Second, FineCapacity: 16, CoarseEvery: time.Minute, CoarseCapacity: 8}
+	s := New(reg, Config{Interval: time.Second, FineCapacity: 16, CoarseEvery: time.Minute, CoarseCapacity: 8})
 	if alertLog != nil {
-		cfg.AlertLog = alertLog
+		s.alerts.setLog(alertLog)
 	}
-	return New(reg, cfg)
+	return s
 }
 
 // rowsFromTable materializes a virtual table into datum rows.
@@ -294,6 +295,31 @@ func TestAlertDDL(t *testing.T) {
 	}
 	if err := s.Alerts().DropAlert("nope"); err == nil {
 		t.Error("DROP ALERT nope: want error")
+	}
+}
+
+// TestTickAlongsideSampler: callers may Tick while the sampler goroutine
+// ticks (run under -race).
+func TestTickAlongsideSampler(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.NewCounter("x_total", "x").Add(1)
+	s := New(reg, Config{Interval: time.Millisecond, FineCapacity: 8, CoarseEvery: time.Millisecond, CoarseCapacity: 8})
+	mustCreateAlert(t, s, "CREATE ALERT r ON rate(x_total) > 0")
+	s.Start(nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s.Tick(time.Now())
+			}
+		}()
+	}
+	wg.Wait()
+	s.Stop()
+	if n := len(s.fine.snapshot()); n != 8 {
+		t.Errorf("fine ring holds %d samples, want it full (8)", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -270,6 +271,30 @@ func TestEncodeDecodeSpanRoundTrip(t *testing.T) {
 	if _, err := DecodeSpan([]byte("{not json")); err == nil {
 		t.Fatal("corrupt payload accepted")
 	}
+}
+
+// FuzzDecodeSpan feeds DecodeSpan — the decoder of the MsgTrace trailer a
+// coordinator reads from each shard — arbitrary bytes. It must not panic,
+// and a tree it accepts must survive encode → decode unchanged at Stat()
+// level. The seed corpus is under testdata/fuzz/FuzzDecodeSpan.
+func FuzzDecodeSpan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSpan(data)
+		if err != nil || s == nil {
+			return
+		}
+		enc, err := EncodeSpan(s)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded span: %v", err)
+		}
+		again, err := DecodeSpan(enc)
+		if err != nil {
+			t.Fatalf("decoding %q: %v", enc, err)
+		}
+		if got, want := again.Stat(), s.Stat(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip changed the tree:\n got %+v\nwant %+v", got, want)
+		}
+	})
 }
 
 // TestFmtDuration pins the compact duration format used in rendered plans.
