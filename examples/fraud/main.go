@@ -21,6 +21,7 @@ import (
 	"indbml/internal/engine/db"
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
+	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
 )
 
@@ -43,7 +44,6 @@ func main() {
 	tbl := storage.NewTable("payments", schema, storage.Options{Partitions: 8})
 	tbl.SetSortedBy(0)
 	tbl.SetUniqueKey(0)
-	app := tbl.NewAppender()
 	rng := rand.New(rand.NewSource(11))
 	fraudGen := func() ([]float32, bool) {
 		amount := rng.Float32() * 1000
@@ -53,19 +53,20 @@ func main() {
 		isFraud := amount > 800 && (hour < 5 || velocity > 8)
 		return []float32{amount, hour, velocity, distance}, isFraud
 	}
-	for i := 0; i < payments; i++ {
+	b := vector.NewBatch(schema, payments)
+	b.SetLen(payments)
+	for i := range payments {
 		f, _ := fraudGen()
-		if err := app.AppendRow(
-			types.Int64Datum(int64(i)),
-			types.Float32Datum(f[0]), types.Float32Datum(f[1]),
-			types.Float32Datum(f[2]), types.Float32Datum(f[3]),
-			types.Int32Datum(int32(i%5)),
-			types.StringDatum(fmt.Sprintf("ACCT-%06d", rng.Intn(10000))),
-		); err != nil {
-			log.Fatal(err)
+		b.Vecs[0].Int64s()[i] = int64(i)
+		for j, x := range f {
+			b.Vecs[1+j].Float32s()[i] = x
 		}
+		b.Vecs[5].Int32s()[i] = int32(i % 5)
+		b.Vecs[6].Strings()[i] = fmt.Sprintf("ACCT-%06d", rng.Intn(10000))
 	}
-	app.Close()
+	if err := tbl.Append(b); err != nil {
+		log.Fatal(err)
+	}
 	d.RegisterTable(tbl)
 
 	// Train the fraud scorer on (normalized) synthetic labels.

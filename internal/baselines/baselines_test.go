@@ -11,6 +11,7 @@ import (
 	"indbml/internal/engine/exec"
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
+	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
 )
 
@@ -25,7 +26,7 @@ func buildFact(t *testing.T, rows, nCols, partitions int, seed int64) (*storage.
 	tbl := storage.NewTable("fact", types.NewSchema(cols...), storage.Options{Partitions: partitions})
 	tbl.SetSortedBy(0)
 	tbl.SetUniqueKey(0)
-	app := tbl.NewAppender()
+	b := vector.NewBatch(tbl.Schema, rows)
 	rng := rand.New(rand.NewSource(seed))
 	data := make([][]float32, rows)
 	for r := 0; r < rows; r++ {
@@ -35,11 +36,13 @@ func buildFact(t *testing.T, rows, nCols, partitions int, seed int64) (*storage.
 			data[r][c] = rng.Float32()
 			row = append(row, types.Float32Datum(data[r][c]))
 		}
-		if err := app.AppendRow(row...); err != nil {
+		if err := b.AppendRow(row...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	app.Close()
+	if err := tbl.Append(b); err != nil {
+		t.Fatal(err)
+	}
 	return tbl, data, names
 }
 

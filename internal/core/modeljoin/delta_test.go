@@ -239,14 +239,16 @@ func (mu *deltaMutator) next() string {
 		if rng.Intn(2) == 0 {
 			return "delete"
 		}
-		app := tbl.NewAppender()
+		b := vector.NewBatch(tbl.Schema, len(gone))
 		for _, row := range gone {
 			row[base] = types.Float32Datum(rng.Float32())
-			if err := app.AppendRow(row...); err != nil {
+			if err := b.AppendRow(row...); err != nil {
 				t.Fatal(err)
 			}
 		}
-		app.Close()
+		if err := tbl.Append(b); err != nil {
+			t.Fatal(err)
+		}
 		return "insert"
 	}
 }

@@ -31,6 +31,7 @@ import (
 
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
+	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
 )
 
@@ -263,32 +264,29 @@ func Export(m *nn.Model, opts ExportOptions) (*storage.Table, *Meta, error) {
 		parts = 1
 	}
 	tbl := storage.NewTable(name, Schema(opts.Layout), storage.Options{Partitions: parts})
-	app := tbl.NewAppender()
 
 	edges := exportEdges(m, meta)
 	// Order by (layer, node, node_in): contiguous destination nodes give
 	// the hash join's bucket lists a deterministic, cache-friendly order
 	// and make the layer ranges block-clustered for zone maps.
 	sortEdges(edges)
-	for _, e := range edges {
-		row := make([]types.Datum, 0, 16)
-		if opts.Layout == LayoutPairs {
-			row = append(row,
-				types.Int32Datum(int32(e.layerIn)), types.Int32Datum(int32(e.nodeIn)),
-				types.Int32Datum(int32(e.layer)), types.Int32Datum(int32(e.node)))
-		} else {
-			row = append(row,
-				types.Int32Datum(int32(nodeID(meta, e.layerIn, e.nodeIn))),
-				types.Int32Datum(int32(nodeID(meta, e.layer, e.node))))
+	b := vector.NewBatch(tbl.Schema, len(edges))
+	b.SetLen(len(edges))
+	for i, e := range edges {
+		key := []int{e.layerIn, e.nodeIn, e.layer, e.node}
+		if opts.Layout != LayoutPairs {
+			key = []int{nodeID(meta, e.layerIn, e.nodeIn), nodeID(meta, e.layer, e.node)}
 		}
-		for _, w := range e.w {
-			row = append(row, types.Float32Datum(w))
+		for c, k := range key {
+			b.Vecs[c].Int32s()[i] = int32(k)
 		}
-		if err := app.AppendRow(row...); err != nil {
-			return nil, nil, fmt.Errorf("relmodel: exporting %s: %w", name, err)
+		for j, w := range e.w {
+			b.Vecs[len(key)+j].Float32s()[i] = w
 		}
 	}
-	app.Close()
+	if err := tbl.Append(b); err != nil {
+		return nil, nil, fmt.Errorf("relmodel: exporting %s: %w", name, err)
+	}
 	return tbl, meta, nil
 }
 

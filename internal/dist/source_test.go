@@ -33,14 +33,16 @@ func TestRemoteExchangeRetainsSourceBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		tbl, _ := d.Table("t")
-		app := tbl.NewAppender()
+		b := vector.NewBatch(tbl.Schema, perShard)
 		for i := 0; i < perShard; i++ {
 			id := int64(sh*perShard + i)
-			if err := app.AppendRow(types.Int64Datum(id), types.Float64Datum(float64(id)/7), types.StringDatum(fmt.Sprint("row", id))); err != nil {
+			if err := b.AppendRow(types.Int64Datum(id), types.Float64Datum(float64(id)/7), types.StringDatum(fmt.Sprint("row", id))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		app.Close()
+		if err := tbl.Append(b); err != nil {
+			t.Fatal(err)
+		}
 		pool := &shardPool{id: sh, addr: serve(t, d)}
 		t.Cleanup(pool.closeIdle)
 		sources = append(sources, &shardSource{pool: pool, sqlText: "SELECT id, v, s FROM t", schema: schema, ctx: context.Background()})

@@ -181,13 +181,15 @@ func load(t *testing.T, d *db.Database, name string, rows [][]types.Datum) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := tbl.NewAppender()
+	b := vector.NewBatch(tbl.Schema, len(rows))
 	for _, row := range rows {
-		if err := app.AppendRow(row...); err != nil {
+		if err := b.AppendRow(row...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	app.Close()
+	if err := tbl.Append(b); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func fetchNext(t *testing.T, c *client.Client, q string) [][]any {

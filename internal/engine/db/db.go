@@ -831,85 +831,3 @@ func (d *Database) execCreate(s *sql.CreateTableStmt) error {
 	}
 	return nil
 }
-
-func (d *Database) execInsert(s *sql.InsertStmt) error {
-	tbl, err := d.Table(s.Table)
-	if err != nil {
-		return err
-	}
-	colIdx := make([]int, 0, tbl.Schema.Len())
-	if len(s.Cols) > 0 {
-		for _, name := range s.Cols {
-			idx, ok := tbl.Schema.Lookup(name)
-			if !ok {
-				return fmt.Errorf("db: column %q does not exist in %s", name, s.Table)
-			}
-			colIdx = append(colIdx, idx)
-		}
-	} else {
-		for i := 0; i < tbl.Schema.Len(); i++ {
-			colIdx = append(colIdx, i)
-		}
-	}
-	app := tbl.NewAppender()
-	oneRow := vector.NewBatch(types.NewSchema(), 1)
-	oneRow.SetLen(1)
-	for ri, row := range s.Rows {
-		if len(row) != len(colIdx) {
-			return fmt.Errorf("db: INSERT row %d has %d values, want %d", ri, len(row), len(colIdx))
-		}
-		datums := make([]types.Datum, tbl.Schema.Len())
-		for i := range datums {
-			datums[i] = types.NullDatum(tbl.Schema.Col(i).Type)
-		}
-		for vi, e := range row {
-			bound, err := bindLiteral(e)
-			if err != nil {
-				return fmt.Errorf("db: INSERT row %d: %w", ri, err)
-			}
-			v, err := bound.Eval(oneRow)
-			if err != nil {
-				return fmt.Errorf("db: INSERT row %d: %w", ri, err)
-			}
-			datums[colIdx[vi]] = coerce(v.Datum(0), tbl.Schema.Col(colIdx[vi]).Type)
-		}
-		if err := app.AppendRow(datums...); err != nil {
-			return err
-		}
-	}
-	app.Close()
-	return nil
-}
-
-// bindLiteral binds a constant expression (no column references).
-func bindLiteral(e sql.Expr) (boundExpr, error) {
-	pl := &plan.Planner{}
-	return pl.BindConstExpr(e)
-}
-
-// boundExpr is the minimal evaluable surface db needs from plan.
-type boundExpr interface {
-	Eval(*vector.Batch) (*vector.Vector, error)
-}
-
-func coerce(d types.Datum, to types.T) types.Datum {
-	if d.Null || d.Type == to {
-		d.Type = to
-		return d
-	}
-	switch to {
-	case types.Bool:
-		return types.BoolDatum(d.Type == types.Bool && d.B)
-	case types.Int32:
-		return types.Int32Datum(int32(d.Int()))
-	case types.Int64:
-		return types.Int64Datum(d.Int())
-	case types.Float32:
-		return types.Float32Datum(float32(d.Float()))
-	case types.Float64:
-		return types.Float64Datum(d.Float())
-	case types.String:
-		return types.StringDatum(d.String())
-	}
-	return d
-}

@@ -30,7 +30,7 @@ func makeFactTable(t *testing.T, d *db.Database, name string, rows, nCols, parti
 	tbl := storage.NewTable(name, types.NewSchema(cols...), storage.Options{Partitions: partitions})
 	tbl.SetSortedBy(0)
 	tbl.SetUniqueKey(0)
-	app := tbl.NewAppender()
+	b := vector.NewBatch(tbl.Schema, rows)
 	rng := rand.New(rand.NewSource(seed))
 	data := make([][]float32, rows)
 	for r := 0; r < rows; r++ {
@@ -41,11 +41,13 @@ func makeFactTable(t *testing.T, d *db.Database, name string, rows, nCols, parti
 			row = append(row, types.Float32Datum(data[r][c]))
 		}
 		row = append(row, types.StringDatum("p"))
-		if err := app.AppendRow(row...); err != nil {
+		if err := b.AppendRow(row...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	app.Close()
+	if err := tbl.Append(b); err != nil {
+		t.Fatal(err)
+	}
 	d.RegisterTable(tbl)
 	return data
 }

@@ -1,17 +1,85 @@
 package db
 
 import (
+	"fmt"
+
+	"indbml/internal/engine/expr"
 	"indbml/internal/engine/plan"
 	"indbml/internal/engine/sql"
 	"indbml/internal/engine/storage"
+	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
 )
 
-// DELETE and UPDATE executors. The planner binds the statement over the
-// columns it reads; storage evaluates it block by block — only blocks whose
-// zone maps admit the predicate — and rebuilds just the blocks (and, for an
-// UPDATE, the columns) it changes, committing them under one version bump.
-// That bump invalidates cached model artifacts built from the old contents.
+// INSERT, DELETE and UPDATE executors. An INSERT binds its VALUES into one
+// typed batch and appends it; DELETE and UPDATE are bound over the columns
+// they read, and storage evaluates them block by block — only blocks whose
+// zone maps admit the predicate — rebuilding just the blocks (and, for an
+// UPDATE, the columns) they change. Each statement commits under one version
+// bump or not at all; the bump invalidates cached model artifacts built from
+// the old contents.
+
+// execInsert binds every VALUES cell, cast to its column's type, into a
+// batch of the table's schema (unlisted columns stay NULL) before touching
+// the table, so a statement that fails to bind changes nothing.
+func (d *Database) execInsert(s *sql.InsertStmt) error {
+	tbl, err := d.Table(s.Table)
+	if err != nil {
+		return err
+	}
+	schema := tbl.Schema
+	cols := make([]int, 0, schema.Len()) // the table column of each VALUES position
+	listed := make([]bool, schema.Len())
+	for _, name := range s.Cols {
+		c, ok := schema.Lookup(name)
+		if !ok {
+			return fmt.Errorf("db: column %q does not exist in %s", name, s.Table)
+		}
+		cols, listed[c] = append(cols, c), true
+	}
+	if len(s.Cols) == 0 {
+		for c := range listed {
+			cols, listed[c] = append(cols, c), true
+		}
+	}
+	for ri, row := range s.Rows {
+		if len(row) != len(cols) {
+			return fmt.Errorf("db: INSERT row %d has %d values, want %d", ri, len(row), len(cols))
+		}
+	}
+	n := len(s.Rows)
+	b := vector.NewBatch(schema, n)
+	b.SetLen(n)
+	for c, v := range b.Vecs {
+		if !listed[c] {
+			for r := range n {
+				v.SetNull(r)
+			}
+		}
+	}
+	pl := &plan.Planner{}
+	oneRow := vector.NewBatch(types.NewSchema(), 1)
+	oneRow.SetLen(1)
+	for vi, c := range cols {
+		for ri, row := range s.Rows {
+			e, err := pl.BindConstExpr(row[vi])
+			if err != nil {
+				return fmt.Errorf("db: INSERT row %d: %w", ri, err)
+			}
+			e = expr.Fold(expr.NewCast(e, schema.Col(c).Type))
+			val, ok := expr.IsConst(e)
+			if !ok {
+				v, err := e.Eval(oneRow)
+				if err != nil {
+					return fmt.Errorf("db: INSERT row %d: %w", ri, err)
+				}
+				val = v.Datum(0)
+			}
+			b.Vecs[c].SetDatum(ri, val)
+		}
+	}
+	return tbl.Append(b)
+}
 
 func (d *Database) execDelete(s *sql.DeleteStmt) error {
 	tbl, dml, err := d.bindDML(s.Table, s.Where, nil, nil)

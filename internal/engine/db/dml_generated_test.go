@@ -67,7 +67,7 @@ func TestGeneratedDML(t *testing.T) {
 		types.Column{Name: "f", Type: types.Float64},
 	)
 	tbl := storage.NewTable("g", schema, storage.Options{Partitions: parts})
-	app := tbl.NewAppender()
+	b := vector.NewBatch(schema, n)
 	ref := &dmlRef{}
 	for i := 0; i < n; i++ {
 		row := dmlRow{id: int64(i), a: int32(i % 50), b: int32(i * 7 % 1000), f: float64(i) / 3, aNull: i%17 == 0}
@@ -76,11 +76,13 @@ func TestGeneratedDML(t *testing.T) {
 		if row.aNull {
 			a = types.NullDatum(types.Int32)
 		}
-		if err := app.AppendRow(types.Int64Datum(row.id), a, types.Int32Datum(row.b), types.Float64Datum(row.f)); err != nil {
+		if err := b.AppendRow(types.Int64Datum(row.id), a, types.Int32Datum(row.b), types.Float64Datum(row.f)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	app.Close()
+	if err := tbl.Append(b); err != nil {
+		t.Fatal(err)
+	}
 	d := db.Open(db.Options{DefaultPartitions: parts})
 	d.RegisterTable(tbl)
 	nextID := int64(n)

@@ -48,11 +48,13 @@ func newFact(t *testing.T, name string, rows, parts int, unique bool) *storage.T
 		tbl.SetSortedBy(0)
 		tbl.SetUniqueKey(0)
 	}
-	app := tbl.NewAppender()
+	b := vector.NewBatch(schema, rows)
 	for i := 0; i < rows; i++ {
-		_ = app.AppendRow(types.Int64Datum(int64(i)), types.Int32Datum(int32(i%5)), types.Float32Datum(float32(i)))
+		_ = b.AppendRow(types.Int64Datum(int64(i)), types.Int32Datum(int32(i%5)), types.Float32Datum(float32(i)))
 	}
-	app.Close()
+	if err := tbl.Append(b); err != nil {
+		t.Fatal(err)
+	}
 	return tbl
 }
 

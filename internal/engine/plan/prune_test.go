@@ -104,28 +104,32 @@ func TestGeneratedPruningKeepsResults(t *testing.T) {
 	), storage.Options{Partitions: 3})
 	wide.SetSortedBy(0)
 	wide.SetUniqueKey(0)
-	app := wide.NewAppender()
+	b := vector.NewBatch(wide.Schema, 0)
 	for i := 0; i < 700+rng.Intn(2000); i++ {
 		g := types.Int32Datum(int32(rng.Intn(6)))
 		if rng.Intn(10) == 0 {
 			g = types.NullDatum(types.Int32)
 		}
-		_ = app.AppendRow(types.Int64Datum(int64(i)), g,
+		_ = b.AppendRow(types.Int64Datum(int64(i)), g,
 			types.Float32Datum(float32(rng.Intn(100))), types.Float32Datum(rng.Float32()),
 			types.Float64Datum(rng.NormFloat64()), types.StringDatum(fmt.Sprintf("s%d", rng.Intn(4))),
 			types.Int64Datum(rng.Int63()))
 	}
-	app.Close()
+	if err := wide.Append(b); err != nil {
+		t.Fatal(err)
+	}
 	dim := storage.NewTable("dim", types.NewSchema(
 		types.Column{Name: "g", Type: types.Int32},
 		types.Column{Name: "label", Type: types.String},
 		types.Column{Name: "weight", Type: types.Float64},
 	), storage.Options{Partitions: 1})
-	app = dim.NewAppender()
+	b = vector.NewBatch(dim.Schema, 5)
 	for g := 0; g < 5; g++ {
-		_ = app.AppendRow(types.Int32Datum(int32(g)), types.StringDatum(fmt.Sprintf("label%d", g)), types.Float64Datum(float64(g)/2))
+		_ = b.AppendRow(types.Int32Datum(int32(g)), types.StringDatum(fmt.Sprintf("label%d", g)), types.Float64Datum(float64(g)/2))
 	}
-	app.Close()
+	if err := dim.Append(b); err != nil {
+		t.Fatal(err)
+	}
 	pl := &Planner{Cat: &pruneCatalog{testCatalog{tables: map[string]*storage.Table{"wide": wide, "dim": dim}}}}
 
 	for _, tc := range []struct {

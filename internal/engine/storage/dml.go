@@ -157,7 +157,7 @@ func rebuildDeleted(cols []*block, schema *types.Schema, chunks [][]*block, bi i
 // commit installs the edits: each touched partition gets fresh block lists
 // (in-flight scanners keep the old ones), all under one lock and one version
 // bump. Block positions are those of the DML snapshot; t.dml keeps them
-// valid, since appends only add blocks after them.
+// valid, since every writer holds it.
 func (t *Table) commit(edits []blockEdit, del bool) (changed int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -20,21 +20,39 @@ func testSchema() *types.Schema {
 
 func loadRows(t *testing.T, tbl *Table, n int, rng *rand.Rand) [][]types.Datum {
 	t.Helper()
-	app := tbl.NewAppender()
 	rows := make([][]types.Datum, 0, n)
 	for i := 0; i < n; i++ {
-		row := []types.Datum{
+		rows = append(rows, []types.Datum{
 			types.Int64Datum(int64(i)),
 			types.Int32Datum(int32(i % 7)),
 			types.Float32Datum(rng.Float32()),
 			types.StringDatum([]string{"a", "b", "c"}[i%3]),
-		}
-		rows = append(rows, row)
-		if err := app.AppendRow(row...); err != nil {
+		})
+	}
+	appendRows(t, tbl, rows)
+	return rows
+}
+
+// appendRows appends rows to tbl in one Append.
+func appendRows(t testing.TB, tbl *Table, rows [][]types.Datum) {
+	t.Helper()
+	b := vector.NewBatch(tbl.Schema, len(rows))
+	for _, row := range rows {
+		if err := b.AppendRow(row...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	app.Close()
+	if err := tbl.Append(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// intRows returns the one-column rows 0, 1, ..., n-1.
+func intRows(n int) [][]types.Datum {
+	rows := make([][]types.Datum, n)
+	for i := range rows {
+		rows[i] = []types.Datum{types.Int64Datum(int64(i))}
+	}
 	return rows
 }
 
@@ -107,28 +125,6 @@ func TestRoundTripPartitioned(t *testing.T) {
 	}
 }
 
-func TestHashPartitioning(t *testing.T) {
-	tbl := NewTable("t", testSchema(), Options{Partitions: 4, Scheme: HashKey, Key: 1})
-	rng := rand.New(rand.NewSource(3))
-	loadRows(t, tbl, 1000, rng)
-	// Same grp value must land in the same partition: scan each partition
-	// and verify group disjointness.
-	owner := map[int32]int{}
-	for p := 0; p < 4; p++ {
-		sc, _ := tbl.NewScanner(p, []int{1}, nil)
-		buf := vector.NewBatch(sc.Schema(), vector.Size)
-		for sc.Next(buf) {
-			for i := 0; i < buf.Len(); i++ {
-				g := buf.Vecs[0].Int32s()[i]
-				if prev, ok := owner[g]; ok && prev != p {
-					t.Fatalf("group %d found in partitions %d and %d", g, prev, p)
-				}
-				owner[g] = p
-			}
-		}
-	}
-}
-
 func TestProjection(t *testing.T) {
 	tbl := NewTable("t", testSchema(), Options{})
 	rng := rand.New(rand.NewSource(4))
@@ -147,14 +143,7 @@ func TestZoneMapPruning(t *testing.T) {
 	// filter must prune most blocks.
 	schema := types.NewSchema(types.Column{Name: "x", Type: types.Int64})
 	tbl := NewTable("t", schema, Options{Partitions: 1})
-	app := tbl.NewAppender()
-	const n = 10 * BlockSize
-	for i := 0; i < n; i++ {
-		if err := app.AppendRow(types.Int64Datum(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	app.Close()
+	appendRows(t, tbl, intRows(10*BlockSize))
 
 	lo, hi := types.Int64Datum(3*BlockSize+5), types.Int64Datum(3*BlockSize+10)
 	sc, err := tbl.NewScanner(0, nil, []RangeFilter{{Col: 0, Lo: &lo, Hi: &hi}})
@@ -185,13 +174,13 @@ func TestZoneMapPruningNeverDropsMatches(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		schema := types.NewSchema(types.Column{Name: "x", Type: types.Int32})
 		tbl := NewTable("t", schema, Options{Partitions: 1})
-		app := tbl.NewAppender()
 		vals := make([]int32, 3000)
+		rows := make([][]types.Datum, len(vals))
 		for i := range vals {
 			vals[i] = int32(rng.Intn(1000))
-			_ = app.AppendRow(types.Int32Datum(vals[i]))
+			rows[i] = []types.Datum{types.Int32Datum(vals[i])}
 		}
-		app.Close()
+		appendRows(t, tbl, rows)
 		lo64, hi64 := int64(loRaw%1000), int64(hiRaw%1000)
 		if lo64 > hi64 {
 			lo64, hi64 = hi64, lo64
@@ -233,12 +222,12 @@ func TestCompressionEffective(t *testing.T) {
 		types.Column{Name: "layer", Type: types.Int32},
 	)
 	tbl := NewTable("t", schema, Options{Partitions: 1})
-	app := tbl.NewAppender()
 	const n = 4 * BlockSize
-	for i := 0; i < n; i++ {
-		_ = app.AppendRow(types.Float32Datum(0), types.Int32Datum(int32(i/BlockSize)))
+	rows := make([][]types.Datum, n)
+	for i := range rows {
+		rows[i] = []types.Datum{types.Float32Datum(0), types.Int32Datum(int32(i / BlockSize))}
 	}
-	app.Close()
+	appendRows(t, tbl, rows)
 	raw := int64(n) * 8
 	if got := tbl.MemSize(); got > raw/20 {
 		t.Errorf("compressed size %d, raw %d: compression ineffective", got, raw)
@@ -264,16 +253,16 @@ func TestRoundTripProperty(t *testing.T) {
 			types.Column{Name: "b", Type: types.Float64},
 		)
 		tbl := NewTable("t", schema, Options{Partitions: 3})
-		app := tbl.NewAppender()
 		sumA, sumB := int64(0), 0.0
-		for i := 0; i < n; i++ {
+		rows := make([][]types.Datum, n)
+		for i := range rows {
 			a := int32(rng.Intn(50)) // small domain encourages RLE paths
 			b := float64(rng.Intn(10))
 			sumA += int64(a)
 			sumB += b
-			_ = app.AppendRow(types.Int32Datum(a), types.Float64Datum(b))
+			rows[i] = []types.Datum{types.Int32Datum(a), types.Float64Datum(b)}
 		}
-		app.Close()
+		appendRows(t, tbl, rows)
 		gotA, gotB := int64(0), 0.0
 		for p := 0; p < 3; p++ {
 			sc, _ := tbl.NewScanner(p, nil, nil)
@@ -303,11 +292,25 @@ func TestSortedByDeclaration(t *testing.T) {
 	}
 }
 
-func TestAppendRowArityError(t *testing.T) {
+// TestAppendSchemaMismatch: a batch whose columns differ from the table's in
+// number, type or length is refused and changes nothing.
+func TestAppendSchemaMismatch(t *testing.T) {
 	tbl := NewTable("t", testSchema(), Options{})
-	app := tbl.NewAppender()
-	if err := app.AppendRow(types.Int64Datum(1)); err == nil {
-		t.Error("expected arity error")
+	short := vector.NewBatch(types.NewSchema(types.Column{Name: "id", Type: types.Int64}), 1)
+	_ = short.AppendRow(types.Int64Datum(1))
+	swapped := testSchema().Col
+	wrongType := vector.NewBatch(types.NewSchema(swapped(1), swapped(0), swapped(2), swapped(3)), 1)
+	_ = wrongType.AppendRow(types.Int32Datum(1), types.Int64Datum(1), types.Float32Datum(1), types.StringDatum("a"))
+	ragged := vector.NewBatch(testSchema(), 2)
+	_ = ragged.AppendRow(types.Int64Datum(1), types.Int32Datum(1), types.Float32Datum(1), types.StringDatum("a"))
+	ragged.Vecs[3].AppendDatum(types.StringDatum("b"))
+	for name, b := range map[string]*vector.Batch{"column count": short, "column type": wrongType, "column length": ragged} {
+		if err := tbl.Append(b); err == nil {
+			t.Errorf("%s mismatch: expected an error", name)
+		}
+	}
+	if tbl.Version() != 0 || tbl.RowCount() != 0 {
+		t.Errorf("refused appends changed the table: version %d, %d rows", tbl.Version(), tbl.RowCount())
 	}
 }
 
@@ -317,9 +320,9 @@ func TestNullRoundTrip(t *testing.T) {
 		types.Column{Name: "s", Type: types.String},
 	)
 	tbl := NewTable("t", schema, Options{Partitions: 2})
-	app := tbl.NewAppender()
 	const n = 2*BlockSize + 100
-	for i := 0; i < n; i++ {
+	rows := make([][]types.Datum, n)
+	for i := range rows {
 		var v, s types.Datum
 		if i%3 == 0 {
 			v = types.NullDatum(types.Float64)
@@ -331,11 +334,9 @@ func TestNullRoundTrip(t *testing.T) {
 		} else {
 			s = types.StringDatum("x")
 		}
-		if err := app.AppendRow(v, s); err != nil {
-			t.Fatal(err)
-		}
+		rows[i] = []types.Datum{v, s}
 	}
-	app.Close()
+	appendRows(t, tbl, rows)
 	got := scanAll(t, tbl, nil, nil)
 	if got.Len() != n {
 		t.Fatalf("scanned %d rows", got.Len())

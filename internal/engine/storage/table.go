@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -10,27 +9,11 @@ import (
 	"indbml/internal/engine/vector"
 )
 
-// PartitionScheme controls how an Appender routes rows to partitions.
-type PartitionScheme uint8
-
-const (
-	// RoundRobin distributes rows evenly; with a unique identifier column
-	// this matches the paper's "unique partition key leads to balanced
-	// partitioning" setup.
-	RoundRobin PartitionScheme = iota
-	// HashKey routes by the hash of a key column.
-	HashKey
-)
-
 // Options configure table creation.
 type Options struct {
 	// Partitions is the number of partitions; the paper's experiments use
 	// 12. Defaults to 1.
 	Partitions int
-	// Scheme selects partition routing for appends.
-	Scheme PartitionScheme
-	// Key is the column ordinal used by HashKey.
-	Key int
 	// Sorted declares that rows arrive sorted by column SortedBy within
 	// each partition. The planner exploits this for the order-based
 	// (pipelined) aggregation of Sec. 4.4.
@@ -44,37 +27,37 @@ type Options struct {
 	UniqueKey int
 }
 
-// Table is a partitioned, compressed column-store table. Loads go through
-// an Appender; scans are concurrent and see a consistent snapshot of the
-// blocks present when the scanner was created (blocks are immutable once
-// built, and mutations only append blocks or commit copy-on-write block
-// lists), so DML and queries never race.
+// Table is a partitioned, compressed column-store table. Rows enter through
+// Append, a batch at a time, and change through Update and Delete; scans are
+// concurrent and see a consistent snapshot of the blocks present when the
+// scanner was created (blocks are immutable once built, and mutations only
+// append blocks or commit copy-on-write block lists), so DML and queries
+// never race.
 //
-// Every mutation — append, UPDATE, DELETE — bumps a monotonic version
-// counter under the write lock. The engine keys its cross-query
-// model-artifact cache on
-// this version: a model table whose version is unchanged serves cached
-// weight matrices, and any write invalidates them implicitly.
+// Every non-empty mutation — Append, UPDATE, DELETE — commits under one
+// write lock and one bump of a monotonic version counter. The engine keys
+// its cross-query model-artifact cache on this version: a model table whose
+// version is unchanged serves cached weight matrices, and any write
+// invalidates them implicitly.
 type Table struct {
 	Name   string
 	Schema *types.Schema
 	opts   Options
 
-	mu      sync.RWMutex // guards parts contents (chunks, staging, rows)
+	mu      sync.RWMutex // guards parts contents (chunks, rows)
 	parts   []*partition
 	version atomic.Uint64
-	// dml serializes UPDATE and DELETE statements: each computes its new
-	// blocks from a snapshot and commits them by position, so two must not
-	// interleave. Appends only add blocks past every snapshot and need not
-	// wait.
+	// dml serializes every writer: Update and Delete compute their new blocks
+	// from a snapshot and commit them by position, so nothing may commit in
+	// between, and Append advances next.
 	dml sync.Mutex
+	// next is the partition Append deals its first row to.
+	next int
 }
 
 type partition struct {
 	rows   int
 	chunks [][]*block // [column][block]
-	// staging buffers rows until a full block can be compressed.
-	staging []*vector.Vector
 }
 
 // NewTable creates an empty table.
@@ -84,19 +67,14 @@ func NewTable(name string, schema *types.Schema, opts Options) *Table {
 	}
 	t := &Table{Name: name, Schema: schema, opts: opts}
 	for i := 0; i < opts.Partitions; i++ {
-		p := &partition{chunks: make([][]*block, schema.Len())}
-		p.staging = make([]*vector.Vector, schema.Len())
-		for c := 0; c < schema.Len(); c++ {
-			p.staging[c] = vector.New(schema.Col(c).Type, 0)
-		}
-		t.parts = append(t.parts, p)
+		t.parts = append(t.parts, &partition{chunks: make([][]*block, schema.Len())})
 	}
 	return t
 }
 
 // Version returns the table's mutation counter. It starts at 0 for an empty
-// table and increases on every append and on every UPDATE or DELETE that
-// changed a row; equal versions imply identical contents (the converse need
+// table and increases by one on every non-empty Append and on every UPDATE
+// or DELETE that changed a row; equal versions imply identical contents (the converse need
 // not hold).
 func (t *Table) Version() uint64 { return t.version.Load() }
 
@@ -154,95 +132,67 @@ func (t *Table) MemSize() int64 {
 				s += b.memSize()
 			}
 		}
-		for _, v := range p.staging {
-			if v != nil {
-				s += v.MemSize()
-			}
-		}
 	}
 	return s
 }
 
-// Appender loads rows into a table. It is not safe for concurrent use; load
-// once, then scan concurrently.
-type Appender struct {
-	t    *Table
-	next int // round-robin cursor
-}
-
-// NewAppender returns an appender for the table.
-func (t *Table) NewAppender() *Appender { return &Appender{t: t} }
-
-// AppendRow routes one row to its partition.
-func (a *Appender) AppendRow(row ...types.Datum) error {
-	if len(row) != a.t.Schema.Len() {
-		return fmt.Errorf("storage: row has %d values, table %s has %d columns", len(row), a.t.Name, a.t.Schema.Len())
+// Append adds the rows of b, whose columns must match the table's schema in
+// number and type. Rows are dealt round-robin to the partitions, continuing
+// from where the previous Append stopped, so row i of a fresh table's first
+// Append lands in partition i mod Partitions(). Each partition's share is
+// compressed into blocks of BlockSize rows, the last one possibly shorter,
+// and the whole batch commits under one lock and one version bump: a
+// snapshot holds all of it or none. An empty batch changes nothing.
+func (t *Table) Append(b *vector.Batch) error {
+	if len(b.Vecs) != t.Schema.Len() {
+		return fmt.Errorf("storage: batch has %d columns, table %s has %d", len(b.Vecs), t.Name, t.Schema.Len())
 	}
-	var pi int
-	switch a.t.opts.Scheme {
-	case HashKey:
-		h := fnv.New32a()
-		fmt.Fprint(h, row[a.t.opts.Key].String())
-		pi = int(h.Sum32()) % len(a.t.parts)
-	default:
-		pi = a.next
-		a.next = (a.next + 1) % len(a.t.parts)
+	n := b.Len()
+	for c, v := range b.Vecs {
+		if col := t.Schema.Col(c); v.Type() != col.Type || v.Len() != n {
+			return fmt.Errorf("storage: batch column %d holds %d %s values, table %s wants %d %s values for %s", c, v.Len(), v.Type(), t.Name, n, col.Type, col.Name)
+		}
 	}
-	return a.appendTo(pi, row)
-}
-
-// AppendRowToPartition places a row into an explicit partition, used by
-// loaders that pre-partition (e.g. contiguous ID ranges to keep per-partition
-// sort orders).
-func (a *Appender) AppendRowToPartition(pi int, row ...types.Datum) error {
-	if pi < 0 || pi >= len(a.t.parts) {
-		return fmt.Errorf("storage: partition %d out of range", pi)
+	if n == 0 {
+		return nil
 	}
-	return a.appendTo(pi, row)
-}
-
-func (a *Appender) appendTo(pi int, row []types.Datum) error {
-	a.t.mu.Lock()
-	p := a.t.parts[pi]
-	for c, d := range row {
-		p.staging[c].AppendDatum(d)
+	t.dml.Lock()
+	defer t.dml.Unlock()
+	nparts := len(t.parts)
+	added := make([][][]*block, nparts) // [partition][column][new block]
+	rows := make([]int, nparts)
+	share := make([]*vector.Vector, len(b.Vecs))
+	var sel []int
+	for k := 0; k < min(n, nparts); k++ {
+		pi := (t.next + k) % nparts
+		sel = sel[:0]
+		for r := k; r < n; r += nparts {
+			sel = append(sel, r)
+		}
+		rows[pi] = len(sel)
+		added[pi] = make([][]*block, len(b.Vecs))
+		for c, v := range b.Vecs {
+			if share[c] == nil {
+				share[c] = vector.New(v.Type(), len(sel))
+			}
+			share[c].CopyFrom(v, sel)
+			for lo := 0; lo < len(sel); lo += BlockSize {
+				added[pi][c] = append(added[pi][c], buildBlock(share[c], lo, min(lo+BlockSize, len(sel))))
+			}
+		}
 	}
-	p.rows++
-	if p.staging[0].Len() >= BlockSize {
-		p.flush(a.t.Schema.Len())
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for pi, cols := range added {
+		p := t.parts[pi]
+		for c, blocks := range cols {
+			p.chunks[c] = append(p.chunks[c], blocks...)
+		}
+		p.rows += rows[pi]
 	}
-	a.t.version.Add(1)
-	a.t.mu.Unlock()
+	t.next = (t.next + n) % nparts
+	t.version.Add(1)
 	return nil
-}
-
-// Close flushes remaining staged rows; the table is then ready for scans.
-func (a *Appender) Close() {
-	a.t.mu.Lock()
-	defer a.t.mu.Unlock()
-	for _, p := range a.t.parts {
-		if p.staging[0] != nil && p.staging[0].Len() > 0 {
-			p.flush(a.t.Schema.Len())
-		}
-	}
-}
-
-func (p *partition) flush(ncols int) {
-	n := p.staging[0].Len()
-	for lo := 0; lo < n; lo += BlockSize {
-		hi := lo + BlockSize
-		if hi > n {
-			hi = n
-		}
-		for c := 0; c < ncols; c++ {
-			p.chunks[c] = append(p.chunks[c], buildBlock(p.staging[c], lo, hi))
-		}
-	}
-	// Reallocate rather than reset: staged capacity would otherwise linger
-	// as uncompressed memory next to the compressed blocks.
-	for c := 0; c < ncols; c++ {
-		p.staging[c] = vector.New(p.staging[c].Type(), 0)
-	}
 }
 
 // RangeFilter is a conservative zone-map predicate: blocks whose [min, max]
@@ -435,43 +385,38 @@ func (t *Table) checkFilters(filters []RangeFilter) error {
 func (s *Scanner) Schema() *types.Schema { return s.schema }
 
 // Next fills dst with the next batch and reports whether any rows were
-// produced. dst must have been created with the scanner's schema.
+// produced. dst must have been created with the scanner's schema. A batch
+// holds vector.Size rows, decoded across block boundaries, unless the
+// partition runs out first.
 func (s *Scanner) Next(dst *vector.Batch) bool {
 	dst.Reset()
-	for dst.Len() == 0 {
-		if len(s.chunks) == 0 || len(s.chunks[0]) == 0 {
-			return false
-		}
-		if s.blockIdx >= len(s.chunks[0]) {
-			return false
-		}
-		if s.rowInBlk == 0 && pruned(s.chunks, s.blockIdx, s.filters) {
-			s.PrunedBlocks++
-			s.blockIdx++
-			continue
-		}
-		blkLen := s.chunks[0][s.blockIdx].n
+	n := 0
+	for n < vector.Size && len(s.chunks) > 0 && s.blockIdx < len(s.chunks[0]) {
 		if s.rowInBlk == 0 {
+			if pruned(s.chunks, s.blockIdx, s.filters) {
+				s.PrunedBlocks++
+				s.blockIdx++
+				continue
+			}
 			for _, c := range s.proj {
 				s.ScannedBytes += s.chunks[c][s.blockIdx].memSize()
 			}
 			s.ScannedBlocks += len(s.proj)
 		}
-		take := blkLen - s.rowInBlk
-		if take > vector.Size {
-			take = vector.Size
-		}
+		blkLen := s.chunks[0][s.blockIdx].n
+		take := min(blkLen-s.rowInBlk, vector.Size-n)
 		for vi, c := range s.proj {
 			s.chunks[c][s.blockIdx].decodeInto(dst.Vecs[vi], s.rowInBlk, s.rowInBlk+take)
 		}
-		dst.SetLen(take)
+		n += take
 		s.rowInBlk += take
-		if s.rowInBlk >= blkLen {
+		if s.rowInBlk == blkLen {
 			s.rowInBlk = 0
 			s.blockIdx++
 		}
 	}
-	return true
+	dst.SetLen(n)
+	return n > 0
 }
 
 // pruned reports whether block blockIdx fails a filter's zone-map check.

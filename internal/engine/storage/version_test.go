@@ -16,13 +16,16 @@ func TestVersionBumpsOnAppend(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	loadRows(t, tbl, 10, rng)
-	if got := tbl.Version(); got != 10 {
-		t.Errorf("version after 10 appends = %d, want 10", got)
+	if got := tbl.Version(); got != 1 {
+		t.Errorf("version after one 10-row Append = %d, want 1", got)
 	}
-	v := tbl.Version()
 	loadRows(t, tbl, 1, rng)
-	if tbl.Version() <= v {
-		t.Errorf("version did not advance on append: %d -> %d", v, tbl.Version())
+	if got := tbl.Version(); got != 2 {
+		t.Errorf("version after a second Append = %d, want 2", got)
+	}
+	loadRows(t, tbl, 0, rng)
+	if got := tbl.Version(); got != 2 {
+		t.Errorf("an empty Append moved the version to %d", got)
 	}
 }
 
@@ -95,12 +98,8 @@ func TestReplacePartition(t *testing.T) {
 func TestReplacePartitionCrossesBlockBoundary(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "x", Type: types.Int64})
 	tbl := NewTable("t", schema, Options{Partitions: 1})
-	app := tbl.NewAppender()
 	n := 2*BlockSize + 37
-	for i := 0; i < n; i++ {
-		_ = app.AppendRow(types.Int64Datum(int64(i)))
-	}
-	app.Close()
+	appendRows(t, tbl, intRows(n))
 	// Negate every 1000th value, and a run straddling the first block end.
 	hit := func(x int64) bool { return x%1000 == 0 || (x >= BlockSize-3 && x < BlockSize+3) }
 	if _, err := tbl.Update([]int{0}, nil, []int{0}, where(hit, func(x int64) int64 { return -x }, 1)); err != nil {
@@ -133,12 +132,8 @@ func TestReplacePartitionCrossesBlockBoundary(t *testing.T) {
 func TestScannerSnapshotSurvivesReplace(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "x", Type: types.Int64})
 	tbl := NewTable("t", schema, Options{Partitions: 1})
-	app := tbl.NewAppender()
 	const n = 3 * BlockSize
-	for i := 0; i < n; i++ {
-		_ = app.AppendRow(types.Int64Datum(int64(i)))
-	}
-	app.Close()
+	appendRows(t, tbl, intRows(n))
 
 	sc, err := tbl.NewScanner(0, nil, nil)
 	if err != nil {
@@ -177,27 +172,28 @@ func TestScannerSnapshotSurvivesReplace(t *testing.T) {
 func TestConcurrentScanAndMutate(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "x", Type: types.Int64})
 	tbl := NewTable("t", schema, Options{Partitions: 2})
-	app := tbl.NewAppender()
-	for i := 0; i < 2*BlockSize; i++ {
-		_ = app.AppendRow(types.Int64Datum(int64(i)))
-	}
-	app.Close()
+	appendRows(t, tbl, intRows(2*BlockSize))
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
-	// Writers: appends on one goroutine (Appender is single-writer),
-	// DML on another; both loop until the readers are done.
+	// Writers: appends on one goroutine, DML on another; both loop until the
+	// readers are done.
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
-		a := tbl.NewAppender()
-		for i := 0; ; i++ {
+		b := vector.NewBatch(schema, 100)
+		for _, row := range intRows(100) {
+			_ = b.AppendRow(row...)
+		}
+		for {
 			select {
 			case <-stop:
-				a.Close()
 				return
 			default:
-				_ = a.AppendRowToPartition(0, types.Int64Datum(int64(i)))
+				if err := tbl.Append(b); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()

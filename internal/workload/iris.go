@@ -10,6 +10,7 @@ import (
 
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
+	"indbml/internal/engine/vector"
 )
 
 // IrisRow is one observation of Fisher's Iris dataset: four features and a
@@ -39,19 +40,20 @@ func IrisTable(name string, n, partitions int) (*storage.Table, [][]float32) {
 	tbl := storage.NewTable(name, types.NewSchema(cols...), storage.Options{Partitions: partitions})
 	tbl.SetSortedBy(0)
 	tbl.SetUniqueKey(0)
-	app := tbl.NewAppender()
+	b := vector.NewBatch(tbl.Schema, n)
+	b.SetLen(n)
+	ids, class := b.Vecs[0].Int64s(), b.Vecs[len(cols)-1].Int32s()
 	data := make([][]float32, n)
-	for i := 0; i < n; i++ {
+	for i := range n {
 		r := irisData[i%len(irisData)]
 		data[i] = []float32{r.SepalLength, r.SepalWidth, r.PetalLength, r.PetalWidth}
-		_ = app.AppendRow(
-			types.Int64Datum(int64(i)),
-			types.Float32Datum(r.SepalLength), types.Float32Datum(r.SepalWidth),
-			types.Float32Datum(r.PetalLength), types.Float32Datum(r.PetalWidth),
-			types.Int32Datum(int32(r.Class)),
-		)
+		ids[i] = int64(i)
+		for f, x := range data[i] {
+			b.Vecs[1+f].Float32s()[i] = x
+		}
+		class[i] = int32(r.Class)
 	}
-	app.Close()
+	_ = tbl.Append(b) // cannot fail: b has the table's schema
 	return tbl, data
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
+	"indbml/internal/engine/vector"
 )
 
 // SinusSeries generates n samples of the paper's synthetic time series:
@@ -28,11 +29,13 @@ func SeriesTable(name string, series []float32, partitions int) *storage.Table {
 	), storage.Options{Partitions: partitions})
 	tbl.SetSortedBy(0)
 	tbl.SetUniqueKey(0)
-	app := tbl.NewAppender()
-	for i, v := range series {
-		_ = app.AppendRow(types.Int64Datum(int64(i)), types.Float32Datum(v))
+	b := vector.NewBatch(tbl.Schema, len(series))
+	b.SetLen(len(series))
+	for i := range series {
+		b.Vecs[0].Int64s()[i] = int64(i)
 	}
-	app.Close()
+	copy(b.Vecs[1].Float32s(), series)
+	_ = tbl.Append(b) // cannot fail: b has the table's schema
 	return tbl
 }
 
@@ -59,22 +62,18 @@ func WindowedSeriesTable(name string, series []float32, steps, partitions int) (
 	tbl := storage.NewTable(name, types.NewSchema(cols...), storage.Options{Partitions: partitions})
 	tbl.SetSortedBy(0)
 	tbl.SetUniqueKey(0)
-	app := tbl.NewAppender()
-	n := len(series) - steps + 1
-	if n < 0 {
-		n = 0
-	}
+	n := max(len(series)-steps+1, 0)
+	b := vector.NewBatch(tbl.Schema, n)
+	b.SetLen(n)
 	data := make([][]float32, n)
-	for i := 0; i < n; i++ {
-		row := []types.Datum{types.Int64Datum(int64(i))}
-		data[i] = make([]float32, steps)
-		for s := 0; s < steps; s++ {
-			data[i][s] = series[i+s]
-			row = append(row, types.Float32Datum(series[i+s]))
+	for i := range n {
+		b.Vecs[0].Int64s()[i] = int64(i)
+		data[i] = append([]float32(nil), series[i:i+steps]...)
+		for s, x := range data[i] {
+			b.Vecs[1+s].Float32s()[i] = x
 		}
-		_ = app.AppendRow(row...)
 	}
-	app.Close()
+	_ = tbl.Append(b) // cannot fail: b has the table's schema
 	return tbl, data
 }
 
