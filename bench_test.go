@@ -49,15 +49,9 @@ func setupTables() {
 }
 
 // newDB registers the fact table and model into a fresh database.
-func newDB(b *testing.B, fact *storage.Table, model *nn.Model, opts db.Options) *db.Database {
+func newDB(b *testing.B, fact *storage.Table, model *nn.Model) *db.Database {
 	b.Helper()
-	if opts.DefaultPartitions == 0 {
-		opts.DefaultPartitions = benchPartitions
-	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = benchPartitions
-	}
-	d := db.Open(opts)
+	d := db.Open(db.Options{DefaultPartitions: benchPartitions, Parallelism: benchPartitions})
 	d.RegisterTable(fact)
 	if _, err := d.RegisterModel(model, relmodel.ExportOptions{Partitions: benchPartitions}); err != nil {
 		b.Fatal(err)
@@ -82,16 +76,6 @@ func drainQuery(b *testing.B, d *db.Database, query string, wantRows int) {
 	if rows != wantRows {
 		b.Fatalf("query returned %d rows, want %d", rows, wantRows)
 	}
-}
-
-func modelJoinQuery(device string) string {
-	return "SELECT id, prediction FROM iris_fact MODEL JOIN bench_model PREDICT (" +
-		strings.Join(workload.IrisFeatureNames, ", ") + ") USING DEVICE '" + device + "'"
-}
-
-func reportGPU(b *testing.B, d *db.Database) {
-	st := d.GPU().Stats()
-	b.ReportMetric(st.ModeledTime.Seconds()/float64(b.N), "sim-sec/op")
 }
 
 // --- Figures 8 and 9: inference runtime ---
@@ -277,30 +261,8 @@ func BenchmarkAblationLayerFilter(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			model := workload.DenseModel(32, 2)
 			model.Name = "bench_model"
-			d := newDB(b, denseTable, model, db.Options{})
+			d := newDB(b, denseTable, model)
 			q := mlToSQLQuery(b, d, "bench_model", relmodel.LayoutPairs, filter, workload.IrisFeatureNames, "iris_fact")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				drainQuery(b, d, q, benchDenseTuples)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationOrderedAgg toggles the pipelined segmented aggregation
-// against generic hash aggregation (Sec. 4.4).
-func BenchmarkAblationOrderedAgg(b *testing.B) {
-	setupTables()
-	for _, disable := range []bool{false, true} {
-		name := "segmented"
-		if disable {
-			name = "hash"
-		}
-		b.Run(name, func(b *testing.B) {
-			model := workload.DenseModel(32, 2)
-			model.Name = "bench_model"
-			d := newDB(b, denseTable, model, db.Options{DisableSegmentedAgg: disable})
-			q := mlToSQLQuery(b, d, "bench_model", relmodel.LayoutPairs, true, workload.IrisFeatureNames, "iris_fact")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				drainQuery(b, d, q, benchDenseTuples)
@@ -336,31 +298,6 @@ func BenchmarkAblationUDFVectorized(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGPUBuild compares build-on-host-then-copy against
-// fine-grained device transfers during the ModelJoin build (Sec. 5.2).
-func BenchmarkAblationGPUBuild(b *testing.B) {
-	setupTables()
-	for _, fine := range []bool{false, true} {
-		name := "build-then-copy"
-		if fine {
-			name = "fine-grained"
-		}
-		b.Run(name, func(b *testing.B) {
-			model := workload.DenseModel(128, 4)
-			model.Name = "bench_model"
-			cfg := db.Options{}
-			cfg.ModelJoinConfig.FineGrainedGPUBuild = fine
-			d := newDB(b, denseTable, model, cfg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				drainQuery(b, d, modelJoinQuery("gpu"), benchDenseTuples)
-			}
-			b.StopTimer()
-			reportGPU(b, d)
-		})
-	}
-}
-
 // BenchmarkModelUpdate is the models-as-data loop of the mj_model_update
 // workload: UPDATE one weight of the 128×4 model, then run an aggregate
 // MODEL JOIN over the new version — a cache miss whose build patches the
@@ -369,7 +306,7 @@ func BenchmarkModelUpdate(b *testing.B) {
 	fact, _ := workload.IrisTable("iris_fact", 1000, benchPartitions)
 	model := workload.DenseModel(128, 4)
 	model.Name = "bench_model"
-	d := newDB(b, fact, model, db.Options{})
+	d := newDB(b, fact, model)
 	q := "SELECT COUNT(*), AVG(prediction) FROM iris_fact MODEL JOIN bench_model PREDICT (" +
 		strings.Join(workload.IrisFeatureNames, ", ") + ")"
 	drainQuery(b, d, q, 1)

@@ -244,25 +244,6 @@ func (s *localSession) meta(line string) bool {
 		return false
 	case "\\tables":
 		fmt.Println(catalogSummary(d))
-	case "\\costs":
-		if len(fields) < 3 {
-			fmt.Println("usage: \\costs <model> <tuples>")
-			return true
-		}
-		tuples, err := strconv.Atoi(fields[2])
-		if err != nil || tuples <= 0 {
-			fmt.Println("usage: \\costs <model> <tuples>")
-			return true
-		}
-		adv := d.NewAdvisor()
-		txt, err := adv.ExplainCosts(fields[1], tuples, true)
-		if err != nil {
-			fmt.Println("error:", err)
-			return true
-		}
-		fmt.Print(txt)
-		dev, _ := adv.AdviseDevice(fields[1], tuples)
-		fmt.Printf("advised MODEL JOIN device: %s\n", dev)
 	case "\\demo":
 		if err := workload.LoadDemo(d); err != nil {
 			fmt.Println("error:", err)
@@ -333,7 +314,7 @@ func (s *localSession) meta(line string) bool {
 	case "\\trace":
 		s.traceOn = parseTraceArg(fields, s.traceOn)
 	default:
-		fmt.Println("unknown meta command; available: \\q \\tables \\demo \\load-model \\costs \\cache \\batcher \\metrics \\alerts \\queries \\active \\kill \\trace")
+		fmt.Println("unknown meta command; available: \\q \\tables \\demo \\load-model \\cache \\batcher \\metrics \\alerts \\queries \\active \\kill \\trace")
 	}
 	return true
 }

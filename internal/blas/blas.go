@@ -64,61 +64,6 @@ func (m Mat) String() string {
 	return sb.String()
 }
 
-// Sgemv computes y = A·x + y for an m×n matrix A and vectors x (n) and y (m).
-func Sgemv(a Mat, x, y []float32) {
-	if a.Cols != len(x) || a.Rows != len(y) {
-		panic(fmt.Sprintf("blas: sgemv dimension mismatch: (%dx%d)·(%d) -> (%d)", a.Rows, a.Cols, len(x), len(y)))
-	}
-	parallelRows(a.Rows, a.Rows*a.Cols, 1, rowFunc(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a.Row(i)
-			var sum float32
-			for j, v := range row {
-				sum += v * x[j]
-			}
-			y[i] += sum
-		}
-	}))
-}
-
-// Sger performs the rank-1 update A = A + alpha·x·yᵀ for an m×n matrix A.
-func Sger(alpha float32, x, y []float32, a Mat) {
-	if a.Rows != len(x) || a.Cols != len(y) {
-		panic(fmt.Sprintf("blas: sger dimension mismatch: (%d)·(%d)ᵀ -> (%dx%d)", len(x), len(y), a.Rows, a.Cols))
-	}
-	parallelRows(a.Rows, a.Rows*a.Cols, 1, rowFunc(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ax := alpha * x[i]
-			row := a.Row(i)
-			for j, yj := range y {
-				row[j] += ax * yj
-			}
-		}
-	}))
-}
-
-// Saxpy computes y = alpha·x + y.
-func Saxpy(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("blas: saxpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Sdot returns the dot product of x and y.
-func Sdot(x, y []float32) float32 {
-	if len(x) != len(y) {
-		panic("blas: sdot length mismatch")
-	}
-	var sum float32
-	for i, v := range x {
-		sum += v * y[i]
-	}
-	return sum
-}
-
 // Scopy copies src into dst (the COPY of Listing 5).
 func Scopy(dst, src []float32) {
 	if len(dst) != len(src) {

@@ -73,34 +73,6 @@ func TestSgemmDimensionPanic(t *testing.T) {
 	Sgemm(NewMat(2, 3), NewMat(4, 2), NewMat(2, 2))
 }
 
-func TestSgemvMatchesGemm(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randMat(rng, 20, 30)
-	x := randMat(rng, 30, 1)
-	y := make([]float32, 20)
-	Sgemv(a, x.Data, y)
-	c := NewMat(20, 1)
-	Sgemm(a, x, c)
-	for i, v := range y {
-		if d := v - c.Data[i]; d > 1e-4 || d < -1e-4 {
-			t.Fatalf("sgemv[%d]=%v, gemm=%v", i, v, c.Data[i])
-		}
-	}
-}
-
-func TestSger(t *testing.T) {
-	x := []float32{1, 2}
-	y := []float32{3, 4, 5}
-	a := NewMat(2, 3)
-	Sger(2, x, y, a)
-	want := []float32{6, 8, 10, 12, 16, 20}
-	for i, v := range want {
-		if a.Data[i] != v {
-			t.Fatalf("sger data[%d]=%v, want %v", i, a.Data[i], v)
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	err := quick.Check(func(seed int64, rowsRaw, colsRaw uint8) bool {
 		rows, cols := int(rowsRaw)%50+1, int(colsRaw)%50+1
@@ -144,13 +116,6 @@ func TestElementwiseOps(t *testing.T) {
 	VsAdd(x, y, z)
 	if z[0] != 5 || z[1] != 7 || z[2] != 9 {
 		t.Errorf("VsAdd = %v", z)
-	}
-	Saxpy(2, x, y)
-	if y[0] != 6 || y[1] != 9 || y[2] != 12 {
-		t.Errorf("Saxpy = %v", y)
-	}
-	if d := Sdot(x, x) - 14; d > 1e-6 || d < -1e-6 {
-		t.Errorf("Sdot = %v", Sdot(x, x))
 	}
 }
 

@@ -135,7 +135,7 @@ func gemm(a Mat, b *PackedB, bias []float32, act Activation, c Mat) time.Duratio
 	j := jobPool.Get().(*gemmJob)
 	j.a, j.b, j.c, j.bias, j.act = a, b, c, bias, act
 	j.busy.Store(0)
-	parallelRows(a.Rows, a.Rows*a.Cols*c.Cols, mr, j)
+	parallelRows(a.Rows, a.Rows*a.Cols*c.Cols, j)
 	busy := time.Duration(j.busy.Load())
 	*j = gemmJob{}
 	jobPool.Put(j)

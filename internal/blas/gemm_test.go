@@ -226,13 +226,18 @@ func TestGemmConcurrent(t *testing.T) {
 	}
 }
 
+// rowFunc adapts a closure to rowJob.
+type rowFunc func(lo, hi int)
+
+func (f rowFunc) runRows(lo, hi int) { f(lo, hi) }
+
 // TestParallelRowsCoversAllRows checks the pooled splitter executes every
 // row exactly once across chunk boundaries and pool-saturation fallbacks,
 // and that every chunk but the last ends on a tile boundary.
 func TestParallelRowsCoversAllRows(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 1024, 4099} {
 		hits := make([]int32, n)
-		parallelRows(n, 1<<30, mr, rowFunc(func(lo, hi int) {
+		parallelRows(n, 1<<30, rowFunc(func(lo, hi int) {
 			if lo%mr != 0 {
 				t.Errorf("n=%d: chunk starts at %d, not a multiple of %d", n, lo, mr)
 			}

@@ -23,11 +23,6 @@ type rowJob interface {
 	runRows(lo, hi int)
 }
 
-// rowFunc adapts a closure to rowJob for the small vector kernels.
-type rowFunc func(lo, hi int)
-
-func (f rowFunc) runRows(lo, hi int) { f(lo, hi) }
-
 // rowTask is one contiguous row range of a parallel kernel.
 type rowTask struct {
 	job    rowJob
@@ -70,10 +65,10 @@ const parallelThreshold = 1 << 22
 // completion. The worker count scales with the amount of work so small
 // kernels (which are common when the engine already runs partition-parallel
 // plans around the BLAS calls) stay single-threaded instead of
-// oversubscribing cores. Chunk boundaries are multiples of align (the gemm
+// oversubscribing cores. Chunk boundaries are multiples of mr (the gemm
 // tile height), so only the last chunk can end in a partial tile. The
 // calling goroutine always executes the first chunk itself.
-func parallelRows(n, work, align int, job rowJob) {
+func parallelRows(n, work int, job rowJob) {
 	workers := runtime.GOMAXPROCS(0)
 	if byWork := work / parallelThreshold; byWork < workers {
 		workers = byWork
@@ -84,7 +79,7 @@ func parallelRows(n, work, align int, job rowJob) {
 	chunk := n
 	if workers >= 2 {
 		chunk = (n + workers - 1) / workers
-		chunk = (chunk + align - 1) / align * align
+		chunk = (chunk + mr - 1) / mr * mr
 	}
 	if chunk >= n {
 		if n > 0 {

@@ -30,34 +30,42 @@ func BenchmarkModelJoinBuild(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			model := nn.NewDenseModel("m", 4, spec.width, spec.depth, 2, 11)
-			tbl, meta, err := relmodel.Export(model, relmodel.ExportOptions{Partitions: spec.parts})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := Config{SerialBuild: spec.serial}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sm := &SharedModel{Table: tbl, Meta: meta, Dev: dev, Cfg: cfg}
-				if _, err := sm.Build(); err != nil {
-					b.Fatal(err)
-				}
-				sm.Release()
-			}
+			buildN(b, model, spec.parts, dev, Config{SerialBuild: spec.serial})
+		})
+	}
+	// The Sec. 5.2 GPU build ablation: build on the host and upload each
+	// finished matrix once, or transfer every element individually. The
+	// simulated device's modeled seconds are what the paper compares.
+	for _, fine := range []bool{false, true} {
+		name := "dense128x4/gpu/build-then-copy"
+		if fine {
+			name = "dense128x4/gpu/fine-grained"
+		}
+		b.Run(name, func(b *testing.B) {
+			gpu := device.NewGPU(device.DefaultGPUConfig())
+			buildN(b, nn.NewDenseModel("m", 4, 128, 4, 2, 11), 4, gpu, Config{FineGrainedGPUBuild: fine})
+			b.ReportMetric(gpu.Stats().ModeledTime.Seconds()/float64(b.N), "sim-sec/op")
 		})
 	}
 	b.Run("lstm32/parts4", func(b *testing.B) {
-		model := nn.NewLSTMModel("lm", 3, 32, 9)
-		tbl, meta, err := relmodel.Export(model, relmodel.ExportOptions{Partitions: 4})
-		if err != nil {
+		buildN(b, nn.NewLSTMModel("lm", 3, 32, 9), 4, dev, Config{})
+	})
+}
+
+// buildN exports model into parts partitions and times b.N cold builds of
+// it on dev.
+func buildN(b *testing.B, model *nn.Model, parts int, dev device.Device, cfg Config) {
+	tbl, meta, err := relmodel.Export(model, relmodel.ExportOptions{Partitions: parts})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sm := &SharedModel{Table: tbl, Meta: meta, Dev: dev, Cfg: cfg}
+		if _, err := sm.Build(); err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sm := &SharedModel{Table: tbl, Meta: meta, Dev: dev, Cfg: Config{}}
-			if _, err := sm.Build(); err != nil {
-				b.Fatal(err)
-			}
-			sm.Release()
-		}
-	})
+		sm.Release()
+	}
+	b.StopTimer()
 }

@@ -13,7 +13,7 @@ import (
 // native ModelJoin's build phase and external consumers read models straight
 // out of the database.
 func Import(tbl *storage.Table, meta *Meta) (*nn.Model, error) {
-	edges, err := ReadEdges(tbl, meta)
+	edges, err := readEdges(tbl, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -75,27 +75,10 @@ func Import(tbl *storage.Table, meta *Meta) (*nn.Model, error) {
 	return m, nil
 }
 
-// Edge is the decoded form of one model-table row, in (layer, node) pair
-// coordinates regardless of the stored layout.
-type Edge struct {
-	layerIn, nodeIn, layer, node int
-	w                            [12]float32
-}
-
-// LayerIn, NodeIn, Layer, Node and Weights expose the decoded row.
-func (e Edge) LayerIn() int         { return e.layerIn }
-func (e Edge) NodeIn() int          { return e.nodeIn }
-func (e Edge) Layer() int           { return e.layer }
-func (e Edge) Node() int            { return e.node }
-func (e Edge) Weights() [12]float32 { return e.w }
-func (e Edge) Kernel(g int) float32 { return e.w[wiIdx+g] }
-func (e Edge) Recur(g int) float32  { return e.w[uiIdx+g] }
-func (e Edge) Bias(g int) float32   { return e.w[biIdx+g] }
-
-// ReadEdges scans all partitions of a model table and decodes the rows,
+// readEdges scans all partitions of a model table and decodes the rows,
 // translating node ids back to (layer, node) pairs when needed.
-func ReadEdges(tbl *storage.Table, meta *Meta) ([]Edge, error) {
-	var edges []Edge
+func readEdges(tbl *storage.Table, meta *Meta) ([]edge, error) {
+	var edges []edge
 	for p := 0; p < tbl.Partitions(); p++ {
 		sc, err := tbl.NewScanner(p, nil, nil)
 		if err != nil {
@@ -115,8 +98,8 @@ func ReadEdges(tbl *storage.Table, meta *Meta) ([]Edge, error) {
 	return edges, nil
 }
 
-func decodeRow(b *vector.Batch, r int, meta *Meta) (Edge, error) {
-	var e Edge
+func decodeRow(b *vector.Batch, r int, meta *Meta) (edge, error) {
+	var e edge
 	var weightBase int
 	if meta.Layout == LayoutPairs {
 		e.layerIn = int(b.Vecs[0].Int32s()[r])

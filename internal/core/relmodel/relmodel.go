@@ -123,10 +123,6 @@ func (m *Meta) TimeSteps() int {
 	return 0
 }
 
-// LayerCount returns the number of relational layers including the input
-// passthrough layer.
-func (m *Meta) LayerCount() int { return len(m.Layers) }
-
 // NodeOffset returns the first node id of relational layer l in the
 // node-id layout: layer 0 starts at 0, each layer follows its predecessor.
 func (m *Meta) NodeOffset(l int) int {
@@ -143,7 +139,8 @@ func (m *Meta) NodeRange(l int) (int, int) {
 	return lo, lo + m.Layers[l].Units - 1
 }
 
-// edge is one model-table row during export.
+// edge is one model-table row in (layer, node) pair coordinates, whatever
+// the stored layout: what Export writes and readEdges decodes.
 type edge struct {
 	layerIn, nodeIn, layer, node int
 	w                            [12]float32

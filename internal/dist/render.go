@@ -11,7 +11,9 @@ import (
 // plans distributed queries on the AST, then ships rewritten fragments to
 // shards as text over the ordinary wire protocol — shards need no
 // distributed-plan awareness at all. Expressions render via Expr.String
-// (which re-parses to the same tree; string literals double their quotes).
+// and names via sql.QuoteIdent, both of which re-parse to the same tree
+// (string literals double their quotes, names that are not plain words are
+// double-quoted); FuzzParse checks that rendering is a fixed point.
 func RenderSelect(sel *sql.SelectStmt) string {
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
@@ -24,13 +26,13 @@ func RenderSelect(sel *sql.SelectStmt) string {
 		}
 		switch {
 		case it.Star && it.StarTable != "":
-			sb.WriteString(it.StarTable + ".*")
+			sb.WriteString(sql.QuoteIdent(it.StarTable) + ".*")
 		case it.Star:
 			sb.WriteString("*")
 		default:
 			sb.WriteString(it.Expr.String())
 			if it.Alias != "" {
-				sb.WriteString(" AS " + it.Alias)
+				sb.WriteString(" AS " + sql.QuoteIdent(it.Alias))
 			}
 		}
 	}
@@ -75,23 +77,27 @@ func renderRef(ref sql.TableRef) string {
 	switch r := ref.(type) {
 	case *sql.BaseTable:
 		if r.Alias != "" {
-			return r.Name + " AS " + r.Alias
+			return sql.QuoteTableName(r.Name) + " AS " + sql.QuoteIdent(r.Alias)
 		}
-		return r.Name
+		return sql.QuoteTableName(r.Name)
 	case *sql.SubqueryRef:
-		return "(" + RenderSelect(r.Select) + ") AS " + r.Alias
+		return "(" + RenderSelect(r.Select) + ") AS " + sql.QuoteIdent(r.Alias)
 	case *sql.JoinRef:
 		if r.On == nil {
 			return renderRef(r.Left) + ", " + renderRef(r.Right)
 		}
 		return renderRef(r.Left) + " JOIN " + renderRef(r.Right) + " ON " + r.On.String()
 	case *sql.ModelJoinRef:
-		s := renderRef(r.Fact) + " MODEL JOIN " + r.ModelName
+		s := renderRef(r.Fact) + " MODEL JOIN " + sql.QuoteIdent(r.ModelName)
 		if len(r.Inputs) > 0 {
-			s += " PREDICT (" + strings.Join(r.Inputs, ", ") + ")"
+			inputs := make([]string, len(r.Inputs))
+			for i, in := range r.Inputs {
+				inputs[i] = sql.QuoteIdent(in)
+			}
+			s += " PREDICT (" + strings.Join(inputs, ", ") + ")"
 		}
 		if r.Device != "" {
-			s += " USING DEVICE '" + r.Device + "'"
+			s += " USING DEVICE " + (&sql.StringLit{Val: r.Device}).String()
 		}
 		return s
 	default:

@@ -37,11 +37,9 @@ type Options struct {
 	Parallelism int
 	// GPU overrides the simulated GPU configuration.
 	GPU device.GPUConfig
-	// ModelJoinConfig tunes the native operator (ablations).
-	ModelJoinConfig modeljoin.Config
 	// ModelCacheEntries bounds the cross-query model artifact cache: built
 	// model matrices are kept across queries, keyed on (model, table
-	// version, device, config), so repeat MODEL JOINs skip the build phase.
+	// version, device), so repeat MODEL JOINs skip the build phase.
 	// 0 or a negative value selects the default (32).
 	ModelCacheEntries int
 	// FlightRecorderSize bounds the always-on query flight recorder ring
@@ -52,9 +50,6 @@ type Options struct {
 	// forward pass goes through (coalescing of concurrent batches per
 	// (model, device)); the zero value selects the defaults.
 	InferSched infersched.Config
-	// DisableSegmentedAgg forces hash aggregation everywhere (the Sec. 4.4
-	// ablation; see plan.Planner).
-	DisableSegmentedAgg bool
 }
 
 // Router intercepts parsed statements for distributed execution. A
@@ -389,7 +384,6 @@ func (c *queryCatalog) NewModelJoin(model string, child exec.Operator, inputCols
 	default:
 		return nil, fmt.Errorf("db: unknown MODEL JOIN device %q (want 'cpu' or 'gpu')", dev)
 	}
-	cfg := c.db.opts.ModelJoinConfig
 	name := strings.ToLower(model)
 	key := name + "|" + dev
 	c.mu.Lock()
@@ -408,9 +402,8 @@ func (c *queryCatalog) NewModelJoin(model string, child exec.Operator, inputCols
 			tbl:     tbl,
 			version: tbl.Version(),
 			device:  dev,
-			cfg:     cfg,
 		}, func() *modeljoin.SharedModel {
-			return &modeljoin.SharedModel{Table: tbl, Meta: meta, Dev: device, Cfg: cfg}
+			return &modeljoin.SharedModel{Table: tbl, Meta: meta, Dev: device}
 		})
 		c.shared[key] = ent
 	}
@@ -430,11 +423,7 @@ func (c *queryCatalog) NewModelJoin(model string, child exec.Operator, inputCols
 // tree's Close via releaseOnClose).
 func (d *Database) planner() (*plan.Planner, *queryCatalog) {
 	qc := d.newQueryCatalog()
-	return &plan.Planner{
-		Cat:                 qc,
-		Parallelism:         d.opts.Parallelism,
-		DisableSegmentedAgg: d.opts.DisableSegmentedAgg,
-	}, qc
+	return &plan.Planner{Cat: qc, Parallelism: d.opts.Parallelism}, qc
 }
 
 // releaseOnClose runs the query catalog's release after the operator tree
@@ -704,18 +693,9 @@ func (d *Database) execRouted(ctx context.Context, stmt sql.Stmt, text string) e
 	return d.execStmt(stmt)
 }
 
-// ExecLocal runs a DDL/DML statement with purely local execution — no
-// router interception and no flight recording. The coordinator uses it for
-// its own catalog bookkeeping while RouteExec handles the fleet side.
-func (d *Database) ExecLocal(text string) error {
-	stmt, err := sql.Parse(text)
-	if err != nil {
-		return err
-	}
-	return d.execStmt(stmt)
-}
-
-// ExecStmtLocal is ExecLocal for an already-parsed statement.
+// ExecStmtLocal runs a parsed DDL/DML statement with purely local execution
+// — no router interception and no flight recording. The coordinator uses it
+// for its own catalog bookkeeping while RouteExec handles the fleet side.
 func (d *Database) ExecStmtLocal(stmt sql.Stmt) error { return d.execStmt(stmt) }
 
 func (d *Database) execStmt(stmt sql.Stmt) error {

@@ -18,7 +18,6 @@ type modelCacheKey struct {
 	tbl     *storage.Table
 	version uint64
 	device  string // "cpu" or "gpu"
-	cfg     modeljoin.Config
 }
 
 type modelCacheEnt struct {
@@ -56,7 +55,7 @@ func newModelCache(capEntries int) *modelCache {
 
 // get returns the cached SharedModel for key (hit=true), or installs
 // build()'s result (hit=false). On a miss it also evicts entries for stale
-// versions of the same model on the same device/config — they can never be
+// versions of the same model on the same device — they can never be
 // hit again. The newest stale entry of the same table is offered to the new
 // model as the base of a delta build (SharedModel.SetBase), pinned before
 // its eviction so its device memory outlives the hand-over.
@@ -81,7 +80,7 @@ func (c *modelCache) get(key modelCacheKey, build func() *modeljoin.SharedModel)
 	for el := c.lru.Back(); el != nil; {
 		prev := el.Prev()
 		e := el.Value.(*modelCacheEnt)
-		if e.key.model == key.model && e.key.device == key.device && e.key.cfg == key.cfg && e.key != key {
+		if e.key.model == key.model && e.key.device == key.device && e.key != key {
 			if e.key.tbl == key.tbl && (base == nil || e.key.version > base.key.version) {
 				if base != nil {
 					base.sm.Unpin()
@@ -114,8 +113,8 @@ func (c *modelCache) removeLocked(el *list.Element) {
 	e.sm.Release()
 }
 
-// invalidateModel evicts every entry for the named model (any version,
-// device, config). Used on DROP TABLE and model re-registration so device
+// invalidateModel evicts every entry for the named model (any version or
+// device). Used on DROP TABLE and model re-registration so device
 // memory is reclaimed promptly instead of waiting for LRU pressure.
 func (c *modelCache) invalidateModel(model string) {
 	c.mu.Lock()

@@ -15,8 +15,9 @@ import (
 )
 
 // Planner binds SELECT statements against a catalog and produces executable
-// plans. Option flags expose the individual optimizations of Sec. 4.4 so the
-// ablation benchmarks can switch them off one at a time.
+// plans. The Disable flags switch off one optimization of Sec. 4.4 at a
+// time, so the plan tests can check a plan against the same plan without
+// it; no engine option sets them.
 type Planner struct {
 	Cat Catalog
 	// Parallelism caps concurrent partition plans (0 = one per partition;

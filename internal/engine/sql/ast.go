@@ -215,9 +215,42 @@ func (*Ident) expr() {}
 // String implements fmt.Stringer.
 func (i *Ident) String() string {
 	if i.Table != "" {
-		return i.Table + "." + i.Name
+		return QuoteIdent(i.Table) + "." + QuoteIdent(i.Name)
 	}
-	return i.Name
+	return QuoteIdent(i.Name)
+}
+
+// QuoteIdent renders a name so that it parses back as the same name: a
+// word the lexer reads as an identifier as is, anything else (a keyword,
+// spaces, punctuation, a leading digit) double-quoted. Rendered SQL — the
+// fragments a coordinator ships to shards — relies on it.
+func QuoteIdent(name string) string {
+	if isPlainIdent(name) {
+		return name
+	}
+	return `"` + name + `"`
+}
+
+// QuoteTableName is QuoteIdent for a table name, which the parser may have
+// folded from a qualified "schema.table": two plain words keep their dot,
+// anything else is quoted as one identifier, which parses to the same name.
+func QuoteTableName(name string) string {
+	if q, t, ok := strings.Cut(name, "."); ok && isPlainIdent(q) && isPlainIdent(t) {
+		return name
+	}
+	return QuoteIdent(name)
+}
+
+func isPlainIdent(s string) bool {
+	if s == "" || !isIdentStart(s[0]) || keywords[strings.ToUpper(s)] {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isIdentPart(s[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // NumberLit is an unparsed numeric literal (typing happens at bind time).
@@ -294,13 +327,13 @@ func (*FuncCall) expr() {}
 // String implements fmt.Stringer.
 func (f *FuncCall) String() string {
 	if f.Star {
-		return f.Name + "(*)"
+		return QuoteIdent(f.Name) + "(*)"
 	}
 	args := make([]string, len(f.Args))
 	for i, a := range f.Args {
 		args[i] = a.String()
 	}
-	return fmt.Sprintf("%s(%s)", f.Name, strings.Join(args, ", "))
+	return fmt.Sprintf("%s(%s)", QuoteIdent(f.Name), strings.Join(args, ", "))
 }
 
 // CaseExpr is a searched CASE.
@@ -340,7 +373,7 @@ type CastExpr struct {
 func (*CastExpr) expr() {}
 
 // String implements fmt.Stringer.
-func (c *CastExpr) String() string { return fmt.Sprintf("CAST(%s AS %s)", c.E, c.Type) }
+func (c *CastExpr) String() string { return fmt.Sprintf("CAST(%s AS %s)", c.E, QuoteIdent(c.Type)) }
 
 // IsNullExpr is e IS [NOT] NULL.
 type IsNullExpr struct {

@@ -116,6 +116,9 @@ func Lex(input string) ([]Token, error) {
 			if j >= n {
 				return nil, fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
 			}
+			if j == i {
+				return nil, fmt.Errorf("sql: zero-length quoted identifier at offset %d", start)
+			}
 			toks = append(toks, Token{Kind: TokIdent, Text: input[i:j], Pos: start})
 			i = j + 1
 		case isIdentStart(c):

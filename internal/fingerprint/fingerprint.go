@@ -4,8 +4,7 @@
 // the same statement shape hashes to the same value. The fingerprint is the
 // aggregation key for cumulative per-statement-shape statistics
 // (system.statement_stats) that survive the flight recorder's ring
-// wrap-around — the calibration substrate for feedback-driven approach
-// selection.
+// wrap-around.
 //
 // Normalization is a single left-to-right pass over the raw text, not a
 // parse: it must fingerprint statements that fail to parse too (an
@@ -57,8 +56,11 @@ func Normalize(sql string) (uint64, string) {
 //   - words are lowercased (keywords and identifiers alike — the engine's
 //     catalog is case-insensitive, so SELECT ID and select id are the same
 //     statement shape)
-//   - "..." quoted identifiers drop their quotes and lowercase like plain
-//     identifiers (the catalog lookup is case-insensitive either way)
+//   - "..." quoted identifiers lowercase like plain identifiers (the
+//     catalog lookup is case-insensitive either way) and drop their quotes
+//     when what they quote is a plain word; any other content (empty,
+//     spaces, digits first, quotes, operators) keeps them, so that the
+//     normalized text normalizes to itself
 //   - source whitespace is discarded entirely; the canonical form has
 //     exactly one space between every pair of tokens, so "id=5" and
 //     "id = 7" normalize identically
@@ -126,8 +128,15 @@ func normalize(sql string, wantText bool) (uint64, string) {
 			}
 			i = j
 			startTok()
+			plain := isWord(word)
+			if !plain {
+				emit('"')
+			}
 			for k := 0; k < len(word); k++ {
 				emit(lower(word[k]))
+			}
+			if !plain {
+				emit('"')
 			}
 		case isWordStart(c):
 			start := i
@@ -193,6 +202,19 @@ func isWordStart(c byte) bool {
 
 func isWordPart(c byte) bool {
 	return isWordStart(c) || (c >= '0' && c <= '9')
+}
+
+// isWord reports whether s lexes as exactly one unquoted word.
+func isWord(s string) bool {
+	if s == "" || !isWordStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isWordPart(s[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // scanNumber consumes a numeric literal starting at the digit at pos and

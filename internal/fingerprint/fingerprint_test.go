@@ -53,6 +53,7 @@ func TestNormalizeText(t *testing.T) {
 		{"SELECT  *  FROM T WHERE id = 5", "select * from t where id = ?"},
 		{"select name from t where name='x'  limit  3", "select name from t where name = ? limit ?"},
 		{"SELECT a FROM \"System\".\"Queries\"", "select a from system . queries"},
+		{"SELECT \"Mixed Case\", \"it's\", \"5x\", \"\" FROM t", "select \"mixed case\" , \"it's\" , \"5x\" , \"\" from t"},
 		{"", ""},
 		{"   ", ""},
 	}

@@ -45,8 +45,8 @@ type Observation struct {
 
 // Key identifies one statistics row: the paper's approach dimension and the
 // execution device are part of the identity, so the same statement shape
-// run as modeljoin-cpu vs modeljoin-gpu accumulates separately — exactly
-// the split a cost-model calibrator needs.
+// run as modeljoin-cpu vs modeljoin-gpu accumulates separately, and
+// system.statement_stats can compare approaches and devices per shape.
 type Key struct {
 	Fingerprint uint64
 	Approach    string

@@ -86,14 +86,12 @@ func (c *Client) QueryTimeout(sql string, timeout time.Duration) (*Rows, error) 
 	return c.query(sql, timeout, 0)
 }
 
-// QueryTraced issues a SELECT with StmtFlagTrace set: the server executes
-// the statement traced and appends the serialized span tree as a trailer
-// after the final row frame. The payload is available from Rows.Trace once
-// the stream finishes cleanly. The coordinator uses this on shard fragments
-// to stitch per-shard operator subtrees into distributed EXPLAIN ANALYZE.
-func (c *Client) QueryTraced(sql string) (*Rows, error) { return c.QueryTracedTimeout(sql, 0) }
-
-// QueryTracedTimeout is QueryTraced with a server-enforced deadline.
+// QueryTracedTimeout issues a SELECT with StmtFlagTrace set and a
+// server-enforced deadline (0 = none): the server executes the statement
+// traced and appends the serialized span tree as a trailer after the final
+// row frame. The payload is available from Rows.Trace once the stream
+// finishes cleanly. The coordinator uses this on shard fragments to stitch
+// per-shard operator subtrees into distributed EXPLAIN ANALYZE.
 func (c *Client) QueryTracedTimeout(sql string, timeout time.Duration) (*Rows, error) {
 	return c.query(sql, timeout, wire.StmtFlagTrace)
 }
@@ -221,7 +219,7 @@ func (r *Rows) Drain() error { return r.cur.Drain() }
 func (r *Rows) QueryID() uint64 { return r.cur.QueryID() }
 
 // Trace returns the serialized span tree from the MsgTrace trailer, nil
-// until a QueryTraced stream has finished cleanly. Decode it with
+// until a QueryTracedTimeout stream has finished cleanly. Decode it with
 // trace.DecodeSpan.
 func (r *Rows) Trace() []byte { return r.cur.Trace() }
 

@@ -6,8 +6,6 @@
 package workload
 
 import (
-	"math/rand"
-
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
@@ -55,30 +53,6 @@ func IrisTable(name string, n, partitions int) (*storage.Table, [][]float32) {
 	}
 	_ = tbl.Append(b) // cannot fail: b has the table's schema
 	return tbl, data
-}
-
-// IrisTrainingSet returns the features (min-max scaled to [0,1]) and one-hot
-// class targets, shuffled with the given seed — the input shape the
-// examples' training uses.
-func IrisTrainingSet(seed int64) (x [][]float32, y [][]float32) {
-	mins := []float32{4.3, 2.0, 1.0, 0.1}
-	maxs := []float32{7.9, 4.4, 6.9, 2.5}
-	for _, r := range irisData {
-		feats := []float32{r.SepalLength, r.SepalWidth, r.PetalLength, r.PetalWidth}
-		for i := range feats {
-			feats[i] = (feats[i] - mins[i]) / (maxs[i] - mins[i])
-		}
-		target := make([]float32, 3)
-		target[r.Class] = 1
-		x = append(x, feats)
-		y = append(y, target)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(x), func(i, j int) {
-		x[i], x[j] = x[j], x[i]
-		y[i], y[j] = y[j], y[i]
-	})
-	return x, y
 }
 
 // irisData is the canonical UCI Iris dataset.

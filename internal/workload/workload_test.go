@@ -44,27 +44,6 @@ func TestIrisTableReplication(t *testing.T) {
 	}
 }
 
-func TestIrisTrainingSetScaled(t *testing.T) {
-	x, y := IrisTrainingSet(1)
-	if len(x) != 150 || len(y) != 150 {
-		t.Fatal("training set size wrong")
-	}
-	for i, f := range x {
-		for _, v := range f {
-			if v < -0.01 || v > 1.01 {
-				t.Fatalf("feature not scaled: %v", f)
-			}
-		}
-		sum := float32(0)
-		for _, v := range y[i] {
-			sum += v
-		}
-		if sum != 1 {
-			t.Fatalf("one-hot target wrong: %v", y[i])
-		}
-	}
-}
-
 func TestSinusSeries(t *testing.T) {
 	s := SinusSeries(100, 0.1)
 	if len(s) != 100 || s[0] != 0 {
