@@ -319,11 +319,21 @@ func literalKey(e sql.Expr) (string, error) {
 	return "", fmt.Errorf("shard key must be a literal, got %s", e)
 }
 
+// renderInsert renders one shard's share of an INSERT. Names go through the
+// same quoting as rendered SELECTs, so a keyword-named or quoted column
+// reaches the shard as the column the client named.
 func renderInsert(table string, cols []string, rows [][]sql.Expr) string {
 	var sb strings.Builder
-	sb.WriteString("INSERT INTO " + table)
+	sb.WriteString("INSERT INTO " + sql.QuoteTableName(table))
 	if len(cols) > 0 {
-		sb.WriteString(" (" + strings.Join(cols, ", ") + ")")
+		sb.WriteString(" (")
+		for i, c := range cols {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(sql.QuoteIdent(c))
+		}
+		sb.WriteByte(')')
 	}
 	sb.WriteString(" VALUES ")
 	for ri, row := range rows {

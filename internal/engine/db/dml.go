@@ -69,7 +69,8 @@ func (d *Database) execInsert(s *sql.InsertStmt) error {
 			e = expr.Fold(expr.NewCast(e, schema.Col(c).Type))
 			val, ok := expr.IsConst(e)
 			if !ok {
-				v, err := e.Eval(oneRow)
+				ev := expr.NewEvaluator(e)
+				v, err := ev.Eval(oneRow)
 				if err != nil {
 					return fmt.Errorf("db: INSERT row %d: %w", ri, err)
 				}
@@ -111,9 +112,13 @@ func (d *Database) bindDML(table string, where sql.Expr, cols []string, exprs []
 
 // matcher evaluates the bound statement over one batch: the predicate gives
 // the hits (NULL counts as no match, per SQL semantics), and the SET
-// expressions — evaluated against the pre-update batch — the new values.
+// expressions — evaluated against the pre-update batch — the new values,
+// which storage copies before the next call.
 func matcher(dml *plan.DML) storage.MatchFunc {
 	var hits []int
+	pred := expr.NewEvaluator(dml.Pred)
+	sets := expr.NewEvaluators(dml.Exprs)
+	vals := make([]*vector.Vector, len(dml.Exprs))
 	return func(b *vector.Batch) ([]int, []*vector.Vector, error) {
 		hits = hits[:0]
 		if dml.Pred == nil {
@@ -121,7 +126,7 @@ func matcher(dml *plan.DML) storage.MatchFunc {
 				hits = append(hits, r)
 			}
 		} else {
-			v, err := dml.Pred.Eval(b)
+			v, err := pred.Eval(b)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -134,9 +139,8 @@ func matcher(dml *plan.DML) storage.MatchFunc {
 		if len(hits) == 0 {
 			return nil, nil, nil
 		}
-		vals := make([]*vector.Vector, len(dml.Exprs))
-		for i, e := range dml.Exprs {
-			v, err := e.Eval(b)
+		for i := range sets {
+			v, err := sets[i].Eval(b)
 			if err != nil {
 				return nil, nil, err
 			}

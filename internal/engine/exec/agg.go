@@ -279,8 +279,9 @@ func aggSchema(groupBy []expr.Expr, groupNames []string, aggs []AggSpec) (*types
 // aggregate. An operator loads an input batch, adds row ranges of it, and
 // emits ranges of finished groups.
 type grouper struct {
-	groupBy []expr.Expr
-	table   *groupTable // nil for a scalar aggregate: one group, always
+	keyEvs  []expr.Evaluator
+	argEvs  []expr.Evaluator // per aggregate; unused for COUNT(*)
+	table   *groupTable      // nil for a scalar aggregate: one group, always
 	keyVals []*vector.Vector
 	accs    []accumulator
 
@@ -291,7 +292,8 @@ type grouper struct {
 
 func newGrouper(groupBy []expr.Expr, aggs []AggSpec) *grouper {
 	g := &grouper{
-		groupBy: groupBy,
+		keyEvs:  expr.NewEvaluators(groupBy),
+		argEvs:  make([]expr.Evaluator, len(aggs)),
 		keyVals: make([]*vector.Vector, len(groupBy)),
 		accs:    make([]accumulator, len(aggs)),
 		keys:    make([]*vector.Vector, len(groupBy)),
@@ -303,6 +305,7 @@ func newGrouper(groupBy []expr.Expr, aggs []AggSpec) *grouper {
 	}
 	for i, a := range aggs {
 		g.accs[i].spec = a
+		g.argEvs[i] = expr.NewEvaluator(a.Arg)
 	}
 	if len(groupBy) > 0 {
 		g.table = newGroupTable(exprTypes(groupBy), false)
@@ -338,14 +341,16 @@ func (g *grouper) reset() {
 }
 
 // load evaluates the key and argument expressions over b and stages the
-// keys. b must stay unchanged until the last add of its rows.
+// keys. b must stay unchanged until the last add of its rows; the key and
+// argument vectors, which the grouper's evaluators own, do until the next
+// load.
 func (g *grouper) load(b *vector.Batch) error {
-	if err := evalInto(g.keys, g.groupBy, b); err != nil {
+	if err := evalInto(g.keys, g.keyEvs, b); err != nil {
 		return err
 	}
 	for i := range g.accs {
-		if arg := g.accs[i].spec.Arg; arg != nil {
-			v, err := arg.Eval(b)
+		if g.accs[i].spec.Arg != nil {
+			v, err := g.argEvs[i].Eval(b)
 			if err != nil {
 				return err
 			}

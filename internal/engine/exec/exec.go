@@ -37,6 +37,16 @@ func IsCancellation(err error) bool {
 // Exchange all do; the wire streamer instead encodes the batch into its
 // frame before calling Next again. Nothing is retained across statements:
 // buffers live from Open to Close.
+//
+// Expression results. Bound expression trees are shared, by an Exchange's
+// partition instances among others; an operator that evaluates them builds
+// one expr.Evaluator per expression at Open, which owns the result vector of
+// every computed node and refills it per batch. A result stays valid until
+// the next evaluation on the same evaluator — for Project's output columns,
+// its next Next — and follows the rules above: narrow it in place or copy
+// it. The grouper behind both aggregates and HashJoin use their key and
+// argument vectors before evaluating again; the grouper's first-seen keys,
+// Sort's key columns and TopN's heap rows are copies.
 type Operator interface {
 	// Schema describes the operator's output columns.
 	Schema() *types.Schema

@@ -46,6 +46,7 @@ type HashJoin struct {
 	out                *vector.Batch
 	probeSel, buildSel []int
 	probeBatch         *vector.Batch
+	probeEvs           []expr.Evaluator
 	probeKeys          []*vector.Vector
 	probeIDs           []int32 // build key id per probe row, -1 = no match
 	probeRow           int
@@ -151,6 +152,7 @@ func (j *HashJoin) Open() error {
 		kept[i] = build.Schema().Col(c)
 	}
 	j.buildData = vector.NewBatch(types.NewSchema(kept...), 0)
+	buildEvs := expr.NewEvaluators(buildKeys)
 	keys := make([]*vector.Vector, len(buildKeys))
 	var ids []int32 // key id per build row
 	for {
@@ -161,7 +163,7 @@ func (j *HashJoin) Open() error {
 		if b == nil {
 			break
 		}
-		if err := evalInto(keys, buildKeys, b); err != nil {
+		if err := evalInto(keys, buildEvs, b); err != nil {
 			return err
 		}
 		at := len(ids)
@@ -195,7 +197,9 @@ func (j *HashJoin) Open() error {
 	j.out = vector.NewBatch(j.schema, vector.Size)
 	j.probeSel = make([]int, vector.Size)
 	j.buildSel = make([]int, vector.Size)
-	j.probeKeys = make([]*vector.Vector, len(buildKeys))
+	_, probeKeys := j.probeSide()
+	j.probeEvs = expr.NewEvaluators(probeKeys)
+	j.probeKeys = make([]*vector.Vector, len(probeKeys))
 	j.probeBatch = nil
 	j.probeRow, j.matchPos = 0, 0
 	return nil
@@ -206,7 +210,7 @@ func (j *HashJoin) Open() error {
 // one output batch. Selections never span probe batches, because probe
 // children are free to reuse their output buffers between Next calls.
 func (j *HashJoin) Next() (*vector.Batch, error) {
-	probe, probeKeys := j.probeSide()
+	probe, _ := j.probeSide()
 	for {
 		if j.probeBatch == nil {
 			b, err := probe.Next()
@@ -216,7 +220,7 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 			if b.Len() == 0 {
 				continue
 			}
-			if err := evalInto(j.probeKeys, probeKeys, b); err != nil {
+			if err := evalInto(j.probeKeys, j.probeEvs, b); err != nil {
 				return nil, err
 			}
 			if len(j.probeIDs) < b.Len() {
@@ -273,7 +277,7 @@ func (j *HashJoin) emit(probeBatch *vector.Batch, probeSel, buildSel []int) {
 func (j *HashJoin) Close() error {
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
-	j.table, j.buildData, j.start, j.rows, j.out = nil, nil, nil, nil, nil
+	j.table, j.buildData, j.start, j.rows, j.out, j.probeEvs = nil, nil, nil, nil, nil, nil
 	if err1 != nil {
 		return err1
 	}

@@ -97,10 +97,10 @@ func exprTypes(exprs []expr.Expr) []types.T {
 	return ts
 }
 
-// evalInto evaluates exprs over b into dst, which must have their length.
-func evalInto(dst []*vector.Vector, exprs []expr.Expr, b *vector.Batch) error {
-	for i, e := range exprs {
-		v, err := e.Eval(b)
+// evalInto evaluates evs over b into dst, which must have their length.
+func evalInto(dst []*vector.Vector, evs []expr.Evaluator, b *vector.Batch) error {
+	for i := range evs {
+		v, err := evs[i].Eval(b)
 		if err != nil {
 			return err
 		}

@@ -146,38 +146,76 @@ func (c *cycler) Next() (*vector.Batch, error) {
 	return b, nil
 }
 
-// TestSteadyStateNextDoesNotAllocate guards the operator-owned buffers: once
-// warm, a Next of the join, the projection and the segmented aggregate costs
-// no allocation. (Computed expressions allocate their result vector; the
-// operators under test here read bare columns.)
+// TestSteadyStateNextDoesNotAllocate guards the operator-owned buffers and
+// the evaluator-owned expression results: once warm, a Next of the join, the
+// projections, the filter and the segmented aggregate costs no allocation,
+// whether they read bare columns or compute expressions.
 func TestSteadyStateNextDoesNotAllocate(t *testing.T) {
-	schema := types.NewSchema(types.Column{Name: "id", Type: types.Int64}, types.Column{Name: "v", Type: types.Float32})
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.Int64},
+		types.Column{Name: "v", Type: types.Float32},
+		types.Column{Name: "w", Type: types.Float32},
+	)
 	var batches []*vector.Batch
 	for id := 0; id < 4; id++ { // one segment per batch, 32 groups each
 		b := vector.NewBatch(schema, vector.Size)
 		for i := 0; i < vector.Size; i++ {
-			_ = b.AppendRow(types.Int64Datum(int64(id)), types.Float32Datum(float32(i%32)))
+			_ = b.AppendRow(types.Int64Datum(int64(id)), types.Float32Datum(float32(i%32)), types.Float32Datum(float32(i%7)-3))
 		}
 		batches = append(batches, b)
 	}
-	id, v := expr.NewColRef(0, "id", types.Int64), expr.NewColRef(1, "v", types.Float32)
+	id := expr.NewColRef(0, "id", types.Int64)
+	v, w := expr.NewColRef(1, "v", types.Float32), expr.NewColRef(2, "w", types.Float32)
 	input := func() Operator { return &cycler{schema: schema, src: batches} }
+	must := func(e expr.Expr, err error) expr.Expr {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	vw := must(expr.NewBinOp(expr.OpMul, v, w))
+	relu := must(expr.NewFunc("RELU", []expr.Expr{must(expr.NewBinOp(expr.OpAdd, vw, v))}))
+	caseE := must(expr.NewCase([]expr.When{
+		{Cond: must(expr.NewBinOp(expr.OpGt, v, expr.NewConst(types.Float32Datum(16)))), Then: w},
+		{Cond: must(expr.NewBinOp(expr.OpEq, id, expr.NewConst(types.Int64Datum(2)))), Then: id},
+	}, expr.NewConst(types.Float32Datum(0))))
+	cast := expr.NewCast(v, types.Int32)
 
-	_, build := intBatch("id", 0, 1, 1, 2, 3, 3, 3)
-	join, err := NewHashJoin(input(), NewValues(build.Schema, build), []expr.Expr{id}, []expr.Expr{id}, true, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
+	ops := map[string]func() (Operator, error){
+		"HashJoin": func() (Operator, error) {
+			_, build := intBatch("id", 0, 1, 1, 2, 3, 3, 3)
+			return NewHashJoin(input(), NewValues(build.Schema, build), []expr.Expr{id}, []expr.Expr{id}, true, []int{1, 3})
+		},
+		"Project": func() (Operator, error) {
+			return NewProject(input(), []expr.Expr{v, id, v}, []string{"v", "id", "v2"})
+		},
+		"Project RELU(v * w + v)": func() (Operator, error) {
+			return NewProject(input(), []expr.Expr{relu}, []string{"r"})
+		},
+		"Project CASE": func() (Operator, error) {
+			return NewProject(input(), []expr.Expr{caseE}, []string{"c"})
+		},
+		"Project CAST": func() (Operator, error) {
+			return NewProject(input(), []expr.Expr{cast}, []string{"c"})
+		},
+		"Filter id = 2": func() (Operator, error) {
+			return NewFilter(input(), must(expr.NewBinOp(expr.OpEq, id, expr.NewConst(types.Int32Datum(2)))))
+		},
+		"SegmentedAggregate": func() (Operator, error) {
+			return NewSegmentedAggregate(input(), []expr.Expr{id, v}, []string{"id", "v"},
+				[]AggSpec{{Func: AggSum, Arg: v, Name: "s"}, {Func: AggCountStar, Name: "n"}, {Func: AggMax, Arg: v, Name: "m"}}, 0)
+		},
+		"SegmentedAggregate SUM(v * w)": func() (Operator, error) {
+			return NewSegmentedAggregate(input(), []expr.Expr{id, v}, []string{"id", "v"},
+				[]AggSpec{{Func: AggSum, Arg: vw, Name: "s"}}, 0)
+		},
 	}
-	project, err := NewProject(input(), []expr.Expr{v, id, v}, []string{"v", "id", "v2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := NewSegmentedAggregate(input(), []expr.Expr{id, v}, []string{"id", "v"},
-		[]AggSpec{{Func: AggSum, Arg: v, Name: "s"}, {Func: AggCountStar, Name: "n"}, {Func: AggMax, Arg: v, Name: "m"}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, op := range map[string]Operator{"HashJoin": join, "Project": project, "SegmentedAggregate": seg} {
+	for name, build := range ops {
+		op, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		if err := op.Open(); err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,9 @@ func (s *Scan) Open() error {
 		return err
 	}
 	s.scanner = sc
-	s.buf = vector.NewBatch(sc.Schema(), vector.Size)
+	// A batch never holds more than the snapshot: a small partition gets
+	// columns of its own size, not vector.Size.
+	s.buf = vector.NewBatch(sc.Schema(), min(vector.Size, sc.Rows()))
 	return nil
 }
 

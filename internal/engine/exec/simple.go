@@ -13,6 +13,7 @@ import (
 type Filter struct {
 	Child Operator
 	Pred  expr.Expr
+	pred  expr.Evaluator
 	sel   []int
 }
 
@@ -29,6 +30,7 @@ func (f *Filter) Schema() *types.Schema { return f.Child.Schema() }
 
 // Open implements Operator.
 func (f *Filter) Open() error {
+	f.pred = expr.NewEvaluator(f.Pred)
 	f.sel = make([]int, 0, vector.Size)
 	return f.Child.Open()
 }
@@ -40,7 +42,7 @@ func (f *Filter) Next() (*vector.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		v, err := f.Pred.Eval(b)
+		v, err := f.pred.Eval(b)
 		if err != nil {
 			return nil, err
 		}
@@ -74,12 +76,13 @@ func (f *Filter) Close() error { return f.Child.Close() }
 
 // Project evaluates one expression per output column. Its output batch is
 // a reused header: a bare column reference hands the child's vector through
-// without a copy and a computed expression contributes the vector it
-// evaluated into, so a projection moves no values.
+// without a copy and a computed expression contributes the vector its
+// evaluator owns, so a projection moves no values.
 type Project struct {
 	Child  Operator
 	Exprs  []expr.Expr
 	schema *types.Schema
+	evs    []expr.Evaluator
 	out    *vector.Batch
 	// copies[i] is an owned vector for output column i, made the first time
 	// the column turns out to repeat an earlier one (SELECT a, a AS b): two
@@ -104,6 +107,7 @@ func (p *Project) Schema() *types.Schema { return p.schema }
 
 // Open implements Operator.
 func (p *Project) Open() error {
+	p.evs = expr.NewEvaluators(p.Exprs)
 	p.out = &vector.Batch{Schema: p.schema, Vecs: make([]*vector.Vector, len(p.Exprs))}
 	p.copies = make([]*vector.Vector, len(p.Exprs))
 	return p.Child.Open()
@@ -115,8 +119,8 @@ func (p *Project) Next() (*vector.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	for i, e := range p.Exprs {
-		v, err := e.Eval(b)
+	for i := range p.evs {
+		v, err := p.evs[i].Eval(b)
 		if err != nil {
 			return nil, err
 		}

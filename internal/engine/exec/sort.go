@@ -14,6 +14,15 @@ type SortKey struct {
 	Desc bool
 }
 
+// keyEvaluators returns one evaluator per sort key.
+func keyEvaluators(keys []SortKey) []expr.Evaluator {
+	evs := make([]expr.Evaluator, len(keys))
+	for i, k := range keys {
+		evs[i] = expr.NewEvaluator(k.E)
+	}
+	return evs
+}
+
 // Sort materializes its input and emits it ordered by the sort keys. It is
 // a pipeline breaker; ML-To-SQL avoids planting sorts by exploiting
 // order-preserving joins over pre-sorted tables instead (Sec. 4.4).
@@ -42,6 +51,7 @@ func (s *Sort) Open() error {
 	for i, k := range s.Keys {
 		keyVals[i] = vector.New(k.E.Type(), 0)
 	}
+	keyEvs := keyEvaluators(s.Keys)
 	for {
 		b, err := s.Child.Next()
 		if err != nil {
@@ -50,8 +60,8 @@ func (s *Sort) Open() error {
 		if b == nil {
 			break
 		}
-		for i, k := range s.Keys {
-			v, err := k.E.Eval(b)
+		for i := range keyEvs {
+			v, err := keyEvs[i].Eval(b)
 			if err != nil {
 				return err
 			}

@@ -79,6 +79,8 @@ func (t *TopN) Open() error {
 	t.rows = &rowHeap{keys: t.Keys, nkey: len(t.Keys)}
 	t.emitPos = 0
 	t.sorted = nil
+	keyEvs := keyEvaluators(t.Keys)
+	keyVecs := make([]*vector.Vector, len(t.Keys))
 	for {
 		b, err := t.Child.Next()
 		if err != nil {
@@ -87,11 +89,8 @@ func (t *TopN) Open() error {
 		if b == nil {
 			break
 		}
-		keyVecs := make([]*vector.Vector, len(t.Keys))
-		for i, k := range t.Keys {
-			if keyVecs[i], err = k.E.Eval(b); err != nil {
-				return err
-			}
+		if err := evalInto(keyVecs, keyEvs, b); err != nil {
+			return err
 		}
 		for r := 0; r < b.Len(); r++ {
 			entry := make([]types.Datum, 0, len(t.Keys)+t.schema.Len())

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"strings"
 
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
@@ -91,20 +92,17 @@ func (b *BinOp) Type() types.T { return b.typ }
 // String implements Expr.
 func (b *BinOp) String() string { return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R) }
 
-// Eval implements Expr with typed fast paths for the numeric kernels the
-// generated ML queries spend their time in.
-func (b *BinOp) Eval(batch *vector.Batch) (*vector.Vector, error) {
-	lv, err := b.L.Eval(batch)
+// eval runs the typed kernel of the operand type over both operands.
+func (b *BinOp) eval(ev *Evaluator, batch *vector.Batch) (*vector.Vector, error) {
+	lv, err := b.L.eval(ev, batch)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := b.R.Eval(batch)
+	rv, err := b.R.eval(ev, batch)
 	if err != nil {
 		return nil, err
 	}
-	n := lv.Len()
-	out := vector.New(b.typ, n)
-	out.SetLen(n)
+	out := ev.result(b.typ, lv.Len())
 
 	if b.Op == OpAnd || b.Op == OpOr {
 		evalLogic(b.Op, lv, rv, out)
@@ -120,30 +118,19 @@ func (b *BinOp) Eval(batch *vector.Batch) (*vector.Vector, error) {
 		evalI32(b.Op, lv.Int32s(), rv.Int32s(), out)
 	case types.Int64:
 		evalI64(b.Op, lv.Int64s(), rv.Int64s(), out)
-	default:
-		if err := evalGeneric(b.Op, lv, rv, out); err != nil {
-			return nil, err
+	default: // VARCHAR or BOOLEAN: comparisons only
+		if !b.Op.IsComparison() {
+			return nil, fmt.Errorf("expr: %s unsupported for %s operands", b.Op, b.argT)
+		}
+		if b.argT == types.String {
+			compareInto(b.Op, lv.Strings(), rv.Strings(), out.Bools(), strings.Compare)
+		} else {
+			compareInto(b.Op, lv.Bools(), rv.Bools(), out.Bools(), compareBool)
 		}
 	}
-	propagateNulls(out, lv, rv)
+	orNulls(out, lv)
+	orNulls(out, rv)
 	return out, nil
-}
-
-func propagateNulls(out, l, r *vector.Vector) {
-	if ln := l.Nulls(); ln != nil {
-		for i, isNull := range ln {
-			if isNull {
-				out.SetNull(i)
-			}
-		}
-	}
-	if rn := r.Nulls(); rn != nil {
-		for i, isNull := range rn {
-			if isNull {
-				out.SetNull(i)
-			}
-		}
-	}
 }
 
 // evalLogic implements Kleene three-valued AND/OR.
@@ -331,15 +318,22 @@ func evalI64(op Op, l, r []int64, out *vector.Vector) {
 	}
 }
 
-func evalGeneric(op Op, l, r, out *vector.Vector) error {
-	if !op.IsComparison() {
-		return fmt.Errorf("expr: %s unsupported for %s operands", op, l.Type())
+func compareInto[T any](op Op, l, r []T, o []bool, compare func(a, b T) int) {
+	for i, v := range l {
+		o[i] = cmpResult(op, compare(v, r[i]))
 	}
-	o := out.Bools()
-	for i := range o {
-		o[i] = cmpResult(op, l.Datum(i).Compare(r.Datum(i)))
+}
+
+// compareBool orders FALSE before TRUE.
+func compareBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case !a:
+		return -1
+	default:
+		return 1
 	}
-	return nil
 }
 
 func compareF64(a, b float64) int {
@@ -411,15 +405,12 @@ func (u *UnaryOp) Type() types.T { return u.E.Type() }
 // String implements Expr.
 func (u *UnaryOp) String() string { return fmt.Sprintf("(%s %s)", u.Op, u.E) }
 
-// Eval implements Expr.
-func (u *UnaryOp) Eval(batch *vector.Batch) (*vector.Vector, error) {
-	in, err := u.E.Eval(batch)
+func (u *UnaryOp) eval(ev *Evaluator, batch *vector.Batch) (*vector.Vector, error) {
+	in, err := u.E.eval(ev, batch)
 	if err != nil {
 		return nil, err
 	}
-	n := in.Len()
-	out := vector.New(u.Type(), n)
-	out.SetLen(n)
+	out := ev.result(u.Type(), in.Len())
 	switch {
 	case u.Op == OpNot:
 		o, b := out.Bools(), in.Bools()
@@ -447,12 +438,6 @@ func (u *UnaryOp) Eval(batch *vector.Batch) (*vector.Vector, error) {
 			o[i] = -v
 		}
 	}
-	if nulls := in.Nulls(); nulls != nil {
-		for i, isNull := range nulls {
-			if isNull {
-				out.SetNull(i)
-			}
-		}
-	}
+	orNulls(out, in)
 	return out, nil
 }

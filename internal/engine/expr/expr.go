@@ -13,15 +13,17 @@ import (
 	"indbml/internal/engine/vector"
 )
 
-// Expr is a bound, evaluable expression. Eval produces one output value per
-// input row of the batch.
+// Expr is a bound expression. A bound tree is immutable, so any number of
+// operators and goroutines may share it; evaluation state lives in an
+// Evaluator.
 type Expr interface {
 	// Type returns the expression's result type.
 	Type() types.T
-	// Eval evaluates the expression over a batch.
-	Eval(b *vector.Batch) (*vector.Vector, error)
 	// String renders the expression as SQL-ish text for EXPLAIN output.
 	String() string
+	// eval computes one output value per row of b, taking the result
+	// vectors of the node and its subtree from ev in evaluation order.
+	eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error)
 }
 
 // ColRef reads column Idx of the input batch.
@@ -39,8 +41,8 @@ func NewColRef(idx int, name string, t types.T) *ColRef {
 // Type implements Expr.
 func (c *ColRef) Type() types.T { return c.Typ }
 
-// Eval implements Expr; it returns the batch's vector without copying.
-func (c *ColRef) Eval(b *vector.Batch) (*vector.Vector, error) {
+// eval returns the batch's vector without copying.
+func (c *ColRef) eval(_ *Evaluator, b *vector.Batch) (*vector.Vector, error) {
 	if c.Idx >= len(b.Vecs) {
 		return nil, fmt.Errorf("expr: column %d (%s) out of range (batch has %d)", c.Idx, c.Name, len(b.Vecs))
 	}
@@ -66,12 +68,20 @@ func NewConst(d types.Datum) *Const { return &Const{Val: d} }
 // Type implements Expr.
 func (c *Const) Type() types.T { return c.Val.Type }
 
-// Eval implements Expr.
-func (c *Const) Eval(b *vector.Batch) (*vector.Vector, error) {
+// eval fills the constant's vector when it first has to grow and only
+// re-lengths it after that.
+func (c *Const) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
 	n := b.Len()
-	v := vector.New(c.Val.Type, n)
-	v.SetLen(n)
-	for i := 0; i < n; i++ {
+	v := ev.slot(c.Val.Type, n)
+	if v.Len() >= n {
+		// Filled by an earlier batch. A consumer may have narrowed it in
+		// place since, which leaves every remaining value the constant.
+		v.SetLen(n)
+		return v, nil
+	}
+	v.Reset()
+	v.Resize(n)
+	for i := range n {
 		v.SetDatum(i, c.Val)
 	}
 	return v, nil
@@ -102,73 +112,100 @@ func NewCast(e Expr, to types.T) Expr {
 // Type implements Expr.
 func (c *Cast) Type() types.T { return c.To }
 
-// Eval implements Expr.
-func (c *Cast) Eval(b *vector.Batch) (*vector.Vector, error) {
-	in, err := c.E.Eval(b)
+func (c *Cast) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
+	in, err := c.E.eval(ev, b)
 	if err != nil {
 		return nil, err
 	}
-	n := in.Len()
-	out := vector.New(c.To, n)
-	out.SetLen(n)
-	// Fast numeric paths for the conversions the ML queries exercise.
-	switch {
-	case in.Type() == types.Float64 && c.To == types.Float32:
-		dst, src := out.Float32s(), in.Float64s()
-		for i, v := range src {
-			dst[i] = float32(v)
-		}
-	case in.Type() == types.Float32 && c.To == types.Float64:
-		dst, src := out.Float64s(), in.Float32s()
-		for i, v := range src {
-			dst[i] = float64(v)
-		}
-	case in.Type() == types.Int32 && c.To == types.Float32:
-		dst, src := out.Float32s(), in.Int32s()
-		for i, v := range src {
-			dst[i] = float32(v)
-		}
-	case in.Type() == types.Int32 && c.To == types.Int64:
-		dst, src := out.Int64s(), in.Int32s()
-		for i, v := range src {
-			dst[i] = int64(v)
-		}
-	default:
-		for i := 0; i < n; i++ {
-			d := in.Datum(i)
-			if d.Null {
-				out.SetNull(i)
-				continue
-			}
-			out.SetDatum(i, convertDatum(d, c.To))
-		}
-	}
-	if nulls := in.Nulls(); nulls != nil {
-		for i, isNull := range nulls {
-			if isNull {
-				out.SetNull(i)
-			}
-		}
-	}
-	return out, nil
+	out := ev.result(c.To, in.Len())
+	return out, castInto(out, in)
 }
 
-func convertDatum(d types.Datum, to types.T) types.Datum {
-	switch to {
-	case types.Bool:
-		return types.BoolDatum(d.Type == types.Bool && d.B)
-	case types.Int32:
-		return types.Int32Datum(int32(d.Int()))
-	case types.Int64:
-		return types.Int64Datum(d.Int())
-	case types.Float32:
-		return types.Float32Datum(float32(d.Float()))
-	case types.Float64:
-		return types.Float64Datum(d.Float())
-	case types.String:
-		return types.StringDatum(d.String())
+// castInto converts in into out, a vector of another type with in's length
+// and no NULLs. Numeric and boolean pairs convert with typed loops: floats
+// truncate toward zero into integers (through int64), a number is TRUE when
+// it is non-zero, TRUE is 1. Any value renders into VARCHAR; VARCHAR converts
+// to nothing else.
+func castInto(out, in *vector.Vector) error {
+	switch {
+	case out.Type() == types.String:
+		s := out.Strings()
+		for i := range s {
+			if !in.NullAt(i) {
+				s[i] = in.Datum(i).String()
+			}
+		}
+	case in.Type() == types.Bool:
+		castBools(out, in.Bools())
+	case in.Type() == types.Int32:
+		castNumbers(out, in.Int32s())
+	case in.Type() == types.Int64:
+		castNumbers(out, in.Int64s())
+	case in.Type() == types.Float32:
+		castNumbers(out, in.Float32s())
+	case in.Type() == types.Float64:
+		castNumbers(out, in.Float64s())
+	default:
+		return fmt.Errorf("expr: cannot cast %s to %s", in.Type(), out.Type())
 	}
-	return types.NullDatum(to)
+	orNulls(out, in)
+	return nil
+}
+
+type number interface {
+	int32 | int64 | float32 | float64
+}
+
+func castNumbers[S number](out *vector.Vector, src []S) {
+	switch out.Type() {
+	case types.Bool:
+		o := out.Bools()
+		for i, x := range src {
+			o[i] = x != 0
+		}
+	case types.Int32:
+		toInt(out.Int32s(), src)
+	case types.Int64:
+		toInt(out.Int64s(), src)
+	case types.Float32:
+		toFloat(out.Float32s(), src)
+	case types.Float64:
+		toFloat(out.Float64s(), src)
+	}
+}
+
+func toInt[D int32 | int64, S number](dst []D, src []S) {
+	for i, x := range src {
+		dst[i] = D(int64(x))
+	}
+}
+
+func toFloat[D float32 | float64, S number](dst []D, src []S) {
+	for i, x := range src {
+		dst[i] = D(float64(x))
+	}
+}
+
+func castBools(out *vector.Vector, src []bool) {
+	switch out.Type() {
+	case types.Int32:
+		fromBools(out.Int32s(), src)
+	case types.Int64:
+		fromBools(out.Int64s(), src)
+	case types.Float32:
+		fromBools(out.Float32s(), src)
+	case types.Float64:
+		fromBools(out.Float64s(), src)
+	}
+}
+
+func fromBools[D number](dst []D, src []bool) {
+	for i, x := range src {
+		dst[i] = 0
+		if x {
+			dst[i] = 1
+		}
+	}
 }
 
 // String implements Expr.
@@ -187,17 +224,14 @@ func NewIsNull(e Expr, not bool) *IsNull { return &IsNull{E: e, Not: not} }
 // Type implements Expr.
 func (i *IsNull) Type() types.T { return types.Bool }
 
-// Eval implements Expr.
-func (i *IsNull) Eval(b *vector.Batch) (*vector.Vector, error) {
-	in, err := i.E.Eval(b)
+func (i *IsNull) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
+	in, err := i.E.eval(ev, b)
 	if err != nil {
 		return nil, err
 	}
-	n := in.Len()
-	out := vector.New(types.Bool, n)
-	out.SetLen(n)
+	out := ev.result(types.Bool, in.Len())
 	o := out.Bools()
-	for r := 0; r < n; r++ {
+	for r := range o {
 		o[r] = in.NullAt(r) != i.Not
 	}
 	return out, nil
@@ -256,58 +290,83 @@ func NewCase(whens []When, elseE Expr) (*Case, error) {
 // Type implements Expr.
 func (c *Case) Type() types.T { return c.Typ }
 
-// Eval implements Expr. All arms are evaluated over the full batch and the
-// result is assembled per row; with the engine's small batches this keeps
-// the code vectorized without branch-heavy row loops per arm.
-func (c *Case) Eval(b *vector.Batch) (*vector.Vector, error) {
+// eval evaluates every arm over the full batch and assembles the result by
+// typed select-by-mask: each arm copies in the rows whose condition is TRUE
+// and no earlier arm took, the ELSE (or NULL) fills the rest.
+func (c *Case) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
 	n := b.Len()
-	conds := make([]*vector.Vector, len(c.Whens))
-	thens := make([]*vector.Vector, len(c.Whens))
-	for i, w := range c.Whens {
-		cv, err := w.Cond.Eval(b)
+	out := ev.result(c.Typ, n)
+	done := ev.result(types.Bool, n).Bools() // rows an arm took
+	take := ev.result(types.Bool, n).Bools() // rows the current arm takes
+	clear(done)
+	for _, w := range c.Whens {
+		cond, err := w.Cond.eval(ev, b)
 		if err != nil {
 			return nil, err
 		}
-		tv, err := w.Then.Eval(b)
+		then, err := ev.evalAs(w.Then, c.Typ, b)
 		if err != nil {
 			return nil, err
 		}
-		conds[i], thens[i] = cv, tv
-	}
-	var elseV *vector.Vector
-	if c.Else != nil {
-		var err error
-		if elseV, err = c.Else.Eval(b); err != nil {
-			return nil, err
+		condNulls := cond.Nulls()
+		for r, x := range cond.Bools() {
+			t := x && !done[r] && (condNulls == nil || !condNulls[r])
+			take[r] = t
+			done[r] = done[r] || t
 		}
+		pick(out, then, take)
 	}
-	out := vector.New(c.Typ, n)
-	out.SetLen(n)
-	for r := 0; r < n; r++ {
-		matched := false
-		for i, cv := range conds {
-			if !cv.NullAt(r) && cv.Bools()[r] {
-				d := thens[i].Datum(r)
-				if d.Null {
-					out.SetNull(r)
-				} else {
-					out.SetDatum(r, convertDatum(d, c.Typ))
-				}
-				matched = true
-				break
+	for r, d := range done {
+		take[r] = !d
+	}
+	if c.Else == nil {
+		for r, t := range take {
+			if t {
+				out.SetNull(r)
 			}
 		}
-		if !matched {
-			if elseV == nil {
-				out.SetNull(r)
-			} else if d := elseV.Datum(r); d.Null {
-				out.SetNull(r)
-			} else {
-				out.SetDatum(r, convertDatum(d, c.Typ))
-			}
-		}
+		return out, nil
 	}
+	els, err := ev.evalAs(c.Else, c.Typ, b)
+	if err != nil {
+		return nil, err
+	}
+	pick(out, els, take)
 	return out, nil
+}
+
+// pick copies the rows of src where take is set into out, NULLs included.
+// out must have no NULL among those rows yet.
+func pick(out, src *vector.Vector, take []bool) {
+	switch out.Type() {
+	case types.Bool:
+		pickRows(out.Bools(), src.Bools(), take)
+	case types.Int32:
+		pickRows(out.Int32s(), src.Int32s(), take)
+	case types.Int64:
+		pickRows(out.Int64s(), src.Int64s(), take)
+	case types.Float32:
+		pickRows(out.Float32s(), src.Float32s(), take)
+	case types.Float64:
+		pickRows(out.Float64s(), src.Float64s(), take)
+	case types.String:
+		pickRows(out.Strings(), src.Strings(), take)
+	}
+	if nulls := src.Nulls(); nulls != nil {
+		for r, t := range take {
+			if t && nulls[r] {
+				out.SetNull(r)
+			}
+		}
+	}
+}
+
+func pickRows[T any](dst, src []T, take []bool) {
+	for r, t := range take {
+		if t {
+			dst[r] = src[r]
+		}
+	}
 }
 
 // String implements Expr.

@@ -20,7 +20,8 @@ func f32Batch(name string, vals ...float32) (*vector.Batch, *ColRef) {
 
 func evalOne(t *testing.T, e Expr, b *vector.Batch) *vector.Vector {
 	t.Helper()
-	v, err := e.Eval(b)
+	ev := NewEvaluator(e)
+	v, err := ev.Eval(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +245,9 @@ func TestSigmoidIdentityProperty(t *testing.T) {
 		expNegX, _ := NewFunc("EXP", []Expr{negX})
 		onePlus, _ := NewBinOp(OpAdd, NewConst(types.Float32Datum(1)), expNegX)
 		portable, _ := NewBinOp(OpDiv, NewConst(types.Float32Datum(1)), onePlus)
-		nv, err1 := native.Eval(b)
-		pv, err2 := portable.Eval(b)
+		nev, pev := NewEvaluator(native), NewEvaluator(portable)
+		nv, err1 := nev.Eval(b)
+		pv, err2 := pev.Eval(b)
 		if err1 != nil || err2 != nil {
 			return false
 		}

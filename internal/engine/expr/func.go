@@ -109,38 +109,34 @@ func (f *Func) String() string {
 	return fmt.Sprintf("%s(%s)", f.Name, strings.Join(parts, ", "))
 }
 
-// Eval implements Expr.
-func (f *Func) Eval(b *vector.Batch) (*vector.Vector, error) {
-	args := make([]*vector.Vector, len(f.Args))
-	for i, a := range f.Args {
-		v, err := a.Eval(b)
-		if err != nil {
+// eval evaluates the one or two arguments and runs the function's kernel.
+func (f *Func) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
+	x, err := f.Args[0].eval(ev, b)
+	if err != nil {
+		return nil, err
+	}
+	var y *vector.Vector
+	if len(f.Args) == 2 {
+		if y, err = f.Args[1].eval(ev, b); err != nil {
 			return nil, err
 		}
-		args[i] = v
 	}
-	n := args[0].Len()
-	out := vector.New(f.typ, n)
-	out.SetLen(n)
+	out := ev.result(f.typ, x.Len())
 	if f.typ == types.Float32 {
-		f.evalF32(args, out)
+		f.evalF32(x, y, out)
 	} else {
-		f.evalF64(args, out)
+		f.evalF64(x, y, out)
 	}
-	for _, a := range args {
-		if nulls := a.Nulls(); nulls != nil {
-			for i, isNull := range nulls {
-				if isNull {
-					out.SetNull(i)
-				}
-			}
-		}
+	orNulls(out, x)
+	if y != nil {
+		orNulls(out, y)
 	}
 	return out, nil
 }
 
-func (f *Func) evalF32(args []*vector.Vector, out *vector.Vector) {
-	x := args[0].Float32s()
+// evalF32 computes a REAL function of x (and y, for the two-argument ones).
+func (f *Func) evalF32(xv, yv *vector.Vector, out *vector.Vector) {
+	x := xv.Float32s()
 	o := out.Float32s()
 	switch f.Kind {
 	case FuncExp:
@@ -164,7 +160,7 @@ func (f *Func) evalF32(args []*vector.Vector, out *vector.Vector) {
 			}
 		}
 	case FuncPow:
-		y := args[1].Float32s()
+		y := yv.Float32s()
 		for i, v := range x {
 			o[i] = float32(math.Pow(float64(v), float64(y[i])))
 		}
@@ -201,7 +197,7 @@ func (f *Func) evalF32(args []*vector.Vector, out *vector.Vector) {
 			}
 		}
 	case FuncGreatest:
-		y := args[1].Float32s()
+		y := yv.Float32s()
 		for i, v := range x {
 			if y[i] > v {
 				o[i] = y[i]
@@ -210,7 +206,7 @@ func (f *Func) evalF32(args []*vector.Vector, out *vector.Vector) {
 			}
 		}
 	case FuncLeast:
-		y := args[1].Float32s()
+		y := yv.Float32s()
 		for i, v := range x {
 			if y[i] < v {
 				o[i] = y[i]
@@ -221,8 +217,9 @@ func (f *Func) evalF32(args []*vector.Vector, out *vector.Vector) {
 	}
 }
 
-func (f *Func) evalF64(args []*vector.Vector, out *vector.Vector) {
-	x := args[0].Float64s()
+// evalF64 computes a DOUBLE function of x (and y, for the two-argument ones).
+func (f *Func) evalF64(xv, yv *vector.Vector, out *vector.Vector) {
+	x := xv.Float64s()
 	o := out.Float64s()
 	switch f.Kind {
 	case FuncExp:
@@ -242,7 +239,7 @@ func (f *Func) evalF64(args []*vector.Vector, out *vector.Vector) {
 			o[i] = math.Abs(v)
 		}
 	case FuncPow:
-		y := args[1].Float64s()
+		y := yv.Float64s()
 		for i, v := range x {
 			o[i] = math.Pow(v, y[i])
 		}
@@ -275,12 +272,12 @@ func (f *Func) evalF64(args []*vector.Vector, out *vector.Vector) {
 			o[i] = math.Max(0, v)
 		}
 	case FuncGreatest:
-		y := args[1].Float64s()
+		y := yv.Float64s()
 		for i, v := range x {
 			o[i] = math.Max(v, y[i])
 		}
 	case FuncLeast:
-		y := args[1].Float64s()
+		y := yv.Float64s()
 		for i, v := range x {
 			o[i] = math.Min(v, y[i])
 		}
@@ -354,7 +351,8 @@ func Fold(e Expr) Expr {
 func evalConst(e Expr) (types.Datum, bool) {
 	b := vector.NewBatch(types.NewSchema(), 1)
 	b.SetLen(1)
-	v, err := e.Eval(b)
+	ev := NewEvaluator(e)
+	v, err := ev.Eval(b)
 	if err != nil || v.Len() != 1 {
 		return types.Datum{}, false
 	}

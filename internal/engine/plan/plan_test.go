@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"indbml/internal/engine/exec"
+	"indbml/internal/engine/expr"
 	"indbml/internal/engine/sql"
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
@@ -260,7 +261,8 @@ func TestBindConstExpr(t *testing.T) {
 	}
 	oneRow := vector.NewBatch(types.NewSchema(), 1)
 	oneRow.SetLen(1)
-	v, err := e.Eval(oneRow)
+	ev := expr.NewEvaluator(e)
+	v, err := ev.Eval(oneRow)
 	if err != nil || v.Int32s()[0] != 5 {
 		t.Errorf("const eval = %v, %v", v, err)
 	}

@@ -381,6 +381,18 @@ func (t *Table) checkFilters(filters []RangeFilter) error {
 	return nil
 }
 
+// Rows returns the number of rows in the scanner's snapshot, pruned blocks
+// included: an upper bound on what it produces.
+func (s *Scanner) Rows() int {
+	n := 0
+	if len(s.chunks) > 0 {
+		for _, b := range s.chunks[0] {
+			n += b.n
+		}
+	}
+	return n
+}
+
 // Schema returns the scanner's output schema (the projection).
 func (s *Scanner) Schema() *types.Schema { return s.schema }
 
