@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"indbml/internal/engine/storage"
-	"indbml/internal/engine/vector"
 )
 
 // ParseMeta parses the JSON form produced by Meta.String — the payload of
@@ -24,60 +23,17 @@ func ParseMeta(text string) (*Meta, error) {
 	return &m, nil
 }
 
-// LoadStatements renders the model table as executable statements for
-// replication to a remote engine over the wire protocol: one CREATE MODEL
-// TABLE carrying the metadata JSON inline (so the receiving engine registers
-// the model, not just the table), followed by batched INSERTs of the weight
-// rows. Unlike WriteLoadSQL — which emits portable plain-SQL for any engine
-// — the output depends on this dialect's META clause.
-func LoadStatements(tbl *storage.Table, meta *Meta) ([]string, error) {
-	metaJSON := meta.String()
+// CreateStatement renders the statement that recreates the model table on
+// a remote engine over the wire protocol: a CREATE MODEL TABLE carrying the
+// metadata JSON inline, so the receiving engine registers the model, not
+// just the table. The weight rows follow as a row stream. Unlike
+// WriteLoadSQL — which emits portable plain SQL for any engine — it depends
+// on this dialect's META clause.
+func CreateStatement(tbl *storage.Table, meta *Meta) string {
 	create := fmt.Sprintf("CREATE MODEL TABLE %s META '%s'",
-		tbl.Name, strings.ReplaceAll(metaJSON, "'", "''"))
+		tbl.Name, strings.ReplaceAll(meta.String(), "'", "''"))
 	if p := tbl.Partitions(); p > 1 {
 		create += fmt.Sprintf(" PARTITIONS %d", p)
 	}
-	stmts := []string{create}
-
-	const rowsPerInsert = 256
-	schema := tbl.Schema
-	var sb strings.Builder
-	pending := 0
-	flush := func() {
-		if pending > 0 {
-			stmts = append(stmts, sb.String())
-			sb.Reset()
-			pending = 0
-		}
-	}
-	for p := 0; p < tbl.Partitions(); p++ {
-		sc, err := tbl.NewScanner(p, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		buf := vector.NewBatch(sc.Schema(), vector.Size)
-		for sc.Next(buf) {
-			for r := 0; r < buf.Len(); r++ {
-				if pending == 0 {
-					fmt.Fprintf(&sb, "INSERT INTO %s VALUES ", tbl.Name)
-				} else {
-					sb.WriteString(", ")
-				}
-				sb.WriteByte('(')
-				for c := 0; c < schema.Len(); c++ {
-					if c > 0 {
-						sb.WriteString(", ")
-					}
-					sb.WriteString(sqlLiteral(buf.Vecs[c].Datum(r)))
-				}
-				sb.WriteByte(')')
-				pending++
-				if pending >= rowsPerInsert {
-					flush()
-				}
-			}
-		}
-	}
-	flush()
-	return stmts, nil
+	return create
 }

@@ -14,7 +14,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
@@ -138,20 +137,46 @@ func (co *Coordinator) shardColumn(table string) (string, bool) {
 	return col, ok
 }
 
-// hashKey maps a shard-key value to a shard index (FNV-1a over the
-// canonical text of the value).
-func (co *Coordinator) hashKey(key string) int {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return int(h.Sum64() % uint64(len(co.shards)))
+// shardOf maps the shard-key value in row r of key to a shard: FNV-1a over
+// the value's canonical text — integers in decimal, floats in their
+// shortest form, booleans as true/false — so a value lands on one shard
+// however the statement spelled it (7 and 7.0 bind to the same INTEGER)
+// and whichever integer width its column has. The text is formatted into a
+// stack buffer: placing a row allocates nothing.
+func shardOf(key *vector.Vector, r, shards int) int {
+	var buf [32]byte
+	var h uint64
+	switch key.Type() {
+	case types.String:
+		h = fnv1a(key.Strings()[r])
+	case types.Bool:
+		h = fnv1a(strconv.AppendBool(buf[:0], key.Bools()[r]))
+	case types.Int32:
+		h = fnv1a(strconv.AppendInt(buf[:0], int64(key.Int32s()[r]), 10))
+	case types.Int64:
+		h = fnv1a(strconv.AppendInt(buf[:0], key.Int64s()[r], 10))
+	case types.Float32:
+		h = fnv1a(strconv.AppendFloat(buf[:0], float64(key.Float32s()[r]), 'g', -1, 32))
+	case types.Float64:
+		h = fnv1a(strconv.AppendFloat(buf[:0], key.Float64s()[r], 'g', -1, 64))
+	}
+	return int(h % uint64(shards))
 }
 
-// broadcast runs one statement on every shard concurrently and returns the
-// first error.
-func (co *Coordinator) broadcast(ctx context.Context, sqlText string) error {
+func fnv1a[T string | []byte](s T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// each runs f on every shard concurrently and returns the first error.
+func (co *Coordinator) each(f func(i int, p *shardPool) error) error {
 	errs := make(chan error, len(co.shards))
-	for _, p := range co.shards {
-		go func(p *shardPool) { errs <- p.exec(ctx, sqlText) }(p)
+	for i, p := range co.shards {
+		go func() { errs <- f(i, p) }()
 	}
 	var first error
 	for range co.shards {
@@ -160,6 +185,17 @@ func (co *Coordinator) broadcast(ctx context.Context, sqlText string) error {
 		}
 	}
 	return first
+}
+
+// broadcast runs one statement on every shard concurrently and returns the
+// first error.
+func (co *Coordinator) broadcast(ctx context.Context, sqlText string) error {
+	return co.each(func(_ int, p *shardPool) error { return p.exec(ctx, sqlText) })
+}
+
+// ship appends b to table on every shard, one row stream each.
+func (co *Coordinator) ship(ctx context.Context, table string, b *vector.Batch) error {
+	return co.each(func(_ int, p *shardPool) error { return p.insert(ctx, table, b) })
 }
 
 // RouteExec implements db.Router for DDL/DML: replicated statements run
@@ -181,13 +217,21 @@ func (co *Coordinator) RouteExec(ctx context.Context, stmt sql.Stmt, text string
 		}
 		return true, nil
 	case *sql.InsertStmt:
-		if col, ok := co.shardColumn(s.Table); ok {
-			return true, co.scatterInsert(ctx, s, col)
-		}
-		if err := co.db.ExecStmtLocal(stmt); err != nil {
+		b, err := co.db.BindInsert(s)
+		if err != nil {
 			return true, err
 		}
-		return true, co.broadcast(ctx, text)
+		if col, ok := co.shardColumn(s.Table); ok {
+			return true, co.scatterInsert(ctx, s.Table, b, col)
+		}
+		tbl, err := co.db.Table(s.Table)
+		if err != nil {
+			return true, err
+		}
+		if err := tbl.Append(b); err != nil {
+			return true, err
+		}
+		return true, co.ship(ctx, s.Table, b)
 	case *sql.DeleteStmt:
 		return true, co.routeMutation(ctx, stmt, s.Table, text)
 	case *sql.UpdateStmt:
@@ -231,125 +275,38 @@ func (co *Coordinator) routeMutation(ctx context.Context, stmt sql.Stmt, table, 
 	return co.broadcast(ctx, text)
 }
 
-// scatterInsert hash-partitions literal INSERT rows by their shard-column
-// value and issues one batched INSERT per target shard.
-func (co *Coordinator) scatterInsert(ctx context.Context, s *sql.InsertStmt, shardCol string) error {
-	keyIdx := -1
-	if len(s.Cols) > 0 {
-		for i, c := range s.Cols {
-			if strings.EqualFold(c, shardCol) {
-				keyIdx = i
-				break
+// scatterInsert splits an INSERT bound into b by each row's shard-key value
+// and ships every shard its share as one row stream. A NULL key fails the
+// statement before anything ships.
+func (co *Coordinator) scatterInsert(ctx context.Context, table string, b *vector.Batch, shardCol string) error {
+	ki, ok := b.Schema.Lookup(shardCol)
+	if !ok {
+		return fmt.Errorf("dist: shard column %q missing from table %s", shardCol, table)
+	}
+	key := b.Vecs[ki]
+	sels := make([][]int, len(co.shards))
+	for r := range b.Len() {
+		if key.NullAt(r) {
+			return fmt.Errorf("dist: INSERT row %d: shard column %q is NULL", r, shardCol)
+		}
+		i := shardOf(key, r, len(co.shards))
+		sels[i] = append(sels[i], r)
+	}
+	return co.each(func(i int, p *shardPool) error {
+		share := b // when every row lands on this shard
+		switch len(sels[i]) {
+		case 0:
+			return nil
+		case b.Len():
+		default:
+			share = vector.NewBatch(b.Schema, len(sels[i]))
+			for c, v := range share.Vecs {
+				v.AppendFrom(b.Vecs[c], sels[i])
 			}
+			share.SetLen(len(sels[i]))
 		}
-	} else {
-		tbl, err := co.db.Table(s.Table)
-		if err != nil {
-			return err
-		}
-		idx, ok := tbl.Schema.Lookup(shardCol)
-		if !ok {
-			return fmt.Errorf("dist: shard column %q missing from table %s", shardCol, s.Table)
-		}
-		keyIdx = idx
-	}
-	if keyIdx < 0 {
-		return fmt.Errorf("dist: INSERT into sharded table %s must supply shard column %q", s.Table, shardCol)
-	}
-
-	perShard := make([][][]sql.Expr, len(co.shards))
-	for ri, row := range s.Rows {
-		if keyIdx >= len(row) {
-			return fmt.Errorf("dist: INSERT row %d is missing the shard column", ri)
-		}
-		key, err := literalKey(row[keyIdx])
-		if err != nil {
-			return fmt.Errorf("dist: INSERT row %d: %w", ri, err)
-		}
-		idx := co.hashKey(key)
-		perShard[idx] = append(perShard[idx], row)
-	}
-
-	errs := make(chan error, len(co.shards))
-	n := 0
-	for i, rows := range perShard {
-		if len(rows) == 0 {
-			continue
-		}
-		n++
-		go func(p *shardPool, rows [][]sql.Expr) {
-			errs <- p.exec(ctx, renderInsert(s.Table, s.Cols, rows))
-		}(co.shards[i], rows)
-	}
-	var first error
-	for ; n > 0; n-- {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// literalKey canonicalizes a literal shard-key expression: the hash input
-// must not depend on how the value was spelled.
-func literalKey(e sql.Expr) (string, error) {
-	switch e := e.(type) {
-	case *sql.StringLit:
-		return e.Val, nil
-	case *sql.BoolLit:
-		return strconv.FormatBool(e.Val), nil
-	case *sql.NumberLit:
-		if i, err := strconv.ParseInt(e.Text, 10, 64); err == nil {
-			return strconv.FormatInt(i, 10), nil
-		}
-		f, err := strconv.ParseFloat(e.Text, 64)
-		if err != nil {
-			return "", fmt.Errorf("bad numeric shard key %q", e.Text)
-		}
-		return strconv.FormatFloat(f, 'g', -1, 64), nil
-	case *sql.UnaryExpr:
-		if e.Op == "-" {
-			inner, err := literalKey(e.E)
-			if err != nil {
-				return "", err
-			}
-			return "-" + inner, nil
-		}
-	}
-	return "", fmt.Errorf("shard key must be a literal, got %s", e)
-}
-
-// renderInsert renders one shard's share of an INSERT. Names go through the
-// same quoting as rendered SELECTs, so a keyword-named or quoted column
-// reaches the shard as the column the client named.
-func renderInsert(table string, cols []string, rows [][]sql.Expr) string {
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO " + sql.QuoteTableName(table))
-	if len(cols) > 0 {
-		sb.WriteString(" (")
-		for i, c := range cols {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(sql.QuoteIdent(c))
-		}
-		sb.WriteByte(')')
-	}
-	sb.WriteString(" VALUES ")
-	for ri, row := range rows {
-		if ri > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteByte('(')
-		for ci, e := range row {
-			if ci > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(e.String())
-		}
-		sb.WriteByte(')')
-	}
-	return sb.String()
+		return p.insert(ctx, table, share)
+	})
 }
 
 // RouteSelect implements db.Router for queries: SELECTs touching no
@@ -484,10 +441,15 @@ func (co *Coordinator) killFragments(origin uint64, srcs []*shardSource) {
 	wg.Wait()
 }
 
-// ReplicateModel ships a Go-API-registered model to every shard as SQL: a
-// CREATE MODEL TABLE ... META '<json>' carrying the layer metadata, plus
-// batched INSERTs of the weight rows (Sec. 4.1's relational model layout is
-// the replication format — models move as plain rows).
+// replicateRows caps the rows of one model-replication stream, keeping the
+// stream well inside the wire's size limit (a model-table row encodes in
+// under 70 bytes).
+const replicateRows = 1 << 18
+
+// ReplicateModel ships a Go-API-registered model to every shard: a CREATE
+// MODEL TABLE ... META '<json>' carrying the layer metadata as SQL, then
+// the weight rows as row streams (Sec. 4.1's relational model layout is the
+// replication format — models move as plain rows).
 func (co *Coordinator) ReplicateModel(ctx context.Context, name string) error {
 	tbl, err := co.db.Table(name)
 	if err != nil {
@@ -497,16 +459,30 @@ func (co *Coordinator) ReplicateModel(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
-	stmts, err := relmodel.LoadStatements(tbl, meta)
-	if err != nil {
+	if err := co.broadcast(ctx, relmodel.CreateStatement(tbl, meta)); err != nil {
 		return err
 	}
-	for _, stmt := range stmts {
-		if err := co.broadcast(ctx, stmt); err != nil {
+	rows := vector.NewBatch(tbl.Schema, 0)
+	buf := vector.NewBatch(tbl.Schema, vector.Size)
+	for p := range tbl.Partitions() {
+		sc, err := tbl.NewScanner(p, nil, nil)
+		if err != nil {
 			return err
 		}
+		for sc.Next(buf) {
+			rows.AppendBatch(buf)
+			if rows.Len() >= replicateRows {
+				if err := co.ship(ctx, tbl.Name, rows); err != nil {
+					return err
+				}
+				rows.Reset()
+			}
+		}
 	}
-	return nil
+	if rows.Len() == 0 {
+		return nil
+	}
+	return co.ship(ctx, tbl.Name, rows)
 }
 
 // partialHolder is the temp virtual table that carries gathered partial

@@ -28,7 +28,7 @@ type shardProc struct {
 	addr string
 }
 
-func startShard(t *testing.T, opts db.Options) *shardProc {
+func startShard(t testing.TB, opts db.Options) *shardProc {
 	t.Helper()
 	d := db.Open(opts)
 	s := serveDB(t, d)
@@ -36,7 +36,7 @@ func startShard(t *testing.T, opts db.Options) *shardProc {
 }
 
 // serveDB serves d on a loopback port for the rest of the test.
-func serveDB(t *testing.T, d *db.Database) *server.Server {
+func serveDB(t testing.TB, d *db.Database) *server.Server {
 	t.Helper()
 	s := server.New(d, server.Config{QuerySlots: 4, QueueDepth: 32, IdleTimeout: time.Minute})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -53,7 +53,7 @@ func serveDB(t *testing.T, d *db.Database) *server.Server {
 
 // newCluster boots n shard daemons plus a coordinator engine routed over
 // them.
-func newCluster(t *testing.T, n int, opts db.Options) (*db.Database, *dist.Coordinator, []*shardProc) {
+func newCluster(t testing.TB, n int, opts db.Options) (*db.Database, *dist.Coordinator, []*shardProc) {
 	t.Helper()
 	shards := make([]*shardProc, n)
 	addrs := make([]string, n)

@@ -114,15 +114,25 @@ func (p *shardPool) release(c *client.Client, err error) {
 	c.Close()
 }
 
-// exec runs one statement on the shard, retrying admission fast-rejects
-// with jittered exponential backoff.
+// exec runs one statement on the shard.
 func (p *shardPool) exec(ctx context.Context, sqlText string) error {
+	return p.do(ctx, func(c *client.Client) error { return c.Exec(sqlText) })
+}
+
+// insert appends b to table on the shard as one row stream.
+func (p *shardPool) insert(ctx context.Context, table string, b *vector.Batch) error {
+	return p.do(ctx, func(c *client.Client) error { return c.InsertBatch(table, b) })
+}
+
+// do runs one statement on a pooled connection, retrying admission
+// fast-rejects with jittered exponential backoff.
+func (p *shardPool) do(ctx context.Context, stmt func(*client.Client) error) error {
 	return client.RetryOverloaded(ctx, func() error {
 		c, err := p.get()
 		if err != nil {
 			return err
 		}
-		err = c.Exec(sqlText)
+		err = stmt(c)
 		p.release(c, err)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.label(), err)

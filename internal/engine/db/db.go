@@ -770,8 +770,9 @@ func (d *Database) execCreate(s *sql.CreateTableStmt) error {
 		schema = relmodel.Schema(relmodel.LayoutPairs)
 		if s.MetaJSON != "" {
 			// META '<json>' registers the model in the catalog at create
-			// time, so a model shipped as SQL (model replication to shards)
-			// is immediately MODEL JOIN-able once its weight rows arrive.
+			// time, so a model replicated to a shard (this statement, then
+			// its rows as a row stream) is MODEL JOIN-able once its weight
+			// rows arrive.
 			m, err := relmodel.ParseMeta(s.MetaJSON)
 			if err != nil {
 				return err

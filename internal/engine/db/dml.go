@@ -1,7 +1,9 @@
 package db
 
 import (
+	"context"
 	"fmt"
+	"strings"
 
 	"indbml/internal/engine/expr"
 	"indbml/internal/engine/plan"
@@ -9,6 +11,7 @@ import (
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
+	"indbml/internal/flight"
 )
 
 // INSERT, DELETE and UPDATE executors. An INSERT binds its VALUES into one
@@ -19,13 +22,23 @@ import (
 // bump or not at all; the bump invalidates cached model artifacts built from
 // the old contents.
 
-// execInsert binds every VALUES cell, cast to its column's type, into a
-// batch of the table's schema (unlisted columns stay NULL) before touching
-// the table, so a statement that fails to bind changes nothing.
 func (d *Database) execInsert(s *sql.InsertStmt) error {
-	tbl, err := d.Table(s.Table)
+	b, err := d.BindInsert(s)
 	if err != nil {
 		return err
+	}
+	return d.appendRows(s.Table, b)
+}
+
+// BindInsert binds every VALUES cell, cast to its column's type, into one
+// batch of the table's schema (unlisted columns stay NULL) without touching
+// the table. An error names the statement's row, counted from 0. A
+// coordinator binds a sharded INSERT here once and ships each shard its
+// share of the batch.
+func (d *Database) BindInsert(s *sql.InsertStmt) (*vector.Batch, error) {
+	tbl, err := d.Table(s.Table)
+	if err != nil {
+		return nil, err
 	}
 	schema := tbl.Schema
 	cols := make([]int, 0, schema.Len()) // the table column of each VALUES position
@@ -33,7 +46,7 @@ func (d *Database) execInsert(s *sql.InsertStmt) error {
 	for _, name := range s.Cols {
 		c, ok := schema.Lookup(name)
 		if !ok {
-			return fmt.Errorf("db: column %q does not exist in %s", name, s.Table)
+			return nil, fmt.Errorf("db: column %q does not exist in %s", name, s.Table)
 		}
 		cols, listed[c] = append(cols, c), true
 	}
@@ -44,7 +57,7 @@ func (d *Database) execInsert(s *sql.InsertStmt) error {
 	}
 	for ri, row := range s.Rows {
 		if len(row) != len(cols) {
-			return fmt.Errorf("db: INSERT row %d has %d values, want %d", ri, len(row), len(cols))
+			return nil, fmt.Errorf("db: INSERT row %d has %d values, want %d", ri, len(row), len(cols))
 		}
 	}
 	n := len(s.Rows)
@@ -64,7 +77,7 @@ func (d *Database) execInsert(s *sql.InsertStmt) error {
 		for ri, row := range s.Rows {
 			e, err := pl.BindConstExpr(row[vi])
 			if err != nil {
-				return fmt.Errorf("db: INSERT row %d: %w", ri, err)
+				return nil, fmt.Errorf("db: INSERT row %d: %w", ri, err)
 			}
 			e = expr.Fold(expr.NewCast(e, schema.Col(c).Type))
 			val, ok := expr.IsConst(e)
@@ -72,11 +85,50 @@ func (d *Database) execInsert(s *sql.InsertStmt) error {
 				ev := expr.NewEvaluator(e)
 				v, err := ev.Eval(oneRow)
 				if err != nil {
-					return fmt.Errorf("db: INSERT row %d: %w", ri, err)
+					return nil, fmt.Errorf("db: INSERT row %d: %w", ri, err)
 				}
 				val = v.Datum(0)
 			}
 			b.Vecs[c].SetDatum(ri, val)
+		}
+	}
+	return b, nil
+}
+
+// AppendContext appends a batch bound elsewhere under text, the head of an
+// INSERT (INSERT INTO <table>): how a shard applies the rows a coordinator
+// ships it. Like ExecContext it is flight-recorded (kind insert) and
+// consults ctx before committing, so the statement answers to deadlines and
+// KILL.
+func (d *Database) AppendContext(ctx context.Context, text string, b *vector.Batch) (err error) {
+	fl := d.flight.BeginFor(flight.LiveFrom(ctx), text, "insert", "sql")
+	fl.SetQueueWait(flight.QueueWaitFrom(ctx))
+	defer func() { fl.Finish(err) }()
+	table, err := sql.ParseInsertInto(text)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return d.appendRows(table, b)
+}
+
+// appendRows commits an INSERT's rows, text or shipped: b's columns must
+// match the table's in count, name and type, and the rows commit with one
+// Table.Append — one version bump — or not at all.
+func (d *Database) appendRows(table string, b *vector.Batch) error {
+	tbl, err := d.Table(table)
+	if err != nil {
+		return err
+	}
+	if b.Schema.Len() != tbl.Schema.Len() {
+		return fmt.Errorf("db: INSERT into %s carries %d columns, the table has %d", table, b.Schema.Len(), tbl.Schema.Len())
+	}
+	for c := range b.Schema.Len() {
+		got, want := b.Schema.Col(c), tbl.Schema.Col(c)
+		if !strings.EqualFold(got.Name, want.Name) || got.Type != want.Type {
+			return fmt.Errorf("db: INSERT into %s carries column %d as %s %s, the table has %s %s", table, c, got.Name, got.Type, want.Name, want.Type)
 		}
 	}
 	return tbl.Append(b)

@@ -1,12 +1,14 @@
 package db_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
 	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/db"
+	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
 )
 
@@ -208,7 +210,9 @@ func TestModelCacheConcurrentInvalidation(t *testing.T) {
 // or bias that overflows float32 to Inf — here behind a ReLU unit, where the
 // old zero-skipping kernel could hide it — must fail the build with the layer
 // and node named, on a model created with CREATE MODEL TABLE and broken with
-// UPDATE, and the model must work again once the value is repaired.
+// UPDATE, and the model must work again once the value is repaired. The
+// model arrives the way a coordinator replicates one: the CREATE MODEL
+// TABLE statement, then its rows through the append entry a shard uses.
 func TestNonFiniteWeightRejected(t *testing.T) {
 	d := db.Open(db.Options{DefaultPartitions: 2, Parallelism: 2})
 	makeFactTable(t, d, "fact", 300, 4, 2, 5)
@@ -216,14 +220,22 @@ func TestNonFiniteWeightRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stmts, err := relmodel.LoadStatements(tbl, meta)
-	if err != nil {
+	if err := d.Exec(relmodel.CreateStatement(tbl, meta)); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range stmts {
-		if err := d.Exec(s); err != nil {
-			t.Fatalf("%.60s…: %v", s, err)
+	rows := vector.NewBatch(tbl.Schema, 0)
+	buf := vector.NewBatch(tbl.Schema, vector.Size)
+	for p := range tbl.Partitions() {
+		sc, err := tbl.NewScanner(p, nil, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for sc.Next(buf) {
+			rows.AppendBatch(buf)
+		}
+	}
+	if err := d.AppendContext(context.Background(), "INSERT INTO nf", rows); err != nil {
+		t.Fatal(err)
 	}
 	const q = "SELECT id, prediction FROM fact MODEL JOIN nf PREDICT (af0, bf1, cf2, df3)"
 	if _, err := d.Query(q); err != nil {

@@ -32,6 +32,31 @@ func Parse(input string) (Stmt, error) {
 	return stmt, nil
 }
 
+// ParseInsertInto parses the head of an INSERT with nothing after it,
+// INSERT INTO <table>, and returns the table name: the statement a row
+// stream is appended under (the wire protocol's StmtFlagRows).
+func ParseInsertInto(input string) (string, error) {
+	toks, err := Lex(input)
+	if err != nil {
+		return "", err
+	}
+	p := &Parser{toks: toks, src: input}
+	if _, err := p.expect(TokKeyword, "INSERT"); err != nil {
+		return "", err
+	}
+	if _, err := p.expect(TokKeyword, "INTO"); err != nil {
+		return "", err
+	}
+	name, err := p.parseTableName()
+	if err != nil {
+		return "", err
+	}
+	if !p.at(TokEOF, "") {
+		return "", p.errf("unexpected input %q after the table of a row stream", p.cur().Text)
+	}
+	return name, nil
+}
+
 // ParseSelect parses a SELECT statement, rejecting other statement kinds.
 func ParseSelect(input string) (*SelectStmt, error) {
 	stmt, err := Parse(input)

@@ -11,6 +11,7 @@ import (
 	"net"
 	"time"
 
+	"indbml/internal/engine/sql"
 	"indbml/internal/engine/vector"
 	"indbml/internal/wire"
 )
@@ -23,6 +24,8 @@ type Client struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	cur  *Rows // unfinished cursor, drained before the next statement
+	// frame is InsertBatch's reused MsgBatch encode buffer.
+	frame []byte
 
 	// origin stamps every outgoing statement frame with a coordinator query
 	// ID (see SetOrigin); 0 for ordinary clients.
@@ -61,6 +64,11 @@ func (c *Client) SetOrigin(id uint64) { c.origin = id }
 // send frames one statement, draining any unfinished previous cursor so
 // request and response streams stay in lock step.
 func (c *Client) send(sql string, timeout time.Duration, flags uint64) error {
+	c.writeStmt(sql, timeout, flags)
+	return c.bw.Flush()
+}
+
+func (c *Client) writeStmt(sql string, timeout time.Duration, flags uint64) {
 	if c.cur != nil {
 		c.cur.cur.Drain()
 		c.cur = nil
@@ -73,7 +81,6 @@ func (c *Client) send(sql string, timeout time.Duration, flags uint64) error {
 		}
 	}
 	wire.WriteStmt(c.bw, sql, millis, c.origin, flags)
-	return c.bw.Flush()
 }
 
 // Query issues a SELECT and returns a streaming cursor over its rows.
@@ -164,10 +171,36 @@ func (c *Client) KillOrigin(id uint64) error {
 	return err
 }
 
+// InsertBatch appends b's rows to table with one statement: the rows travel
+// bound and typed as a row stream (wire.StmtFlagRows), not as INSERT text.
+// b must carry every column of the table, in order, under the table's
+// column names and types. The server commits the rows at once or not at
+// all; a batch whose frames pass the stream limit fails before the server
+// applies anything, and closes the session.
+func (c *Client) InsertBatch(table string, b *vector.Batch) error {
+	c.writeStmt("INSERT INTO "+sql.QuoteTableName(table), 0, wire.StmtFlagRows)
+	var err error
+	if c.frame, err = wire.WriteRows(c.bw, b, c.frame); err != nil {
+		c.conn.Close()
+		return err
+	}
+	if err := c.bw.Flush(); err != nil {
+		return err
+	}
+	_, err = c.reply()
+	return err
+}
+
 func (c *Client) command(sql string, timeout time.Duration) (string, error) {
 	if err := c.send(sql, timeout, 0); err != nil {
 		return "", err
 	}
+	return c.reply()
+}
+
+// reply reads a statement's one-frame acknowledgement: MsgOK's text or
+// MsgError's error.
+func (c *Client) reply() (string, error) {
 	kind, err := c.br.ReadByte()
 	if err != nil {
 		return "", err

@@ -39,6 +39,7 @@ import (
 
 	"indbml/internal/engine/db"
 	"indbml/internal/engine/storage"
+	"indbml/internal/engine/vector"
 	"indbml/internal/fingerprint"
 	"indbml/internal/flight"
 	"indbml/internal/infersched"
@@ -325,6 +326,20 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			return
 		}
+		// A row stream is read whole, under the same idle deadline, before
+		// the statement is admitted: a rejected statement then leaves the
+		// connection framed. A stream that cannot be read (cut, malformed,
+		// past the size limit) leaves it unframed, so the session ends.
+		var rows *vector.Batch
+		if flags&wire.StmtFlagRows != 0 {
+			if rows, err = wire.ReadRows(br); err != nil {
+				s.stats.Failed.Add(1)
+				conn.SetWriteDeadline(time.Now().Add(time.Second))
+				wire.WriteError(bw, wire.CodeError, "row stream: "+err.Error())
+				bw.Flush()
+				return
+			}
+		}
 		conn.SetReadDeadline(time.Time{})
 		if s.isDraining() {
 			wire.WriteError(bw, wire.CodeShutdown, "server is shutting down")
@@ -333,7 +348,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		sess.stmts.Add(1)
 		sess.active.Store(true)
-		s.serveStmt(bw, sess, stmt, deadlineMillis, origin, flags)
+		s.serveStmt(bw, sess, stmt, rows, deadlineMillis, origin, flags)
 		sess.active.Store(false)
 		if err := bw.Flush(); err != nil {
 			return
@@ -407,14 +422,17 @@ func (s *Server) admit(ctx context.Context) (token *slotToken, wait time.Duratio
 	}
 }
 
-// serveStmt dispatches one statement. STATUS, METRICS and BATCHER bypass
-// admission control so operators can observe an overloaded server.
-func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, deadlineMillis, origin, flags uint64) {
+// serveStmt dispatches one statement; rows is the row stream that came with
+// a StmtFlagRows statement (nil otherwise). STATUS, METRICS and BATCHER
+// bypass admission control so operators can observe an overloaded server.
+func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, rows *vector.Batch, deadlineMillis, origin, flags uint64) {
 	text := strings.TrimSpace(stmt)
-	upper := strings.ToUpper(text)
-	if upper == "" {
-		wire.WriteError(bw, wire.CodeError, "empty statement")
-		return
+	upper := "" // the verb dispatch below; a row stream is always an INSERT
+	if rows == nil {
+		if upper = strings.ToUpper(text); upper == "" {
+			wire.WriteError(bw, wire.CodeError, "empty statement")
+			return
+		}
 	}
 	if upper == "STATUS" {
 		wire.WriteOK(bw, s.StatusText())
@@ -514,7 +532,13 @@ func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, deadlin
 	case strings.HasPrefix(upper, "SELECT"):
 		exemplarID = s.serveSelect(bw, ctx, text, start, flags&wire.StmtFlagTrace != 0)
 	default:
-		if err := s.db.ExecContext(ctx, text); err != nil {
+		var err error
+		if rows != nil {
+			err = s.db.AppendContext(ctx, text, rows)
+		} else {
+			err = s.db.ExecContext(ctx, text)
+		}
+		if err != nil {
 			if wire.IsCancellation(err) {
 				s.stats.Canceled.Add(1)
 				wire.WriteError(bw, wire.CodeCanceled, err.Error())

@@ -34,6 +34,7 @@ type Cursor struct {
 	expectTrace bool   // statement was sent with StmtFlagTrace
 	trace       []byte // MsgTrace trailer payload (nil until MsgDone)
 	bytesRead   int64  // total MsgBatch payload bytes read
+	limit       int64  // bound on bytesRead (0: none; ReadRows sets it)
 }
 
 // NewCursor builds a cursor over a stream whose MsgSchema frame has
@@ -171,11 +172,17 @@ func (c *Cursor) readFrame(dst *vector.Batch) bool {
 }
 
 func (c *Cursor) decodeFrame(dst *vector.Batch) error {
-	var err error
-	if c.frame, err = ReadFrame(c.r, c.frame); err != nil {
+	n, err := readLen(c.r)
+	if err != nil {
 		return err
 	}
-	c.bytesRead += int64(len(c.frame))
+	if c.limit > 0 && c.bytesRead+int64(n) > c.limit {
+		return errRowsTooLarge
+	}
+	if c.frame, err = readN(c.r, c.frame, n); err != nil {
+		return err
+	}
+	c.bytesRead += int64(n)
 	return decodeBatch(c.frame, dst)
 }
 

@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bufio"
+	"fmt"
 
 	"indbml/internal/engine/exec"
 	"indbml/internal/engine/vector"
 )
+
+var errRowsTooLarge = fmt.Errorf("wire: row stream exceeds %d bytes", maxFrameLen)
 
 // IsCancellation reports whether an execution error stems from context
 // cancellation or deadline expiry (re-exported from exec so protocol users
@@ -89,4 +92,59 @@ func writeBatchFrame(w *bufio.Writer, payload []byte) {
 	w.WriteByte(MsgBatch)
 	WriteUvarint(w, uint64(len(payload)))
 	w.Write(payload)
+}
+
+// WriteRows writes b as the row stream that follows a MsgStmt carrying
+// StmtFlagRows: MsgSchema, one MsgBatch frame per vector.Size rows, MsgDone.
+// frame is a reusable encode buffer, returned grown. When the frames would
+// pass the stream limit it stops with an error, having written part of the
+// stream: the connection is then unframed and must be closed.
+func WriteRows(w *bufio.Writer, b *vector.Batch, frame []byte) ([]byte, error) {
+	WriteSchema(w, b.Schema)
+	total := 0
+	for lo := 0; lo < b.Len(); lo += vector.Size {
+		frame = appendBatch(frame[:0], b, lo, min(lo+vector.Size, b.Len()))
+		if total += len(frame); total > maxFrameLen {
+			return frame, errRowsTooLarge
+		}
+		writeBatchFrame(w, frame)
+	}
+	w.WriteByte(MsgDone)
+	WriteUvarint(w, 0)
+	return frame, nil
+}
+
+// ReadRows reads the row stream that follows a MsgStmt carrying
+// StmtFlagRows through a Cursor bounded to the stream limit, and returns its
+// rows as one batch. A frame that would pass the limit is refused before it
+// is read. After an error the stream is not consumed to its end, so the
+// connection is unframed.
+func ReadRows(r *bufio.Reader) (*vector.Batch, error) {
+	kind, err := r.ReadByte()
+	if err != nil {
+		return nil, err
+	}
+	if kind != MsgSchema {
+		return nil, fmt.Errorf("wire: expected a row stream schema, got 0x%x", kind)
+	}
+	cols, err := ReadSchemaBody(r)
+	if err != nil {
+		return nil, err
+	}
+	c := NewCursor(r, cols)
+	c.limit = maxFrameLen
+	rows := vector.NewBatch(c.schema, 0)
+	for {
+		b, err := c.NextBatch()
+		switch {
+		case b == nil && err != nil:
+			return nil, err
+		case b == nil:
+			return rows, nil
+		case rows.Len() == 0:
+			rows = b
+		default:
+			rows.AppendBatch(b)
+		}
+	}
 }

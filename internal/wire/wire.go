@@ -36,6 +36,13 @@
 //
 //	MsgStmt    deadline_millis origin flags len sql
 //
+// A MsgStmt with StmtFlagRows set carries the head of an INSERT, INSERT
+// INTO <table>, and is followed by the rows to append, framed like a result
+// stream: MsgSchema (every column of the table, in order), MsgBatch…,
+// MsgDone 0. The payloads of the MsgBatch frames may total at most the
+// frame limit. This is how a coordinator writes to its shards: the rows
+// arrive bound and typed, with no SQL text to lex, parse or bind again.
+//
 // A MsgBatch payload is nrows (at most vector.Size), then per column a NULL
 // flag byte — 0, or 1 followed by a bitmap of (nrows+7)/8 bytes, bit i set
 // when row i is NULL — and the column's values: bool as one byte 0/1,
@@ -79,6 +86,11 @@ const (
 	// MsgDone. The trailer is only sent on successful streams: a stream
 	// terminated by MsgError carries no trailer.
 	StmtFlagTrace uint64 = 1 << 0
+	// StmtFlagRows marks a statement whose text is INSERT INTO <table> and
+	// which is followed by a row stream (package comment). The receiver
+	// reads the whole stream before it admits the statement, so a rejected
+	// statement leaves the connection framed.
+	StmtFlagRows uint64 = 1 << 1
 )
 
 // Error codes carried by MsgError frames, so clients can react to overload
