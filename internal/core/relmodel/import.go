@@ -11,62 +11,81 @@ import (
 // Import reconstructs a runnable model from its relational representation —
 // the inverse of Export. Besides enabling round-trip testing, it is how the
 // native ModelJoin's build phase and external consumers read models straight
-// out of the database.
+// out of the database. It decodes each row straight into its layer in one
+// pass over the table and validates the table as it goes: every layer needs
+// each of its edges exactly once, from the layer before it, within the
+// widths meta declares. The input passthrough rows (layer 0) carry only the
+// constant weight 1 and are skipped.
 func Import(tbl *storage.Table, meta *Meta) (*nn.Model, error) {
-	edges, err := readEdges(tbl, meta)
-	if err != nil {
-		return nil, err
-	}
 	m := &nn.Model{Name: meta.Name}
+	layers := make([]*importLayer, len(meta.Layers))
 	for li := 1; li < len(meta.Layers); li++ {
-		lm := meta.Layers[li]
-		prev := meta.Layers[li-1]
+		lm, in := meta.Layers[li], meta.inUnits(li)
+		l := &importLayer{in: in, out: lm.Units, seen: make([]bool, in*lm.Units)}
 		switch lm.Kind {
 		case "lstm":
-			l := nn.NewLSTM(lm.Features, lm.Units, lm.TimeSteps)
-			seen := make([]bool, lm.Units*lm.Units)
-			for _, e := range edges {
-				if e.layer != li {
-					continue
-				}
-				if e.layerIn != li-1 {
-					return nil, fmt.Errorf("relmodel: layer %d has edge from layer %d", li, e.layerIn)
-				}
-				seen[e.nodeIn*lm.Units+e.node] = true
-				for g := 0; g < 4; g++ {
-					l.U.Set(e.nodeIn, g*lm.Units+e.node, e.w[uiIdx+g])
-					// Kernel and bias are replicated per destination node;
-					// every copy writes the same value.
-					l.W.Set(0, g*lm.Units+e.node, e.w[wiIdx+g])
-					l.B[g*lm.Units+e.node] = e.w[biIdx+g]
-				}
-			}
-			for i, ok := range seen {
-				if !ok {
-					return nil, fmt.Errorf("relmodel: %s layer %d missing recurrent edge %d→%d", meta.Name, li, i/lm.Units, i%lm.Units)
-				}
-			}
-			m.Layers = append(m.Layers, l)
+			l.lstm = nn.NewLSTM(lm.Features, lm.Units, lm.TimeSteps)
+			m.Layers = append(m.Layers, l.lstm)
 		case "dense":
-			l := nn.NewDense(prev.Units, lm.Units, mustActivation(lm.Activation))
-			count := 0
-			for _, e := range edges {
-				if e.layer != li {
-					continue
-				}
-				if e.nodeIn >= prev.Units || e.node >= lm.Units {
-					return nil, fmt.Errorf("relmodel: %s layer %d edge (%d→%d) out of range", meta.Name, li, e.nodeIn, e.node)
-				}
-				l.W.Set(e.nodeIn, e.node, e.w[wiIdx])
-				l.B[e.node] = e.w[biIdx]
-				count++
-			}
-			if count != prev.Units*lm.Units {
-				return nil, fmt.Errorf("relmodel: %s layer %d has %d edges, want %d", meta.Name, li, count, prev.Units*lm.Units)
-			}
-			m.Layers = append(m.Layers, l)
+			l.dense = nn.NewDense(l.in, lm.Units, mustActivation(lm.Activation))
+			m.Layers = append(m.Layers, l.dense)
 		default:
 			return nil, fmt.Errorf("relmodel: unknown layer kind %q", lm.Kind)
+		}
+		layers[li] = l
+	}
+	nkeys := tbl.Schema.Len() - len(weightCols)
+	for p := 0; p < tbl.Partitions(); p++ {
+		sc, err := tbl.NewScanner(p, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		buf := vector.NewBatch(sc.Schema(), vector.Size)
+		for sc.Next(buf) {
+			w := buf.Vecs[nkeys:]
+			for r := 0; r < buf.Len(); r++ {
+				layerIn, nodeIn, layer, node, err := rowKey(buf, r, meta)
+				if err != nil {
+					return nil, err
+				}
+				if layer == 0 {
+					continue
+				}
+				if layer < 0 || layer >= len(layers) {
+					return nil, fmt.Errorf("relmodel: %s has an edge into layer %d, which does not exist", meta.Name, layer)
+				}
+				l := layers[layer]
+				if layerIn != layer-1 {
+					return nil, fmt.Errorf("relmodel: %s layer %d has edge from layer %d", meta.Name, layer, layerIn)
+				}
+				if nodeIn < 0 || nodeIn >= l.in || node < 0 || node >= l.out {
+					return nil, fmt.Errorf("relmodel: %s layer %d edge (%d→%d) out of range", meta.Name, layer, nodeIn, node)
+				}
+				k := nodeIn*l.out + node
+				if l.seen[k] {
+					return nil, fmt.Errorf("relmodel: %s layer %d has duplicate edge %d→%d", meta.Name, layer, nodeIn, node)
+				}
+				l.seen[k] = true
+				if l.dense != nil {
+					l.dense.W.Set(nodeIn, node, w[wiIdx].Float32s()[r])
+					l.dense.B[node] = w[biIdx].Float32s()[r]
+					continue
+				}
+				for g := 0; g < 4; g++ {
+					// Kernel and bias are replicated per destination node;
+					// every copy writes the same value.
+					l.lstm.U.Set(nodeIn, g*l.out+node, w[uiIdx+g].Float32s()[r])
+					l.lstm.W.Set(0, g*l.out+node, w[wiIdx+g].Float32s()[r])
+					l.lstm.B[g*l.out+node] = w[biIdx+g].Float32s()[r]
+				}
+			}
+		}
+	}
+	for li, l := range layers[1:] {
+		for k, ok := range l.seen {
+			if !ok {
+				return nil, fmt.Errorf("relmodel: %s layer %d missing edge %d→%d", meta.Name, li+1, k/l.out, k%l.out)
+			}
 		}
 	}
 	if err := m.Validate(); err != nil {
@@ -75,56 +94,31 @@ func Import(tbl *storage.Table, meta *Meta) (*nn.Model, error) {
 	return m, nil
 }
 
-// readEdges scans all partitions of a model table and decodes the rows,
-// translating node ids back to (layer, node) pairs when needed.
-func readEdges(tbl *storage.Table, meta *Meta) ([]edge, error) {
-	var edges []edge
-	for p := 0; p < tbl.Partitions(); p++ {
-		sc, err := tbl.NewScanner(p, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		buf := vector.NewBatch(sc.Schema(), vector.Size)
-		for sc.Next(buf) {
-			for r := 0; r < buf.Len(); r++ {
-				e, err := decodeRow(buf, r, meta)
-				if err != nil {
-					return nil, err
-				}
-				edges = append(edges, e)
-			}
-		}
-	}
-	return edges, nil
+// importLayer is one relational layer being read back: its widths, which
+// of its in×out edges have been seen, and the nn layer they fill.
+type importLayer struct {
+	in, out int
+	seen    []bool // [nodeIn*out + node]
+	dense   *nn.Dense
+	lstm    *nn.LSTM
 }
 
-func decodeRow(b *vector.Batch, r int, meta *Meta) (edge, error) {
-	var e edge
-	var weightBase int
+// rowKey decodes row r's edge in (layer, node) pair coordinates, whatever
+// the stored layout.
+func rowKey(b *vector.Batch, r int, meta *Meta) (layerIn, nodeIn, layer, node int, err error) {
 	if meta.Layout == LayoutPairs {
-		e.layerIn = int(b.Vecs[0].Int32s()[r])
-		e.nodeIn = int(b.Vecs[1].Int32s()[r])
-		e.layer = int(b.Vecs[2].Int32s()[r])
-		e.node = int(b.Vecs[3].Int32s()[r])
-		weightBase = 4
-	} else {
-		var err error
-		if e.layerIn, e.nodeIn, err = splitNodeID(meta, int(b.Vecs[0].Int32s()[r])); err != nil {
-			return e, err
-		}
-		var err2 error
-		if e.layer, e.node, err2 = splitNodeID(meta, int(b.Vecs[1].Int32s()[r])); err2 != nil {
-			return e, err2
-		}
-		weightBase = 2
+		return int(b.Vecs[0].Int32s()[r]), int(b.Vecs[1].Int32s()[r]),
+			int(b.Vecs[2].Int32s()[r]), int(b.Vecs[3].Int32s()[r]), nil
 	}
-	for g := 0; g < 12; g++ {
-		e.w[g] = b.Vecs[weightBase+g].Float32s()[r]
+	if layerIn, nodeIn, err = splitNodeID(meta, int(b.Vecs[0].Int32s()[r])); err != nil {
+		return
 	}
-	return e, nil
+	layer, node, err = splitNodeID(meta, int(b.Vecs[1].Int32s()[r]))
+	return
 }
 
-// splitNodeID inverts nodeID.
+// splitNodeID maps a node id of Sec. 4.4 back to its (layer, node) pair;
+// the artificial input node's -1 maps to layer -1.
 func splitNodeID(meta *Meta, id int) (layer, node int, err error) {
 	if id < 0 {
 		return -1, 0, nil

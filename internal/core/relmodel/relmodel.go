@@ -22,12 +22,16 @@
 // kernel weights are replicated the same way, and recurrent edges carry the
 // recurrent kernel. The recurrent weight block is stored once, not per time
 // step (Sec. 4.3.3).
+//
+// Export emits the rows in (layer, node, node_in) order by construction, not
+// by sorting: each layer's rows are a nested loop over its weight matrix,
+// destination node outer and source node inner. Rows of one layer are
+// therefore contiguous, which block-clusters the layer ranges for zone maps.
 package relmodel
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
@@ -139,13 +143,6 @@ func (m *Meta) NodeRange(l int) (int, int) {
 	return lo, lo + m.Layers[l].Units - 1
 }
 
-// edge is one model-table row in (layer, node) pair coordinates, whatever
-// the stored layout: what Export writes and readEdges decodes.
-type edge struct {
-	layerIn, nodeIn, layer, node int
-	w                            [12]float32
-}
-
 const (
 	wiIdx = 0 // kernel gate offsets within the weight vector
 	uiIdx = 4
@@ -183,55 +180,6 @@ func buildMeta(m *nn.Model, layout Layout) (*Meta, error) {
 	return meta, nil
 }
 
-// exportEdges flattens a model into edge rows following the internal graph
-// representation.
-func exportEdges(m *nn.Model, meta *Meta) []edge {
-	var edges []edge
-	layer := 0 // current relational layer of the "previous" nodes
-
-	// Artificial input node (layer -1) connects to every node of relational
-	// layer 0 with weight 1.
-	for i := 0; i < meta.Layers[0].Units; i++ {
-		e := edge{layerIn: -1, nodeIn: 0, layer: 0, node: i}
-		e.w[wiIdx] = 1
-		edges = append(edges, e)
-	}
-
-	for _, l := range m.Layers {
-		switch l := l.(type) {
-		case *nn.LSTM:
-			// Recurrent block: one edge per (m, n) pair of the recurrent
-			// kernel, carrying U gates; kernel weights (univariate: one per
-			// destination node) and biases are replicated onto each edge.
-			next := layer + 1
-			for mi := 0; mi < l.Units; mi++ {
-				for n := 0; n < l.Units; n++ {
-					e := edge{layerIn: layer, nodeIn: mi, layer: next, node: n}
-					for g := 0; g < 4; g++ {
-						e.w[uiIdx+g] = l.U.At(mi, g*l.Units+n)
-						e.w[wiIdx+g] = l.W.At(0, g*l.Units+n)
-						e.w[biIdx+g] = l.B[g*l.Units+n]
-					}
-					edges = append(edges, e)
-				}
-			}
-			layer = next
-		case *nn.Dense:
-			next := layer + 1
-			for mi := 0; mi < l.InputDim(); mi++ {
-				for n := 0; n < l.OutputDim(); n++ {
-					e := edge{layerIn: layer, nodeIn: mi, layer: next, node: n}
-					e.w[wiIdx] = l.W.At(mi, n)
-					e.w[biIdx] = l.B[n]
-					edges = append(edges, e)
-				}
-			}
-			layer = next
-		}
-	}
-	return edges
-}
-
 // ExportOptions configure model-table creation.
 type ExportOptions struct {
 	// Layout selects the physical layout (default LayoutPairs).
@@ -244,8 +192,13 @@ type ExportOptions struct {
 }
 
 // Export stores a trained model as a model table and returns the table with
-// its catalog metadata. Rows are inserted ordered by (layer, node, node_in),
-// the clustering the generated queries' zone-map layer filters exploit.
+// its catalog metadata. It writes the table's columns directly into one
+// batch sized to the edge count, with rows in (layer, node, node_in) order
+// by construction: within each layer the destination node is the outer
+// loop and the source node the inner one, so nothing is sorted. That order
+// makes the layer ranges block-clustered for the generated queries' zone-
+// map layer filters and gives the hash join's bucket lists a deterministic,
+// cache-friendly order. The batch enters storage through one Table.Append.
 func Export(m *nn.Model, opts ExportOptions) (*storage.Table, *Meta, error) {
 	meta, err := buildMeta(m, opts.Layout)
 	if err != nil {
@@ -262,23 +215,73 @@ func Export(m *nn.Model, opts ExportOptions) (*storage.Table, *Meta, error) {
 	}
 	tbl := storage.NewTable(name, Schema(opts.Layout), storage.Options{Partitions: parts})
 
-	edges := exportEdges(m, meta)
-	// Order by (layer, node, node_in): contiguous destination nodes give
-	// the hash join's bucket lists a deterministic, cache-friendly order
-	// and make the layer ranges block-clustered for zone maps.
-	sortEdges(edges)
-	b := vector.NewBatch(tbl.Schema, len(edges))
-	b.SetLen(len(edges))
-	for i, e := range edges {
-		key := []int{e.layerIn, e.nodeIn, e.layer, e.node}
-		if opts.Layout != LayoutPairs {
-			key = []int{nodeID(meta, e.layerIn, e.nodeIn), nodeID(meta, e.layer, e.node)}
+	rows := 0
+	for l, lm := range meta.Layers {
+		rows += meta.inUnits(l) * lm.Units
+	}
+	b := vector.NewBatch(tbl.Schema, rows)
+	b.SetLen(rows)
+	key := make([][]int32, len(b.Vecs)-len(weightCols))
+	for k := range key {
+		key[k] = b.Vecs[k].Int32s()
+	}
+	var w [12][]float32 // w_i … b_o
+	for j := range w {
+		w[j] = b.Vecs[len(key)+j].Float32s()
+	}
+	// In LayoutNodeID, off[l+1] is layer l's first node id and off[0] = -1
+	// numbers the artificial input node (layer -1, node 0).
+	var off []int32
+	if opts.Layout == LayoutNodeID {
+		off = []int32{-1}
+		for l := range meta.Layers {
+			off = append(off, int32(meta.NodeOffset(l)))
 		}
-		for c, k := range key {
-			b.Vecs[c].Int32s()[i] = int32(k)
+	}
+	// edge writes the key columns of the next row, the edge from node nodeIn
+	// of layer-1 to node node of layer, and returns the row's index.
+	row := -1
+	edge := func(layer, nodeIn, node int) int {
+		row++
+		if off == nil {
+			key[0][row], key[1][row], key[2][row], key[3][row] = int32(layer-1), int32(nodeIn), int32(layer), int32(node)
+		} else {
+			key[0][row], key[1][row] = off[layer]+int32(nodeIn), off[layer+1]+int32(node)
 		}
-		for j, w := range e.w {
-			b.Vecs[len(key)+j].Float32s()[i] = w
+		return row
+	}
+	// The artificial input node feeds every node of relational layer 0
+	// with weight 1.
+	for n := 0; n < meta.Layers[0].Units; n++ {
+		w[wiIdx][edge(0, 0, n)] = 1
+	}
+	// Model layer i is relational layer i+1 (an LSTM can only be first).
+	for i, l := range m.Layers {
+		layer := i + 1
+		switch l := l.(type) {
+		case *nn.Dense:
+			for n := 0; n < l.OutputDim(); n++ {
+				for mi := 0; mi < l.InputDim(); mi++ {
+					r := edge(layer, mi, n)
+					w[wiIdx][r] = l.W.At(mi, n)
+					w[biIdx][r] = l.B[n]
+				}
+			}
+		case *nn.LSTM:
+			// Recurrent block: one edge per (m, n) pair of the recurrent
+			// kernel, carrying U gates; kernel weights (univariate: one per
+			// destination node) and biases are replicated onto each edge.
+			u := l.Units
+			for n := 0; n < u; n++ {
+				for mi := 0; mi < u; mi++ {
+					r := edge(layer, mi, n)
+					for g := 0; g < 4; g++ {
+						w[uiIdx+g][r] = l.U.At(mi, g*u+n)
+						w[wiIdx+g][r] = l.W.At(0, g*u+n)
+						w[biIdx+g][r] = l.B[g*u+n]
+					}
+				}
+			}
 		}
 	}
 	if err := tbl.Append(b); err != nil {
@@ -287,24 +290,11 @@ func Export(m *nn.Model, opts ExportOptions) (*storage.Table, *Meta, error) {
 	return tbl, meta, nil
 }
 
-// nodeID maps a (layer, node) pair to the unique node id of Sec. 4.4; the
-// artificial input node gets -1.
-func nodeID(meta *Meta, layer, node int) int {
-	if layer < 0 {
-		return -1
+// inUnits returns the width of the layer feeding relational layer l: the
+// single artificial input node for layer 0.
+func (m *Meta) inUnits(l int) int {
+	if l == 0 {
+		return 1
 	}
-	return meta.NodeOffset(layer) + node
-}
-
-func sortEdges(edges []edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.layer != b.layer {
-			return a.layer < b.layer
-		}
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		return a.nodeIn < b.nodeIn
-	})
+	return m.Layers[l-1].Units
 }

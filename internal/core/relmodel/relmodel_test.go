@@ -3,9 +3,12 @@ package relmodel
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"indbml/internal/engine/storage"
+	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
 )
 
@@ -212,5 +215,47 @@ func TestWriteLoadSQLParseable(t *testing.T) {
 	out := sb.String()
 	if !containsAll(out, "CREATE TABLE tiny_model", "INSERT INTO tiny_model VALUES") {
 		t.Errorf("load SQL malformed:\n%s", out)
+	}
+}
+
+// TestImportRejectsDuplicateEdge: a dense layer must hold each edge exactly
+// once. Row 10 of a 4→8→8→1 export is layer 1's edge 2→1; overwriting it
+// with row 11 (edge 3→1) duplicates one edge and loses the other, whose
+// weight would otherwise read 0. Dropping row 10 loses the edge alone.
+func TestImportRejectsDuplicateEdge(t *testing.T) {
+	for _, layout := range []Layout{LayoutPairs, LayoutNodeID} {
+		m := nn.NewDenseModel("m", 4, 8, 2, 1, 5)
+		tbl, meta, err := Export(m, ExportOptions{Layout: layout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := scanRows(t, tbl.Snapshot(), 0, nil)
+		reimport := func(b *vector.Batch) error {
+			bad := storage.NewTable("m", Schema(layout), storage.Options{})
+			if err := bad.Append(b); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Import(bad, meta)
+			return err
+		}
+
+		dup := scanRows(t, tbl.Snapshot(), 0, nil)
+		for _, v := range dup.Vecs {
+			v.SetDatum(10, v.Datum(11))
+		}
+		if err := reimport(dup); err == nil || !strings.Contains(err.Error(), "layer 1 has duplicate edge 3→1") {
+			t.Errorf("%v: duplicated edge: got %v", layout, err)
+		}
+
+		var keep []int
+		for r := 0; r < rows.Len(); r++ {
+			if r != 10 {
+				keep = append(keep, r)
+			}
+		}
+		rows.Gather(keep)
+		if err := reimport(rows); err == nil || !strings.Contains(err.Error(), "layer 1 missing edge 2→1") {
+			t.Errorf("%v: dropped edge: got %v", layout, err)
+		}
 	}
 }
