@@ -282,16 +282,23 @@ type grouper struct {
 	keyEvs  []expr.Evaluator
 	argEvs  []expr.Evaluator // per aggregate; unused for COUNT(*)
 	table   *groupTable      // nil for a scalar aggregate: one group, always
+	prefix  int              // group column left out of the table, or -1
 	keyVals []*vector.Vector
 	accs    []accumulator
 
-	// The loaded input batch.
-	keys, args []*vector.Vector
-	ids        []int32
+	// The loaded input batch; staged is keys without the prefix column.
+	keys, args, staged []*vector.Vector
+	ids                []int32
 }
 
-func newGrouper(groupBy []expr.Expr, aggs []AggSpec) *grouper {
+// newGrouper builds the grouper of groupBy and aggs. A prefix >= 0 names a
+// group column that is constant over every row range the caller adds
+// between two resets (SegmentedAggregate's clustered column): the table
+// keys on the other columns, and the prefix's value is still emitted from
+// each group's first row.
+func newGrouper(groupBy []expr.Expr, aggs []AggSpec, prefix int) *grouper {
 	g := &grouper{
+		prefix:  prefix,
 		keyEvs:  expr.NewEvaluators(groupBy),
 		argEvs:  make([]expr.Evaluator, len(aggs)),
 		keyVals: make([]*vector.Vector, len(groupBy)),
@@ -308,7 +315,13 @@ func newGrouper(groupBy []expr.Expr, aggs []AggSpec) *grouper {
 		g.argEvs[i] = expr.NewEvaluator(a.Arg)
 	}
 	if len(groupBy) > 0 {
-		g.table = newGroupTable(exprTypes(groupBy), false)
+		keyTypes := exprTypes(groupBy)
+		g.staged = g.keys
+		if prefix >= 0 {
+			keyTypes = append(keyTypes[:prefix], keyTypes[prefix+1:]...)
+			g.staged = make([]*vector.Vector, 0, len(keyTypes))
+		}
+		g.table = newGroupTable(keyTypes, false)
 	} else {
 		// A scalar aggregate has its one group from the start, so an empty
 		// input still yields one row (COUNT = 0, SUM = NULL), per SQL.
@@ -361,7 +374,10 @@ func (g *grouper) load(b *vector.Batch) error {
 		g.ids = make([]int32, b.Len())
 	}
 	if g.table != nil {
-		g.table.stage(g.keys, b.Len())
+		if g.prefix >= 0 {
+			g.staged = append(append(g.staged[:0], g.keys[:g.prefix]...), g.keys[g.prefix+1:]...)
+		}
+		g.table.stage(g.staged, b.Len())
 	}
 	return nil
 }
@@ -430,7 +446,7 @@ func (h *HashAggregate) Open() error {
 	if err := h.Child.Open(); err != nil {
 		return err
 	}
-	h.g = newGrouper(h.GroupBy, h.Aggs)
+	h.g = newGrouper(h.GroupBy, h.Aggs, -1)
 	h.out = vector.NewBatch(h.schema, 0)
 	h.emitPos = 0
 	for {

@@ -15,18 +15,21 @@ import (
 // number their groups with it and HashJoin builds it over the build side and
 // probes it.
 //
-// Fixed-width key columns (integers, floats, booleans) are packed column at
-// a time into a few 64-bit words per row — 32-bit values two to a word —
-// followed by one word of NULL bits, and groups live in an open-addressing
-// table over those words: a row costs a hash, a probe and a word compare,
-// with no per-row byte buffer or string. A key with a VARCHAR column (or
-// more columns than the NULL word has bits) falls back to a byte encoding in
-// a Go map.
+// Fixed-width key columns (integers, floats, booleans) are packed into a few
+// 64-bit words per row — 32-bit values two to a word — followed by one word
+// of NULL bits, and groups live in an open-addressing table over those
+// words. A row that continues the run of groups resolve predicts costs a
+// compare of its words; any other costs a hash, a probe and a word compare.
+// No row needs a byte buffer or string. A key with a VARCHAR column (or more
+// columns than the NULL word has bits) falls back to a byte encoding in a Go
+// map.
 //
-// NULL handling is explicit rather than a magic value: a NULL column clears
-// its value bits and sets its bit in the NULL word, so GROUP BY collects
-// NULLs into one group; with skipNull (join keys) a row with any NULL column
-// belongs to no group, as SQL equality demands.
+// Key equality is defined once, by the key bits below: two non-NULL values
+// are one key when their bits are equal. NULL handling is explicit rather
+// than a magic value: a NULL column clears its value bits and sets its bit
+// in the NULL word, so GROUP BY collects NULLs into one group; with skipNull
+// (join keys) a row with any NULL column belongs to no group, as SQL
+// equality demands.
 type groupTable struct {
 	cols     []keyCol
 	words    int // words per packed key including the NULL word; 0 = byte mode
@@ -134,6 +137,12 @@ func (t *groupTable) reset() {
 // stage packs the key columns of an n-row batch; resolve then works on row
 // numbers of that batch. The vectors must stay unchanged until the last
 // resolve of the batch.
+//
+// Each word is written in one pass per column it holds: a word's first
+// column stores into it and a 32-bit column in its upper half ORs in, so no
+// pass clears the words first; the NULL word is stored as zero. Only a
+// column that has NULLs takes a second pass, clearing the value bits of its
+// NULL rows and setting their NULL bit.
 func (t *groupTable) stage(vecs []*vector.Vector, n int) {
 	t.vecs = vecs
 	if t.words == 0 {
@@ -144,37 +153,57 @@ func (t *groupTable) stage(vecs []*vector.Vector, n int) {
 		t.rows = make([]uint64, n*w)
 	}
 	t.rows = t.rows[:n*w]
-	clear(t.rows)
+	if n == 0 {
+		return
+	}
+	nullWord := t.rows[w-1:]
+	for r := 0; r < n; r++ {
+		nullWord[r*w] = 0
+	}
 	for c, kc := range t.cols {
-		v := vecs[c]
-		dst, i := t.rows[kc.word:], 0
+		v, dst := vecs[c], t.rows[kc.word:]
+		high := kc.shift != 0
 		switch kc.typ {
-		case types.Bool:
-			for _, x := range v.Bools() {
-				if x {
-					dst[i] |= 1 << kc.shift
-				}
-				i += w
-			}
-		case types.Int32:
-			for _, x := range v.Int32s() {
-				dst[i] |= uint64(uint32(x)) << kc.shift
-				i += w
-			}
 		case types.Int64:
-			for _, x := range v.Int64s() {
-				dst[i] = uint64(x)
-				i += w
-			}
-		case types.Float32:
-			for _, x := range v.Float32s() {
-				dst[i] |= uint64(math.Float32bits(x+0)) << kc.shift // x+0: -0 keys as +0
-				i += w
+			for r, x := range v.Int64s() {
+				dst[r*w] = uint64(x)
 			}
 		case types.Float64:
-			for _, x := range v.Float64s() {
-				dst[i] = math.Float64bits(x + 0)
-				i += w
+			for r, x := range v.Float64s() {
+				dst[r*w] = float64Bits(x)
+			}
+		case types.Int32:
+			xs := v.Int32s()
+			if high {
+				for r, x := range xs {
+					dst[r*w] |= uint64(uint32(x)) << 32
+				}
+			} else {
+				for r, x := range xs {
+					dst[r*w] = uint64(uint32(x))
+				}
+			}
+		case types.Float32:
+			xs := v.Float32s()
+			if high {
+				for r, x := range xs {
+					dst[r*w] |= uint64(float32Bits(x)) << 32
+				}
+			} else {
+				for r, x := range xs {
+					dst[r*w] = uint64(float32Bits(x))
+				}
+			}
+		case types.Bool:
+			xs := v.Bools()
+			if high {
+				for r, x := range xs {
+					dst[r*w] |= boolBits(x) << 32
+				}
+			} else {
+				for r, x := range xs {
+					dst[r*w] = boolBits(x)
+				}
 			}
 		}
 		if nulls := v.Nulls(); nulls != nil {
@@ -185,7 +214,7 @@ func (t *groupTable) stage(vecs []*vector.Vector, n int) {
 			for r, isNull := range nulls {
 				if isNull {
 					dst[r*w] &^= valueBits
-					t.rows[r*w+w-1] |= 1 << uint(c)
+					nullWord[r*w] |= 1 << uint(c)
 				}
 			}
 		}
@@ -202,51 +231,135 @@ func (t *groupTable) resolve(lo, hi int, ids []int32, insert bool) {
 		return
 	}
 	w := t.words
-	slots, mask := t.slots, uint64(len(t.slots)-1)
 	// Grouped streams tend to revisit groups in the order they were first
 	// seen — a join fanning every probe row out to the same build rows feeds
-	// an aggregate exactly that — so the group after the previous row's is
-	// tried first: a hit costs one key compare and no hash.
+	// an aggregate exactly that — so the rows from r on are compared with
+	// the groups from next on as one run of words: a hit costs its key's
+	// words and no hash. Only the row at the first mismatch is probed. The
+	// NULL word is part of the run, so a NULL-keyed group never matches a
+	// row whose value bits are zero, and under skipNull (no stored group has
+	// a NULL bit) a NULL row always ends a run.
 	next := 0
-	for r := lo; r < hi; r++ {
-		k := t.rows[r*w : r*w+w]
-		if t.skipNull && k[w-1] != 0 {
-			ids[r] = -1
-			continue
-		}
+	for r := lo; r < hi; {
 		if next >= t.n {
 			next = 0
 		}
-		if next < t.n && equalWords(t.keys[next*w:next*w+w], k) {
-			ids[r] = int32(next)
-			next++
-			continue
-		}
-		i := hashWords(k) & mask
-		for {
-			g := slots[i]
-			if g == 0 {
-				break
+		if t.n > 0 {
+			m := min(hi-r, t.n-next)
+			hit := matchWords(t.rows[r*w:(r+m)*w], t.keys[next*w:(next+m)*w]) / w
+			for i := range hit {
+				ids[r+i] = int32(next + i)
 			}
-			if equalWords(t.keys[int(g-1)*w:int(g-1)*w+w], k) {
-				break
-			}
-			i = (i + 1) & mask
-		}
-		ids[r] = slots[i] - 1
-		next = int(slots[i])
-		if slots[i] == 0 && insert {
-			ids[r] = int32(t.n)
-			slots[i] = int32(t.n) + 1
-			t.keys = append(t.keys, k...)
-			t.n++
-			t.added = append(t.added, r)
-			if 2*t.n > len(slots) {
-				t.rehash()
-				slots, mask = t.slots, uint64(len(t.slots)-1)
+			r, next = r+hit, next+hit
+			if hit == m {
+				continue
 			}
 		}
+		if t.skipNull && t.rows[r*w+w-1] != 0 {
+			ids[r] = -1
+		} else {
+			ids[r] = t.probe(r, insert)
+			next = int(ids[r]) + 1
+		}
+		r++
 	}
+}
+
+// probe looks staged row r up by hash, opening a group for it if it is
+// unseen and insert is set, and returns its group id or -1.
+func (t *groupTable) probe(r int, insert bool) int32 {
+	w := t.words
+	k := t.rows[r*w : r*w+w]
+	mask := uint64(len(t.slots) - 1)
+	i := hashWords(k) & mask
+	for {
+		g := t.slots[i]
+		if g == 0 {
+			break
+		}
+		if matchWords(k, t.keys[int(g-1)*w:]) == w {
+			return g - 1
+		}
+		i = (i + 1) & mask
+	}
+	if !insert {
+		return -1
+	}
+	g := int32(t.n)
+	t.slots[i] = g + 1
+	t.keys = append(t.keys, k...)
+	t.n++
+	t.added = append(t.added, r)
+	if 2*t.n > len(t.slots) {
+		t.rehash()
+	}
+	return g
+}
+
+// The key bits of a value. A float keys by its bits after +0, so -0 = +0,
+// and every NaN by one canonical NaN's, so NaNs are one key whatever their
+// sign or payload (math.NaN() and a computed Inf-Inf differ in both).
+const (
+	nan64Bits = 0x7FF8000000000001 // math.NaN()
+	nan32Bits = 0x7FC00000         // float32(math.NaN())
+)
+
+func float64Bits(x float64) uint64 {
+	if x != x {
+		return nan64Bits
+	}
+	return math.Float64bits(x + 0)
+}
+
+func float32Bits(x float32) uint32 {
+	if x != x {
+		return nan32Bits
+	}
+	return math.Float32bits(x + 0)
+}
+
+func boolBits(x bool) uint64 {
+	if x {
+		return 1
+	}
+	return 0
+}
+
+// keyBits returns the key bits of the non-NULL fixed-width value v[r].
+func keyBits(v *vector.Vector, r int) uint64 {
+	switch v.Type() {
+	case types.Bool:
+		return boolBits(v.Bools()[r])
+	case types.Int32:
+		return uint64(uint32(v.Int32s()[r]))
+	case types.Int64:
+		return uint64(v.Int64s()[r])
+	case types.Float32:
+		return uint64(float32Bits(v.Float32s()[r]))
+	case types.Float64:
+		return float64Bits(v.Float64s()[r])
+	}
+	panic("keyBits: not a fixed-width type")
+}
+
+// segKey is one key value under the table's equality, NULL distinct from
+// every value. SegmentedAggregate's segment boundary compares its prefix
+// column with it: the prefix is not in that aggregate's table key, so the
+// two must agree.
+type segKey struct {
+	bits uint64
+	str  string
+	null bool
+}
+
+func segKeyAt(v *vector.Vector, r int) segKey {
+	switch {
+	case v.NullAt(r):
+		return segKey{null: true}
+	case v.Type() == types.String:
+		return segKey{str: v.Strings()[r]}
+	}
+	return segKey{bits: keyBits(v, r)}
 }
 
 func (t *groupTable) resolveBytes(lo, hi int, ids []int32, insert bool) {
@@ -302,13 +415,16 @@ func hashWords(k []uint64) uint64 {
 	return h ^ h>>32
 }
 
-func equalWords(a, b []uint64) bool {
+// matchWords returns the length of the common prefix of a and b; b must be
+// at least as long as a.
+func matchWords(a, b []uint64) int {
+	b = b[:len(a)]
 	for i, x := range a {
 		if x != b[i] {
-			return false
+			return i
 		}
 	}
-	return true
+	return len(a)
 }
 
 // encodeKey appends the byte-mode key of row r to dst: per column a tag byte
@@ -324,19 +440,11 @@ func encodeKey(vecs []*vector.Vector, r int, dst []byte) ([]byte, bool) {
 		dst = append(dst, 1)
 		switch v.Type() {
 		case types.Bool:
-			if v.Bools()[r] {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-		case types.Int32:
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Int32s()[r]))
-		case types.Int64:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Int64s()[r]))
-		case types.Float32:
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v.Float32s()[r]+0))
-		case types.Float64:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float64s()[r]+0))
+			dst = append(dst, byte(keyBits(v, r)))
+		case types.Int32, types.Float32:
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(keyBits(v, r)))
+		case types.Int64, types.Float64:
+			dst = binary.LittleEndian.AppendUint64(dst, keyBits(v, r))
 		case types.String:
 			s := v.Strings()[r]
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))

@@ -16,6 +16,8 @@ import (
 // width many, not fact-table-size many — and emits them whenever the
 // clustered key changes, resetting its group table in place. Memory is
 // O(groups per segment) instead of O(total groups), and execution pipelines.
+// The clustered column is constant within a segment, so the group table
+// keys on the other grouping columns only.
 type SegmentedAggregate struct {
 	Child      Operator
 	GroupBy    []expr.Expr
@@ -35,10 +37,10 @@ type SegmentedAggregate struct {
 	inPos int
 	eof   bool
 
-	// The open segment holds the grouper's groups; segVal is its prefix
-	// value. A closed segment drains into out, drainPos groups so far.
+	// The open segment holds the grouper's groups; seg is its prefix value.
+	// A closed segment drains into out, drainPos groups so far.
 	open     bool
-	segVal   types.Datum
+	seg      segKey
 	draining bool
 	drainPos int
 
@@ -68,7 +70,7 @@ func (s *SegmentedAggregate) Schema() *types.Schema { return s.schema }
 
 // Open implements Operator.
 func (s *SegmentedAggregate) Open() error {
-	s.g = newGrouper(s.GroupBy, s.Aggs)
+	s.g = newGrouper(s.GroupBy, s.Aggs, s.PrefixIdx)
 	s.out = vector.NewBatch(s.schema, vector.Size)
 	s.in, s.inPos, s.eof = nil, 0, false
 	s.open, s.draining, s.drainPos = false, false, 0
@@ -126,12 +128,13 @@ func (s *SegmentedAggregate) Next() (*vector.Batch, error) {
 			}
 		}
 		prefix := s.g.keys[s.PrefixIdx]
-		if s.open && prefix.Datum(s.inPos).Compare(s.segVal) != 0 {
+		k := segKeyAt(prefix, s.inPos)
+		if s.open && k != s.seg {
 			s.closeSegment()
 			continue
 		}
 		if !s.open {
-			s.open, s.segVal = true, prefix.Datum(s.inPos)
+			s.open, s.seg = true, k
 		}
 		end := runEnd(prefix, s.inPos)
 		s.g.add(s.inPos, end)
@@ -140,7 +143,9 @@ func (s *SegmentedAggregate) Next() (*vector.Batch, error) {
 }
 
 // runEnd returns the end of the run of values equal to v[lo] that starts at
-// lo, scanning the typed slice. NULLs form runs of their own.
+// lo, scanning the typed slice. NULLs form runs of their own. A run must not
+// span two segKeys, and may end early: float == keeps -0 with +0 and puts
+// each NaN in a run of one, which Next then joins by segKey.
 func runEnd(v *vector.Vector, lo int) int {
 	nulls := v.Nulls()
 	if nulls != nil && nulls[lo] {

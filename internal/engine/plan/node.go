@@ -17,7 +17,8 @@ import (
 //
 //   - clustered: output ordinal the stream is clustered by (rows with equal
 //     values are contiguous), or -1. Fuel for the pipelined segmented
-//     aggregation of Sec. 4.4.
+//     aggregation of Sec. 4.4. A float column's order is Datum.Compare's,
+//     which leaves NaN anywhere, so segmentPrefix does not trust it.
 //   - partTable/partCol: when >= 0, output column partCol carries the unique
 //     key of partitioned table partTable, meaning rows with equal values
 //     can never meet across partition plan instances. Grouping on such a
@@ -362,7 +363,10 @@ func (a *aggNode) scope() *scope    { return a.sc }
 func (a *aggNode) children() []node { return []node{a.child} }
 
 // segmentPrefix returns the index within groupExprs of a bare column
-// reference to the child's clustered column, or -1.
+// reference to the child's clustered column, or -1. A REAL or DOUBLE column
+// never qualifies: Sort and SORTED BY order floats by Datum.Compare, under
+// which NaN equals every number, so rows of one key (1, NaN, 1) need not be
+// contiguous, and the segmented aggregate would split their group.
 func (a *aggNode) segmentPrefix() int {
 	if a.forceHash {
 		return -1
@@ -373,6 +377,9 @@ func (a *aggNode) segmentPrefix() int {
 	}
 	for i, g := range a.groupExprs {
 		if cr, ok := g.(*expr.ColRef); ok && cr.Idx == cp.clustered {
+			if t := cr.Type(); t == types.Float32 || t == types.Float64 {
+				return -1
+			}
 			return i
 		}
 	}

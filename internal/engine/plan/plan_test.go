@@ -2,6 +2,9 @@ package plan
 
 import (
 	"context"
+	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -129,6 +132,47 @@ func TestHashAggregateOnUnclusteredGroup(t *testing.T) {
 	out := runPlan(t, p)
 	if out.Len() != 5 {
 		t.Fatalf("got %d groups", out.Len())
+	}
+}
+
+// TestGroupByFloatClusteringWithNaN: Sort and SORTED BY order floats by
+// Datum.Compare, which finds NaN equal to every number, so a DOUBLE stream
+// in that order may hold 1, NaN, 1. Grouping on it must still give one
+// group per value, so such a column never drives a segmented aggregate.
+func TestGroupByFloatClusteringWithNaN(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "x", Type: types.Float64})
+	load := func(sorted bool) *storage.Table {
+		tbl := storage.NewTable("t", schema, storage.Options{Partitions: 1})
+		if sorted {
+			tbl.SetSortedBy(0)
+		}
+		b := vector.NewBatch(schema, 3)
+		for _, x := range []float64{1, math.NaN(), 1} {
+			_ = b.AppendRow(types.Float64Datum(x))
+		}
+		if err := tbl.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	for _, c := range []struct {
+		query  string
+		sorted bool
+	}{
+		{"SELECT x, COUNT(*) AS n FROM (SELECT x FROM t ORDER BY x) AS s GROUP BY x", false},
+		{"SELECT x, COUNT(*) AS n FROM t GROUP BY x", true},
+	} {
+		pl := &Planner{Cat: &testCatalog{tables: map[string]*storage.Table{"t": load(c.sorted)}}}
+		p := planFor(t, pl, c.query)
+		out := runPlan(t, p)
+		var got []string
+		for r := 0; r < out.Len(); r++ {
+			got = append(got, out.Vecs[0].Datum(r).String()+"="+out.Vecs[1].Datum(r).String())
+		}
+		sort.Strings(got)
+		if want := []string{"1=2", "NaN=1"}; !slices.Equal(got, want) {
+			t.Errorf("%s (sorted table %v): groups %v, want %v\n%s", c.query, c.sorted, got, want, p.Explain())
+		}
 	}
 }
 
