@@ -3,6 +3,7 @@ package modeljoin
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"indbml/internal/core/relmodel"
@@ -128,6 +129,43 @@ func TestScratchShapeAware(t *testing.T) {
 	}
 	bm.putScratch(small)
 	bm.putScratch(again)
+}
+
+// TestScratchPoolKeepsLargest fills the pool with single-batch working sets
+// and then returns a super-batch's: the full pool must keep the larger one,
+// so the next super-batch of that size reuses it instead of allocating.
+func TestScratchPoolKeepsLargest(t *testing.T) {
+	model := nn.NewDenseModel("m", 4, 8, 1, 1, 3)
+	sm := shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 1, Config{})
+	bm, err := sm.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := 2 * runtime.GOMAXPROCS(0)
+	var smalls []*inferScratch
+	for i := 0; i < limit; i++ {
+		smalls = append(smalls, bm.getScratch(vector.Size))
+	}
+	big := bm.getScratch(2 * vector.Size)
+	for _, s := range smalls {
+		bm.putScratch(s)
+	}
+	bm.putScratch(big)
+	if n := len(bm.scratchPool); n != limit {
+		t.Fatalf("pool holds %d working sets, want its bound %d", n, limit)
+	}
+	if again := bm.getScratch(2 * vector.Size); again != big {
+		t.Fatalf("super-batch request got a new working set of capacity %d instead of the pooled one", again.rows)
+	}
+	// A working set no larger than every pooled one is released.
+	bm.putScratch(big)
+	extra := &inferScratch{rows: vector.Size}
+	bm.putScratch(extra)
+	for _, s := range bm.scratchPool {
+		if s == extra {
+			t.Fatal("full pool kept a working set no larger than its smallest entry")
+		}
+	}
 }
 
 // TestOperatorThroughScheduler runs the full operator on its own scheduler

@@ -109,18 +109,35 @@ func (m *builtModel) getScratch(minRows int) *inferScratch {
 }
 
 // putScratch returns a working set to the pool. Past the bound (enough for
-// full partition parallelism with headroom), or after the model was freed, it
-// releases the device memory instead of pooling.
+// full partition parallelism with headroom) the pool keeps the larger of s
+// and its smallest entry and releases the other, so it converges on the
+// capacities the largest super-batches need: were s dropped instead, a pool
+// that filled with small entries first would reallocate the working set of
+// every larger super-batch for as long as the model lives. After the model
+// was freed, s is released.
 func (m *builtModel) putScratch(s *inferScratch) {
 	limit := 2 * runtime.GOMAXPROCS(0)
 	m.scratchMu.Lock()
-	if !m.freed && len(m.scratchPool) < limit {
+	switch {
+	case m.freed:
+	case len(m.scratchPool) < limit:
 		m.scratchPool = append(m.scratchPool, s)
-		m.scratchMu.Unlock()
-		return
+		s = nil
+	default:
+		small := 0
+		for i, p := range m.scratchPool {
+			if p.rows < m.scratchPool[small].rows {
+				small = i
+			}
+		}
+		if m.scratchPool[small].rows < s.rows {
+			m.scratchPool[small], s = s, m.scratchPool[small]
+		}
 	}
 	m.scratchMu.Unlock()
-	s.free(m.dev)
+	if s != nil {
+		s.free(m.dev)
+	}
 }
 
 // hostBufs is one operator instance's host working set for a batch of up

@@ -32,9 +32,10 @@ func (d *Database) execInsert(s *sql.InsertStmt) error {
 
 // BindInsert binds every VALUES cell, cast to its column's type, into one
 // batch of the table's schema (unlisted columns stay NULL) without touching
-// the table. An error names the statement's row, counted from 0. A
-// coordinator binds a sharded INSERT here once and ships each shard its
-// share of the batch.
+// the table. A cell that is one literal token is written straight into its
+// column; any other cell binds as a constant expression. An error names the
+// statement's row, counted from 0. A coordinator binds a sharded INSERT here
+// once and ships each shard its share of the batch.
 func (d *Database) BindInsert(s *sql.InsertStmt) (*vector.Batch, error) {
 	tbl, err := d.Table(s.Table)
 	if err != nil {
@@ -55,8 +56,8 @@ func (d *Database) BindInsert(s *sql.InsertStmt) (*vector.Batch, error) {
 			cols, listed[c] = append(cols, c), true
 		}
 	}
-	for ri, row := range s.Rows {
-		if len(row) != len(cols) {
+	for ri := range s.Rows {
+		if row := s.Row(ri); len(row) != len(cols) {
 			return nil, fmt.Errorf("db: INSERT row %d has %d values, want %d", ri, len(row), len(cols))
 		}
 	}
@@ -70,29 +71,50 @@ func (d *Database) BindInsert(s *sql.InsertStmt) (*vector.Batch, error) {
 			}
 		}
 	}
-	pl := &plan.Planner{}
-	oneRow := vector.NewBatch(types.NewSchema(), 1)
-	oneRow.SetLen(1)
 	for vi, c := range cols {
-		for ri, row := range s.Rows {
-			e, err := pl.BindConstExpr(row[vi])
-			if err != nil {
+		v := b.Vecs[c]
+		for ri := range n {
+			if err := bindCell(v, ri, s.Cells[ri*len(cols)+vi]); err != nil {
 				return nil, fmt.Errorf("db: INSERT row %d: %w", ri, err)
 			}
-			e = expr.Fold(expr.NewCast(e, schema.Col(c).Type))
-			val, ok := expr.IsConst(e)
-			if !ok {
-				ev := expr.NewEvaluator(e)
-				v, err := ev.Eval(oneRow)
-				if err != nil {
-					return nil, fmt.Errorf("db: INSERT row %d: %w", ri, err)
-				}
-				val = v.Datum(0)
-			}
-			b.Vecs[c].SetDatum(ri, val)
 		}
 	}
 	return b, nil
+}
+
+// bindCell writes one VALUES cell, cast to v's type, into row r of v.
+func bindCell(v *vector.Vector, r int, cell sql.Cell) error {
+	switch cell.Lit {
+	case sql.TokNumber:
+		return expr.SetNumber(v, r, cell.Text)
+	case sql.TokString:
+		return expr.SetString(v, r, cell.Text)
+	case sql.TokKeyword: // NULL, TRUE or FALSE
+		if cell.Text == "NULL" {
+			v.SetNull(r)
+		} else {
+			expr.SetBool(v, r, cell.Text == "TRUE")
+		}
+		return nil
+	}
+	e, err := (&plan.Planner{}).BindConstExpr(cell.Expr)
+	if err != nil {
+		return err
+	}
+	e = expr.Fold(expr.NewCast(e, v.Type()))
+	val, ok := expr.IsConst(e)
+	if !ok {
+		oneRow := vector.NewBatch(types.NewSchema(), 1)
+		oneRow.SetLen(1)
+		ev := expr.NewEvaluator(e)
+		out, err := ev.Eval(oneRow)
+		if err != nil {
+			return err
+		}
+		val = out.Datum(0)
+	}
+	v.SetDatum(r, val)
+	return nil
 }
 
 // AppendContext appends a batch bound elsewhere under text, the head of an

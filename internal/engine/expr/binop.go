@@ -98,7 +98,13 @@ func (b *BinOp) eval(ev *Evaluator, batch *vector.Batch) (*vector.Vector, error)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := b.R.eval(ev, batch)
+	var rv *vector.Vector
+	if b.Op == OpAnd || b.Op == OpOr {
+		// The right side decides only the rows the left leaves open.
+		rv, err = ev.evalKept(b.R, batch, lv, b.Op == OpAnd)
+	} else {
+		rv, err = b.R.eval(ev, batch)
+	}
 	if err != nil {
 		return nil, err
 	}

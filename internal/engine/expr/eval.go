@@ -27,6 +27,18 @@ type Evaluator struct {
 	// the same node.
 	slots []*vector.Vector
 	next  int
+	// guards are the enclosing nodes' claims on the node being evaluated:
+	// a CASE arm keeps only the rows it takes, the right side of an AND
+	// only the rows its left side leaves undecided (NULL or TRUE), of an OR
+	// those its left side leaves NULL or FALSE. A node that can fail on a
+	// row — a narrowing cast — fails only on a row every guard keeps.
+	guards []guard
+}
+
+// guard keeps the rows where v, a BOOLEAN vector, is NULL or holds keep.
+type guard struct {
+	v    *vector.Vector
+	keep bool
 }
 
 // NewEvaluator returns an evaluator for e. It allocates no vectors until
@@ -47,7 +59,28 @@ func NewEvaluators(es []Expr) []Evaluator {
 // Eval evaluates the expression over b.
 func (ev *Evaluator) Eval(b *vector.Batch) (*vector.Vector, error) {
 	ev.next = 0
+	ev.guards = ev.guards[:0]
 	return ev.e.eval(ev, b)
+}
+
+// evalKept evaluates e over b for a parent that keeps only the rows where
+// v is NULL or holds keep.
+func (ev *Evaluator) evalKept(e Expr, b *vector.Batch, v *vector.Vector, keep bool) (*vector.Vector, error) {
+	ev.guards = append(ev.guards, guard{v, keep})
+	out, err := e.eval(ev, b)
+	ev.guards = ev.guards[:len(ev.guards)-1]
+	return out, err
+}
+
+// kept reports whether row r of the node being evaluated can reach the
+// expression's result, that is whether every enclosing guard keeps it.
+func (ev *Evaluator) kept(r int) bool {
+	for _, g := range ev.guards {
+		if !g.v.NullAt(r) && g.v.Bools()[r] != g.keep {
+			return false
+		}
+	}
+	return true
 }
 
 // slot returns the next node's vector as the node left it, allocating it
@@ -70,14 +103,16 @@ func (ev *Evaluator) result(t types.T, n int) *vector.Vector {
 	return v
 }
 
-// evalAs evaluates e over b and converts the result to t.
-func (ev *Evaluator) evalAs(e Expr, t types.T, b *vector.Batch) (*vector.Vector, error) {
-	v, err := e.eval(ev, b)
-	if err != nil || v.Type() == t {
-		return v, err
+// evalAs evaluates e over b for a parent that keeps only the rows where v
+// is NULL or holds keep, and converts the result to t, a type CASE promoted
+// e's to: the conversion only widens and cannot fail.
+func (ev *Evaluator) evalAs(e Expr, t types.T, b *vector.Batch, v *vector.Vector, keep bool) (*vector.Vector, error) {
+	in, err := ev.evalKept(e, b, v, keep)
+	if err != nil || in.Type() == t {
+		return in, err
 	}
-	out := ev.result(t, v.Len())
-	return out, castInto(out, v)
+	out := ev.result(t, in.Len())
+	return out, castInto(ev, out, in)
 }
 
 // orNulls marks every row NULL in out that is NULL in in.

@@ -7,6 +7,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"indbml/internal/engine/types"
@@ -118,15 +119,17 @@ func (c *Cast) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
 		return nil, err
 	}
 	out := ev.result(c.To, in.Len())
-	return out, castInto(out, in)
+	return out, castInto(ev, out, in)
 }
 
 // castInto converts in into out, a vector of another type with in's length
 // and no NULLs. Numeric and boolean pairs convert with typed loops: floats
-// truncate toward zero into integers (through int64), a number is TRUE when
-// it is non-zero, TRUE is 1. Any value renders into VARCHAR; VARCHAR converts
-// to nothing else.
-func castInto(out, in *vector.Vector) error {
+// truncate toward zero into integers under the narrowing rule of fitsInt, a
+// number is TRUE when it is non-zero, TRUE is 1. Any value renders into
+// VARCHAR; VARCHAR converts to nothing else. A value that does not fit
+// fails the cast only on a row ev keeps.
+func castInto(ev *Evaluator, out, in *vector.Vector) error {
+	var err error
 	switch {
 	case out.Type() == types.String:
 		s := out.Strings()
@@ -138,25 +141,34 @@ func castInto(out, in *vector.Vector) error {
 	case in.Type() == types.Bool:
 		castBools(out, in.Bools())
 	case in.Type() == types.Int32:
-		castNumbers(out, in.Int32s())
+		err = castNumbers(ev, out, in.Int32s(), in.Nulls())
 	case in.Type() == types.Int64:
-		castNumbers(out, in.Int64s())
+		err = castNumbers(ev, out, in.Int64s(), in.Nulls())
 	case in.Type() == types.Float32:
-		castNumbers(out, in.Float32s())
+		err = castNumbers(ev, out, in.Float32s(), in.Nulls())
 	case in.Type() == types.Float64:
-		castNumbers(out, in.Float64s())
+		err = castNumbers(ev, out, in.Float64s(), in.Nulls())
 	default:
-		return fmt.Errorf("expr: cannot cast %s to %s", in.Type(), out.Type())
+		return errCannotCast(in.Type(), out.Type())
+	}
+	if err != nil {
+		return err
 	}
 	orNulls(out, in)
 	return nil
+}
+
+func errCannotCast(from, to types.T) error {
+	return fmt.Errorf("expr: cannot cast %s to %s", from, to)
 }
 
 type number interface {
 	int32 | int64 | float32 | float64
 }
 
-func castNumbers[S number](out *vector.Vector, src []S) {
+// castNumbers converts src into out; a value at a NULL slot of src, or on a
+// row ev does not keep, may convert to anything but never fails the cast.
+func castNumbers[S number](ev *Evaluator, out *vector.Vector, src []S, nulls []bool) error {
 	switch out.Type() {
 	case types.Bool:
 		o := out.Bools()
@@ -164,22 +176,47 @@ func castNumbers[S number](out *vector.Vector, src []S) {
 			o[i] = x != 0
 		}
 	case types.Int32:
-		toInt(out.Int32s(), src)
+		return toInt(ev, out.Int32s(), src, nulls, types.Int32)
 	case types.Int64:
-		toInt(out.Int64s(), src)
+		return toInt(ev, out.Int64s(), src, nulls, types.Int64)
 	case types.Float32:
 		toFloat(out.Float32s(), src)
 	case types.Float64:
 		toFloat(out.Float64s(), src)
 	}
+	return nil
 }
 
-func toInt[D int32 | int64, S number](dst []D, src []S) {
+func toInt[D int32 | int64, S number](ev *Evaluator, dst []D, src []S, nulls []bool, t types.T) error {
 	for i, x := range src {
+		if !fitsInt(x, t) && (nulls == nil || !nulls[i]) && ev.kept(i) {
+			return errOutOfRange(x, t)
+		}
 		dst[i] = D(int64(x))
 	}
+	return nil
 }
 
+// fitsInt is the one narrowing rule, shared by the CAST kernels, constant
+// folding (which runs them) and INSERT's literal cells: x converts to
+// integer type t (INTEGER or BIGINT) when x truncated toward zero lies in
+// t's range. NaN and ±Inf fit no integer type. The comparison runs in
+// float64, which is exact for every integer source but a BIGINT near
+// BIGINT's bounds — and a BIGINT is never narrowed to BIGINT.
+func fitsInt[S number](x S, t types.T) bool {
+	f := float64(x)
+	if t == types.Int32 {
+		return f > math.MinInt32-1 && f < math.MaxInt32+1
+	}
+	return f >= math.MinInt64 && f < -math.MinInt64
+}
+
+func errOutOfRange[S number](x S, t types.T) error {
+	return fmt.Errorf("expr: %v is out of range for %s", x, t)
+}
+
+// toFloat converts to a float type through float64; a value past REAL's
+// range becomes ±Inf, as IEEE conversion does.
 func toFloat[D float32 | float64, S number](dst []D, src []S) {
 	for i, x := range src {
 		dst[i] = D(float64(x))
@@ -292,19 +329,18 @@ func (c *Case) Type() types.T { return c.Typ }
 
 // eval evaluates every arm over the full batch and assembles the result by
 // typed select-by-mask: each arm copies in the rows whose condition is TRUE
-// and no earlier arm took, the ELSE (or NULL) fills the rest.
+// and no earlier arm took, the ELSE (or NULL) fills the rest. A condition
+// keeps the rows no earlier arm took, an arm only the rows it takes, so a
+// narrowing cast fails only on a row it decides.
 func (c *Case) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
 	n := b.Len()
 	out := ev.result(c.Typ, n)
-	done := ev.result(types.Bool, n).Bools() // rows an arm took
-	take := ev.result(types.Bool, n).Bools() // rows the current arm takes
+	doneV := ev.result(types.Bool, n) // rows an arm took
+	takeV := ev.result(types.Bool, n) // rows the current arm takes
+	done, take := doneV.Bools(), takeV.Bools()
 	clear(done)
 	for _, w := range c.Whens {
-		cond, err := w.Cond.eval(ev, b)
-		if err != nil {
-			return nil, err
-		}
-		then, err := ev.evalAs(w.Then, c.Typ, b)
+		cond, err := ev.evalKept(w.Cond, b, doneV, false)
 		if err != nil {
 			return nil, err
 		}
@@ -313,6 +349,10 @@ func (c *Case) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
 			t := x && !done[r] && (condNulls == nil || !condNulls[r])
 			take[r] = t
 			done[r] = done[r] || t
+		}
+		then, err := ev.evalAs(w.Then, c.Typ, b, takeV, true)
+		if err != nil {
+			return nil, err
 		}
 		pick(out, then, take)
 	}
@@ -327,7 +367,7 @@ func (c *Case) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
 		}
 		return out, nil
 	}
-	els, err := ev.evalAs(c.Else, c.Typ, b)
+	els, err := ev.evalAs(c.Else, c.Typ, b, takeV, true)
 	if err != nil {
 		return nil, err
 	}

@@ -98,9 +98,88 @@ func (g *treeGen) of(t types.T, depth int) Expr {
 	}
 	if e.Type() != t {
 		g.kinds["Cast"]++
-		e = NewCast(e, t)
+		e = g.cast(e, t)
 	}
 	return e
+}
+
+// cast converts e to t. A cast to an integer type fails on a value out of
+// range, so one whose input may leave ±1e9 runs under a CASE that takes
+// only the values inside (the comparison is false for NaN): the cast may not
+// fail on the rows the arm does not take.
+func (g *treeGen) cast(e Expr, t types.T) Expr {
+	if t != types.Int32 && t != types.Int64 || bound(e) < 1e9 {
+		return NewCast(e, t)
+	}
+	g.kinds["GuardedCast"]++
+	abs, err := NewFunc("abs", []Expr{e})
+	if err != nil {
+		panic(err)
+	}
+	inRange, err := NewBinOp(OpLt, abs, NewConst(types.Float64Datum(1e9)))
+	if err != nil {
+		panic(err)
+	}
+	c, err := NewCase([]When{{Cond: inRange, Then: NewCast(e, t)}}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// bound is a bound on the magnitude of the numbers e computes, +Inf when
+// it may make any value, NaN and ±Inf included, as a quotient, LN, SQRT or
+// POWER may. Leaves lie within ±3, a BOOLEAN is 0 or 1.
+func bound(e Expr) float64 {
+	if e.Type() == types.Bool {
+		return 1
+	}
+	switch e := e.(type) {
+	case *BinOp:
+		l, r := bound(e.L), bound(e.R)
+		switch e.Op {
+		case OpAdd, OpSub:
+			return l + r
+		case OpMul:
+			return l * r
+		case OpMod:
+			return math.Min(l, r)
+		}
+		return math.Inf(1)
+	case *UnaryOp:
+		return bound(e.E)
+	case *Cast:
+		return bound(e.E)
+	case *Case:
+		b := 0.0
+		for _, w := range e.Whens {
+			b = math.Max(b, bound(w.Then))
+		}
+		if e.Else != nil {
+			b = math.Max(b, bound(e.Else))
+		}
+		return b
+	case *Func:
+		b := 0.0
+		for _, a := range e.Args {
+			b = math.Max(b, bound(a))
+		}
+		switch e.Kind {
+		case FuncAbs, FuncRelu, FuncGreatest, FuncLeast:
+			return b
+		case FuncFloor, FuncCeil:
+			return b + 1
+		case FuncExp:
+			return math.Exp(b)
+		case FuncSin, FuncCos, FuncTanh, FuncSigmoid:
+			if !math.IsInf(b, 1) { // NaN in, NaN out
+				return 1
+			}
+		}
+		return math.Inf(1) // LN, SQRT and POWER make NaN or ±Inf
+	default: // ColRef, Const
+		return 3
+	}
 }
 
 func (g *treeGen) caseOf(t types.T, d int) (Expr, error) {
@@ -264,7 +343,7 @@ func TestGeneratedEvaluatorReuse(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []string{"ColRef", "Const", "Cast", "Case", "Compare", "Logic", "Not", "IsNull", "Arith", "Mod", "Neg", "Func"} {
+	for _, kind := range []string{"ColRef", "Const", "Cast", "GuardedCast", "Case", "Compare", "Logic", "Not", "IsNull", "Arith", "Mod", "Neg", "Func"} {
 		if g.kinds[kind] == 0 {
 			t.Errorf("no %s node generated", kind)
 		}

@@ -8,7 +8,6 @@ package plan
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"indbml/internal/engine/exec"
@@ -294,21 +293,11 @@ func bindExpr(e sql.Expr, sc *scope) (expr.Expr, error) {
 // int-vs-REAL comparisons promote to REAL, keeping the generated ML queries
 // in 4-byte floats end to end) and decimal literals as DOUBLE.
 func bindNumber(text string) (expr.Expr, error) {
-	if !strings.ContainsAny(text, ".eE") {
-		v, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("plan: invalid integer literal %q", text)
-		}
-		if v >= -1<<31 && v < 1<<31 {
-			return expr.NewConst(types.Int32Datum(int32(v))), nil
-		}
-		return expr.NewConst(types.Int64Datum(v)), nil
-	}
-	v, err := strconv.ParseFloat(text, 64)
+	d, err := expr.ParseNumber(text)
 	if err != nil {
-		return nil, fmt.Errorf("plan: invalid numeric literal %q", text)
+		return nil, err
 	}
-	return expr.NewConst(types.Float64Datum(v)), nil
+	return expr.NewConst(d), nil
 }
 
 func bindOp(op string) (expr.Op, error) {

@@ -81,7 +81,9 @@ func (pl *Planner) pushFilter(child node, conjuncts []expr.Expr) node {
 		}
 		return c
 	case *filterNode:
-		return pl.pushFilter(c.child, append(conjuncts, splitConjuncts(c.pred)...))
+		// The lower filter's conjuncts first: they ran first, and a later
+		// conjunct evaluates only on the rows the earlier ones keep.
+		return pl.pushFilter(c.child, append(splitConjuncts(c.pred), conjuncts...))
 	case *scanNode:
 		if !pl.DisableZoneMaps {
 			for _, cj := range conjuncts {

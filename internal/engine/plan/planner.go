@@ -550,7 +550,7 @@ func (pl *Planner) bindSelect(sel *sql.SelectStmt) (node, error) {
 		hidden := 0
 		for i, o := range sel.OrderBy {
 			// Support ordinal references (ORDER BY 1) and output columns.
-			if num, ok := o.E.(*sql.NumberLit); ok && !strings.ContainsAny(num.Text, ".eE") {
+			if num, ok := o.E.(*sql.NumberLit); ok && !strings.ContainsAny(num.Text, "-.eE") {
 				var pos int
 				fmt.Sscanf(num.Text, "%d", &pos)
 				if pos < 1 || pos > visibleCols {

@@ -119,14 +119,35 @@ type ColDef struct {
 	Type string
 }
 
-// InsertStmt inserts literal rows.
+// InsertStmt inserts literal rows. Its VALUES cells lie row after row in
+// Cells; Rows[i] is the end of row i there, so Row(i) is row i.
 type InsertStmt struct {
 	Table string
 	Cols  []string // optional explicit column list
-	Rows  [][]Expr
+	Cells []Cell
+	Rows  []int
 }
 
 func (*InsertStmt) stmt() {}
+
+// Row returns the cells of VALUES row i.
+func (s *InsertStmt) Row(i int) []Cell {
+	lo := 0
+	if i > 0 {
+		lo = s.Rows[i-1]
+	}
+	return s.Cells[lo:s.Rows[i]]
+}
+
+// Cell is one VALUES cell. A cell that is a single literal token keeps the
+// token: Lit is TokNumber (Text is the number, its sign included),
+// TokString (Text is the value) or TokKeyword (Text is NULL, TRUE or FALSE).
+// Any other cell is an expression: Lit is TokEOF and Expr holds it.
+type Cell struct {
+	Lit  TokKind
+	Text string
+	Expr Expr
+}
 
 // DeleteStmt removes rows matching Where (all rows when nil).
 type DeleteStmt struct {
@@ -242,7 +263,10 @@ func QuoteTableName(name string) string {
 }
 
 func isPlainIdent(s string) bool {
-	if s == "" || !isIdentStart(s[0]) || keywords[strings.ToUpper(s)] {
+	if s == "" || !isIdentStart(s[0]) {
+		return false
+	}
+	if _, ok := keyword(s); ok {
 		return false
 	}
 	for i := 1; i < len(s); i++ {

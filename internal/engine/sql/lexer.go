@@ -10,7 +10,7 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"sync"
 )
 
 // TokKind classifies a lexical token.
@@ -34,27 +34,77 @@ type Token struct {
 	Pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "LIMIT": true, "AS": true, "AND": true, "OR": true,
-	"NOT": true, "CASE": true, "WHEN": true, "THEN": true, "ELSE": true,
-	"END": true, "ASC": true, "DESC": true, "CREATE": true, "TABLE": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "NULL": true, "TRUE": true,
-	"FALSE": true, "JOIN": true, "ON": true, "MODEL": true, "USING": true,
-	"PARTITIONS": true, "SORTED": true, "CAST": true, "UNION": true,
-	"ALL": true, "DISTINCT": true, "BETWEEN": true, "IN": true, "IS": true,
-	"DROP": true, "EXPLAIN": true, "DEVICE": true, "PREDICT": true,
-	"HAVING": true, "DELETE": true, "UPDATE": true, "SET": true,
-	"ANALYZE": true, "KILL": true, "SHARD": true, "META": true,
-	"ORIGIN": true,
+// keywords maps each keyword to itself: a keyword token's Text is this
+// canonical upper-case string, so lexing allocates nothing per keyword.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "AS",
+		"AND", "OR", "NOT", "CASE", "WHEN", "THEN", "ELSE", "END", "ASC",
+		"DESC", "CREATE", "TABLE", "INSERT", "INTO", "VALUES", "NULL", "TRUE",
+		"FALSE", "JOIN", "ON", "MODEL", "USING", "PARTITIONS", "SORTED",
+		"CAST", "UNION", "ALL", "DISTINCT", "BETWEEN", "IN", "IS", "DROP",
+		"EXPLAIN", "DEVICE", "PREDICT", "HAVING", "DELETE", "UPDATE", "SET",
+		"ANALYZE", "KILL", "SHARD", "META", "ORIGIN",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword (PARTITIONS).
+const maxKeywordLen = 10
+
+// keyword returns the canonical keyword word spells, case-insensitively.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
-// Lex tokenizes a SQL string. It returns an error on unterminated strings
-// or illegal characters.
-func Lex(input string) ([]Token, error) {
-	var toks []Token
-	i := 0
+// tokenBufs holds token slices for the parser to reuse: a statement's AST
+// keeps substrings of its text, never its tokens, so the tokens are dead
+// once it is parsed, and lexing a statement allocates no token slice.
+var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
+
+// maxPooledTokens bounds the slices tokenBufs keeps (2 MiB of tokens).
+const maxPooledTokens = 1 << 16
+
+// lexPooled lexes input into a pooled token slice, which releaseTokens
+// hands back once the tokens are no longer read.
+func lexPooled(input string) (*[]Token, error) {
+	buf := tokenBufs.Get().(*[]Token)
+	var err error
+	*buf, err = lex(input, (*buf)[:0])
+	return buf, err
+}
+
+func releaseTokens(buf *[]Token) {
+	if cap(*buf) > maxPooledTokens {
+		return
+	}
+	clear(*buf) // drop the references into the statement
+	*buf = (*buf)[:0]
+	tokenBufs.Put(buf)
+}
+
+// lex appends input's tokens to toks. It fails on unterminated strings and
+// illegal characters. Token texts are substrings of input
+// wherever the token is spelled as its text (everything but keywords and
+// strings with doubled quotes), so lexing allocates nothing per token.
+func lex(input string, toks []Token) ([]Token, error) {
 	n := len(input)
+	i := 0
 	for i < n {
 		c := input[i]
 		switch {
@@ -64,12 +114,12 @@ func Lex(input string) ([]Token, error) {
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case unicode.IsDigit(rune(c)) || (c == '.' && i+1 < n && unicode.IsDigit(rune(input[i+1]))):
+		case isDigit(c) || (c == '.' && i+1 < n && isDigit(input[i+1])):
 			start := i
 			seenDot, seenExp := false, false
 			for i < n {
 				d := input[i]
-				if unicode.IsDigit(rune(d)) {
+				if isDigit(d) {
 					i++
 				} else if d == '.' && !seenDot && !seenExp {
 					seenDot = true
@@ -87,25 +137,12 @@ func Lex(input string) ([]Token, error) {
 			toks = append(toks, Token{Kind: TokNumber, Text: input[start:i], Pos: start})
 		case c == '\'':
 			start := i
-			i++
-			var sb strings.Builder
-			for {
-				if i >= n {
-					return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
-				}
-				if input[i] == '\'' {
-					if i+1 < n && input[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				sb.WriteByte(input[i])
-				i++
+			text, end, ok := lexString(input, i)
+			if !ok {
+				return toks, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 			}
-			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Pos: start})
+			toks = append(toks, Token{Kind: TokString, Text: text, Pos: start})
+			i = end
 		case c == '"':
 			start := i
 			i++
@@ -114,10 +151,10 @@ func Lex(input string) ([]Token, error) {
 				j++
 			}
 			if j >= n {
-				return nil, fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
+				return toks, fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
 			}
 			if j == i {
-				return nil, fmt.Errorf("sql: zero-length quoted identifier at offset %d", start)
+				return toks, fmt.Errorf("sql: zero-length quoted identifier at offset %d", start)
 			}
 			toks = append(toks, Token{Kind: TokIdent, Text: input[i:j], Pos: start})
 			i = j + 1
@@ -127,36 +164,68 @@ func Lex(input string) ([]Token, error) {
 				i++
 			}
 			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, Token{Kind: TokKeyword, Text: upper, Pos: start})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, Token{Kind: TokKeyword, Text: kw, Pos: start})
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: start})
 			}
 		default:
 			start := i
-			two := ""
 			if i+1 < n {
-				two = input[i : i+2]
-			}
-			switch two {
-			case "<=", ">=", "<>", "!=", "||":
-				toks = append(toks, Token{Kind: TokOp, Text: two, Pos: start})
-				i += 2
-				continue
+				switch two := input[i : i+2]; two {
+				case "<=", ">=", "<>", "!=", "||":
+					toks = append(toks, Token{Kind: TokOp, Text: two, Pos: start})
+					i += 2
+					continue
+				}
 			}
 			switch c {
 			case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>', '.', ';', '?':
-				toks = append(toks, Token{Kind: TokOp, Text: string(c), Pos: start})
+				toks = append(toks, Token{Kind: TokOp, Text: input[i : i+1], Pos: start})
 				i++
 			default:
-				return nil, fmt.Errorf("sql: illegal character %q at offset %d", c, i)
+				return toks, fmt.Errorf("sql: illegal character %q at offset %d", c, i)
 			}
 		}
 	}
 	toks = append(toks, Token{Kind: TokEOF, Pos: n})
 	return toks, nil
 }
+
+// lexString reads the string literal whose opening quote is input[start]:
+// its value, the offset just past its closing quote, and whether it is
+// terminated. A literal without doubled quotes is a substring of input.
+func lexString(input string, start int) (string, int, bool) {
+	i := start + 1
+	for i < len(input) && input[i] != '\'' {
+		i++
+	}
+	if i >= len(input) {
+		return "", 0, false
+	}
+	if i+1 >= len(input) || input[i+1] != '\'' {
+		return input[start+1 : i], i + 1, true
+	}
+	var sb strings.Builder
+	sb.WriteString(input[start+1 : i])
+	for {
+		if i >= len(input) {
+			return "", 0, false
+		}
+		if input[i] == '\'' {
+			if i+1 < len(input) && input[i+1] == '\'' { // escaped quote
+				sb.WriteByte('\'')
+				i += 2
+				continue
+			}
+			return sb.String(), i + 1, true
+		}
+		sb.WriteByte(input[i])
+		i++
+	}
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isIdentStart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')

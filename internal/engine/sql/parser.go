@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -16,11 +17,12 @@ type Parser struct {
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
 func Parse(input string) (Stmt, error) {
-	toks, err := Lex(input)
+	toks, err := lexPooled(input)
+	defer releaseTokens(toks)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, src: input}
+	p := &Parser{toks: *toks, src: input}
 	stmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err
@@ -36,11 +38,12 @@ func Parse(input string) (Stmt, error) {
 // INSERT INTO <table>, and returns the table name: the statement a row
 // stream is appended under (the wire protocol's StmtFlagRows).
 func ParseInsertInto(input string) (string, error) {
-	toks, err := Lex(input)
+	toks, err := lexPooled(input)
+	defer releaseTokens(toks)
 	if err != nil {
 		return "", err
 	}
-	p := &Parser{toks: toks, src: input}
+	p := &Parser{toks: *toks, src: input}
 	if _, err := p.expect(TokKeyword, "INSERT"); err != nil {
 		return "", err
 	}
@@ -587,6 +590,12 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A minus applied directly to a numeric literal is part of the
+		// literal, so -9223372036854775808 is the smallest BIGINT rather
+		// than the negation of an out-of-range literal.
+		if num, ok := e.(*NumberLit); ok && num.Text[0] != '-' {
+			return &NumberLit{Text: "-" + num.Text}, nil
+		}
 		return &UnaryExpr{Op: "-", E: e}, nil
 	}
 	p.accept(TokOp, "+")
@@ -863,17 +872,17 @@ func (p *Parser) parseInsert() (Stmt, error) {
 	if _, err := p.expect(TokKeyword, "VALUES"); err != nil {
 		return nil, err
 	}
+	first := p.pos
 	for {
 		if _, err := p.expect(TokOp, "("); err != nil {
 			return nil, err
 		}
-		var row []Expr
 		for {
-			e, err := p.parseExpr()
+			cell, err := p.parseCell()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e)
+			stmt.Cells = append(stmt.Cells, cell)
 			if !p.accept(TokOp, ",") {
 				break
 			}
@@ -881,12 +890,58 @@ func (p *Parser) parseInsert() (Stmt, error) {
 		if _, err := p.expect(TokOp, ")"); err != nil {
 			return nil, err
 		}
-		stmt.Rows = append(stmt.Rows, row)
+		stmt.Rows = append(stmt.Rows, len(stmt.Cells))
 		if !p.accept(TokOp, ",") {
 			break
 		}
+		if len(stmt.Rows) == 1 {
+			// Size both slices once for rows spelled like the first.
+			rows := (len(p.toks) - first) / (p.pos - first)
+			stmt.Cells = slices.Grow(stmt.Cells, rows*len(stmt.Cells))
+			stmt.Rows = slices.Grow(stmt.Rows, rows)
+		}
 	}
 	return stmt, nil
+}
+
+// parseCell parses one VALUES cell. A cell that is one literal token — a
+// number, optionally signed, a string, NULL, TRUE or FALSE — followed by
+// the ',' or ')' that ends it is kept as that token; any other cell is
+// parsed as an expression.
+func (p *Parser) parseCell() (Cell, error) {
+	start := p.pos
+	t, lit := p.cur(), true
+	switch {
+	case t.Kind == TokOp && (t.Text == "-" || t.Text == "+") && p.toks[p.pos+1].Kind == TokNumber:
+		t = p.signedNumber(p.next())
+	case t.Kind == TokNumber || t.Kind == TokString ||
+		t.Kind == TokKeyword && (t.Text == "NULL" || t.Text == "TRUE" || t.Text == "FALSE"):
+		p.next()
+	default:
+		lit = false
+	}
+	if lit && (p.at(TokOp, ",") || p.at(TokOp, ")")) {
+		return Cell{Lit: t.Kind, Text: t.Text}, nil
+	}
+	p.pos = start
+	e, err := p.parseExpr()
+	return Cell{Expr: e}, err
+}
+
+// signedNumber consumes the number token after the sign token sign and
+// returns it as one number token carrying a minus, as parseUnary binds it;
+// a minus written next to its number keeps the input's substring.
+func (p *Parser) signedNumber(sign Token) Token {
+	num := p.next()
+	switch {
+	case sign.Text == "+":
+	case sign.Pos+1 == num.Pos:
+		num.Text = p.src[sign.Pos : num.Pos+len(num.Text)]
+	default:
+		num.Text = "-" + num.Text
+	}
+	num.Pos = sign.Pos
+	return num
 }
 
 func (p *Parser) parseDelete() (Stmt, error) {

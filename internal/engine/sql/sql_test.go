@@ -1,12 +1,14 @@
 package sql
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
 func TestLexBasics(t *testing.T) {
-	toks, err := Lex("SELECT a, 1.5e2 FROM t WHERE x <> 'it''s' -- comment\n AND y >= -3")
+	toks, err := lex("SELECT a, 1.5e2 FROM t WHERE x <> 'it''s' -- comment\n AND y >= -3", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +32,8 @@ func TestLexBasics(t *testing.T) {
 
 func TestLexErrors(t *testing.T) {
 	for _, bad := range []string{"'unterminated", `"unterminated`, "a $ b"} {
-		if _, err := Lex(bad); err == nil {
-			t.Errorf("Lex(%q) should fail", bad)
+		if _, err := lex(bad, nil); err == nil {
+			t.Errorf("lex(%q) should fail", bad)
 		}
 	}
 }
@@ -233,7 +235,7 @@ func TestStringRoundTripExprs(t *testing.T) {
 }
 
 func TestLexNumberForms(t *testing.T) {
-	toks, err := Lex("1 1.5 .5 1e3 1.5e-3 2E+4")
+	toks, err := lex("1 1.5 .5 1e3 1.5e-3 2E+4", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,4 +329,39 @@ func TestParseShardAsColumnName(t *testing.T) {
 	if id, ok := sel.Items[0].Expr.(*Ident); !ok || id.Name != "shard" {
 		t.Errorf("shard as column parsed wrong: %+v", sel.Items[0].Expr)
 	}
+}
+
+// TestParseConcurrentlyReusesTokens: statements parsed on several goroutines
+// at once, each lexed into a token slice the parser reuses, parse as they do
+// one at a time (the test runs under -race in CI).
+func TestParseConcurrentlyReusesTokens(t *testing.T) {
+	stmts := []string{
+		"INSERT INTO t VALUES (1, 'a''b', -2.5), (NULL, 'c', 1+2)",
+		"SELECT a, COUNT(*) FROM t WHERE b > -3 GROUP BY a ORDER BY 1",
+		"INSERT INTO t VALUES " + strings.Repeat("(7, 'x', 0.5), ", 300) + "(8, 'y', 1e3)",
+		"SELECT CASE WHEN x = 'it''s' THEN 1 ELSE -9223372036854775808 END FROM s",
+	}
+	want := make([]Stmt, len(stmts))
+	for i, s := range stmts {
+		var err error
+		if want[i], err = Parse(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				i := (g + k) % len(stmts)
+				got, err := Parse(stmts[i])
+				if err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%.40s…: parsed differently on goroutine %d (%v)", stmts[i], g, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

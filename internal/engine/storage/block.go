@@ -7,7 +7,7 @@ package storage
 
 import (
 	"cmp"
-	"math"
+	"unsafe"
 
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
@@ -59,89 +59,149 @@ type block struct {
 	codes []int32
 }
 
-// buildBlock compresses vals[lo:hi] of vec (hi > lo) into a block, choosing
-// the cheapest encoding from one probe of the run structure: a run is a
-// maximal stretch of NULLs or of bit-identical values.
+// buildBlock compresses vals[lo:hi] of vec (hi > lo) into a block.
 func buildBlock(vec *vector.Vector, lo, hi int) *block {
-	b := &block{typ: vec.Type(), n: hi - lo}
+	return buildStrided(vec, span{first: lo, stride: 1, n: hi - lo})
+}
+
+// span addresses a block's n values in a source vector: first,
+// first+stride, … — a run of rows, or one partition's share of an Append.
+type span struct{ first, stride, n int }
+
+// buildStrided compresses the values of vec at s into a block, choosing the
+// cheapest encoding from one typed pass that counts the runs — a run is a
+// maximal stretch of NULLs or of bit-identical values — and computes the
+// zone map. Only a raw block copies the values; RLE and const blocks keep
+// one per run.
+func buildStrided(vec *vector.Vector, s span) *block {
+	b := &block{typ: vec.Type(), n: s.n}
 	if src := vec.Nulls(); src != nil {
-		for i, isNull := range src[lo:hi] {
-			if isNull {
+		for j, i := 0, s.first; j < s.n; j, i = j+1, i+s.stride {
+			if src[i] {
 				if b.nulls == nil {
-					b.nulls = make([]bool, hi-lo)
+					b.nulls = make([]bool, s.n)
 				}
-				b.nulls[i] = true
+				b.nulls[j] = true
 			}
 		}
 	}
 	switch b.typ {
 	case types.Bool:
-		b.b = encodeTyped(b, vec.Bools()[lo:hi], same[bool])
+		vals := vec.Bools()
+		b.b = encode(b, vals, vals, s, countRuns(vals, b.nulls, s))
 	case types.Int32:
-		vals := vec.Int32s()[lo:hi]
-		b.i32 = encodeTyped(b, vals, same[int32])
-		b.zoneMap(zoneMap(vals, b.nulls, types.Int32Datum))
+		vals := vec.Int32s()
+		b.i32 = encodeOrdered(b, vals, vals, s, types.Int32Datum)
 	case types.Int64:
-		vals := vec.Int64s()[lo:hi]
-		b.i64 = encodeTyped(b, vals, same[int64])
-		b.zoneMap(zoneMap(vals, b.nulls, types.Int64Datum))
+		vals := vec.Int64s()
+		b.i64 = encodeOrdered(b, vals, vals, s, types.Int64Datum)
 	case types.Float32:
-		vals := vec.Float32s()[lo:hi]
-		b.f32 = encodeTyped(b, vals, sameF32)
-		b.zoneMap(zoneMap(vals, b.nulls, types.Float32Datum))
+		vals := vec.Float32s()
+		b.f32 = encodeOrdered(b, vals, f32bits(vals), s, types.Float32Datum)
 	case types.Float64:
-		vals := vec.Float64s()[lo:hi]
-		b.f64 = encodeTyped(b, vals, sameF64)
-		b.zoneMap(zoneMap(vals, b.nulls, types.Float64Datum))
+		vals := vec.Float64s()
+		b.f64 = encodeOrdered(b, vals, f64bits(vals), s, types.Float64Datum)
 	case types.String:
-		b.encodeStrings(vec.Strings()[lo:hi])
+		b.encodeStrings(vec.Strings(), s)
 	}
 	return b
 }
 
-func same[T comparable](a, b T) bool { return a == b }
+// f32bits and f64bits view a float slice as its IEEE bit patterns, so runs
+// compare floats bit for bit with ==.
+func f32bits(f []float32) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(f))), len(f))
+}
 
-// Floats compare by bits so NaN payloads and signed zeros survive a round
-// trip through RLE and const blocks.
-func sameF32(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
-func sameF64(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+func f64bits(f []float64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(f))), len(f))
+}
 
-// countRuns counts the runs of vals: NULL slots equal each other and nothing
-// else.
-func countRuns[T any](vals []T, nulls []bool, eq func(a, b T) bool) int {
+// encodeOrdered encodes a numeric block and sets its zone map. keys holds
+// the values' bit patterns — vals itself for integers, the IEEE bits for
+// floats, so NaN payloads and signed zeros survive RLE and const blocks.
+func encodeOrdered[T cmp.Ordered, K comparable](b *block, vals []T, keys []K, s span, datum func(T) types.Datum) []T {
+	runs, lo, hi, ok := scan(vals, keys, b.nulls, s)
+	b.zoneMap(datum(lo), datum(hi), ok)
+	return encode(b, vals, keys, s, runs)
+}
+
+// scan is the one pass over a numeric block: its run count, and its
+// [min, max] with Datum ordering among the non-NULL values (ok is false
+// when there are none). The first value seen is kept on ties, and NaN never
+// replaces or is replaced.
+func scan[T cmp.Ordered, K comparable](vals []T, keys []K, nulls []bool, s span) (runs int, lo, hi T, ok bool) {
+	i := s.first
+	runs = 1
+	if nulls == nil {
+		lo, hi, prev := vals[i], vals[i], keys[i]
+		for j := 1; j < s.n; j++ {
+			i += s.stride
+			if k := keys[i]; k != prev {
+				runs, prev = runs+1, k
+			}
+			if v := vals[i]; v < lo {
+				lo = v
+			} else if v > hi {
+				hi = v
+			}
+		}
+		return runs, lo, hi, true
+	}
+	for j := 0; j < s.n; j, i = j+1, i+s.stride {
+		if j > 0 && !continues(keys, nulls, j, i, s.stride) {
+			runs++
+		}
+		if nulls[j] {
+			continue
+		}
+		switch v := vals[i]; {
+		case !ok:
+			lo, hi, ok = v, v, true
+		case v < lo:
+			lo = v
+		case v > hi:
+			hi = v
+		}
+	}
+	return runs, lo, hi, ok
+}
+
+// countRuns counts the runs of a block without a zone map.
+func countRuns[K comparable](keys []K, nulls []bool, s span) int {
 	runs := 1
-	for i := 1; i < len(vals); i++ {
-		if !sameSlot(vals, nulls, i, eq) {
+	for j, i := 1, s.first+s.stride; j < s.n; j, i = j+1, i+s.stride {
+		if !continues(keys, nulls, j, i, s.stride) {
 			runs++
 		}
 	}
 	return runs
 }
 
-// sameSlot reports whether slot i continues the run of slot i-1.
-func sameSlot[T any](vals []T, nulls []bool, i int, eq func(a, b T) bool) bool {
-	if nulls != nil && (nulls[i] || nulls[i-1]) {
-		return nulls[i] == nulls[i-1]
+// continues reports whether value j of a block, at keys[i], continues the
+// run of value j-1: NULL slots equal each other and nothing else.
+func continues[K comparable](keys []K, nulls []bool, j, i, stride int) bool {
+	if nulls != nil && (nulls[j] || nulls[j-1]) {
+		return nulls[j] == nulls[j-1]
 	}
-	return eq(vals[i], vals[i-1])
+	return keys[i] == keys[i-stride]
 }
 
-// encodeTyped picks const, RLE or raw for a non-string block and returns its
-// payload (runLen is set for RLE).
-func encodeTyped[T any](b *block, vals []T, eq func(a, b T) bool) []T {
-	runs := countRuns(vals, b.nulls, eq)
+// encode picks const, RLE or raw for a non-string block of the given run
+// count and returns its payload (runLen is set for RLE).
+func encode[T any, K comparable](b *block, vals []T, keys []K, s span, runs int) []T {
 	switch {
 	case runs == 1:
 		b.enc = encConst
-		return []T{vals[0]}
+		return []T{vals[s.first]}
 	case runs*3 < b.n:
 		b.enc = encRLE
 		out := make([]T, 1, runs)
-		out[0] = vals[0]
+		out[0] = vals[s.first]
 		b.runLen = make([]int32, 1, runs)
 		b.runLen[0] = 1
-		for i := 1; i < len(vals); i++ {
-			if sameSlot(vals, b.nulls, i, eq) {
+		for j, i := 1, s.first+s.stride; j < s.n; j, i = j+1, i+s.stride {
+			if continues(keys, b.nulls, j, i, s.stride) {
 				b.runLen[len(b.runLen)-1]++
 			} else {
 				out = append(out, vals[i])
@@ -151,62 +211,39 @@ func encodeTyped[T any](b *block, vals []T, eq func(a, b T) bool) []T {
 		return out
 	default:
 		b.enc = encRaw
-		return append([]T(nil), vals...)
+		if s.stride == 1 {
+			return append([]T(nil), vals[s.first:s.first+s.n]...)
+		}
+		out := make([]T, s.n)
+		for j, i := 0, s.first; j < s.n; j, i = j+1, i+s.stride {
+			out[j] = vals[i]
+		}
+		return out
 	}
 }
 
-func (b *block) encodeStrings(vals []string) {
-	runs := countRuns(vals, b.nulls, same[string])
-	switch {
-	case runs == 1:
-		b.enc = encConst
-		b.str = []string{vals[0]}
-	case runs*2 < b.n:
-		b.enc = encDict
-		index := map[string]int32{}
-		b.codes = make([]int32, len(vals))
-		for i, s := range vals {
-			code, ok := index[s]
-			if !ok {
-				code = int32(len(b.dict))
-				index[s] = code
-				b.dict = append(b.dict, s)
-			}
-			b.codes[i] = code
+func (b *block) encodeStrings(vals []string, s span) {
+	runs := countRuns(vals, b.nulls, s)
+	if runs == 1 || runs*2 >= b.n { // const or raw: too many runs for RLE
+
+		b.str = encode(b, vals, vals, s, runs)
+		return
+	}
+	b.enc = encDict
+	index := map[string]int32{}
+	b.codes = make([]int32, s.n)
+	for j, i := 0, s.first; j < s.n; j, i = j+1, i+s.stride {
+		code, ok := index[vals[i]]
+		if !ok {
+			code = int32(len(b.dict))
+			index[vals[i]] = code
+			b.dict = append(b.dict, vals[i])
 		}
-	default:
-		b.enc = encRaw
-		b.str = append([]string(nil), vals...)
+		b.codes[j] = code
 	}
 }
 
-// zoneMap computes a numeric block's [min, max] with Datum ordering: NULL
-// sorts first, so any NULL makes min NULL (unbounded below) and an all-NULL
-// block has NULL for both; among values, the first one seen is kept on ties
-// and NaN never replaces or is replaced.
-func zoneMap[T cmp.Ordered](vals []T, nulls []bool, datum func(T) types.Datum) (mn, mx types.Datum, ok bool) {
-	first := 0
-	for nulls != nil && first < len(vals) && nulls[first] {
-		first++
-	}
-	if first == len(vals) {
-		return types.Datum{}, types.Datum{}, false
-	}
-	lo, hi := vals[first], vals[first]
-	for i := first + 1; i < len(vals); i++ {
-		if nulls != nil && nulls[i] {
-			continue
-		}
-		if v := vals[i]; v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
-		}
-	}
-	return datum(lo), datum(hi), true
-}
-
-// zoneMap stores zoneMap's result, applying the NULL rules.
+// zoneMap stores scan's [min, max], applying the NULL rules.
 func (b *block) zoneMap(mn, mx types.Datum, ok bool) {
 	null := types.NullDatum(b.typ)
 	switch {

@@ -161,23 +161,15 @@ func (t *Table) Append(b *vector.Batch) error {
 	nparts := len(t.parts)
 	added := make([][][]*block, nparts) // [partition][column][new block]
 	rows := make([]int, nparts)
-	share := make([]*vector.Vector, len(b.Vecs))
-	var sel []int
 	for k := 0; k < min(n, nparts); k++ {
+		// Partition pi's share is rows k, k+nparts, …: its blocks encode
+		// straight from b's columns.
 		pi := (t.next + k) % nparts
-		sel = sel[:0]
-		for r := k; r < n; r += nparts {
-			sel = append(sel, r)
-		}
-		rows[pi] = len(sel)
+		rows[pi] = (n - k + nparts - 1) / nparts
 		added[pi] = make([][]*block, len(b.Vecs))
 		for c, v := range b.Vecs {
-			if share[c] == nil {
-				share[c] = vector.New(v.Type(), len(sel))
-			}
-			share[c].CopyFrom(v, sel)
-			for lo := 0; lo < len(sel); lo += BlockSize {
-				added[pi][c] = append(added[pi][c], buildBlock(share[c], lo, min(lo+BlockSize, len(sel))))
+			for lo := 0; lo < rows[pi]; lo += BlockSize {
+				added[pi][c] = append(added[pi][c], buildStrided(v, span{first: k + lo*nparts, stride: nparts, n: min(BlockSize, rows[pi]-lo)}))
 			}
 		}
 	}
