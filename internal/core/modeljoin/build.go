@@ -1,10 +1,11 @@
 // Package modeljoin implements the paper's native ModelJoin database
 // operator (Sec. 5): a two-phase join between an input flow and a model
 // table. The build phase parses the relational model representation into
-// weight matrices — in parallel over the model table's partitions, into
-// shared memory, with a single barrier (Sec. 5.2, Fig. 6) — and the
-// inference phase performs vectorized batch inference with BLAS kernels on
-// a compute device (CPU, or the simulated GPU; Sec. 5.4, Fig. 7, Listing 5).
+// weight matrices — through relmodel.Decode, in parallel over the model
+// table's partitions, into shared memory, with a barrier after each of its
+// passes (Sec. 5.2, Fig. 6) — and the inference phase performs vectorized
+// batch inference with BLAS kernels on a compute device (CPU, or the
+// simulated GPU; Sec. 5.4, Fig. 7, Listing 5).
 //
 // The operator plugs into the engine's Volcano interface, is pipelined (not
 // a pipeline breaker) and order-preserving, so inference results can feed
@@ -12,8 +13,6 @@
 package modeljoin
 
 import (
-	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,6 @@ import (
 	"indbml/internal/core/relmodel"
 	"indbml/internal/device"
 	"indbml/internal/engine/storage"
-	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
 )
 
@@ -41,7 +39,7 @@ type Config struct {
 // deviceLayer is one model layer materialized on the compute device.
 type deviceLayer struct {
 	kind  nn.LayerKind
-	inDim int // previous layer width (features for LSTM)
+	inDim int // previous layer width (1 for the univariate LSTM)
 	units int
 	act   nn.Activation
 
@@ -53,7 +51,6 @@ type deviceLayer struct {
 
 	// LSTM (gate order i, f, c, o); pwg are the packed input kernels.
 	timeSteps int
-	features  int
 	wg, ug    [4]blas.Mat
 	gBias     [4][]float32
 	pwg       [4]*blas.PackedB
@@ -326,21 +323,6 @@ func blasActivation(a nn.Activation) blas.Activation {
 	return blas.ActNone
 }
 
-// hostLayer is the staging area weights are parsed into before the single
-// device upload.
-type hostLayer struct {
-	kind      nn.LayerKind
-	inDim     int
-	units     int
-	act       nn.Activation
-	timeSteps int
-	features  int
-	w         blas.Mat
-	bias      []float32
-	wg, ug    [4]blas.Mat
-	gBias     [4][]float32
-}
-
 // build runs the build phase from snap: a delta build patching base when
 // only weight columns changed in place since base was built, otherwise a
 // cold build.
@@ -358,7 +340,7 @@ func build(snap *storage.Snapshot, meta *relmodel.Meta, dev device.Device, cfg C
 	reason := ""
 	if ch.Reshaped {
 		reason = "row_count"
-	} else if len(ch.Cols) > 0 && ch.Cols[0] < weightBase(meta) {
+	} else if len(ch.Cols) > 0 && ch.Cols[0] < meta.Layout.KeyColumns() {
 		reason = "key_columns"
 	}
 	if reason == "" {
@@ -369,123 +351,17 @@ func build(snap *storage.Snapshot, meta *relmodel.Meta, dev device.Device, cfg C
 	return m, info, err
 }
 
-// weightBase is the ordinal of the first weight column: the columns before
-// it are the edge key.
-func weightBase(meta *relmodel.Meta) int {
-	if meta.Layout == relmodel.LayoutPairs {
-		return 4
-	}
-	return 2
-}
-
-// newHostLayers allocates the zeroed staging matrices of every model layer.
-func newHostLayers(meta *relmodel.Meta) ([]hostLayer, error) {
-	host := make([]hostLayer, 0, len(meta.Layers)-1)
-	for li := 1; li < len(meta.Layers); li++ {
-		lm := meta.Layers[li]
-		prev := meta.Layers[li-1]
-		hl := hostLayer{units: lm.Units}
-		switch lm.Kind {
-		case "dense":
-			act, err := nn.ParseActivation(lm.Activation)
-			if err != nil {
-				return nil, fmt.Errorf("modeljoin: model %s: %w", meta.Name, err)
-			}
-			hl.kind, hl.inDim, hl.act = nn.KindDense, prev.Units, act
-			hl.w = blas.NewMat(prev.Units, lm.Units)
-			hl.bias = make([]float32, lm.Units)
-		case "lstm":
-			hl.kind = nn.KindLSTM
-			hl.timeSteps, hl.features = lm.TimeSteps, lm.Features
-			hl.inDim = lm.Features
-			for g := 0; g < 4; g++ {
-				hl.wg[g] = blas.NewMat(lm.Features, lm.Units)
-				hl.ug[g] = blas.NewMat(lm.Units, lm.Units)
-				hl.gBias[g] = make([]float32, lm.Units)
-			}
-		default:
-			return nil, fmt.Errorf("modeljoin: model %s has unsupported layer kind %q", meta.Name, lm.Kind)
-		}
-		host = append(host, hl)
-	}
-	return host, nil
-}
-
-// readRows parses every row the scanner yields into host, after the same
-// non-finite check for every batch; touch, when set, sees each row first.
-func readRows(sc *storage.Scanner, meta *relmodel.Meta, host []hostLayer, touch func(b *vector.Batch, r int) error) error {
-	buf := vector.NewBatch(sc.Schema(), vector.Size)
-	for sc.Next(buf) {
-		if err := checkFinite(meta, buf); err != nil {
-			return err
-		}
-		for r := 0; r < buf.Len(); r++ {
-			if touch != nil {
-				if err := touch(buf, r); err != nil {
-					return err
-				}
-			}
-			if err := fillWeight(host, meta, buf, r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// buildModel runs the two-step cold build: (1) parallel parse of the model
-// table partitions into shared host matrices — writes are disjoint because
-// partitions are disjoint, so no synchronization beyond the final barrier is
-// needed (Sec. 5.2) — and (2) a single transfer of the finished matrices to
-// the device, followed by packing the weights for the gemm kernel.
+// buildModel runs the two-step cold build: (1) relmodel.Decode parses and
+// checks the model table's partitions into host layers, in parallel with a
+// barrier (Sec. 5.2) unless cfg.SerialBuild, and (2) a single transfer of
+// the finished matrices to the device, followed by packing the weights for
+// the gemm kernel.
 func buildModel(snap *storage.Snapshot, meta *relmodel.Meta, dev device.Device, cfg Config) (*builtModel, buildInfo, error) {
-	info := buildInfo{Kind: "cold"}
-	// Single-threaded allocation of the shared staging matrices.
-	host, err := newHostLayers(meta)
+	host, blocks, err := relmodel.Decode(snap, meta, cfg.SerialBuild)
+	info := buildInfo{Kind: "cold", Blocks: blocks}
 	if err != nil {
 		return nil, info, err
 	}
-
-	// Parallel parse: one worker per model-table partition, then a barrier
-	// (the WaitGroup) before the device upload.
-	var wg sync.WaitGroup
-	errs := make([]error, snap.Partitions())
-	blocks := make([]int, snap.Partitions())
-	parse := func(p int) error {
-		sc, err := snap.NewScanner(p, nil, nil)
-		if err != nil {
-			return err
-		}
-		err = readRows(sc, meta, host, nil)
-		blocks[p] = sc.ScannedBlocks
-		return err
-	}
-	if cfg.SerialBuild {
-		for p := 0; p < snap.Partitions(); p++ {
-			if err := parse(p); err != nil {
-				return nil, info, err
-			}
-		}
-	} else {
-		for p := 0; p < snap.Partitions(); p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				errs[p] = parse(p)
-			}(p)
-		}
-		wg.Wait() // barrier: the whole model table must be consumed
-		for _, err := range errs {
-			if err != nil {
-				return nil, info, err
-			}
-		}
-	}
-	for _, n := range blocks {
-		info.Blocks += n
-	}
-
-	// Upload to the device and pack the weights the fused gemm reads.
 	bm := &builtModel{dev: dev, meta: meta, cfg: cfg, snap: snap}
 	for _, hl := range host {
 		bm.layers = append(bm.layers, bm.upload(hl))
@@ -493,74 +369,64 @@ func buildModel(snap *storage.Snapshot, meta *relmodel.Meta, dev device.Device, 
 	return bm, info, nil
 }
 
-// upload moves a finished host layer to the device and packs its weights
-// for the fused gemm, accounting the packing time.
-func (m *builtModel) upload(hl hostLayer) deviceLayer {
+// upload moves a finished host layer to the device, an LSTM's stacked gate
+// matrices split per gate, and packs its weights for the fused gemm,
+// accounting the packing time.
+func (m *builtModel) upload(hl nn.Layer) deviceLayer {
 	dev, cfg := m.dev, m.cfg
-	dl := deviceLayer{
-		kind: hl.kind, inDim: hl.inDim, units: hl.units, act: hl.act,
-		timeSteps: hl.timeSteps, features: hl.features,
+	pack := func(w blas.Mat) *blas.PackedB {
+		start := time.Now()
+		defer func() { m.packDur += time.Since(start) }()
+		return blas.PackB(w)
 	}
-	switch hl.kind {
-	case nn.KindDense:
-		dl.w = uploadMat(dev, hl.w, cfg)
-		dl.bias = hl.bias
-	case nn.KindLSTM:
+	if l, ok := hl.(*nn.LSTM); ok {
+		u := l.Units
+		dl := deviceLayer{kind: nn.KindLSTM, inDim: l.Features, units: u, timeSteps: l.TimeSteps}
 		for g := 0; g < 4; g++ {
-			dl.wg[g] = uploadMat(dev, hl.wg[g], cfg)
-			dl.ug[g] = uploadMat(dev, hl.ug[g], cfg)
-			dl.gBias[g] = hl.gBias[g]
+			wg := gateCols(l.W, g, u)
+			dl.wg[g], dl.ug[g] = uploadMat(dev, wg, cfg), uploadMat(dev, gateCols(l.U, g, u), cfg)
+			dl.gBias[g], dl.pwg[g] = l.B[g*u:(g+1)*u], pack(wg)
 		}
+		return dl
 	}
-	packStart := time.Now()
-	if hl.kind == nn.KindDense {
-		dl.pw = blas.PackB(hl.w)
-	} else {
-		for g := 0; g < 4; g++ {
-			dl.pwg[g] = blas.PackB(hl.wg[g])
-		}
+	d := hl.(*nn.Dense)
+	return deviceLayer{kind: nn.KindDense, inDim: d.InputDim(), units: d.OutputDim(), act: d.Act,
+		w: uploadMat(dev, d.W, cfg), bias: d.B, pw: pack(d.W)}
+}
+
+// gateCols copies gate g's u columns out of a stacked LSTM matrix.
+func gateCols(m blas.Mat, g, u int) blas.Mat {
+	c := blas.NewMat(m.Rows, u)
+	for i := 0; i < m.Rows; i++ {
+		copy(c.Row(i), m.Row(i)[g*u:(g+1)*u])
 	}
-	m.packDur += time.Since(packStart)
-	return dl
+	return c
 }
 
 // patch is the delta build: a copy of m that re-reads only the given row
 // blocks of snap — whose key columns, and row counts, are those m was built
-// from — through the same checks and placement as a cold build. Layers the
-// blocks touch are downloaded, patched, uploaded and re-packed; the others
-// are copied device to device and keep their packed weights and biases,
-// which are immutable. The result is bit-identical to a cold build of snap
-// and shares no device memory with m; m's idle pooled scratch and host
-// buffers (same shapes, same device) move over.
+// from — through relmodel.Patch: the cold build's per-row checks and
+// placement. Layers the blocks touch are downloaded, patched, uploaded and
+// re-packed; the others are copied device to device and keep their packed
+// weights and biases, which are immutable. The result is bit-identical to a
+// cold build of snap and shares no device memory with m; m's idle pooled
+// scratch and host buffers (same shapes, same device) move over.
 func (m *builtModel) patch(snap *storage.Snapshot, blocks []storage.BlockRef) (*builtModel, buildInfo, error) {
-	info := buildInfo{Kind: "delta"}
-	host := make([]hostLayer, len(m.layers))
-	touched := make([]bool, len(m.layers))
-	touch := func(b *vector.Batch, r int) error {
-		_, layer, _, _, err := edgeOf(m.meta, b, r)
-		if err != nil {
-			return err
+	host := make([]nn.Layer, len(m.layers))
+	n, err := relmodel.Patch(snap, m.meta, blocks, func(li int) nn.Layer {
+		if host[li] == nil {
+			host[li] = m.download(li)
 		}
-		if li := layer - 1; li >= 0 && li < len(m.layers) && !touched[li] {
-			host[li], touched[li] = m.download(li), true
-		}
-		return nil
-	}
-	for _, ref := range blocks {
-		sc, err := snap.ScanBlock(ref, nil)
-		if err != nil {
-			return nil, info, err
-		}
-		err = readRows(sc, m.meta, host, touch)
-		info.Blocks += sc.ScannedBlocks
-		if err != nil {
-			return nil, info, err
-		}
+		return host[li]
+	})
+	info := buildInfo{Kind: "delta", Blocks: n}
+	if err != nil {
+		return nil, info, err
 	}
 	nm := &builtModel{dev: m.dev, meta: m.meta, cfg: m.cfg, snap: snap}
-	for li := range m.layers {
-		if touched[li] {
-			nm.layers = append(nm.layers, nm.upload(host[li]))
+	for li, hl := range host {
+		if hl != nil {
+			nm.layers = append(nm.layers, nm.upload(hl))
 		} else {
 			nm.layers = append(nm.layers, m.layers[li].copyOn(m.dev))
 		}
@@ -574,28 +440,29 @@ func (m *builtModel) patch(snap *storage.Snapshot, blocks []storage.BlockRef) (*
 	return nm, info, nil
 }
 
-// download copies layer li back into fresh host staging matrices.
-func (m *builtModel) download(li int) hostLayer {
+// download copies layer li back into a fresh host layer, an LSTM's gates
+// stacked again.
+func (m *builtModel) download(li int) nn.Layer {
 	l := &m.layers[li]
-	hl := hostLayer{
-		kind: l.kind, inDim: l.inDim, units: l.units, act: l.act,
-		timeSteps: l.timeSteps, features: l.features,
+	if l.kind == nn.KindDense {
+		d := nn.NewDense(l.inDim, l.units, l.act)
+		m.dev.Download(d.W.Data, l.w)
+		copy(d.B, l.bias)
+		return d
 	}
-	get := func(d blas.Mat) blas.Mat {
-		h := blas.NewMat(d.Rows, d.Cols)
-		m.dev.Download(h.Data, d)
-		return h
-	}
-	switch l.kind {
-	case nn.KindDense:
-		hl.w, hl.bias = get(l.w), slices.Clone(l.bias)
-	case nn.KindLSTM:
-		for g := 0; g < 4; g++ {
-			hl.wg[g], hl.ug[g] = get(l.wg[g]), get(l.ug[g])
-			hl.gBias[g] = slices.Clone(l.gBias[g])
+	u := l.units
+	lstm := nn.NewLSTM(l.inDim, u, l.timeSteps)
+	for g := 0; g < 4; g++ {
+		for _, mat := range [][2]blas.Mat{{lstm.W, l.wg[g]}, {lstm.U, l.ug[g]}} {
+			h := blas.NewMat(mat[1].Rows, u)
+			m.dev.Download(h.Data, mat[1])
+			for i := 0; i < h.Rows; i++ {
+				copy(mat[0].Row(i)[g*u:], h.Row(i))
+			}
 		}
+		copy(lstm.B[g*u:], l.gBias[g])
 	}
-	return hl
+	return lstm
 }
 
 // copyOn duplicates the layer's device matrices; packed weights and biases
@@ -614,103 +481,6 @@ func (l deviceLayer) copyOn(dev device.Device) deviceLayer {
 		l.wg[g], l.ug[g] = cp(l.wg[g]), cp(l.ug[g])
 	}
 	return l
-}
-
-// edgeOf decodes the (node_in, layer, node) key of model-table row r and the
-// ordinal of the first weight column, for either layout.
-func edgeOf(meta *relmodel.Meta, b *vector.Batch, r int) (nodeIn, layer, node, base int, err error) {
-	if meta.Layout == relmodel.LayoutPairs {
-		return int(b.Vecs[1].Int32s()[r]), int(b.Vecs[2].Int32s()[r]), int(b.Vecs[3].Int32s()[r]), 4, nil
-	}
-	if _, nodeIn, err = splitID(meta, int(b.Vecs[0].Int32s()[r])); err != nil {
-		return
-	}
-	layer, node, err = splitID(meta, int(b.Vecs[1].Int32s()[r]))
-	return nodeIn, layer, node, 2, err
-}
-
-// checkFinite rejects a batch of model-table rows holding a NaN or Inf in any
-// weight column: the model table is data, and a non-finite weight or bias
-// would turn every prediction it reaches into NaN. It scans column-wise, so a
-// healthy batch costs one pass over its floats; only a bad value is traced
-// back to its edge for the error.
-func checkFinite(meta *relmodel.Meta, b *vector.Batch) error {
-	for c := weightBase(meta); c < len(b.Vecs); c++ {
-		for r, v := range b.Vecs[c].Float32s()[:b.Len()] {
-			if v-v == 0 {
-				continue
-			}
-			nodeIn, layer, node, _, err := edgeOf(meta, b, r)
-			if err != nil {
-				return err
-			}
-			return fmt.Errorf("modeljoin: model %s layer %d node %d: non-finite %s = %v on the edge from node %d",
-				meta.Name, layer, node, b.Schema.Col(c).Name, v, nodeIn)
-		}
-	}
-	return nil
-}
-
-// fillWeight places one model-table row into the staging matrices at the
-// position indicated by the Layer column and the (Node_in, Node) pair
-// (Fig. 6).
-func fillWeight(host []hostLayer, meta *relmodel.Meta, b *vector.Batch, r int) error {
-	nodeIn, layer, node, base, err := edgeOf(meta, b, r)
-	if err != nil {
-		return err
-	}
-	if layer == 0 {
-		return nil // artificial-input edges carry no weights to build
-	}
-	if layer < 1 || layer >= len(meta.Layers) {
-		return fmt.Errorf("modeljoin: model %s row references layer %d", meta.Name, layer)
-	}
-	hl := &host[layer-1]
-	w := func(i int) float32 { return b.Vecs[base+i].Float32s()[r] }
-	switch hl.kind {
-	case nn.KindDense:
-		if nodeIn >= hl.w.Rows || node >= hl.units {
-			return fmt.Errorf("modeljoin: model %s dense edge (%d→%d) out of range", meta.Name, nodeIn, node)
-		}
-		hl.w.Set(nodeIn, node, w(0))
-		// Every in-edge row repeats the node's bias, and a node's in-edges
-		// span model-table partitions; the weight cells are disjoint across
-		// parallel build workers but the bias cell is not. Let exactly one
-		// row — the (0→node) edge, present once per node in a fully
-		// connected layer — write it, keeping the build barrier-free.
-		if nodeIn == 0 {
-			hl.bias[node] = w(8)
-		}
-	case nn.KindLSTM:
-		if nodeIn >= hl.units || node >= hl.units {
-			return fmt.Errorf("modeljoin: model %s lstm edge (%d→%d) out of range", meta.Name, nodeIn, node)
-		}
-		for g := 0; g < 4; g++ {
-			hl.ug[g].Set(nodeIn, node, w(4+g))
-			// As with the dense bias: input weights and gate biases repeat
-			// on every recurrent edge row, so only the (0→node) row writes
-			// the shared cells.
-			if nodeIn == 0 {
-				hl.wg[g].Set(0, node, w(g))
-				hl.gBias[g][node] = w(8 + g)
-			}
-		}
-	}
-	return nil
-}
-
-func splitID(meta *relmodel.Meta, id int) (layer, node int, err error) {
-	if id < 0 {
-		return -1, 0, nil
-	}
-	off := 0
-	for li, lm := range meta.Layers {
-		if id < off+lm.Units {
-			return li, id - off, nil
-		}
-		off += lm.Units
-	}
-	return 0, 0, fmt.Errorf("modeljoin: node id %d out of range", id)
 }
 
 // uploadMat moves a finished host matrix to the device. With

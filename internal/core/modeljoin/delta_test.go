@@ -138,7 +138,7 @@ type deltaMutator struct {
 func (mu *deltaMutator) next() string {
 	t, rng, tbl := mu.t, mu.rng, mu.tbl
 	t.Helper()
-	base := weightBase(mu.meta)
+	base := mu.meta.Layout.KeyColumns()
 	ncols := tbl.Schema.Len()
 	keys := make([]int, base)
 	for i := range keys {

@@ -214,14 +214,16 @@ func Export(m *nn.Model, opts ExportOptions) (*storage.Table, *Meta, error) {
 		parts = 1
 	}
 	tbl := storage.NewTable(name, Schema(opts.Layout), storage.Options{Partitions: parts})
-
-	rows := 0
-	for l, lm := range meta.Layers {
-		rows += meta.inUnits(l) * lm.Units
+	// The decoder's numbering: its edge count, and node ids (ids[l+1] is
+	// layer l's first, ids[0] = -1 the artificial input node's).
+	d, err := newDecoder(meta, tbl.Schema)
+	if err != nil {
+		return nil, nil, err
 	}
+	rows := meta.Layers[0].Units + d.first[len(d.first)-1] // the artificial input node's edges, then the model's
 	b := vector.NewBatch(tbl.Schema, rows)
 	b.SetLen(rows)
-	key := make([][]int32, len(b.Vecs)-len(weightCols))
+	key := make([][]int32, opts.Layout.KeyColumns())
 	for k := range key {
 		key[k] = b.Vecs[k].Int32s()
 	}
@@ -229,24 +231,15 @@ func Export(m *nn.Model, opts ExportOptions) (*storage.Table, *Meta, error) {
 	for j := range w {
 		w[j] = b.Vecs[len(key)+j].Float32s()
 	}
-	// In LayoutNodeID, off[l+1] is layer l's first node id and off[0] = -1
-	// numbers the artificial input node (layer -1, node 0).
-	var off []int32
-	if opts.Layout == LayoutNodeID {
-		off = []int32{-1}
-		for l := range meta.Layers {
-			off = append(off, int32(meta.NodeOffset(l)))
-		}
-	}
 	// edge writes the key columns of the next row, the edge from node nodeIn
 	// of layer-1 to node node of layer, and returns the row's index.
 	row := -1
 	edge := func(layer, nodeIn, node int) int {
 		row++
-		if off == nil {
+		if d.ids == nil {
 			key[0][row], key[1][row], key[2][row], key[3][row] = int32(layer-1), int32(nodeIn), int32(layer), int32(node)
 		} else {
-			key[0][row], key[1][row] = off[layer]+int32(nodeIn), off[layer+1]+int32(node)
+			key[0][row], key[1][row] = int32(d.ids[layer]+nodeIn), int32(d.ids[layer+1]+node)
 		}
 		return row
 	}
@@ -288,13 +281,4 @@ func Export(m *nn.Model, opts ExportOptions) (*storage.Table, *Meta, error) {
 		return nil, nil, fmt.Errorf("relmodel: exporting %s: %w", name, err)
 	}
 	return tbl, meta, nil
-}
-
-// inUnits returns the width of the layer feeding relational layer l: the
-// single artificial input node for layer 0.
-func (m *Meta) inUnits(l int) int {
-	if l == 0 {
-		return 1
-	}
-	return m.Layers[l-1].Units
 }

@@ -188,17 +188,21 @@ func TestMetaRejectsMultivariateLSTM(t *testing.T) {
 
 func TestSplitNodeID(t *testing.T) {
 	m := nn.NewDenseModel("m", 4, 8, 1, 1, 1)
-	_, meta, _ := Export(m, ExportOptions{Layout: LayoutNodeID})
-	layer, node, err := splitNodeID(meta, -1)
-	if err != nil || layer != -1 {
-		t.Errorf("artificial node: %d %d %v", layer, node, err)
+	tbl, meta, _ := Export(m, ExportOptions{Layout: LayoutNodeID})
+	d, err := newDecoder(meta, tbl.Schema)
+	if err != nil {
+		t.Fatal(err)
 	}
-	layer, node, err = splitNodeID(meta, 7)
-	if err != nil || layer != 1 || node != 3 {
-		t.Errorf("node 7: layer %d node %d %v", layer, node, err)
+	if layer, node := d.node(-1); layer != -1 || node != 0 {
+		t.Errorf("artificial node: layer %d node %d", layer, node)
 	}
-	if _, _, err := splitNodeID(meta, 99); err == nil {
-		t.Error("out-of-range id should fail")
+	if layer, node := d.node(7); layer != 1 || node != 3 {
+		t.Errorf("node 7: layer %d node %d", layer, node)
+	}
+	for _, id := range []int32{13, 99, -2} {
+		if layer, _ := d.node(id); layer != -2 {
+			t.Errorf("out-of-range id %d decoded to layer %d", id, layer)
+		}
 	}
 }
 

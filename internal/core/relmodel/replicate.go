@@ -12,13 +12,15 @@ import (
 // the CREATE MODEL TABLE ... META '<json>' clause. The activation functions
 // per layer live only here, not in the weight rows, so a model shipped as
 // SQL needs this document to be MODEL JOIN-able on the receiving engine.
+// The document must pass the decoder's layer rules (Meta.check), so a model
+// the decoder would refuse is refused at CREATE.
 func ParseMeta(text string) (*Meta, error) {
 	var m Meta
 	if err := json.Unmarshal([]byte(text), &m); err != nil {
 		return nil, fmt.Errorf("relmodel: parsing model meta: %w", err)
 	}
-	if m.Name == "" || len(m.Layers) == 0 {
-		return nil, fmt.Errorf("relmodel: model meta missing name or layers")
+	if err := m.check(); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }

@@ -582,18 +582,13 @@ func (d *Database) QueryOpTracedContext(ctx context.Context, text string) (exec.
 		// ORIGIN reaping — see the same identity the server path provides.
 		ctx = flight.WithLive(ctx, live)
 	}
-	fl := d.flight.BeginFor(live, text, "select", flight.ApproachFrom(ctx))
+	fl := d.flight.BeginFor(live, text, "select", "sql")
 	fl.SetQueueWait(flight.QueueWaitFrom(ctx))
 	sel, err := sql.ParseSelect(text)
-	if fl.Approach() == "" {
-		// The FROM tree classifies the statement; one that does not parse
-		// gets the default tag, so per-approach aggregates never grow an
-		// "" group.
-		if err == nil && selHasModelJoin(sel.From) {
-			fl.SetApproach("modeljoin")
-		} else {
-			fl.SetApproach("sql")
-		}
+	// The FROM tree classifies the statement; one that does not parse keeps
+	// the default tag.
+	if err == nil && selHasModelJoin(sel.From) {
+		fl.SetApproach("modeljoin")
 	}
 	qt := trace.NewQueryTrace(text)
 	var op exec.Operator
@@ -777,7 +772,7 @@ func (d *Database) execCreate(s *sql.CreateTableStmt) error {
 			if err != nil {
 				return err
 			}
-			modelMeta = m
+			modelMeta, schema = m, relmodel.Schema(m.Layout)
 		}
 	} else {
 		cols := make([]types.Column, len(s.Cols))

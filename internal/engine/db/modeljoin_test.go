@@ -1,6 +1,7 @@
 package db_test
 
 import (
+	"strings"
 	"testing"
 
 	"indbml/internal/core/relmodel"
@@ -50,6 +51,35 @@ func TestCreateModelTableSchema(t *testing.T) {
 	}
 	if _, err := d.Query("SELECT * FROM f MODEL JOIN weights"); err == nil {
 		t.Error("MODEL JOIN against an unregistered model table should fail")
+	}
+}
+
+// TestCreateModelTableRejectsBadMeta: a META document is checked by the
+// model-table decoder's layer rules at CREATE, so a model no build could
+// read is refused there with an error — not accepted, to make a later MODEL
+// JOIN panic (negative units) or build a layer it cannot name (an unknown
+// activation or kind). A node-id layout META gets that layout's schema.
+func TestCreateModelTableRejectsBadMeta(t *testing.T) {
+	d := db.Open(db.Options{})
+	makeFactTable(t, d, "fact", 20, 4, 1, 1)
+	for _, c := range []struct{ layer, want string }{
+		{`{"kind":"dense","units":-3,"activation":"relu"}`, "layer 1 has -3 units"},
+		{`{"kind":"dense","units":3,"activation":"bogus"}`, `unsupported activation "bogus"`},
+		{`{"kind":"conv","units":3}`, `unknown kind "conv"`},
+	} {
+		meta := `{"name":"bm","layers":[{"kind":"input","units":4},` + c.layer + `]}`
+		if err := d.Exec("CREATE MODEL TABLE bm META '" + meta + "'"); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("CREATE MODEL TABLE with layer %s: got %v, want an error containing %q", c.layer, err, c.want)
+		}
+		if _, err := d.Query("SELECT id, prediction FROM fact MODEL JOIN bm PREDICT (af0, bf1, cf2, df3)"); err == nil {
+			t.Errorf("MODEL JOIN after a refused CREATE with layer %s succeeded", c.layer)
+		}
+	}
+	if err := d.Exec(`CREATE MODEL TABLE nm META '{"name":"nm","layout":1,"layers":[{"kind":"input","units":4},{"kind":"dense","units":1}]}'`); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err := d.Table("nm"); err != nil || tbl.Schema.Len() != 14 {
+		t.Errorf("node-id model table: %v, want the 14 columns of that layout", err)
 	}
 }
 

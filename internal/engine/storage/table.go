@@ -230,6 +230,9 @@ func (p *partition) snapshot() [][]*block {
 // Partitions returns the partition count.
 func (s *Snapshot) Partitions() int { return len(s.parts) }
 
+// Schema returns the table's schema.
+func (s *Snapshot) Schema() *types.Schema { return s.t.Schema }
+
 // NewScanner creates a scanner over partition pi of the snapshot; see
 // Table.NewScanner.
 func (s *Snapshot) NewScanner(pi int, proj []int, filters []RangeFilter) (*Scanner, error) {

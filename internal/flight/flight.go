@@ -61,7 +61,7 @@ type Summary struct {
 	SQL          string
 	Fingerprint  uint64 // statement-shape fingerprint (package fingerprint)
 	Kind         string // select, insert, update, delete, create, drop, kill, ...
-	Approach     string // sql, modeljoin, mltosql, pyudf, mlruntime, external
+	Approach     string // sql, or modeljoin for a SELECT with a MODEL JOIN
 	Device       string // inference device ("cpu", "gpu-sim", ...; "" without inference)
 	Error        string // "" on success
 	LatencyNS    int64
@@ -245,9 +245,6 @@ func (f *Flight) SetKind(kind string) { f.sum.Kind = kind }
 // SetApproach overrides the approach tag recorded at Begin.
 func (f *Flight) SetApproach(a string) { f.sum.Approach = a }
 
-// Approach reads the current approach tag.
-func (f *Flight) Approach() string { return f.sum.Approach }
-
 // SetQueueWait records admission-control queue wait.
 func (f *Flight) SetQueueWait(d time.Duration) { f.sum.QueueWaitNS = int64(d) }
 
@@ -408,28 +405,9 @@ func (r *recordedOp) QueryID() uint64 { return r.fl.ID() }
 type ctxKey int
 
 const (
-	approachKey ctxKey = iota
-	queueWaitKey
+	queueWaitKey ctxKey = iota
 	liveKey
 )
-
-// WithApproach tags statements run under ctx with an approach label
-// (pyudf, mlruntime, mltosql, external, ...), overriding the planner's
-// sql/modeljoin inference. Harnesses that drive the engine on behalf of
-// another execution strategy use this so system.queries attributes the
-// work correctly.
-func WithApproach(ctx context.Context, approach string) context.Context {
-	return context.WithValue(ctx, approachKey, approach)
-}
-
-// ApproachFrom returns the approach tag carried by ctx ("" if none).
-func ApproachFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	a, _ := ctx.Value(approachKey).(string)
-	return a
-}
 
 // WithQueueWait records the admission-control wait the server charged this
 // statement before handing it to the engine.

@@ -353,12 +353,6 @@ func TestWrapOpenError(t *testing.T) {
 
 func TestContextPlumbing(t *testing.T) {
 	ctx := context.Background()
-	if got := ApproachFrom(ctx); got != "" {
-		t.Errorf("approach on empty ctx = %q", got)
-	}
-	if got := ApproachFrom(WithApproach(ctx, "mlruntime")); got != "mlruntime" {
-		t.Errorf("approach = %q", got)
-	}
 	if got := QueueWaitFrom(ctx); got != 0 {
 		t.Errorf("queue wait on empty ctx = %v", got)
 	}
@@ -368,9 +362,6 @@ func TestContextPlumbing(t *testing.T) {
 	// Non-positive waits are not recorded at all.
 	if got := QueueWaitFrom(WithQueueWait(ctx, -time.Second)); got != 0 {
 		t.Errorf("negative queue wait leaked: %v", got)
-	}
-	if got := ApproachFrom(nil); got != "" { //nolint:staticcheck // nil ctx is part of the contract
-		t.Errorf("approach on nil ctx = %q", got)
 	}
 }
 
