@@ -10,9 +10,13 @@ import (
 // The gemm micro-kernel computes one mr×nr tile of C in registers: twelve
 // 8-float accumulators (six rows of two vectors) fed by one packed B panel
 // row and six broadcast A values per k step, the AVX2 register budget of 16
-// YMM registers. Both kernels — the amd64 assembly and the portable Go one —
-// implement this tile shape, sum over k in the same order and handle partial
-// tiles (fewer than mr rows, fewer than nr columns) themselves.
+// YMM registers. Three kernels implement this tile contract — AVX2/FMA
+// assembly, the portable Go kernel, and AVX-512 assembly that computes two
+// adjacent tiles at once (6×2nr over panels p and p+1, twelve ZMM
+// accumulators) — and each sums over k in the same order and handles partial
+// tiles (fewer than mr rows, fewer than nr columns) itself. The assembly
+// kernels issue the same operations per output lane, so they agree bit for
+// bit; which one runs is decided once at init from CPUID.
 const (
 	mr = 6
 	nr = 16
@@ -143,8 +147,10 @@ func gemm(a Mat, b *PackedB, bias []float32, act Activation, c Mat) time.Duratio
 }
 
 // runRows computes C rows [lo, hi). Rows are walked in cache blocks; inside a
-// block each B panel (L1-resident) sweeps all row tiles before the next panel
-// is touched, and the block's activation runs before the block leaves cache.
+// block each B panel, or pair of panels for the AVX-512 kernel (L1-resident),
+// sweeps all row tiles before the next is touched, and the block's activation
+// runs before the block leaves cache. A last odd panel, and a matrix of at
+// most nr columns, take the one-panel tile.
 func (j *gemmJob) runRows(lo, hi int) {
 	start := time.Now()
 	k, n := j.a.Cols, j.c.Cols
@@ -155,15 +161,16 @@ func (j *gemmJob) runRows(lo, hi int) {
 			mode = modeBiasReLU
 		}
 	}
+	span := tileCols()
 	mc := blockFloats / (k + n + 1) / mr * mr
 	if mc < mr {
 		mc = mr
 	}
 	for i0 := lo; i0 < hi; i0 += mc {
 		i1 := min(i0+mc, hi)
-		for p, j0 := 0, 0; j0 < n; p, j0 = p+1, j0+nr {
-			panel := j.b.data[p*k*nr : (p+1)*k*nr]
-			w := min(nr, n-j0)
+		for j0, w := 0, 0; j0 < n; j0 += w {
+			w = min(span, n-j0)
+			panel := j.b.data[j0*k : (j0+(w+nr-1)/nr*nr)*k]
 			var bias []float32
 			if j.bias != nil {
 				bias = j.bias[j0 : j0+w]

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // gridMs and gridKNs span the micro-kernel's edges: every partial row tile
@@ -253,36 +254,118 @@ func TestParallelRowsCoversAllRows(t *testing.T) {
 	}
 }
 
-// BenchmarkSgemm measures both entry points at the batch heights the engine
-// produces (62-row shard blocks, 250-row partitions, full 1024-row vectors)
-// against the paper's dense widths, reporting GFLOP/s.
-func BenchmarkSgemm(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	for _, m := range []int{62, 250, 1024} {
-		for _, dim := range []int{32, 128, 256, 512} {
-			a := randMat(rng, m, dim)
-			w := randMat(rng, dim, dim)
-			bias := randMat(rng, 1, dim).Data
-			c := NewMat(m, dim)
-			gflop := float64(FlopsGemm(m, dim, dim)) / 1e9
-			report := func(b *testing.B) {
-				b.ReportMetric(gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
+// testKernel is one micro-kernel the tests and benchmarks can force.
+type testKernel struct {
+	name string
+	use  func()
+}
+
+// withSpecials overwrites a few entries of m with NaN (random payload and
+// sign), +Inf and -Inf: none, a handful or about one in fifty.
+func withSpecials(rng *rand.Rand, m Mat) Mat {
+	count := [3]int{0, 1 + rng.Intn(3), len(m.Data)/50 + 1}[rng.Intn(3)]
+	for ; count > 0; count-- {
+		v := float32(math.Inf(1 - 2*rng.Intn(2)))
+		if rng.Intn(2) == 0 {
+			v = math.Float32frombits(0x7fc00000 | rng.Uint32()&0x803fffff)
+		}
+		m.Data[rng.Intn(len(m.Data))] = v
+	}
+	return m
+}
+
+// TestGeneratedKernelsAgree holds the AVX-512 tile to the AVX2 one bit for
+// bit through both entry points and every epilogue, NaN payloads included,
+// on shapes that cover partial row tiles, a partial upper panel and the odd
+// last panel the AVX2 tile takes.
+func TestGeneratedKernelsAgree(t *testing.T) {
+	kerns := map[string]testKernel{}
+	for _, k := range testKernels() {
+		kerns[k.name] = k
+	}
+	wide, okWide := kerns["avx512"]
+	narrow, okNarrow := kerns["avx2"]
+	if !okWide || !okNarrow {
+		t.Skip("the AVX-512 kernel does not run here: the CPU lacks AVX-512F or the build is portable")
+	}
+	defer restoreKernel()
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	acts := []Activation{ActNone, ActReLU, ActSigmoid, ActTanh}
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 62, 250, 750} {
+		for _, k := range []int{1, 3, 4, 5, 32, 33, 256} {
+			for _, n := range []int{1, 16, 17, 31, 32, 33, 48, 50, 256} {
+				a := withSpecials(rng, randMat(rng, m, k))
+				b := withSpecials(rng, randMat(rng, k, n))
+				bias := randMat(rng, 1, n).Data
+				c := withSpecials(rng, randMat(rng, m, n))
+				pb := PackB(b)
+				run := func(kern testKernel) []Mat {
+					kern.use()
+					out := make([]Mat, 0, len(acts)+1)
+					for _, act := range acts {
+						o := randMat(rng, m, n)
+						GemmBiasAct(a, pb, bias, act, o)
+						out = append(out, o)
+					}
+					acc := c.Clone()
+					Sgemm(a, b, acc)
+					return append(out, acc)
+				}
+				got, want := run(wide), run(narrow)
+				for i := range got {
+					for e, v := range got[i].Data {
+						if g, w := math.Float32bits(v), math.Float32bits(want[i].Data[e]); g != w {
+							call := "Sgemm"
+							if i < len(acts) {
+								call = fmt.Sprintf("GemmBiasAct act %d", acts[i])
+							}
+							t.Fatalf("seed %d: %s %dx%dx%d: C[%d][%d] is %#08x on avx512, %#08x on avx2",
+								seed, call, m, k, n, e/n, e%n, g, w)
+						}
+					}
+				}
 			}
-			b.Run(fmt.Sprintf("%dx%dx%d", m, dim, dim), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					Sgemm(a, w, c)
+		}
+	}
+}
+
+// BenchmarkSgemm measures both entry points on every kernel this CPU runs,
+// at the batch heights the engine produces (62-row shard blocks, 250-row
+// partitions, full 1024-row vectors) against the paper's dense widths,
+// reporting GFLOP/s.
+func BenchmarkSgemm(b *testing.B) {
+	defer restoreKernel()
+	for _, kern := range testKernels() {
+		kern.use()
+		rng := rand.New(rand.NewSource(8))
+		for _, m := range []int{62, 250, 1024} {
+			for _, dim := range []int{32, 128, 256, 512} {
+				a := randMat(rng, m, dim)
+				w := randMat(rng, dim, dim)
+				bias := randMat(rng, 1, dim).Data
+				c := NewMat(m, dim)
+				gflop := float64(FlopsGemm(m, dim, dim)) / 1e9
+				report := func(b *testing.B) {
+					b.ReportMetric(gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
 				}
-				report(b)
-			})
-			pw := PackB(w)
-			b.Run(fmt.Sprintf("packed/%dx%dx%d", m, dim, dim), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					GemmBiasAct(a, pw, bias, ActReLU, c)
-				}
-				report(b)
-			})
+				b.Run(fmt.Sprintf("%s/%dx%dx%d", kern.name, m, dim, dim), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						Sgemm(a, w, c)
+					}
+					report(b)
+				})
+				pw := PackB(w)
+				b.Run(fmt.Sprintf("%s/packed/%dx%dx%d", kern.name, m, dim, dim), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						GemmBiasAct(a, pw, bias, ActReLU, c)
+					}
+					report(b)
+				})
+			}
 		}
 	}
 }

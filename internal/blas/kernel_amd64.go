@@ -2,10 +2,14 @@
 
 package blas
 
-// useAVX2 is decided once at init: the assembly kernel needs AVX2 and FMA
-// from the CPU and YMM state saving from the OS; anything else runs the
-// portable kernel.
-var useAVX2 = cpuHasAVX2FMA()
+// useAVX2 and useAVX512 are decided once at init: the AVX2 kernel needs AVX2
+// and FMA from the CPU and YMM state saving from the OS, the AVX-512 kernel
+// AVX-512F on top and opmask and ZMM state saving; anything else runs the
+// portable kernel. Tests and benchmarks switch them to reach each kernel.
+var (
+	useAVX2   = cpuHasAVX2FMA()
+	useAVX512 = useAVX2 && cpuHasAVX512F()
+)
 
 func cpuHasAVX2FMA() bool {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -30,6 +34,16 @@ func cpuHasAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
+func cpuHasAVX512F() bool {
+	const avx512f = 1 << 16
+	if _, ebx7, _, _ := cpuid(7, 0); ebx7&avx512f == 0 {
+		return false
+	}
+	// XCR0 bits 1, 2 and 5–7: the OS saves XMM, YMM, opmask and ZMM state.
+	xcr0, _ := xgetbv()
+	return xcr0&0xe6 == 0xe6
+}
+
 // colMask is sixteen all-ones lanes followed by sixteen zero lanes; the
 // sixteen lanes starting at colMask[nr-n] are the kernel's load/store mask
 // for a tile with n valid columns.
@@ -46,7 +60,27 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func kernelAVX2(k int, a []float32, lda int, panel []float32, c []float32, ldc int, m, n int, bias []float32, mode int)
 
+// kernelAVX512 computes a tile of 17 to 32 columns over two adjacent panels
+// (kernel_amd64.s), bit for bit as kernelAVX2 would compute them one panel at
+// a time.
+//
+//go:noescape
+func kernelAVX512(k int, a []float32, lda int, panel []float32, c []float32, ldc int, m, n int, bias []float32, mode int)
+
+// tileCols is the widest tile microKernel takes: two panels when the AVX-512
+// kernel runs.
+func tileCols() int {
+	if useAVX512 {
+		return 2 * nr
+	}
+	return nr
+}
+
 func microKernel(k int, a []float32, lda int, panel []float32, c []float32, ldc int, m, n int, bias []float32, mode int) {
+	if n > nr {
+		kernelAVX512(k, a, lda, panel, c, ldc, m, n, bias, mode)
+		return
+	}
 	if useAVX2 {
 		kernelAVX2(k, a, lda, panel, c, ldc, m, n, bias, mode)
 		return

@@ -167,6 +167,9 @@ TEXT ·kernelAVX2(SB), NOSPLIT, $0-144
 	ANDQ $-4, SI
 	JZ   ktail
 
+	// The loop's speed must not depend on where the linker puts the kernel.
+	PCALIGN $32
+
 kloop4:
 	KSTEP(0, 0)
 	KSTEP(4, 64)
@@ -236,6 +239,178 @@ biasm:
 
 storem:
 	ALLROWS(STOREROWM)
+
+done:
+	VZEROUPPER
+	RET
+
+// The AVX-512 kernel computes a 6×32 tile over two adjacent panels with the
+// AVX2 kernel's structure at twice the width: row r is (Z[2r], Z[2r+1]),
+// columns 0–15 from panel p and 16–31 from panel p+1, which starts k·64 bytes
+// after panel p (R14). Every lane sees the same operations in the same order
+// as in kernelAVX2, so the two kernels agree bit for bit.
+#define ZSTEP(off4, off64) \
+	VMOVUPS      off64(BX), Z12; \
+	VMOVUPS      off64(BX)(R14*1), Z13; \
+	VBROADCASTSS off4(R8)(AX*4), Z14; \
+	VBROADCASTSS off4(R9)(AX*4), Z15; \
+	VFMADD231PS  Z12, Z14, Z0; \
+	VFMADD231PS  Z13, Z14, Z1; \
+	VBROADCASTSS off4(R10)(AX*4), Z14; \
+	VFMADD231PS  Z12, Z15, Z2; \
+	VFMADD231PS  Z13, Z15, Z3; \
+	VBROADCASTSS off4(R11)(AX*4), Z15; \
+	VFMADD231PS  Z12, Z14, Z4; \
+	VFMADD231PS  Z13, Z14, Z5; \
+	VBROADCASTSS off4(R12)(AX*4), Z14; \
+	VFMADD231PS  Z12, Z15, Z6; \
+	VFMADD231PS  Z13, Z15, Z7; \
+	VBROADCASTSS off4(R13)(AX*4), Z15; \
+	VFMADD231PS  Z12, Z14, Z8; \
+	VFMADD231PS  Z13, Z14, Z9; \
+	VFMADD231PS  Z12, Z15, Z10; \
+	VFMADD231PS  Z13, Z15, Z11
+
+// The upper half of a row goes through K1, which holds the upper panel's
+// valid lanes (all sixteen for a full tile): masked-off lanes of C are
+// neither read nor written.
+#define ZACCROW(lo, hi) \
+	VADDPS  (DI), lo, lo; \
+	VADDPS  64(DI), hi, K1, hi; \
+	VMOVUPS lo, (DI); \
+	VMOVUPS hi, K1, 64(DI); \
+	ROWEND
+
+#define ZSTOREROW(lo, hi) \
+	VMOVUPS lo, (DI); \
+	VMOVUPS hi, K1, 64(DI); \
+	ROWEND
+
+#define ZALLROWS(ROW) \
+	ROW(Z0, Z1); \
+	ROW(Z2, Z3); \
+	ROW(Z4, Z5); \
+	ROW(Z6, Z7); \
+	ROW(Z8, Z9); \
+	ROW(Z10, Z11)
+
+#define ZADDBIAS \
+	VADDPS Z12, Z0, Z0; \
+	VADDPS Z13, Z1, Z1; \
+	VADDPS Z12, Z2, Z2; \
+	VADDPS Z13, Z3, Z3; \
+	VADDPS Z12, Z4, Z4; \
+	VADDPS Z13, Z5, Z5; \
+	VADDPS Z12, Z6, Z6; \
+	VADDPS Z13, Z7, Z7; \
+	VADDPS Z12, Z8, Z8; \
+	VADDPS Z13, Z9, Z9; \
+	VADDPS Z12, Z10, Z10; \
+	VADDPS Z13, Z11, Z11
+
+#define ZRELU \
+	VPXORD Z12, Z12, Z12; \
+	VMAXPS Z0, Z12, Z0; \
+	VMAXPS Z1, Z12, Z1; \
+	VMAXPS Z2, Z12, Z2; \
+	VMAXPS Z3, Z12, Z3; \
+	VMAXPS Z4, Z12, Z4; \
+	VMAXPS Z5, Z12, Z5; \
+	VMAXPS Z6, Z12, Z6; \
+	VMAXPS Z7, Z12, Z7; \
+	VMAXPS Z8, Z12, Z8; \
+	VMAXPS Z9, Z12, Z9; \
+	VMAXPS Z10, Z12, Z10; \
+	VMAXPS Z11, Z12, Z11
+
+// func kernelAVX512(k int, a []float32, lda int, panel []float32, c []float32, ldc int, m, n int, bias []float32, mode int)
+TEXT ·kernelAVX512(SB), NOSPLIT, $0-144
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), SI
+	MOVQ panel_base+40(FP), BX
+	MOVQ m+96(FP), DX
+	SHLQ $2, SI
+	XORQ DI, DI
+	NEXTROW(R8, R9, 1)
+	NEXTROW(R9, R10, 2)
+	NEXTROW(R10, R11, 3)
+	NEXTROW(R11, R12, 4)
+	NEXTROW(R12, R13, 5)
+	MOVQ CX, R14
+	SHLQ $6, R14
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+
+	XORQ AX, AX
+	MOVQ CX, SI
+	ANDQ $-4, SI
+	JZ   ktail
+
+	PCALIGN $32
+
+kloop4:
+	ZSTEP(0, 0)
+	ZSTEP(4, 64)
+	ZSTEP(8, 128)
+	ZSTEP(12, 192)
+	ADDQ $4, AX
+	ADDQ $256, BX
+	CMPQ AX, SI
+	JLT  kloop4
+
+ktail:
+	CMPQ AX, CX
+	JGE  epilogue
+
+kloop1:
+	ZSTEP(0, 0)
+	ADDQ $1, AX
+	ADDQ $64, BX
+	CMPQ AX, CX
+	JLT  kloop1
+
+epilogue:
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), SI
+	MOVQ n+104(FP), CX
+	MOVQ mode+136(FP), AX
+	MOVQ bias_base+112(FP), BX
+	SHLQ $2, SI
+
+	// K1 = (1 << (n-16)) - 1: the upper panel's valid lanes.
+	SUBQ  $16, CX
+	MOVL  $1, R9
+	SHLL  CX, R9
+	DECL  R9
+	KMOVW R9, K1
+
+	TESTQ AX, AX
+	JNZ   bias
+	ZALLROWS(ZACCROW)
+	JMP done
+
+bias:
+	VMOVUPS   (BX), Z12
+	VMOVUPS.Z 64(BX), K1, Z13
+	ZADDBIAS
+	CMPQ AX, $2
+	JNE  store
+	ZRELU
+
+store:
+	ZALLROWS(ZSTOREROW)
 
 done:
 	VZEROUPPER

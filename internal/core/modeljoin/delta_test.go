@@ -23,11 +23,13 @@ import (
 // down to the packed weights and the predictions, and the patched build
 // must have gone delta exactly when only weight columns changed in place
 // over a successful base. Every model is released at the end: no pins stay
-// and both devices' arenas are back to 0 bytes.
+// and both devices' arenas are back to 0 bytes. A run that never built a
+// model delta tested nothing of the delta path and fails.
 func TestGeneratedModelDelta(t *testing.T) {
 	seed := time.Now().UnixNano()
 	t.Logf("seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
+	deltas := 0
 	for _, dev := range []device.Device{device.NewCPU(), device.NewGPU(device.DefaultGPUConfig())} {
 		for _, layout := range []relmodel.Layout{relmodel.LayoutPairs, relmodel.LayoutNodeID} {
 			for _, lstm := range []bool{false, true} {
@@ -37,16 +39,22 @@ func TestGeneratedModelDelta(t *testing.T) {
 				} else {
 					m = nn.NewDenseModel("dm", 3, 2+rng.Intn(24), 1+rng.Intn(3), 1+rng.Intn(2), rng.Int63())
 				}
-				deltaSequence(t, rng, m, layout, dev)
+				deltas += deltaSequence(t, rng, m, layout, dev)
 				if st := dev.Stats(); st.BytesAllocated != 0 {
 					t.Fatalf("%s %v lstm=%v: %d device bytes still allocated after release", dev.Name(), layout, lstm, st.BytesAllocated)
 				}
 			}
 		}
 	}
+	t.Logf("%d patched builds went delta", deltas)
+	if deltas == 0 {
+		t.Fatalf("seed %d: no step built its model delta", seed)
+	}
 }
 
-func deltaSequence(t *testing.T, rng *rand.Rand, m *nn.Model, layout relmodel.Layout, dev device.Device) {
+// deltaSequence runs one mutation sequence and returns how many of its
+// patched builds went delta.
+func deltaSequence(t *testing.T, rng *rand.Rand, m *nn.Model, layout relmodel.Layout, dev device.Device) int {
 	t.Helper()
 	tbl, meta, err := relmodel.Export(m, relmodel.ExportOptions{Layout: layout, Partitions: 1 + rng.Intn(3)})
 	if err != nil {
@@ -71,6 +79,7 @@ func deltaSequence(t *testing.T, rng *rand.Rand, m *nn.Model, layout relmodel.La
 		t.Fatal(err)
 	}
 	mu := &deltaMutator{t: t, rng: rng, tbl: tbl, meta: meta, repairCol: -1}
+	deltas := 0
 	for step := 0; step < 14; step++ {
 		op := mu.next()
 		// Hand prev over as the cache does: pinned, then evicted.
@@ -91,13 +100,17 @@ func deltaSequence(t *testing.T, rng *rand.Rand, m *nn.Model, layout relmodel.La
 			want = []string{"cold/base_failed"}
 		case op == "key":
 			want = []string{"cold/key_columns"}
-		case op == "delete" || op == "insert":
+		case op == "delete" || op == "insert" || op == "restore":
 			// A dropped block refilled by the insert keeps every block's
 			// row count, but not the key blocks.
 			want = []string{"cold/row_count", "cold/key_columns"}
 		}
-		if got := info.Kind + "/" + info.Reason; !slices.Contains(want, got) {
+		got := info.Kind + "/" + info.Reason
+		if !slices.Contains(want, got) {
 			t.Fatalf("step %d (%s): build %s, want one of %v", step, op, got, want)
+		}
+		if got == "delta/" {
+			deltas++
 		}
 		if nerr == nil {
 			sameModel(t, nb, cb)
@@ -120,19 +133,23 @@ func deltaSequence(t *testing.T, rng *rand.Rand, m *nn.Model, layout relmodel.La
 			t.Fatalf("model %d: freed model still holds its table snapshot", i)
 		}
 	}
+	return deltas
 }
 
 // deltaMutator applies one random statement per call to a model table and
 // names it: "weights" (an UPDATE of weight columns, or any statement that
 // matched nothing), "inf" (one weight set to +Inf; the next call is its
 // "repair"), "key" (a key column rewritten in place), "delete" (edges
-// removed) or "insert" (edges removed and put back with new weights).
+// removed; the next call is their "restore", since a table with missing
+// edges fails every build) or "insert" (edges removed and put back with new
+// weights).
 type deltaMutator struct {
 	t         *testing.T
 	rng       *rand.Rand
 	tbl       *storage.Table
 	meta      *relmodel.Meta
-	repairCol int // column holding an Inf to repair next, or -1
+	repairCol int             // column holding an Inf to repair next, or -1
+	deleted   [][]types.Datum // rows the last call deleted, to restore next
 }
 
 func (mu *deltaMutator) next() string {
@@ -179,6 +196,11 @@ func (mu *deltaMutator) next() string {
 			return math.IsInf(float64(b.Vecs[base].Float32s()[r]), 0)
 		}, func() float32 { return 0.25 })
 		return "repair"
+	}
+	if rows := mu.deleted; rows != nil {
+		mu.deleted = nil
+		mu.appendRows(rows)
+		return "restore"
 	}
 	switch op := []string{"weights", "weights", "weights", "inf", "key", "delete"}[rng.Intn(6)]; op {
 	case "weights":
@@ -237,19 +259,27 @@ func (mu *deltaMutator) next() string {
 			return "weights"
 		}
 		if rng.Intn(2) == 0 {
+			mu.deleted = gone
 			return "delete"
 		}
-		b := vector.NewBatch(tbl.Schema, len(gone))
 		for _, row := range gone {
 			row[base] = types.Float32Datum(rng.Float32())
-			if err := b.AppendRow(row...); err != nil {
-				t.Fatal(err)
-			}
 		}
-		if err := tbl.Append(b); err != nil {
-			t.Fatal(err)
-		}
+		mu.appendRows(gone)
 		return "insert"
+	}
+}
+
+// appendRows appends rows to the model table in one commit.
+func (mu *deltaMutator) appendRows(rows [][]types.Datum) {
+	b := vector.NewBatch(mu.tbl.Schema, len(rows))
+	for _, row := range rows {
+		if err := b.AppendRow(row...); err != nil {
+			mu.t.Fatal(err)
+		}
+	}
+	if err := mu.tbl.Append(b); err != nil {
+		mu.t.Fatal(err)
 	}
 }
 

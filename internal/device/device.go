@@ -206,8 +206,12 @@ type GPUConfig struct {
 // ratios to this host's measured CPU throughput resemble the paper's
 // A100-vs-EPYC setup: ~16 GB/s effective PCIe, microsecond-scale launch
 // latencies, and gemm throughput 20× a multicore CPU BLAS — here the
-// ~130 GFLOP/s blas.Sgemm sustains on the benchmark host's two cores at
-// 1024-row batches (BenchmarkSgemm: 107–158 over widths 128–512).
+// ~130 GFLOP/s blas.Sgemm's AVX2 kernel sustained on the benchmark host's two
+// cores at 1024-row batches (BenchmarkSgemm: 107–158 over widths 128–512).
+// The constant stays: GPU[sim] models a fixed device, and retuning it would
+// move Fig. 8/9. On a host that runs the AVX-512 kernel the CPU is faster,
+// so the device's ratio to it is lower than 20×; EXPERIMENTS.md's CPU/GPU
+// cells are re-measured with the figure sweep (ROADMAP item 4), not here.
 func DefaultGPUConfig() GPUConfig {
 	return GPUConfig{
 		Name:                  "gpu-sim",
