@@ -31,6 +31,9 @@
 // Pipelined (order-based) aggregation is an engine-side rewrite: the
 // generated GROUP BY always leads with the fact ID, and the engine detects
 // the ID-clustered stream and plants a segmented aggregate (Sec. 4.4).
+// Over a dense layer's join it goes one step further and plans a groupjoin,
+// which adds each joined pair's output_activated * w_i straight into its
+// group, with the same sums as the join and the aggregate would compute.
 package mltosql
 
 import (

@@ -29,17 +29,12 @@ type HashJoin struct {
 
 	schema *types.Schema
 	// cols maps every output column to its source: a column of the probe
-	// batch, or a column of buildData (which holds only the build-side
+	// batch, or a column of the build data (which holds only the build-side
 	// columns the output keeps).
 	cols      []joinCol
-	buildCols []int // build-side ordinals behind buildData's columns
+	buildCols []int // build-side ordinals behind the build data's columns
 
-	// Build state: the key table numbers the distinct build keys; the build
-	// rows of key g are rows[start[g]:start[g+1]], in build order.
-	table     *groupTable
-	buildData *vector.Batch
-	start     []int
-	rows      []int
+	hashBuild // built at Open
 
 	// Probe state. out and the two selection vectors are allocated at Open
 	// and reused by every Next.
@@ -63,19 +58,8 @@ type joinCol struct {
 // the planner names the columns something above the join reads, and only
 // those are materialized on the build side and gathered into the output.
 func NewHashJoin(left, right Operator, leftKeys, rightKeys []expr.Expr, buildRight bool, keep []int) (*HashJoin, error) {
-	if len(leftKeys) != len(rightKeys) {
-		return nil, fmt.Errorf("exec: join has %d left keys but %d right keys", len(leftKeys), len(rightKeys))
-	}
-	for i := range leftKeys {
-		lt, rt := leftKeys[i].Type(), rightKeys[i].Type()
-		if lt != rt {
-			common, err := types.Promote(lt, rt)
-			if err != nil {
-				return nil, fmt.Errorf("exec: join key %d: %w", i, err)
-			}
-			leftKeys[i] = expr.NewCast(leftKeys[i], common)
-			rightKeys[i] = expr.NewCast(rightKeys[i], common)
-		}
+	if err := promoteKeys(leftKeys, rightKeys); err != nil {
+		return nil, err
 	}
 	j := &HashJoin{
 		Left: left, Right: right,
@@ -111,6 +95,25 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []expr.Expr, buildRig
 	return j, nil
 }
 
+// promoteKeys casts each pair of join keys to their common type.
+func promoteKeys(leftKeys, rightKeys []expr.Expr) error {
+	if len(leftKeys) != len(rightKeys) {
+		return fmt.Errorf("exec: join has %d left keys but %d right keys", len(leftKeys), len(rightKeys))
+	}
+	for i := range leftKeys {
+		lt, rt := leftKeys[i].Type(), rightKeys[i].Type()
+		if lt != rt {
+			common, err := types.Promote(lt, rt)
+			if err != nil {
+				return fmt.Errorf("exec: join key %d: %w", i, err)
+			}
+			leftKeys[i] = expr.NewCast(leftKeys[i], common)
+			rightKeys[i] = expr.NewCast(rightKeys[i], common)
+		}
+	}
+	return nil
+}
+
 // NewCrossJoin constructs a cross join (a key-less hash join) that
 // materializes the right side.
 func NewCrossJoin(left, right Operator) (*HashJoin, error) {
@@ -134,8 +137,73 @@ func (j *HashJoin) probeSide() (Operator, []expr.Expr) {
 	return j.Right, j.RightKeys
 }
 
-// Open implements Operator: it drains the build side into the key table,
-// copying the columns it keeps (the child may reuse its batches).
+// hashBuild is the build side of a hash join: the key table numbers the
+// distinct build keys, data holds the kept build columns, and the build rows
+// of key g are rows[start[g]:start[g+1]], in build order.
+type hashBuild struct {
+	table *groupTable
+	data  *vector.Batch
+	start []int
+	rows  []int
+}
+
+// buildHash drains build into a hashBuild over keys, copying the build
+// columns cols (the child may reuse its batches). Rows with a NULL key
+// match nothing (SQL equality). With no keys (a cross join) every row
+// resolves to the one empty key.
+func buildHash(build Operator, keys []expr.Expr, cols []int) (hashBuild, error) {
+	h := hashBuild{table: newGroupTable(exprTypes(keys), true)}
+	kept := make([]types.Column, len(cols))
+	for i, c := range cols {
+		kept[i] = build.Schema().Col(c)
+	}
+	h.data = vector.NewBatch(types.NewSchema(kept...), 0)
+	evs := expr.NewEvaluators(keys)
+	keyVecs := make([]*vector.Vector, len(keys))
+	var ids []int32 // key id per build row
+	for {
+		b, err := build.Next()
+		if err != nil {
+			return h, err
+		}
+		if b == nil {
+			break
+		}
+		if err := evalInto(keyVecs, evs, b); err != nil {
+			return h, err
+		}
+		at := len(ids)
+		ids = slices.Grow(ids, b.Len())[:at+b.Len()]
+		h.table.stage(keyVecs, b.Len())
+		h.table.resolve(0, b.Len(), ids[at:], true)
+		for i, c := range cols {
+			h.data.Vecs[i].AppendRange(b.Vecs[c], 0, b.Len())
+		}
+		h.data.SetLen(len(ids))
+	}
+	// Counting sort of the build rows by key id keeps build order per key.
+	n := h.table.len()
+	h.start = make([]int, n+1)
+	for _, g := range ids {
+		if g >= 0 {
+			h.start[g+1]++
+		}
+	}
+	for g := 0; g < n; g++ {
+		h.start[g+1] += h.start[g]
+	}
+	h.rows = make([]int, h.start[n])
+	next := append([]int(nil), h.start[:n]...)
+	for r, g := range ids {
+		if g >= 0 {
+			h.rows[next[g]] = r
+			next[g]++
+		}
+	}
+	return h, nil
+}
+
+// Open implements Operator: it drains the build side into the key table.
 func (j *HashJoin) Open() error {
 	if err := j.Left.Open(); err != nil {
 		return err
@@ -144,54 +212,9 @@ func (j *HashJoin) Open() error {
 		return err
 	}
 	build, buildKeys := j.buildSide()
-	// Rows with a NULL key match nothing (SQL equality). A cross join has no
-	// key columns, so every row resolves to the one empty key.
-	j.table = newGroupTable(exprTypes(buildKeys), true)
-	kept := make([]types.Column, len(j.buildCols))
-	for i, c := range j.buildCols {
-		kept[i] = build.Schema().Col(c)
-	}
-	j.buildData = vector.NewBatch(types.NewSchema(kept...), 0)
-	buildEvs := expr.NewEvaluators(buildKeys)
-	keys := make([]*vector.Vector, len(buildKeys))
-	var ids []int32 // key id per build row
-	for {
-		b, err := build.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := evalInto(keys, buildEvs, b); err != nil {
-			return err
-		}
-		at := len(ids)
-		ids = slices.Grow(ids, b.Len())[:at+b.Len()]
-		j.table.stage(keys, b.Len())
-		j.table.resolve(0, b.Len(), ids[at:], true)
-		for i, c := range j.buildCols {
-			j.buildData.Vecs[i].AppendRange(b.Vecs[c], 0, b.Len())
-		}
-		j.buildData.SetLen(len(ids))
-	}
-	// Counting sort of the build rows by key id keeps build order per key.
-	j.start = make([]int, j.table.len()+1)
-	for _, g := range ids {
-		if g >= 0 {
-			j.start[g+1]++
-		}
-	}
-	for g := 0; g < j.table.len(); g++ {
-		j.start[g+1] += j.start[g]
-	}
-	j.rows = make([]int, j.start[j.table.len()])
-	next := append([]int(nil), j.start[:j.table.len()]...)
-	for r, g := range ids {
-		if g >= 0 {
-			j.rows[next[g]] = r
-			next[g]++
-		}
+	var err error
+	if j.hashBuild, err = buildHash(build, buildKeys, j.buildCols); err != nil {
+		return err
 	}
 
 	j.out = vector.NewBatch(j.schema, vector.Size)
@@ -265,7 +288,7 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 func (j *HashJoin) emit(probeBatch *vector.Batch, probeSel, buildSel []int) {
 	for k, c := range j.cols {
 		if c.fromBuild {
-			j.out.Vecs[k].CopyFrom(j.buildData.Vecs[c.src], buildSel)
+			j.out.Vecs[k].CopyFrom(j.data.Vecs[c.src], buildSel)
 		} else {
 			j.out.Vecs[k].CopyFrom(probeBatch.Vecs[c.src], probeSel)
 		}
@@ -277,7 +300,7 @@ func (j *HashJoin) emit(probeBatch *vector.Batch, probeSel, buildSel []int) {
 func (j *HashJoin) Close() error {
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
-	j.table, j.buildData, j.start, j.rows, j.out, j.probeEvs = nil, nil, nil, nil, nil, nil
+	j.hashBuild, j.out, j.probeEvs = hashBuild{}, nil, nil
 	if err1 != nil {
 		return err1
 	}

@@ -235,3 +235,71 @@ func BenchmarkSegmentedAggregate(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*segments*nodes*repeats), "ns/row")
 }
+
+// BenchmarkGroupJoin is the join and aggregation of one ML-To-SQL layer in
+// one operator, with BenchmarkSegmentedAggregate's key shape: per tuple id 32
+// input nodes, each joining the 32 edges (node_in, layer, node, b_i, w_i) to
+// the layer's nodes. ns/pair is the cost per joined pair, the row the
+// aggregate of the unfused plan reads.
+func BenchmarkGroupJoin(b *testing.B) {
+	const segments, nodes, inputs = 64, 32, 32
+	probeSchema := types.NewSchema(
+		types.Column{Name: "id", Type: types.Int64},
+		types.Column{Name: "node", Type: types.Int32},
+		types.Column{Name: "x", Type: types.Float32},
+	)
+	var probe []*vector.Batch
+	batch := vector.NewBatch(probeSchema, vector.Size)
+	for id := 0; id < segments; id++ {
+		for in := 0; in < inputs; in++ {
+			_ = batch.AppendRow(types.Int64Datum(int64(id)), types.Int32Datum(int32(in)), types.Float32Datum(float32(id-in)/16))
+			if batch.Len() == vector.Size {
+				probe = append(probe, batch)
+				batch = vector.NewBatch(probeSchema, vector.Size)
+			}
+		}
+	}
+	buildSchema := types.NewSchema(
+		types.Column{Name: "node_in", Type: types.Int32},
+		types.Column{Name: "layer", Type: types.Int32},
+		types.Column{Name: "node", Type: types.Int32},
+		types.Column{Name: "b_i", Type: types.Float32},
+		types.Column{Name: "w_i", Type: types.Float32},
+	)
+	build := vector.NewBatch(buildSchema, inputs*nodes)
+	for in := 0; in < inputs; in++ {
+		for node := 0; node < nodes; node++ {
+			_ = build.AppendRow(types.Int32Datum(int32(in)), types.Int32Datum(1), types.Int32Datum(int32(node)),
+				types.Float32Datum(float32(node)/8-2), types.Float32Datum(float32(in-node)/32))
+		}
+	}
+	gj, err := NewGroupJoin(NewValues(probeSchema, probe...), NewValues(buildSchema, build),
+		[]expr.Expr{expr.NewColRef(1, "node", types.Int32)}, []expr.Expr{expr.NewColRef(0, "node_in", types.Int32)},
+		[]int{0, 4, 5, 6}, []string{"id", "layer", "node", "b_i"}, 0, []GroupJoinSum{{Probe: 2, Build: 4, Name: "s"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := gj.Open(); err != nil {
+			b.Fatal(err)
+		}
+		groups := 0
+		for {
+			out, err := gj.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out == nil {
+				break
+			}
+			groups += out.Len()
+		}
+		gj.Close()
+		if groups != segments*nodes {
+			b.Fatalf("%d groups, want %d", groups, segments*nodes)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*segments*nodes*inputs), "ns/pair")
+}

@@ -114,6 +114,19 @@ func TestRetainingConsumersCopy(t *testing.T) {
 	}
 	compareRows(t, "HashJoin", rowsOf(out), want)
 
+	// The groupjoin holds its build side too, and the prefix of the segment
+	// still open when it asks its probe for the next batch. Every probe row
+	// is a segment of one group: its key's build row.
+	gj, err := NewGroupJoin(child(), child(), []expr.Expr{k}, []expr.Expr{k}, []int{0, 3}, []string{"k", "s"}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = Collect(gj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRows(t, "GroupJoin", rowsOf(out), rows)
+
 	ex, err := NewExchange([]Operator{child(), child()}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +161,8 @@ func (c *cycler) Next() (*vector.Batch, error) {
 
 // TestSteadyStateNextDoesNotAllocate guards the operator-owned buffers and
 // the evaluator-owned expression results: once warm, a Next of the join, the
-// projections, the filter and the segmented aggregate costs no allocation,
+// projections, the filter, the segmented aggregate and the groupjoin costs no
+// allocation,
 // whether they read bare columns or compute expressions.
 func TestSteadyStateNextDoesNotAllocate(t *testing.T) {
 	schema := types.NewSchema(
@@ -209,6 +223,17 @@ func TestSteadyStateNextDoesNotAllocate(t *testing.T) {
 		"SegmentedAggregate SUM(v * w)": func() (Operator, error) {
 			return NewSegmentedAggregate(input(), []expr.Expr{id, v}, []string{"id", "v"},
 				[]AggSpec{{Func: AggSum, Arg: vw, Name: "s"}}, 0)
+		},
+		"GroupJoin": func() (Operator, error) {
+			// Per probe row 8 build rows of the id, in 5 groups of g.
+			bs := types.NewSchema(types.Column{Name: "k", Type: types.Int64}, types.Column{Name: "g", Type: types.Int32},
+				types.Column{Name: "b", Type: types.Float32})
+			build := vector.NewBatch(bs, 32)
+			for i := 0; i < 32; i++ {
+				_ = build.AppendRow(types.Int64Datum(int64(i%4)), types.Int32Datum(int32(i%5)), types.Float32Datum(float32(i)/4))
+			}
+			return NewGroupJoin(input(), NewValues(bs, build), []expr.Expr{id}, []expr.Expr{expr.NewColRef(0, "k", types.Int64)},
+				[]int{0, 4}, []string{"id", "g"}, 0, []GroupJoinSum{{Probe: 1, Build: 2, Name: "s"}, {Probe: 2, Build: 2, Name: "t"}})
 		},
 	}
 	for name, build := range ops {

@@ -293,6 +293,17 @@ func (j *joinNode) props() props {
 	return out
 }
 
+// probeBuild returns the ordinal in probe ++ build of output column c.
+func (j *joinNode) probeBuild(c int) int {
+	if j.keep != nil {
+		c = j.keep[c]
+	}
+	if j.buildRight {
+		return c
+	}
+	return (c + width(j.right)) % (width(j.left) + width(j.right))
+}
+
 // ordinal returns the output position of column c of left ++ right, or -1
 // when pruning dropped it.
 func (j *joinNode) ordinal(c int) int {
@@ -339,6 +350,10 @@ type aggNode struct {
 	sc         *scope
 	// forceHash disables the segmented rewrite (used by ablations).
 	forceHash bool
+	// gjGroupBy and gjSums, set by physical (planGroupJoin), run the
+	// aggregate and the join below it as one exec.GroupJoin.
+	gjGroupBy []int
+	gjSums    []exec.GroupJoinSum
 }
 
 func newAggNode(child node, groupExprs []expr.Expr, groupNames []string, aggs []exec.AggSpec) *aggNode {
@@ -359,8 +374,16 @@ func newAggNode(child node, groupExprs []expr.Expr, groupNames []string, aggs []
 	return &aggNode{child: child, groupExprs: groupExprs, groupNames: groupNames, aggs: aggs, sc: sc}
 }
 
-func (a *aggNode) scope() *scope    { return a.sc }
-func (a *aggNode) children() []node { return []node{a.child} }
+func (a *aggNode) scope() *scope { return a.sc }
+
+// children are the join's inputs when the aggregate runs as a groupjoin:
+// the join has no operator and no span of its own.
+func (a *aggNode) children() []node {
+	if a.gjGroupBy != nil {
+		return a.child.children()
+	}
+	return []node{a.child}
+}
 
 // segmentPrefix returns the index within groupExprs of a bare column
 // reference to the child's clustered column, or -1. A REAL or DOUBLE column
@@ -418,7 +441,77 @@ func (a *aggNode) aligned(driver *storage.Table) bool {
 	return false
 }
 
+// planGroupJoin sets gjGroupBy and gjSums when the aggregate and the join
+// below it can run as one exec.GroupJoin: a segmented aggregate over a keyed
+// join whose build side does not scan the driver, grouped by its probe-side
+// prefix and bare build columns, computing only SUMs of a probe column times
+// a build column, both REAL or both DOUBLE (a dense layer of ML-To-SQL,
+// Listing 4). Any other shape keeps the join and the aggregate.
+func (a *aggNode) planGroupJoin(driver *storage.Table) {
+	pi := a.segmentPrefix()
+	j, ok := a.child.(*joinNode)
+	if pi < 0 || !ok || len(j.leftKeys) == 0 {
+		return
+	}
+	probe, build := j.left, j.right
+	if !j.buildRight {
+		probe, build = build, probe
+	}
+	if containsTable(build, driver) {
+		return
+	}
+	// col returns the probe ++ build ordinal of a bare column of the side
+	// asked for, or -1.
+	np := width(probe)
+	col := func(e expr.Expr, onBuild bool) int {
+		if cr, ok := e.(*expr.ColRef); ok {
+			if c := j.probeBuild(cr.Idx); (c >= np) == onBuild {
+				return c
+			}
+		}
+		return -1
+	}
+	groupBy := make([]int, len(a.groupExprs))
+	for i, g := range a.groupExprs {
+		if groupBy[i] = col(g, i != pi); groupBy[i] < 0 {
+			return
+		}
+	}
+	sums := make([]exec.GroupJoinSum, len(a.aggs))
+	for i, s := range a.aggs {
+		m, ok := s.Arg.(*expr.BinOp)
+		if s.Func != exec.AggSum || !ok || m.Op != expr.OpMul || (m.Type() != types.Float32 && m.Type() != types.Float64) {
+			return
+		}
+		x, w := m.L, m.R
+		if col(x, false) < 0 {
+			x, w = w, x
+		}
+		p, b := col(x, false), col(w, true)
+		if p < 0 || b < 0 {
+			return
+		}
+		sums[i] = exec.GroupJoinSum{Probe: p, Build: b - np, Name: s.Name}
+	}
+	a.gjGroupBy, a.gjSums = groupBy, sums
+}
+
 func (a *aggNode) build(ctx *buildCtx) (exec.Operator, error) {
+	if a.gjGroupBy != nil {
+		j := a.child.(*joinNode)
+		l, err := ctx.build(j.left)
+		if err != nil {
+			return nil, err
+		}
+		r, err := ctx.build(j.right)
+		if err != nil {
+			return nil, err
+		}
+		if !j.buildRight {
+			return exec.NewGroupJoin(r, l, j.rightKeys, j.leftKeys, a.gjGroupBy, a.groupNames, a.segmentPrefix(), a.gjSums)
+		}
+		return exec.NewGroupJoin(l, r, j.leftKeys, j.rightKeys, a.gjGroupBy, a.groupNames, a.segmentPrefix(), a.gjSums)
+	}
 	c, err := ctx.build(a.child)
 	if err != nil {
 		return nil, err
@@ -431,7 +524,10 @@ func (a *aggNode) build(ctx *buildCtx) (exec.Operator, error) {
 
 func (a *aggNode) describe() string {
 	kind := "HashAggregate"
-	if a.segmentPrefix() >= 0 {
+	switch {
+	case a.gjGroupBy != nil:
+		kind = "SegmentedAggregate (groupjoin)"
+	case a.segmentPrefix() >= 0:
 		kind = "SegmentedAggregate (pipelined)"
 	}
 	groups := make([]string, len(a.groupExprs))
@@ -442,7 +538,11 @@ func (a *aggNode) describe() string {
 	for i, s := range a.aggs {
 		aggs[i] = s.Name
 	}
-	return fmt.Sprintf("%s by [%s] aggs [%s]", kind, strings.Join(groups, ", "), strings.Join(aggs, ", "))
+	d := fmt.Sprintf("%s by [%s] aggs [%s]", kind, strings.Join(groups, ", "), strings.Join(aggs, ", "))
+	if a.gjGroupBy != nil {
+		d += " on " + strings.TrimPrefix(a.child.describe(), "HashJoin ")
+	}
+	return d
 }
 
 // --- model join ---

@@ -225,6 +225,11 @@ func (pl *Planner) physical(root node) *Plan {
 		pl.placeBuildSides(root, p.driver)
 	}
 	p.parallel = p.driver != nil && !pl.DisableParallel && pl.parallelizable(root, p.driver)
+	walk(root, func(n node) {
+		if a, ok := n.(*aggNode); ok {
+			a.planGroupJoin(p.driver)
+		}
+	})
 	return p
 }
 
