@@ -665,7 +665,8 @@ func (d *Database) ExecContext(ctx context.Context, text string) (err error) {
 	fl := d.flight.BeginFor(flight.LiveFrom(ctx), text, "exec", "sql")
 	fl.SetQueueWait(flight.QueueWaitFrom(ctx))
 	defer func() { fl.Finish(err) }()
-	stmt, err := sql.Parse(text)
+	stmt, fp, norm, err := sql.ParseNormalized(text)
+	fl.SetShape(fp, norm)
 	if err != nil {
 		return err
 	}

@@ -98,10 +98,22 @@ func releaseTokens(buf *[]Token) {
 	tokenBufs.Put(buf)
 }
 
-// lex appends input's tokens to toks. It fails on unterminated strings and
-// illegal characters. Token texts are substrings of input
-// wherever the token is spelled as its text (everything but keywords and
-// strings with doubled quotes), so lexing allocates nothing per token.
+// lexError is a lexing failure at byte offset off of the statement; the
+// tokens before off lexed cleanly.
+type lexError struct {
+	off  int
+	what string
+}
+
+func (e *lexError) Error() string {
+	return fmt.Sprintf("sql: %s at offset %d", e.what, e.off)
+}
+
+// lex appends input's tokens to toks. It fails with a *lexError on
+// unterminated strings and illegal characters. Token texts are substrings
+// of input wherever the token is spelled as its text (everything but
+// keywords and strings with doubled quotes), so lexing allocates nothing
+// per token.
 func lex(input string, toks []Token) ([]Token, error) {
 	n := len(input)
 	i := 0
@@ -115,31 +127,26 @@ func lex(input string, toks []Token) ([]Token, error) {
 				i++
 			}
 		case isDigit(c) || (c == '.' && i+1 < n && isDigit(input[i+1])):
+			// Digits, one optional '.', then an optional exponent with
+			// an optional sign: each part is one tight loop.
 			start := i
-			seenDot, seenExp := false, false
-			for i < n {
-				d := input[i]
-				if isDigit(d) {
+			i = skipDigits(input, i)
+			if i < n && input[i] == '.' {
+				i = skipDigits(input, i+1)
+			}
+			if i < n && (input[i] == 'e' || input[i] == 'E') {
+				i++
+				if i < n && (input[i] == '+' || input[i] == '-') {
 					i++
-				} else if d == '.' && !seenDot && !seenExp {
-					seenDot = true
-					i++
-				} else if (d == 'e' || d == 'E') && !seenExp && i > start {
-					seenExp = true
-					i++
-					if i < n && (input[i] == '+' || input[i] == '-') {
-						i++
-					}
-				} else {
-					break
 				}
+				i = skipDigits(input, i)
 			}
 			toks = append(toks, Token{Kind: TokNumber, Text: input[start:i], Pos: start})
 		case c == '\'':
 			start := i
 			text, end, ok := lexString(input, i)
 			if !ok {
-				return toks, fmt.Errorf("sql: unterminated string literal at offset %d", start)
+				return toks, &lexError{start, "unterminated string literal"}
 			}
 			toks = append(toks, Token{Kind: TokString, Text: text, Pos: start})
 			i = end
@@ -151,10 +158,10 @@ func lex(input string, toks []Token) ([]Token, error) {
 				j++
 			}
 			if j >= n {
-				return toks, fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
+				return toks, &lexError{start, "unterminated quoted identifier"}
 			}
 			if j == i {
-				return toks, fmt.Errorf("sql: zero-length quoted identifier at offset %d", start)
+				return toks, &lexError{start, "zero-length quoted identifier"}
 			}
 			toks = append(toks, Token{Kind: TokIdent, Text: input[i:j], Pos: start})
 			i = j + 1
@@ -184,7 +191,7 @@ func lex(input string, toks []Token) ([]Token, error) {
 				toks = append(toks, Token{Kind: TokOp, Text: input[i : i+1], Pos: start})
 				i++
 			default:
-				return toks, fmt.Errorf("sql: illegal character %q at offset %d", c, i)
+				return toks, &lexError{i, fmt.Sprintf("illegal character %q", c)}
 			}
 		}
 	}
@@ -226,6 +233,14 @@ func lexString(input string, start int) (string, int, bool) {
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// skipDigits returns the offset of the first non-digit at or after i.
+func skipDigits(input string, i int) int {
+	for i < len(input) && isDigit(input[i]) {
+		i++
+	}
+	return i
+}
 
 func isIdentStart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')

@@ -22,7 +22,12 @@ func Parse(input string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: *toks, src: input}
+	return parseTokens(input, *toks)
+}
+
+// parseTokens parses the statement input lexed into toks.
+func parseTokens(input string, toks []Token) (Stmt, error) {
+	p := &Parser{toks: toks, src: input}
 	stmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err

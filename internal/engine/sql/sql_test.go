@@ -31,9 +31,14 @@ func TestLexBasics(t *testing.T) {
 }
 
 func TestLexErrors(t *testing.T) {
-	for _, bad := range []string{"'unterminated", `"unterminated`, "a $ b"} {
-		if _, err := lex(bad, nil); err == nil {
-			t.Errorf("lex(%q) should fail", bad)
+	for bad, want := range map[string]string{
+		"'unterminated":   "sql: unterminated string literal at offset 0",
+		`a "unterminated`: "sql: unterminated quoted identifier at offset 2",
+		`a ""`:            "sql: zero-length quoted identifier at offset 2",
+		"a $ b":           "sql: illegal character '$' at offset 2",
+	} {
+		if _, err := lex(bad, nil); err == nil || err.Error() != want {
+			t.Errorf("lex(%q) error = %v, want %q", bad, err, want)
 		}
 	}
 }

@@ -5,12 +5,12 @@
 //
 // Design:
 //
-//   - The ring is an array of atomic.Pointer[Summary]. Publishing a
-//     finished query is one atomic counter increment to claim a slot plus
-//     one pointer store; readers snapshot by loading every slot. No locks,
-//     no allocation on the reader side beyond the result slice, and a slow
-//     reader can never block writers — it just sees whichever summaries
-//     were current when it looked.
+//   - The ring is a metrics.Ring[Summary]. Publishing a finished query is
+//     one atomic counter increment to claim a slot plus one pointer store;
+//     readers snapshot by loading every slot. No locks, no allocation on
+//     the reader side beyond the result slice, and a slow reader can never
+//     block writers — it just sees whichever summaries were current when
+//     it looked.
 //   - Summaries are immutable once published. A concurrent overwrite of a
 //     slot swaps the whole pointer, so a reader sees either the old or the
 //     new Summary, never a torn one.
@@ -35,9 +35,10 @@ import (
 	"time"
 
 	"indbml/internal/engine/exec"
+	"indbml/internal/engine/sql"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
-	"indbml/internal/fingerprint"
+	"indbml/internal/metrics"
 	"indbml/internal/trace"
 )
 
@@ -45,8 +46,9 @@ import (
 const DefaultSize = 1024
 
 // maxSQLLen bounds the statement text retained per summary so the ring's
-// memory footprint stays fixed regardless of query size.
-const maxSQLLen = 1024
+// memory footprint stays fixed regardless of query size; the normalized
+// exemplar stops at the same length.
+const maxSQLLen = sql.MaxNormalizedLen
 
 // Summary is the per-statement flight record. All fields are final once
 // the summary is published to the ring.
@@ -59,7 +61,7 @@ type Summary struct {
 	Origin       uint64
 	Start        time.Time
 	SQL          string
-	Fingerprint  uint64 // statement-shape fingerprint (package fingerprint)
+	Fingerprint  uint64 // statement-shape fingerprint (sql.Normalize)
 	Kind         string // select, insert, update, delete, create, drop, kill, ...
 	Approach     string // sql, or modeljoin for a SELECT with a MODEL JOIN
 	Device       string // inference device ("cpu", "gpu-sim", ...; "" without inference)
@@ -75,8 +77,8 @@ type Summary struct {
 	AllocBytes   int64
 	Ops          []OpStat
 
-	// normSQL is the normalized statement text, carried to the statement-
-	// stats store at publish time (retained there as the shape exemplar).
+	// normSQL is the normalized statement text, carried to the statement
+	// stats at publish time (retained there as the shape exemplar).
 	normSQL string
 }
 
@@ -95,9 +97,8 @@ type OpStat struct {
 // allocator. The zero value is not usable; use NewRecorder. All methods
 // are safe for concurrent use.
 type Recorder struct {
-	slots []atomic.Pointer[Summary]
-	next  atomic.Uint64 // total summaries ever published; next slot = next % len
-	ids   atomic.Uint64 // query ID allocator; IDs start at 1
+	ring *metrics.Ring[Summary]
+	ids  atomic.Uint64 // query ID allocator; IDs start at 1
 
 	// live is the in-flight statement registry (system.active_queries and
 	// the KILL target index). Registration traffic is two map operations
@@ -106,9 +107,9 @@ type Recorder struct {
 	liveMu sync.Mutex
 	live   map[uint64]*LiveQuery
 
-	// stats is the cumulative per-statement-shape store fed at publish
+	// stats is the cumulative per-statement-shape fold fed at publish
 	// time.
-	stats *fingerprint.Stats
+	stats *Stats
 }
 
 // NewRecorder creates a recorder with the given ring capacity
@@ -118,59 +119,38 @@ func NewRecorder(size int) *Recorder {
 		size = DefaultSize
 	}
 	return &Recorder{
-		slots: make([]atomic.Pointer[Summary], size),
+		ring:  metrics.NewRing[Summary](size),
 		live:  make(map[uint64]*LiveQuery),
-		stats: fingerprint.NewStats(),
+		stats: &Stats{rows: make(map[StatKey]*StatRow)},
 	}
 }
 
-// Stats returns the cumulative statement-stats store every published
-// summary is folded into.
-func (r *Recorder) Stats() *fingerprint.Stats { return r.stats }
+// Stats returns the cumulative statement stats every published summary is
+// folded into.
+func (r *Recorder) Stats() *Stats { return r.stats }
 
 // Capacity returns the ring size.
-func (r *Recorder) Capacity() int { return len(r.slots) }
+func (r *Recorder) Capacity() int { return r.ring.Cap() }
 
 // Recorded returns the total number of summaries ever published (not
 // capped at capacity).
-func (r *Recorder) Recorded() uint64 { return r.next.Load() }
+func (r *Recorder) Recorded() uint64 { return r.ring.Pushed() }
 
-// Snapshot returns the currently retained summaries ordered by query ID.
-// The returned summaries are shared immutable records; callers must not
-// mutate them.
+// Snapshot returns the currently retained summaries ordered by query ID
+// (the ring holds them in finish order). The returned summaries are shared
+// immutable records; callers must not mutate them.
 func (r *Recorder) Snapshot() []*Summary {
-	out := make([]*Summary, 0, len(r.slots))
-	for i := range r.slots {
-		if s := r.slots[i].Load(); s != nil {
-			out = append(out, s)
-		}
-	}
+	out := r.ring.Snapshot()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 func (r *Recorder) record(s *Summary) {
-	slot := (r.next.Add(1) - 1) % uint64(len(r.slots))
-	r.slots[slot].Store(s)
+	r.ring.Push(s)
 	// The cumulative per-shape stats are fed here — the single point every
 	// finished statement passes through — so they keep accumulating after
 	// the ring wraps and this summary's slot is overwritten.
-	r.stats.Observe(fingerprint.Observation{
-		Fingerprint:  s.Fingerprint,
-		NormSQL:      s.normSQL,
-		Approach:     s.Approach,
-		Device:       s.Device,
-		LatencyNS:    s.LatencyNS,
-		QueueWaitNS:  s.QueueWaitNS,
-		Err:          s.Error != "",
-		RowsIn:       s.RowsIn,
-		RowsOut:      s.RowsOut,
-		BytesScanned: s.BytesScanned,
-		CacheSeen:    s.Cache != "",
-		CacheHit:     s.Cache == "hit",
-		BatchSeen:    s.Batched != "",
-		Batched:      s.Batched == "yes",
-	})
+	r.stats.observe(s)
 }
 
 // Begin opens a flight record for one statement, allocating its query ID
@@ -185,35 +165,26 @@ func (r *Recorder) Begin(sqlText, kind, approach string) *Flight {
 // client saw in system.active_queries is the ID published to
 // system.queries), flips its state to running, and removes it from the
 // registry when the statement finishes. With a nil live entry it allocates
-// a fresh ID and touches no registry state — plain Begin.
+// a fresh ID and touches no registry state — plain Begin — and the
+// statement is fingerprinted at Finish unless SetShape ran.
 func (r *Recorder) BeginFor(live *LiveQuery, sqlText, kind, approach string) *Flight {
-	if len(sqlText) > maxSQLLen {
-		sqlText = sqlText[:maxSQLLen]
-	}
-	var fp uint64
-	var norm string
-	if live != nil {
-		fp, norm = live.fp, live.norm
-	} else {
-		fp, norm = fingerprint.Normalize(sqlText)
-	}
 	f := &Flight{
 		rec: r,
 		sum: &Summary{
-			Start:       time.Now(),
-			SQL:         sqlText,
-			Fingerprint: fp,
-			Kind:        kind,
-			Approach:    approach,
-			normSQL:     norm,
+			Start:    time.Now(),
+			SQL:      truncate(sqlText),
+			Kind:     kind,
+			Approach: approach,
 		},
+		text:       sqlText,
 		live:       live,
 		startAlloc: allocBytes(),
 	}
 	if live != nil {
-		// Adopt the live entry: same ID, queued → running. The summary's
-		// Start stays at execution begin — queue wait is charged separately
-		// via QueueWaitNS, as before.
+		// Adopt the live entry: same ID and shape, queued → running. The
+		// summary's Start stays at execution begin — queue wait is charged
+		// separately via QueueWaitNS, as before.
+		f.SetShape(live.fp, live.norm)
 		f.sum.ID = live.id
 		f.sum.Origin = live.origin
 		live.state.Store(stateRunning)
@@ -230,6 +201,8 @@ func (r *Recorder) BeginFor(live *LiveQuery, sqlText, kind, approach string) *Fl
 type Flight struct {
 	rec        *Recorder
 	sum        *Summary
+	text       string // the whole statement
+	shaped     bool   // sum holds the statement's fingerprint
 	qt         *trace.QueryTrace
 	live       *LiveQuery // adopted registry entry; nil for unregistered flights
 	startAlloc uint64
@@ -244,6 +217,13 @@ func (f *Flight) SetKind(kind string) { f.sum.Kind = kind }
 
 // SetApproach overrides the approach tag recorded at Begin.
 func (f *Flight) SetApproach(a string) { f.sum.Approach = a }
+
+// SetShape records the statement's fingerprint and normalized text from
+// the caller's own lexing (sql.ParseNormalized), so that Finish does not
+// lex the statement again.
+func (f *Flight) SetShape(fp uint64, norm string) {
+	f.sum.Fingerprint, f.sum.normSQL, f.shaped = fp, norm, true
+}
 
 // SetQueueWait records admission-control queue wait.
 func (f *Flight) SetQueueWait(d time.Duration) { f.sum.QueueWaitNS = int64(d) }
@@ -280,6 +260,9 @@ func (f *Flight) Finish(err error) {
 	}
 	if err != nil {
 		f.sum.Error = err.Error()
+	}
+	if !f.shaped {
+		f.SetShape(sql.Normalize(f.text))
 	}
 	if f.qt != nil && f.qt.Root != nil {
 		foldSpans(f.sum, f.qt.Root.Stat(), 0)
@@ -332,6 +315,15 @@ func foldSpans(sum *Summary, s trace.SpanStat, depth int) {
 	for _, c := range s.Children {
 		foldSpans(sum, c, depth+1)
 	}
+}
+
+// truncate bounds a statement text to maxSQLLen bytes, copied so that a
+// retained record does not keep the whole statement alive.
+func truncate(text string) string {
+	if len(text) > maxSQLLen {
+		return strings.Clone(text[:maxSQLLen])
+	}
+	return text
 }
 
 // allocBytes reads cumulative process heap allocation. /gc/heap/allocs:bytes

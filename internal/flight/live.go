@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"indbml/internal/fingerprint"
+	"indbml/internal/engine/sql"
 	"indbml/internal/trace"
 )
 
@@ -140,13 +140,10 @@ func (r *Recorder) Register(sqlText, session string, cancel context.CancelFunc) 
 // origin_qid so fleet observability can correlate fragments with their
 // coordinator query.
 func (r *Recorder) RegisterOrigin(sqlText, session string, origin uint64, cancel context.CancelFunc) *LiveQuery {
-	if len(sqlText) > maxSQLLen {
-		sqlText = sqlText[:maxSQLLen]
-	}
-	fp, norm := fingerprint.Normalize(sqlText)
+	fp, norm := sql.Normalize(sqlText)
 	q := &LiveQuery{
 		id:      r.ids.Add(1),
-		sql:     sqlText,
+		sql:     truncate(sqlText),
 		fp:      fp,
 		norm:    norm,
 		session: session,

@@ -3,9 +3,11 @@ package flight
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
-	"indbml/internal/fingerprint"
+	"indbml/internal/engine/sql"
 )
 
 // TestLiveRegistry: Register enters a statement before admission, Live
@@ -66,7 +68,7 @@ func TestLiveAdoption(t *testing.T) {
 		t.Fatalf("published summary ID mismatch: %+v", snap)
 	}
 	// The fingerprint computed at registration rides through adoption.
-	wantFP, _ := fingerprint.Normalize("SELECT * FROM t WHERE x = 42")
+	wantFP, _ := sql.Normalize("SELECT * FROM t WHERE x = 42")
 	if snap[0].Fingerprint != wantFP {
 		t.Errorf("fingerprint = %x, want %x", snap[0].Fingerprint, wantFP)
 	}
@@ -113,13 +115,13 @@ func TestStatsSurviveRingWrap(t *testing.T) {
 		fl := r.Begin(fmt.Sprintf("SELECT %d FROM other_%d", i, i), "select", "sql")
 		fl.Finish(nil)
 	}
-	fp, norm := fingerprint.Normalize(shape)
+	fp, norm := sql.Normalize(shape)
 	for _, s := range r.Snapshot() {
 		if s.Fingerprint == fp {
 			t.Fatal("test setup broken: shape summary still in ring")
 		}
 	}
-	var row *fingerprint.Row
+	var row *StatRow
 	for _, got := range r.Stats().Snapshot() {
 		if got.Fingerprint == fp {
 			r := got
@@ -135,4 +137,53 @@ func TestStatsSurviveRingWrap(t *testing.T) {
 	if row.NormSQL != norm {
 		t.Errorf("exemplar = %q, want %q", row.NormSQL, norm)
 	}
+}
+
+// TestStatsKeepLongStatementsApart: the fingerprint covers the whole
+// statement, registered or not, while the retained text stops at
+// maxSQLLen, so two statements equal in their first maxSQLLen bytes are
+// two rows.
+func TestStatsKeepLongStatementsApart(t *testing.T) {
+	r := NewRecorder(8)
+	head := "SELECT a FROM t WHERE " + strings.Repeat("a = b AND ", maxSQLLen/10)
+	for _, text := range []string{head + "c = d", head + "c < d"} {
+		q := r.Register(text, "embedded", nil)
+		r.BeginFor(q, text, "select", "sql").Finish(nil)
+		r.Begin(text, "select", "sql").Finish(nil)
+	}
+	rows := r.Stats().Snapshot()
+	if len(rows) != 2 {
+		t.Fatalf("statement_stats rows = %d, want 2", len(rows))
+	}
+	for _, row := range rows {
+		if row.Calls != 2 || len(row.NormSQL) > maxSQLLen {
+			t.Errorf("row %x: %d calls, %d-byte exemplar; want 2 calls, at most %d bytes", row.Fingerprint, row.Calls, len(row.NormSQL), maxSQLLen)
+		}
+	}
+	for _, s := range r.Snapshot() {
+		if len(s.SQL) != maxSQLLen {
+			t.Errorf("summary %d keeps %d bytes of SQL, want %d", s.ID, len(s.SQL), maxSQLLen)
+		}
+	}
+}
+
+// TestLongStatementsNotPinned: a retained summary or live entry keeps
+// maxSQLLen bytes of its statement, not the whole text.
+func TestLongStatementsNotPinned(t *testing.T) {
+	r := NewRecorder(16)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var live []*LiveQuery
+	for i := 0; i < 16; i++ {
+		text := fmt.Sprintf("SELECT %d FROM t WHERE a IN (%s0)", i, strings.Repeat("1, ", 1<<16))
+		r.Begin(text, "select", "sql").Finish(nil)
+		live = append(live, r.Register(text, "embedded", nil))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 2<<20 {
+		t.Errorf("heap grew %d bytes holding 32 records of 192 KiB statements", grown)
+	}
+	runtime.KeepAlive(live)
 }

@@ -1,11 +1,11 @@
 package flight
 
 import (
+	"fmt"
 	"time"
 
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
-	"indbml/internal/fingerprint"
 	"indbml/internal/metrics"
 )
 
@@ -49,7 +49,7 @@ func (r *Recorder) fillQueries(b *storage.BatchBuilder) error {
 			types.StringDatum(s.Kind),
 			types.StringDatum(s.Approach),
 			types.StringDatum(s.Device),
-			types.StringDatum(hexFingerprint(s.Fingerprint)),
+			types.StringDatum(Hex(s.Fingerprint)),
 			types.Int64Datum(s.LatencyNS),
 			types.Int64Datum(s.QueueWaitNS),
 			types.Int64Datum(s.RowsOut),
@@ -122,10 +122,10 @@ func (r *Recorder) fillOperators(b *storage.BatchBuilder) error {
 	return nil
 }
 
-// hexFingerprint renders a statement fingerprint as the fixed-width hex
-// string used across system.queries, system.statement_stats and the
-// slow-query log, so log lines and table rows join on equal strings.
-func hexFingerprint(fp uint64) string { return fingerprint.Hex(fp) }
+// Hex renders a statement fingerprint as the 16 lowercase hex digits used
+// across system.queries, system.active_queries, system.statement_stats and
+// the slow-query log, so log lines and table rows join on equal strings.
+func Hex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
 var activeSchema = types.NewSchema(
 	types.Column{Name: "query_id", Type: types.Int64},
@@ -163,7 +163,7 @@ func (r *Recorder) fillActive(b *storage.BatchBuilder) error {
 			types.Int64Datum(rows),
 			types.Int64Datum(bytes),
 			types.StringDatum(phase),
-			types.StringDatum(hexFingerprint(q.Fingerprint())),
+			types.StringDatum(Hex(q.Fingerprint())),
 			types.StringDatum(q.SQL()),
 		)
 	}
@@ -173,7 +173,7 @@ func (r *Recorder) fillActive(b *storage.BatchBuilder) error {
 // statementStatsSchema: one row per (fingerprint, approach, device) — the
 // cumulative workload profile. The latency histogram is flattened into
 // le_* columns (upper-bound-inclusive, cumulative-free counts) matching
-// fingerprint.LatencyBucketsNS.
+// LatencyBucketsNS.
 var statementStatsSchema = types.NewSchema(
 	types.Column{Name: "fingerprint", Type: types.String},
 	types.Column{Name: "approach", Type: types.String},
@@ -213,7 +213,7 @@ func StatementStatsTable(r *Recorder) storage.VirtualTable {
 func (rec *Recorder) fillStatementStats(b *storage.BatchBuilder) error {
 	for _, r := range rec.stats.Snapshot() {
 		vals := []types.Datum{
-			types.StringDatum(hexFingerprint(r.Fingerprint)),
+			types.StringDatum(Hex(r.Fingerprint)),
 			types.StringDatum(r.Approach),
 			types.StringDatum(r.Device),
 			types.Int64Datum(r.Calls),

@@ -12,8 +12,7 @@ import (
 )
 
 // BatchStat is one completed super-batch's record, published to a fixed
-// ring (the backing of system.inference_batches) with the same
-// atomic.Pointer discipline as the flight recorder: writers swap whole
+// ring (the backing of system.inference_batches): writers push whole
 // immutable records, readers snapshot without blocking anyone.
 type BatchStat struct {
 	ID       uint64
@@ -29,10 +28,9 @@ type BatchStat struct {
 // Stats aggregates scheduler activity. All hot-path writes are atomics; the
 // counters and histograms are the registry's own collectors.
 type Stats struct {
-	ring []atomic.Pointer[BatchStat]
-	next atomic.Uint64 // batches ever published; next slot = next % len
+	ring *metrics.Ring[BatchStat]
 
-	batches   *metrics.Gauge
+	batches   *metrics.Gauge // batches ever published; a batch's ID is its count
 	coalesced *metrics.Gauge // batches with >1 request
 	requests  *metrics.Gauge
 	rows      *metrics.Gauge
@@ -50,7 +48,7 @@ var batchRowBounds = []float64{256, 512, 1024, 2048, 4096, 8192, 16384}
 // the interesting resolution is around it.
 func newStats(ringSize int, reg *metrics.Registry) *Stats {
 	return &Stats{
-		ring: make([]atomic.Pointer[BatchStat], ringSize),
+		ring: metrics.NewRing[BatchStat](ringSize),
 		wait: reg.NewHistogram("vectordb_infer_coalesce_wait_seconds",
 			"Coalesce-window wait per inference super-batch (longest member request).",
 			[]float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.025}),
@@ -64,9 +62,8 @@ func newStats(ringSize int, reg *metrics.Registry) *Stats {
 }
 
 func (st *Stats) recordBatch(label Label, requests, rows int, wait, run time.Duration) {
-	id := st.next.Add(1)
-	b := &BatchStat{
-		ID:       id,
+	st.ring.Push(&BatchStat{
+		ID:       uint64(st.batches.Add(1)),
 		Start:    time.Now().Add(-run),
 		Model:    label.Model,
 		Device:   label.Device,
@@ -74,9 +71,7 @@ func (st *Stats) recordBatch(label Label, requests, rows int, wait, run time.Dur
 		Rows:     rows,
 		WaitNS:   int64(wait),
 		RunNS:    int64(run),
-	}
-	st.ring[(id-1)%uint64(len(st.ring))].Store(b)
-	st.batches.Add(1)
+	})
 	if requests > 1 {
 		st.coalesced.Add(1)
 	}
@@ -90,11 +85,10 @@ func (st *Stats) recordBatch(label Label, requests, rows int, wait, run time.Dur
 // BatchSnapshot returns the retained batch records ordered by ID — the
 // feed for the system.inference_batches virtual table.
 func (s *Scheduler) BatchSnapshot() []BatchStat {
-	out := make([]BatchStat, 0, len(s.stats.ring))
-	for i := range s.stats.ring {
-		if b := s.stats.ring[i].Load(); b != nil {
-			out = append(out, *b)
-		}
+	ring := s.stats.ring.Snapshot()
+	out := make([]BatchStat, len(ring))
+	for i, b := range ring {
+		out[i] = *b
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

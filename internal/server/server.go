@@ -40,7 +40,6 @@ import (
 	"indbml/internal/engine/db"
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/vector"
-	"indbml/internal/fingerprint"
 	"indbml/internal/flight"
 	"indbml/internal/infersched"
 	"indbml/internal/trace"
@@ -590,7 +589,7 @@ func (s *Server) serveSelect(bw *bufio.Writer, ctx context.Context, text string,
 	}
 	if s.slow.shouldLog(qt.Total(), err) {
 		s.stats.SlowLogged.Add(1)
-		s.slow.log(start, verdictFor(err, canceled), qid, fingerprint.Hex(live.Fingerprint()), rows, qt)
+		s.slow.log(start, verdictFor(err, canceled), qid, flight.Hex(live.Fingerprint()), rows, qt)
 	}
 	return qid
 }

@@ -17,7 +17,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"indbml/internal/metrics"
@@ -62,46 +61,14 @@ type sample struct {
 	data []metrics.Sample
 }
 
-// ring is a fixed-size lock-free history: one writer at a time (Tick, under
-// the sampler's mutex) claims slots round-robin while readers load whatever
-// is published — the same idiom as the flight recorder's summary ring.
-type ring struct {
-	slots []atomic.Pointer[sample]
-	next  atomic.Uint64 // total samples ever published; next slot = next % len
-}
+// ring is one history of registry samples.
+type ring struct{ *metrics.Ring[sample] }
 
-func newRing(n int) *ring { return &ring{slots: make([]atomic.Pointer[sample], n)} }
+func newRing(n int) ring { return ring{metrics.NewRing[sample](n)} }
 
-func (r *ring) push(s *sample) {
-	n := r.next.Load()
-	r.slots[n%uint64(len(r.slots))].Store(s)
-	r.next.Store(n + 1)
-}
-
-func (r *ring) latest() *sample {
-	n := r.next.Load()
-	if n == 0 {
-		return nil
-	}
-	return r.slots[(n-1)%uint64(len(r.slots))].Load()
-}
-
-// snapshot returns the retained samples oldest-first. Reads race with the
-// writer — a slot can be overwritten mid-scan — so the result is sorted by
-// timestamp rather than trusting slot order.
-func (r *ring) snapshot() []*sample {
-	n := r.next.Load()
-	span := uint64(len(r.slots))
-	start := uint64(0)
-	if n > span {
-		start = n - span
-	}
-	out := make([]*sample, 0, n-start)
-	for i := start; i < n; i++ {
-		if s := r.slots[i%span].Load(); s != nil {
-			out = append(out, s)
-		}
-	}
+// snapshot returns the retained samples oldest-first.
+func (r ring) snapshot() []*sample {
+	out := r.Snapshot()
 	sort.Slice(out, func(i, j int) bool { return out[i].ts.Before(out[j].ts) })
 	return out
 }
@@ -110,13 +77,14 @@ func (r *ring) snapshot() []*sample {
 type Sampler struct {
 	reg    *metrics.Registry
 	cfg    Config
-	fine   *ring
-	coarse *ring
+	fine   ring
+	coarse ring
 	alerts *AlertSet
 
 	// tickMu serializes Tick: the sampler goroutine and callers driving a
 	// scripted clock may tick at once.
 	tickMu     sync.Mutex
+	last       *sample   // newest fine sample, guarded by tickMu
 	lastCoarse time.Time // guarded by tickMu
 
 	startOnce sync.Once
@@ -189,10 +157,11 @@ func (s *Sampler) Tick(now time.Time) {
 	s.tickMu.Lock()
 	defer s.tickMu.Unlock()
 	sm := &sample{ts: now, data: s.reg.Samples()}
-	prev := s.fine.latest()
-	s.fine.push(sm)
+	prev := s.last
+	s.last = sm
+	s.fine.Push(sm)
 	if s.lastCoarse.IsZero() || now.Sub(s.lastCoarse) >= s.cfg.CoarseEvery {
-		s.coarse.push(sm)
+		s.coarse.Push(sm)
 		s.lastCoarse = now
 	}
 	s.alerts.evaluate(now, prev, sm)
