@@ -322,9 +322,10 @@ func NewUDFOperator(child exec.Operator, m *nn.Model, inputCols []int, vectorize
 // share: one child operator per partition of the fact table, to be wrapped
 // by the approach's operator and merged by an Exchange.
 func ParallelScan(tbl *storage.Table, wrap func(exec.Operator) (exec.Operator, error), parallelism int) (exec.Operator, error) {
-	children := make([]exec.Operator, tbl.Partitions())
+	snap := tbl.Snapshot()
+	children := make([]exec.Operator, snap.Partitions())
 	for p := range children {
-		scan, err := exec.NewScan(tbl, p, nil, nil)
+		scan, err := exec.NewScan(snap, p, nil, nil)
 		if err != nil {
 			return nil, err
 		}

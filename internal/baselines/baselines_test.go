@@ -171,7 +171,7 @@ func TestUDFCallCounts(t *testing.T) {
 	tbl, data, _ := buildFact(t, 100, 4, 1, 6)
 	model := nn.NewDenseModel("m", 4, 4, 1, 1, 19)
 	_ = data
-	scan, err := exec.NewScan(tbl, 0, nil, nil)
+	scan, err := exec.NewScan(tbl.Snapshot(), 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestUDFCallCounts(t *testing.T) {
 	if op.Calls != 100 {
 		t.Errorf("scalar UDF called %d times, want 100", op.Calls)
 	}
-	scan2, _ := exec.NewScan(tbl, 0, nil, nil)
+	scan2, _ := exec.NewScan(tbl.Snapshot(), 0, nil, nil)
 	op2, err := baselines.NewUDFOperator(scan2, model, []int{1, 2, 3, 4}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestGPUAccountsTransfers(t *testing.T) {
 	tbl, _, _ := buildFact(t, 2048, 4, 1, 7)
 	model := nn.NewDenseModel("m", 4, 32, 2, 1, 23)
 	gpu := device.NewGPU(device.DefaultGPUConfig())
-	scan, _ := exec.NewScan(tbl, 0, nil, nil)
+	scan, _ := exec.NewScan(tbl.Snapshot(), 0, nil, nil)
 	op, err := baselines.NewCAPIOperator(scan, model, gpu, []int{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,15 @@ func intBatch(name string, vals ...int64) (*types.Schema, *vector.Batch) {
 	return schema, b
 }
 
+// leftRightJoin is NewHashJoin over a left and a right input, building the
+// one buildRight names.
+func leftRightJoin(left, right Operator, leftKeys, rightKeys []expr.Expr, buildRight bool, keep []int) (*HashJoin, error) {
+	if buildRight {
+		return NewHashJoin(left, NewBuild(right), leftKeys, rightKeys, true, keep)
+	}
+	return NewHashJoin(right, NewBuild(left), rightKeys, leftKeys, false, keep)
+}
+
 func twoColBatch(n int, f func(i int) (int64, float64)) (*types.Schema, *vector.Batch) {
 	schema := types.NewSchema(
 		types.Column{Name: "k", Type: types.Int64},
@@ -89,7 +98,7 @@ func TestHashJoinInner(t *testing.T) {
 	rs, rb := twoColBatch(3, func(i int) (int64, float64) { return int64(i), float64(i) * 100 })
 
 	for _, buildRight := range []bool{true, false} {
-		j, err := NewHashJoin(
+		j, err := leftRightJoin(
 			NewValues(ls, lb), NewValues(rs, rb),
 			[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")},
 			buildRight, nil,
@@ -122,7 +131,7 @@ func TestHashJoinPreservesProbeOrder(t *testing.T) {
 	n := 3000
 	ls, lb := twoColBatch(n, func(i int) (int64, float64) { return int64(i % 5), float64(i) })
 	rs, rb := twoColBatch(5, func(i int) (int64, float64) { return int64(i), 0 })
-	j, err := NewHashJoin(NewValues(ls, lb), NewValues(rs, rb),
+	j, err := NewHashJoin(NewValues(ls, lb), NewBuild(NewValues(rs, rb)),
 		[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")}, true, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +153,7 @@ func TestHashJoinPreservesProbeOrder(t *testing.T) {
 func TestCrossJoin(t *testing.T) {
 	ls, lb := intBatch("a", 1, 2, 3)
 	rs, rb := intBatch("b", 10, 20)
-	j, err := NewCrossJoin(NewValues(ls, lb), NewValues(rs, rb))
+	j, err := NewCrossJoin(NewValues(ls, lb), NewBuild(NewValues(rs, rb)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +179,7 @@ func TestHashJoinVsNestedLoopOracle(t *testing.T) {
 		nl, nr := rng.Intn(300)+1, rng.Intn(50)+1
 		ls, lb := twoColBatch(nl, func(i int) (int64, float64) { return int64(rng.Intn(10)), float64(i) })
 		rs, rb := twoColBatch(nr, func(i int) (int64, float64) { return int64(rng.Intn(10)), float64(i) })
-		j, err := NewHashJoin(NewValues(ls, lb), NewValues(rs, rb),
+		j, err := NewHashJoin(NewValues(ls, lb), NewBuild(NewValues(rs, rb)),
 			[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")}, true, nil)
 		if err != nil {
 			return false

@@ -495,7 +495,7 @@ func TestGeneratedHashJoinMatchesNestedLoop(t *testing.T) {
 			}
 		}
 
-		j, err := NewHashJoin(
+		j, err := leftRightJoin(
 			NewValues(left.schema, chop(rng, left.schema, left.rows)...),
 			NewValues(right.schema, chop(rng, right.schema, right.rows)...),
 			left.keys, right.keys, buildRight, keep)
@@ -526,7 +526,7 @@ func TestNegativeZeroKeys(t *testing.T) {
 		return b
 	}
 	key := []expr.Expr{expr.NewColRef(0, "k", types.Float32)}
-	j, err := NewHashJoin(NewValues(schema, mk(0)), NewValues(schema, mk(negZero)), key, key, true, nil)
+	j, err := NewHashJoin(NewValues(schema, mk(0)), NewBuild(NewValues(schema, mk(negZero))), key, key, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

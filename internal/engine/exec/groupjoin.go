@@ -16,17 +16,18 @@ import (
 // row adds each match's product straight into the match's group instead of
 // writing out a joined row for the aggregate to key back into its group.
 //
-// The build is HashJoin's, and a groupTable over the build's group columns
-// gives each build row a dense ordinal, so groups key as in the aggregate
-// (NaN, −0/+0, NULL). Per segment of the probe's clustered prefix, a float64
-// accumulator per ordinal and sum takes float64(x * w) of every pair, each
-// probe row's matches in build order; at the segment's end the touched
-// groups are emitted in first-touch order, with the group values of their
-// first pair. Every group adds the same terms in the same order, and rows
-// come out in the same order, as HashJoin → SegmentedAggregate: the results
-// are bit-equal.
+// The build is HashJoin's, shared the same way, and a groupTable over the
+// build's group columns gives each build row a dense ordinal, so groups key
+// as in the aggregate (NaN, −0/+0, NULL). Per segment of the probe's
+// clustered prefix, a float64 accumulator per ordinal and sum takes
+// float64(x * w) of every pair, each probe row's matches in build order; at
+// the segment's end the touched groups are emitted in first-touch order,
+// with the group values of their first pair. Every group adds the same terms
+// in the same order, and rows come out in the same order, as HashJoin →
+// SegmentedAggregate: the results are bit-equal.
 type GroupJoin struct {
-	Probe, Build         Operator
+	Probe                Operator
+	Build                *Build
 	ProbeKeys, BuildKeys []expr.Expr
 	// GroupBy lists the group columns as ordinals into Probe's columns
 	// followed by Build's: GroupBy[PrefixIdx] is the probe column the probe
@@ -41,6 +42,8 @@ type GroupJoin struct {
 	span       *trace.Span
 	pairs      int64 // joined pairs folded, for the span's pairs counter
 
+	// Open takes the build from Build; the key table is a view that stages
+	// into scratch of this instance's own.
 	hashBuild
 	ord  []int32 // ordinal of the build row rows[k], at k
 	sums []sumState
@@ -67,9 +70,9 @@ type GroupJoinSum struct {
 	Name         string
 }
 
-// sumState is one sum's build operand, in chain order like ord, and its
-// accumulators; a group none of whose pairs had two non-NULL operands is not
-// valid and sums to NULL.
+// sumState is one sum's build operand, in chain order like ord, and this
+// instance's accumulators; a group none of whose pairs had two non-NULL
+// operands is not valid and sums to NULL.
 type sumState struct {
 	w     *vector.Vector
 	acc   []float64
@@ -78,7 +81,7 @@ type sumState struct {
 
 // NewGroupJoin constructs a groupjoin. groupNames and the sums' names name
 // the output columns: the group columns in GroupBy order, then the sums.
-func NewGroupJoin(probe, build Operator, probeKeys, buildKeys []expr.Expr, groupBy []int, groupNames []string, prefixIdx int, sums []GroupJoinSum) (*GroupJoin, error) {
+func NewGroupJoin(probe Operator, build *Build, probeKeys, buildKeys []expr.Expr, groupBy []int, groupNames []string, prefixIdx int, sums []GroupJoinSum) (*GroupJoin, error) {
 	if err := promoteKeys(probeKeys, buildKeys); err != nil {
 		return nil, err
 	}
@@ -87,7 +90,7 @@ func NewGroupJoin(probe, build Operator, probeKeys, buildKeys []expr.Expr, group
 	}
 	j := &GroupJoin{Probe: probe, Build: build, ProbeKeys: probeKeys, BuildKeys: buildKeys,
 		GroupBy: groupBy, PrefixIdx: prefixIdx, Sums: sums}
-	both, np := probe.Schema().Concat(build.Schema()), probe.Schema().Len()
+	both, np := probe.Schema().Concat(build.Input.Schema()), probe.Schema().Len()
 	cols := make([]types.Column, len(groupBy))
 	for i, c := range groupBy {
 		if c < 0 || c >= both.Len() || (c < np) != (i == prefixIdx) {
@@ -99,7 +102,7 @@ func NewGroupJoin(probe, build Operator, probeKeys, buildKeys []expr.Expr, group
 		}
 	}
 	for _, s := range sums {
-		t, bt := probe.Schema().Col(s.Probe).Type, build.Schema().Col(s.Build).Type
+		t, bt := probe.Schema().Col(s.Probe).Type, build.Input.Schema().Col(s.Build).Type
 		if t != bt || (t != types.Float32 && t != types.Float64) {
 			return nil, fmt.Errorf("exec: groupjoin sum %s must multiply two REAL or two DOUBLE columns, got %s and %s", s.Name, t, bt)
 		}
@@ -117,35 +120,44 @@ func (j *GroupJoin) Schema() *types.Schema { return j.schema }
 // to the span's pairs counter.
 func (j *GroupJoin) SetSpan(sp *trace.Span) { j.span = sp }
 
-// Open implements Operator: it builds the key table and numbers the build
-// rows' groups.
+// Open implements Operator: it opens the probe side and gets the key table,
+// the build rows' group ordinals and the sums' operands from Build, building
+// them if no other instance of the groupjoin has.
 func (j *GroupJoin) Open() error {
 	if err := j.Probe.Open(); err != nil {
 		return err
 	}
-	if err := j.Build.Open(); err != nil {
+	b := j.Build
+	err := b.run(func() (err error) {
+		if b.hashBuild, err = buildHash(b.Input, j.BuildKeys, j.buildCols); err != nil {
+			return err
+		}
+		ng, n := len(j.groupTypes), b.data.Len()
+		groups, ords := newGroupTable(j.groupTypes, false), make([]int32, n)
+		groups.stage(b.data.Vecs[:ng], n)
+		groups.resolve(0, n, ords, true)
+		b.ord = make([]int32, len(b.rows))
+		for k, r := range b.rows {
+			b.ord[k] = ords[r]
+		}
+		b.w = make([]*vector.Vector, len(j.Sums))
+		for i := range b.w {
+			b.w[i] = vector.New(b.data.Vecs[ng+i].Type(), 0)
+			b.w[i].CopyFrom(b.data.Vecs[ng+i], b.rows)
+		}
+		b.groups = groups.len()
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	var err error
-	if j.hashBuild, err = buildHash(j.Build, j.BuildKeys, j.buildCols); err != nil {
-		return err
-	}
-	ng, n := len(j.groupTypes), j.data.Len()
-	groups, ords := newGroupTable(j.groupTypes, false), make([]int32, n)
-	groups.stage(j.data.Vecs[:ng], n)
-	groups.resolve(0, n, ords, true)
-	j.ord = make([]int32, len(j.rows))
-	for k, r := range j.rows {
-		j.ord[k] = ords[r]
-	}
+	j.hashBuild, j.ord = b.hashBuild, b.ord
+	j.table = b.table.prober()
 	j.sums = make([]sumState, len(j.Sums))
 	for i := range j.sums {
-		s := &j.sums[i]
-		s.w = vector.New(j.data.Vecs[ng+i].Type(), 0)
-		s.w.CopyFrom(j.data.Vecs[ng+i], j.rows)
-		s.acc, s.valid = make([]float64, groups.len()), make([]bool, groups.len())
+		j.sums[i] = sumState{w: b.w[i], acc: make([]float64, b.groups), valid: make([]bool, b.groups)}
 	}
-	j.touched = make([]bool, groups.len())
+	j.touched = make([]bool, b.groups)
 	j.probeEvs = expr.NewEvaluators(j.ProbeKeys)
 	j.probeKeys = make([]*vector.Vector, len(j.ProbeKeys))
 	j.prefixVals = vector.New(j.schema.Col(j.PrefixIdx).Type, 0)
@@ -341,17 +353,12 @@ func (j *GroupJoin) emit(lo, hi int) {
 	j.out.SetLen(j.out.Len() + hi - lo)
 }
 
-// Close implements Operator.
+// Close implements Operator. The build input was closed by the build.
 func (j *GroupJoin) Close() error {
-	err1 := j.Probe.Close()
-	err2 := j.Build.Close()
 	if j.span != nil {
 		j.span.Counter("pairs").Add(j.pairs)
 	}
 	j.pairs = 0
 	j.hashBuild, j.ord, j.sums, j.out, j.in, j.probeEvs = hashBuild{}, nil, nil, nil, nil, nil
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return j.Probe.Close()
 }

@@ -184,7 +184,7 @@ func TestGeneratedGroupJoinMatchesJoinThenAggregate(t *testing.T) {
 
 		pk, bk := keys()
 		join, err := NewHashJoin(NewValues(probeSchema, cloneBatches(probeBatches)...),
-			NewValues(buildSchema, cloneBatches(buildBatches)...), pk, bk, true, nil)
+			NewBuild(NewValues(buildSchema, cloneBatches(buildBatches)...)), pk, bk, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestGeneratedGroupJoinMatchesJoinThenAggregate(t *testing.T) {
 		}
 		pk, bk = keys()
 		join, _ = NewHashJoin(NewValues(probeSchema, cloneBatches(probeBatches)...),
-			NewValues(buildSchema, cloneBatches(buildBatches)...), pk, bk, true, nil)
+			NewBuild(NewValues(buildSchema, cloneBatches(buildBatches)...)), pk, bk, true, nil)
 		agg, err := NewSegmentedAggregate(join, groupExprs, names, aggs, pi)
 		if err != nil {
 			t.Fatal(err)
@@ -206,7 +206,7 @@ func TestGeneratedGroupJoinMatchesJoinThenAggregate(t *testing.T) {
 
 		pk, bk = keys()
 		gj, err := NewGroupJoin(NewValues(probeSchema, cloneBatches(probeBatches)...),
-			NewValues(buildSchema, cloneBatches(buildBatches)...), pk, bk, groupBy, names, pi, sums)
+			NewBuild(NewValues(buildSchema, cloneBatches(buildBatches)...)), pk, bk, groupBy, names, pi, sums)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"indbml/internal/engine/expr"
 	"indbml/internal/engine/types"
@@ -15,16 +16,17 @@ import (
 // pairs it degenerates to a cross join (the input function of ML-To-SQL
 // cross-joins the fact table with the model's input layer, Listing 2/3).
 //
-// Output columns are always Left's followed by Right's. When BuildRight is
-// set (the default chosen by the planner when the right side is small — the
-// model side), the left input streams, so the join preserves the left
-// input's row order; this is what makes the pipelined, order-based
-// aggregation of Sec. 4.4 possible downstream.
+// Output columns are always the left input's followed by the right's. When
+// BuildRight is set (the default chosen by the planner when the right side
+// is small — the model side), the left input streams as Probe, so the join
+// preserves the left input's row order; this is what makes the pipelined,
+// order-based aggregation of Sec. 4.4 possible downstream.
 type HashJoin struct {
-	Left, Right         Operator
-	LeftKeys, RightKeys []expr.Expr
-	// BuildRight selects which side is materialized: true builds the hash
-	// table from Right and probes with Left.
+	Probe                Operator
+	Build                *Build
+	ProbeKeys, BuildKeys []expr.Expr
+	// BuildRight reports that Build is the right input: its columns follow
+	// Probe's in the output.
 	BuildRight bool
 
 	schema *types.Schema
@@ -34,7 +36,9 @@ type HashJoin struct {
 	cols      []joinCol
 	buildCols []int // build-side ordinals behind the build data's columns
 
-	hashBuild // built at Open
+	// Open takes the build from Build; the key table is a view that stages
+	// into scratch of this instance's own.
+	hashBuild
 
 	// Probe state. out and the two selection vectors are allocated at Open
 	// and reused by every Next.
@@ -53,21 +57,25 @@ type joinCol struct {
 	src       int
 }
 
-// NewHashJoin constructs an inner hash join. keep lists the output columns
-// as ordinals into Left's columns followed by Right's (nil keeps them all):
-// the planner names the columns something above the join reads, and only
-// those are materialized on the build side and gathered into the output.
-func NewHashJoin(left, right Operator, leftKeys, rightKeys []expr.Expr, buildRight bool, keep []int) (*HashJoin, error) {
-	if err := promoteKeys(leftKeys, rightKeys); err != nil {
+// NewHashJoin constructs an inner hash join of probe and build. keep lists
+// the output columns as ordinals into the left input's columns followed by
+// the right's (nil keeps them all): the planner names the columns something
+// above the join reads, and only those are materialized on the build side
+// and gathered into the output.
+func NewHashJoin(probe Operator, build *Build, probeKeys, buildKeys []expr.Expr, buildRight bool, keep []int) (*HashJoin, error) {
+	if err := promoteKeys(probeKeys, buildKeys); err != nil {
 		return nil, err
 	}
 	j := &HashJoin{
-		Left: left, Right: right,
-		LeftKeys: leftKeys, RightKeys: rightKeys,
+		Probe: probe, Build: build,
+		ProbeKeys: probeKeys, BuildKeys: buildKeys,
 		BuildRight: buildRight,
 	}
-	both := left.Schema().Concat(right.Schema())
-	nLeft := left.Schema().Len()
+	left, right := probe.Schema(), build.Input.Schema()
+	if !buildRight {
+		left, right = right, left
+	}
+	both, nLeft := left.Concat(right), left.Len()
 	if keep == nil {
 		keep = make([]int, both.Len())
 		for i := range keep {
@@ -116,25 +124,50 @@ func promoteKeys(leftKeys, rightKeys []expr.Expr) error {
 
 // NewCrossJoin constructs a cross join (a key-less hash join) that
 // materializes the right side.
-func NewCrossJoin(left, right Operator) (*HashJoin, error) {
+func NewCrossJoin(left Operator, right *Build) (*HashJoin, error) {
 	return NewHashJoin(left, right, nil, nil, true, nil)
 }
 
 // Schema implements Operator.
 func (j *HashJoin) Schema() *types.Schema { return j.schema }
 
-func (j *HashJoin) buildSide() (Operator, []expr.Expr) {
-	if j.BuildRight {
-		return j.Right, j.RightKeys
-	}
-	return j.Left, j.LeftKeys
+// Build is the build side of a hash join or groupjoin: the operator tree
+// that feeds it and what the join builds from it. In a partition-parallel
+// plan, every instance of a join whose build side scans no driver table
+// holds the same Build, as the paper's execution threads share the model
+// table (Sec. 4.4): the first instance to open it drains and closes Input,
+// the others wait for it and then probe what it built read-only, and every
+// one returns the build's error. Any other join has a Build of its own and
+// runs the same code.
+type Build struct {
+	Input Operator
+
+	once sync.Once
+	err  error
+	hashBuild
+	// A GroupJoin's: the group ordinal of the build row rows[k], at k; each
+	// sum's build operand in the same chain order; the group count.
+	ord    []int32
+	w      []*vector.Vector
+	groups int
 }
 
-func (j *HashJoin) probeSide() (Operator, []expr.Expr) {
-	if j.BuildRight {
-		return j.Left, j.LeftKeys
-	}
-	return j.Right, j.RightKeys
+// NewBuild returns the build side of one join over input.
+func NewBuild(input Operator) *Build { return &Build{Input: input} }
+
+// run builds b with fn once, however many joins call it, and returns the
+// build's error. fn reads Input, which run has opened and closes after it.
+func (b *Build) run(fn func() error) error {
+	b.once.Do(func() {
+		if b.err = b.Input.Open(); b.err != nil {
+			return
+		}
+		b.err = fn()
+		if err := b.Input.Close(); b.err == nil {
+			b.err = err
+		}
+	})
+	return b.err
 }
 
 // hashBuild is the build side of a hash join: the key table numbers the
@@ -203,26 +236,28 @@ func buildHash(build Operator, keys []expr.Expr, cols []int) (hashBuild, error) 
 	return h, nil
 }
 
-// Open implements Operator: it drains the build side into the key table.
+// Open implements Operator: it opens the probe side and gets the key table
+// from Build, building it if no other instance of the join has.
 func (j *HashJoin) Open() error {
-	if err := j.Left.Open(); err != nil {
+	if err := j.Probe.Open(); err != nil {
 		return err
 	}
-	if err := j.Right.Open(); err != nil {
+	b := j.Build
+	err := b.run(func() (err error) {
+		b.hashBuild, err = buildHash(b.Input, j.BuildKeys, j.buildCols)
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	build, buildKeys := j.buildSide()
-	var err error
-	if j.hashBuild, err = buildHash(build, buildKeys, j.buildCols); err != nil {
-		return err
-	}
+	j.hashBuild = b.hashBuild
+	j.table = b.table.prober()
 
 	j.out = vector.NewBatch(j.schema, vector.Size)
 	j.probeSel = make([]int, vector.Size)
 	j.buildSel = make([]int, vector.Size)
-	_, probeKeys := j.probeSide()
-	j.probeEvs = expr.NewEvaluators(probeKeys)
-	j.probeKeys = make([]*vector.Vector, len(probeKeys))
+	j.probeEvs = expr.NewEvaluators(j.ProbeKeys)
+	j.probeKeys = make([]*vector.Vector, len(j.ProbeKeys))
 	j.probeBatch = nil
 	j.probeRow, j.matchPos = 0, 0
 	return nil
@@ -233,10 +268,9 @@ func (j *HashJoin) Open() error {
 // one output batch. Selections never span probe batches, because probe
 // children are free to reuse their output buffers between Next calls.
 func (j *HashJoin) Next() (*vector.Batch, error) {
-	probe, _ := j.probeSide()
 	for {
 		if j.probeBatch == nil {
-			b, err := probe.Next()
+			b, err := j.Probe.Next()
 			if err != nil || b == nil {
 				return nil, err
 			}
@@ -296,13 +330,8 @@ func (j *HashJoin) emit(probeBatch *vector.Batch, probeSel, buildSel []int) {
 	j.out.SetLen(len(probeSel))
 }
 
-// Close implements Operator.
+// Close implements Operator. The build input was closed by the build.
 func (j *HashJoin) Close() error {
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
 	j.hashBuild, j.out, j.probeEvs = hashBuild{}, nil, nil
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return j.Probe.Close()
 }

@@ -17,7 +17,7 @@ func TestHashJoinMatchExplosionAcrossBatches(t *testing.T) {
 	const buildRows = 3*vector.Size + 17
 	ls, lb := twoColBatch(3, func(i int) (int64, float64) { return 1, float64(i) })
 	rs, rb := twoColBatch(buildRows, func(i int) (int64, float64) { return 1, float64(i) })
-	j, err := NewHashJoin(NewValues(ls, lb), NewValues(rs, rb),
+	j, err := NewHashJoin(NewValues(ls, lb), NewBuild(NewValues(rs, rb)),
 		[]expr.Expr{colRef(ls, "k")}, []expr.Expr{colRef(rs, "k")}, true, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestHashJoinEmptyBuildSide(t *testing.T) {
 		types.Column{Name: "k", Type: types.Int64},
 		types.Column{Name: "v", Type: types.Float64},
 	)
-	j, err := NewHashJoin(NewValues(ls, lb), NewValues(rs),
+	j, err := NewHashJoin(NewValues(ls, lb), NewBuild(NewValues(rs)),
 		[]expr.Expr{colRef(ls, "k")}, []expr.Expr{expr.NewColRef(0, "k", types.Int64)}, true, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestHashJoinMixedKeyTypesPromote(t *testing.T) {
 	rb := vector.NewBatch(rs, 2)
 	_ = rb.AppendRow(types.Int64Datum(2))
 	_ = rb.AppendRow(types.Int64Datum(3))
-	j, err := NewHashJoin(NewValues(ls, lb), NewValues(rs, rb),
+	j, err := NewHashJoin(NewValues(ls, lb), NewBuild(NewValues(rs, rb)),
 		[]expr.Expr{expr.NewColRef(0, "k", types.Int32)},
 		[]expr.Expr{expr.NewColRef(0, "k", types.Int64)}, true, nil)
 	if err != nil {

@@ -112,6 +112,15 @@ func evalInto(dst []*vector.Vector, evs []expr.Evaluator, b *vector.Batch) error
 	return nil
 }
 
+// prober returns a view of t that resolves with insert unset, for probing t
+// concurrently with other views once nothing adds to it any more: it reads
+// t's groups and stages into scratch of its own.
+func (t *groupTable) prober() *groupTable {
+	p := *t
+	p.vecs, p.rows, p.buf, p.added = nil, nil, nil, nil
+	return &p
+}
+
 // len returns the number of groups.
 func (t *groupTable) len() int { return t.n }
 

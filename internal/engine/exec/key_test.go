@@ -273,7 +273,7 @@ func BenchmarkGroupJoin(b *testing.B) {
 				types.Float32Datum(float32(node)/8-2), types.Float32Datum(float32(in-node)/32))
 		}
 	}
-	gj, err := NewGroupJoin(NewValues(probeSchema, probe...), NewValues(buildSchema, build),
+	gj, err := NewGroupJoin(NewValues(probeSchema, probe...), NewBuild(NewValues(buildSchema, build)),
 		[]expr.Expr{expr.NewColRef(1, "node", types.Int32)}, []expr.Expr{expr.NewColRef(0, "node_in", types.Int32)},
 		[]int{0, 4, 5, 6}, []string{"id", "layer", "node", "b_i"}, 0, []GroupJoinSum{{Probe: 2, Build: 4, Name: "s"}})
 	if err != nil {

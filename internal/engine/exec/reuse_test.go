@@ -100,7 +100,7 @@ func TestRetainingConsumersCopy(t *testing.T) {
 
 	// The join's build side is held for the whole probe phase; its probe
 	// side is held across the Next calls that emit one probe batch.
-	j, err := NewHashJoin(child(), child(), []expr.Expr{k}, []expr.Expr{k}, true, nil)
+	j, err := NewHashJoin(child(), NewBuild(child()), []expr.Expr{k}, []expr.Expr{k}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRetainingConsumersCopy(t *testing.T) {
 	// The groupjoin holds its build side too, and the prefix of the segment
 	// still open when it asks its probe for the next batch. Every probe row
 	// is a segment of one group: its key's build row.
-	gj, err := NewGroupJoin(child(), child(), []expr.Expr{k}, []expr.Expr{k}, []int{0, 3}, []string{"k", "s"}, 0, nil)
+	gj, err := NewGroupJoin(child(), NewBuild(child()), []expr.Expr{k}, []expr.Expr{k}, []int{0, 3}, []string{"k", "s"}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSteadyStateNextDoesNotAllocate(t *testing.T) {
 	ops := map[string]func() (Operator, error){
 		"HashJoin": func() (Operator, error) {
 			_, build := intBatch("id", 0, 1, 1, 2, 3, 3, 3)
-			return NewHashJoin(input(), NewValues(build.Schema, build), []expr.Expr{id}, []expr.Expr{id}, true, []int{1, 3})
+			return NewHashJoin(input(), NewBuild(NewValues(build.Schema, build)), []expr.Expr{id}, []expr.Expr{id}, true, []int{1, 3})
 		},
 		"Project": func() (Operator, error) {
 			return NewProject(input(), []expr.Expr{v, id, v}, []string{"v", "id", "v2"})
@@ -232,7 +232,7 @@ func TestSteadyStateNextDoesNotAllocate(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				_ = build.AppendRow(types.Int64Datum(int64(i%4)), types.Int32Datum(int32(i%5)), types.Float32Datum(float32(i)/4))
 			}
-			return NewGroupJoin(input(), NewValues(bs, build), []expr.Expr{id}, []expr.Expr{expr.NewColRef(0, "k", types.Int64)},
+			return NewGroupJoin(input(), NewBuild(NewValues(bs, build)), []expr.Expr{id}, []expr.Expr{expr.NewColRef(0, "k", types.Int64)},
 				[]int{0, 4}, []string{"id", "g"}, 0, []GroupJoinSum{{Probe: 1, Build: 2, Name: "s"}, {Probe: 2, Build: 2, Name: "t"}})
 		},
 	}

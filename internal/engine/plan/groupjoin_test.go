@@ -1,9 +1,11 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,10 +13,12 @@ import (
 
 	"indbml/internal/core/mltosql"
 	"indbml/internal/core/relmodel"
+	"indbml/internal/engine/exec"
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
+	"indbml/internal/trace"
 )
 
 // bitsRows renders a result as sorted row strings with every float as its
@@ -204,4 +208,83 @@ func TestGroupJoinShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGroupJoins(t, cat, q, false, len(meta.Layers)-2, "LSTM")
+}
+
+// TestGroupJoinSharedBuildCounts runs EXPLAIN ANALYZE's span tree of the
+// generated 4→32→32→1 query over 1, 2 and 4 partitions. Every model-side
+// build is built once per plan whatever the partition count: each scan of
+// the 1 188-row model table reads it once, and each layer filter passes its
+// layer's edges once. The fact scans and each groupjoin's joined pairs count
+// every partition, as they must.
+func TestGroupJoinSharedBuildCounts(t *testing.T) {
+	model := nn.NewDenseModel("m", 4, 32, 2, 1, 1)
+	names := []string{"f0", "f1", "f2", "f3"}
+	for _, parts := range []int{1, 2, 4} {
+		tbl, meta, err := relmodel.Export(model, relmodel.ExportOptions{Layout: relmodel.LayoutPairs, Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fact := mlFact(t, rand.New(rand.NewSource(1)), names, 800, parts)
+		cat := &testCatalog{tables: map[string]*storage.Table{"fact": fact, "m": tbl}}
+		gen, err := mltosql.New(meta, mltosql.Options{FactTable: "fact", ModelTable: "m", InputColumns: names,
+			LayerFilter: true, NativeFunctions: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := gen.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := planFor(t, &Planner{Cat: cat}, q)
+		qt := trace.NewQueryTrace(q)
+		op, err := p.Build(context.Background(), qt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Collect(op); err != nil {
+			t.Fatal(err)
+		}
+		filters := map[string]int64{"Filter (layer_in = -1)": 4, "Filter (layer = 1)": 128,
+			"Filter (layer = 2)": 1024, "Filter (layer = 3)": 32}
+		var modelScans, factScans int
+		var pairs []int64
+		var walk func(s trace.SpanStat)
+		walk = func(s trace.SpanStat) {
+			switch {
+			case strings.HasPrefix(s.Name, "Scan m "):
+				modelScans++
+				if s.Rows != 1188 {
+					t.Errorf("%d partitions: %s read %d rows, want 1188", parts, s.Name, s.Rows)
+				}
+			case s.Name == "Scan fact":
+				factScans++
+				if s.Rows != 800 {
+					t.Errorf("%d partitions: %s read %d rows, want 800", parts, s.Name, s.Rows)
+				}
+			case strings.HasPrefix(s.Name, "Filter"):
+				if want, ok := filters[s.Name]; !ok || s.Rows != want {
+					t.Errorf("%d partitions: %s passed %d rows, want %d", parts, s.Name, s.Rows, want)
+				}
+				delete(filters, s.Name)
+			case strings.Contains(s.Name, "(groupjoin)"):
+				for _, c := range s.Counters {
+					if c.Name == "pairs" {
+						pairs = append(pairs, c.Value)
+					}
+				}
+			}
+			for _, c := range s.Children {
+				walk(c)
+			}
+		}
+		walk(qt.Root.Stat())
+		if modelScans != 4 || factScans != 2 || len(filters) != 0 {
+			t.Errorf("%d partitions: %d model scans, %d fact scans, filters %v missing, want 4, 2 and none:\n%s",
+				parts, modelScans, factScans, filters, qt.Render())
+		}
+		// Pre-order from the outermost layer: 32, 32 × 32 and 4 × 32 pairs per id.
+		if !slices.Equal(pairs, []int64{25600, 819200, 102400}) {
+			t.Errorf("%d partitions: groupjoin pairs %v, want [25600 819200 102400]", parts, pairs)
+		}
+	}
 }

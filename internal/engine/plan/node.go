@@ -42,10 +42,44 @@ type buildCtx struct {
 	// qctx is the query's cancellation context; it is attached to every
 	// Scan so cancellation reaches the leaves of the operator tree.
 	qctx context.Context
-	// spans maps logical nodes to their trace spans. The map is shared
-	// across partition plan instances, so the instances of one logical node
-	// record into one span (all span mutation is atomic).
-	spans map[node]*trace.Span
+	// The maps below are shared across partition plan instances. spans maps
+	// logical nodes to their trace spans, so the instances of one logical
+	// node record into one span (all span mutation is atomic). snaps holds
+	// the one snapshot of each table every scan of the statement reads.
+	// builds holds the build of each join whose build side scans no driver
+	// table: its operator tree is constructed once and built once for all
+	// instances.
+	spans  map[node]*trace.Span
+	snaps  map[*storage.Table]*storage.Snapshot
+	builds map[*joinNode]*exec.Build
+}
+
+// snapshot returns the statement's snapshot of t.
+func (ctx *buildCtx) snapshot(t *storage.Table) *storage.Snapshot {
+	s := ctx.snaps[t]
+	if s == nil {
+		s = t.Snapshot()
+		ctx.snaps[t] = s
+	}
+	return s
+}
+
+// buildSide returns the build of j, whose build input is side: the plan's
+// one build of j when side scans no driver table, else one of this
+// instance's own.
+func (ctx *buildCtx) buildSide(j *joinNode, side node) (*exec.Build, error) {
+	if b := ctx.builds[j]; b != nil {
+		return b, nil
+	}
+	op, err := ctx.build(side)
+	if err != nil {
+		return nil, err
+	}
+	b := exec.NewBuild(op)
+	if !containsTable(side, ctx.driver) {
+		ctx.builds[j] = b
+	}
+	return b, nil
 }
 
 // build constructs n's physical operator, hands span-aware operators their
@@ -144,17 +178,18 @@ func (s *scanNode) props() props {
 }
 
 func (s *scanNode) build(ctx *buildCtx) (exec.Operator, error) {
+	snap := ctx.snapshot(s.table)
 	if ctx.driver == s.table && ctx.partition >= 0 {
-		sc, err := exec.NewScan(s.table, ctx.partition, s.proj, s.zoneFilters)
+		sc, err := exec.NewScan(snap, ctx.partition, s.proj, s.zoneFilters)
 		if err != nil {
 			return nil, err
 		}
 		sc.Ctx = ctx.qctx
 		return sc, nil
 	}
-	scans := make([]exec.Operator, s.table.Partitions())
+	scans := make([]exec.Operator, snap.Partitions())
 	for p := range scans {
-		sc, err := exec.NewScan(s.table, p, s.proj, s.zoneFilters)
+		sc, err := exec.NewScan(snap, p, s.proj, s.zoneFilters)
 		if err != nil {
 			return nil, err
 		}
@@ -314,15 +349,26 @@ func (j *joinNode) ordinal(c int) int {
 }
 
 func (j *joinNode) build(ctx *buildCtx) (exec.Operator, error) {
-	l, err := ctx.build(j.left)
+	probe, b, probeKeys, buildKeys, err := j.buildInputs(ctx)
 	if err != nil {
 		return nil, err
 	}
-	r, err := ctx.build(j.right)
-	if err != nil {
-		return nil, err
+	return exec.NewHashJoin(probe, b, probeKeys, buildKeys, j.buildRight, j.keep)
+}
+
+// buildInputs constructs the join's probe input and gets its build, and
+// returns the keys of each.
+func (j *joinNode) buildInputs(ctx *buildCtx) (exec.Operator, *exec.Build, []expr.Expr, []expr.Expr, error) {
+	probeSide, buildSide, probeKeys, buildKeys := j.left, j.right, j.leftKeys, j.rightKeys
+	if !j.buildRight {
+		probeSide, buildSide, probeKeys, buildKeys = buildSide, probeSide, buildKeys, probeKeys
 	}
-	return exec.NewHashJoin(l, r, j.leftKeys, j.rightKeys, j.buildRight, j.keep)
+	probe, err := ctx.build(probeSide)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	b, err := ctx.buildSide(j, buildSide)
+	return probe, b, probeKeys, buildKeys, err
 }
 
 func (j *joinNode) describe() string {
@@ -498,19 +544,11 @@ func (a *aggNode) planGroupJoin(driver *storage.Table) {
 
 func (a *aggNode) build(ctx *buildCtx) (exec.Operator, error) {
 	if a.gjGroupBy != nil {
-		j := a.child.(*joinNode)
-		l, err := ctx.build(j.left)
+		probe, b, probeKeys, buildKeys, err := a.child.(*joinNode).buildInputs(ctx)
 		if err != nil {
 			return nil, err
 		}
-		r, err := ctx.build(j.right)
-		if err != nil {
-			return nil, err
-		}
-		if !j.buildRight {
-			return exec.NewGroupJoin(r, l, j.rightKeys, j.leftKeys, a.gjGroupBy, a.groupNames, a.segmentPrefix(), a.gjSums)
-		}
-		return exec.NewGroupJoin(l, r, j.leftKeys, j.rightKeys, a.gjGroupBy, a.groupNames, a.segmentPrefix(), a.gjSums)
+		return exec.NewGroupJoin(probe, b, probeKeys, buildKeys, a.gjGroupBy, a.groupNames, a.segmentPrefix(), a.gjSums)
 	}
 	c, err := ctx.build(a.child)
 	if err != nil {

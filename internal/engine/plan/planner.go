@@ -116,10 +116,12 @@ func (p *Plan) Build(ctx context.Context, qt *trace.QueryTrace) (exec.Operator, 
 	buildSpanTree(p.root, parent, spans, qt)
 
 	var root exec.Operator
+	bctx := &buildCtx{cat: p.planner.Cat, partition: -1, qctx: ctx, spans: spans,
+		snaps: make(map[*storage.Table]*storage.Snapshot), builds: make(map[*joinNode]*exec.Build)}
 	if p.parallel {
 		children := make([]exec.Operator, p.driver.Partitions())
 		for part := range children {
-			bctx := &buildCtx{cat: p.planner.Cat, driver: p.driver, partition: part, qctx: ctx, spans: spans}
+			bctx.driver, bctx.partition = p.driver, part
 			op, err := bctx.build(p.root)
 			if err != nil {
 				return nil, err
@@ -133,7 +135,6 @@ func (p *Plan) Build(ctx context.Context, qt *trace.QueryTrace) (exec.Operator, 
 		ex.Ctx = ctx
 		root = exec.NewTraced(ex, exSpan)
 	} else {
-		bctx := &buildCtx{cat: p.planner.Cat, partition: -1, qctx: ctx, spans: spans}
 		op, err := bctx.build(p.root)
 		if err != nil {
 			return nil, err
