@@ -12,10 +12,11 @@
 //   - the native ModelJoin query operator with a parallel build phase and
 //     vectorized BLAS inference, in CPU and simulated-GPU variants
 //     (internal/core/modeljoin, internal/device, internal/blas);
-//   - the baselines the paper compares against: an embedded ML runtime
-//     behind a C-API-style interface, a Python-UDF host, and data export
-//     over a simulated ODBC wire (internal/mlruntime, internal/pyudf,
-//     internal/odbc, internal/baselines);
+//   - the baselines the paper compares against, each running the
+//     ModelJoin operator's compiled model (modeljoin.Compile) through a
+//     row-major C-API-style call: an in-engine C-API operator, a
+//     Python-UDF host, and data export over a simulated ODBC wire
+//     (internal/baselines, internal/pyudf, internal/odbc);
 //   - the experiment harness regenerating every figure and table of the
 //     paper's evaluation (internal/bench, cmd/mjbench).
 //

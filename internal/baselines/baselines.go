@@ -5,25 +5,29 @@
 //   - TF(Python): data leaves the engine over the simulated ODBC wire
 //     (package odbc), is materialized as boxed values in the external
 //     "Python" environment, converted to the runtime's input layout and
-//     classified by the embedded ML runtime (package mlruntime) — on CPU or
-//     the simulated GPU.
+//     classified — on CPU or the simulated GPU.
 //   - TF(C-API): a Raven-like in-engine operator that hands each columnar
 //     batch to the ML runtime through its row-major C-API, paying the layout
 //     conversion both ways but no data export.
 //   - UDF: inference as a Python UDF (package pyudf), tuple-at-a-time or
 //     vectorized, paying per-value boxing and per-call overhead.
+//
+// The "TensorFlow" all three call is the native operator's own forward
+// pass, compiled from the nn.Model per call site (modeljoin.Compile) and
+// run through a row-major C-API-like Run, so each baseline pays its
+// integration cost and the same kernels as MODEL JOIN.
 package baselines
 
 import (
 	"fmt"
 
+	"indbml/internal/core/modeljoin"
 	"indbml/internal/device"
 	"indbml/internal/engine/db"
 	"indbml/internal/engine/exec"
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
-	"indbml/internal/mlruntime"
 	"indbml/internal/nn"
 	"indbml/internal/odbc"
 	"indbml/internal/pyudf"
@@ -95,12 +99,12 @@ func TFPython(d *db.Database, table, idCol string, inputCols []string, m *nn.Mod
 	}
 
 	// Phase 3: classify with the runtime, batch size 1024 (Sec. 6.1).
-	sess, err := mlruntime.NewSession(m, dev)
+	model, err := modeljoin.Compile(m, dev)
 	if err != nil {
 		return nil, err
 	}
-	defer sess.Close()
-	outDim := sess.OutputDim()
+	defer model.Close()
+	outDim := model.OutputDim()
 	res := &PythonResult{RowsFetched: len(fetched), IDs: ids}
 	res.Predictions = make([][]float32, 0, len(fetched))
 	out := make([]float32, batchSize*outDim)
@@ -110,7 +114,7 @@ func TFPython(d *db.Database, table, idCol string, inputCols []string, m *nn.Mod
 			end = len(fetched)
 		}
 		n := end - start
-		if err := sess.Run(input[start*nIn:end*nIn], n, out[:n*outDim]); err != nil {
+		if err := model.Run(input[start*nIn:end*nIn], n, out[:n*outDim]); err != nil {
 			return nil, err
 		}
 		for r := 0; r < n; r++ {
@@ -118,18 +122,6 @@ func TFPython(d *db.Database, table, idCol string, inputCols []string, m *nn.Mod
 		}
 	}
 	return res, nil
-}
-
-// predictionCols builds the output schema extension for a model.
-func predictionCols(m *nn.Model) []types.Column {
-	if m.OutputDim() == 1 {
-		return []types.Column{{Name: "prediction", Type: types.Float32}}
-	}
-	cols := make([]types.Column, m.OutputDim())
-	for i := range cols {
-		cols[i] = types.Column{Name: fmt.Sprintf("prediction_%d", i), Type: types.Float32}
-	}
-	return cols
 }
 
 // CAPIOperator is the Raven-like integration (Sec. 6.1): a query operator
@@ -141,22 +133,23 @@ type CAPIOperator struct {
 	Child     exec.Operator
 	InputCols []int
 
-	model   *nn.Model
-	dev     device.Device
-	sess    *mlruntime.Session
-	schema  *types.Schema
-	staging []float32
-	outBuf  []float32
+	model    *nn.Model
+	dev      device.Device
+	compiled *modeljoin.Compiled
+	schema   *types.Schema
+	staging  []float32
+	outBuf   []float32
 }
 
-// NewCAPIOperator builds the operator; the session is created at Open (the
-// runtime-load cost is part of query execution, like the ModelJoin build
-// phase).
+// NewCAPIOperator builds the operator; the model is compiled onto the
+// device at Open, once per operator instance (the runtime-load cost is part
+// of query execution, like the ModelJoin build phase, but unlike MODEL
+// JOIN's build it is not shared between partitions).
 func NewCAPIOperator(child exec.Operator, m *nn.Model, dev device.Device, inputCols []int) (*CAPIOperator, error) {
-	if len(inputCols) != m.InputDim() {
-		return nil, fmt.Errorf("baselines: model %s expects %d inputs, got %d", m.Name, m.InputDim(), len(inputCols))
+	if err := modeljoin.CheckInputs(m.Name, m.InputDim(), child.Schema(), inputCols); err != nil {
+		return nil, err
 	}
-	cols := append(child.Schema().Columns(), predictionCols(m)...)
+	cols := append(child.Schema().Columns(), modeljoin.PredictionColumns(m.OutputDim())...)
 	return &CAPIOperator{
 		Child: child, InputCols: inputCols, model: m, dev: dev,
 		schema: types.NewSchema(cols...),
@@ -171,11 +164,11 @@ func (o *CAPIOperator) Open() error {
 	if err := o.Child.Open(); err != nil {
 		return err
 	}
-	sess, err := mlruntime.NewSession(o.model, o.dev)
+	compiled, err := modeljoin.Compile(o.model, o.dev)
 	if err != nil {
 		return err
 	}
-	o.sess = sess
+	o.compiled = compiled
 	o.staging = make([]float32, batchSize*o.model.InputDim())
 	o.outBuf = make([]float32, batchSize*o.model.OutputDim())
 	return nil
@@ -193,10 +186,10 @@ func (o *CAPIOperator) Next() (*vector.Batch, error) {
 	// Columnar → row-major conversion.
 	staging := o.staging[:n*inDim]
 	for j, c := range o.InputCols {
-		pivotIntoRows(in.Vecs[c], staging, j, inDim, n)
+		modeljoin.GatherColumn(in.Vecs[c], staging, j, inDim, n)
 	}
 	out := o.outBuf[:n*outDim]
-	if err := o.sess.Run(staging, n, out); err != nil {
+	if err := o.compiled.Run(staging, n, out); err != nil {
 		return nil, err
 	}
 
@@ -219,36 +212,11 @@ func (o *CAPIOperator) Next() (*vector.Batch, error) {
 
 // Close implements exec.Operator.
 func (o *CAPIOperator) Close() error {
-	if o.sess != nil {
-		o.sess.Close()
-		o.sess = nil
+	if o.compiled != nil {
+		o.compiled.Close()
+		o.compiled = nil
 	}
 	return o.Child.Close()
-}
-
-func pivotIntoRows(v *vector.Vector, staging []float32, j, stride, n int) {
-	switch v.Type() {
-	case types.Float32:
-		src := v.Float32s()
-		for r := 0; r < n; r++ {
-			staging[r*stride+j] = src[r]
-		}
-	case types.Float64:
-		src := v.Float64s()
-		for r := 0; r < n; r++ {
-			staging[r*stride+j] = float32(src[r])
-		}
-	case types.Int32:
-		src := v.Int32s()
-		for r := 0; r < n; r++ {
-			staging[r*stride+j] = float32(src[r])
-		}
-	case types.Int64:
-		src := v.Int64s()
-		for r := 0; r < n; r++ {
-			staging[r*stride+j] = float32(src[r])
-		}
-	}
 }
 
 // NewUDFOperator builds the UDF baseline: inference as a Python UDF over
@@ -256,15 +224,15 @@ func pivotIntoRows(v *vector.Vector, staging []float32, j, stride, n int) {
 // engine vector (the accelerated variant); otherwise once per tuple.
 // Inference inside the UDF always runs on the CPU, as in the paper.
 func NewUDFOperator(child exec.Operator, m *nn.Model, inputCols []int, vectorized bool) (*pyudf.Operator, error) {
-	if len(inputCols) != m.InputDim() {
-		return nil, fmt.Errorf("baselines: model %s expects %d inputs, got %d", m.Name, m.InputDim(), len(inputCols))
+	if err := modeljoin.CheckInputs(m.Name, m.InputDim(), child.Schema(), inputCols); err != nil {
+		return nil, err
 	}
-	sess, err := mlruntime.NewSession(m, device.NewCPU())
+	model, err := modeljoin.Compile(m, device.NewCPU())
 	if err != nil {
 		return nil, err
 	}
 	inDim, outDim := m.InputDim(), m.OutputDim()
-	outCols := predictionCols(m)
+	outCols := modeljoin.PredictionColumns(outDim)
 
 	if vectorized {
 		fn := func(args [][]pyudf.Value) ([][]pyudf.Value, error) {
@@ -280,7 +248,7 @@ func NewUDFOperator(child exec.Operator, m *nn.Model, inputCols []int, vectorize
 				}
 			}
 			out := make([]float32, n*outDim)
-			if err := sess.Run(input, n, out); err != nil {
+			if err := model.Run(input, n, out); err != nil {
 				return nil, err
 			}
 			res := make([][]pyudf.Value, outDim)
@@ -306,7 +274,7 @@ func NewUDFOperator(child exec.Operator, m *nn.Model, inputCols []int, vectorize
 			}
 			input[j] = f
 		}
-		if err := sess.Run(input, 1, out); err != nil {
+		if err := model.Run(input, 1, out); err != nil {
 			return nil, err
 		}
 		res := make([]pyudf.Value, outDim)

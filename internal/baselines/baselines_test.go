@@ -1,17 +1,22 @@
 package baselines_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"indbml/internal/baselines"
+	"indbml/internal/core/modeljoin"
+	"indbml/internal/core/relmodel"
 	"indbml/internal/device"
 	"indbml/internal/engine/db"
 	"indbml/internal/engine/exec"
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
+	"indbml/internal/infersched"
 	"indbml/internal/nn"
 )
 
@@ -219,5 +224,127 @@ func TestGPUAccountsTransfers(t *testing.T) {
 	// Input uploads alone: ≥ 2048 rows × 4 cols × 4 bytes.
 	if st.BytesH2D < 2048*4*4 {
 		t.Errorf("H2D bytes %d below input volume", st.BytesH2D)
+	}
+}
+
+// TestCAPIGPUAccounting pins what the simulated GPU charges for a C-API
+// inference pass — launches, modeled time, transfer bytes — over a fixed
+// dense and a fixed LSTM model, 1 524 rows in batches of 1 024 and 500,
+// after the reset that follows the compile at Open. The values come from
+// FLOPs and the device config, not from clocks, and they are the charges of
+// the unfused runtime the baselines ran before (bias-matrix copy, sgemm,
+// activation kernel) for the same pass, so the C-API GPU series of Fig. 8/9
+// keep their device model.
+func TestCAPIGPUAccounting(t *testing.T) {
+	for _, tc := range []struct {
+		model    *nn.Model
+		launches int64
+		modeled  time.Duration
+		h2d, d2h int64
+	}{
+		{nn.NewDenseModel("m", 4, 32, 2, 1, 23), 16, 131150, 24384, 6096},
+		{nn.NewLSTMModel("lm", 3, 16, 21), 126, 714185, 18288, 6096},
+	} {
+		in := tc.model.InputDim()
+		tbl, _, _ := buildFact(t, 1524, in, 1, 7)
+		scan, err := exec.NewScan(tbl.Snapshot(), 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([]int, in)
+		for i := range cols {
+			cols[i] = i + 1
+		}
+		gpu := device.NewGPU(device.DefaultGPUConfig())
+		op, err := baselines.NewCAPIOperator(scan, tc.model, gpu, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		gpu.ResetStats()
+		var batches []int
+		for {
+			b, err := op.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			batches = append(batches, b.Len())
+		}
+		st := gpu.Stats()
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(batches) != "[1024 500]" {
+			t.Fatalf("%s: batches %v, want [1024 500]", tc.model.Name, batches)
+		}
+		if st.KernelLaunches != tc.launches || st.ModeledTime != tc.modeled || st.BytesH2D != tc.h2d || st.BytesD2H != tc.d2h {
+			t.Errorf("%s: %d launches, %v modeled, %d B up, %d B down; want %d, %v, %d, %d", tc.model.Name,
+				st.KernelLaunches, st.ModeledTime, st.BytesH2D, st.BytesD2H, tc.launches, tc.modeled, tc.h2d, tc.d2h)
+		}
+	}
+}
+
+// TestBaselinesRefuseWhatModelJoinRefuses: the C-API and both UDF operators
+// check their input columns as MODEL JOIN does, with its error text: a
+// VARCHAR input is refused, where the C-API would predict from whatever its
+// staging buffer held, and so is an out-of-range column, which would panic
+// in Next.
+func TestBaselinesRefuseWhatModelJoinRefuses(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.Int64},
+		types.Column{Name: "s", Type: types.String},
+		types.Column{Name: "x1", Type: types.Float32},
+		types.Column{Name: "x2", Type: types.Float32},
+		types.Column{Name: "x3", Type: types.Float32},
+	)
+	tbl := storage.NewTable("fact", schema, storage.Options{Partitions: 1})
+	b := vector.NewBatch(schema, 3)
+	for r := 0; r < 3; r++ {
+		if err := b.AppendRow(types.Int64Datum(int64(r)), types.StringDatum("abc"),
+			types.Float32Datum(1), types.Float32Datum(2), types.Float32Datum(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	model := nn.NewDenseModel("m", 4, 8, 1, 1, 3)
+	_, meta, err := relmodel.Export(model, relmodel.ExportOptions{Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func() exec.Operator {
+		s, err := exec.NewScan(tbl.Snapshot(), 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	approaches := map[string]func(exec.Operator, []int) (exec.Operator, error){
+		"C-API": func(c exec.Operator, cols []int) (exec.Operator, error) {
+			return baselines.NewCAPIOperator(c, model, device.NewCPU(), cols)
+		},
+		"scalar UDF": func(c exec.Operator, cols []int) (exec.Operator, error) {
+			return baselines.NewUDFOperator(c, model, cols, false)
+		},
+		"vectorized UDF": func(c exec.Operator, cols []int) (exec.Operator, error) {
+			return baselines.NewUDFOperator(c, model, cols, true)
+		},
+	}
+	for _, cols := range [][]int{{1, 2, 3, 4}, {2, 3, 4, 9}, {2, 3, 4}} {
+		_, mjErr := modeljoin.New(scan(), &modeljoin.SharedModel{Meta: meta}, cols, nil, infersched.Label{})
+		if mjErr == nil {
+			t.Fatalf("MODEL JOIN accepts columns %v", cols)
+		}
+		for name, build := range approaches {
+			if _, err := build(scan(), cols); err == nil || err.Error() != mjErr.Error() {
+				t.Errorf("%s over columns %v: error %v, want MODEL JOIN's %q", name, cols, err, mjErr)
+			}
+		}
 	}
 }

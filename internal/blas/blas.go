@@ -1,8 +1,9 @@
 // Package blas provides the float32 linear-algebra kernels the native
-// ModelJoin operator and the embedded ML runtime are built on. It plays the
-// role the paper assigns to the BLAS interface realized by Intel MKL (CPU)
-// and cuBLAS (GPU): general matrix multiply, rank-1 update, elementwise
-// vector ops and the activation functions of Listing 5.
+// ModelJoin operator, and through it the C-API, UDF and TF(Python)
+// baselines, are built on. It plays the role the paper assigns to the BLAS
+// interface realized by Intel MKL (CPU) and cuBLAS (GPU): general matrix
+// multiply, rank-1 update, elementwise vector ops and the activation
+// functions of Listing 5.
 //
 // Matrices are dense row-major float32 slices; Mat couples the slice with
 // its dimensions. Large operations are parallelized across goroutines, like
@@ -111,15 +112,6 @@ func Transpose(a, dst Mat) {
 					dst.Data[j*dst.Cols+i] = row[j]
 				}
 			}
-		}
-	}
-}
-
-// ReLU applies max(0, x) elementwise in place.
-func ReLU(x []float32) {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
 		}
 	}
 }

@@ -116,12 +116,16 @@ func Sgemm(a, b, c Mat) {
 // activation run in the kernel's epilogue while the tile (ReLU) or the cache
 // block (sigmoid, tanh) is still hot, replacing the bias-matrix copy and the
 // separate activation pass around Sgemm. A is m×k, W the packed k×n weights,
-// bias has n entries, C is m×n and is overwritten. It returns the kernel
-// busy time summed over the workers that shared the rows.
+// bias has n entries, C is m×n and is overwritten. A nil bias accumulates
+// instead, C += A·W, and takes no activation. It returns the kernel busy
+// time summed over the workers that shared the rows.
 func GemmBiasAct(a Mat, w *PackedB, bias []float32, act Activation, c Mat) time.Duration {
-	if a.Cols != w.rows || a.Rows != c.Rows || w.cols != c.Cols || len(bias) != w.cols {
+	if a.Cols != w.rows || a.Rows != c.Rows || w.cols != c.Cols || (bias != nil && len(bias) != w.cols) {
 		panic(fmt.Sprintf("blas: gemm dimension mismatch: (%dx%d)·(%dx%d) + (%d) -> (%dx%d)",
 			a.Rows, a.Cols, w.rows, w.cols, len(bias), c.Rows, c.Cols))
+	}
+	if bias == nil && act != ActNone {
+		panic("blas: an accumulating gemm (nil bias) takes no activation")
 	}
 	return gemm(a, w, bias, act, c)
 }

@@ -121,6 +121,16 @@ func TestGemmTouchesOnlyItsTile(t *testing.T) {
 	}
 }
 
+// relu applies max(0, x) in place: the unfused reference the ReLU epilogue
+// is held to.
+func relu(x []float32) {
+	for i, v := range x {
+		if v < 0 {
+			x[i] = 0
+		}
+	}
+}
+
 // TestFusedEpilogueEqualsUnfused pins the fused call to the sequence it
 // replaces — zeroed C, Sgemm, row-wise bias add, activation pass: linear and
 // ReLU are bit-equal (same kernel, same order), sigmoid and tanh agree within
@@ -142,7 +152,7 @@ func TestFusedEpilogueEqualsUnfused(t *testing.T) {
 			var eps float32
 			switch act {
 			case ActReLU:
-				ReLU(want.Data)
+				relu(want.Data)
 			case ActSigmoid:
 				Sigmoid(want.Data)
 				eps = 1e-6
@@ -179,6 +189,29 @@ func TestGemmPropagatesNonFinite(t *testing.T) {
 	}
 }
 
+// TestNilBiasAccumulates: GemmBiasAct with a nil bias is Sgemm over weights
+// packed once — C += A·W, bit for bit — which is how the LSTM adds its
+// recurrent term.
+func TestNilBiasAccumulates(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, s := range [][3]int{{1, 1, 1}, {7, 12, 12}, {1024, 40, 40}, {3000, 33, 17}} {
+		m, k, n := s[0], s[1], s[2]
+		a, b, c0 := randMat(rng, m, k), randMat(rng, k, n), randMat(rng, m, n)
+		want, got := c0.Clone(), c0.Clone()
+		Sgemm(a, b, want)
+		GemmBiasAct(a, PackB(b), nil, ActNone, got)
+		if !got.Equal(want, 0) {
+			t.Errorf("%v: nil-bias GemmBiasAct diverges from Sgemm", s)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on an activation without a bias")
+		}
+	}()
+	GemmBiasAct(NewMat(2, 3), PackB(NewMat(3, 4)), nil, ActSigmoid, NewMat(2, 4))
+}
+
 func TestGemmBiasActDimensionPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -210,7 +243,7 @@ func TestGemmConcurrent(t *testing.T) {
 						copy(c.Row(i), bias)
 					}
 					Sgemm(a, b, c)
-					ReLU(c.Data)
+					relu(c.Data)
 				}
 				if !c.Equal(want, 0) {
 					errs <- fmt.Sprintf("goroutine %d iteration %d diverged", g, it)

@@ -13,6 +13,7 @@
 package modeljoin
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,18 +50,19 @@ type deviceLayer struct {
 	bias []float32
 	pw   *blas.PackedB
 
-	// LSTM (gate order i, f, c, o); pwg are the packed input kernels.
+	// LSTM (gate order i, f, c, o); pwg and pwu are the packed input and
+	// recurrent kernels.
 	timeSteps int
 	wg, ug    [4]blas.Mat
 	gBias     [4][]float32
-	pwg       [4]*blas.PackedB
+	pwg, pwu  [4]*blas.PackedB
 }
 
 // builtModel is the shared, device-resident model all partition operator
 // instances read during inference.
 type builtModel struct {
 	dev     device.Device
-	meta    *relmodel.Meta
+	meta    *relmodel.Meta // nil for a Compiled model
 	cfg     Config
 	snap    *storage.Snapshot // the model-table blocks the weights were read from
 	layers  []deviceLayer
@@ -189,15 +191,16 @@ func (m *builtModel) InputDim() int {
 }
 
 // OutputDim reports the model's prediction width.
-func (m *builtModel) OutputDim() int { return m.meta.OutputDim() }
+func (m *builtModel) OutputDim() int { return m.layers[len(m.layers)-1].units }
 
 // RunPacked executes one packed forward pass over rows feature rows
 // (row-major rows×InputDim in staging), writing rows×OutputDim predictions
 // to preds, and reports the gemm kernels' busy time summed over their
 // workers. It is the operator's one inference loop (Sec. 5.4): every MODEL
 // JOIN batch reaches it through the scheduler, alone or coalesced with
-// concurrent statements' batches, so rows may exceed vector.Size. The device
-// working set is checked out of the model's pool for the pass only.
+// concurrent statements' batches, so rows may exceed vector.Size; the
+// baselines reach it through Compiled.Run. The device working set is checked
+// out of the model's pool for the pass only.
 func (m *builtModel) RunPacked(rows int, staging, preds []float32) (time.Duration, error) {
 	s := m.getScratch(rows)
 	defer m.putScratch(s)
@@ -218,13 +221,14 @@ func (m *builtModel) RunPacked(rows int, staging, preds []float32) (time.Duratio
 		busy += m.denseForward(l, act, out)
 		act = out
 	}
-	m.dev.Download(preds[:rows*m.meta.OutputDim()], act)
+	m.dev.Download(preds[:rows*m.OutputDim()], act)
 	return busy, nil
 }
 
 // lstmForward implements Listing 5 on the device for rows series (row-major
 // rows×timeSteps in staging): per time step, each gate's z = x_t·W_g + bias
-// (one fused gemm) + h·U_g, gate activations, cell update and hidden state.
+// (one fused gemm) + h·U_g (one accumulating gemm), gate activations, cell
+// update and hidden state.
 // The series is transposed into the scratch's timeSteps×rows matrix and
 // uploaded once, so each x_t is a contiguous device row. It returns the
 // final hidden state and the gemm kernels' busy time.
@@ -256,7 +260,7 @@ func (m *builtModel) lstmForward(s *inferScratch, rows int, staging []float32) (
 		for g := 0; g < 4; g++ {
 			busy += dev.GemmBiasAct(xt, l.pwg[g], l.gBias[g], blas.ActNone, z[g])
 			if round > 0 {
-				busy += m.gemm(h, l.ug[g], z[g]) // recurrent contribution + z
+				busy += dev.GemmBiasAct(h, l.pwu[g], nil, blas.ActNone, z[g]) // z += h·U_g
 			}
 		}
 		dev.Sigmoid(z[0].Data) // i
@@ -292,15 +296,6 @@ func (m *builtModel) flopsFor(n int) int64 {
 		f += blas.FlopsGemm(n, l.inDim, l.units)
 	}
 	return f
-}
-
-// gemm runs one unfused device matrix multiply C += A·B, the LSTM's
-// recurrent term, whose U_g is packed again on every call. Its busy time is
-// its wall time: Sgemm does not report its workers.
-func (m *builtModel) gemm(a, b, c blas.Mat) time.Duration {
-	start := time.Now()
-	m.dev.Gemm(a, b, c)
-	return time.Since(start)
 }
 
 // denseForward computes out = act(in·W + bias) on the device for any row
@@ -383,9 +378,9 @@ func (m *builtModel) upload(hl nn.Layer) deviceLayer {
 		u := l.Units
 		dl := deviceLayer{kind: nn.KindLSTM, inDim: l.Features, units: u, timeSteps: l.TimeSteps}
 		for g := 0; g < 4; g++ {
-			wg := gateCols(l.W, g, u)
-			dl.wg[g], dl.ug[g] = uploadMat(dev, wg, cfg), uploadMat(dev, gateCols(l.U, g, u), cfg)
-			dl.gBias[g], dl.pwg[g] = l.B[g*u:(g+1)*u], pack(wg)
+			wg, ug := gateCols(l.W, g, u), gateCols(l.U, g, u)
+			dl.wg[g], dl.ug[g] = uploadMat(dev, wg, cfg), uploadMat(dev, ug, cfg)
+			dl.gBias[g], dl.pwg[g], dl.pwu[g] = l.B[g*u:(g+1)*u], pack(wg), pack(ug)
 		}
 		return dl
 	}
@@ -393,6 +388,55 @@ func (m *builtModel) upload(hl nn.Layer) deviceLayer {
 	return deviceLayer{kind: nn.KindDense, inDim: d.InputDim(), units: d.OutputDim(), act: d.Act,
 		w: uploadMat(dev, d.W, cfg), bias: d.B, pw: pack(d.W)}
 }
+
+// Compiled is an nn.Model compiled onto a device without a model table:
+// MODEL JOIN's packed forward pass (RunPacked) behind a row-major C-API-like
+// call, which the C-API, UDF and TF(Python) baselines run, so that what
+// separates them from MODEL JOIN is their integration and nothing else. It
+// is safe for concurrent use.
+type Compiled struct{ m *builtModel }
+
+// Compile uploads every layer of m to dev and packs its weights. The model
+// must be valid, and an LSTM univariate (one feature per time step).
+func Compile(m *nn.Model, dev device.Device) (*Compiled, error) {
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("modeljoin: %w", err)
+	}
+	if l, ok := m.Layers[0].(*nn.LSTM); ok && l.Features != 1 {
+		return nil, fmt.Errorf("modeljoin: only univariate LSTM layers are supported (features == 1, got %d)", l.Features)
+	}
+	bm := &builtModel{dev: dev}
+	for _, l := range m.Layers {
+		bm.layers = append(bm.layers, bm.upload(l))
+	}
+	return &Compiled{bm}, nil
+}
+
+// InputDim reports the row width of Run's input.
+func (c *Compiled) InputDim() int { return c.m.InputDim() }
+
+// OutputDim reports the row width of Run's output.
+func (c *Compiled) OutputDim() int { return c.m.OutputDim() }
+
+// Run writes the predictions for rows rows of row-major input
+// (rows×InputDim) to out (rows×OutputDim, allocated by the caller).
+func (c *Compiled) Run(input []float32, rows int, out []float32) error {
+	in, p := c.InputDim(), c.OutputDim()
+	if len(input) != rows*in {
+		return fmt.Errorf("modeljoin: input has %d values, want %d×%d", len(input), rows, in)
+	}
+	if len(out) != rows*p {
+		return fmt.Errorf("modeljoin: output buffer has %d values, want %d×%d", len(out), rows, p)
+	}
+	if rows == 0 {
+		return nil
+	}
+	_, err := c.m.RunPacked(rows, input, out)
+	return err
+}
+
+// Close releases the model's device memory.
+func (c *Compiled) Close() { c.m.free() }
 
 // gateCols copies gate g's u columns out of a stacked LSTM matrix.
 func gateCols(m blas.Mat, g, u int) blas.Mat {

@@ -300,6 +300,7 @@ func sameModel(t *testing.T, a, b *builtModel) {
 			sameFloats(t, li, "ug", la.ug[g].Data, lb.ug[g].Data)
 			sameFloats(t, li, "gBias", la.gBias[g], lb.gBias[g])
 			samePacked(t, a.dev, li, la.pwg[g], lb.pwg[g], la.wg[g].Rows, la.units, la.gBias[g])
+			samePacked(t, a.dev, li, la.pwu[g], lb.pwu[g], la.units, la.units, nil)
 		}
 	}
 }

@@ -79,32 +79,45 @@ func New(child exec.Operator, shared *SharedModel, inputCols []int, sched *infer
 	if ts := meta.TimeSteps(); ts > 0 {
 		want = ts
 	}
-	if len(inputCols) != want {
-		return nil, fmt.Errorf("modeljoin: model %s expects %d input columns, got %d", meta.Name, want, len(inputCols))
-	}
-	childSchema := child.Schema()
-	for _, c := range inputCols {
-		if c < 0 || c >= childSchema.Len() {
-			return nil, fmt.Errorf("modeljoin: input column %d out of range", c)
-		}
-		if !childSchema.Col(c).Type.IsNumeric() {
-			return nil, fmt.Errorf("modeljoin: input column %q is not numeric", childSchema.Col(c).Name)
-		}
-	}
-	cols := childSchema.Columns()
-	if meta.OutputDim() == 1 {
-		cols = append(cols, types.Column{Name: "prediction", Type: types.Float32})
-	} else {
-		for i := 0; i < meta.OutputDim(); i++ {
-			cols = append(cols, types.Column{Name: fmt.Sprintf("prediction_%d", i), Type: types.Float32})
-		}
+	if err := CheckInputs(meta.Name, want, child.Schema(), inputCols); err != nil {
+		return nil, err
 	}
 	return &Operator{
 		Child:  child,
 		Shared: shared, InputCols: inputCols,
-		schema: types.NewSchema(cols...),
+		schema: types.NewSchema(append(child.Schema().Columns(), PredictionColumns(meta.OutputDim())...)...),
 		sched:  sched, label: label,
 	}, nil
+}
+
+// CheckInputs checks that inputCols names want numeric columns of schema:
+// the input-column check of New, which the baselines' operators share.
+func CheckInputs(model string, want int, schema *types.Schema, inputCols []int) error {
+	if len(inputCols) != want {
+		return fmt.Errorf("modeljoin: model %s expects %d input columns, got %d", model, want, len(inputCols))
+	}
+	for _, c := range inputCols {
+		if c < 0 || c >= schema.Len() {
+			return fmt.Errorf("modeljoin: input column %d out of range", c)
+		}
+		if !schema.Col(c).Type.IsNumeric() {
+			return fmt.Errorf("modeljoin: input column %q is not numeric", schema.Col(c).Name)
+		}
+	}
+	return nil
+}
+
+// PredictionColumns names the FLOAT columns of outputs predictions:
+// "prediction" for one, prediction_0, prediction_1, … otherwise.
+func PredictionColumns(outputs int) []types.Column {
+	if outputs == 1 {
+		return []types.Column{{Name: "prediction", Type: types.Float32}}
+	}
+	cols := make([]types.Column, outputs)
+	for i := range cols {
+		cols[i] = types.Column{Name: fmt.Sprintf("prediction_%d", i), Type: types.Float32}
+	}
+	return cols
 }
 
 // Schema implements exec.Operator.
@@ -200,7 +213,7 @@ func (o *Operator) infer(in *vector.Batch, n int) error {
 	inDim, p := m.InputDim(), m.OutputDim()
 	staging := h.staging[:n*inDim]
 	for j, c := range o.InputCols {
-		gatherColumn(in.Vecs[c], staging, j, inDim, n)
+		GatherColumn(in.Vecs[c], staging, j, inDim, n)
 	}
 	if o.ctrMarshal != nil {
 		o.ctrMarshal.Add(int64(time.Since(marshalStart)))
@@ -232,9 +245,10 @@ func (o *Operator) infer(in *vector.Batch, n int) error {
 	return nil
 }
 
-// gatherColumn writes column vector values into staging at stride, i.e.
-// staging[r*stride+j] = vec[r], converting to float32.
-func gatherColumn(v *vector.Vector, staging []float32, j, stride, n int) {
+// GatherColumn writes the first n values of a numeric column vector into
+// staging at stride, i.e. staging[r*stride+j] = vec[r], converting to
+// float32: the columnar → row-major conversion of Sec. 5.3.
+func GatherColumn(v *vector.Vector, staging []float32, j, stride, n int) {
 	switch v.Type() {
 	case types.Float32:
 		src := v.Float32s()

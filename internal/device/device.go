@@ -1,7 +1,8 @@
-// Package device abstracts the compute device the ModelJoin operator and the
-// ML runtime execute their linear algebra on. The paper implements a CPU
-// variant (Intel MKL) and a GPU variant (NVIDIA A100 + cuBLAS, PCIe
-// attached); this reproduction has no GPU, so the GPU device is *simulated*:
+// Package device abstracts the compute device the ModelJoin operator (and
+// the baselines, which run its compiled model) executes its linear algebra
+// on. The paper implements a CPU variant (Intel MKL) and a GPU variant
+// (NVIDIA A100 + cuBLAS, PCIe attached); this reproduction has no GPU, so
+// the GPU device is *simulated*:
 //
 //   - it owns a separate "device memory" arena: buffers allocated on the GPU
 //     device are distinct from host memory and all host↔device traffic goes
@@ -28,9 +29,9 @@ import (
 	"indbml/internal/blas"
 )
 
-// Device is the compute-device interface the ModelJoin operator and the ML
-// runtime are written against. All matrices handed to kernel methods must
-// have been allocated on (or uploaded to) the same device.
+// Device is the compute-device interface the ModelJoin operator is written
+// against. All matrices handed to kernel methods must have been allocated on
+// (or uploaded to) the same device.
 type Device interface {
 	// Name identifies the device for logs and experiment output.
 	Name() string
@@ -47,11 +48,10 @@ type Device interface {
 	// Download copies a device matrix back to host memory.
 	Download(dst []float32, src blas.Mat)
 
-	// Gemm computes C = A·B + C on the device.
-	Gemm(a, b, c blas.Mat)
 	// GemmBiasAct computes C = act(A·W + bias) on the device in one fused
-	// call over weights packed at model build (blas.GemmBiasAct). It returns
-	// the host kernel busy time summed over the workers that shared the rows.
+	// call over weights packed at model build (blas.GemmBiasAct); a nil bias
+	// accumulates, C += A·W. It returns the host kernel busy time summed over
+	// the workers that shared the rows.
 	GemmBiasAct(a blas.Mat, w *blas.PackedB, bias []float32, act blas.Activation, c blas.Mat) time.Duration
 	// Copy copies src to dst within device memory.
 	Copy(dst, src []float32)
@@ -59,10 +59,9 @@ type Device interface {
 	VsMul(x, y, z []float32)
 	// VsAdd computes z = x + y elementwise on the device.
 	VsAdd(x, y, z []float32)
-	// Sigmoid, Tanh and ReLU apply activation kernels in place.
+	// Sigmoid and Tanh apply activation kernels in place.
 	Sigmoid(x []float32)
 	Tanh(x []float32)
-	ReLU(x []float32)
 
 	// Stats returns accumulated accounting since the last ResetStats.
 	Stats() Stats
@@ -136,9 +135,6 @@ func (c *CPU) Upload(dst blas.Mat, src []float32) { copy(dst.Data, src) }
 // Download implements Device; on the host it is a plain copy.
 func (c *CPU) Download(dst []float32, src blas.Mat) { copy(dst, src.Data) }
 
-// Gemm implements Device.
-func (c *CPU) Gemm(a, b, m blas.Mat) { blas.Sgemm(a, b, m) }
-
 // GemmBiasAct implements Device.
 func (c *CPU) GemmBiasAct(a blas.Mat, w *blas.PackedB, bias []float32, act blas.Activation, m blas.Mat) time.Duration {
 	return blas.GemmBiasAct(a, w, bias, act, m)
@@ -158,9 +154,6 @@ func (c *CPU) Sigmoid(x []float32) { blas.Sigmoid(x) }
 
 // Tanh implements Device.
 func (c *CPU) Tanh(x []float32) { blas.Tanh(x) }
-
-// ReLU implements Device.
-func (c *CPU) ReLU(x []float32) { blas.ReLU(x) }
 
 // Stats implements Device.
 func (c *CPU) Stats() Stats {
@@ -344,23 +337,20 @@ func (g *GPU) Download(dst []float32, src blas.Mat) {
 	g.charge(g.transferTime(n), start, 0)
 }
 
-// Gemm implements Device: the multiply runs for real on the host (exact
-// results), and modeled time is launch latency plus FLOPs at the modeled
-// throughput.
-func (g *GPU) Gemm(a, b, c blas.Mat) {
-	start := g.begin()
-	blas.Sgemm(a, b, c)
-	g.charge(g.gemmTime(a.Rows, a.Cols, b.Cols), start, 1)
-}
-
-// GemmBiasAct implements Device. The host emulation is one fused call, but
-// the modeled device still runs the Sec. 5.4 sequence and is charged its
-// launches: bias-matrix copy, sgemm, activation kernel.
+// GemmBiasAct implements Device. The multiply runs for real on the host
+// (exact results) as one fused call, but the modeled device still runs the
+// Sec. 5.4 sequence and is charged its launches: bias-matrix copy (none
+// when the bias is nil), sgemm — launch latency plus FLOPs at the modeled
+// throughput — and activation kernel.
 func (g *GPU) GemmBiasAct(a blas.Mat, w *blas.PackedB, bias []float32, act blas.Activation, c blas.Mat) time.Duration {
 	start := g.begin()
 	busy := blas.GemmBiasAct(a, w, bias, act, c)
-	modeled := g.elementwiseTime(len(c.Data)) + g.gemmTime(a.Rows, a.Cols, c.Cols)
-	launches := int64(2)
+	modeled := g.gemmTime(a.Rows, a.Cols, c.Cols)
+	launches := int64(1)
+	if bias != nil {
+		modeled += g.elementwiseTime(len(c.Data))
+		launches++
+	}
 	if act != blas.ActNone {
 		modeled += g.elementwiseTime(len(c.Data))
 		launches++
@@ -413,13 +403,6 @@ func (g *GPU) Sigmoid(x []float32) {
 func (g *GPU) Tanh(x []float32) {
 	start := g.begin()
 	blas.Tanh(x)
-	g.elementwise(len(x), start)
-}
-
-// ReLU implements Device.
-func (g *GPU) ReLU(x []float32) {
-	start := g.begin()
-	blas.ReLU(x)
 	g.elementwise(len(x), start)
 }
 

@@ -15,7 +15,7 @@ func TestCPUPassthrough(t *testing.T) {
 	b := cpu.NewMat(2, 2)
 	cpu.Upload(b, []float32{1, 0, 0, 1})
 	c := cpu.NewMat(2, 2)
-	cpu.Gemm(a, b, c)
+	cpu.GemmBiasAct(a, blas.PackB(b), nil, blas.ActNone, c)
 	out := make([]float32, 4)
 	cpu.Download(out, c)
 	if out[0] != 1 || out[3] != 4 {
@@ -43,7 +43,7 @@ func TestGPUExactResults(t *testing.T) {
 		b := dev.NewMat(4, 2)
 		dev.Upload(b, []float32{1, 0, 0, 1, 1, 0, 0, 1})
 		c := dev.NewMat(3, 2)
-		dev.Gemm(a, b, c)
+		dev.GemmBiasAct(a, blas.PackB(b), nil, blas.ActNone, c)
 		dev.Sigmoid(c.Data)
 		out := make([]float32, 6)
 		dev.Download(out, c)
@@ -61,12 +61,12 @@ func TestGPUTimeModelScalesWithWork(t *testing.T) {
 	cfg := DefaultGPUConfig()
 	gpu := NewGPU(cfg)
 	small := gpu.NewMat(8, 8)
-	gpu.Gemm(small, small, gpu.NewMat(8, 8))
+	gpu.GemmBiasAct(small, blas.PackB(small), nil, blas.ActNone, gpu.NewMat(8, 8))
 	smallTime := gpu.Stats().ModeledTime
 
 	gpu2 := NewGPU(cfg)
 	big := gpu2.NewMat(256, 256)
-	gpu2.Gemm(big, big, gpu2.NewMat(256, 256))
+	gpu2.GemmBiasAct(big, blas.PackB(big), nil, blas.ActNone, gpu2.NewMat(256, 256))
 	bigTime := gpu2.Stats().ModeledTime
 
 	if bigTime <= smallTime {
@@ -136,10 +136,10 @@ func TestGPUElementwiseKernels(t *testing.T) {
 	if z[0] != 1 {
 		t.Errorf("Copy = %v", z)
 	}
-	r := []float32{-1, 1}
-	gpu.ReLU(r)
-	if r[0] != 0 || r[1] != 1 {
-		t.Errorf("ReLU = %v", r)
+	sg := []float32{0}
+	gpu.Sigmoid(sg)
+	if sg[0] != 0.5 {
+		t.Errorf("Sigmoid = %v", sg)
 	}
 	th := []float32{0}
 	gpu.Tanh(th)
@@ -175,7 +175,35 @@ func TestDeviceInterfaceCompliance(t *testing.T) {
 	if !NewGPU(DefaultGPUConfig()).IsGPU() {
 		t.Error("gpu identity wrong")
 	}
-	_ = blas.Mat{}
+}
+
+// TestGPUGemmCharges: the modeled device runs GemmBiasAct as the Sec. 5.4
+// sequence — a bias-matrix copy unless the bias is nil (the accumulating
+// gemm), the sgemm, an activation kernel unless ActNone — and is charged
+// one launch and its modeled time per kernel.
+func TestGPUGemmCharges(t *testing.T) {
+	cfg := DefaultGPUConfig()
+	a, w, c := blas.NewMat(100, 30), blas.PackB(blas.NewMat(30, 20)), blas.NewMat(100, 20)
+	bias := make([]float32, 20)
+	gemm := cfg.KernelLaunch + time.Duration(float64(blas.FlopsGemm(100, 30, 20))/cfg.GemmThroughput*float64(time.Second))
+	elem := cfg.KernelLaunch + time.Duration(float64(100*20)/cfg.ElementwiseThroughput*float64(time.Second))
+	for _, tc := range []struct {
+		bias     []float32
+		act      blas.Activation
+		launches int64
+		modeled  time.Duration
+	}{
+		{nil, blas.ActNone, 1, gemm},
+		{bias, blas.ActNone, 2, elem + gemm},
+		{bias, blas.ActTanh, 3, elem + gemm + elem},
+	} {
+		gpu := NewGPU(cfg)
+		gpu.GemmBiasAct(a, w, tc.bias, tc.act, c)
+		if st := gpu.Stats(); st.KernelLaunches != tc.launches || st.ModeledTime != tc.modeled {
+			t.Errorf("bias %v act %d: %d launches, %v modeled; want %d, %v",
+				tc.bias != nil, tc.act, st.KernelLaunches, st.ModeledTime, tc.launches, tc.modeled)
+		}
+	}
 }
 
 // TestGPUEmulationTimeIsWallClock: concurrent callers' emulation overlaps
@@ -191,9 +219,10 @@ func TestGPUEmulationTimeIsWallClock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			a, c := gpu.NewMat(96, 96), gpu.NewMat(96, 96)
+			pa := blas.PackB(a)
 			for k := 0; k < 40; k++ {
-				gpu.Gemm(a, a, c)
-				gpu.ReLU(c.Data)
+				gpu.GemmBiasAct(a, pa, nil, blas.ActNone, c)
+				gpu.Sigmoid(c.Data)
 			}
 		}()
 	}
