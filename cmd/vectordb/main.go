@@ -42,6 +42,8 @@ import (
 
 	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/db"
+	"indbml/internal/engine/exec"
+	"indbml/internal/engine/sql"
 	"indbml/internal/engine/vector"
 	"indbml/internal/metrics"
 	"indbml/internal/nn"
@@ -116,8 +118,9 @@ func repl(s session) {
 		if line == "" {
 			continue
 		}
+		// Lines keep their breaks, so a "--" comment line ends where it did.
 		stmt.WriteString(line)
-		stmt.WriteByte(' ')
+		stmt.WriteByte('\n')
 		if !strings.HasSuffix(line, ";") {
 			continue
 		}
@@ -190,47 +193,31 @@ func parseKillArg(fields []string) (uint64, bool) {
 
 func (s *localSession) close() { s.d.Telemetry().Stop() }
 
+// runSQL reads the statement once, with the parser the engine uses, and
+// hands the parse to the engine's statement entry; in trace mode a SELECT
+// prints its annotated plan after its rows.
 func (s *localSession) runSQL(text string) {
 	start := time.Now()
 	defer func() { s.latency.ObserveDuration(time.Since(start)) }()
-	upper := strings.ToUpper(strings.TrimSpace(text))
+	res, err := s.d.Run(context.Background(), sql.ParseNormalized(text, false), nil)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	switch {
-	case strings.HasPrefix(upper, "EXPLAIN ANALYZE"):
-		out, err := s.d.ExplainAnalyzeContext(context.Background(), strings.TrimSpace(text[len("EXPLAIN ANALYZE"):]))
+	case res.Op != nil:
+		out, err := exec.Collect(res.Op) // closing the tree finishes the trace
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		fmt.Print(out)
-	case strings.HasPrefix(upper, "EXPLAIN"):
-		plan, err := s.d.Explain(strings.TrimSpace(text[len("EXPLAIN"):]))
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		fmt.Print(plan)
-	case strings.HasPrefix(upper, "SELECT"):
+		printResult(out)
 		if s.traceOn {
-			res, qt, err := s.d.QueryAnalyzeContext(context.Background(), text)
-			if err != nil {
-				fmt.Println("error:", err)
-				return
-			}
-			printResult(res)
-			fmt.Print(qt.Render())
-			return
+			fmt.Print(res.Trace.Render())
 		}
-		res, err := s.d.Query(text)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		printResult(res)
+	case res.Text != "":
+		fmt.Print(res.Text)
 	default:
-		if err := s.d.Exec(text); err != nil {
-			fmt.Println("error:", err)
-			return
-		}
 		fmt.Println("ok")
 	}
 }
@@ -403,29 +390,26 @@ type remoteSession struct {
 
 func (s *remoteSession) close() { s.c.Close() }
 
+// runSQL sends the protocol verbs (STATUS, METRICS [prefix], BATCHER) as
+// they are and classifies SQL with the parser the server uses: EXPLAIN
+// [ANALYZE] answers with text, a SELECT with rows (or, in trace mode, with
+// its EXPLAIN ANALYZE), anything else with "ok" — or, for a statement that
+// does not parse, with the server's error.
 func (s *remoteSession) runSQL(text string) {
 	upper := strings.ToUpper(strings.TrimSpace(text))
-	switch {
-	case strings.HasPrefix(upper, "EXPLAIN"), upper == "STATUS", upper == "METRICS", upper == "BATCHER":
-		out, err := s.c.Command(text)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		fmt.Print(out)
-		if !strings.HasSuffix(out, "\n") {
-			fmt.Println()
-		}
-	case strings.HasPrefix(upper, "SELECT"):
+	if upper == "STATUS" || upper == "METRICS" || strings.HasPrefix(upper, "METRICS ") || upper == "BATCHER" {
+		s.command(text)
+		return
+	}
+	stmt, _ := sql.Parse(text)
+	switch stmt.(type) {
+	case *sql.ExplainStmt:
+		s.command(text)
+	case *sql.SelectStmt:
 		if s.traceOn {
 			// The wire protocol returns EXPLAIN ANALYZE as one text
 			// payload: the annotated plan, executed server-side.
-			out, err := s.c.Command("EXPLAIN ANALYZE " + text)
-			if err != nil {
-				fmt.Println("error:", err)
-				return
-			}
-			fmt.Print(out)
+			s.command("EXPLAIN ANALYZE " + text)
 			return
 		}
 		rows, err := s.c.Query(text)
@@ -440,6 +424,19 @@ func (s *remoteSession) runSQL(text string) {
 			return
 		}
 		fmt.Println("ok")
+	}
+}
+
+// command prints the text reply of a statement that answers with one.
+func (s *remoteSession) command(text string) {
+	out, err := s.c.Command(text)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Print(out)
+	if !strings.HasSuffix(out, "\n") {
+		fmt.Println()
 	}
 }
 

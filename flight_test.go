@@ -17,6 +17,7 @@ import (
 
 	"indbml/internal/engine/db"
 	"indbml/internal/engine/exec"
+	"indbml/internal/engine/sql"
 	"indbml/internal/flight"
 	"indbml/internal/odbc"
 	"indbml/internal/server"
@@ -193,12 +194,12 @@ func TestFlightRecorderEveryPath(t *testing.T) {
 			op, _, err := d.QueryOpTracedContext(ctx, modelJoinSQL)
 			return drain(op, err)
 		}},
-		{"QueryAnalyzeContext", func(_ *testing.T, d *db.Database) error {
-			_, _, err := d.QueryAnalyzeContext(ctx, modelJoinSQL)
-			return err
+		{"Run", func(_ *testing.T, d *db.Database) error {
+			res, err := d.Run(ctx, sql.ParseNormalized(modelJoinSQL, false), nil)
+			return drain(res.Op, err)
 		}},
-		{"ExplainAnalyzeContext", func(_ *testing.T, d *db.Database) error {
-			_, err := d.ExplainAnalyzeContext(ctx, modelJoinSQL)
+		{"ExplainAnalyze", func(_ *testing.T, d *db.Database) error {
+			_, err := d.Run(ctx, sql.ParseNormalized("EXPLAIN ANALYZE "+modelJoinSQL, false), nil)
 			return err
 		}},
 		{"wire", func(t *testing.T, d *db.Database) error {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -336,6 +338,13 @@ func TestBaselinesRefuseWhatModelJoinRefuses(t *testing.T) {
 			return baselines.NewUDFOperator(c, model, cols, true)
 		},
 	}
+	// The planner holds a SQL MODEL JOIN to the same contract, in the same
+	// words, before any operator is built.
+	d := db.Open(db.Options{})
+	d.RegisterTable(tbl)
+	if _, err := d.RegisterModel(model, relmodel.ExportOptions{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
 	for _, cols := range [][]int{{1, 2, 3, 4}, {2, 3, 4, 9}, {2, 3, 4}} {
 		_, mjErr := modeljoin.New(scan(), &modeljoin.SharedModel{Meta: meta}, cols, nil, infersched.Label{})
 		if mjErr == nil {
@@ -345,6 +354,17 @@ func TestBaselinesRefuseWhatModelJoinRefuses(t *testing.T) {
 			if _, err := build(scan(), cols); err == nil || err.Error() != mjErr.Error() {
 				t.Errorf("%s over columns %v: error %v, want MODEL JOIN's %q", name, cols, err, mjErr)
 			}
+		}
+		if slices.Max(cols) >= schema.Len() {
+			continue // a SQL input names a column
+		}
+		names := make([]string, len(cols))
+		for i, c := range cols {
+			names[i] = schema.Col(c).Name
+		}
+		q := "SELECT * FROM fact MODEL JOIN m PREDICT (" + strings.Join(names, ", ") + ")"
+		if _, err := d.Query(q); err == nil || err.Error() != mjErr.Error() {
+			t.Errorf("%s: error %v, want MODEL JOIN's %q", q, err, mjErr)
 		}
 	}
 }

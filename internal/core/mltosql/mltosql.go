@@ -79,11 +79,7 @@ func New(meta *relmodel.Meta, opts Options) (*Generator, error) {
 	if opts.IDColumn == "" {
 		opts.IDColumn = "id"
 	}
-	want := meta.InputDim()
-	if ts := meta.TimeSteps(); ts > 0 {
-		want = ts
-	}
-	if len(opts.InputColumns) != want {
+	if want := meta.Inputs(); len(opts.InputColumns) != want {
 		return nil, fmt.Errorf("mltosql: model %s expects %d input columns, got %d", meta.Name, want, len(opts.InputColumns))
 	}
 	return &Generator{meta: meta, opts: opts}, nil

@@ -75,11 +75,7 @@ func (o *Operator) SetQueryContext(ctx context.Context) { o.qctx = ctx }
 // followed by the prediction columns.
 func New(child exec.Operator, shared *SharedModel, inputCols []int, sched *infersched.Scheduler, label infersched.Label) (*Operator, error) {
 	meta := shared.Meta
-	want := meta.InputDim()
-	if ts := meta.TimeSteps(); ts > 0 {
-		want = ts
-	}
-	if err := CheckInputs(meta.Name, want, child.Schema(), inputCols); err != nil {
+	if err := CheckInputs(meta.Name, meta.Inputs(), child.Schema(), inputCols); err != nil {
 		return nil, err
 	}
 	return &Operator{
@@ -91,7 +87,8 @@ func New(child exec.Operator, shared *SharedModel, inputCols []int, sched *infer
 }
 
 // CheckInputs checks that inputCols names want numeric columns of schema:
-// the input-column check of New, which the baselines' operators share.
+// the MODEL JOIN input contract, which New, the planner and the baselines'
+// operators share.
 func CheckInputs(model string, want int, schema *types.Schema, inputCols []int) error {
 	if len(inputCols) != want {
 		return fmt.Errorf("modeljoin: model %s expects %d input columns, got %d", model, want, len(inputCols))
@@ -108,7 +105,8 @@ func CheckInputs(model string, want int, schema *types.Schema, inputCols []int) 
 }
 
 // PredictionColumns names the FLOAT columns of outputs predictions:
-// "prediction" for one, prediction_0, prediction_1, … otherwise.
+// "prediction" for one, prediction_0, prediction_1, … otherwise. The
+// planner types a MODEL JOIN with it before any operator exists.
 func PredictionColumns(outputs int) []types.Column {
 	if outputs == 1 {
 		return []types.Column{{Name: "prediction", Type: types.Float32}}

@@ -127,6 +127,16 @@ func (m *Meta) TimeSteps() int {
 	return 0
 }
 
+// Inputs returns the number of input columns a query feeds the model: one
+// per time step when a layer is recurrent (its features come from each
+// step's column), else InputDim.
+func (m *Meta) Inputs() int {
+	if ts := m.TimeSteps(); ts > 0 {
+		return ts
+	}
+	return m.InputDim()
+}
+
 // NodeOffset returns the first node id of relational layer l in the
 // node-id layout: layer 0 starts at 0, each layer follows its predecessor.
 func (m *Meta) NodeOffset(l int) int {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"indbml/internal/engine/exec"
+	"indbml/internal/engine/plan"
 	"indbml/internal/engine/sql"
 )
 
@@ -30,7 +31,7 @@ type splitPlan struct {
 func splitSelect(sel *sql.SelectStmt) (*splitPlan, error) {
 	hasAgg := len(sel.GroupBy) > 0 || sel.Having != nil
 	for _, it := range sel.Items {
-		if !it.Star && exprContainsAgg(it.Expr) {
+		if !it.Star && plan.ContainsAgg(it.Expr) {
 			hasAgg = true
 		}
 	}
@@ -333,54 +334,4 @@ func sameExpr(a, b sql.Expr) bool {
 func matchesAlias(e sql.Expr, name string) bool {
 	id, ok := e.(*sql.Ident)
 	return ok && id.Table == "" && strings.EqualFold(id.Name, name)
-}
-
-// exprContainsAgg mirrors the planner's detection of aggregate calls.
-func exprContainsAgg(e sql.Expr) bool {
-	found := false
-	walkExpr(e, func(x sql.Expr) {
-		if fc, ok := x.(*sql.FuncCall); ok {
-			if _, isAgg := exec.ParseAggFunc(fc.Name); isAgg {
-				found = true
-			}
-		}
-	})
-	return found
-}
-
-func walkExpr(e sql.Expr, f func(sql.Expr)) {
-	if e == nil {
-		return
-	}
-	f(e)
-	switch e := e.(type) {
-	case *sql.BinExpr:
-		walkExpr(e.L, f)
-		walkExpr(e.R, f)
-	case *sql.UnaryExpr:
-		walkExpr(e.E, f)
-	case *sql.FuncCall:
-		for _, a := range e.Args {
-			walkExpr(a, f)
-		}
-	case *sql.CaseExpr:
-		for _, w := range e.Whens {
-			walkExpr(w.Cond, f)
-			walkExpr(w.Then, f)
-		}
-		walkExpr(e.Else, f)
-	case *sql.CastExpr:
-		walkExpr(e.E, f)
-	case *sql.IsNullExpr:
-		walkExpr(e.E, f)
-	case *sql.BetweenExpr:
-		walkExpr(e.E, f)
-		walkExpr(e.Lo, f)
-		walkExpr(e.Hi, f)
-	case *sql.InExpr:
-		walkExpr(e.E, f)
-		for _, item := range e.List {
-			walkExpr(item, f)
-		}
-	}
 }

@@ -12,10 +12,23 @@ import (
 	"time"
 
 	"indbml/internal/engine/db"
+	"indbml/internal/engine/exec"
+	"indbml/internal/engine/vector"
 	"indbml/internal/server"
 	"indbml/internal/server/client"
 	"indbml/internal/trace"
 )
+
+// queryAnalyze runs a SELECT and returns its rows with its trace, which
+// closing the operator tree has finished.
+func queryAnalyze(d *db.Database, q string) (*vector.Batch, *trace.QueryTrace, error) {
+	op, qt, err := d.QueryOpTracedContext(context.Background(), q)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := exec.Collect(op)
+	return res, qt, err
+}
 
 // shardSpansOf collects the per-shard exchange source spans ("shard N
 // (addr)") from a stitched trace snapshot.
@@ -84,7 +97,7 @@ func TestDistributedExplainAnalyzeReconciliation(t *testing.T) {
 		{"SELECT COUNT(*) AS n, AVG(prediction_0) AS p FROM events MODEL JOIN dist_model PREDICT (f1, f2, f3, f4)", false},
 	}
 	for _, tc := range cases {
-		res, qt, err := coord.QueryAnalyzeContext(context.Background(), tc.q)
+		res, qt, err := queryAnalyze(coord, tc.q)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.q, err)
 		}
@@ -177,7 +190,7 @@ func TestFleetOperatorsDuringConcurrentModelJoins(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, _, err := coord.QueryAnalyzeContext(context.Background(), q); err != nil {
+				if _, _, err := queryAnalyze(coord, q); err != nil {
 					t.Errorf("traced model join: %v", err)
 					return
 				}

@@ -8,6 +8,9 @@ import (
 
 	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/db"
+	"indbml/internal/engine/exec"
+	"indbml/internal/engine/sql"
+	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
 	"indbml/internal/trace"
 )
@@ -29,6 +32,17 @@ func newAnalyzeDB(t *testing.T) (*db.Database, int) {
 
 const analyzeQuery = "SELECT id, prediction FROM fact MODEL JOIN am"
 
+// queryAnalyze runs a SELECT and returns its rows with its trace, which
+// closing the operator tree has finished.
+func queryAnalyze(d *db.Database, q string) (*vector.Batch, *trace.QueryTrace, error) {
+	op, qt, err := d.QueryOpTracedContext(context.Background(), q)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := exec.Collect(op)
+	return res, qt, err
+}
+
 // TestExplainAnalyzeMatchesQuery is the acceptance-criterion e2e test: the
 // row count EXPLAIN ANALYZE reports at the plan root must equal the row
 // count the plain SELECT returns, and the ModelJoin span must expose the
@@ -46,7 +60,7 @@ func TestExplainAnalyzeMatchesQuery(t *testing.T) {
 
 	// Second run via the traced path: the artifact cache now holds the
 	// model, so the span must label it a hit with build time zero.
-	out, qt, err := d.QueryAnalyzeContext(context.Background(), analyzeQuery)
+	out, qt, err := queryAnalyze(d, analyzeQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +139,7 @@ func modelJoinSpan(t *testing.T, qt *trace.QueryTrace) *trace.Span {
 // included — and reports it.
 func TestExplainAnalyzeColdBuild(t *testing.T) {
 	d, rows := newAnalyzeDB(t)
-	_, qt, err := d.QueryAnalyzeContext(context.Background(), analyzeQuery)
+	_, qt, err := queryAnalyze(d, analyzeQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,17 +156,53 @@ func TestExplainAnalyzeColdBuild(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeStatement checks the SQL route: EXPLAIN ANALYZE parses
-// as an ExplainStmt with Analyze set, and the db facade executes it.
+// TestExplainAnalyzeStatement checks the SQL route: EXPLAIN [ANALYZE] reads
+// as an ExplainStmt however it is spaced, cased or commented, and the
+// engine's statement entry runs it — EXPLAIN ANALYZE executes the SELECT
+// and is recorded as the statement it is, EXPLAIN only plans.
 func TestExplainAnalyzeStatement(t *testing.T) {
 	d, _ := newAnalyzeDB(t)
-	out, err := d.ExplainAnalyzeContext(context.Background(),
-		"SELECT id, prediction FROM fact MODEL JOIN am ORDER BY id LIMIT 10")
-	if err != nil {
-		t.Fatal(err)
+	const q = "SELECT id, prediction FROM fact MODEL JOIN am ORDER BY id LIMIT 10"
+	for _, text := range []string{
+		"EXPLAIN ANALYZE " + q,
+		"EXPLAIN  ANALYZE " + q,
+		"explain\nanalyze " + strings.ToLower(q),
+		"-- c\nEXPLAIN ANALYZE " + q,
+	} {
+		p := sql.ParseNormalized(text, false)
+		if ex, ok := p.Stmt.(*sql.ExplainStmt); !ok || !ex.Analyze {
+			t.Fatalf("%q parses to %T (%v), want EXPLAIN ANALYZE", text, p.Stmt, p.Err)
+		}
+		res, err := d.Run(context.Background(), p, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		if !strings.Contains(res.Text, "TopN") || !strings.Contains(res.Text, "rows=10") || !strings.Contains(res.Text, "Total: ") {
+			t.Errorf("EXPLAIN ANALYZE of TopN query %q:\n%s", text, res.Text)
+		}
+		sums := d.FlightRecorder().Snapshot()
+		last := sums[len(sums)-1]
+		if last.SQL != text || last.Fingerprint != p.Fingerprint || last.Kind != "select" || last.Approach != "modeljoin" || last.RowsOut != 10 {
+			t.Errorf("%q recorded as %q fp %x kind %s approach %s rows_out %d, want the statement, fp %x, select, modeljoin, 10",
+				text, last.SQL, last.Fingerprint, last.Kind, last.Approach, last.RowsOut, p.Fingerprint)
+		}
 	}
-	if !strings.Contains(out, "TopN") || !strings.Contains(out, "rows=10") {
-		t.Errorf("EXPLAIN ANALYZE of TopN query:\n%s", out)
+
+	recorded := d.FlightRecorder().Recorded()
+	for _, text := range []string{"EXPLAIN " + q, "-- c\nexplain " + q} {
+		res, err := d.Run(context.Background(), sql.ParseNormalized(text, false), nil)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		if !strings.Contains(res.Text, "ModelJoin am") || strings.Contains(res.Text, "rows=") || res.Op != nil {
+			t.Errorf("EXPLAIN %q ran or did not plan:\n%s", text, res.Text)
+		}
+		if plan, err := d.Explain(q); err != nil || plan != res.Text {
+			t.Errorf("Explain(%q) = %q, %v; the statement rendered %q", q, plan, err, res.Text)
+		}
+	}
+	if got := d.FlightRecorder().Recorded(); got != recorded {
+		t.Errorf("EXPLAIN published %d flight records, want none", got-recorded)
 	}
 }
 
@@ -169,7 +219,7 @@ func TestTracedQueriesConcurrentWithDML(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				out, qt, err := d.QueryAnalyzeContext(context.Background(), analyzeQuery)
+				out, qt, err := queryAnalyze(d, analyzeQuery)
 				if err != nil {
 					t.Error(err)
 					return

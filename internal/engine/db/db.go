@@ -7,6 +7,7 @@ package db
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -143,7 +144,7 @@ func Open(opts Options) *Database {
 		func() float64 { return float64(d.flight.Recorded()) })
 	d.sched = infersched.New(opts.InferSched, reg)
 	metrics.RegisterRuntime(reg)
-	d.tel = telemetry.New(reg, telemetry.Config{})
+	d.tel = telemetry.New(reg)
 	for _, vt := range []storage.VirtualTable{
 		flight.QueriesTable(d.flight),
 		flight.OperatorsTable(d.flight),
@@ -347,22 +348,7 @@ func (c *queryCatalog) VirtualTable(name string) (storage.VirtualTable, bool) {
 }
 
 // Model implements plan.Catalog.
-func (c *queryCatalog) Model(name string) (*plan.ModelMeta, error) {
-	meta, err := c.db.ModelMeta(name)
-	if err != nil {
-		return nil, err
-	}
-	inputDim := meta.InputDim()
-	if ts := meta.TimeSteps(); ts > 0 {
-		inputDim = ts
-	}
-	return &plan.ModelMeta{
-		Name:      meta.Name,
-		InputDim:  inputDim,
-		OutputDim: meta.OutputDim(),
-		TimeSteps: meta.TimeSteps(),
-	}, nil
-}
+func (c *queryCatalog) Model(name string) (*relmodel.Meta, error) { return c.db.ModelMeta(name) }
 
 // NewModelJoin implements plan.Catalog.
 func (c *queryCatalog) NewModelJoin(model string, child exec.Operator, inputCols []int, dev string) (exec.Operator, error) {
@@ -448,6 +434,131 @@ func (r *releaseOnClose) Close() error {
 	return err
 }
 
+// Result is what one statement hands back: a SELECT's operator tree and
+// the trace its operators record into, which the caller runs (Collect,
+// Drain or streaming; finishing the tree publishes the statement); an
+// EXPLAIN [ANALYZE]'s rendering; or neither, for DDL, DML and KILL.
+type Result struct {
+	Op    exec.Operator
+	Trace *trace.QueryTrace
+	Text  string
+}
+
+// Run is the engine's one statement entry: it executes a statement read
+// once by sql.ParseNormalized, dispatching on its type. rows is the row
+// stream that a served INSERT INTO <table> head carries (nil otherwise).
+//
+// Every statement but a plain EXPLAIN, which only plans, has one flight
+// lifecycle. Its live-registry entry is registered by the server before
+// admission and carried in ctx, or, for an embedded statement, registered
+// here under a cancelable ctx so that KILL reaches it too. The statement's
+// flight adopts the entry, so the query keeps one ID from queue to
+// system.queries, and publishes it when the statement finishes. A statement
+// that does not parse is recorded as well, with kind exec and its error: an
+// error'd statement is exactly the kind the flight recorder exists to
+// explain.
+func (d *Database) Run(ctx context.Context, p sql.Parsed, rows *vector.Batch) (Result, error) {
+	if ex, ok := p.Stmt.(*sql.ExplainStmt); ok && !ex.Analyze {
+		pl, _ := d.planner() // EXPLAIN never builds physical operators, so no pins
+		pp, err := pl.PlanSelect(ex.Select)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Text: pp.Explain()}, nil
+	}
+	live := flight.LiveFrom(ctx)
+	if live == nil {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		live = d.flight.Register(p, "embedded", 0, cancel)
+		// Carry the registration in ctx so downstream consumers — the
+		// router stamping shard fragments with their origin query ID, KILL
+		// ORIGIN reaping — see the same identity the server path provides.
+		ctx = flight.WithLive(ctx, live)
+	}
+	fl := d.flight.BeginFor(live, stmtKind(p.Stmt), approach(p.Stmt))
+	fl.SetQueueWait(flight.QueueWaitFrom(ctx))
+	switch s := p.Stmt.(type) {
+	case *sql.SelectStmt:
+		op, qt, err := d.query(ctx, fl, s, p.Text)
+		return Result{Op: op, Trace: qt}, err
+	case *sql.ExplainStmt:
+		// EXPLAIN ANALYZE executes the SELECT and renders the annotated
+		// plan: per-operator wall time, row counts, phase counters and the
+		// statement total (draining the tree finishes the trace).
+		op, qt, err := d.query(ctx, fl, s.Select, p.Text)
+		if err == nil {
+			err = exec.Drain(op, func(*vector.Batch) error { return nil })
+		}
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Text: qt.Render()}, nil
+	}
+	err := d.exec(ctx, p, rows)
+	fl.Finish(err)
+	return Result{}, err
+}
+
+// query plans a SELECT, through the router when one is installed, and
+// returns its operator tree wrapped to seal fl when it finishes, plus the
+// QueryTrace its operators record into. Every plan is built with spans
+// (their hot path is a few atomic adds per batch) so that the flight
+// summary can fold a per-operator breakdown.
+func (d *Database) query(ctx context.Context, fl *flight.Flight, sel *sql.SelectStmt, text string) (exec.Operator, *trace.QueryTrace, error) {
+	qt := trace.NewQueryTrace(text)
+	var op exec.Operator
+	var err error
+	routed := false
+	if d.router != nil {
+		op, routed, err = d.router.RouteSelect(ctx, sel, text)
+	}
+	switch {
+	case err != nil:
+	case routed:
+		op = tracedRouted(op, qt)
+	default:
+		op, err = d.buildSelect(ctx, sel, qt)
+	}
+	if err != nil {
+		fl.Finish(err)
+		return nil, nil, err
+	}
+	fl.AttachTrace(qt)
+	return flight.Wrap(op, fl), qt, nil
+}
+
+// exec runs a DDL/DML or KILL statement, or appends a row stream under its
+// INSERT INTO head: how a shard applies the rows a coordinator ships it.
+// DDL/DML statements are short, so the context is consulted between parse
+// and execution rather than inside row appends; a statement that has begun
+// mutating the catalog completes.
+func (d *Database) exec(ctx context.Context, p sql.Parsed, rows *vector.Batch) error {
+	if p.Err != nil {
+		return p.Err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if ins, ok := p.Stmt.(*sql.InsertStmt); ok && rows != nil {
+		return d.appendRows(ins.Table, rows)
+	}
+	return d.execRouted(ctx, p.Stmt, p.Text)
+}
+
+// errNotSelect is how the SELECT wrappers below refuse another statement.
+var errNotSelect = errors.New("sql: expected a SELECT statement")
+
+// parseSelect reads text for the SELECT wrappers: a statement that parses
+// but is no SELECT fails, as one that does not parse.
+func parseSelect(text string) sql.Parsed {
+	p := sql.ParseNormalized(text, false)
+	if _, ok := p.Stmt.(*sql.SelectStmt); !ok && p.Err == nil {
+		p.Stmt, p.Err = nil, errNotSelect
+	}
+	return p
+}
+
 // Query parses, plans and executes a SELECT, materializing the result. It
 // is the uncancellable convenience wrapper over QueryContext.
 func (d *Database) Query(text string) (*vector.Batch, error) {
@@ -473,13 +584,52 @@ func (d *Database) QueryOp(text string) (exec.Operator, error) {
 }
 
 // QueryOpContext is QueryOp with a cancellation context attached to the
-// built operator tree. The serving layer streams over the returned operator
-// so large results never materialize inside the engine. Finishing the
-// operator — end of stream, error, or Close — publishes the statement's
-// summary to system.queries.
+// built operator tree. Finishing the operator — end of stream, error, or
+// Close — publishes the statement's summary to system.queries.
 func (d *Database) QueryOpContext(ctx context.Context, text string) (exec.Operator, error) {
 	op, _, err := d.QueryOpTracedContext(ctx, text)
 	return op, err
+}
+
+// QueryOpTracedContext is Run for a SELECT given as text: it returns the
+// statement's operator tree and the QueryTrace its operators record into.
+// The caller runs the operator (Collect, Drain or streaming); callers that
+// want the statement clock closed at a point of their choosing call
+// qt.Finish themselves.
+func (d *Database) QueryOpTracedContext(ctx context.Context, text string) (exec.Operator, *trace.QueryTrace, error) {
+	res, err := d.Run(ctx, parseSelect(text), nil)
+	return res.Op, res.Trace, err
+}
+
+// Explain returns the query plan rendering for a SELECT: Run of EXPLAIN
+// <text>.
+func (d *Database) Explain(text string) (string, error) {
+	p := parseSelect(text)
+	if p.Err != nil {
+		return "", p.Err
+	}
+	p.Stmt = &sql.ExplainStmt{Select: p.Stmt.(*sql.SelectStmt)}
+	res, err := d.Run(context.Background(), p, nil)
+	return res.Text, err
+}
+
+// Exec runs a DDL/DML statement (CREATE TABLE, CREATE MODEL TABLE, INSERT,
+// DELETE, UPDATE, DROP TABLE, KILL, CREATE/DROP ALERT). EXPLAIN and SELECT
+// are refused — use Query/Explain.
+func (d *Database) Exec(text string) error {
+	return d.ExecContext(context.Background(), text)
+}
+
+// ExecContext is Exec with cancellation: Run of text, refusing a SELECT or
+// EXPLAIN.
+func (d *Database) ExecContext(ctx context.Context, text string) error {
+	p := sql.ParseNormalized(text, false)
+	switch p.Stmt.(type) {
+	case *sql.SelectStmt, *sql.ExplainStmt:
+		p.Stmt, p.Err = nil, fmt.Errorf("db: Exec does not handle %T; use Query for SELECT", p.Stmt)
+	}
+	_, err := d.Run(ctx, p, nil)
+	return err
 }
 
 // buildSelect plans sel and builds its operator tree under ctx, recording
@@ -537,144 +687,30 @@ func tracedRouted(rop exec.Operator, qt *trace.QueryTrace) exec.Operator {
 	return exec.NewTraced(rop, qt.Root)
 }
 
-// selHasModelJoin walks a parsed SELECT's FROM tree for a MODEL JOIN — how
-// statements, local or routed, get their approach tag.
-func selHasModelJoin(ref sql.TableRef) bool {
+// approach tags a statement for the flight recorder: modeljoin for a
+// SELECT (or EXPLAIN ANALYZE) with a MODEL JOIN in its FROM tree, local or
+// routed, sql for everything else.
+func approach(stmt sql.Stmt) string {
+	if ex, ok := stmt.(*sql.ExplainStmt); ok {
+		stmt = ex.Select
+	}
+	if sel, ok := stmt.(*sql.SelectStmt); ok && hasModelJoin(sel.From) {
+		return "modeljoin"
+	}
+	return "sql"
+}
+
+// hasModelJoin walks a FROM tree for a MODEL JOIN.
+func hasModelJoin(ref sql.TableRef) bool {
 	switch r := ref.(type) {
 	case *sql.ModelJoinRef:
 		return true
 	case *sql.JoinRef:
-		return selHasModelJoin(r.Left) || selHasModelJoin(r.Right)
+		return hasModelJoin(r.Left) || hasModelJoin(r.Right)
 	case *sql.SubqueryRef:
-		return selHasModelJoin(r.Select.From)
+		return hasModelJoin(r.Select.From)
 	}
 	return false
-}
-
-// QueryOpTracedContext is the one SELECT path: it plans the statement and
-// returns the physical operator tree plus the QueryTrace its operators
-// record into. Every plan is built with spans (their hot path is a few
-// atomic adds per batch) so the flight summary can fold a per-operator
-// breakdown, and the operator tree is wrapped to seal the flight — publish
-// to system.queries and system.statement_stats, leave
-// system.active_queries — on completion. The caller runs the operator
-// (Collect, Drain or streaming); callers that want the statement clock
-// closed at a point of their choosing call qt.Finish themselves. Parse and
-// plan failures are recorded too — an error'd statement is exactly the
-// kind the flight recorder exists to explain.
-func (d *Database) QueryOpTracedContext(ctx context.Context, text string) (exec.Operator, *trace.QueryTrace, error) {
-	// The server registers statements in the live registry at admission and
-	// carries the entry in ctx; the flight adopts it so the query keeps one
-	// ID from queue to system.queries. Embedded callers have no admission
-	// layer, so the statement self-registers here — wrapped in its own
-	// cancelable context so KILL works identically. Finish releases both the
-	// registration and the cancel func.
-	live := flight.LiveFrom(ctx)
-	if live == nil {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		live = d.flight.Register(text, "embedded", cancel)
-		// Carry the registration in ctx so downstream consumers — the
-		// router stamping shard fragments with their origin query ID, KILL
-		// ORIGIN reaping — see the same identity the server path provides.
-		ctx = flight.WithLive(ctx, live)
-	}
-	fl := d.flight.BeginFor(live, text, "select", "sql")
-	fl.SetQueueWait(flight.QueueWaitFrom(ctx))
-	sel, err := sql.ParseSelect(text)
-	// The FROM tree classifies the statement; one that does not parse keeps
-	// the default tag.
-	if err == nil && selHasModelJoin(sel.From) {
-		fl.SetApproach("modeljoin")
-	}
-	qt := trace.NewQueryTrace(text)
-	var op exec.Operator
-	routed := false
-	if err == nil && d.router != nil {
-		op, routed, err = d.router.RouteSelect(ctx, sel, text)
-	}
-	switch {
-	case err != nil:
-	case routed:
-		op = tracedRouted(op, qt)
-	default:
-		op, err = d.buildSelect(ctx, sel, qt)
-	}
-	if err != nil {
-		fl.Finish(err)
-		return nil, nil, err
-	}
-	fl.AttachTrace(qt)
-	return flight.Wrap(op, fl), qt, nil
-}
-
-// QueryAnalyzeContext executes a SELECT with tracing and returns both the
-// materialized result and the finished trace.
-func (d *Database) QueryAnalyzeContext(ctx context.Context, text string) (*vector.Batch, *trace.QueryTrace, error) {
-	op, qt, err := d.QueryOpTracedContext(ctx, text)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := exec.Collect(op)
-	qt.Finish(err)
-	if err != nil {
-		return nil, qt, err
-	}
-	return res, qt, nil
-}
-
-// ExplainAnalyzeContext executes a SELECT under tracing and renders the
-// annotated plan tree (per-operator wall time, row counts, phase counters)
-// plus the statement total — the EXPLAIN ANALYZE output.
-func (d *Database) ExplainAnalyzeContext(ctx context.Context, text string) (string, error) {
-	_, qt, err := d.QueryAnalyzeContext(ctx, text)
-	if err != nil {
-		return "", err
-	}
-	return qt.Render(), nil
-}
-
-// Explain returns the query plan rendering for a SELECT.
-func (d *Database) Explain(text string) (string, error) {
-	sel, err := sql.ParseSelect(text)
-	if err != nil {
-		return "", err
-	}
-	pl, _ := d.planner() // Explain never builds physical operators, so no pins
-	p, err := pl.PlanSelect(sel)
-	if err != nil {
-		return "", err
-	}
-	return p.Explain(), nil
-}
-
-// Exec runs a DDL/DML statement (CREATE TABLE, CREATE MODEL TABLE, INSERT,
-// DELETE, UPDATE, DROP TABLE). EXPLAIN and SELECT are rejected — use
-// Query/Explain.
-func (d *Database) Exec(text string) error {
-	return d.ExecContext(context.Background(), text)
-}
-
-// ExecContext is Exec with cancellation. DDL/DML statements are short, so
-// the context is consulted between parse and execution rather than inside
-// row appends; a statement that has begun mutating the catalog completes.
-func (d *Database) ExecContext(ctx context.Context, text string) (err error) {
-	fl := d.flight.BeginFor(flight.LiveFrom(ctx), text, "exec", "sql")
-	fl.SetQueueWait(flight.QueueWaitFrom(ctx))
-	defer func() { fl.Finish(err) }()
-	stmt, fp, norm, err := sql.ParseNormalized(text)
-	fl.SetShape(fp, norm)
-	if err != nil {
-		return err
-	}
-	fl.SetKind(execKind(stmt))
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return d.execRouted(ctx, stmt, text)
 }
 
 // execRouted gives an installed router first refusal on a parsed DDL/DML
@@ -724,9 +760,12 @@ func (d *Database) execStmt(stmt sql.Stmt) error {
 	}
 }
 
-// execKind maps a parsed statement to its flight-recorder kind tag.
-func execKind(stmt sql.Stmt) string {
+// stmtKind maps a parsed statement to its flight-recorder kind tag; one
+// that did not parse is an exec.
+func stmtKind(stmt sql.Stmt) string {
 	switch stmt.(type) {
+	case *sql.SelectStmt, *sql.ExplainStmt:
+		return "select"
 	case *sql.CreateTableStmt:
 		return "create"
 	case *sql.InsertStmt:

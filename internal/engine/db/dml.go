@@ -1,7 +1,6 @@
 package db
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -11,7 +10,6 @@ import (
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
-	"indbml/internal/flight"
 )
 
 // INSERT, DELETE and UPDATE executors. An INSERT binds its VALUES into one
@@ -115,25 +113,6 @@ func bindCell(v *vector.Vector, r int, cell sql.Cell) error {
 	}
 	v.SetDatum(r, val)
 	return nil
-}
-
-// AppendContext appends a batch bound elsewhere under text, the head of an
-// INSERT (INSERT INTO <table>): how a shard applies the rows a coordinator
-// ships it. Like ExecContext it is flight-recorded (kind insert) and
-// consults ctx before committing, so the statement answers to deadlines and
-// KILL.
-func (d *Database) AppendContext(ctx context.Context, text string, b *vector.Batch) (err error) {
-	fl := d.flight.BeginFor(flight.LiveFrom(ctx), text, "insert", "sql")
-	fl.SetQueueWait(flight.QueueWaitFrom(ctx))
-	defer func() { fl.Finish(err) }()
-	table, err := sql.ParseInsertInto(text)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return d.appendRows(table, b)
 }
 
 // appendRows commits an INSERT's rows, text or shipped: b's columns must

@@ -8,6 +8,7 @@ import (
 
 	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/db"
+	"indbml/internal/engine/sql"
 	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
 )
@@ -234,7 +235,7 @@ func TestNonFiniteWeightRejected(t *testing.T) {
 			rows.AppendBatch(buf)
 		}
 	}
-	if err := d.AppendContext(context.Background(), "INSERT INTO nf", rows); err != nil {
+	if _, err := d.Run(context.Background(), sql.ParseNormalized("INSERT INTO nf", true), rows); err != nil {
 		t.Fatal(err)
 	}
 	const q = "SELECT id, prediction FROM fact MODEL JOIN nf PREDICT (af0, bf1, cf2, df3)"

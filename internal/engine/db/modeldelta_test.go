@@ -1,7 +1,6 @@
 package db_test
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -186,7 +185,7 @@ func TestModelDeltaBuild(t *testing.T) {
 			if s.edit != nil {
 				s.edit()
 			}
-			res, qt, err := d.QueryAnalyzeContext(context.Background(), q)
+			res, qt, err := queryAnalyze(d, q)
 			if misses++; d.ModelCacheStats().Misses != misses {
 				t.Errorf("%s %q: %d cache misses, want %d", dev, s.stmt, d.ModelCacheStats().Misses, misses)
 			}

@@ -10,38 +10,13 @@ import (
 	"fmt"
 	"strings"
 
+	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/exec"
 	"indbml/internal/engine/expr"
 	"indbml/internal/engine/sql"
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/types"
 )
-
-// ModelMeta is the catalog's description of a model table (Sec. 5.5): the
-// shape information the planner needs to type a MODEL JOIN before any
-// operator is built.
-type ModelMeta struct {
-	// Name is the model-table name.
-	Name string
-	// InputDim is the number of input columns the model consumes.
-	InputDim int
-	// OutputDim is the number of prediction columns it produces.
-	OutputDim int
-	// TimeSteps is > 0 when the first layer is recurrent.
-	TimeSteps int
-}
-
-// PredictionCols returns the schema columns a ModelJoin appends.
-func (m *ModelMeta) PredictionCols() []types.Column {
-	if m.OutputDim == 1 {
-		return []types.Column{{Name: "prediction", Type: types.Float32}}
-	}
-	cols := make([]types.Column, m.OutputDim)
-	for i := range cols {
-		cols[i] = types.Column{Name: fmt.Sprintf("prediction_%d", i), Type: types.Float32}
-	}
-	return cols
-}
 
 // Catalog is what the planner needs from the database: table lookup, model
 // metadata lookup, and a factory lowering MODEL JOIN to the native operator
@@ -50,9 +25,10 @@ func (m *ModelMeta) PredictionCols() []types.Column {
 type Catalog interface {
 	// Table resolves a base table.
 	Table(name string) (*storage.Table, error)
-	// Model resolves model metadata; it returns an error for tables not
-	// registered as models.
-	Model(name string) (*ModelMeta, error)
+	// Model resolves a model's catalog entry (Sec. 5.5: the shape the
+	// planner types a MODEL JOIN with before any operator is built); it
+	// returns an error for tables not registered as models.
+	Model(name string) (*relmodel.Meta, error)
 	// NewModelJoin builds a native ModelJoin operator over child. inputCols
 	// are child ordinals fed to the model; device is "cpu", "gpu" or "".
 	NewModelJoin(model string, child exec.Operator, inputCols []int, device string) (exec.Operator, error)
@@ -332,44 +308,45 @@ func bindOp(op string) (expr.Op, error) {
 	return 0, fmt.Errorf("plan: unknown operator %q", op)
 }
 
-// exprContainsAgg reports whether the AST expression contains an aggregate
-// function call.
-func exprContainsAgg(e sql.Expr) bool {
+// ContainsAgg reports whether the AST expression contains an aggregate
+// function call: how the planner, and the coordinator splitting a SELECT
+// into shard fragments, tell an aggregate expression.
+func ContainsAgg(e sql.Expr) bool {
 	switch e := e.(type) {
 	case *sql.FuncCall:
 		if _, ok := exec.ParseAggFunc(e.Name); ok {
 			return true
 		}
 		for _, a := range e.Args {
-			if exprContainsAgg(a) {
+			if ContainsAgg(a) {
 				return true
 			}
 		}
 	case *sql.BinExpr:
-		return exprContainsAgg(e.L) || exprContainsAgg(e.R)
+		return ContainsAgg(e.L) || ContainsAgg(e.R)
 	case *sql.UnaryExpr:
-		return exprContainsAgg(e.E)
+		return ContainsAgg(e.E)
 	case *sql.CaseExpr:
 		for _, w := range e.Whens {
-			if exprContainsAgg(w.Cond) || exprContainsAgg(w.Then) {
+			if ContainsAgg(w.Cond) || ContainsAgg(w.Then) {
 				return true
 			}
 		}
 		if e.Else != nil {
-			return exprContainsAgg(e.Else)
+			return ContainsAgg(e.Else)
 		}
 	case *sql.CastExpr:
-		return exprContainsAgg(e.E)
+		return ContainsAgg(e.E)
 	case *sql.BetweenExpr:
-		return exprContainsAgg(e.E) || exprContainsAgg(e.Lo) || exprContainsAgg(e.Hi)
+		return ContainsAgg(e.E) || ContainsAgg(e.Lo) || ContainsAgg(e.Hi)
 	case *sql.IsNullExpr:
-		return exprContainsAgg(e.E)
+		return ContainsAgg(e.E)
 	case *sql.InExpr:
-		if exprContainsAgg(e.E) {
+		if ContainsAgg(e.E) {
 			return true
 		}
 		for _, item := range e.List {
-			if exprContainsAgg(item) {
+			if ContainsAgg(item) {
 				return true
 			}
 		}

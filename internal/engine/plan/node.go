@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 
+	"indbml/internal/core/modeljoin"
+	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/exec"
 	"indbml/internal/engine/expr"
 	"indbml/internal/engine/storage"
@@ -588,15 +590,15 @@ func (a *aggNode) describe() string {
 type modelJoinNode struct {
 	child     node
 	modelName string
-	meta      *ModelMeta
+	meta      *relmodel.Meta
 	inputCols []int
 	device    string
 	sc        *scope
 }
 
-func newModelJoinNode(child node, meta *ModelMeta, inputCols []int, device string) *modelJoinNode {
+func newModelJoinNode(child node, meta *relmodel.Meta, inputCols []int, device string) *modelJoinNode {
 	sc := &scope{cols: append([]scopeCol(nil), child.scope().cols...)}
-	for _, c := range meta.PredictionCols() {
+	for _, c := range modeljoin.PredictionColumns(meta.OutputDim()) {
 		sc.cols = append(sc.cols, scopeCol{name: strings.ToLower(c.Name), typ: c.Type})
 	}
 	return &modelJoinNode{child: child, modelName: meta.Name, meta: meta, inputCols: inputCols, device: device, sc: sc}

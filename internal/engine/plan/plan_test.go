@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/exec"
 	"indbml/internal/engine/expr"
 	"indbml/internal/engine/sql"
@@ -34,7 +35,7 @@ type errNoTable string
 
 func (e errNoTable) Error() string { return "no table " + string(e) }
 
-func (c *testCatalog) Model(name string) (*ModelMeta, error) { return nil, errNoTable(name) }
+func (c *testCatalog) Model(name string) (*relmodel.Meta, error) { return nil, errNoTable(name) }
 
 func (c *testCatalog) NewModelJoin(string, exec.Operator, []int, string) (exec.Operator, error) {
 	return nil, errNoTable("modeljoin")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"indbml/internal/core/modeljoin"
 	"indbml/internal/engine/exec"
 	"indbml/internal/engine/expr"
 	"indbml/internal/engine/sql"
@@ -450,12 +451,9 @@ func (pl *Planner) bindFrom(ref sql.TableRef) (node, error) {
 		var inputCols []int
 		if len(r.Inputs) > 0 {
 			for _, name := range r.Inputs {
-				idx, t, err := factScope.resolve("", name)
+				idx, _, err := factScope.resolve("", name)
 				if err != nil {
 					return nil, err
-				}
-				if !t.IsNumeric() {
-					return nil, fmt.Errorf("plan: MODEL JOIN input column %q is not numeric", name)
 				}
 				inputCols = append(inputCols, idx)
 			}
@@ -468,9 +466,8 @@ func (pl *Planner) bindFrom(ref sql.TableRef) (node, error) {
 				}
 			}
 		}
-		if len(inputCols) != meta.InputDim {
-			return nil, fmt.Errorf("plan: model %s expects %d input columns, MODEL JOIN provides %d",
-				r.ModelName, meta.InputDim, len(inputCols))
+		if err := modeljoin.CheckInputs(meta.Name, meta.Inputs(), factScope.schema(), inputCols); err != nil {
+			return nil, err
 		}
 		return newModelJoinNode(fact, meta, inputCols, r.Device), nil
 	default:
@@ -491,7 +488,7 @@ func (pl *Planner) bindSelect(sel *sql.SelectStmt) (node, error) {
 	}
 
 	if sel.Where != nil {
-		if exprContainsAgg(sel.Where) {
+		if ContainsAgg(sel.Where) {
 			return nil, fmt.Errorf("plan: aggregates are not allowed in WHERE")
 		}
 		pred, err := bindExpr(sel.Where, root.scope())
@@ -512,7 +509,7 @@ func (pl *Planner) bindSelect(sel *sql.SelectStmt) (node, error) {
 
 	isAgg := len(sel.GroupBy) > 0
 	for _, it := range items {
-		if exprContainsAgg(it) {
+		if ContainsAgg(it) {
 			isAgg = true
 		}
 	}
@@ -666,7 +663,7 @@ func (pl *Planner) bindAggSelect(input node, sel *sql.SelectStmt, items []sql.Ex
 	groups := make([]expr.Expr, len(sel.GroupBy))
 	groupNames := make([]string, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
-		if exprContainsAgg(g) {
+		if ContainsAgg(g) {
 			return nil, fmt.Errorf("plan: aggregates are not allowed in GROUP BY")
 		}
 		bound, err := bindExpr(g, fromScope)
@@ -740,7 +737,7 @@ func rewriteAggExpr(e sql.Expr, fromScope *scope, groups []expr.Expr, groupNames
 		}
 	}
 
-	if !exprContainsAgg(e) {
+	if !ContainsAgg(e) {
 		if bound, err := bindExpr(e, fromScope); err == nil {
 			for i, g := range groups {
 				if exprEqual(bound, g) {

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"indbml/internal/core/modeljoin"
+	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/exec"
 	"indbml/internal/engine/sql"
 	"indbml/internal/engine/storage"
@@ -52,17 +54,16 @@ func (s *sumJoin) Next() (*vector.Batch, error) {
 // pruneCatalog is testCatalog plus one two-input model served by sumJoin.
 type pruneCatalog struct{ testCatalog }
 
-func (c *pruneCatalog) Model(name string) (*ModelMeta, error) {
-	return &ModelMeta{Name: name, InputDim: 2, OutputDim: 1}, nil
+func (c *pruneCatalog) Model(name string) (*relmodel.Meta, error) {
+	return &relmodel.Meta{Name: name, Layers: []relmodel.LayerMeta{{Kind: "input", Units: 2}, {Kind: "dense", Units: 1}}}, nil
 }
 
 func (c *pruneCatalog) NewModelJoin(_ string, child exec.Operator, inputCols []int, _ string) (exec.Operator, error) {
-	meta := &ModelMeta{OutputDim: 1}
 	cols := make([]types.Column, 0, child.Schema().Len()+1)
 	for i := 0; i < child.Schema().Len(); i++ {
 		cols = append(cols, child.Schema().Col(i))
 	}
-	return &sumJoin{child: child, inputs: inputCols, schema: types.NewSchema(append(cols, meta.PredictionCols()...)...)}, nil
+	return &sumJoin{child: child, inputs: inputCols, schema: types.NewSchema(append(cols, modeljoin.PredictionColumns(1)...)...)}, nil
 }
 
 // sortedRows renders a result as sorted row strings: partition-parallel plans

@@ -28,17 +28,35 @@ func Normalize(text string) (uint64, string) {
 	return normalize(text, *toks, err)
 }
 
-// ParseNormalized is Parse that also returns Normalize(text), lexing the
-// statement once. The fingerprint is returned even when parsing fails.
-func ParseNormalized(text string) (Stmt, uint64, string, error) {
+// Parsed is one statement's text read once, by ParseNormalized: the
+// statement it parses to, or the error that stopped it, and its shape.
+type Parsed struct {
+	Text        string
+	Stmt        Stmt   // nil when Err is set
+	Err         error  // the lexing or parsing error
+	Fingerprint uint64 // Normalize(Text)'s fingerprint, set even when Err is
+	Norm        string // Normalize(Text)'s normalized text
+}
+
+// ParseNormalized is the one reader of a statement's text: it lexes text
+// once, normalizes the tokens (as Normalize) and parses them (as Parse).
+// With rowStream set, text is the head a row stream is appended under,
+// INSERT INTO <table> with nothing after it, and parses to an InsertStmt
+// with no rows.
+func ParseNormalized(text string, rowStream bool) Parsed {
 	toks, err := lexPooled(text)
 	defer releaseTokens(toks)
-	fp, norm := normalize(text, *toks, err)
+	p := Parsed{Text: text, Err: err}
+	p.Fingerprint, p.Norm = normalize(text, *toks, err)
 	if err != nil {
-		return nil, fp, norm, err
+		return p
 	}
-	stmt, err := parseTokens(text, *toks)
-	return stmt, fp, norm, err
+	if rowStream {
+		p.Stmt, p.Err = parseRowStreamHead(text, *toks)
+	} else {
+		p.Stmt, p.Err = parseTokens(text, *toks)
+	}
+	return p
 }
 
 // normalize renders the tokens lex returned for text, with err the lexing

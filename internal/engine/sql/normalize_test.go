@@ -38,10 +38,10 @@ func FuzzNormalize(f *testing.F) {
 				t.Fatalf("not idempotent:\n once  %q (%x)\n twice %q (%x)", norm, fp, norm2, fp2)
 			}
 		}
-		_, pfp, pnorm, perr := ParseNormalized(text)
+		p := ParseNormalized(text, false)
 		_, err := Parse(text)
-		if pfp != fp || pnorm != norm || (perr == nil) != (err == nil) {
-			t.Fatalf("ParseNormalized = %x %q %v; Normalize = %x %q, Parse error %v", pfp, pnorm, perr, fp, norm, err)
+		if p.Fingerprint != fp || p.Norm != norm || (p.Err == nil) != (err == nil) || (p.Stmt == nil) != (err != nil) {
+			t.Fatalf("ParseNormalized = %x %q %v; Normalize = %x %q, Parse error %v", p.Fingerprint, p.Norm, p.Err, fp, norm, err)
 		}
 		if err != nil || len(norm) >= MaxNormalizedLen {
 			return

@@ -39,30 +39,25 @@ func parseTokens(input string, toks []Token) (Stmt, error) {
 	return stmt, nil
 }
 
-// ParseInsertInto parses the head of an INSERT with nothing after it,
-// INSERT INTO <table>, and returns the table name: the statement a row
-// stream is appended under (the wire protocol's StmtFlagRows).
-func ParseInsertInto(input string) (string, error) {
-	toks, err := lexPooled(input)
-	defer releaseTokens(toks)
-	if err != nil {
-		return "", err
-	}
-	p := &Parser{toks: *toks, src: input}
+// parseRowStreamHead parses the head of an INSERT with nothing after it,
+// INSERT INTO <table>: the statement a row stream is appended under (the
+// wire protocol's StmtFlagRows).
+func parseRowStreamHead(input string, toks []Token) (Stmt, error) {
+	p := &Parser{toks: toks, src: input}
 	if _, err := p.expect(TokKeyword, "INSERT"); err != nil {
-		return "", err
+		return nil, err
 	}
 	if _, err := p.expect(TokKeyword, "INTO"); err != nil {
-		return "", err
+		return nil, err
 	}
 	name, err := p.parseTableName()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if !p.at(TokEOF, "") {
-		return "", p.errf("unexpected input %q after the table of a row stream", p.cur().Text)
+		return nil, p.errf("unexpected input %q after the table of a row stream", p.cur().Text)
 	}
-	return name, nil
+	return &InsertStmt{Table: name}, nil
 }
 
 // ParseSelect parses a SELECT statement, rejecting other statement kinds.

@@ -61,7 +61,7 @@ type Summary struct {
 	Origin       uint64
 	Start        time.Time
 	SQL          string
-	Fingerprint  uint64 // statement-shape fingerprint (sql.Normalize)
+	Fingerprint  uint64 // statement-shape fingerprint (sql.ParseNormalized)
 	Kind         string // select, insert, update, delete, create, drop, kill, ...
 	Approach     string // sql, or modeljoin for a SELECT with a MODEL JOIN
 	Device       string // inference device ("cpu", "gpu-sim", ...; "" without inference)
@@ -153,45 +153,31 @@ func (r *Recorder) record(s *Summary) {
 	r.stats.observe(s)
 }
 
-// Begin opens a flight record for one statement, allocating its query ID
-// and sampling the allocation baseline. Pass the eventual outcome to
-// Finish; an abandoned flight is simply never published.
-func (r *Recorder) Begin(sqlText, kind, approach string) *Flight {
-	return r.BeginFor(nil, sqlText, kind, approach)
-}
-
-// BeginFor is Begin for a statement already entered into the live registry
-// at admission: the flight adopts the live entry's query ID (so the ID a
-// client saw in system.active_queries is the ID published to
-// system.queries), flips its state to running, and removes it from the
-// registry when the statement finishes. With a nil live entry it allocates
-// a fresh ID and touches no registry state — plain Begin — and the
-// statement is fingerprinted at Finish unless SetShape ran.
-func (r *Recorder) BeginFor(live *LiveQuery, sqlText, kind, approach string) *Flight {
-	f := &Flight{
+// BeginFor opens the flight record of a statement entered into the live
+// registry, sampling the allocation baseline. The flight adopts the live
+// entry's query ID and shape (so the ID a client saw in
+// system.active_queries is the ID published to system.queries), flips its
+// state to running, and removes it from the registry when the statement
+// finishes. The summary's Start is execution begin — queue wait is charged
+// separately via QueueWaitNS. Pass the eventual outcome to Finish; an
+// abandoned flight is simply never published.
+func (r *Recorder) BeginFor(live *LiveQuery, kind, approach string) *Flight {
+	live.state.Store(stateRunning)
+	return &Flight{
 		rec: r,
 		sum: &Summary{
-			Start:    time.Now(),
-			SQL:      truncate(sqlText),
-			Kind:     kind,
-			Approach: approach,
+			ID:          live.id,
+			Origin:      live.origin,
+			Start:       time.Now(),
+			SQL:         live.sql,
+			Fingerprint: live.fp,
+			Kind:        kind,
+			Approach:    approach,
+			normSQL:     live.norm,
 		},
-		text:       sqlText,
 		live:       live,
 		startAlloc: allocBytes(),
 	}
-	if live != nil {
-		// Adopt the live entry: same ID and shape, queued → running. The
-		// summary's Start stays at execution begin — queue wait is charged
-		// separately via QueueWaitNS, as before.
-		f.SetShape(live.fp, live.norm)
-		f.sum.ID = live.id
-		f.sum.Origin = live.origin
-		live.state.Store(stateRunning)
-	} else {
-		f.sum.ID = r.ids.Add(1)
-	}
-	return f
 }
 
 // Flight is one in-progress statement's record. It is written by the
@@ -201,29 +187,14 @@ func (r *Recorder) BeginFor(live *LiveQuery, sqlText, kind, approach string) *Fl
 type Flight struct {
 	rec        *Recorder
 	sum        *Summary
-	text       string // the whole statement
-	shaped     bool   // sum holds the statement's fingerprint
 	qt         *trace.QueryTrace
-	live       *LiveQuery // adopted registry entry; nil for unregistered flights
+	live       *LiveQuery // the adopted registry entry
 	startAlloc uint64
 	done       atomic.Bool
 }
 
 // ID returns the flight's query ID.
 func (f *Flight) ID() uint64 { return f.sum.ID }
-
-// SetKind overrides the statement kind recorded at Begin.
-func (f *Flight) SetKind(kind string) { f.sum.Kind = kind }
-
-// SetApproach overrides the approach tag recorded at Begin.
-func (f *Flight) SetApproach(a string) { f.sum.Approach = a }
-
-// SetShape records the statement's fingerprint and normalized text from
-// the caller's own lexing (sql.ParseNormalized), so that Finish does not
-// lex the statement again.
-func (f *Flight) SetShape(fp uint64, norm string) {
-	f.sum.Fingerprint, f.sum.normSQL, f.shaped = fp, norm, true
-}
 
 // SetQueueWait records admission-control queue wait.
 func (f *Flight) SetQueueWait(d time.Duration) { f.sum.QueueWaitNS = int64(d) }
@@ -238,7 +209,7 @@ func (f *Flight) AddRowsOut(n int64) { f.sum.RowsOut += n }
 // the executing operators' atomic counters.
 func (f *Flight) AttachTrace(qt *trace.QueryTrace) {
 	f.qt = qt
-	if f.live != nil && qt.Root != nil {
+	if qt.Root != nil {
 		f.live.root.Store(qt.Root)
 	}
 }
@@ -261,21 +232,16 @@ func (f *Flight) Finish(err error) {
 	if err != nil {
 		f.sum.Error = err.Error()
 	}
-	if !f.shaped {
-		f.SetShape(sql.Normalize(f.text))
-	}
 	if f.qt != nil && f.qt.Root != nil {
 		foldSpans(f.sum, f.qt.Root.Stat(), 0)
 	}
 	f.rec.record(f.sum)
-	if f.live != nil {
-		// The statement is no longer killable; drop it from the live
-		// registry and release its cancel function (freeing the context's
-		// resources — a no-op if KILL or the server already canceled).
-		f.rec.Unregister(f.live)
-		if f.live.cancel != nil {
-			f.live.cancel()
-		}
+	// The statement is no longer killable; drop it from the live registry
+	// and release its cancel function (freeing the context's resources — a
+	// no-op if KILL or the server already canceled).
+	f.rec.Unregister(f.live)
+	if f.live.cancel != nil {
+		f.live.cancel()
 	}
 }
 

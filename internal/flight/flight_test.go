@@ -15,7 +15,7 @@ import (
 )
 
 func finishOne(r *Recorder, sqlText string) *Flight {
-	fl := r.Begin(sqlText, "select", "sql")
+	fl := begin(r, sqlText, "select", "sql")
 	fl.Finish(nil)
 	return fl
 }
@@ -51,14 +51,12 @@ func TestDefaultSize(t *testing.T) {
 	}
 }
 
-// TestSummaryFields: kind/approach overrides, queue wait, SQL truncation,
+// TestSummaryFields: kind/approach, queue wait, SQL truncation,
 // error capture, latency stamping.
 func TestSummaryFields(t *testing.T) {
 	r := NewRecorder(8)
 	long := strings.Repeat("x", maxSQLLen+100)
-	fl := r.Begin(long, "select", "")
-	fl.SetKind("insert")
-	fl.SetApproach("pyudf")
+	fl := begin(r, long, "insert", "pyudf")
 	fl.SetQueueWait(3 * time.Millisecond)
 	fl.AddRowsOut(7)
 	fl.AddRowsOut(2)
@@ -96,7 +94,7 @@ func TestSummaryFields(t *testing.T) {
 // or publish a second summary.
 func TestFinishFirstCallWins(t *testing.T) {
 	r := NewRecorder(8)
-	fl := r.Begin("SELECT 1", "select", "sql")
+	fl := begin(r, "SELECT 1", "select", "sql")
 	fl.Finish(nil)
 	fl.Finish(errors.New("late"))
 	snap := r.Snapshot()
@@ -125,7 +123,7 @@ func TestFoldSpans(t *testing.T) {
 	qt.Root = root
 
 	r := NewRecorder(8)
-	fl := r.Begin("SELECT ...", "select", "modeljoin")
+	fl := begin(r, "SELECT ...", "select", "modeljoin")
 	fl.AttachTrace(qt)
 	fl.Finish(nil)
 
@@ -271,7 +269,7 @@ func smallBatch(t *testing.T, n int) *vector.Batch {
 // exposed for the wire layer.
 func TestWrapHappyPath(t *testing.T) {
 	r := NewRecorder(8)
-	fl := r.Begin("SELECT v FROM t", "select", "sql")
+	fl := begin(r, "SELECT v FROM t", "select", "sql")
 	op := Wrap(&fakeOp{batches: []*vector.Batch{smallBatch(t, 3), smallBatch(t, 2)}}, fl)
 
 	if q, ok := op.(interface{ QueryID() uint64 }); !ok || q.QueryID() != fl.ID() {
@@ -310,7 +308,7 @@ func TestWrapHappyPath(t *testing.T) {
 // TestWrapNextError: an execution error is captured and survives Close.
 func TestWrapNextError(t *testing.T) {
 	r := NewRecorder(8)
-	fl := r.Begin("SELECT v FROM t", "select", "sql")
+	fl := begin(r, "SELECT v FROM t", "select", "sql")
 	op := Wrap(&fakeOp{
 		batches: []*vector.Batch{smallBatch(t, 3)},
 		nextErr: errors.New("exec blew up"), errAt: 1,
@@ -338,7 +336,7 @@ func TestWrapNextError(t *testing.T) {
 // wrapper must seal the flight from Open itself.
 func TestWrapOpenError(t *testing.T) {
 	r := NewRecorder(8)
-	fl := r.Begin("SELECT v FROM t", "select", "sql")
+	fl := begin(r, "SELECT v FROM t", "select", "sql")
 	op := Wrap(&fakeOp{openErr: errors.New("no such table")}, fl)
 	if err := op.Open(); err == nil {
 		t.Fatal("expected Open error")
@@ -370,10 +368,10 @@ func TestContextPlumbing(t *testing.T) {
 // TestQueriesTable: the system.queries snapshot mirrors the ring.
 func TestQueriesTable(t *testing.T) {
 	r := NewRecorder(8)
-	fl := r.Begin("SELECT 1", "select", "sql")
+	fl := begin(r, "SELECT 1", "select", "sql")
 	fl.AddRowsOut(1)
 	fl.Finish(nil)
-	fl = r.Begin("SELECT boom", "select", "modeljoin")
+	fl = begin(r, "SELECT boom", "select", "modeljoin")
 	fl.Finish(errors.New("boom"))
 
 	vt := QueriesTable(r)
@@ -426,7 +424,7 @@ func TestOperatorsTable(t *testing.T) {
 	qt.Root = root
 
 	r := NewRecorder(8)
-	fl := r.Begin("q", "select", "sql")
+	fl := begin(r, "q", "select", "sql")
 	fl.AttachTrace(qt)
 	fl.Finish(nil)
 

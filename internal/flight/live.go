@@ -124,28 +124,22 @@ func (q *LiveQuery) Progress() (rowsScanned, bytesScanned int64, phase string) {
 
 // ---- registry (on the Recorder) ----
 
-// Register enters a statement into the live registry before admission,
-// allocating its query ID. session labels the origin; cancel is the
-// statement's context cancel function (what KILL invokes). The caller must
-// pair with Unregister (idempotent — the flight record's Finish also
-// unregisters).
-func (r *Recorder) Register(sqlText, session string, cancel context.CancelFunc) *LiveQuery {
-	return r.RegisterOrigin(sqlText, session, 0, cancel)
-}
-
-// RegisterOrigin is Register for statements arriving as distributed shard
-// fragments: origin is the coordinator's query ID stamped on the statement
-// frame (0 for ordinary statements). KILL ORIGIN <origin> cancels every
-// registered statement carrying the tag, and system.queries exposes it as
-// origin_qid so fleet observability can correlate fragments with their
-// coordinator query.
-func (r *Recorder) RegisterOrigin(sqlText, session string, origin uint64, cancel context.CancelFunc) *LiveQuery {
-	fp, norm := sql.Normalize(sqlText)
+// Register enters a statement into the live registry, allocating its
+// query ID: the server registers before admission, an embedded statement
+// as it starts. p is the statement's one read (sql.ParseNormalized), whose
+// fingerprint and normalized text the entry keeps. session labels the
+// origin ("embedded" or the remote address); origin is the coordinator's
+// query ID stamped on a distributed shard fragment's statement frame (0
+// otherwise), which KILL ORIGIN matches and system.queries exposes as
+// origin_qid. cancel is the statement's context cancel function (what KILL
+// invokes). The caller pairs Register with Unregister (idempotent — the
+// flight record's Finish also unregisters).
+func (r *Recorder) Register(p sql.Parsed, session string, origin uint64, cancel context.CancelFunc) *LiveQuery {
 	q := &LiveQuery{
 		id:      r.ids.Add(1),
-		sql:     truncate(sqlText),
-		fp:      fp,
-		norm:    norm,
+		sql:     truncate(p.Text),
+		fp:      p.Fingerprint,
+		norm:    p.Norm,
 		session: session,
 		origin:  origin,
 		start:   time.Now(),

@@ -10,6 +10,17 @@ import (
 	"indbml/internal/engine/sql"
 )
 
+// register enters text into r's live registry as its statement path does:
+// read once by sql.ParseNormalized.
+func register(r *Recorder, text, session string, cancel context.CancelFunc) *LiveQuery {
+	return r.Register(sql.ParseNormalized(text, false), session, 0, cancel)
+}
+
+// begin opens the flight of a statement registered as an embedded one.
+func begin(r *Recorder, text, kind, approach string) *Flight {
+	return r.BeginFor(register(r, text, "embedded", nil), kind, approach)
+}
+
 // TestLiveRegistry: Register enters a statement before admission, Live
 // snapshots it ordered by ID, Unregister removes it idempotently.
 func TestLiveRegistry(t *testing.T) {
@@ -17,8 +28,8 @@ func TestLiveRegistry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	q1 := r.Register("SELECT 1", "embedded", cancel)
-	q2 := r.Register("SELECT 2", "127.0.0.1:99", cancel)
+	q1 := register(r, "SELECT 1", "embedded", cancel)
+	q2 := register(r, "SELECT 2", "127.0.0.1:99", cancel)
 	if q1.ID() == 0 || q2.ID() <= q1.ID() {
 		t.Fatalf("IDs not allocated ascending: %d, %d", q1.ID(), q2.ID())
 	}
@@ -47,9 +58,9 @@ func TestLiveRegistry(t *testing.T) {
 func TestLiveAdoption(t *testing.T) {
 	r := NewRecorder(8)
 	canceled := false
-	q := r.Register("SELECT * FROM t WHERE x = 42", "embedded", func() { canceled = true })
+	q := register(r, "SELECT * FROM t WHERE x = 42", "embedded", func() { canceled = true })
 
-	fl := r.BeginFor(q, "SELECT * FROM t WHERE x = 42", "select", "sql")
+	fl := r.BeginFor(q, "select", "sql")
 	if fl.ID() != q.ID() {
 		t.Fatalf("flight ID %d != live ID %d", fl.ID(), q.ID())
 	}
@@ -79,7 +90,7 @@ func TestLiveAdoption(t *testing.T) {
 func TestKill(t *testing.T) {
 	r := NewRecorder(8)
 	ctx, cancel := context.WithCancel(context.Background())
-	q := r.Register("SELECT 1", "embedded", cancel)
+	q := register(r, "SELECT 1", "embedded", cancel)
 
 	if err := r.Kill(q.ID() + 100); err == nil {
 		t.Error("Kill of unknown ID did not error")
@@ -106,13 +117,13 @@ func TestStatsSurviveRingWrap(t *testing.T) {
 
 	const shape = "SELECT * FROM t WHERE x = 1"
 	for i := 0; i < 3; i++ {
-		fl := r.Begin(shape, "select", "sql")
+		fl := begin(r, shape, "select", "sql")
 		fl.Finish(nil)
 	}
 	// Flush the ring with distinct statements so no summary of the shape
 	// survives.
 	for i := 0; i < 8; i++ {
-		fl := r.Begin(fmt.Sprintf("SELECT %d FROM other_%d", i, i), "select", "sql")
+		fl := begin(r, fmt.Sprintf("SELECT %d FROM other_%d", i, i), "select", "sql")
 		fl.Finish(nil)
 	}
 	fp, norm := sql.Normalize(shape)
@@ -140,16 +151,16 @@ func TestStatsSurviveRingWrap(t *testing.T) {
 }
 
 // TestStatsKeepLongStatementsApart: the fingerprint covers the whole
-// statement, registered or not, while the retained text stops at
+// statement, while the retained text stops at
 // maxSQLLen, so two statements equal in their first maxSQLLen bytes are
 // two rows.
 func TestStatsKeepLongStatementsApart(t *testing.T) {
 	r := NewRecorder(8)
 	head := "SELECT a FROM t WHERE " + strings.Repeat("a = b AND ", maxSQLLen/10)
 	for _, text := range []string{head + "c = d", head + "c < d"} {
-		q := r.Register(text, "embedded", nil)
-		r.BeginFor(q, text, "select", "sql").Finish(nil)
-		r.Begin(text, "select", "sql").Finish(nil)
+		q := register(r, text, "embedded", nil)
+		r.BeginFor(q, "select", "sql").Finish(nil)
+		begin(r, text, "select", "sql").Finish(nil)
 	}
 	rows := r.Stats().Snapshot()
 	if len(rows) != 2 {
@@ -177,8 +188,8 @@ func TestLongStatementsNotPinned(t *testing.T) {
 	var live []*LiveQuery
 	for i := 0; i < 16; i++ {
 		text := fmt.Sprintf("SELECT %d FROM t WHERE a IN (%s0)", i, strings.Repeat("1, ", 1<<16))
-		r.Begin(text, "select", "sql").Finish(nil)
-		live = append(live, r.Register(text, "embedded", nil))
+		begin(r, text, "select", "sql").Finish(nil)
+		live = append(live, register(r, text, "embedded", nil))
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

@@ -73,16 +73,16 @@ type Config struct {
 	MaxBatchRows int
 	// MaxInFlight caps concurrently executing batches per device. Default 2.
 	MaxInFlight int
-	// RingSize is the per-batch stats ring capacity backing
-	// system.inference_batches. Default 512.
-	RingSize int
 }
 
 const (
 	defaultMaxWait      = 500 * time.Microsecond
 	defaultMaxBatchRows = 8192
 	defaultMaxInFlight  = 2
-	defaultRingSize     = 512
+
+	// ringSize is the per-batch stats ring capacity backing
+	// system.inference_batches.
+	ringSize = 512
 
 	// idleExit is how long an empty queue's dispatcher lingers before the
 	// goroutine exits and the queue is dropped from the map; model eviction
@@ -99,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = defaultMaxInFlight
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = defaultRingSize
 	}
 	return c
 }
@@ -124,7 +121,7 @@ func New(cfg Config, reg *metrics.Registry) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
 		cfg:     cfg,
-		stats:   newStats(cfg.RingSize, reg),
+		stats:   newStats(reg),
 		queues:  make(map[Runner]*queue),
 		devGate: make(map[string]chan struct{}),
 	}

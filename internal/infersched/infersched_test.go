@@ -423,7 +423,8 @@ func TestQueueRetiresWhenIdle(t *testing.T) {
 }
 
 func TestStatsAndSnapshots(t *testing.T) {
-	s := New(Config{RingSize: 4}, metrics.NewRegistry())
+	s := New(Config{}, metrics.NewRegistry())
+	s.stats.ring = metrics.NewRing[BatchStat](4)
 	r := &fakeRunner{in: 1, out: 1}
 	lbl := Label{Model: "iris", Device: "cpu"}
 	for i := 0; i < 6; i++ {
@@ -539,11 +540,11 @@ func TestManyConcurrentSubmitters(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.MaxWait != defaultMaxWait || c.MaxBatchRows != defaultMaxBatchRows ||
-		c.MaxInFlight != defaultMaxInFlight || c.RingSize != defaultRingSize {
+		c.MaxInFlight != defaultMaxInFlight {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
-	c = Config{MaxWait: time.Minute, MaxBatchRows: 1, MaxInFlight: 9, RingSize: 2}.withDefaults()
-	if c.MaxWait != time.Minute || c.MaxBatchRows != 1 || c.MaxInFlight != 9 || c.RingSize != 2 {
+	c = Config{MaxWait: time.Minute, MaxBatchRows: 1, MaxInFlight: 9}.withDefaults()
+	if c.MaxWait != time.Minute || c.MaxBatchRows != 1 || c.MaxInFlight != 9 {
 		t.Fatalf("explicit config overridden: %+v", c)
 	}
 }

@@ -46,7 +46,7 @@ var batchRowBounds = []float64{256, 512, 1024, 2048, 4096, 8192, 16384}
 // newStats registers the scheduler's counters and histograms on reg. The
 // coalesce-wait bounds are sub-ms-centric: the default MaxWait is 500µs, so
 // the interesting resolution is around it.
-func newStats(ringSize int, reg *metrics.Registry) *Stats {
+func newStats(reg *metrics.Registry) *Stats {
 	return &Stats{
 		ring: metrics.NewRing[BatchStat](ringSize),
 		wait: reg.NewHistogram("vectordb_infer_coalesce_wait_seconds",

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"indbml/internal/engine/sql"
 	"indbml/internal/server/client"
 )
 
@@ -312,5 +313,103 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStatementsDispatchOnTheParse: the server reads a statement once, with
+// the parser, and that parse decides how it is served — however the
+// statement is spaced, cased or commented. A SELECT answers with rows,
+// EXPLAIN [ANALYZE] with plan text, and a lower-case KILL with "ok" without
+// waiting for a query slot. A served EXPLAIN ANALYZE is recorded as the
+// statement received, and one that does not parse as kind exec with its
+// parse error.
+func TestStatementsDispatchOnTheParse(t *testing.T) {
+	d := newTestDB(t, 200000, 8)
+	s := startServer(t, d, Config{QuerySlots: 1, IdleTimeout: time.Minute})
+	c := dial(t, s)
+	fr := d.FlightRecorder()
+
+	rows, err := c.Query("-- note\nSELECT id FROM iris WHERE id < 3")
+	if err != nil {
+		t.Fatalf("commented SELECT: %v", err)
+	}
+	n := 0
+	for rows.Next() != nil {
+		n++
+	}
+	if rows.Err() != nil || n != 3 {
+		t.Fatalf("commented SELECT returned %d rows, %v; want 3", n, rows.Err())
+	}
+
+	const q = "SELECT COUNT(*) AS n FROM iris WHERE id < 10"
+	for _, text := range []string{"EXPLAIN  ANALYZE " + q, "explain\nanalyze " + strings.ToLower(q)} {
+		out, err := c.Command(text)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		if !strings.Contains(out, "Total: ") || !strings.Contains(out, "rows=") {
+			t.Errorf("%q did not answer with EXPLAIN ANALYZE:\n%s", text, out)
+		}
+		sums := fr.Snapshot()
+		last := sums[len(sums)-1]
+		if want := sql.ParseNormalized(text, false); last.SQL != text || last.Fingerprint != want.Fingerprint || last.Kind != "select" {
+			t.Errorf("%q recorded as %q fp %x kind %q; want the statement received, fp %x, kind select",
+				text, last.SQL, last.Fingerprint, last.Kind, want.Fingerprint)
+		}
+	}
+	out, err := c.Command("-- c\nEXPLAIN " + q)
+	if err != nil {
+		t.Fatalf("commented EXPLAIN: %v", err)
+	}
+	if !strings.Contains(out, "Scan iris") || strings.Contains(out, "Total: ") {
+		t.Errorf("commented EXPLAIN did not answer with a plan:\n%s", out)
+	}
+
+	const bad = "SELEC id FROM iris"
+	if err := c.Exec(bad); err == nil {
+		t.Fatalf("%q succeeded", bad)
+	}
+	sums := fr.Snapshot()
+	last := sums[len(sums)-1]
+	if want := sql.ParseNormalized(bad, false); last.SQL != bad || last.Kind != "exec" || last.Error != want.Err.Error() {
+		t.Errorf("unparsable statement recorded as %q kind %q error %q; want kind exec, error %q", last.SQL, last.Kind, last.Error, want.Err)
+	}
+
+	// Hold the only slot; a lower-case KILL still answers at once.
+	hog := dial(t, s)
+	hogErr := make(chan error, 1)
+	go func() {
+		rows, err := hog.Query(slotHog)
+		if err == nil {
+			rows.Drain()
+			err = rows.Err()
+		}
+		hogErr <- err
+	}()
+	var hogID uint64
+	waitFor(t, 10*time.Second, func() bool {
+		select {
+		case err := <-hogErr:
+			t.Fatalf("slot hog ended early: %v", err)
+		default:
+		}
+		for _, q := range fr.Live() {
+			if q.State() == "running" {
+				hogID = q.ID()
+				return true
+			}
+		}
+		return false
+	})
+	if out, err := c.Command(fmt.Sprintf("kill %d", hogID)); err != nil || out != "ok" {
+		t.Fatalf("kill %d with every slot held = %q, %v; want ok", hogID, out, err)
+	}
+	select {
+	case err := <-hogErr:
+		if !client.IsCanceled(err) {
+			t.Fatalf("killed statement finished with %v, want cancellation", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("killed statement did not unwind")
 	}
 }

@@ -16,11 +16,11 @@
 //     inside the engine.
 //   - Every statement runs under a context.Context assembled from the
 //     client's deadline and the server's cap; cancellation reaches the
-//     Volcano Next loop (Scan leaves, Exchange) via db.QueryOpContext, so
+//     Volcano Next loop (Scan leaves, Exchange) via db.Run, so
 //     a canceled query frees its slot mid-scan instead of running to
 //     completion.
-//   - Results stream batch-by-batch over db.QueryOp — nothing is
-//     materialized server-side.
+//   - Results stream batch-by-batch over the operator tree db.Run returns —
+//     nothing is materialized server-side.
 package server
 
 import (
@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"indbml/internal/engine/db"
+	"indbml/internal/engine/sql"
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/vector"
 	"indbml/internal/flight"
@@ -421,49 +422,23 @@ func (s *Server) admit(ctx context.Context) (token *slotToken, wait time.Duratio
 	}
 }
 
-// serveStmt dispatches one statement; rows is the row stream that came with
-// a StmtFlagRows statement (nil otherwise). STATUS, METRICS and BATCHER
-// bypass admission control so operators can observe an overloaded server.
+// serveStmt serves one statement; rows is the row stream that came with a
+// StmtFlagRows statement (nil otherwise). The protocol verbs are matched
+// first (serveVerb). Anything else is read once, by sql.ParseNormalized,
+// and that one parse decides what runs: the statement enters the live
+// registry with the parse's shape, is admitted — a KILL is not: it must
+// work on a server whose slots are all held by the statements it exists to
+// cancel — and is handed to the engine's one statement entry, db.Run. One
+// reply path answers whatever Run returned: rows, a rendering, "ok" or an
+// error frame. Like every reply but a stream's batches, it is flushed only
+// after serveStmt returns, so the outcome is counted and the query slot
+// released before the client sees it.
 func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, rows *vector.Batch, deadlineMillis, origin, flags uint64) {
 	text := strings.TrimSpace(stmt)
-	upper := "" // the verb dispatch below; a row stream is always an INSERT
-	if rows == nil {
-		if upper = strings.ToUpper(text); upper == "" {
-			wire.WriteError(bw, wire.CodeError, "empty statement")
-			return
-		}
-	}
-	if upper == "STATUS" {
-		wire.WriteOK(bw, s.StatusText())
+	if rows == nil && s.serveVerb(bw, text) {
 		return
 	}
-	if upper == "METRICS" || strings.HasPrefix(upper, "METRICS ") {
-		// METRICS [prefix]: the optional argument filters the exposition
-		// page to metric names with that prefix (metric names are
-		// lower-case, so match on the original text, not the upper-cased
-		// dispatch copy).
-		prefix := strings.TrimSpace(text[len("METRICS"):])
-		wire.WriteOK(bw, s.db.Metrics().TextFiltered(prefix))
-		return
-	}
-	if upper == "BATCHER" {
-		wire.WriteOK(bw, s.db.InferSched().StatsText())
-		return
-	}
-	if strings.HasPrefix(upper, "KILL") {
-		// KILL bypasses admission control — it must work on a server whose
-		// slots are all held by the statements it exists to cancel. It still
-		// runs through the engine's Exec path, so it is parsed, validated and
-		// flight-recorded like any other statement.
-		if err := s.db.ExecContext(s.baseCtx, text); err != nil {
-			s.stats.Failed.Add(1)
-			wire.WriteError(bw, wire.CodeError, err.Error())
-			return
-		}
-		s.stats.Completed.Add(1)
-		wire.WriteOK(bw, "ok")
-		return
-	}
+	p := sql.ParseNormalized(text, rows != nil)
 
 	start := time.Now()
 	ctx, cancel := s.queryCtx(deadlineMillis)
@@ -474,9 +449,9 @@ func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, rows *v
 	// "queued") and already killable — KILL's cancel fires the queue wait's
 	// ctx.Done. The engine's flight record adopts the entry (same query ID),
 	// and its Finish unregisters; the defer covers statements that never
-	// reach the engine.
+	// reach the engine's flight (rejected ones, EXPLAIN).
 	fr := s.db.FlightRecorder()
-	live := fr.RegisterOrigin(text, sess.remote, origin, cancel)
+	live := fr.Register(p, sess.remote, origin, cancel)
 	ctx = flight.WithLive(ctx, live)
 	sess.curQID.Store(live.ID())
 	defer func() {
@@ -484,112 +459,88 @@ func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, rows *v
 		fr.Unregister(live)
 	}()
 
-	token, wait, code, err := s.admit(ctx)
-	if err != nil {
-		wire.WriteError(bw, code, err.Error())
-		return
-	}
-	// Charge the admission wait to the statement's flight record, whatever
-	// kind it turns out to be, and hand the inference scheduler the slot so
-	// coalesce waits don't hold an execution slot hostage.
-	ctx = flight.WithQueueWait(ctx, wait)
-	ctx = infersched.WithYielder(ctx, token)
-	s.stats.Running.Add(1)
 	var exemplarID uint64
-	defer func() {
-		s.stats.Running.Add(-1)
-		token.release()
-		s.stats.observeLatency(time.Since(start), exemplarID)
-	}()
+	if _, kill := p.Stmt.(*sql.KillStmt); !kill {
+		token, wait, code, err := s.admit(ctx)
+		if err != nil {
+			wire.WriteError(bw, code, err.Error())
+			return
+		}
+		// Charge the admission wait to the statement's flight record and
+		// hand the inference scheduler the slot so coalesce waits don't
+		// hold an execution slot hostage.
+		ctx = flight.WithQueueWait(ctx, wait)
+		ctx = infersched.WithYielder(ctx, token)
+		s.stats.Running.Add(1)
+		defer func() {
+			s.stats.Running.Add(-1)
+			token.release()
+			s.stats.observeLatency(time.Since(start), exemplarID)
+		}()
+	}
 
+	res, err := s.db.Run(ctx, p, rows)
 	switch {
-	case strings.HasPrefix(upper, "EXPLAIN ANALYZE"):
-		// EXPLAIN ANALYZE executes the statement and renders the annotated
-		// plan; it counts as a completed/failed query like any SELECT.
-		out, err := s.db.ExplainAnalyzeContext(ctx, strings.TrimSpace(text[len("EXPLAIN ANALYZE"):]))
-		if err != nil {
-			if wire.IsCancellation(err) {
-				s.stats.Canceled.Add(1)
-				wire.WriteError(bw, wire.CodeCanceled, err.Error())
-			} else {
-				s.stats.Failed.Add(1)
-				wire.WriteError(bw, wire.CodeError, err.Error())
-			}
-			return
+	case err != nil:
+		code := wire.CodeError
+		if wire.IsCancellation(err) {
+			code = wire.CodeCanceled
 		}
-		s.stats.Completed.Add(1)
-		wire.WriteOK(bw, out)
-	case strings.HasPrefix(upper, "EXPLAIN"):
-		plan, err := s.db.Explain(strings.TrimSpace(text[len("EXPLAIN"):]))
-		if err != nil {
-			s.stats.Failed.Add(1)
-			wire.WriteError(bw, wire.CodeError, err.Error())
-			return
-		}
-		s.stats.Completed.Add(1)
-		wire.WriteOK(bw, plan)
-	case strings.HasPrefix(upper, "SELECT"):
-		exemplarID = s.serveSelect(bw, ctx, text, start, flags&wire.StmtFlagTrace != 0)
+		wire.WriteError(bw, code, err.Error())
+	case res.Op != nil:
+		exemplarID = live.ID()
+		err = s.streamSelect(bw, live, res, start, flags&wire.StmtFlagTrace != 0)
+	case res.Text != "":
+		wire.WriteOK(bw, res.Text)
 	default:
-		var err error
-		if rows != nil {
-			err = s.db.AppendContext(ctx, text, rows)
-		} else {
-			err = s.db.ExecContext(ctx, text)
-		}
-		if err != nil {
-			if wire.IsCancellation(err) {
-				s.stats.Canceled.Add(1)
-				wire.WriteError(bw, wire.CodeCanceled, err.Error())
-			} else {
-				s.stats.Failed.Add(1)
-				wire.WriteError(bw, wire.CodeError, err.Error())
-			}
-			return
-		}
-		s.stats.Completed.Add(1)
 		wire.WriteOK(bw, "ok")
 	}
+	s.stats.countOutcome(err)
 }
 
-// serveSelect streams a SELECT to the client and returns the statement's
-// flight-recorder query ID, which the caller stamps on the latency
-// histogram as the bucket exemplar. With the slow-query log enabled, a slow
-// or failing query leaves a JSON line embedding its per-operator span tree.
+// serveVerb answers the protocol verbs, which are not SQL and bypass
+// admission control so that operators can observe an overloaded server:
+// STATUS, METRICS [prefix] and BATCHER. It reports whether text was one
+// (or empty).
+func (s *Server) serveVerb(bw *bufio.Writer, text string) bool {
+	switch {
+	case text == "":
+		wire.WriteError(bw, wire.CodeError, "empty statement")
+	case strings.EqualFold(text, "STATUS"):
+		wire.WriteOK(bw, s.StatusText())
+	case strings.EqualFold(text, "METRICS") || len(text) > len("METRICS ") && strings.EqualFold(text[:len("METRICS ")], "METRICS "):
+		// METRICS [prefix]: the optional argument filters the exposition
+		// page to metric names with that prefix (metric names are
+		// lower-case, so it is matched as sent).
+		wire.WriteOK(bw, s.db.Metrics().TextFiltered(strings.TrimSpace(text[len("METRICS"):])))
+	case strings.EqualFold(text, "BATCHER"):
+		wire.WriteOK(bw, s.db.InferSched().StatsText())
+	default:
+		return false
+	}
+	return true
+}
+
+// streamSelect streams a SELECT's rows to the client. With the slow-query
+// log enabled, a slow or failing query leaves a JSON line embedding its
+// per-operator span tree.
 //
 // When the client set StmtFlagTrace, a MsgTrace trailer carrying the
 // serialized span tree follows the final MsgDone — the mechanism a
 // coordinator uses to stitch shard fragment subtrees into distributed
 // EXPLAIN ANALYZE. Error-terminated streams carry no trailer.
-func (s *Server) serveSelect(bw *bufio.Writer, ctx context.Context, text string, start time.Time, traced bool) uint64 {
-	op, qt, err := s.db.QueryOpTracedContext(ctx, text)
-	if err != nil {
-		s.stats.Failed.Add(1)
-		wire.WriteError(bw, wire.CodeError, err.Error())
-		return 0
-	}
-	live := flight.LiveFrom(ctx)
-	qid := live.ID()
-	rows, err := wire.StreamOperator(bw, op)
+func (s *Server) streamSelect(bw *bufio.Writer, live *flight.LiveQuery, res db.Result, start time.Time, traced bool) error {
+	rows, err := wire.StreamOperator(bw, res.Op)
 	s.stats.RowsServed.Add(rows)
 	if traced && err == nil {
 		// StreamOperator has closed the operator, so the span totals are
 		// final; the trailer rides the same flush as MsgDone.
-		payload, _ := trace.EncodeSpan(qt.Root)
+		payload, _ := trace.EncodeSpan(res.Trace.Root)
 		wire.WriteTrace(bw, payload)
 	}
-	canceled := wire.IsCancellation(err)
-	switch {
-	case err == nil:
-		s.stats.Completed.Add(1)
-	case canceled:
-		s.stats.Canceled.Add(1)
-	default:
-		s.stats.Failed.Add(1)
-	}
-	if s.slow.shouldLog(qt.Total(), err) {
+	if s.slow.shouldLog(res.Trace.Total(), err) {
 		s.stats.SlowLogged.Add(1)
-		s.slow.log(start, verdictFor(err, canceled), qid, flight.Hex(live.Fingerprint()), rows, qt)
+		s.slow.log(start, verdictFor(err, wire.IsCancellation(err)), live.ID(), flight.Hex(live.Fingerprint()), rows, res.Trace)
 	}
-	return qid
+	return err
 }

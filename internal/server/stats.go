@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"indbml/internal/metrics"
+	"indbml/internal/wire"
 )
 
 // Stats are the server's live counters: the registry's own gauges and
@@ -55,6 +56,19 @@ func newStats(reg *metrics.Registry) *Stats {
 // the statement has one.
 func (s *Stats) observeLatency(d time.Duration, queryID uint64) {
 	s.Latency.ObserveDurationExemplar(d, queryID)
+}
+
+// countOutcome counts a finished statement as completed, canceled or
+// failed.
+func (s *Stats) countOutcome(err error) {
+	switch {
+	case err == nil:
+		s.Completed.Add(1)
+	case wire.IsCancellation(err):
+		s.Canceled.Add(1)
+	default:
+		s.Failed.Add(1)
+	}
 }
 
 // Snapshot is a point-in-time copy of the counters.

@@ -22,37 +22,14 @@ import (
 	"indbml/internal/metrics"
 )
 
-// Defaults: 1s fine samples for 5 minutes, 60s coarse samples for 12 hours.
+// The history: 1s fine samples for 5 minutes, 60s coarse samples for 12
+// hours.
 const (
-	DefaultInterval       = time.Second
-	DefaultFineCapacity   = 300
-	DefaultCoarseEvery    = time.Minute
-	DefaultCoarseCapacity = 720
+	fineInterval   = time.Second
+	fineSlots      = 300
+	coarseInterval = time.Minute
+	coarseSlots    = 720
 )
-
-// Config sizes the sampler. Zero values mean the defaults above.
-type Config struct {
-	Interval       time.Duration // sampling tick
-	FineCapacity   int           // fine-ring slots
-	CoarseEvery    time.Duration // coarse rollup resolution
-	CoarseCapacity int           // coarse-ring slots
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = DefaultInterval
-	}
-	if c.FineCapacity <= 0 {
-		c.FineCapacity = DefaultFineCapacity
-	}
-	if c.CoarseEvery <= 0 {
-		c.CoarseEvery = DefaultCoarseEvery
-	}
-	if c.CoarseCapacity <= 0 {
-		c.CoarseCapacity = DefaultCoarseCapacity
-	}
-	return c
-}
 
 // sample is one immutable registry snapshot. Published via atomic pointers;
 // never mutated after publication.
@@ -76,10 +53,13 @@ func (r ring) snapshot() []*sample {
 // Sampler owns the two history rings and the alert set for one registry.
 type Sampler struct {
 	reg    *metrics.Registry
-	cfg    Config
 	fine   ring
 	coarse ring
 	alerts *AlertSet
+
+	// interval and coarseEvery are fineInterval and coarseInterval; tests
+	// shorten them.
+	interval, coarseEvery time.Duration
 
 	// tickMu serializes Tick: the sampler goroutine and callers driving a
 	// scripted clock may tick at once.
@@ -96,16 +76,16 @@ type Sampler struct {
 // New builds a sampler over reg and registers the vectordb_alerts_firing
 // and vectordb_gauge_panics_total gauges on it. Call Start to begin
 // ticking; tests can drive Tick directly with a scripted clock instead.
-func New(reg *metrics.Registry, cfg Config) *Sampler {
-	cfg = cfg.withDefaults()
+func New(reg *metrics.Registry) *Sampler {
 	s := &Sampler{
-		reg:    reg,
-		cfg:    cfg,
-		fine:   newRing(cfg.FineCapacity),
-		coarse: newRing(cfg.CoarseCapacity),
-		alerts: &AlertSet{rules: make(map[string]*alertState)},
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		reg:         reg,
+		fine:        newRing(fineSlots),
+		coarse:      newRing(coarseSlots),
+		alerts:      &AlertSet{rules: make(map[string]*alertState)},
+		interval:    fineInterval,
+		coarseEvery: coarseInterval,
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	reg.NewGaugeFunc("vectordb_alerts_firing", "Alert rules currently in the firing state.",
 		func() float64 { return float64(s.alerts.FiringCount()) })
@@ -137,7 +117,7 @@ func (s *Sampler) Stop() {
 
 func (s *Sampler) run() {
 	defer close(s.done)
-	t := time.NewTicker(s.cfg.Interval)
+	t := time.NewTicker(s.interval)
 	defer t.Stop()
 	s.Tick(time.Now()) // immediate first sample so history exists right away
 	for {
@@ -160,7 +140,7 @@ func (s *Sampler) Tick(now time.Time) {
 	prev := s.last
 	s.last = sm
 	s.fine.Push(sm)
-	if s.lastCoarse.IsZero() || now.Sub(s.lastCoarse) >= s.cfg.CoarseEvery {
+	if s.lastCoarse.IsZero() || now.Sub(s.lastCoarse) >= s.coarseEvery {
 		s.coarse.Push(sm)
 		s.lastCoarse = now
 	}

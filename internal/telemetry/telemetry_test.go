@@ -18,7 +18,8 @@ import (
 // test drives Tick directly with a scripted clock.
 func newTestSampler(t *testing.T, reg *metrics.Registry, alertLog *bytes.Buffer) *Sampler {
 	t.Helper()
-	s := New(reg, Config{Interval: time.Second, FineCapacity: 16, CoarseEvery: time.Minute, CoarseCapacity: 8})
+	s := New(reg)
+	s.fine, s.coarse = newRing(16), newRing(8)
 	if alertLog != nil {
 		s.alerts.setLog(alertLog)
 	}
@@ -132,7 +133,8 @@ func TestHistoryRatesAndQuantiles(t *testing.T) {
 func TestCoarseRollupAndRingWrap(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.NewCounter("x_total", "x")
-	s := New(reg, Config{Interval: time.Second, FineCapacity: 4, CoarseEvery: time.Minute, CoarseCapacity: 8})
+	s := New(reg)
+	s.fine, s.coarse = newRing(4), newRing(8)
 
 	t0 := time.Unix(2000, 0)
 	for i := 0; i < 130; i++ {
@@ -303,7 +305,9 @@ func TestAlertDDL(t *testing.T) {
 func TestTickAlongsideSampler(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.NewCounter("x_total", "x").Add(1)
-	s := New(reg, Config{Interval: time.Millisecond, FineCapacity: 8, CoarseEvery: time.Millisecond, CoarseCapacity: 8})
+	s := New(reg)
+	s.fine, s.coarse = newRing(8), newRing(8)
+	s.interval, s.coarseEvery = time.Millisecond, time.Millisecond
 	mustCreateAlert(t, s, "CREATE ALERT r ON rate(x_total) > 0")
 	s.Start(nil)
 	var wg sync.WaitGroup
