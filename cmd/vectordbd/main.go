@@ -25,7 +25,6 @@ import (
 	"indbml/internal/device"
 	"indbml/internal/dist"
 	"indbml/internal/engine/db"
-	"indbml/internal/infersched"
 	"indbml/internal/server"
 	"indbml/internal/workload"
 )
@@ -41,9 +40,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "query parallelism (0 = GOMAXPROCS)")
 	modelCache := flag.Int("model-cache", 0, "model artifact cache entries (0 = default 32)")
 	flightSize := flag.Int("flight-recorder-size", 0, "query flight-recorder ring capacity (0 = default 1024)")
-	batchMaxWait := flag.Duration("batch-max-wait", 0, "max time a MODEL JOIN batch waits to coalesce with concurrent queries (0 = default 500µs)")
-	batchMaxRows := flag.Int("batch-max-rows", 0, "max rows per coalesced inference super-batch (0 = default 8192)")
-	batchInflight := flag.Int("batch-inflight", 0, "max concurrently executing inference batches per device (0 = default 2)")
 	demo := flag.Bool("demo", false, "load the iris/sinus demo workload at startup")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget before in-flight queries are canceled")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics on this address (empty = disabled)")
@@ -70,11 +66,6 @@ func main() {
 		Parallelism:        *parallelism,
 		ModelCacheEntries:  *modelCache,
 		FlightRecorderSize: *flightSize,
-		InferSched: infersched.Config{
-			MaxWait:      *batchMaxWait,
-			MaxBatchRows: *batchMaxRows,
-			MaxInFlight:  *batchInflight,
-		},
 	})
 	if *demo {
 		if err := workload.LoadDemo(d); err != nil {

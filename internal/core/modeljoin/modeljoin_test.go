@@ -63,7 +63,7 @@ func shared(t *testing.T, m *nn.Model, dev device.Device, layout relmodel.Layout
 
 // testSched is the scheduler the operators under test submit to, as every
 // MODEL JOIN in the engine does.
-var testSched = infersched.New(infersched.Config{}, metrics.NewRegistry())
+var testSched = infersched.New(metrics.NewRegistry())
 
 // newOp builds an operator on testSched, queued under the model and device.
 func newOp(child exec.Operator, sm *SharedModel, inputCols []int) (*Operator, error) {

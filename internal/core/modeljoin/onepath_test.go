@@ -1,9 +1,11 @@
 package modeljoin
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,26 +23,79 @@ import (
 // TestGeneratedOnePath drives random models — dense (width, depth,
 // activation) or LSTM (width, steps), on the CPU or GPU[sim] — down the one
 // inference road: N rows split at random into 1–8 requests, each one
-// operator instance over its own rows, run concurrently against one
-// scheduler whose stretched MaxWait makes them coalesce. Every request's
-// predictions must be bit-equal to one RunPacked over that request alone —
-// a row's result does not depend on the batch it travelled in — and within
-// 1e-4 of nn. Afterwards no pins remain, and once the model is released the
-// device arena is back to 0 bytes.
+// operator instance over its own rows. The instances submit while parked
+// passes fill the device gate, so all k requests pend and leave as one
+// super-batch. Every request's predictions must be bit-equal to one
+// RunPacked over that request alone — a row's result does not depend on the
+// batch it travelled in — and within 1e-4 of nn. Afterwards no pins remain,
+// and once the model is released the device arena is back to 0 bytes.
 func TestGeneratedOnePath(t *testing.T) {
 	seed := time.Now().UnixNano()
 	t.Logf("seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
-	coalesced := 0
 	for i := 0; i < 16; i++ {
-		coalesced += onePathCase(t, rng)
+		onePathCase(t, rng)
 	}
-	t.Logf("%d coalesced super-batches", coalesced)
 }
 
-// onePathCase runs one generated case and returns how many of its batches
-// coalesced more than one request.
-func onePathCase(t *testing.T, rng *rand.Rand) int {
+// parked is a Runner whose passes wait inside RunPacked, after signalling
+// entered, until release is closed.
+type parked struct {
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (p *parked) InputDim() int  { return 1 }
+func (p *parked) OutputDim() int { return 1 }
+func (p *parked) RunPacked(int, []float32, []float32) (time.Duration, error) {
+	p.entered <- struct{}{}
+	<-p.release
+	return 0, nil
+}
+
+// fillGate occupies every in-flight slot of device on sched with a parked
+// pass and returns the function that lets them finish and waits for their
+// submitters.
+func fillGate(t *testing.T, sched *infersched.Scheduler, device string) (release func()) {
+	t.Helper()
+	entered := make(chan struct{}, infersched.MaxInFlight)
+	rel := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < infersched.MaxInFlight; i++ {
+		r := &parked{entered: entered, release: rel}
+		label := infersched.Label{Model: fmt.Sprintf("parked%d", i), Device: device}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sched.Submit(context.Background(), label, r, 1, make([]float32, 1), make([]float32, 1)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for i := 0; i < infersched.MaxInFlight; i++ {
+		<-entered
+	}
+	return func() {
+		close(rel)
+		wg.Wait()
+	}
+}
+
+// waitDepth waits until STATUS reports n pending requests on sched.
+func waitDepth(t *testing.T, sched *infersched.Scheduler, n int) {
+	t.Helper()
+	want := fmt.Sprintf(" depth=%d ", n)
+	deadline := time.Now().Add(10 * time.Second)
+	for line := sched.StatusLine(); !strings.Contains(line, want); line = sched.StatusLine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("scheduler %s, want depth=%d", line, n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// onePathCase runs one generated case.
+func onePathCase(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	var dev device.Device = device.NewCPU()
 	if rng.Intn(2) == 0 {
@@ -85,8 +140,9 @@ func onePathCase(t *testing.T, rng *rand.Rand) int {
 	}
 	ref := model.PredictBatch(data)
 
-	sched := infersched.New(infersched.Config{MaxWait: 20 * time.Millisecond, MaxInFlight: 1}, metrics.NewRegistry())
+	sched := infersched.New(metrics.NewRegistry())
 	label := infersched.Label{Model: "g", Device: dev.Name()}
+	release := fillGate(t, sched, dev.Name())
 	cols := make([]int, in)
 	for c := range cols {
 		cols[c] = c
@@ -105,7 +161,18 @@ func onePathCase(t *testing.T, rng *rand.Rand) int {
 			results[i], errs[i] = exec.Collect(op)
 		}(i)
 	}
+	waitDepth(t, sched, k)
+	release()
 	wg.Wait()
+	var passes []infersched.BatchStat
+	for _, b := range sched.BatchSnapshot() {
+		if b.Model == "g" {
+			passes = append(passes, b)
+		}
+	}
+	if len(passes) != 1 || passes[0].Requests != k || passes[0].Rows != n {
+		t.Fatalf("%s: %d requests of %d rows ran as %+v, want one super-batch", desc, k, n, passes)
+	}
 
 	for i := 0; i < k; i++ {
 		if errs[i] != nil {
@@ -144,13 +211,6 @@ func onePathCase(t *testing.T, rng *rand.Rand) int {
 	if st := dev.Stats(); st.BytesAllocated != 0 {
 		t.Fatalf("%s: %d device bytes still allocated after release", desc, st.BytesAllocated)
 	}
-	coalesced := 0
-	for _, b := range sched.BatchSnapshot() {
-		if b.Requests > 1 {
-			coalesced++
-		}
-	}
-	return coalesced
 }
 
 // valuesOf is a child of FLOAT columns c0.. holding rows in one batch.

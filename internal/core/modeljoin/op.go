@@ -22,9 +22,10 @@ import (
 // projection (Sec. 5.3).
 //
 // Inference has one road: every batch is submitted to the engine's batched
-// inference scheduler, which runs it — alone, or coalesced with concurrent
-// statements' batches over the same cached artifact — as one packed forward
-// pass (builtModel.RunPacked).
+// inference scheduler, and the pass that runs it — alone, or coalesced with
+// concurrent statements' batches over the same cached artifact, as one
+// packed forward pass (builtModel.RunPacked) — runs on this operator's
+// goroutine or on that of another submitter of the same model.
 type Operator struct {
 	Child  exec.Operator
 	Shared *SharedModel
@@ -53,7 +54,7 @@ type Operator struct {
 	ctrSgemm     *atomic.Int64 // sgemm_ns: this batch's share of the packed pass
 	ctrFlops     *atomic.Int64 // sgemm_flops
 	ctrMarshal   *atomic.Int64 // marshal_ns: column gather/scatter conversion time
-	ctrBatchWait *atomic.Int64 // batch_wait_ns: time spent in scheduler coalesce windows
+	ctrBatchWait *atomic.Int64 // batch_wait_ns: time waiting for the scheduler's queue and device gate
 	ctrBusy      *atomic.Int64 // sgemm_busy_ns: gemm kernel time summed over BLAS workers
 }
 
@@ -65,9 +66,9 @@ func (o *Operator) SetSpan(sp *trace.Span) { o.span = sp }
 // the catalog when it resolves the SharedModel, before SetSpan/Open.
 func (o *Operator) NoteCacheLookup(hit bool) { o.cacheHit = hit }
 
-// SetQueryContext hands the operator the statement's context, carrying
-// cancellation and the admission-slot yielder (see infersched.WithYielder).
-// Called by the plan builder before Open.
+// SetQueryContext hands the operator the statement's context, whose
+// cancellation ends a wait in the scheduler. Called by the plan builder
+// before Open.
 func (o *Operator) SetQueryContext(ctx context.Context) { o.qctx = ctx }
 
 // New constructs a ModelJoin over child whose forward passes go through
@@ -86,19 +87,26 @@ func New(child exec.Operator, shared *SharedModel, inputCols []int, sched *infer
 	}, nil
 }
 
-// CheckInputs checks that inputCols names want numeric columns of schema:
+// Columns is the column list CheckInputs reads: an operator's
+// *types.Schema, or the planner's bound scope before any schema exists.
+type Columns interface {
+	Len() int
+	Col(i int) types.Column
+}
+
+// CheckInputs checks that inputCols names want numeric columns of cols:
 // the MODEL JOIN input contract, which New, the planner and the baselines'
 // operators share.
-func CheckInputs(model string, want int, schema *types.Schema, inputCols []int) error {
+func CheckInputs(model string, want int, cols Columns, inputCols []int) error {
 	if len(inputCols) != want {
 		return fmt.Errorf("modeljoin: model %s expects %d input columns, got %d", model, want, len(inputCols))
 	}
 	for _, c := range inputCols {
-		if c < 0 || c >= schema.Len() {
+		if c < 0 || c >= cols.Len() {
 			return fmt.Errorf("modeljoin: input column %d out of range", c)
 		}
-		if !schema.Col(c).Type.IsNumeric() {
-			return fmt.Errorf("modeljoin: input column %q is not numeric", schema.Col(c).Name)
+		if col := cols.Col(c); !col.Type.IsNumeric() {
+			return fmt.Errorf("modeljoin: input column %q is not numeric", col.Name)
 		}
 	}
 	return nil
@@ -221,8 +229,8 @@ func (o *Operator) infer(in *vector.Batch, n int) error {
 		return err
 	}
 	if o.ctrMarshal != nil {
-		// Per-query attribution under coalescing: this query's coalesce
-		// wait, its rows-proportional share of the packed run, and its
+		// Per-query attribution under coalescing: this query's wait for
+		// its pass, its rows-proportional share of the packed run, and its
 		// exact FLOP count (FLOPs scale linearly in rows).
 		o.ctrBatchWait.Add(int64(res.Wait))
 		o.ctrSgemm.Add(int64(res.Run))

@@ -176,7 +176,7 @@ func TestOperatorThroughScheduler(t *testing.T) {
 	_, data := factBatches(t, 2500, 4, 1)
 	ref := model.PredictBatch(data)
 
-	sched := infersched.New(infersched.Config{}, metrics.NewRegistry())
+	sched := infersched.New(metrics.NewRegistry())
 	child, _ := factBatches(t, 2500, 4, 1)
 	op, err := New(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3, 4},
 		sched, infersched.Label{Model: "m", Device: "cpu"})
@@ -206,7 +206,7 @@ func TestOperatorSchedulerLSTM(t *testing.T) {
 	model := nn.NewLSTMModel("lm", 3, 12, 9)
 	child, data := factBatches(t, 1500, 3, 2)
 	ref := model.PredictBatch(data)
-	sched := infersched.New(infersched.Config{}, metrics.NewRegistry())
+	sched := infersched.New(metrics.NewRegistry())
 	op, err := New(child, shared(t, model, device.NewCPU(), relmodel.LayoutPairs, 2, Config{}), []int{1, 2, 3},
 		sched, infersched.Label{Model: "lm", Device: "cpu"})
 	if err != nil {

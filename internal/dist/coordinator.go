@@ -416,7 +416,7 @@ func (co *Coordinator) countSharded(ref sql.TableRef, inSub bool) (int, bool) {
 // KILL, deadline expiry and client disconnect. Closing the streaming
 // connections (done by RemoteExchange right after this hook) aborts the
 // transport; KILL ORIGIN additionally cancels fragments still queued in
-// admission or parked in an inference coalesce window, where nobody is
+// admission or waiting for an inference pass, where nobody is
 // writing to the connection yet.
 func (co *Coordinator) killFragments(origin uint64, srcs []*shardSource) {
 	if origin == 0 {

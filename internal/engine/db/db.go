@@ -47,10 +47,6 @@ type Options struct {
 	// (system.queries / system.query_operators). 0 or a negative value
 	// selects the default (flight.DefaultSize).
 	FlightRecorderSize int
-	// InferSched tunes the batched inference scheduler every MODEL JOIN
-	// forward pass goes through (coalescing of concurrent batches per
-	// (model, device)); the zero value selects the defaults.
-	InferSched infersched.Config
 }
 
 // Router intercepts parsed statements for distributed execution. A
@@ -142,7 +138,7 @@ func Open(opts Options) *Database {
 		func() float64 { return float64(d.flight.Capacity()) })
 	reg.NewGaugeFunc("vectordb_flight_queries_recorded_total", "Statements published to the flight recorder since start.",
 		func() float64 { return float64(d.flight.Recorded()) })
-	d.sched = infersched.New(opts.InferSched, reg)
+	d.sched = infersched.New(reg)
 	metrics.RegisterRuntime(reg)
 	d.tel = telemetry.New(reg)
 	for _, vt := range []storage.VirtualTable{
@@ -180,8 +176,8 @@ func (d *Database) Telemetry() *telemetry.Sampler { return d.tel }
 func (d *Database) FlightRecorder() *flight.Recorder { return d.flight }
 
 // Kill cancels the in-flight statement with the given flight-recorder query
-// ID — running mid-scan, parked in an admission queue, or waiting in an
-// inference coalesce window. It errors when the ID names no active
+// ID — running mid-scan, parked in an admission queue, or waiting for an
+// inference pass. It errors when the ID names no active
 // statement. The victim unwinds with a cancellation error at its next
 // context check; KILL returns as soon as cancellation is delivered, without
 // waiting for the unwind.

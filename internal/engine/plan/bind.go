@@ -46,6 +46,14 @@ type scope struct {
 	cols []scopeCol
 }
 
+// Len and Col let the bound columns be checked without building a schema
+// (modeljoin.Columns).
+func (s *scope) Len() int { return len(s.cols) }
+
+func (s *scope) Col(i int) types.Column {
+	return types.Column{Name: s.cols[i].name, Type: s.cols[i].typ}
+}
+
 func (s *scope) schema() *types.Schema {
 	cols := make([]types.Column, len(s.cols))
 	for i, c := range s.cols {

@@ -93,8 +93,8 @@ func (ctx *buildCtx) build(n node) (exec.Operator, error) {
 		return op, err
 	}
 	// Operators that consult the statement context mid-execution — the
-	// ModelJoin submits to the inference scheduler with it, carrying
-	// cancellation and the admission-slot yielder — receive it here.
+	// ModelJoin submits to the inference scheduler with it, whose
+	// cancellation ends a wait there — receive it here.
 	if c, ok := op.(interface{ SetQueryContext(context.Context) }); ok {
 		c.SetQueryContext(ctx.qctx)
 	}

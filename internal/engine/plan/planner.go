@@ -466,7 +466,7 @@ func (pl *Planner) bindFrom(ref sql.TableRef) (node, error) {
 				}
 			}
 		}
-		if err := modeljoin.CheckInputs(meta.Name, meta.Inputs(), factScope.schema(), inputCols); err != nil {
+		if err := modeljoin.CheckInputs(meta.Name, meta.Inputs(), factScope, inputCols); err != nil {
 			return nil, err
 		}
 		return newModelJoinNode(fact, meta, inputCols, r.Device), nil

@@ -191,3 +191,30 @@ func TestGeneratedPruningKeepsResults(t *testing.T) {
 		}
 	}
 }
+
+// TestModelJoinInputCheckOverScope: the planner checks MODEL JOIN's input
+// columns over its bound scope with modeljoin's one rule and wording, and
+// builds no schema to do it.
+func TestModelJoinInputCheckOverScope(t *testing.T) {
+	sc := &scope{cols: []scopeCol{{name: "id", typ: types.Int64}, {name: "a", typ: types.Float32}, {name: "s", typ: types.String}}}
+	inputs := []int{0, 1}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := modeljoin.CheckInputs("m", 2, sc, inputs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("input check allocates %.0f times", n)
+	}
+	for _, c := range []struct {
+		inputs []int
+		want   string
+	}{
+		{[]int{1}, "modeljoin: model m expects 2 input columns, got 1"},
+		{[]int{1, 3}, "modeljoin: input column 3 out of range"},
+		{[]int{1, 2}, `modeljoin: input column "s" is not numeric`},
+	} {
+		if err := modeljoin.CheckInputs("m", 2, sc, c.inputs); err == nil || err.Error() != c.want {
+			t.Errorf("inputs %v: %v, want %q", c.inputs, err, c.want)
+		}
+	}
+}

@@ -17,7 +17,7 @@ import (
 // adopted by the engine's flight record when execution begins, and removed
 // when the statement finishes. It carries the statement's cancel function,
 // which is how KILL reaches a victim — running mid-scan, parked in the
-// admission queue, or waiting in an inference coalesce window alike, since
+// admission queue, or waiting for an inference pass alike, since
 // all three paths watch the same context.
 //
 // Progress is sampled lock-free: the registry hands out the statement's

@@ -1,11 +1,10 @@
 // Package infersched is the in-engine batched inference scheduler: an
 // "inference server inside the database". Every ModelJoin operator submits
-// its gathered feature batches here — there is no other way to the device;
-// the scheduler coalesces batches that target the same built
-// model artifact — typically batches from *different* queries, deduplicated
-// onto one artifact by the cross-query model cache — into a single packed
-// forward pass, then scatters the prediction rows back to each waiting
-// submitter.
+// its gathered feature batches here — there is no other way to the device.
+// Batches that target the same built model artifact — typically from
+// *different* queries, deduplicated onto one artifact by the cross-query
+// model cache — are coalesced into a single packed forward pass, and the
+// prediction rows are scattered back to each submitter.
 //
 // Why this exists: under concurrent serving traffic every query otherwise
 // runs its own small Sgemm over its own ≤vectorsize feature rows, so the
@@ -15,31 +14,35 @@
 // Databases" identifies between RDBMS execution and dedicated inference
 // servers.
 //
-// Scheduling policy (continuous batching, the policy inference servers
-// converged on):
+// Scheduling is flat combining (Hendler, Incze, Shavit and Tzafrir, SPAA
+// 2010); the package starts no goroutine and sets no timer:
 //
-//   - A request arriving at an idle (model, device) queue launches
-//     immediately — a single-stream client never pays a coalesce wait.
-//   - While a batch is in flight, newly arriving requests pend; they
-//     launch as the next super-batch when the in-flight batch completes,
-//     when the pending rows reach MaxBatchRows, or when the oldest pending
-//     request has waited MaxWait, whichever comes first.
-//   - Per-device concurrency is capped by MaxInFlight; a queue that decides
-//     to launch blocks on the device gate, during which later arrivals keep
-//     coalescing onto it.
+//   - Submit appends its request to the (model, device) queue and waits
+//     until the request is done, its submitter is handed a pass to run, or
+//     its context ends.
+//   - A device runs at most MaxInFlight passes at once. A submitter that
+//     finds a slot free runs its own request at once. Otherwise the request
+//     pends, and the submitter that ends a pass hands its slot on: it
+//     claims the pending prefix of the device's longest-waiting queue, up to
+//     MaxBatchRows rows and possibly other statements' requests, and wakes
+//     the submitter of the prefix's first request, which runs it as one
+//     pass on its own goroutine and completes every waiter. Requests
+//     coalesce exactly while the device is busy, and a pass wakes only the
+//     goroutine that runs it.
+//   - A queue leaves the map when nothing is pending or running on it.
 //
 // Cancellation honors buffer ownership: a request's staging/prediction
-// buffers belong to the submitter until the dispatcher claims them for a
-// batch (an atomic state transition), after which they belong to the
-// scheduler until the batch completes. A canceled submitter that lost the
-// claim race therefore blocks until its batch finishes — returning early
-// would let the operator recycle buffers mid-pack.
+// buffers belong to the submitter until its request is claimed for a pass,
+// after which they belong to that pass until it completes. A canceled
+// submitter whose request was claimed therefore waits for the pass —
+// returning early would let the operator recycle buffers mid-pack — and
+// then returns the context error; one that was handed the pass runs it
+// first.
 package infersched
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"indbml/internal/metrics"
@@ -63,136 +66,96 @@ type Label struct {
 	Device string
 }
 
-// Config tunes the scheduler. The zero value selects the defaults.
-type Config struct {
-	// MaxWait bounds how long a pending request may sit in a coalesce
-	// window before its batch launches regardless of in-flight state.
-	// Default 500µs.
-	MaxWait time.Duration
-	// MaxBatchRows caps the rows packed into one super-batch. Default 8192.
-	MaxBatchRows int
-	// MaxInFlight caps concurrently executing batches per device. Default 2.
-	MaxInFlight int
-}
-
 const (
-	defaultMaxWait      = 500 * time.Microsecond
-	defaultMaxBatchRows = 8192
-	defaultMaxInFlight  = 2
+	// MaxBatchRows caps the rows a combiner claims for one pass; the first
+	// request of a pass is taken whole, whatever its size.
+	MaxBatchRows = 8192
+	// MaxInFlight caps the passes running at once on one device.
+	MaxInFlight = 2
 
 	// ringSize is the per-batch stats ring capacity backing
 	// system.inference_batches.
 	ringSize = 512
-
-	// idleExit is how long an empty queue's dispatcher lingers before the
-	// goroutine exits and the queue is dropped from the map; model eviction
-	// and rebuild churn therefore cannot grow the map without bound.
-	idleExit = 5 * time.Second
 )
 
-func (c Config) withDefaults() Config {
-	if c.MaxWait <= 0 {
-		c.MaxWait = defaultMaxWait
-	}
-	if c.MaxBatchRows <= 0 {
-		c.MaxBatchRows = defaultMaxBatchRows
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = defaultMaxInFlight
-	}
-	return c
-}
-
-// Scheduler coalesces inference requests per built model artifact. Its
-// Config is the one scheduling policy: every request follows it.
+// Scheduler coalesces inference requests per built model artifact.
 type Scheduler struct {
-	cfg   Config
 	stats *Stats
 
+	// mu guards the queue map, every queue, the per-device pass counts and
+	// every request's claimed and batch fields.
 	mu      sync.Mutex
 	queues  map[Runner]*queue
-	devGate map[string]chan struct{} // per-device in-flight cap
+	running map[string]int // passes in flight per device, ≤ MaxInFlight
 
 	bufPool sync.Pool // []float32 pack/scatter buffers
 }
 
 // New creates a scheduler and registers its collectors on reg.
-func New(cfg Config, reg *metrics.Registry) *Scheduler {
-	cfg = cfg.withDefaults()
+func New(reg *metrics.Registry) *Scheduler {
 	s := &Scheduler{
-		cfg:     cfg,
 		stats:   newStats(reg),
 		queues:  make(map[Runner]*queue),
-		devGate: make(map[string]chan struct{}),
+		running: make(map[string]int),
 	}
 	s.registerQueueGauges(reg)
 	return s
 }
 
-// request states: the atomic arbiter between the dispatcher's claim and
-// the submitter's cancellation.
-const (
-	reqWaiting  = 0 // pending; buffers owned by the submitter
-	reqClaimed  = 1 // packed into a launching batch; buffers owned by the scheduler
-	reqCanceled = 2 // canceled before any claim; dispatcher must skip it
-)
-
 type request struct {
 	rows    int
-	staging []float32 // rows×inDim, read by the dispatcher while claimed
-	preds   []float32 // rows×outDim, written by the dispatcher while claimed
-	state   atomic.Int32
-	done    chan struct{} // closed after preds are final and err is set
-	err     error         // written before done closes
+	staging []float32 // rows×inDim, read by the pass while claimed
+	preds   []float32 // rows×outDim, written by the pass while claimed
 	enq     time.Time
 
-	// Attribution, written by runBatch before done closes: the coalesce
-	// wait this request paid and its rows-proportional share of the packed
-	// run (so per-query tracing still reconciles under coalescing).
+	claimed bool       // a pass owns the buffers
+	batch   []*request // the claimed pass this request heads, for its submitter to run
+	// wake carries the request's one signal: batch is set, or the pass
+	// holding the request has completed. One signal, so the buffer of one
+	// makes every send non-blocking.
+	wake chan struct{}
+
+	// Written by run before the signal: the pass's error, the wait this
+	// request paid before its pass started and its rows-proportional share
+	// of the packed run (so per-query tracing still reconciles under
+	// coalescing).
+	err       error
 	wait      time.Duration
 	runShare  time.Duration
 	busyShare time.Duration
 }
 
-// Result reports what one Submit paid: Wait is the coalesce-window wait
-// before its batch launched, Run the request's pro-rata share of the packed
-// device pass and Busy its share of that pass's kernel busy time.
+// Result reports what one Submit paid: Wait is the time from submission to
+// the start of its pass (queue and device gate), Run the request's pro-rata
+// share of the packed device pass and Busy its share of that pass's kernel
+// busy time.
 type Result struct {
 	Wait time.Duration
 	Run  time.Duration
 	Busy time.Duration
 }
 
+// queue is one (model, device) queue; all fields are guarded by
+// Scheduler.mu.
 type queue struct {
-	s      *Scheduler
-	label  Label
-	runner Runner
-	gate   chan struct{} // the device's shared in-flight gate
+	label   Label
+	runner  Runner
+	pending []*request
+	running int // passes in flight
 
-	mu          sync.Mutex
-	pending     []*request
-	pendingRows int
-	inflight    int
-	dead        bool // dispatcher exited; the queue is out of the map
-
-	// rolling per-queue totals for StatusText.
-	batches atomic.Int64
-	rows    atomic.Int64
-
-	kick chan struct{} // buffered(1) wake-up for the dispatcher
+	// rolling per-queue totals for StatsText.
+	batches int64
+	rows    int64
 }
 
 // Submit hands one gathered feature batch to the scheduler and blocks until
-// the super-batch containing it completes (or ctx cancels it first).
+// the pass containing it completes (or ctx cancels it first). The caller
+// may run that pass itself, on its own goroutine, together with other
+// callers' pending requests.
 //
 // staging must hold rows×r.InputDim() feature values; preds must have room
 // for rows×r.OutputDim() and is fully written on success. Both buffers must
 // stay untouched by the caller until Submit returns.
-//
-// If ctx carries a SlotYielder (see WithYielder), the submitter's admission
-// slot is released for the whole wait and re-acquired before returning, so
-// a query parked in a coalesce window never holds an execution slot
-// hostage.
 func (s *Scheduler) Submit(ctx context.Context, label Label, r Runner, rows int, staging, preds []float32) (Result, error) {
 	if rows == 0 {
 		return Result{}, nil
@@ -201,206 +164,134 @@ func (s *Scheduler) Submit(ctx context.Context, label Label, r Runner, rows int,
 		rows:    rows,
 		staging: staging,
 		preds:   preds,
-		done:    make(chan struct{}),
 		enq:     time.Now(),
+		wake:    make(chan struct{}, 1),
 	}
 	q := s.enqueue(label, r, req)
-
-	y := YielderFrom(ctx)
-	if y != nil {
-		y.Yield()
-	}
-	err := waitDone(ctx, q, req)
-	if y != nil {
-		if uerr := y.Unyield(ctx); uerr != nil && err == nil {
-			err = uerr
-		}
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	// req.wait/runShare/busyShare were written by runBatch before done closed.
-	return Result{Wait: req.wait, Run: req.runShare, Busy: req.busyShare}, nil
-}
-
-func waitDone(ctx context.Context, q *queue, req *request) error {
 	var cancel <-chan struct{}
 	if ctx != nil {
 		cancel = ctx.Done()
 	}
 	select {
-	case <-req.done:
-		return req.err
+	case <-req.wake:
 	case <-cancel:
-	}
-	if req.state.CompareAndSwap(reqWaiting, reqCanceled) {
-		// Won the race against the dispatcher's claim: the request never
-		// joins a batch, so drop it from the pending list and leave.
-		q.mu.Lock()
-		for i, r := range q.pending {
-			if r == req {
-				q.pending = append(q.pending[:i], q.pending[i+1:]...)
-				q.pendingRows -= r.rows
-				break
-			}
+		if s.withdraw(q, req) {
+			return Result{}, ctx.Err()
 		}
-		q.mu.Unlock()
-		return ctx.Err()
+		// Already claimed: the pass owns the buffers until it completes.
+		<-req.wake
 	}
-	// Already claimed: the scheduler owns the buffers until the batch
-	// completes. Wait it out, then report the cancellation.
-	<-req.done
-	return ctx.Err()
+	if req.batch != nil {
+		s.handOff(q, s.run(q, req.batch))
+	}
+	if ctx != nil && ctx.Err() != nil {
+		return Result{}, ctx.Err()
+	}
+	if req.err != nil {
+		return Result{}, req.err
+	}
+	return Result{Wait: req.wait, Run: req.runShare, Busy: req.busyShare}, nil
 }
 
-// enqueue resolves (or creates) the runner's queue and appends req. Queues
-// whose dispatcher has exited are dead — their map slot is gone — so the
-// lookup retries until it lands on a live queue.
+// enqueue resolves (or creates) the runner's queue and appends req; on a
+// device with a free slot, req's submitter is handed its own pass at once.
 func (s *Scheduler) enqueue(label Label, r Runner, req *request) *queue {
-	for {
-		s.mu.Lock()
-		q := s.queues[r]
-		if q == nil {
-			gate := s.devGate[label.Device]
-			if gate == nil {
-				gate = make(chan struct{}, s.cfg.MaxInFlight)
-				s.devGate[label.Device] = gate
-			}
-			q = &queue{
-				s:      s,
-				label:  label,
-				runner: r,
-				gate:   gate,
-				kick:   make(chan struct{}, 1),
-			}
-			s.queues[r] = q
-			go q.run()
-		}
-		s.mu.Unlock()
-
-		q.mu.Lock()
-		if q.dead {
-			q.mu.Unlock()
-			continue
-		}
-		q.pending = append(q.pending, req)
-		q.pendingRows += req.rows
-		q.mu.Unlock()
-		q.kickNow()
-		return q
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	q := s.queues[r]
+	if q == nil {
+		q = &queue{label: label, runner: r}
+		s.queues[r] = q
 	}
+	q.pending = append(q.pending, req)
+	if s.running[label.Device] < MaxInFlight {
+		s.running[label.Device]++
+		s.dispatch(q)
+	}
+	return q
 }
 
-func (q *queue) kickNow() {
-	select {
-	case q.kick <- struct{}{}:
-	default:
-	}
-}
-
-// run is the queue's dispatcher goroutine: it applies the continuous-
-// batching launch policy until the queue has been idle for idleExit, then
-// removes the queue from the scheduler and exits.
-func (q *queue) run() {
-	for {
-		q.mu.Lock()
-		if len(q.pending) == 0 {
-			q.mu.Unlock()
-			select {
-			case <-q.kick:
-				continue
-			case <-time.After(idleExit):
-			}
-			// Try to retire: take the scheduler lock first (lock order:
-			// Scheduler.mu then queue.mu, same as enqueue) and re-check.
-			q.s.mu.Lock()
-			q.mu.Lock()
-			if len(q.pending) == 0 && q.inflight == 0 {
-				q.dead = true
-				delete(q.s.queues, q.runner)
-				q.mu.Unlock()
-				q.s.mu.Unlock()
-				return
-			}
-			q.mu.Unlock()
-			q.s.mu.Unlock()
-			continue
-		}
-		oldest := q.pending[0]
-		deadline := oldest.enq.Add(q.s.cfg.MaxWait)
-		now := time.Now()
-		// Launch immediately whenever the device gate has idle capacity:
-		// with a free in-flight slot there is nothing for later arrivals to
-		// coalesce behind, so making the oldest request sit out its full
-		// MaxWait only adds latency (the 4-client regression — the gate
-		// [MaxInFlight=2] was never saturated, yet every request paid the
-		// coalesce window). Under saturation (8+ clients) the gate is full
-		// and the original coalesce-while-busy policy is preserved.
-		launch := q.inflight == 0 ||
-			len(q.gate) < cap(q.gate) ||
-			q.pendingRows >= q.s.cfg.MaxBatchRows ||
-			!now.Before(deadline)
-		if !launch {
-			q.mu.Unlock()
-			t := time.NewTimer(deadline.Sub(now))
-			select {
-			case <-q.kick:
-			case <-t.C:
-			}
-			t.Stop()
-			continue
-		}
-		q.mu.Unlock()
-		q.launch()
-	}
-}
-
-// launch acquires the device gate, claims the pending prefix up to the row
-// budget and runs it as one batch on its own goroutine. Acquiring the gate
-// *before* claiming is deliberate: while this queue waits for device
-// capacity, new arrivals keep coalescing and canceled waiters can still
-// leave.
-func (q *queue) launch() {
-	q.gate <- struct{}{}
-
-	q.mu.Lock()
-	var batch []*request
-	rows := 0
-	taken := 0
+// dispatch claims q's pending prefix, up to MaxBatchRows rows with the first
+// request taken whole, and hands it to the first request's submitter to
+// run. The caller holds s.mu and one of the device's slots for the pass.
+func (s *Scheduler) dispatch(q *queue) {
+	n, rows := 0, 0
 	for _, r := range q.pending {
-		if len(batch) > 0 && rows+r.rows > q.s.cfg.MaxBatchRows {
+		if n > 0 && rows+r.rows > MaxBatchRows {
 			break
 		}
-		taken++
-		q.pendingRows -= r.rows
-		if r.state.CompareAndSwap(reqWaiting, reqClaimed) {
-			batch = append(batch, r)
-			rows += r.rows
-		}
-		// A lost CAS means the waiter canceled between our scan and now; it
-		// removes itself from pending only when it wins the CAS, so a
-		// request we scanned in state reqCanceled is ours to drop.
+		r.claimed = true
+		rows += r.rows
+		n++
 	}
-	q.pending = q.pending[taken:]
-	if len(batch) == 0 {
-		q.mu.Unlock()
-		<-q.gate
-		return
-	}
-	q.inflight++
-	q.mu.Unlock()
-	go q.runBatch(batch, rows)
+	head := q.pending[0]
+	head.batch = q.pending[:n:n]
+	q.pending = q.pending[n:]
+	q.running++
+	head.wake <- struct{}{}
 }
 
-// runBatch packs, runs and scatters one claimed batch, completes its
-// waiters, then releases the device gate and wakes the dispatcher.
-func (q *queue) runBatch(batch []*request, rows int) {
+// handOff ends a pass of q over rows: its device slot goes to the device's
+// queue whose first pending request has waited longest, or is freed when
+// nothing pends.
+func (s *Scheduler) handOff(q *queue, rows int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	q.running--
+	q.batches++
+	q.rows += int64(rows)
+	var next *queue
+	for _, o := range s.queues {
+		if o.label.Device == q.label.Device && len(o.pending) > 0 &&
+			(next == nil || o.pending[0].enq.Before(next.pending[0].enq)) {
+			next = o
+		}
+	}
+	if next != nil {
+		s.dispatch(next)
+	} else {
+		s.running[q.label.Device]--
+	}
+	s.retire(q)
+}
+
+// withdraw removes a canceled request that no pass has claimed and reports
+// whether it did; a claimed request stays with its pass.
+func (s *Scheduler) withdraw(q *queue, req *request) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if req.claimed {
+		return false
+	}
+	for i, r := range q.pending {
+		if r == req {
+			q.pending = append(q.pending[:i], q.pending[i+1:]...)
+			break
+		}
+	}
+	s.retire(q)
+	return true
+}
+
+// retire drops q from the map once nothing is pending or running on it.
+// Every pending request's queue is in the map, so a later submit for the
+// same runner starts a fresh queue. Called with s.mu held.
+func (s *Scheduler) retire(q *queue) {
+	if len(q.pending) == 0 && q.running == 0 {
+		delete(s.queues, q.runner)
+	}
+}
+
+// run packs, runs and scatters one claimed batch, signals its other waiters
+// (batch[0] is the caller's own request) and returns its row count.
+func (s *Scheduler) run(q *queue, batch []*request) int {
 	start := time.Now()
 	var maxWait time.Duration
+	rows := 0
 	for _, r := range batch {
-		if w := start.Sub(r.enq); w > maxWait {
-			maxWait = w
-		}
+		r.wait = start.Sub(r.enq)
+		maxWait = max(maxWait, r.wait)
+		rows += r.rows
 	}
 	in, out := q.runner.InputDim(), q.runner.OutputDim()
 	var busy time.Duration
@@ -411,8 +302,8 @@ func (q *queue) runBatch(batch []*request, rows int) {
 		r := batch[0]
 		busy, err = q.runner.RunPacked(r.rows, r.staging, r.preds)
 	} else {
-		staging := q.s.getBuf(rows * in)
-		preds := q.s.getBuf(rows * out)
+		staging := s.getBuf(rows * in)
+		preds := s.getBuf(rows * out)
 		off := 0
 		for _, r := range batch {
 			copy(staging[off*in:(off+r.rows)*in], r.staging[:r.rows*in])
@@ -426,28 +317,22 @@ func (q *queue) runBatch(batch []*request, rows int) {
 				off += r.rows
 			}
 		}
-		q.s.putBuf(staging)
-		q.s.putBuf(preds)
+		s.putBuf(staging)
+		s.putBuf(preds)
 	}
 	runDur := time.Since(start)
 	// Record before releasing the waiters, so a statement that has returned
 	// always finds its batches in the stats (system.inference_batches).
-	q.batches.Add(1)
-	q.rows.Add(int64(rows))
-	q.s.stats.recordBatch(q.label, len(batch), rows, maxWait, runDur)
-	for _, r := range batch {
-		r.wait = start.Sub(r.enq)
+	s.stats.recordBatch(q.label, len(batch), rows, maxWait, runDur)
+	for i, r := range batch {
 		r.runShare = runDur * time.Duration(r.rows) / time.Duration(rows)
 		r.busyShare = busy * time.Duration(r.rows) / time.Duration(rows)
 		r.err = err
-		close(r.done)
+		if i > 0 {
+			r.wake <- struct{}{}
+		}
 	}
-
-	<-q.gate
-	q.mu.Lock()
-	q.inflight--
-	q.mu.Unlock()
-	q.kickNow()
+	return rows
 }
 
 func (s *Scheduler) getBuf(n int) []float32 {
@@ -474,23 +359,16 @@ type queueState struct {
 
 func (s *Scheduler) queueStates() []queueState {
 	s.mu.Lock()
-	qs := make([]*queue, 0, len(s.queues))
+	defer s.mu.Unlock()
+	out := make([]queueState, 0, len(s.queues))
 	for _, q := range s.queues {
-		qs = append(qs, q)
-	}
-	s.mu.Unlock()
-	out := make([]queueState, 0, len(qs))
-	for _, q := range qs {
-		q.mu.Lock()
-		st := queueState{
+		out = append(out, queueState{
 			label:    q.label,
 			depth:    len(q.pending),
-			inflight: q.inflight,
-			batches:  q.batches.Load(),
-			rows:     q.rows.Load(),
-		}
-		q.mu.Unlock()
-		out = append(out, st)
+			inflight: q.running,
+			batches:  q.batches,
+			rows:     q.rows,
+		})
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,8 +92,81 @@ func wantPreds(t *testing.T, r *fakeRunner, staging, preds []float32, rows int) 
 	}
 }
 
+// blocker is a Runner whose passes park inside RunPacked, after signalling
+// entered, until release is closed.
+type blocker struct {
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (b *blocker) InputDim() int  { return 1 }
+func (b *blocker) OutputDim() int { return 1 }
+func (b *blocker) RunPacked(rows int, staging, preds []float32) (time.Duration, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return 0, nil
+}
+
+// fillGate occupies every in-flight slot of device with a parked pass, one
+// blocker queue per slot, and returns the function that lets those passes
+// finish and waits for their submitters. Until then every request for that
+// device pends.
+func fillGate(t *testing.T, s *Scheduler, device string) (release func()) {
+	t.Helper()
+	entered := make(chan struct{}, MaxInFlight)
+	rel := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < MaxInFlight; i++ {
+		b := &blocker{entered: entered, release: rel}
+		lbl := Label{Model: fmt.Sprintf("blocker%d", i), Device: device}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Submit(context.Background(), lbl, b, 1, make([]float32, 1), make([]float32, 1)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for i := 0; i < MaxInFlight; i++ {
+		<-entered
+	}
+	return func() {
+		close(rel)
+		wg.Wait()
+	}
+}
+
+// waitDepth waits until n requests pend across s's queues.
+func waitDepth(t *testing.T, s *Scheduler, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		depth := 0
+		for _, q := range s.queueStates() {
+			depth += q.depth
+		}
+		if depth == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", depth, n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// submitAsync submits rows from its own goroutine and delivers the outcome.
+func submitAsync(ctx context.Context, s *Scheduler, lbl Label, r Runner, rows int, staging, preds []float32) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(ctx, lbl, r, rows, staging, preds)
+		errc <- err
+	}()
+	return errc
+}
+
 func TestSingleSubmitNoCoalesceWait(t *testing.T) {
-	s := New(Config{MaxWait: 50 * time.Millisecond}, metrics.NewRegistry())
+	s := New(metrics.NewRegistry())
 	r := &fakeRunner{in: 4, out: 1}
 	staging := makeBatch(8, 4, 2)
 	preds := make([]float32, 8)
@@ -100,7 +174,7 @@ func TestSingleSubmitNoCoalesceWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Idle queue → immediate launch; the wait must be far below MaxWait.
+	// Idle device → the submitter runs its own pass at once.
 	if res.Wait > 20*time.Millisecond {
 		t.Fatalf("single-stream submit waited %v", res.Wait)
 	}
@@ -110,194 +184,195 @@ func TestSingleSubmitNoCoalesceWait(t *testing.T) {
 	}
 }
 
+// TestConcurrentSubmitsCoalesce: with the device gate full, requests pend
+// and leave as one super-batch when a slot frees; each keeps its own rows,
+// its pro-rata share of the pass and a wait that covers the gate wait. While
+// they pend, the queue is live in STATUS and the BATCHER report.
 func TestConcurrentSubmitsCoalesce(t *testing.T) {
-	// One slow in-flight batch forces all later arrivals to pend together;
-	// MaxInFlight=1 serializes the device so the pending set launches as one
-	// super-batch.
-	s := New(Config{MaxWait: time.Second, MaxInFlight: 1}, metrics.NewRegistry())
-	r := &fakeRunner{in: 2, out: 2, delay: 30 * time.Millisecond}
+	s := New(metrics.NewRegistry())
+	r := &fakeRunner{in: 2, out: 2}
 	lbl := Label{"m", "gpu"}
-
-	// Prime the queue with an in-flight batch.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		st := makeBatch(1, 2, 0)
-		pr := make([]float32, 2)
-		if _, err := s.Submit(context.Background(), lbl, r, 1, st, pr); err != nil {
-			t.Error(err)
-		}
-	}()
-	time.Sleep(5 * time.Millisecond) // let it launch
+	release := fillGate(t, s, "gpu")
 
 	const n = 6
 	stagings := make([][]float32, n)
 	predss := make([][]float32, n)
+	results := make([]Result, n)
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		i := i
 		stagings[i] = makeBatch(3, 2, float32(10*i))
 		predss[i] = make([]float32, 3*2)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := s.Submit(context.Background(), lbl, r, 3, stagings[i], predss[i])
-			if err != nil {
+			var err error
+			if results[i], err = s.Submit(context.Background(), lbl, r, 3, stagings[i], predss[i]); err != nil {
 				t.Error(err)
-			}
-			// However the batch was packed, a 3-row request's share of the
-			// runner's 1µs-per-row busy time is 3µs.
-			if res.Busy != 3*time.Microsecond {
-				t.Errorf("submit %d: busy share %v, want 3µs", i, res.Busy)
 			}
 		}()
 	}
+	waitDepth(t, s, n)
+	if line := s.StatusLine(); !strings.Contains(line, "queues=3 depth=6 inflight=2 ") {
+		t.Fatalf("StatusLine while pending: %s", line)
+	}
+	if txt := s.StatsText(); !strings.Contains(txt, "queue model=m device=gpu depth=6 inflight=0 batches=0") {
+		t.Fatalf("StatsText while pending:\n%s", txt)
+	}
+	// Hold the gate long enough that the wait shows in every Result.
+	pending := time.Now()
+	time.Sleep(2 * time.Millisecond)
+	held := time.Since(pending)
+	release()
 	wg.Wait()
 
 	for i := 0; i < n; i++ {
 		wantPreds(t, r, stagings[i], predss[i], 3)
 	}
-	// First call is the primer (1 row); everything else must have coalesced
-	// into far fewer calls than n.
-	if calls := r.callCount(); calls >= n+1 {
-		t.Fatalf("no coalescing: %d calls for %d submits", calls, n+1)
+	if got := r.callCount(); got != 1 {
+		t.Fatalf("runner called %d times for %d pending submits, want 1 super-batch", got, n)
 	}
-	st := s.stats
-	if st.coalesced.Value() == 0 {
-		t.Fatal("stats recorded no coalesced batches")
+	var pass BatchStat
+	for _, b := range s.BatchSnapshot() {
+		if b.Model == "m" {
+			pass = b
+		}
 	}
-	if got, want := st.requests.Value(), int64(n+1); got != want {
-		t.Fatalf("stats requests=%d want %d", got, want)
+	if pass.Requests != n || pass.Rows != 3*n || pass.WaitNS < int64(held) {
+		t.Fatalf("batch record %+v, want %d requests, %d rows, wait ≥ %v", pass, n, 3*n, held)
+	}
+	var runSum time.Duration
+	for i, res := range results {
+		// A 3-row request's share of the runner's 1µs-per-row busy time is
+		// 3µs; its wait covers the time the gate was full.
+		if res.Busy != 3*time.Microsecond || res.Wait < held {
+			t.Errorf("submit %d: %+v, want busy 3µs and wait ≥ %v", i, res, held)
+		}
+		runSum += res.Run
+	}
+	if runSum > time.Duration(pass.RunNS) || runSum < time.Duration(pass.RunNS)-n {
+		t.Errorf("run shares sum to %v, pass ran %v", runSum, time.Duration(pass.RunNS))
+	}
+	if st := s.stats; st.coalesced.Value() != 1 || st.requests.Value() != n+MaxInFlight {
+		t.Fatalf("stats coalesced=%d requests=%d, want 1 and %d", st.coalesced.Value(), st.requests.Value(), n+MaxInFlight)
 	}
 }
 
 func TestMaxBatchRowsSplitsLaunch(t *testing.T) {
-	s := New(Config{MaxWait: time.Second, MaxBatchRows: 4, MaxInFlight: 1}, metrics.NewRegistry())
-	r := &fakeRunner{in: 1, out: 1, delay: 20 * time.Millisecond}
+	s := New(metrics.NewRegistry())
+	r := &fakeRunner{in: 1, out: 1}
 	lbl := Label{"m", "cpu"}
-	var wg sync.WaitGroup
-	// Primer occupies the device, then 4×2-row submits pend: budget 4 rows
-	// means they must go out as ≥2 separate super-batches.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		st, pr := makeBatch(1, 1, 0), make([]float32, 1)
-		s.Submit(context.Background(), lbl, r, 1, st, pr)
-	}()
-	time.Sleep(5 * time.Millisecond)
+	release := fillGate(t, s, "cpu")
+	// Four pending 3000-row requests hold 12000 rows, more than one pass
+	// may claim: they must leave as two 6000-row super-batches.
+	const rows = 3000
+	var errs []<-chan error
 	for i := 0; i < 4; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st, pr := makeBatch(2, 1, float32(i)), make([]float32, 2)
-			if _, err := s.Submit(context.Background(), lbl, r, 2, st, pr); err != nil {
-				t.Error(err)
-			}
-		}()
+		errs = append(errs, submitAsync(context.Background(), s, lbl, r, rows, makeBatch(rows, 1, float32(i)), make([]float32, rows)))
 	}
-	wg.Wait()
+	waitDepth(t, s, 4)
+	release()
+	for _, errc := range errs {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, rows := range r.calls {
-		if rows > 4 {
-			t.Fatalf("batch of %d rows exceeds MaxBatchRows=4 (calls %v)", rows, r.calls)
-		}
+	if len(r.calls) != 2 || r.calls[0] != 2*rows || r.calls[1] != 2*rows {
+		t.Fatalf("passes of %v rows, want two of %d (MaxBatchRows %d)", r.calls, 2*rows, MaxBatchRows)
 	}
 }
 
 func TestCancelBeforeClaim(t *testing.T) {
-	s := New(Config{MaxWait: time.Hour, MaxInFlight: 1}, metrics.NewRegistry())
-	r := &fakeRunner{in: 1, out: 1, delay: 50 * time.Millisecond}
+	s := New(metrics.NewRegistry())
+	r := &fakeRunner{in: 1, out: 1}
 	lbl := Label{"m", "cpu"}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // occupy the device so the victim pends
-		defer wg.Done()
-		st, pr := makeBatch(1, 1, 0), make([]float32, 1)
-		s.Submit(context.Background(), lbl, r, 1, st, pr)
-	}()
-	time.Sleep(5 * time.Millisecond)
+	release := fillGate(t, s, "cpu")
+	defer release()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		st, pr := makeBatch(1, 1, 1), make([]float32, 1)
-		_, err := s.Submit(ctx, lbl, r, 1, st, pr)
-		errc <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
+	errc := submitAsync(ctx, s, lbl, r, 1, makeBatch(1, 1, 1), make([]float32, 1))
+	waitDepth(t, s, 1)
 	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-	case <-time.After(10 * time.Millisecond):
-		// MaxWait is an hour and the device is busy for another ~40ms: a
-		// canceled-before-claim waiter must return immediately, not wait.
-		t.Fatal("canceled waiter did not return promptly")
-	}
-	wg.Wait()
-	// The canceled request must not have been packed into any batch.
-	if got := r.callCount(); got != 1 {
-		t.Fatalf("runner ran %d batches, want 1 (primer only)", got)
-	}
-}
-
-func TestCancelAfterClaimWaitsForBatch(t *testing.T) {
-	s := New(Config{MaxWait: time.Hour}, metrics.NewRegistry())
-	r := &fakeRunner{in: 1, out: 1, delay: 40 * time.Millisecond}
-	lbl := Label{"m", "cpu"}
-	ctx, cancel := context.WithCancel(context.Background())
-	st, pr := makeBatch(1, 1, 3), make([]float32, 1)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := s.Submit(ctx, lbl, r, 1, st, pr)
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // idle queue → claimed and launched
-	begin := time.Now()
-	cancel()
-	err := <-errc
-	if !errors.Is(err, context.Canceled) {
+	// The gate stays full until the deferred release: a waiter canceled
+	// before any claim returns without waiting for the device.
+	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	// Buffers were owned by the in-flight batch: Submit must have blocked
-	// until the run finished (≈30ms left of the 40ms delay).
-	if e := time.Since(begin); e < 15*time.Millisecond {
-		t.Fatalf("claimed-then-canceled submit returned after %v; should wait out the batch", e)
+	if got := r.callCount(); got != 0 {
+		t.Fatalf("canceled request reached the runner (%d passes)", got)
+	}
+	waitDepth(t, s, 0)
+}
+
+// TestCancelAfterClaimWaitsForBatch: a canceled submitter whose request is
+// in a running pass returns the context error only after that pass — as a
+// lone combiner running its own request, and as one of two requests
+// coalesced into one pass, where one of them is the combiner and the other
+// waits on it.
+func TestCancelAfterClaimWaitsForBatch(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		s := New(metrics.NewRegistry())
+		entered := make(chan struct{}, 1)
+		rel := make(chan struct{})
+		r := &blocker{entered: entered, release: rel}
+		lbl := Label{"m", "cpu"}
+		var releaseGate func()
+		if n > 1 {
+			releaseGate = fillGate(t, s, "cpu")
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var errs []<-chan error
+		for i := 0; i < n; i++ {
+			errs = append(errs, submitAsync(ctx, s, lbl, r, 1, make([]float32, 1), make([]float32, 1)))
+		}
+		if n > 1 {
+			waitDepth(t, s, n)
+			releaseGate()
+		}
+		<-entered // the pass holding every request is running
+		cancel()
+		var finished atomic.Bool
+		time.AfterFunc(20*time.Millisecond, func() {
+			finished.Store(true)
+			close(rel)
+		})
+		for _, errc := range errs {
+			err := <-errc
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%d requests: want context.Canceled, got %v", n, err)
+			}
+			if !finished.Load() {
+				t.Fatalf("%d requests: a claimed, canceled submit returned before its pass finished", n)
+			}
+		}
 	}
 }
 
 func TestRunError_PropagatesToAllWaiters(t *testing.T) {
 	failure := errors.New("device melted")
-	s := New(Config{MaxWait: time.Second, MaxInFlight: 1}, metrics.NewRegistry())
-	r := &fakeRunner{in: 1, out: 1, delay: 20 * time.Millisecond, fail: failure}
+	s := New(metrics.NewRegistry())
+	r := &fakeRunner{in: 1, out: 1, fail: failure}
 	lbl := Label{"m", "cpu"}
-	var wg sync.WaitGroup
-	errs := make(chan error, 5)
+	release := fillGate(t, s, "cpu")
+	var errs []<-chan error
 	for i := 0; i < 5; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st, pr := makeBatch(1, 1, 0), make([]float32, 1)
-			_, err := s.Submit(context.Background(), lbl, r, 1, st, pr)
-			errs <- err
-		}()
+		errs = append(errs, submitAsync(context.Background(), s, lbl, r, 1, makeBatch(1, 1, 0), make([]float32, 1)))
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if !errors.Is(err, failure) {
+	waitDepth(t, s, 5)
+	release()
+	for _, errc := range errs {
+		if err := <-errc; !errors.Is(err, failure) {
 			t.Fatalf("want %v, got %v", failure, err)
 		}
+	}
+	if got := r.callCount(); got != 1 {
+		t.Fatalf("%d passes, want the 5 requests in one", got)
 	}
 }
 
 func TestDeviceGateCapsInflight(t *testing.T) {
-	s := New(Config{MaxWait: time.Millisecond, MaxInFlight: 2}, metrics.NewRegistry())
+	s := New(metrics.NewRegistry())
 	// Two runners (distinct models) share the "gpu" device gate.
 	ra := &fakeRunner{in: 1, out: 1, delay: 20 * time.Millisecond}
 	rb := &fakeRunner{in: 1, out: 1, delay: 20 * time.Millisecond}
@@ -309,7 +384,6 @@ func TestDeviceGateCapsInflight(t *testing.T) {
 	ga, gb := wrap(ra), wrap(rb)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -326,8 +400,8 @@ func TestDeviceGateCapsInflight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("device ran %d concurrent batches, cap is 2", p)
+	if p := peak.Load(); p > MaxInFlight {
+		t.Fatalf("device ran %d concurrent batches, cap is %d", p, MaxInFlight)
 	}
 }
 
@@ -350,80 +424,78 @@ func (g *gatedRunner) RunPacked(rows int, staging, preds []float32) (time.Durati
 	return g.f.RunPacked(rows, staging, preds)
 }
 
-// yieldSpy verifies Submit releases the admission slot around its wait.
-type yieldSpy struct {
-	yields, unyields atomic.Int32
-}
+// TestSchedulerLeavesNothingBehind: after submits, cancels before and after
+// claim and a failing pass, the scheduler holds no queue and no goroutine
+// of its own is left running.
+func TestSchedulerLeavesNothingBehind(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(metrics.NewRegistry())
+	ok := &fakeRunner{in: 2, out: 1}
+	bad := &fakeRunner{in: 2, out: 1, fail: errors.New("boom")}
+	lbl := Label{"m", "cpu"}
+	submit := func(ctx context.Context, r Runner) <-chan error {
+		return submitAsync(ctx, s, lbl, r, 4, makeBatch(4, 2, 1), make([]float32, 4))
+	}
 
-func (y *yieldSpy) Yield() { y.yields.Add(1) }
-func (y *yieldSpy) Unyield(ctx context.Context) error {
-	y.unyields.Add(1)
-	return nil
-}
-
-func TestSubmitYieldsSlot(t *testing.T) {
-	s := New(Config{}, metrics.NewRegistry())
-	r := &fakeRunner{in: 1, out: 1}
-	spy := &yieldSpy{}
-	ctx := WithYielder(context.Background(), spy)
-	st, pr := makeBatch(1, 1, 0), make([]float32, 1)
-	if _, err := s.Submit(ctx, Label{"m", "cpu"}, r, 1, st, pr); err != nil {
+	// Submits that run alone, then a coalesced pass.
+	for i := 0; i < 3; i++ {
+		if err := <-submit(context.Background(), ok); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := fillGate(t, s, "cpu")
+	before, cancelBefore := context.WithCancel(context.Background())
+	a, b := submit(context.Background(), ok), submit(before, ok)
+	waitDepth(t, s, 2)
+	cancelBefore()
+	if err := <-b; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel before claim: %v", err)
+	}
+	fail := submit(context.Background(), bad)
+	waitDepth(t, s, 2)
+	release()
+	if err := <-a; err != nil {
 		t.Fatal(err)
 	}
-	if spy.yields.Load() != 1 || spy.unyields.Load() != 1 {
-		t.Fatalf("yields=%d unyields=%d, want 1/1", spy.yields.Load(), spy.unyields.Load())
+	if err := <-fail; err == nil {
+		t.Fatal("failing pass reported no error")
+	}
+
+	// A cancel after claim, on a pass parked in its runner.
+	entered, rel := make(chan struct{}, 1), make(chan struct{})
+	after, cancelAfter := context.WithCancel(context.Background())
+	c := submitAsync(after, s, lbl, &blocker{entered: entered, release: rel}, 1, make([]float32, 1), make([]float32, 1))
+	<-entered
+	cancelAfter()
+	close(rel)
+	if err := <-c; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel after claim: %v", err)
+	}
+
+	if states := s.queueStates(); len(states) != 0 {
+		t.Fatalf("%d queues remain: %+v", len(states), states)
+	}
+	if txt := s.StatsText(); !strings.Contains(txt, "queues: none live") {
+		t.Fatalf("StatsText:\n%s", txt)
+	}
+	// The test's own submitter goroutines have sent their results; give
+	// them the moment they need to exit.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d at start:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
 	}
 }
 
-// TestYielderContext: a yielder survives the context round-trip; a bare, nil
-// or nil-yielder context carries none.
-func TestYielderContext(t *testing.T) {
-	spy := &yieldSpy{}
-	if got := YielderFrom(WithYielder(context.Background(), spy)); got != spy {
-		t.Fatalf("yielder round-trip returned %v", got)
-	}
-	if YielderFrom(context.Background()) != nil {
-		t.Fatal("YielderFrom on bare ctx must be nil")
-	}
-	if YielderFrom(nil) != nil { //nolint:staticcheck // nil ctx is part of the contract
-		t.Fatal("YielderFrom on nil ctx must be nil")
-	}
-	if YielderFrom(WithYielder(context.Background(), nil)) != nil {
-		t.Fatal("WithYielder(nil) must attach nothing")
-	}
-}
-
-func TestQueueRetiresWhenIdle(t *testing.T) {
-	s := New(Config{}, metrics.NewRegistry())
-	r := &fakeRunner{in: 1, out: 1}
-	st, pr := makeBatch(1, 1, 0), make([]float32, 1)
-	if _, err := s.Submit(context.Background(), Label{"m", "cpu"}, r, 1, st, pr); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	live := len(s.queues)
-	s.mu.Unlock()
-	if live != 1 {
-		t.Fatalf("expected 1 live queue, got %d", live)
-	}
-	// Dead-queue handling: mark it dead by hand (idleExit is 5s — too slow
-	// for a unit test) and check enqueue recovers with a fresh queue.
-	s.mu.Lock()
-	q := s.queues[r]
-	s.mu.Unlock()
-	s.mu.Lock()
-	q.mu.Lock()
-	q.dead = true
-	delete(s.queues, r)
-	q.mu.Unlock()
-	s.mu.Unlock()
-	if _, err := s.Submit(context.Background(), Label{"m", "cpu"}, r, 1, st, pr); err != nil {
-		t.Fatalf("submit after queue death: %v", err)
-	}
-}
-
+// TestStatsAndSnapshots: the batch ring keeps the newest records in ID
+// order and the reports count every pass; once the traffic stops no queue
+// is live (the live-queue lines are checked while requests pend, in
+// TestConcurrentSubmitsCoalesce).
 func TestStatsAndSnapshots(t *testing.T) {
-	s := New(Config{}, metrics.NewRegistry())
+	s := New(metrics.NewRegistry())
 	s.stats.ring = metrics.NewRing[BatchStat](4)
 	r := &fakeRunner{in: 1, out: 1}
 	lbl := Label{Model: "iris", Device: "cpu"}
@@ -447,12 +519,15 @@ func TestStatsAndSnapshots(t *testing.T) {
 		t.Fatalf("bad record: %+v", last)
 	}
 	txt := s.StatsText()
-	for _, want := range []string{"batches: total=6", "model=iris", "coalesce_wait:"} {
+	for _, want := range []string{
+		"inference batcher: max_batch_rows=8192 max_inflight=2\n",
+		"batches: total=6", "coalesce_wait:", "queues: none live",
+	} {
 		if !strings.Contains(txt, want) {
 			t.Fatalf("StatsText missing %q:\n%s", want, txt)
 		}
 	}
-	if line := s.StatusLine(); !strings.Contains(line, "queues=1 ") || !strings.Contains(line, "batches=6") {
+	if line := s.StatusLine(); !strings.Contains(line, "queues=0 ") || !strings.Contains(line, "batches=6") {
 		t.Fatalf("StatusLine: %s", line)
 	}
 }
@@ -461,7 +536,7 @@ func TestStatsAndSnapshots(t *testing.T) {
 // with no attachment step.
 func TestNewRegistersMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s := New(Config{}, reg)
+	s := New(reg)
 	r := &fakeRunner{in: 1, out: 1}
 	st, pr := makeBatch(3, 1, 0), make([]float32, 3)
 	if _, err := s.Submit(context.Background(), Label{"m", "cpu"}, r, 3, st, pr); err != nil {
@@ -481,7 +556,7 @@ func TestNewRegistersMetrics(t *testing.T) {
 }
 
 func TestSubmitZeroRowsIsNoop(t *testing.T) {
-	s := New(Config{}, metrics.NewRegistry())
+	s := New(metrics.NewRegistry())
 	r := &fakeRunner{in: 1, out: 1}
 	if _, err := s.Submit(context.Background(), Label{"m", "cpu"}, r, 0, nil, nil); err != nil {
 		t.Fatal(err)
@@ -494,12 +569,11 @@ func TestSubmitZeroRowsIsNoop(t *testing.T) {
 func TestManyConcurrentSubmitters(t *testing.T) {
 	// Stress the full path: many goroutines, two models, one device,
 	// validating every result. Run with -race in CI.
-	s := New(Config{MaxWait: 200 * time.Microsecond, MaxInFlight: 2}, metrics.NewRegistry())
+	s := New(metrics.NewRegistry())
 	ra := &fakeRunner{in: 3, out: 2, delay: time.Millisecond}
 	rb := &fakeRunner{in: 3, out: 2, delay: time.Millisecond}
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -535,22 +609,13 @@ func TestManyConcurrentSubmitters(t *testing.T) {
 	if want := int64(32 * 4); total != want {
 		t.Fatalf("stats requests=%d want %d", total, want)
 	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.MaxWait != defaultMaxWait || c.MaxBatchRows != defaultMaxBatchRows ||
-		c.MaxInFlight != defaultMaxInFlight {
-		t.Fatalf("defaults not applied: %+v", c)
-	}
-	c = Config{MaxWait: time.Minute, MaxBatchRows: 1, MaxInFlight: 9}.withDefaults()
-	if c.MaxWait != time.Minute || c.MaxBatchRows != 1 || c.MaxInFlight != 9 {
-		t.Fatalf("explicit config overridden: %+v", c)
+	if states := s.queueStates(); len(states) != 0 {
+		t.Fatalf("%d queues remain after the load", len(states))
 	}
 }
 
 func BenchmarkSubmitSingleStream(b *testing.B) {
-	s := New(Config{}, metrics.NewRegistry())
+	s := New(metrics.NewRegistry())
 	r := &fakeRunner{in: 8, out: 1}
 	st := makeBatch(64, 8, 1)
 	pr := make([]float32, 64)
@@ -565,7 +630,7 @@ func BenchmarkSubmitSingleStream(b *testing.B) {
 }
 
 func ExampleScheduler_StatusLine() {
-	s := New(Config{}, metrics.NewRegistry())
+	s := New(metrics.NewRegistry())
 	fmt.Println(s.StatusLine())
 	// Output: queues=0 depth=0 inflight=0 batches=0 coalesced=0 mean_rows=0.0 mean_wait=0s
 }

@@ -16,12 +16,12 @@ import (
 // immutable records, readers snapshot without blocking anyone.
 type BatchStat struct {
 	ID       uint64
-	Start    time.Time // launch time (end of the coalesce window)
+	Start    time.Time // pass start (end of its requests' wait)
 	Model    string
 	Device   string
 	Requests int
 	Rows     int
-	WaitNS   int64 // longest coalesce wait among the batch's requests
+	WaitNS   int64 // longest wait (queue and device gate) among the batch's requests
 	RunNS    int64 // pack + forward pass + scatter wall time
 }
 
@@ -35,17 +35,18 @@ type Stats struct {
 	requests  *metrics.Gauge
 	rows      *metrics.Gauge
 	waitSum   atomic.Int64       // ns, summed over batches' max waits
-	wait      *metrics.Histogram // coalesce wait, seconds; StatsText renders it
+	wait      *metrics.Histogram // wait before the pass, seconds; StatsText renders it
 	batchRows *metrics.Histogram
 }
 
-// batchRowBounds buckets super-batch row counts; vectorsize (1024) and the
-// default MaxBatchRows (8192) both fall on bucket edges.
+// batchRowBounds buckets super-batch row counts; vectorsize (1024) and
+// MaxBatchRows (8192) both fall on bucket edges.
 var batchRowBounds = []float64{256, 512, 1024, 2048, 4096, 8192, 16384}
 
 // newStats registers the scheduler's counters and histograms on reg. The
-// coalesce-wait bounds are sub-ms-centric: the default MaxWait is 500µs, so
-// the interesting resolution is around it.
+// wait bounds are sub-ms-centric: a request waits at most for the passes
+// already running on its device, so the interesting resolution is below a
+// pass's length.
 func newStats(reg *metrics.Registry) *Stats {
 	return &Stats{
 		ring: metrics.NewRing[BatchStat](ringSize),
@@ -126,8 +127,7 @@ func (s *Scheduler) StatsText() string {
 		meanRows = float64(st.rows.Value()) / float64(batches)
 		meanReqs = float64(st.requests.Value()) / float64(batches)
 	}
-	fmt.Fprintf(&sb, "inference batcher: max_wait=%s max_batch_rows=%d max_inflight=%d\n",
-		s.cfg.MaxWait, s.cfg.MaxBatchRows, s.cfg.MaxInFlight)
+	fmt.Fprintf(&sb, "inference batcher: max_batch_rows=%d max_inflight=%d\n", MaxBatchRows, MaxInFlight)
 	fmt.Fprintf(&sb, "batches: total=%d coalesced=%d requests=%d rows=%d mean_rows=%.1f mean_requests=%.2f\n",
 		batches, st.coalesced.Value(), st.requests.Value(), st.rows.Value(), meanRows, meanReqs)
 	wait := st.wait.Snapshot()

@@ -1,60 +1,103 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/db"
 	"indbml/internal/infersched"
-	"indbml/internal/nn"
 	"indbml/internal/server/client"
-	"indbml/internal/workload"
 )
 
-// newBatchTestDB is newTestDB with control over the engine options — the
-// batching tests stretch the coalesce window so concurrent submissions
-// reliably land in one super-batch.
-func newBatchTestDB(t *testing.T, nRows, hidden int, opts db.Options) *db.Database {
+// parked is an inference Runner whose passes wait inside RunPacked, after
+// signalling entered, until release is closed.
+type parked struct {
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (p *parked) InputDim() int  { return 1 }
+func (p *parked) OutputDim() int { return 1 }
+func (p *parked) RunPacked(int, []float32, []float32) (time.Duration, error) {
+	p.entered <- struct{}{}
+	<-p.release
+	return 0, nil
+}
+
+// fillCPUGate occupies every in-flight slot of d's "cpu" device with a
+// parked pass, so MODEL JOIN batches pend in the scheduler, and returns the
+// function that lets those passes finish. Once it runs, the pending batches
+// leave in super-batches of up to MaxBatchRows rows.
+func fillCPUGate(t *testing.T, d *db.Database) (release func()) {
 	t.Helper()
-	if opts.DefaultPartitions == 0 {
-		opts.DefaultPartitions = 4
+	entered := make(chan struct{}, infersched.MaxInFlight)
+	rel := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < infersched.MaxInFlight; i++ {
+		r := &parked{entered: entered, release: rel}
+		label := infersched.Label{Model: fmt.Sprintf("parked%d", i), Device: "cpu"}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := d.InferSched().Submit(context.Background(), label, r, 1, make([]float32, 1), make([]float32, 1)); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = 4
+	for i := 0; i < infersched.MaxInFlight; i++ {
+		<-entered
 	}
-	d := db.Open(opts)
-	tbl, _ := workload.IrisTable("iris", nRows, 4)
-	d.RegisterTable(tbl)
-	model := &nn.Model{Name: "iris_model", Layers: []nn.Layer{
-		nn.NewDense(4, hidden, nn.Tanh),
-		nn.NewDense(hidden, hidden, nn.Tanh),
-		nn.NewDense(hidden, 3, nn.Sigmoid),
-	}}
-	workload.SeedDense(model, 42)
-	if _, err := d.RegisterModel(model, relmodel.ExportOptions{Partitions: 4}); err != nil {
-		t.Fatal(err)
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(rel)
+			wg.Wait()
+		})
 	}
-	return d
+	t.Cleanup(release)
+	return release
+}
+
+// waitPending waits until at least n inference requests pend in d's
+// scheduler (the depth= field of its STATUS line).
+func waitPending(t *testing.T, d *db.Database, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		line := d.InferSched().StatusLine()
+		var depth int
+		if i := strings.Index(line, " depth="); i >= 0 {
+			fmt.Sscanf(line[i+len(" depth="):], "%d", &depth)
+		}
+		if depth >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("scheduler %s, want depth ≥ %d", line, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 const batchJoinQuery = "SELECT COUNT(*) AS n, AVG(prediction_0) AS p FROM iris " +
 	"MODEL JOIN iris_model PREDICT (sepal_length, sepal_width, petal_length, petal_width)"
 
 // TestBatchingEndToEnd is the scheduler's acceptance scenario over the wire:
-// 8 concurrent clients run the same MODEL JOIN against a 4-slot server, and
-// afterwards the system tables must show coalesced batches (requests > 1),
-// the queries flagged batched, the STATUS batcher line, the BATCHER report,
-// and the scheduler metrics. Under -race this also proves the submit /
-// dispatch / cancel paths clean.
+// 8 concurrent clients run the same MODEL JOIN against a 4-slot server
+// while parked passes hold the CPU's device gate, so the admitted
+// statements' batches pend together: the BATCHER report shows their live
+// queue, and once the gate frees the system tables must show coalesced
+// batches (requests > 1), the queries flagged batched, the STATUS batcher
+// line, the BATCHER report, and the scheduler metrics. Under -race this
+// also proves the submit / combine / cancel paths clean.
 func TestBatchingEndToEnd(t *testing.T) {
-	d := newBatchTestDB(t, 4000, 32, db.Options{
-		InferSched: infersched.Config{MaxWait: 5 * time.Millisecond},
-	})
+	d := newTestDB(t, 4000, 32)
 	s := startServer(t, d, Config{QuerySlots: 4, QueueDepth: 32, IdleTimeout: time.Minute})
+	release := fillCPUGate(t, d)
 
 	// A dedicated session scans the system tables continuously while the
 	// load runs, so the snapshot path races the scheduler's publishing.
@@ -87,67 +130,65 @@ func TestBatchingEndToEnd(t *testing.T) {
 	}()
 
 	const clients = 8
-	runRound := func() {
-		t.Helper()
-		var wg sync.WaitGroup
-		errs := make(chan error, clients)
-		for i := 0; i < clients; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c, err := client.Dial(s.Addr().String())
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := client.Dial(s.Addr().String())
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			for round := 0; round < 3; round++ {
+				rows, err := c.Query(batchJoinQuery)
 				if err != nil {
 					errs <- err
 					return
 				}
-				defer c.Close()
-				for round := 0; round < 3; round++ {
-					rows, err := c.Query(batchJoinQuery)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if err := rows.Drain(); err != nil {
-						errs <- err
-						return
-					}
+				if err := rows.Drain(); err != nil {
+					errs <- err
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	probe := dial(t, s)
-	coalesced := func() int {
-		rows, err := probe.Query("SELECT requests FROM system.inference_batches")
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for row := rows.Next(); row != nil; row = rows.Next() {
-			if req, ok := row[0].(int32); ok && req > 1 {
-				n++
 			}
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return n
+		}()
 	}
 
-	// Coalescing is timing-dependent; with a 5ms window and 8 clients on 4
-	// slots one round is nearly always enough, but allow a few.
-	got := 0
-	for attempt := 0; attempt < 5 && got == 0; attempt++ {
-		runRound()
-		got = coalesced()
+	// The BATCHER verb bypasses admission, so it answers while every slot
+	// is held by a statement whose batches pend behind the parked passes.
+	probe := dial(t, s)
+	waitPending(t, d, 2)
+	rep, err := probe.Batcher()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got == 0 {
-		t.Fatal("no coalesced batch (requests > 1) in system.inference_batches after 5 rounds")
+	if !strings.Contains(rep, "queue model=iris_model device=cpu depth=") {
+		t.Fatalf("BATCHER report does not show the live queue:\n%s", rep)
+	}
+	release()
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+
+	rows, err := probe.Query("SELECT requests FROM system.inference_batches WHERE model = 'iris_model'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coalesced := 0
+	for row := rows.Next(); row != nil; row = rows.Next() {
+		if req, ok := row[0].(int32); ok && req > 1 {
+			coalesced++
+		}
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if coalesced == 0 {
+		t.Fatal("no coalesced batch (requests > 1) in system.inference_batches")
 	}
 	close(scanStop)
 	if err := <-scanErr; err != nil {
@@ -155,7 +196,7 @@ func TestBatchingEndToEnd(t *testing.T) {
 	}
 
 	// The flight recorder must flag the MODEL JOIN statements as batched.
-	rows, err := probe.Query("SELECT batched, sql FROM system.queries")
+	rows, err = probe.Query("SELECT batched, sql FROM system.queries")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,15 +221,11 @@ func TestBatchingEndToEnd(t *testing.T) {
 		t.Fatalf("STATUS missing batcher line:\n%s", status)
 	}
 
-	rep, err := probe.Batcher()
-	if err != nil {
+	if rep, err = probe.Batcher(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(rep, "batches:") || !strings.Contains(rep, "coalesce_wait:") {
 		t.Fatalf("BATCHER report incomplete:\n%s", rep)
-	}
-	if !strings.Contains(rep, "iris_model") {
-		t.Fatalf("BATCHER report does not mention the live queue:\n%s", rep)
 	}
 
 	metrics, err := probe.Metrics()
@@ -201,15 +238,15 @@ func TestBatchingEndToEnd(t *testing.T) {
 }
 
 // TestBatchingMidBatchCancellation cancels one query out of a coalesced
-// flight: several clients run a slow MODEL JOIN concurrently, one with a
-// deadline far below the query's natural runtime. The doomed query must come
-// back canceled without corrupting the batch its neighbors are riding in —
-// their results and the server itself must stay healthy.
+// flight: several clients run a slow MODEL JOIN concurrently, their first
+// batches pending together behind parked passes, one with a deadline far
+// below the query's natural runtime. The doomed query must come back
+// canceled without corrupting the batch its neighbors are riding in — their
+// results and the server itself must stay healthy.
 func TestBatchingMidBatchCancellation(t *testing.T) {
-	d := newBatchTestDB(t, 8000, 128, db.Options{
-		InferSched: infersched.Config{MaxWait: 5 * time.Millisecond},
-	})
+	d := newTestDB(t, 8000, 128)
 	s := startServer(t, d, Config{QuerySlots: 4, QueueDepth: 32, IdleTimeout: time.Minute})
+	release := fillCPUGate(t, d)
 
 	const survivors = 3
 	var wg sync.WaitGroup
@@ -265,6 +302,8 @@ func TestBatchingMidBatchCancellation(t *testing.T) {
 			errs <- err
 		}
 	}()
+	waitPending(t, d, 4)
+	release()
 	wg.Wait()
 	close(errs)
 	if err := <-errs; err != nil {

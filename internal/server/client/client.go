@@ -154,7 +154,7 @@ func (c *Client) Batcher() (string, error) { return c.command("BATCHER", 0) }
 
 // Kill cancels the in-flight statement with the given query ID (as shown by
 // system.active_queries), whether it is running, queued for admission, or
-// parked in an inference coalesce window. Like STATUS, KILL bypasses
+// waiting for an inference pass. Like STATUS, KILL bypasses
 // admission control, so a victim hogging every slot can still be killed
 // from this session. Errors if the ID names no active statement.
 func (c *Client) Kill(id uint64) error {

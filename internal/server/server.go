@@ -42,7 +42,6 @@ import (
 	"indbml/internal/engine/storage"
 	"indbml/internal/engine/vector"
 	"indbml/internal/flight"
-	"indbml/internal/infersched"
 	"indbml/internal/trace"
 	"indbml/internal/wire"
 )
@@ -373,29 +372,27 @@ func (s *Server) queryCtx(deadlineMillis uint64) (context.Context, context.Cance
 }
 
 // admit acquires a query slot, queueing up to the configured depth and
-// wait. The returned token's release must be called exactly once; it also
-// implements infersched.SlotYielder, so a statement parked in an inference
-// coalesce window gives its slot back for the duration. A nil token means
-// the statement was rejected or canceled and the error carries the wire
-// code to report. wait is the time the statement spent queued (0 on the
-// fast path), which the flight recorder charges to the statement as
-// queue_wait_ns.
-func (s *Server) admit(ctx context.Context) (token *slotToken, wait time.Duration, code byte, err error) {
+// wait; the statement holds it until it ends, and then releases it by
+// receiving from s.slots exactly once. On error the statement was rejected
+// or canceled without a slot, and code is the wire code to report. wait is
+// the time the statement spent queued (0 on the fast path), which the
+// flight recorder charges to the statement as queue_wait_ns.
+func (s *Server) admit(ctx context.Context) (wait time.Duration, code byte, err error) {
 	// Fast path: a slot is free.
 	select {
 	case s.slots <- struct{}{}:
-		return newSlotToken(s.slots), 0, 0, nil
+		return 0, 0, nil
 	default:
 	}
 	// Slow path: queue if there is room.
 	if s.cfg.QueueDepth == 0 {
 		s.stats.Rejected.Add(1)
-		return nil, 0, wire.CodeOverloaded, fmt.Errorf("overloaded: %d query slots busy and no queue", s.cfg.QuerySlots)
+		return 0, wire.CodeOverloaded, fmt.Errorf("overloaded: %d query slots busy and no queue", s.cfg.QuerySlots)
 	}
 	if n := s.stats.Queued.Add(1); n > int64(s.cfg.QueueDepth) {
 		s.stats.Queued.Add(-1)
 		s.stats.Rejected.Add(1)
-		return nil, 0, wire.CodeOverloaded, fmt.Errorf("overloaded: %d query slots busy, queue of %d full", s.cfg.QuerySlots, s.cfg.QueueDepth)
+		return 0, wire.CodeOverloaded, fmt.Errorf("overloaded: %d query slots busy, queue of %d full", s.cfg.QuerySlots, s.cfg.QueueDepth)
 	}
 	defer s.stats.Queued.Add(-1)
 	enqueued := time.Now()
@@ -412,13 +409,13 @@ func (s *Server) admit(ctx context.Context) (token *slotToken, wait time.Duratio
 	}
 	select {
 	case s.slots <- struct{}{}:
-		return newSlotToken(s.slots), 0, 0, nil
+		return 0, 0, nil
 	case <-timeout:
 		s.stats.Rejected.Add(1)
-		return nil, 0, wire.CodeOverloaded, fmt.Errorf("overloaded: no query slot within %s", s.cfg.QueueWait)
+		return 0, wire.CodeOverloaded, fmt.Errorf("overloaded: no query slot within %s", s.cfg.QueueWait)
 	case <-ctx.Done():
 		s.stats.Canceled.Add(1)
-		return nil, 0, wire.CodeCanceled, fmt.Errorf("canceled while queued: %w", ctx.Err())
+		return 0, wire.CodeCanceled, fmt.Errorf("canceled while queued: %w", ctx.Err())
 	}
 }
 
@@ -461,20 +458,17 @@ func (s *Server) serveStmt(bw *bufio.Writer, sess *session, stmt string, rows *v
 
 	var exemplarID uint64
 	if _, kill := p.Stmt.(*sql.KillStmt); !kill {
-		token, wait, code, err := s.admit(ctx)
+		wait, code, err := s.admit(ctx)
 		if err != nil {
 			wire.WriteError(bw, code, err.Error())
 			return
 		}
-		// Charge the admission wait to the statement's flight record and
-		// hand the inference scheduler the slot so coalesce waits don't
-		// hold an execution slot hostage.
+		// Charge the admission wait to the statement's flight record.
 		ctx = flight.WithQueueWait(ctx, wait)
-		ctx = infersched.WithYielder(ctx, token)
 		s.stats.Running.Add(1)
 		defer func() {
 			s.stats.Running.Add(-1)
-			token.release()
+			<-s.slots
 			s.stats.observeLatency(time.Since(start), exemplarID)
 		}()
 	}

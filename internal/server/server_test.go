@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -318,10 +319,8 @@ func TestDeadlineMidStream(t *testing.T) {
 }
 
 // slotHog is a statement that runs far longer than any test waits on it: a
-// self-join COUNT(*) over the iris table. It has no MODEL JOIN, so it never
-// parks in the inference scheduler — where a statement yields its admission
-// slot — and holds its slot until it is canceled, which reaches it at the
-// next probe batch.
+// self-join COUNT(*) over the iris table. It holds its admission slot until
+// it is canceled, which reaches it at the next probe batch.
 const slotHog = "SELECT COUNT(*) AS n FROM iris AS a JOIN iris AS b ON a.class = b.class WHERE b.id < 30000"
 
 // TestOverloadFastReject fills the single query slot with a long-running
@@ -371,6 +370,42 @@ func TestOverloadFastReject(t *testing.T) {
 		t.Fatalf("STATUS rejected under overload: %v", err)
 	}
 	_ = done
+}
+
+// slowWriter is a slow-query log that takes d to write each line.
+type slowWriter struct{ d time.Duration }
+
+func (w slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(w.d)
+	return len(p), nil
+}
+
+// TestStreamErrorAfterSlotRelease: a SELECT that fails mid-stream is
+// answered only after its query slot is free and its outcome counted, like
+// every other reply. The slow-query log, which writes every failing
+// statement's line before the slot is released, takes 50ms a line, so a
+// second client that sends a statement the moment the error arrives would
+// find the one slot still held (QueueDepth 0: rejected as overloaded) if
+// the error frame went out first.
+func TestStreamErrorAfterSlotRelease(t *testing.T) {
+	d := newTestDB(t, 3000, 8)
+	s := startServer(t, d, Config{QuerySlots: 1, QueueDepth: 0, SlowQueryLog: slowWriter{50 * time.Millisecond}})
+	failing, next := dial(t, s), dial(t, s)
+	for i := 1; i <= 3; i++ {
+		rows, err := failing.Query("SELECT id, CAST(sepal_length * 1e12 AS INTEGER) AS x FROM iris")
+		if err == nil {
+			err = rows.Drain()
+		}
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("failing SELECT: %v", err)
+		}
+		if got := s.stats.Failed.Value(); got != int64(i) {
+			t.Fatalf("error reached the client with %d failures counted, want %d", got, i)
+		}
+		if err := next.Exec("CREATE TABLE t" + strconv.Itoa(i) + " (id BIGINT)"); err != nil {
+			t.Fatalf("statement sent on seeing the error: %v", err)
+		}
+	}
 }
 
 // TestQueueWaitReject exercises the bounded queue: with one slot busy, a

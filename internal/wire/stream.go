@@ -15,18 +15,18 @@ var errRowsTooLarge = fmt.Errorf("wire: row stream exceeds %d bytes", maxFrameLe
 // need not import the operator package).
 func IsCancellation(err error) bool { return exec.IsCancellation(err) }
 
-// FailStream reports an execution failure in-band as a MsgError frame and
-// flushes it, so the client always sees a terminated stream. Context
-// cancellation and deadline expiry surface as CodeCanceled so clients (and
-// the server's accounting) can tell an aborted query from a failed one. It
-// returns err, which takes precedence over any transport failure.
+// FailStream reports an execution failure in-band as a MsgError frame, so
+// the client always sees a terminated stream. The frame is left buffered,
+// like a stream's Done terminator: the caller flushes it once its own
+// bookkeeping for the statement is done. Context cancellation and deadline
+// expiry surface as CodeCanceled so clients (and the server's accounting)
+// can tell an aborted query from a failed one. It returns err.
 func FailStream(w *bufio.Writer, err error) error {
 	code := CodeError
 	if exec.IsCancellation(err) {
 		code = CodeCanceled
 	}
 	WriteError(w, code, err.Error())
-	w.Flush()
 	return err
 }
 
@@ -46,10 +46,10 @@ func WriteDone(w *bufio.Writer, op exec.Operator) {
 // schema, MsgBatch frames and the terminator to w. Failures — including
 // cancellation — are reported in-band (FailStream); the error is also
 // returned for server-side accounting. Every batch frame is flushed as it
-// is written, but on success the Done terminator is left buffered for the
-// caller to flush — that lets the caller order post-statement bookkeeping
-// (the slow-query log line, session counters) before the client can observe
-// completion.
+// is written, but the stream's last frame, Done or the error, is left
+// buffered for the caller to flush — that lets the caller order
+// post-statement bookkeeping (the slow-query log line, the outcome count,
+// the query slot's release) before the client can observe completion.
 //
 // Each batch is encoded straight from the operator's buffers into one
 // reused frame buffer before the next Next (batch ownership, exec.Operator),
