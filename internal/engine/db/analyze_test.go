@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"indbml/internal/core/mltosql"
 	"indbml/internal/core/relmodel"
 	"indbml/internal/engine/db"
 	"indbml/internal/engine/exec"
@@ -13,6 +14,7 @@ import (
 	"indbml/internal/engine/vector"
 	"indbml/internal/nn"
 	"indbml/internal/trace"
+	"indbml/internal/workload"
 )
 
 // newAnalyzeDB builds a partitioned fact table and a registered model, so
@@ -203,6 +205,51 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 	}
 	if got := d.FlightRecorder().Recorded(); got != recorded {
 		t.Errorf("EXPLAIN published %d flight records, want none", got-recorded)
+	}
+}
+
+// TestExplainAnalyzeShowsKeyPath runs EXPLAIN ANALYZE of the ML-To-SQL query
+// of a dense 32x2 model over 800 Iris tuples in four partitions: its three
+// groupjoins and the id join index their dense integer keys directly, and
+// say keys=direct. The same query with every join key multiplied by a large
+// odd stride on both sides probes hash tables on all four, and says
+// keys=hash. The key-less cross join says neither.
+func TestExplainAnalyzeShowsKeyPath(t *testing.T) {
+	fact, _ := workload.IrisTable("fact", 800, 4)
+	model := workload.DenseModel(32, 2)
+	d := db.Open(db.Options{DefaultPartitions: 4, Parallelism: 2})
+	d.RegisterTable(fact)
+	meta, err := d.RegisterModel(model, relmodel.ExportOptions{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := mltosql.New(meta, mltosql.Options{FactTable: "fact", ModelTable: model.Name, IDColumn: "id",
+		InputColumns: workload.IrisFeatureNames, LayerFilter: true, NativeFunctions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	strided := strings.NewReplacer(
+		"input.node = model.node_in AND input.layer = model.layer_in",
+		"input.node * 1000003 = model.node_in * 1000003 AND input.layer * 1000003 = model.layer_in * 1000003",
+		"data.id = r.id", "data.id * 1000003 = r.id * 1000003").Replace(q)
+	for _, c := range []struct{ q, path, other string }{{q, "keys=direct", "keys=hash"}, {strided, "keys=hash", "keys=direct"}} {
+		res, err := d.Run(context.Background(), sql.ParseNormalized("EXPLAIN ANALYZE "+c.q, false), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Count(res.Text, c.path) != 4 || strings.Contains(res.Text, c.other) {
+			t.Errorf("EXPLAIN ANALYZE shows %d joins with %s and %d with %s, want 4 and none:\n%s",
+				strings.Count(res.Text, c.path), c.path, strings.Count(res.Text, c.other), c.other, res.Text)
+		}
+		for _, line := range strings.Split(res.Text, "\n") {
+			if strings.Contains(line, "CrossJoin") && strings.Contains(line, "keys=") {
+				t.Errorf("the cross join has a key path: %s", line)
+			}
+		}
 	}
 }
 

@@ -49,7 +49,8 @@ func (s *openSpy) Open() error { s.err = s.Operator.Open(); return s.err }
 // closed once, the output must be bit-equal to the instances with private
 // builds, and a failing or canceled build must fail every instance and the
 // statement with its error, leaving no goroutine behind. A deadlock under
-// MaxParallel 1 fails the watchdog.
+// MaxParallel 1 fails the watchdog. The keys are dense, so the instances
+// probe one direct index, or strided, so they probe one hash table.
 func TestGeneratedSharedBuild(t *testing.T) {
 	rng := seeded(t)
 	probeSchema := types.NewSchema(types.Column{Name: "id", Type: types.Int64},
@@ -73,12 +74,23 @@ func TestGeneratedSharedBuild(t *testing.T) {
 		if kind == "CrossJoin" {
 			nb = rng.Intn(50)
 		}
-		domain := 1 + nb/8
-		var buildRows [][]types.Datum
-		for r := nb; r > 0; r-- {
-			buildRows = append(buildRows, []types.Datum{randWhole(rng, types.Int32, domain, 0.1),
-				randWhole(rng, types.Int32, 4, 0.1), randOperand(rng, types.Float32, 0.1)})
+		domain, stride := 1+nb/8, []int32{1, 7919}[rng.Intn(2)]
+		key := func() types.Datum {
+			d := randWhole(rng, types.Int32, domain, 0.1)
+			d.I64 *= int64(stride)
+			return d
 		}
+		var buildRows [][]types.Datum
+		keys := map[int64]bool{}
+		for r := nb; r > 0; r-- {
+			buildRows = append(buildRows, []types.Datum{key(),
+				randWhole(rng, types.Int32, 4, 0.1), randOperand(rng, types.Float32, 0.1)})
+			if k := buildRows[len(buildRows)-1][0]; !k.Null {
+				keys[k.I64] = true
+			}
+		}
+		// Dense keys fill their span; strided ones fit it only as one key.
+		wantDirect := kind != "CrossJoin" && (stride == 1 && len(keys) > 0 || len(keys) == 1)
 		buildBatches := chop(rng, buildSchema, buildRows)
 		probes := make([][]*vector.Batch, n)
 		for i := range probes {
@@ -86,18 +98,21 @@ func TestGeneratedSharedBuild(t *testing.T) {
 			for id := int64(0); id < int64(rng.Intn(150)); id++ {
 				for k := 1 + rng.Intn(3); k > 0; k-- {
 					rows = append(rows, []types.Datum{types.Int64Datum(int64(i)<<32 | id),
-						randWhole(rng, types.Int32, domain, 0.1), randOperand(rng, types.Float32, 0.1)})
+						key(), randOperand(rng, types.Float32, 0.1)})
 				}
 			}
 			probes[i] = chop(rng, probeSchema, rows)
 		}
-		what := fmt.Sprintf("iter %d: %s, %d instances, MaxParallel %d, %d build rows", iter, kind, n, maxPar, len(buildRows))
+		what := fmt.Sprintf("iter %d: %s, %d instances, MaxParallel %d, %d build rows, key stride %d",
+			iter, kind, n, maxPar, len(buildRows), stride)
 
 		// run executes the n instances over build, or over a private build
 		// each when build is nil, and returns the sorted output, the
-		// statement's error and each instance's Open error.
+		// statement's error and each instance's Open error. shared is the
+		// last shared Build.
+		var shared *Build
 		run := func(ctx context.Context, build *countingBuild) ([]string, error, []error) {
-			var shared *Build
+			shared = nil
 			if build != nil {
 				shared = NewBuild(build)
 			}
@@ -162,13 +177,16 @@ func TestGeneratedSharedBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: private builds: %v", what, err)
 		}
-		shared := &countingBuild{Values: NewValues(buildSchema, cloneBatches(buildBatches)...)}
-		got, err, _ := run(context.Background(), shared)
+		counted := &countingBuild{Values: NewValues(buildSchema, cloneBatches(buildBatches)...)}
+		got, err, _ := run(context.Background(), counted)
 		if err != nil {
 			t.Fatalf("%s: shared build: %v", what, err)
 		}
-		if o, c := shared.opens.Load(), shared.closes.Load(); o != 1 || c != 1 {
+		if o, c := counted.opens.Load(), counted.closes.Load(); o != 1 || c != 1 {
 			t.Fatalf("%s: the shared build input opened %d times and closed %d, want once each", what, o, c)
+		}
+		if direct := shared.direct.slots != nil; direct != wantDirect {
+			t.Fatalf("%s: the shared build's direct index is %v, want %v", what, direct, wantDirect)
 		}
 		compareRows(t, what, got, want)
 

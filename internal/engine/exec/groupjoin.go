@@ -42,8 +42,7 @@ type GroupJoin struct {
 	span       *trace.Span
 	pairs      int64 // joined pairs folded, for the span's pairs counter
 
-	// Open takes the build from Build; the key table is a view that stages
-	// into scratch of this instance's own.
+	// Open takes the build from Build, as a prober.
 	hashBuild
 	ord  []int32 // ordinal of the build row rows[k], at k
 	sums []sumState
@@ -116,8 +115,9 @@ func NewGroupJoin(probe Operator, build *Build, probeKeys, buildKeys []expr.Expr
 // Schema implements Operator.
 func (j *GroupJoin) Schema() *types.Schema { return j.schema }
 
-// SetSpan implements trace.SpanCarrier: Close adds the joined pairs folded
-// to the span's pairs counter.
+// SetSpan implements trace.SpanCarrier: Open labels the span with the key
+// structure its probes read and Close adds the joined pairs folded to its
+// pairs counter.
 func (j *GroupJoin) SetSpan(sp *trace.Span) { j.span = sp }
 
 // Open implements Operator: it opens the probe side and gets the key table,
@@ -151,8 +151,8 @@ func (j *GroupJoin) Open() error {
 	if err != nil {
 		return err
 	}
-	j.hashBuild, j.ord = b.hashBuild, b.ord
-	j.table = b.table.prober()
+	j.hashBuild, j.ord = b.hashBuild.prober(), b.ord
+	j.labelKeys(j.span, j.BuildKeys)
 	j.sums = make([]sumState, len(j.Sums))
 	for i := range j.sums {
 		j.sums[i] = sumState{w: b.w[i], acc: make([]float64, b.groups), valid: make([]bool, b.groups)}
@@ -248,8 +248,7 @@ func (j *GroupJoin) load() error {
 	if len(j.ids) < b.Len() {
 		j.ids = make([]int32, b.Len())
 	}
-	j.table.stage(j.probeKeys, b.Len())
-	j.table.resolve(0, b.Len(), j.ids, false)
+	j.lookup(j.probeKeys, b.Len(), j.ids)
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"indbml/internal/engine/expr"
 	"indbml/internal/engine/types"
 	"indbml/internal/engine/vector"
+	"indbml/internal/trace"
 )
 
 // HashJoin is an inner equi-join following the classic two-phase build/probe
@@ -35,9 +36,9 @@ type HashJoin struct {
 	// columns the output keeps).
 	cols      []joinCol
 	buildCols []int // build-side ordinals behind the build data's columns
+	span      *trace.Span
 
-	// Open takes the build from Build; the key table is a view that stages
-	// into scratch of this instance's own.
+	// Open takes the build from Build, as a prober.
 	hashBuild
 
 	// Probe state. out and the two selection vectors are allocated at Open
@@ -131,6 +132,10 @@ func NewCrossJoin(left Operator, right *Build) (*HashJoin, error) {
 // Schema implements Operator.
 func (j *HashJoin) Schema() *types.Schema { return j.schema }
 
+// SetSpan implements trace.SpanCarrier: Open labels a keyed join's span with
+// the key structure its probes read.
+func (j *HashJoin) SetSpan(sp *trace.Span) { j.span = sp }
+
 // Build is the build side of a hash join or groupjoin: the operator tree
 // that feeds it and what the join builds from it. In a partition-parallel
 // plan, every instance of a join whose build side scans no driver table
@@ -174,16 +179,50 @@ func (b *Build) run(fn func() error) error {
 // distinct build keys, data holds the kept build columns, and the build rows
 // of key g are rows[start[g]:start[g+1]], in build order.
 type hashBuild struct {
-	table *groupTable
-	data  *vector.Batch
-	start []int
-	rows  []int
+	table  *groupTable
+	direct directIndex // with slots, the keys are dense: probes read it, not table
+	data   *vector.Batch
+	start  []int
+	rows   []int
+}
+
+// prober returns h for one probing instance: its hash table, if it probes
+// one, as a view that stages into scratch of the instance's own.
+func (h hashBuild) prober() hashBuild {
+	if h.direct.slots == nil {
+		h.table = h.table.prober()
+	}
+	return h
+}
+
+// lookup writes the key id of each of the n probe keys in vecs to ids, -1
+// for a key no build row has or one with a NULL column.
+func (h *hashBuild) lookup(vecs []*vector.Vector, n int, ids []int32) {
+	if h.direct.slots != nil {
+		h.direct.lookup(vecs, n, ids)
+		return
+	}
+	h.table.stage(vecs, n)
+	h.table.resolve(0, n, ids, false)
+}
+
+// labelKeys labels sp, the span of a join over keys, keys=direct or
+// keys=hash after the structure its probes read; a cross join gets none.
+func (h *hashBuild) labelKeys(sp *trace.Span, keys []expr.Expr) {
+	if sp != nil && len(keys) > 0 {
+		path := "hash"
+		if h.direct.slots != nil {
+			path = "direct"
+		}
+		sp.SetLabel("keys", path)
+	}
 }
 
 // buildHash drains build into a hashBuild over keys, copying the build
-// columns cols (the child may reuse its batches). Rows with a NULL key
-// match nothing (SQL equality). With no keys (a cross join) every row
-// resolves to the one empty key.
+// columns cols (the child may reuse its batches), and indexes the keys
+// directly when they are dense integers. Rows with a NULL key match nothing
+// (SQL equality). With no keys (a cross join) every row resolves to the one
+// empty key.
 func buildHash(build Operator, keys []expr.Expr, cols []int) (hashBuild, error) {
 	h := hashBuild{table: newGroupTable(exprTypes(keys), true)}
 	kept := make([]types.Column, len(cols))
@@ -214,6 +253,7 @@ func buildHash(build Operator, keys []expr.Expr, cols []int) (hashBuild, error) 
 		}
 		h.data.SetLen(len(ids))
 	}
+	h.direct = newDirectIndex(h.table)
 	// Counting sort of the build rows by key id keeps build order per key.
 	n := h.table.len()
 	h.start = make([]int, n+1)
@@ -250,8 +290,8 @@ func (j *HashJoin) Open() error {
 	if err != nil {
 		return err
 	}
-	j.hashBuild = b.hashBuild
-	j.table = b.table.prober()
+	j.hashBuild = b.hashBuild.prober()
+	j.labelKeys(j.span, j.BuildKeys)
 
 	j.out = vector.NewBatch(j.schema, vector.Size)
 	j.probeSel = make([]int, vector.Size)
@@ -283,8 +323,7 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 			if len(j.probeIDs) < b.Len() {
 				j.probeIDs = make([]int32, b.Len())
 			}
-			j.table.stage(j.probeKeys, b.Len())
-			j.table.resolve(0, b.Len(), j.probeIDs, false)
+			j.lookup(j.probeKeys, b.Len(), j.probeIDs)
 			j.probeBatch, j.probeRow, j.matchPos = b, 0, 0
 		}
 		n := 0

@@ -11,9 +11,8 @@ import (
 )
 
 // groupTable maps the key columns of rows to dense group ids 0, 1, 2, … in
-// first-seen order. It is the engine's one key structure: both aggregates
-// number their groups with it and HashJoin builds it over the build side and
-// probes it.
+// first-seen order. Both aggregates number their groups with it and joins
+// their build keys, which probes look up in it or, if dense, in a directIndex.
 //
 // Fixed-width key columns (integers, floats, booleans) are packed into a few
 // 64-bit words per row — 32-bit values two to a word — followed by one word
@@ -461,4 +460,114 @@ func encodeKey(vecs []*vector.Vector, r int, dst []byte) ([]byte, bool) {
 		}
 	}
 	return dst, null
+}
+
+// directMaxFill bounds a directIndex to this many slots per distinct key: 4
+// slots of 4 bytes cost at most what the hash table holds per key (2 to 4
+// slots and the key's words), and a dense key split round-robin over four
+// partitions (ML-To-SQL's final id join: 200 of 797 ids) still fits.
+const directMaxFill = 4
+
+// directIndex maps dense integer join keys to group ids by position: key
+// (v_0, …, v_k) sits at slot Σ (v_c − lo_c)·stride_c of a flat array over
+// every key column's [min, max]. Read-only once built, probers share it.
+type directIndex struct {
+	cols  []directCol
+	slots []int32 // group id + 1; 0 = no build key
+}
+
+type directCol struct {
+	lo     int64
+	span   uint64 // max - lo + 1
+	stride int32
+}
+
+// newDirectIndex indexes t's groups if every key column is INTEGER or BIGINT
+// and the product of their spans is at most directMaxFill times the group
+// count. Otherwise, and for an empty or key-less build, its slots are nil.
+func newDirectIndex(t *groupTable) directIndex {
+	if t.n == 0 || t.words == 0 || len(t.cols) == 0 {
+		return directIndex{}
+	}
+	limit := uint64(min(directMaxFill*t.n, math.MaxInt32))
+	d, total := directIndex{cols: make([]directCol, len(t.cols))}, uint64(1)
+	for c, kc := range t.cols {
+		if kc.typ != types.Int32 && kc.typ != types.Int64 {
+			return directIndex{}
+		}
+		lo, hi := t.intKey(0, c), t.intKey(0, c)
+		for g := 1; g < t.n; g++ {
+			v := t.intKey(g, c)
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		// hi - lo is exact in uint64; it is checked before the +1, which
+		// wraps when one build holds both MinInt64 and MaxInt64.
+		width := uint64(hi) - uint64(lo)
+		if width >= limit || width+1 > limit/total {
+			return directIndex{}
+		}
+		d.cols[c] = directCol{lo: lo, span: width + 1, stride: int32(total)}
+		total *= width + 1
+	}
+	d.slots = make([]int32, total)
+	for g := 0; g < t.n; g++ {
+		s := int32(0)
+		for c, dc := range d.cols {
+			s += int32(uint64(t.intKey(g, c))-uint64(dc.lo)) * dc.stride
+		}
+		d.slots[s] = int32(g) + 1
+	}
+	return d
+}
+
+// intKey returns the value of integer key column c of group g.
+func (t *groupTable) intKey(g, c int) int64 {
+	kc := t.cols[c]
+	x := t.keys[g*t.words+kc.word] >> kc.shift
+	if kc.typ == types.Int32 {
+		return int64(int32(x))
+	}
+	return int64(x)
+}
+
+// lookup writes the group id of the n probe keys in vecs to ids[:n]: one
+// subtract-and-compare pass per key column, then one slot read per row. A key
+// outside a column's span, or with a NULL column, resolves to -1.
+func (d *directIndex) lookup(vecs []*vector.Vector, n int, ids []int32) {
+	ids = ids[:n]
+	clear(ids)
+	for c, dc := range d.cols {
+		if v := vecs[c]; v.Type() == types.Int32 {
+			addOffsets(ids, v.Int32s(), dc)
+		} else {
+			addOffsets(ids, v.Int64s(), dc)
+		}
+		if nulls := vecs[c].Nulls(); nulls != nil {
+			for r, isNull := range nulls {
+				if isNull {
+					ids[r] = -1
+				}
+			}
+		}
+	}
+	for r, s := range ids {
+		if s >= 0 {
+			ids[r] = d.slots[s] - 1
+		}
+	}
+}
+
+// addOffsets adds each row's offset in dc times dc's stride to ids, or sets
+// -1 where ids is -1 or the value is outside dc's span. The offset is taken
+// in uint64: a value below lo wraps to at least the span (lo + span - 1 ≤
+// MaxInt64), so one compare bounds both sides and nothing overflows.
+func addOffsets[T int32 | int64](ids []int32, xs []T, dc directCol) {
+	ids = ids[:len(xs)]
+	for r, x := range xs {
+		if off := uint64(int64(x)) - uint64(dc.lo); off < dc.span && ids[r] >= 0 {
+			ids[r] += int32(off) * dc.stride
+		} else {
+			ids[r] = -1
+		}
+	}
 }
