@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -287,6 +289,46 @@ func TestParallelRowsCoversAllRows(t *testing.T) {
 	}
 }
 
+// TestPoolHandsChunksOnlyToIdleWorkers parks every worker of the pool in a
+// job that blocks; a GEMM that fans out must then run all its chunks on the
+// caller and finish, not leave a chunk queued behind a parked job.
+func TestPoolHandsChunksOnlyToIdleWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	poolOnce.Do(startPool)
+	release := make(chan struct{})
+	var parked sync.WaitGroup
+	for range poolWorkers {
+		parked.Add(1)
+		poolTasks <- rowTask{job: rowFunc(func(int, int) { <-release }), wg: &parked}
+	}
+	defer parked.Wait()
+	defer close(release)
+
+	const m, k, n = 768, 128, 128 // 2·parallelThreshold < m·k·n: two chunks
+	a, b, c := NewMat(m, k), NewMat(k, n), NewMat(m, n)
+	for i := range a.Data {
+		a.Data[i] = 1
+	}
+	for i := range b.Data {
+		b.Data[i] = 1
+	}
+	done := make(chan struct{})
+	go func() {
+		Sgemm(a, b, c)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("a fanned-out GEMM waited for a busy worker")
+	}
+	for i, v := range c.Data {
+		if v != k {
+			t.Fatalf("c[%d] = %v, want %d", i, v, k)
+		}
+	}
+}
+
 // testKernel is one micro-kernel the tests and benchmarks can force.
 type testKernel struct {
 	name string
@@ -399,6 +441,31 @@ func BenchmarkSgemm(b *testing.B) {
 					report(b)
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkGemmLayerShapes times the layer shapes of the benchmark
+// workloads as MODEL JOIN runs them, a packed GemmBiasAct per layer, m×k×n
+// for a batch of m rows: the 256-wide model over 750-row partition batches
+// (input, hidden and one-column output layer) and the 32-wide one over
+// 1 000-row batches. A one-column layer fills one lane of the kernel's
+// column tile.
+func BenchmarkGemmLayerShapes(b *testing.B) {
+	defer restoreKernel()
+	for _, kern := range testKernels() {
+		kern.use()
+		rng := rand.New(rand.NewSource(8))
+		for _, s := range [][3]int{{750, 4, 256}, {750, 256, 256}, {750, 256, 1}, {1000, 32, 32}, {1000, 32, 1}} {
+			m, k, n := s[0], s[1], s[2]
+			a, w, bias, c := randMat(rng, m, k), PackB(randMat(rng, k, n)), randMat(rng, 1, n).Data, NewMat(m, n)
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kern.name, m, k, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					GemmBiasAct(a, w, bias, ActReLU, c)
+				}
+				b.ReportMetric(float64(FlopsGemm(m, k, n))*float64(b.N)/1e9/b.Elapsed().Seconds(), "GFLOP/s")
+			})
 		}
 	}
 }

@@ -12,10 +12,12 @@ import (
 // are handed to them over a channel — the analogue of MKL's persistent
 // thread team.
 //
-// The pool never blocks a caller: if the task channel is full (all workers
-// busy, e.g. when the engine already runs partition-parallel plans around
-// the BLAS calls), the caller executes the chunk inline. That also makes
-// nested parallelism deadlock-free by construction.
+// The task channel is unbuffered, so a chunk goes only to a worker that is
+// idle, blocked in receive; when none is (the team is running other
+// kernels' chunks, e.g. under the engine's partition-parallel plans), the
+// caller runs the chunk inline. A chunk never queues behind another
+// kernel's chunk, the pool never blocks a caller, and nested parallelism
+// is deadlock-free by construction.
 
 // rowJob is a kernel that can be split by rows: runRows computes rows
 // [lo, hi), and disjoint ranges may run concurrently.
@@ -31,8 +33,9 @@ type rowTask struct {
 }
 
 var (
-	poolOnce  sync.Once
-	poolTasks chan rowTask
+	poolOnce    sync.Once
+	poolTasks   chan rowTask
+	poolWorkers int
 
 	// wgPool recycles the per-call barrier so a fanned-out kernel allocates
 	// nothing in steady state.
@@ -42,12 +45,9 @@ var (
 // startPool launches the worker team: GOMAXPROCS-1 workers, because the
 // caller always works on a chunk itself while the team runs the rest.
 func startPool() {
-	workers := runtime.GOMAXPROCS(0) - 1
-	if workers < 1 {
-		workers = 1
-	}
-	poolTasks = make(chan rowTask, 8*workers)
-	for i := 0; i < workers; i++ {
+	poolWorkers = max(runtime.GOMAXPROCS(0)-1, 1)
+	poolTasks = make(chan rowTask)
+	for range poolWorkers {
 		go func() {
 			for t := range poolTasks {
 				t.job.runRows(t.lo, t.hi)
@@ -98,8 +98,7 @@ func parallelRows(n, work int, job rowJob) {
 		select {
 		case poolTasks <- rowTask{job: job, lo: lo, hi: hi, wg: wg}:
 		default:
-			// Pool saturated: run inline rather than queueing behind other
-			// kernels (and rather than ever blocking here).
+			// No idle worker: run inline rather than wait for one.
 			job.runRows(lo, hi)
 			wg.Done()
 		}

@@ -183,8 +183,9 @@ func matcher(dml *plan.DML) storage.MatchFunc {
 			if err != nil {
 				return nil, nil, err
 			}
+			nulls := v.Nulls() // nil without NULLs: one test per row, no call
 			for r, ok := range v.Bools() {
-				if ok && !v.NullAt(r) {
+				if ok && (nulls == nil || !nulls[r]) {
 					hits = append(hits, r)
 				}
 			}

@@ -71,16 +71,28 @@ type accumulator struct {
 	s     []string
 }
 
+// stateType is the type of the running value an accumulator keeps for a:
+// DOUBLE for a float argument, VARCHAR for a string, else BIGINT.
+func (a AggSpec) stateType() types.T {
+	switch {
+	case a.Arg != nil && a.Arg.Type().IsFloat():
+		return types.Float64
+	case a.Arg != nil && a.Arg.Type() == types.String:
+		return types.String
+	}
+	return types.Int64
+}
+
 // resize sets the number of groups to n; new groups start empty.
 func (a *accumulator) resize(n int) {
 	a.count = resizeZero(a.count, n)
 	if a.spec.Arg == nil {
 		return
 	}
-	switch t := a.spec.Arg.Type(); {
-	case t == types.String:
+	switch a.spec.stateType() {
+	case types.String:
 		a.s = resizeZero(a.s, n)
-	case t == types.Float32 || t == types.Float64:
+	case types.Float64:
 		a.f = resizeZero(a.f, n)
 	default:
 		a.i = resizeZero(a.i, n)
@@ -101,9 +113,9 @@ func resizeZero[T any](s []T, n int) []T {
 	return s
 }
 
-// update folds rows [lo, hi) of v into the groups ids[lo:hi] names.
-func (a *accumulator) update(ids []int32, v *vector.Vector, lo, hi int) {
-	ids = ids[lo:hi]
+// update folds rows [lo, lo+len(ids)) of v into the groups ids names.
+func (a *accumulator) update(ids []int32, v *vector.Vector, lo int) {
+	hi := lo + len(ids)
 	if a.spec.Func == AggCountStar {
 		for _, g := range ids {
 			a.count[g]++
@@ -198,6 +210,65 @@ func keepExtreme[A int64 | float64, T int32 | int64 | float32 | float64](acc []A
 			acc[g] = x
 		}
 		count[g]++
+	}
+}
+
+// merge folds group src's state into group dst: counts and sums add, and
+// MIN and MAX compare src's extreme as one more row.
+func (a *accumulator) merge(dst, src int) {
+	if a.count[src] == 0 {
+		return
+	}
+	first, isMax := a.count[dst] == 0, a.spec.Func == AggMax
+	switch a.spec.Func {
+	case AggSum, AggAvg:
+		if a.f != nil {
+			a.f[dst] += a.f[src]
+		} else {
+			a.i[dst] += a.i[src]
+		}
+	case AggMin, AggMax:
+		switch {
+		case a.f != nil:
+			mergeExtreme(a.f, dst, src, first, isMax)
+		case a.s != nil:
+			mergeExtreme(a.s, dst, src, first, isMax)
+		default:
+			mergeExtreme(a.i, dst, src, first, isMax)
+		}
+	}
+	a.count[dst] += a.count[src]
+}
+
+func mergeExtreme[T int64 | float64 | string](acc []T, dst, src int, first, isMax bool) {
+	if x := acc[src]; first || (isMax && x > acc[dst]) || (!isMax && x < acc[dst]) {
+		acc[dst] = x
+	}
+}
+
+// saveState writes group g's count to row r of n and its running value
+// (of type stateType) to row r of v; loadState reads them back.
+func (a *accumulator) saveState(n, v *vector.Vector, r, g int) {
+	n.Int64s()[r] = a.count[g]
+	switch {
+	case a.f != nil:
+		v.Float64s()[r] = a.f[g]
+	case a.s != nil:
+		v.Strings()[r] = a.s[g]
+	case a.i != nil:
+		v.Int64s()[r] = a.i[g]
+	}
+}
+
+func (a *accumulator) loadState(n, v *vector.Vector, r, g int) {
+	a.count[g] = n.Int64s()[r]
+	switch {
+	case a.f != nil:
+		a.f[g] = v.Float64s()[r]
+	case a.s != nil:
+		a.s[g] = v.Strings()[r]
+	case a.i != nil:
+		a.i[g] = v.Int64s()[r]
 	}
 }
 
@@ -305,7 +376,7 @@ func newGrouper(groupBy []expr.Expr, aggs []AggSpec, prefix int) *grouper {
 		accs:    make([]accumulator, len(aggs)),
 		keys:    make([]*vector.Vector, len(groupBy)),
 		args:    make([]*vector.Vector, len(aggs)),
-		ids:     make([]int32, vector.Size),
+		ids:     zeroIDs[:],
 	}
 	for i, e := range groupBy {
 		g.keyVals[i] = vector.New(e.Type(), 0)
@@ -322,9 +393,11 @@ func newGrouper(groupBy []expr.Expr, aggs []AggSpec, prefix int) *grouper {
 			g.staged = make([]*vector.Vector, 0, len(keyTypes))
 		}
 		g.table = newGroupTable(keyTypes, false)
+		g.ids = make([]int32, vector.Size)
 	} else {
 		// A scalar aggregate has its one group from the start, so an empty
-		// input still yields one row (COUNT = 0, SUM = NULL), per SQL.
+		// input still yields one row (COUNT = 0, SUM = NULL), per SQL. Its
+		// rows name the group through the shared, never written zeroIDs.
 		g.resize(1)
 	}
 	return g
@@ -394,7 +467,7 @@ func (g *grouper) add(lo, hi int) {
 		}
 	}
 	for i := range g.accs {
-		g.accs[i].update(g.ids, g.args[i], lo, hi)
+		g.accs[i].update(g.ids[lo:hi], g.args[i], lo)
 	}
 }
 
@@ -408,6 +481,19 @@ func (g *grouper) emit(out *vector.Batch, lo, hi int) {
 		g.accs[i].emit(out.Vecs[base+i], lo, hi)
 	}
 	out.SetLen(out.Len() + hi - lo)
+}
+
+// saveState sets out, a PartialSchema batch, to the one row of a scalar
+// aggregate's state: partition part, then each aggregate's count and value.
+func (g *grouper) saveState(out *vector.Batch, part int) {
+	for _, v := range out.Vecs {
+		v.Resize(1)
+	}
+	out.SetLen(1)
+	out.Vecs[0].Int64s()[0] = int64(part)
+	for i := range g.accs {
+		g.accs[i].saveState(out.Vecs[1+2*i], out.Vecs[2+2*i], 0, 0)
+	}
 }
 
 // HashAggregate is the generic grouping operator: it materializes a group
@@ -424,6 +510,10 @@ type HashAggregate struct {
 	g       *grouper
 	out     *vector.Batch
 	emitPos int
+	// partial makes the aggregate partition part's share of a global one:
+	// its one row is the state (PartialSchema), not the result.
+	partial bool
+	part    int
 	// PeakGroups is exposed for the memory experiments: the number of
 	// simultaneously held groups.
 	PeakGroups int
@@ -436,6 +526,13 @@ func NewHashAggregate(child Operator, groupBy []expr.Expr, groupNames []string, 
 		return nil, err
 	}
 	return &HashAggregate{Child: child, GroupBy: groupBy, GroupNames: groupNames, Aggs: aggs, schema: schema}, nil
+}
+
+// NewPartialAggregate constructs partition part's share of a global
+// aggregate; states is PartialSchema(aggs), which the instances share, and
+// the FinalAggregate above them checks aggs.
+func NewPartialAggregate(child Operator, aggs []AggSpec, states *types.Schema, part int) *HashAggregate {
+	return &HashAggregate{Child: child, Aggs: aggs, schema: states, partial: true, part: part}
 }
 
 // Schema implements Operator.
@@ -474,7 +571,11 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 		return nil, nil
 	}
 	h.out.Reset()
-	h.g.emit(h.out, h.emitPos, h.emitPos+n)
+	if h.partial {
+		h.g.saveState(h.out, h.part)
+	} else {
+		h.g.emit(h.out, h.emitPos, h.emitPos+n)
+	}
 	h.emitPos += n
 	return h.out, nil
 }

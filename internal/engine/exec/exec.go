@@ -94,20 +94,27 @@ func (v *Values) Close() error { return nil }
 
 // Collect drains an operator into a single materialized batch, running the
 // full open/next/close protocol. It is the execution entry point for
-// clients that want the whole result.
+// clients that want the whole result. The first batch sizes the result, so
+// a one-batch answer (an aggregate's row) takes no more room than it needs;
+// a second batch reserves at least a vector's worth.
 func Collect(op Operator) (*vector.Batch, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	out := vector.NewBatch(op.Schema(), vector.Size)
-	for {
+	out := vector.NewBatch(op.Schema(), 0)
+	for batches := 0; ; batches++ {
 		b, err := op.Next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
 			return out, nil
+		}
+		if batches == 1 {
+			grown := vector.NewBatch(op.Schema(), max(vector.Size, out.Len()+b.Len()))
+			grown.AppendBatch(out)
+			out = grown
 		}
 		out.AppendBatch(b)
 	}

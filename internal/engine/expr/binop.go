@@ -139,9 +139,23 @@ func (b *BinOp) eval(ev *Evaluator, batch *vector.Batch) (*vector.Vector, error)
 	return out, nil
 }
 
-// evalLogic implements Kleene three-valued AND/OR.
+// evalLogic implements Kleene three-valued AND/OR; without NULL operands
+// it is plain && or ||.
 func evalLogic(op Op, l, r, out *vector.Vector) {
 	lb, rb, ob := l.Bools(), r.Bools(), out.Bools()
+	if !l.HasNulls() && !r.HasNulls() {
+		lb, rb = lb[:len(ob)], rb[:len(ob)]
+		if op == OpAnd {
+			for i := range ob {
+				ob[i] = lb[i] && rb[i]
+			}
+		} else {
+			for i := range ob {
+				ob[i] = lb[i] || rb[i]
+			}
+		}
+		return
+	}
 	for i := range ob {
 		lNull, rNull := l.NullAt(i), r.NullAt(i)
 		lt := !lNull && lb[i]

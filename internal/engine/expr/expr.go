@@ -69,22 +69,32 @@ func NewConst(d types.Datum) *Const { return &Const{Val: d} }
 // Type implements Expr.
 func (c *Const) Type() types.T { return c.Val.Type }
 
-// eval fills the constant's vector when it first has to grow and only
-// re-lengths it after that.
+// eval fills the constant's whole backing array when a batch is longer
+// than what an earlier batch filled, and only re-lengths the vector after
+// that: consumers only narrow it in place, which moves constants onto
+// constants, so the count filled is kept apart from the vector's length. A
+// NULL constant marks every row of the batch.
 func (c *Const) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
-	n := b.Len()
+	n, i := b.Len(), ev.next
 	v := ev.slot(c.Val.Type, n)
-	if v.Len() >= n {
-		// Filled by an earlier batch. A consumer may have narrowed it in
-		// place since, which leaves every remaining value the constant.
-		v.SetLen(n)
+	if c.Val.Null {
+		v.Reset()
+		v.Resize(n)
+		for r := range n {
+			v.SetNull(r)
+		}
 		return v, nil
 	}
-	v.Reset()
-	v.Resize(n)
-	for i := range n {
-		v.SetDatum(i, c.Val)
+	if ev.slots[i].filled < n {
+		v.Reset()
+		v.Resize(n)
+		v.SetLen(v.Cap())
+		for r := range v.Cap() {
+			v.SetDatum(r, c.Val)
+		}
+		ev.slots[i].filled = v.Cap()
 	}
+	v.SetLen(n)
 	return v, nil
 }
 

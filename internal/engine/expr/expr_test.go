@@ -112,6 +112,64 @@ func TestLogicKleene(t *testing.T) {
 	}
 }
 
+// TestLogicWithoutNulls runs AND and OR over NULL-free operands, the plain
+// && and || path, on every pair of truth values.
+func TestLogicWithoutNulls(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "a", Type: types.Bool}, types.Column{Name: "b", Type: types.Bool})
+	b := vector.NewBatch(schema, 4)
+	for _, r := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+		_ = b.AppendRow(types.BoolDatum(r[0]), types.BoolDatum(r[1]))
+	}
+	a, bb := NewColRef(0, "a", types.Bool), NewColRef(1, "b", types.Bool)
+	and, _ := NewBinOp(OpAnd, a, bb)
+	or, _ := NewBinOp(OpOr, a, bb)
+	av, ov := evalOne(t, and, b), evalOne(t, or, b)
+	for r, want := range [][2]bool{{false, false}, {false, true}, {false, true}, {true, true}} {
+		if av.NullAt(r) || ov.NullAt(r) || av.Bools()[r] != want[0] || ov.Bools()[r] != want[1] {
+			t.Errorf("row %d: AND %v OR %v, want %v", r, av.Datum(r), ov.Datum(r), want)
+		}
+	}
+}
+
+// TestConstAcrossBatchLengths evaluates constants over batches of 1024,
+// 166 and 1024 rows, the last again after its consumer narrowed the result
+// in place: every row holds the constant, and a NULL constant is NULL on
+// every row.
+func TestConstAcrossBatchLengths(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "x", Type: types.Int64})
+	for _, c := range []types.Datum{types.Int64Datum(7), types.StringDatum("layer"), types.NullDatum(types.Int32)} {
+		ev := NewEvaluator(NewConst(c))
+		check := func(n int, narrow bool) {
+			t.Helper()
+			b := vector.NewBatch(schema, n)
+			b.SetLen(n)
+			v, err := ev.Eval(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if narrow {
+				out := &vector.Batch{Schema: types.NewSchema(types.Column{Name: "c", Type: c.Type}), Vecs: []*vector.Vector{v}}
+				out.SetLen(n)
+				out.Gather([]int{1, 5, n - 1})
+				n = 3
+			}
+			if v.Len() != n {
+				t.Fatalf("%s: %d rows, want %d", c, v.Len(), n)
+			}
+			for r := range n {
+				if got := v.Datum(r); got.Null != c.Null || (!c.Null && got.String() != c.String()) {
+					t.Fatalf("%s over %d rows: row %d = %s", c, n, r, got)
+				}
+			}
+		}
+		for _, n := range []int{1024, 166, 1024} {
+			check(n, false)
+		}
+		check(1024, true)
+		check(1024, false)
+	}
+}
+
 func TestCaseSelectsFirstMatch(t *testing.T) {
 	b, x := f32Batch("x", -1, 0.5, 2)
 	gt0, _ := NewBinOp(OpGt, x, NewConst(types.Int32Datum(0)))

@@ -402,6 +402,11 @@ type aggNode struct {
 	// aggregate and the join below it as one exec.GroupJoin.
 	gjGroupBy []int
 	gjSums    []exec.GroupJoinSum
+	// states and final, set by physical (splitGlobalAgg), run a global
+	// aggregate as a partial per partition instance, emitting its state row
+	// of schema states, and a final merge above them.
+	states *types.Schema
+	final  bool
 }
 
 func newAggNode(child node, groupExprs []expr.Expr, groupNames []string, aggs []exec.AggSpec) *aggNode {
@@ -556,6 +561,12 @@ func (a *aggNode) build(ctx *buildCtx) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
+	switch {
+	case a.states != nil:
+		return exec.NewPartialAggregate(c, a.aggs, a.states, ctx.partition), nil
+	case a.final:
+		return exec.NewFinalAggregate(c, a.aggs)
+	}
 	if pi := a.segmentPrefix(); pi >= 0 {
 		return exec.NewSegmentedAggregate(c, a.groupExprs, a.groupNames, a.aggs, pi)
 	}
@@ -569,6 +580,10 @@ func (a *aggNode) describe() string {
 		kind = "SegmentedAggregate (groupjoin)"
 	case a.segmentPrefix() >= 0:
 		kind = "SegmentedAggregate (pipelined)"
+	case a.states != nil:
+		kind = "HashAggregate (partial)"
+	case a.final:
+		kind = "HashAggregate (final)"
 	}
 	groups := make([]string, len(a.groupExprs))
 	for i, g := range a.groupExprs {
@@ -583,6 +598,43 @@ func (a *aggNode) describe() string {
 		d += " on " + strings.TrimPrefix(a.child.describe(), "HashJoin ")
 	}
 	return d
+}
+
+// --- exchange ---
+
+// exchangeNode runs its child as one private plan instance per partition of
+// the driver table (Sec. 4.4/5.2) and merges their outputs.
+type exchangeNode struct {
+	child       node
+	driver      *storage.Table
+	parallelism int
+}
+
+func (e *exchangeNode) scope() *scope    { return e.child.scope() }
+func (e *exchangeNode) props() props     { return noProps() }
+func (e *exchangeNode) children() []node { return []node{e.child} }
+
+func (e *exchangeNode) build(ctx *buildCtx) (exec.Operator, error) {
+	children := make([]exec.Operator, e.driver.Partitions())
+	for part := range children {
+		ctx.driver, ctx.partition = e.driver, part
+		op, err := ctx.build(e.child)
+		if err != nil {
+			return nil, err
+		}
+		children[part] = op
+	}
+	ctx.partition = -1
+	ex, err := exec.NewExchange(children, e.parallelism)
+	if err != nil {
+		return nil, err
+	}
+	ex.Ctx = ctx.qctx
+	return ex, nil
+}
+
+func (e *exchangeNode) describe() string {
+	return fmt.Sprintf("Exchange [%d partitions of %s]", e.driver.Partitions(), e.driver.Name)
 }
 
 // --- model join ---

@@ -36,10 +36,10 @@ type Planner struct {
 
 // Plan is a bound, optimized query ready to build physical operators.
 type Plan struct {
+	// root is an exchangeNode when the whole plan runs per partition.
 	root     node
 	topSort  *sortNode
 	topLimit *limitNode
-	driver   *storage.Table
 	parallel bool
 	planner  *Planner
 }
@@ -62,10 +62,14 @@ func (p *Plan) Explain() string {
 	if p.topSort != nil {
 		sb.WriteString(p.topSort.describe() + "\n")
 	}
-	if p.parallel {
-		fmt.Fprintf(&sb, "Exchange [%d partitions of %s]\n", p.driver.Partitions(), p.driver.Name)
+	root := p.root
+	if ex, ok := root.(*exchangeNode); ok {
+		// A plan that runs whole per partition lists its Exchange flush
+		// with the plan under it.
+		sb.WriteString(ex.describe() + "\n")
+		root = ex.child
 	}
-	explainNode(p.root, 0, &sb)
+	explainNode(root, 0, &sb)
 	return sb.String()
 }
 
@@ -87,9 +91,9 @@ func (p *Plan) Build(ctx context.Context, qt *trace.QueryTrace) (exec.Operator, 
 	// Lay out the span tree first, mirroring the physical shape this
 	// function is about to build.
 	var (
-		spans                                 = make(map[node]*trace.Span)
-		limitSpan, sortSpan, topNSpan, exSpan *trace.Span
-		parent                                *trace.Span
+		spans                         = make(map[node]*trace.Span)
+		limitSpan, sortSpan, topNSpan *trace.Span
+		parent                        *trace.Span
 	)
 	add := func(name string) *trace.Span {
 		if parent == nil {
@@ -111,36 +115,13 @@ func (p *Plan) Build(ctx context.Context, qt *trace.QueryTrace) (exec.Operator, 
 			sortSpan = add(p.topSort.describe())
 		}
 	}
-	if p.parallel {
-		exSpan = add(fmt.Sprintf("Exchange [%d partitions of %s]", p.driver.Partitions(), p.driver.Name))
-	}
 	buildSpanTree(p.root, parent, spans, qt)
 
-	var root exec.Operator
 	bctx := &buildCtx{cat: p.planner.Cat, partition: -1, qctx: ctx, spans: spans,
 		snaps: make(map[*storage.Table]*storage.Snapshot), builds: make(map[*joinNode]*exec.Build)}
-	if p.parallel {
-		children := make([]exec.Operator, p.driver.Partitions())
-		for part := range children {
-			bctx.driver, bctx.partition = p.driver, part
-			op, err := bctx.build(p.root)
-			if err != nil {
-				return nil, err
-			}
-			children[part] = op
-		}
-		ex, err := exec.NewExchange(children, p.planner.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		ex.Ctx = ctx
-		root = exec.NewTraced(ex, exSpan)
-	} else {
-		op, err := bctx.build(p.root)
-		if err != nil {
-			return nil, err
-		}
-		root = op
+	root, err := bctx.build(p.root)
+	if err != nil {
+		return nil, err
 	}
 	if fuseTopN {
 		root = exec.NewTraced(exec.NewTopN(root, p.topSort.keys, p.topLimit.n), topNSpan)
@@ -222,17 +203,50 @@ func (pl *Planner) physical(root node) *Plan {
 	}
 	p.root = root
 
-	p.driver = pl.chooseDriver(root)
-	if p.driver != nil {
-		pl.placeBuildSides(root, p.driver)
+	driver := pl.chooseDriver(root)
+	if driver != nil {
+		pl.placeBuildSides(root, driver)
 	}
-	p.parallel = p.driver != nil && !pl.DisableParallel && pl.parallelizable(root, p.driver)
+	if driver != nil && !pl.DisableParallel {
+		if pl.parallelizable(root, driver) {
+			p.root = &exchangeNode{child: root, driver: driver, parallelism: pl.Parallelism}
+			p.parallel = true
+		} else {
+			p.parallel = pl.splitGlobalAgg(root, driver)
+		}
+	}
 	walk(root, func(n node) {
 		if a, ok := n.(*aggNode); ok {
-			a.planGroupJoin(p.driver)
+			a.planGroupJoin(driver)
 		}
 	})
 	return p
+}
+
+// splitGlobalAgg runs the topmost aggregate of root, under only projections
+// and filters (its HAVING), as a partial aggregate per partition instance
+// under an Exchange and a final merge above it, when it is global (no GROUP
+// BY) and its input parallelizes. It reports whether it did.
+func (pl *Planner) splitGlobalAgg(root node, driver *storage.Table) bool {
+	for {
+		switch t := root.(type) {
+		case *projectNode:
+			root = t.child
+			continue
+		case *filterNode:
+			root = t.child
+			continue
+		}
+		break
+	}
+	a, ok := root.(*aggNode)
+	if !ok || len(a.groupExprs) > 0 || !pl.parallelizable(a.child, driver) {
+		return false
+	}
+	partial := *a
+	partial.states, a.final = exec.PartialSchema(a.aggs), true
+	a.child = &exchangeNode{child: &partial, driver: driver, parallelism: pl.Parallelism}
+	return true
 }
 
 // chooseDriver picks the partition-parallel driver table (the fact table in
@@ -286,11 +300,15 @@ func (pl *Planner) placeBuildSides(root node, driver *storage.Table) {
 //     fact re-join of the output function, or the series windowing
 //     self-join) must join on the driver's unique key itself, since only
 //     that key is guaranteed co-partitioned. The windowing join on ts+1 is
-//     the counterexample: adjacent timestamps live in different partitions.
+//     the counterexample: adjacent timestamps live in different partitions;
+//   - no LIMIT may sit below the top of the plan (a subquery's): each
+//     instance would keep its own n rows.
 func (pl *Planner) parallelizable(root node, driver *storage.Table) bool {
 	ok := true
 	walk(root, func(n node) {
 		switch t := n.(type) {
+		case *limitNode:
+			ok = false
 		case *aggNode:
 			if !t.aligned(driver) {
 				ok = false

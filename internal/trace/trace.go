@@ -21,6 +21,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -44,8 +45,18 @@ type Span struct {
 	mu      sync.Mutex
 	extras  []*extra          // named counters, creation-ordered
 	byName  map[string]*extra // lookup for Counter
-	labels  map[string]string
-	adopted []*Span // grafted subtrees (remote shard fragments), mu-guarded
+	labels  []label           // sorted by key; in labelBuf while it has room
+	adopted []*Span           // grafted subtrees (remote shard fragments), mu-guarded
+
+	labelBuf [2]label
+}
+
+// label is one key=value annotation of a span.
+type label struct{ key, value string }
+
+// findLabel returns the position of key in the sorted labels.
+func findLabel(ls []label, key string) (int, bool) {
+	return slices.BinarySearchFunc(ls, key, func(l label, k string) int { return strings.Compare(l.key, k) })
 }
 
 type extra struct {
@@ -130,17 +141,25 @@ func (s *Span) Counter(name string) *atomic.Int64 {
 func (s *Span) SetLabel(key, value string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.labels == nil {
-		s.labels = make(map[string]string)
+	i, ok := findLabel(s.labels, key)
+	if ok {
+		s.labels[i].value = value
+		return
 	}
-	s.labels[key] = value
+	if s.labels == nil {
+		s.labels = s.labelBuf[:0]
+	}
+	s.labels = slices.Insert(s.labels, i, label{key, value})
 }
 
 // Label reads a label previously stored with SetLabel ("" if unset).
 func (s *Span) Label(key string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.labels[key]
+	if i, ok := findLabel(s.labels, key); ok {
+		return s.labels[i].value
+	}
+	return ""
 }
 
 // annotations renders the bracketed suffix: rows, batches, busy time,
@@ -153,13 +172,8 @@ func (s *Span) annotations() string {
 		parts = append(parts, fmt.Sprintf("batches=%d", b))
 	}
 	s.mu.Lock()
-	keys := make([]string, 0, len(s.labels))
-	for k := range s.labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%s", k, s.labels[k]))
+	for _, l := range s.labels {
+		parts = append(parts, fmt.Sprintf("%s=%s", l.key, l.value))
 	}
 	for _, e := range s.extras {
 		v := e.val.Load()
@@ -283,12 +297,7 @@ func (s *Span) toJSON() spanJSON {
 		Batches: s.batches.Load(),
 	}
 	s.mu.Lock()
-	if len(s.labels) > 0 {
-		j.Labels = make(map[string]string, len(s.labels))
-		for k, v := range s.labels {
-			j.Labels[k] = v
-		}
-	}
+	j.Labels = s.labelMap()
 	if len(s.extras) > 0 {
 		j.Counters = make(map[string]int64, len(s.extras))
 		for _, e := range s.extras {
@@ -303,6 +312,19 @@ func (s *Span) toJSON() spanJSON {
 		j.Children = append(j.Children, c.toJSON())
 	}
 	return j
+}
+
+// labelMap copies the labels into a map, nil without labels. The caller
+// holds s.mu.
+func (s *Span) labelMap() map[string]string {
+	if len(s.labels) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(s.labels))
+	for _, l := range s.labels {
+		m[l.key] = l.value
+	}
+	return m
 }
 
 // CounterStat is one named counter in a span snapshot, in creation order.
@@ -335,12 +357,7 @@ func (s *Span) Stat() SpanStat {
 		Batches: s.batches.Load(),
 	}
 	s.mu.Lock()
-	if len(s.labels) > 0 {
-		st.Labels = make(map[string]string, len(s.labels))
-		for k, v := range s.labels {
-			st.Labels[k] = v
-		}
-	}
+	st.Labels = s.labelMap()
 	if len(s.extras) > 0 {
 		st.Counters = make([]CounterStat, 0, len(s.extras))
 		for _, e := range s.extras {

@@ -17,7 +17,11 @@ func TestSpanCountersAndLabels(t *testing.T) {
 	s.AddWall(1500 * time.Microsecond)
 	s.AddRows(600)
 	s.AddBatches(3)
+	s.SetLabel("cache", "miss")
+	s.SetLabel("device", "cpu")
+	s.SetLabel("batched", "yes")
 	s.SetLabel("cache", "hit")
+	s.SetLabel("build", "cold")
 	s.Counter("infer_ns").Store(int64(250 * time.Microsecond))
 	s.Counter("sgemm_flops").Store(1 << 20)
 
@@ -34,10 +38,13 @@ func TestSpanCountersAndLabels(t *testing.T) {
 	}
 
 	ann := s.annotations()
-	for _, want := range []string{"time=1.50ms", "rows=600", "batches=3", "cache=hit", "infer=250.0µs", "sgemm_flops="} {
+	for _, want := range []string{"time=1.50ms", "rows=600", "batches=3", "batched=yes build=cold cache=hit device=cpu infer=250.0µs", "sgemm_flops="} {
 		if !strings.Contains(ann, want) {
 			t.Errorf("annotations missing %q: %s", want, ann)
 		}
+	}
+	if got := s.Stat().Labels; len(got) != 4 || got["cache"] != "hit" || got["build"] != "cold" {
+		t.Errorf("Stat labels = %v", got)
 	}
 }
 
