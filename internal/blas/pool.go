@@ -12,12 +12,10 @@ import (
 // are handed to them over a channel — the analogue of MKL's persistent
 // thread team.
 //
-// The task channel is unbuffered, so a chunk goes only to a worker that is
-// idle, blocked in receive; when none is (the team is running other
-// kernels' chunks, e.g. under the engine's partition-parallel plans), the
-// caller runs the chunk inline. A chunk never queues behind another
-// kernel's chunk, the pool never blocks a caller, and nested parallelism
-// is deadlock-free by construction.
+// The task channel is unbuffered: a chunk goes only to an idle worker, else
+// (e.g. under the engine's partition-parallel plans) the caller runs it
+// inline. No chunk queues behind another kernel's, no caller ever blocks,
+// and nested parallelism is deadlock-free by construction.
 
 // rowJob is a kernel that can be split by rows: runRows computes rows
 // [lo, hi), and disjoint ranges may run concurrently.

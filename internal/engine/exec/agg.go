@@ -71,13 +71,14 @@ type accumulator struct {
 	s     []string
 }
 
-// stateType is the type of the running value an accumulator keeps for a:
-// DOUBLE for a float argument, VARCHAR for a string, else BIGINT.
+// stateType is the type of a's running value: DOUBLE for a float argument,
+// VARCHAR for a string, else (and for COUNT) BIGINT.
 func (a AggSpec) stateType() types.T {
 	switch {
-	case a.Arg != nil && a.Arg.Type().IsFloat():
+	case a.Func == AggCount || a.Func == AggCountStar:
+	case a.Arg.Type().IsFloat():
 		return types.Float64
-	case a.Arg != nil && a.Arg.Type() == types.String:
+	case a.Arg.Type() == types.String:
 		return types.String
 	}
 	return types.Int64
@@ -113,9 +114,9 @@ func resizeZero[T any](s []T, n int) []T {
 	return s
 }
 
-// update folds rows [lo, lo+len(ids)) of v into the groups ids names.
-func (a *accumulator) update(ids []int32, v *vector.Vector, lo int) {
-	hi := lo + len(ids)
+// update folds rows [lo, hi) of v into the groups ids[lo:hi] names.
+func (a *accumulator) update(ids []int32, v *vector.Vector, lo, hi int) {
+	ids = ids[lo:hi]
 	if a.spec.Func == AggCountStar {
 		for _, g := range ids {
 			a.count[g]++
@@ -210,65 +211,6 @@ func keepExtreme[A int64 | float64, T int32 | int64 | float32 | float64](acc []A
 			acc[g] = x
 		}
 		count[g]++
-	}
-}
-
-// merge folds group src's state into group dst: counts and sums add, and
-// MIN and MAX compare src's extreme as one more row.
-func (a *accumulator) merge(dst, src int) {
-	if a.count[src] == 0 {
-		return
-	}
-	first, isMax := a.count[dst] == 0, a.spec.Func == AggMax
-	switch a.spec.Func {
-	case AggSum, AggAvg:
-		if a.f != nil {
-			a.f[dst] += a.f[src]
-		} else {
-			a.i[dst] += a.i[src]
-		}
-	case AggMin, AggMax:
-		switch {
-		case a.f != nil:
-			mergeExtreme(a.f, dst, src, first, isMax)
-		case a.s != nil:
-			mergeExtreme(a.s, dst, src, first, isMax)
-		default:
-			mergeExtreme(a.i, dst, src, first, isMax)
-		}
-	}
-	a.count[dst] += a.count[src]
-}
-
-func mergeExtreme[T int64 | float64 | string](acc []T, dst, src int, first, isMax bool) {
-	if x := acc[src]; first || (isMax && x > acc[dst]) || (!isMax && x < acc[dst]) {
-		acc[dst] = x
-	}
-}
-
-// saveState writes group g's count to row r of n and its running value
-// (of type stateType) to row r of v; loadState reads them back.
-func (a *accumulator) saveState(n, v *vector.Vector, r, g int) {
-	n.Int64s()[r] = a.count[g]
-	switch {
-	case a.f != nil:
-		v.Float64s()[r] = a.f[g]
-	case a.s != nil:
-		v.Strings()[r] = a.s[g]
-	case a.i != nil:
-		v.Int64s()[r] = a.i[g]
-	}
-}
-
-func (a *accumulator) loadState(n, v *vector.Vector, r, g int) {
-	a.count[g] = n.Int64s()[r]
-	switch {
-	case a.f != nil:
-		a.f[g] = v.Float64s()[r]
-	case a.s != nil:
-		a.s[g] = v.Strings()[r]
-	case a.i != nil:
-		a.i[g] = v.Int64s()[r]
 	}
 }
 
@@ -396,8 +338,7 @@ func newGrouper(groupBy []expr.Expr, aggs []AggSpec, prefix int) *grouper {
 		g.ids = make([]int32, vector.Size)
 	} else {
 		// A scalar aggregate has its one group from the start, so an empty
-		// input still yields one row (COUNT = 0, SUM = NULL), per SQL. Its
-		// rows name the group through the shared, never written zeroIDs.
+		// input still yields one row (COUNT = 0, SUM = NULL), per SQL.
 		g.resize(1)
 	}
 	return g
@@ -467,7 +408,7 @@ func (g *grouper) add(lo, hi int) {
 		}
 	}
 	for i := range g.accs {
-		g.accs[i].update(g.ids[lo:hi], g.args[i], lo)
+		g.accs[i].update(g.ids, g.args[i], lo, hi)
 	}
 }
 
@@ -483,16 +424,51 @@ func (g *grouper) emit(out *vector.Batch, lo, hi int) {
 	out.SetLen(out.Len() + hi - lo)
 }
 
-// saveState sets out, a PartialSchema batch, to the one row of a scalar
-// aggregate's state: partition part, then each aggregate's count and value.
+// zeroIDs names group 0 for every row of a batch of a scalar aggregate.
+var zeroIDs [vector.Size]int32
+
+// PartialSchema is the state row of a global aggregate's partial: its
+// partition, then per aggregate its count and running value.
+func PartialSchema(aggs []AggSpec) *types.Schema {
+	cols := []types.Column{{Name: "part", Type: types.Int64}}
+	for _, a := range aggs {
+		cols = append(cols, types.Column{Name: a.Name + "_n", Type: types.Int64}, types.Column{Name: a.Name, Type: a.stateType()})
+	}
+	return types.NewSchema(cols...)
+}
+
+// saveState appends the state row of a scalar aggregate to out, a
+// PartialSchema batch. A value emitted in its state type is the running
+// value as kept; AVG's is its sum.
 func (g *grouper) saveState(out *vector.Batch, part int) {
-	for _, v := range out.Vecs {
-		v.Resize(1)
+	out.Vecs[0].AppendDatum(types.Int64Datum(int64(part)))
+	for i, a := range g.accs {
+		out.Vecs[1+2*i].AppendDatum(types.Int64Datum(a.count[0]))
+		if a.spec.Func == AggAvg {
+			a.spec.Func = AggSum
+		}
+		a.emit(out.Vecs[2+2*i], 0, 1)
 	}
 	out.SetLen(1)
-	out.Vecs[0].Int64s()[0] = int64(part)
+}
+
+// mergeStates folds the partials' state rows into the scalar aggregate's
+// group in partition order, whatever order they arrived in, so a result's
+// bits never depend on scheduling. Each running value is one more input
+// row (SUM adds it, MIN and MAX re-apply; a partition without input has a
+// NULL one), and the counts add.
+func (g *grouper) mergeStates(states *vector.Batch) {
+	order := make([]int, states.Len())
+	for r, p := range states.Vecs[0].Int64s() {
+		order[p] = r
+	}
 	for i := range g.accs {
-		g.accs[i].saveState(out.Vecs[1+2*i], out.Vecs[2+2*i], 0, 0)
+		a, n, count := &g.accs[i], states.Vecs[1+2*i].Int64s(), int64(0)
+		for _, r := range order {
+			a.update(zeroIDs[:], states.Vecs[2+2*i], r, r+1)
+			count += n[r]
+		}
+		a.count[0] = count
 	}
 }
 
@@ -510,10 +486,11 @@ type HashAggregate struct {
 	g       *grouper
 	out     *vector.Batch
 	emitPos int
-	// partial makes the aggregate partition part's share of a global one:
-	// its one row is the state (PartialSchema), not the result.
-	partial bool
-	part    int
+	// A global aggregate over a partitioned input runs as one partial per
+	// partition instance under the Exchange, emitting partition part's
+	// state row, and a final above it that merges those rows.
+	partial, final bool
+	part           int
 	// PeakGroups is exposed for the memory experiments: the number of
 	// simultaneously held groups.
 	PeakGroups int
@@ -529,10 +506,19 @@ func NewHashAggregate(child Operator, groupBy []expr.Expr, groupNames []string, 
 }
 
 // NewPartialAggregate constructs partition part's share of a global
-// aggregate; states is PartialSchema(aggs), which the instances share, and
-// the FinalAggregate above them checks aggs.
+// aggregate; states is PartialSchema(aggs), which the instances share.
 func NewPartialAggregate(child Operator, aggs []AggSpec, states *types.Schema, part int) *HashAggregate {
 	return &HashAggregate{Child: child, Aggs: aggs, schema: states, partial: true, part: part}
+}
+
+// NewFinalAggregate constructs the merge of the PartialSchema(aggs) rows
+// that child delivers.
+func NewFinalAggregate(child Operator, aggs []AggSpec) (*HashAggregate, error) {
+	h, err := NewHashAggregate(child, nil, nil, aggs)
+	if err == nil {
+		h.final = true
+	}
+	return h, err
 }
 
 // Schema implements Operator.
@@ -546,6 +532,10 @@ func (h *HashAggregate) Open() error {
 	h.g = newGrouper(h.GroupBy, h.Aggs, -1)
 	h.out = vector.NewBatch(h.schema, 0)
 	h.emitPos = 0
+	var states *vector.Batch
+	if h.final {
+		states = vector.NewBatch(h.Child.Schema(), 0)
+	}
 	for {
 		b, err := h.Child.Next()
 		if err != nil {
@@ -554,10 +544,17 @@ func (h *HashAggregate) Open() error {
 		if b == nil {
 			break
 		}
+		if h.final {
+			states.AppendBatch(b)
+			continue
+		}
 		if err := h.g.load(b); err != nil {
 			return err
 		}
 		h.g.add(0, b.Len())
+	}
+	if h.final {
+		h.g.mergeStates(states)
 	}
 	h.PeakGroups = h.g.groups()
 	return nil

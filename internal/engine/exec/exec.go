@@ -94,9 +94,8 @@ func (v *Values) Close() error { return nil }
 
 // Collect drains an operator into a single materialized batch, running the
 // full open/next/close protocol. It is the execution entry point for
-// clients that want the whole result. The first batch sizes the result, so
-// a one-batch answer (an aggregate's row) takes no more room than it needs;
-// a second batch reserves at least a vector's worth.
+// clients that want the whole result. The first batch sizes the result (an
+// aggregate's one row needs no more); a second reserves a vector's worth.
 func Collect(op Operator) (*vector.Batch, error) {
 	if err := op.Open(); err != nil {
 		return nil, err

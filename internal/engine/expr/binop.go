@@ -139,8 +139,7 @@ func (b *BinOp) eval(ev *Evaluator, batch *vector.Batch) (*vector.Vector, error)
 	return out, nil
 }
 
-// evalLogic implements Kleene three-valued AND/OR; without NULL operands
-// it is plain && or ||.
+// evalLogic implements Kleene three-valued AND/OR, plain && or || without NULLs.
 func evalLogic(op Op, l, r, out *vector.Vector) {
 	lb, rb, ob := l.Bools(), r.Bools(), out.Bools()
 	if !l.HasNulls() && !r.HasNulls() {

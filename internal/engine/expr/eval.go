@@ -21,11 +21,11 @@ import (
 // its evaluators at Open, so nothing outlives a statement.
 type Evaluator struct {
 	e Expr
-	// slots[i] holds the result vector of the i-th computed node in
-	// evaluation order. Every node evaluates all of its children on every
-	// batch, so the order depends only on the tree's shape and slot i
-	// always belongs to the same node.
-	slots []slot
+	// slots[i] is the result vector of the i-th computed node in evaluation
+	// order. Every node evaluates all of its children on every batch, so the
+	// order depends only on the tree's shape and slot i always belongs to
+	// the same node.
+	slots []*vector.Vector
 	next  int
 	// guards are the enclosing nodes' claims on the node being evaluated:
 	// a CASE arm keeps only the rows it takes, the right side of an AND
@@ -33,13 +33,6 @@ type Evaluator struct {
 	// those its left side leaves NULL or FALSE. A node that can fail on a
 	// row — a narrowing cast — fails only on a row every guard keeps.
 	guards []guard
-}
-
-type slot struct {
-	v *vector.Vector
-	// filled counts the leading values of v's backing array that hold the
-	// node's value, when the node is a Const (see Const.eval).
-	filled int
 }
 
 // guard keeps the rows where v, a BOOLEAN vector, is NULL or holds keep.
@@ -94,9 +87,9 @@ func (ev *Evaluator) kept(r int) bool {
 // with room for n rows on first use.
 func (ev *Evaluator) slot(t types.T, n int) *vector.Vector {
 	if ev.next == len(ev.slots) {
-		ev.slots = append(ev.slots, slot{v: vector.New(t, n)})
+		ev.slots = append(ev.slots, vector.New(t, n))
 	}
-	v := ev.slots[ev.next].v
+	v := ev.slots[ev.next]
 	ev.next++
 	return v
 }

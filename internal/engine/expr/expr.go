@@ -69,30 +69,19 @@ func NewConst(d types.Datum) *Const { return &Const{Val: d} }
 // Type implements Expr.
 func (c *Const) Type() types.T { return c.Val.Type }
 
-// eval fills the constant's whole backing array when a batch is longer
-// than what an earlier batch filled, and only re-lengths the vector after
-// that: consumers only narrow it in place, which moves constants onto
-// constants, so the count filled is kept apart from the vector's length. A
-// NULL constant marks every row of the batch.
+// eval fills the vector's whole array when a batch outgrows it and only
+// re-lengths it after that: consumers only narrow it in place, moving
+// constants onto constants. NULL marks do not survive re-lengthing.
 func (c *Const) eval(ev *Evaluator, b *vector.Batch) (*vector.Vector, error) {
-	n, i := b.Len(), ev.next
-	v := ev.slot(c.Val.Type, n)
-	if c.Val.Null {
-		v.Reset()
-		v.Resize(n)
-		for r := range n {
-			v.SetNull(r)
-		}
-		return v, nil
-	}
-	if ev.slots[i].filled < n {
+	n := b.Len()
+	v := ev.slot(c.Val.Type, 0)
+	if c.Val.Null || v.Cap() < n {
 		v.Reset()
 		v.Resize(n)
 		v.SetLen(v.Cap())
-		for r := range v.Cap() {
+		for r := range v.Len() {
 			v.SetDatum(r, c.Val)
 		}
-		ev.slots[i].filled = v.Cap()
 	}
 	v.SetLen(n)
 	return v, nil

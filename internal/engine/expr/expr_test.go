@@ -131,10 +131,11 @@ func TestLogicWithoutNulls(t *testing.T) {
 	}
 }
 
-// TestConstAcrossBatchLengths evaluates constants over batches of 1024,
-// 166 and 1024 rows, the last again after its consumer narrowed the result
-// in place: every row holds the constant, and a NULL constant is NULL on
-// every row.
+// TestConstAcrossBatchLengths evaluates constants over batches of 100,
+// 166, 300, 1024, 166 and 1024 rows, the last again after its consumer
+// narrowed the result in place: every row holds the constant, and a NULL
+// constant is NULL on every row. The growing lengths at the start make the
+// vector's array outgrow the rows a batch asked for.
 func TestConstAcrossBatchLengths(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "x", Type: types.Int64})
 	for _, c := range []types.Datum{types.Int64Datum(7), types.StringDatum("layer"), types.NullDatum(types.Int32)} {
@@ -162,7 +163,7 @@ func TestConstAcrossBatchLengths(t *testing.T) {
 				}
 			}
 		}
-		for _, n := range []int{1024, 166, 1024} {
+		for _, n := range []int{100, 166, 300, 1024, 166, 1024} {
 			check(n, false)
 		}
 		check(1024, true)

@@ -38,7 +38,8 @@ func (c *modelCatalog) NewModelJoin(_ string, child exec.Operator, inputCols []i
 
 // TestGlobalAggregateSplitExplain pins the plan of a global aggregate over
 // a partitioned driver: a partial aggregate per partition under the
-// Exchange, the final merge and its HAVING and projection above it. A
+// Exchange, whose scope is their state rows, the final merge and its
+// HAVING and projection above it. A
 // grouped aggregate keeps the whole plan under the Exchange, and a
 // subquery's LIMIT keeps the plan serial.
 func TestGlobalAggregateSplitExplain(t *testing.T) {
@@ -73,6 +74,13 @@ Project id AS id, agg0 AS s
 		if got := p.Explain(); got != tc.want {
 			t.Errorf("%s:\n%s\nwant\n%s", tc.q, got, tc.want)
 		}
+		walk(p.root, func(n node) {
+			// The Exchange over the partials passes on their scope, which
+			// must describe the state rows they emit.
+			if a, ok := n.(*aggNode); ok && a.states != nil && a.scope().schema().String() != a.states.String() {
+				t.Errorf("%s: partial scope %s, state rows %s", tc.q, a.scope().schema(), a.states)
+			}
+		})
 		if got := runPlan(t, p).Vecs[0].Int64s()[0]; tc.count != 0 && got != tc.count {
 			t.Errorf("%s = %d, want %d", tc.q, got, tc.count)
 		}

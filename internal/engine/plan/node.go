@@ -402,9 +402,8 @@ type aggNode struct {
 	// aggregate and the join below it as one exec.GroupJoin.
 	gjGroupBy []int
 	gjSums    []exec.GroupJoinSum
-	// states and final, set by physical (splitGlobalAgg), run a global
-	// aggregate as a partial per partition instance, emitting its state row
-	// of schema states, and a final merge above them.
+	// states (a partial's state rows, its scope too) and final, set by
+	// splitGlobalAgg, split a global aggregate around an Exchange.
 	states *types.Schema
 	final  bool
 }
@@ -616,13 +615,12 @@ func (e *exchangeNode) children() []node { return []node{e.child} }
 
 func (e *exchangeNode) build(ctx *buildCtx) (exec.Operator, error) {
 	children := make([]exec.Operator, e.driver.Partitions())
+	var err error
 	for part := range children {
 		ctx.driver, ctx.partition = e.driver, part
-		op, err := ctx.build(e.child)
-		if err != nil {
+		if children[part], err = ctx.build(e.child); err != nil {
 			return nil, err
 		}
-		children[part] = op
 	}
 	ctx.partition = -1
 	ex, err := exec.NewExchange(children, e.parallelism)

@@ -207,13 +207,12 @@ func (pl *Planner) physical(root node) *Plan {
 	if driver != nil {
 		pl.placeBuildSides(root, driver)
 	}
-	if driver != nil && !pl.DisableParallel {
-		if pl.parallelizable(root, driver) {
-			p.root = &exchangeNode{child: root, driver: driver, parallelism: pl.Parallelism}
-			p.parallel = true
-		} else {
-			p.parallel = pl.splitGlobalAgg(root, driver)
-		}
+	switch {
+	case driver == nil || pl.DisableParallel:
+	case pl.parallelizable(root, driver):
+		p.root, p.parallel = &exchangeNode{child: root, driver: driver, parallelism: pl.Parallelism}, true
+	default:
+		p.parallel = pl.splitGlobalAgg(root, driver)
 	}
 	walk(root, func(n node) {
 		if a, ok := n.(*aggNode); ok {
@@ -228,23 +227,25 @@ func (pl *Planner) physical(root node) *Plan {
 // under an Exchange and a final merge above it, when it is global (no GROUP
 // BY) and its input parallelizes. It reports whether it did.
 func (pl *Planner) splitGlobalAgg(root node, driver *storage.Table) bool {
-	for {
+	for descend := true; descend; {
 		switch t := root.(type) {
 		case *projectNode:
 			root = t.child
-			continue
 		case *filterNode:
 			root = t.child
-			continue
+		default:
+			descend = false
 		}
-		break
 	}
 	a, ok := root.(*aggNode)
 	if !ok || len(a.groupExprs) > 0 || !pl.parallelizable(a.child, driver) {
 		return false
 	}
 	partial := *a
-	partial.states, a.final = exec.PartialSchema(a.aggs), true
+	partial.states, partial.sc, a.final = exec.PartialSchema(a.aggs), &scope{}, true
+	for _, c := range partial.states.Columns() {
+		partial.sc.cols = append(partial.sc.cols, scopeCol{name: strings.ToLower(c.Name), typ: c.Type})
+	}
 	a.child = &exchangeNode{child: &partial, driver: driver, parallelism: pl.Parallelism}
 	return true
 }

@@ -42,22 +42,16 @@ type Span struct {
 	rows    atomic.Int64
 	batches atomic.Int64
 
-	mu      sync.Mutex
-	extras  []*extra          // named counters, creation-ordered
-	byName  map[string]*extra // lookup for Counter
-	labels  []label           // sorted by key; in labelBuf while it has room
-	adopted []*Span           // grafted subtrees (remote shard fragments), mu-guarded
-
+	mu       sync.Mutex
+	extras   []*extra          // named counters, creation-ordered
+	byName   map[string]*extra // lookup for Counter
+	labels   []label           // in set order; in labelBuf while it has room
+	adopted  []*Span           // grafted subtrees (remote shard fragments), mu-guarded
 	labelBuf [2]label
 }
 
 // label is one key=value annotation of a span.
 type label struct{ key, value string }
-
-// findLabel returns the position of key in the sorted labels.
-func findLabel(ls []label, key string) (int, bool) {
-	return slices.BinarySearchFunc(ls, key, func(l label, k string) int { return strings.Compare(l.key, k) })
-}
 
 type extra struct {
 	name string
@@ -141,23 +135,26 @@ func (s *Span) Counter(name string) *atomic.Int64 {
 func (s *Span) SetLabel(key, value string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := findLabel(s.labels, key)
-	if ok {
-		s.labels[i].value = value
-		return
+	for i := range s.labels {
+		if s.labels[i].key == key {
+			s.labels[i].value = value
+			return
+		}
 	}
 	if s.labels == nil {
 		s.labels = s.labelBuf[:0]
 	}
-	s.labels = slices.Insert(s.labels, i, label{key, value})
+	s.labels = append(s.labels, label{key, value})
 }
 
 // Label reads a label previously stored with SetLabel ("" if unset).
 func (s *Span) Label(key string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, ok := findLabel(s.labels, key); ok {
-		return s.labels[i].value
+	for _, l := range s.labels {
+		if l.key == key {
+			return l.value
+		}
 	}
 	return ""
 }
@@ -172,6 +169,7 @@ func (s *Span) annotations() string {
 		parts = append(parts, fmt.Sprintf("batches=%d", b))
 	}
 	s.mu.Lock()
+	slices.SortFunc(s.labels, func(a, b label) int { return strings.Compare(a.key, b.key) })
 	for _, l := range s.labels {
 		parts = append(parts, fmt.Sprintf("%s=%s", l.key, l.value))
 	}
