@@ -71,29 +71,16 @@ type accumulator struct {
 	s     []string
 }
 
-// stateType is the type of a's running value: DOUBLE for a float argument,
-// VARCHAR for a string, else (and for COUNT) BIGINT.
-func (a AggSpec) stateType() types.T {
-	switch {
-	case a.Func == AggCount || a.Func == AggCountStar:
-	case a.Arg.Type().IsFloat():
-		return types.Float64
-	case a.Arg.Type() == types.String:
-		return types.String
-	}
-	return types.Int64
-}
-
 // resize sets the number of groups to n; new groups start empty.
 func (a *accumulator) resize(n int) {
 	a.count = resizeZero(a.count, n)
 	if a.spec.Arg == nil {
 		return
 	}
-	switch a.spec.stateType() {
-	case types.String:
+	switch t := a.spec.Arg.Type(); {
+	case t == types.String:
 		a.s = resizeZero(a.s, n)
-	case types.Float64:
+	case t == types.Float32 || t == types.Float64:
 		a.f = resizeZero(a.f, n)
 	default:
 		a.i = resizeZero(a.i, n)
@@ -211,6 +198,39 @@ func keepExtreme[A int64 | float64, T int32 | int64 | float32 | float64](acc []A
 			acc[g] = x
 		}
 		count[g]++
+	}
+}
+
+// merge folds src's one group into a's: counts and sums add, and MIN and
+// MAX compare src's extreme as one more row.
+func (a *accumulator) merge(src *accumulator) {
+	if src.count[0] == 0 {
+		return
+	}
+	first, isMax := a.count[0] == 0, a.spec.Func == AggMax
+	switch a.spec.Func {
+	case AggSum, AggAvg:
+		if a.f != nil {
+			a.f[0] += src.f[0]
+		} else {
+			a.i[0] += src.i[0]
+		}
+	case AggMin, AggMax:
+		switch {
+		case a.f != nil:
+			mergeExtreme(a.f, src.f, first, isMax)
+		case a.s != nil:
+			mergeExtreme(a.s, src.s, first, isMax)
+		default:
+			mergeExtreme(a.i, src.i, first, isMax)
+		}
+	}
+	a.count[0] += src.count[0]
+}
+
+func mergeExtreme[T int64 | float64 | string](acc, src []T, first, isMax bool) {
+	if x := src[0]; first || (isMax && x > acc[0]) || (!isMax && x < acc[0]) {
+		acc[0] = x
 	}
 }
 
@@ -427,51 +447,6 @@ func (g *grouper) emit(out *vector.Batch, lo, hi int) {
 // zeroIDs names group 0 for every row of a batch of a scalar aggregate.
 var zeroIDs [vector.Size]int32
 
-// PartialSchema is the state row of a global aggregate's partial: its
-// partition, then per aggregate its count and running value.
-func PartialSchema(aggs []AggSpec) *types.Schema {
-	cols := []types.Column{{Name: "part", Type: types.Int64}}
-	for _, a := range aggs {
-		cols = append(cols, types.Column{Name: a.Name + "_n", Type: types.Int64}, types.Column{Name: a.Name, Type: a.stateType()})
-	}
-	return types.NewSchema(cols...)
-}
-
-// saveState appends the state row of a scalar aggregate to out, a
-// PartialSchema batch. A value emitted in its state type is the running
-// value as kept; AVG's is its sum.
-func (g *grouper) saveState(out *vector.Batch, part int) {
-	out.Vecs[0].AppendDatum(types.Int64Datum(int64(part)))
-	for i, a := range g.accs {
-		out.Vecs[1+2*i].AppendDatum(types.Int64Datum(a.count[0]))
-		if a.spec.Func == AggAvg {
-			a.spec.Func = AggSum
-		}
-		a.emit(out.Vecs[2+2*i], 0, 1)
-	}
-	out.SetLen(1)
-}
-
-// mergeStates folds the partials' state rows into the scalar aggregate's
-// group in partition order, whatever order they arrived in, so a result's
-// bits never depend on scheduling. Each running value is one more input
-// row (SUM adds it, MIN and MAX re-apply; a partition without input has a
-// NULL one), and the counts add.
-func (g *grouper) mergeStates(states *vector.Batch) {
-	order := make([]int, states.Len())
-	for r, p := range states.Vecs[0].Int64s() {
-		order[p] = r
-	}
-	for i := range g.accs {
-		a, n, count := &g.accs[i], states.Vecs[1+2*i].Int64s(), int64(0)
-		for _, r := range order {
-			a.update(zeroIDs[:], states.Vecs[2+2*i], r, r+1)
-			count += n[r]
-		}
-		a.count[0] = count
-	}
-}
-
 // HashAggregate is the generic grouping operator: it materializes a group
 // table over the full input — a pipeline breaker, which is exactly the
 // memory-footprint cost of ML-To-SQL the paper discusses (Sec. 4.4), and
@@ -486,11 +461,10 @@ type HashAggregate struct {
 	g       *grouper
 	out     *vector.Batch
 	emitPos int
-	// A global aggregate over a partitioned input runs as one partial per
-	// partition instance under the Exchange, emitting partition part's
-	// state row, and a final above it that merges those rows.
-	partial, final bool
-	part           int
+	// partials, part and final split a global aggregate (see Partials).
+	partials *Partials
+	part     int
+	final    bool
 	// PeakGroups is exposed for the memory experiments: the number of
 	// simultaneously held groups.
 	PeakGroups int
@@ -505,18 +479,31 @@ func NewHashAggregate(child Operator, groupBy []expr.Expr, groupNames []string, 
 	return &HashAggregate{Child: child, GroupBy: groupBy, GroupNames: groupNames, Aggs: aggs, schema: schema}, nil
 }
 
+// Partials carries a global aggregate's state from its partials, one
+// HashAggregate per partition instance under an Exchange, to the final
+// HashAggregate above it. A partial emits no rows: it leaves its scalar
+// accumulators in its partition's slot. Once the Exchange has drained, the
+// final merges the slots in partition order, so a result's bits never
+// depend on scheduling.
+type Partials struct{ accs [][]accumulator }
+
+// NewPartials makes the slots of n partitions.
+func NewPartials(n int) *Partials { return &Partials{accs: make([][]accumulator, n)} }
+
+// partialSchema is the schema of a partial, which emits no rows.
+var partialSchema = types.NewSchema()
+
 // NewPartialAggregate constructs partition part's share of a global
-// aggregate; states is PartialSchema(aggs), which the instances share.
-func NewPartialAggregate(child Operator, aggs []AggSpec, states *types.Schema, part int) *HashAggregate {
-	return &HashAggregate{Child: child, Aggs: aggs, schema: states, partial: true, part: part}
+// aggregate.
+func NewPartialAggregate(child Operator, aggs []AggSpec, p *Partials, part int) *HashAggregate {
+	return &HashAggregate{Child: child, Aggs: aggs, schema: partialSchema, partials: p, part: part}
 }
 
-// NewFinalAggregate constructs the merge of the PartialSchema(aggs) rows
-// that child delivers.
-func NewFinalAggregate(child Operator, aggs []AggSpec) (*HashAggregate, error) {
+// NewFinalAggregate constructs the merge of aggs' partials.
+func NewFinalAggregate(child Operator, aggs []AggSpec, p *Partials) (*HashAggregate, error) {
 	h, err := NewHashAggregate(child, nil, nil, aggs)
 	if err == nil {
-		h.final = true
+		h.partials, h.final = p, true
 	}
 	return h, err
 }
@@ -532,10 +519,6 @@ func (h *HashAggregate) Open() error {
 	h.g = newGrouper(h.GroupBy, h.Aggs, -1)
 	h.out = vector.NewBatch(h.schema, 0)
 	h.emitPos = 0
-	var states *vector.Batch
-	if h.final {
-		states = vector.NewBatch(h.Child.Schema(), 0)
-	}
 	for {
 		b, err := h.Child.Next()
 		if err != nil {
@@ -544,17 +527,20 @@ func (h *HashAggregate) Open() error {
 		if b == nil {
 			break
 		}
-		if h.final {
-			states.AppendBatch(b)
-			continue
-		}
 		if err := h.g.load(b); err != nil {
 			return err
 		}
 		h.g.add(0, b.Len())
 	}
-	if h.final {
-		h.g.mergeStates(states)
+	switch {
+	case h.final:
+		for _, accs := range h.partials.accs {
+			for i := range accs {
+				h.g.accs[i].merge(&accs[i])
+			}
+		}
+	case h.partials != nil:
+		h.partials.accs[h.part], h.emitPos = h.g.accs, 1 // emits nothing
 	}
 	h.PeakGroups = h.g.groups()
 	return nil
@@ -568,11 +554,7 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 		return nil, nil
 	}
 	h.out.Reset()
-	if h.partial {
-		h.g.saveState(h.out, h.part)
-	} else {
-		h.g.emit(h.out, h.emitPos, h.emitPos+n)
-	}
+	h.g.emit(h.out, h.emitPos, h.emitPos+n)
 	h.emitPos += n
 	return h.out, nil
 }

@@ -94,8 +94,9 @@ func (v *Values) Close() error { return nil }
 
 // Collect drains an operator into a single materialized batch, running the
 // full open/next/close protocol. It is the execution entry point for
-// clients that want the whole result. The first batch sizes the result (an
-// aggregate's one row needs no more); a second reserves a vector's worth.
+// clients that want the whole result. A first batch shorter than a vector
+// sizes the result (an aggregate's one row needs no more); a second batch
+// then moves it to a vector's worth, as a result starts out otherwise.
 func Collect(op Operator) (*vector.Batch, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
@@ -110,8 +111,8 @@ func Collect(op Operator) (*vector.Batch, error) {
 		if b == nil {
 			return out, nil
 		}
-		if batches == 1 {
-			grown := vector.NewBatch(op.Schema(), max(vector.Size, out.Len()+b.Len()))
+		if batches == 1 && out.Len() < vector.Size {
+			grown := vector.NewBatch(op.Schema(), vector.Size)
 			grown.AppendBatch(out)
 			out = grown
 		}

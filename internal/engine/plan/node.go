@@ -54,6 +54,8 @@ type buildCtx struct {
 	spans  map[node]*trace.Span
 	snaps  map[*storage.Table]*storage.Snapshot
 	builds map[*joinNode]*exec.Build
+	// partials carries the split global aggregate's state (splitGlobalAgg).
+	partials *exec.Partials
 }
 
 // snapshot returns the statement's snapshot of t.
@@ -402,10 +404,9 @@ type aggNode struct {
 	// aggregate and the join below it as one exec.GroupJoin.
 	gjGroupBy []int
 	gjSums    []exec.GroupJoinSum
-	// states (a partial's state rows, its scope too) and final, set by
-	// splitGlobalAgg, split a global aggregate around an Exchange.
-	states *types.Schema
-	final  bool
+	// partial and final, set by splitGlobalAgg, split a global aggregate
+	// around an Exchange.
+	partial, final bool
 }
 
 func newAggNode(child node, groupExprs []expr.Expr, groupNames []string, aggs []exec.AggSpec) *aggNode {
@@ -556,15 +557,18 @@ func (a *aggNode) build(ctx *buildCtx) (exec.Operator, error) {
 		}
 		return exec.NewGroupJoin(probe, b, probeKeys, buildKeys, a.gjGroupBy, a.groupNames, a.segmentPrefix(), a.gjSums)
 	}
+	if a.final {
+		ctx.partials = exec.NewPartials(a.child.(*exchangeNode).driver.Partitions())
+	}
 	c, err := ctx.build(a.child)
 	if err != nil {
 		return nil, err
 	}
 	switch {
-	case a.states != nil:
-		return exec.NewPartialAggregate(c, a.aggs, a.states, ctx.partition), nil
+	case a.partial:
+		return exec.NewPartialAggregate(c, a.aggs, ctx.partials, ctx.partition), nil
 	case a.final:
-		return exec.NewFinalAggregate(c, a.aggs)
+		return exec.NewFinalAggregate(c, a.aggs, ctx.partials)
 	}
 	if pi := a.segmentPrefix(); pi >= 0 {
 		return exec.NewSegmentedAggregate(c, a.groupExprs, a.groupNames, a.aggs, pi)
@@ -579,7 +583,7 @@ func (a *aggNode) describe() string {
 		kind = "SegmentedAggregate (groupjoin)"
 	case a.segmentPrefix() >= 0:
 		kind = "SegmentedAggregate (pipelined)"
-	case a.states != nil:
+	case a.partial:
 		kind = "HashAggregate (partial)"
 	case a.final:
 		kind = "HashAggregate (final)"

@@ -242,10 +242,8 @@ func (pl *Planner) splitGlobalAgg(root node, driver *storage.Table) bool {
 		return false
 	}
 	partial := *a
-	partial.states, partial.sc, a.final = exec.PartialSchema(a.aggs), &scope{}, true
-	for _, c := range partial.states.Columns() {
-		partial.sc.cols = append(partial.sc.cols, scopeCol{name: strings.ToLower(c.Name), typ: c.Type})
-	}
+	// The partials emit no rows, so neither they nor the Exchange have columns.
+	partial.partial, partial.sc, a.final = true, &scope{}, true
 	a.child = &exchangeNode{child: &partial, driver: driver, parallelism: pl.Parallelism}
 	return true
 }
